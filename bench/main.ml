@@ -5,7 +5,7 @@
    Usage:
      bench/main.exe              run everything
      bench/main.exe table1 ...   run selected parts
-       (table1 table2 table3 table4 casestudy ablations xpcperf micro)
+       (table1 table2 table3 table4 casestudy ablations xpcperf soak micro)
      bench/main.exe json [path]  write the batched-XPC trajectory
                                  (default BENCH_xpc.json)
      bench/main.exe check path   re-measure and fail on >10% regression
@@ -23,7 +23,9 @@
                             --config=batch+delta+w1+ring
      bench/main.exe xpcperf --scenario=e1000-fleet \
                             --config=batch+delta+w4+ring+i64
-   Unknown names fail fast and list the valid ones.
+   Bad input fails fast: an unknown section or filter name, a missing
+   baseline file or a malformed number prints one line on stderr and
+   exits 2.
 *)
 
 module K = Decaf_kernel
@@ -60,15 +62,8 @@ let run_casestudy () =
 
 (* --- micro-benchmarks over the core primitives --- *)
 
-let prepare_machine () =
-  K.Boot.boot ();
-  Xpc.Domain.reset ();
-  Xpc.Channel.reset_stats ();
-  Xpc.Dispatch.reset ();
-  Decaf_runtime.Runtime.reset ()
-
 let bench_tests () =
-  prepare_machine ();
+  K.Boot.boot ();
   let adapter = Decaf_drivers.E1000_objects.fresh_kernel_adapter () in
   let marshaled = Decaf_drivers.E1000_objects.marshal_to_user adapter in
   let tracker = Xpc.Objtracker.create () in
@@ -160,6 +155,13 @@ let run_table_benches () =
   section "Bechamel table-regeneration benchmarks (wall-clock per run)";
   run_bechamel ~quota:1.0 ~limit:4 tables
 
+let fail fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline ("bench: " ^ s);
+      exit 2)
+    fmt
+
 (* --scenario=/--config= filters for the xpcperf matrix: validate
    against the experiment's own name lists so a typo fails fast instead
    of silently measuring nothing. *)
@@ -172,9 +174,7 @@ let prefixed p a =
 let parse_matrix_filters args =
   let check what valid = function
     | Some name when not (List.mem name valid) ->
-        Printf.eprintf "unknown %s %S; valid: %s\n" what name
-          (String.concat ", " valid);
-        exit 2
+        fail "unknown %s %S; valid: %s" what name (String.concat ", " valid)
     | v -> v
   in
   let scenario, config, rest =
@@ -192,44 +192,57 @@ let parse_matrix_filters args =
 
 let run_sections args =
   let scenario, config, args = parse_matrix_filters args in
-  let want name = args = [] || List.mem name args in
-  if want "table1" then begin
-    section "Table 1";
-    run_table1 ()
-  end;
-  if want "table2" then begin
-    section "Table 2";
-    run_table2 ()
-  end;
-  if want "table3" then begin
-    section "Table 3";
-    run_table3 ()
-  end;
-  if want "table4" then begin
-    section "Table 4";
-    run_table4 ()
-  end;
-  if want "casestudy" then begin
-    section "Case study (5.1)";
-    run_casestudy ()
-  end;
-  if want "ablations" then begin
-    section "Ablations";
-    print_string (E.Ablations.render (E.Ablations.measure ()))
-  end;
-  if want "xpcperf" then begin
-    section "Concurrent dispatch, batched XPC and delta marshaling";
-    print_string
-      (E.Xpcperf.render (E.Xpcperf.measure ?scenario ?config ()))
-  end;
-  if want "soak" then begin
-    section "Mixed-traffic soak (latency percentiles per event path)";
-    print_string (E.Soak.render (E.Soak.measure ()))
-  end;
-  if want "micro" then begin
-    run_micro ();
-    run_table_benches ()
-  end
+  let titled title run () =
+    section title;
+    run ()
+  in
+  let sections =
+    [
+      ("table1", titled "Table 1" run_table1);
+      ("table2", titled "Table 2" run_table2);
+      ("table3", titled "Table 3" run_table3);
+      ("table4", titled "Table 4" run_table4);
+      ("casestudy", titled "Case study (5.1)" run_casestudy);
+      ( "ablations",
+        titled "Ablations" (fun () ->
+            print_string (E.Ablations.render (E.Ablations.measure ()))) );
+      ( "xpcperf",
+        titled "Concurrent dispatch, batched XPC and delta marshaling"
+          (fun () ->
+            print_string
+              (E.Xpcperf.render (E.Xpcperf.measure ?scenario ?config ()))) );
+      ( "soak",
+        titled "Mixed-traffic soak (latency percentiles per event path)"
+          (fun () -> print_string (E.Soak.render (E.Soak.measure ()))) );
+      ( "micro",
+        fun () ->
+          run_micro ();
+          run_table_benches () );
+    ]
+  in
+  let names = List.map fst sections in
+  List.iter
+    (fun a ->
+      if not (List.mem a names) then
+        fail "unknown section %S; valid: %s (or json, check, soak-json, \
+              soak-check)"
+          a (String.concat ", " names))
+    args;
+  List.iter
+    (fun (name, run) -> if args = [] || List.mem name args then run ())
+    sections
+
+(* A regression gate exits 1; a baseline it cannot read is bad input. *)
+let gate check =
+  match check () with
+  | true -> ()
+  | false -> exit 1
+  | exception Sys_error e -> fail "%s" e
+
+let positive flag v =
+  match int_of_string_opt v with
+  | Some n when n > 0 -> n
+  | _ -> fail "%s wants a positive whole number, not %S" flag v
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
@@ -238,33 +251,31 @@ let () =
       let samples = E.Xpcperf.write_json ~path () in
       print_string (E.Xpcperf.render samples);
       Printf.printf "wrote %d samples to %s\n" (List.length samples) path
-  | [ "check"; path ] -> if not (E.Xpcperf.check ~path ()) then exit 1
+  | [ "check"; path ] -> gate (fun () -> E.Xpcperf.check ~path ())
   | "soak-json" :: rest ->
       (* optional overrides, e.g. `soak-json --duration-ms=500 --fleet=4`,
          for scaled-up local runs; the committed file uses the defaults *)
-      let duration_ns =
-        List.fold_left
-          (fun acc a ->
-            match prefixed "--duration-ms=" a with
-            | Some v -> int_of_string v * 1_000_000
-            | None -> acc)
-          E.Soak.default_duration_ns rest
-      in
-      let fleet =
-        List.fold_left
-          (fun acc a ->
-            match prefixed "--fleet=" a with
-            | Some v -> int_of_string v
-            | None -> acc)
-          E.Soak.default_fleet rest
-      in
+      let duration_ns = ref E.Soak.default_duration_ns
+      and fleet = ref E.Soak.default_fleet
+      and paths = ref [] in
+      List.iter
+        (fun a ->
+          match (prefixed "--duration-ms=" a, prefixed "--fleet=" a) with
+          | Some v, _ -> duration_ns := positive "--duration-ms" v * 1_000_000
+          | _, Some v -> fleet := positive "--fleet" v
+          | None, None when String.starts_with ~prefix:"--" a ->
+              fail "unknown soak-json flag %S; valid: --duration-ms=N, \
+                    --fleet=N" a
+          | None, None -> paths := a :: !paths)
+        rest;
       let path =
-        match List.filter (fun a -> String.length a < 2 || String.sub a 0 2 <> "--") rest with
-        | p :: _ -> p
-        | [] -> "BENCH_soak.json"
+        match List.rev !paths with p :: _ -> p | [] -> "BENCH_soak.json"
       in
-      let s = E.Soak.write_json ~duration_ns ~fleet ~path () in
+      let s =
+        E.Soak.write_json ~duration_ns:!duration_ns ~fleet:!fleet ~path ()
+      in
       print_string (E.Soak.render s);
       Printf.printf "wrote %d rows to %s\n" (List.length s.E.Soak.rows) path
-  | [ "soak-check"; path ] -> if not (E.Soak.check ~path ()) then exit 1
+  | [ "soak-check"; path ] -> gate (fun () -> E.Soak.check ~path ())
+  | (("check" | "soak-check") as c) :: _ -> fail "%s wants one baseline path" c
   | args -> run_sections args

@@ -13,12 +13,6 @@ module K = Decaf_kernel
 module Hw = Decaf_hw
 open Decaf_drivers
 
-let boot () =
-  K.Boot.boot ();
-  Decaf_xpc.Domain.reset ();
-  Decaf_xpc.Channel.reset_stats ();
-  Decaf_runtime.Runtime.reset ()
-
 let () =
   (* part 1: static analysis over the legacy C *)
   let cs = Decaf_experiments.Casestudy.measure () in
@@ -33,7 +27,7 @@ let () =
   (* part 2: fault injection against the running decaf driver *)
   List.iter
     (fun (nth, stage) ->
-      boot ();
+      K.Boot.boot ();
       let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
       ignore
         (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11

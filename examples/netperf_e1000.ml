@@ -12,9 +12,6 @@ open Decaf_workloads
 
 let run mode =
   K.Boot.boot ();
-  Decaf_xpc.Domain.reset ();
-  Decaf_xpc.Channel.reset_stats ();
-  Decaf_runtime.Runtime.reset ();
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11

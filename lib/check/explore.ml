@@ -19,7 +19,6 @@
    checked-in, replayable counterexample. *)
 
 module K = Decaf_kernel
-module Xpc = Decaf_xpc
 
 type episode = {
   ep_name : string;
@@ -56,21 +55,6 @@ type report = {
       (** dynamic lock-acquisition order accumulated over the episode *)
 }
 
-(* --- the per-execution world ------------------------------------------- *)
-
-let boot_world () =
-  K.Boot.boot ();
-  Xpc.Domain.reset ();
-  Xpc.Channel.reset_stats ();
-  Xpc.Channel.reset_config ();
-  Xpc.Batch.reset ();
-  Xpc.Ring.reset ();
-  Xpc.Dispatch.reset ();
-  Xpc.Marshal_plan.set_delta_enabled false;
-  Xpc.Guard.reset ();
-  Decaf_runtime.Runtime.reset ();
-  Decaf_drivers.Driver_core.reset ()
-
 (* --- one execution ----------------------------------------------------- *)
 
 type node_obs = {
@@ -99,7 +83,7 @@ let classify_exn = function
   | e -> Invariants.vf "exception" "%s" (Printexc.to_string e)
 
 let run_one episode ~graph ~prefix ~sleep0 =
-  boot_world ();
+  K.Boot.boot ();
   let monitor = Invariants.monitor graph in
   let nodes = ref [] in
   let cur : node_obs option ref = ref None in

@@ -19,4 +19,4 @@ let to_kernel ~bytes f =
   Channel.call ~target:Domain.Kernel ~payload_bytes:bytes f
 
 let direct_call_count () = !direct_calls
-let reset_counters () = direct_calls := 0
+let () = K.Boot.on_reset (fun () -> direct_calls := 0)

@@ -20,4 +20,4 @@ val to_kernel : bytes:int -> (unit -> 'a) -> 'a
 (** Downcall from the decaf driver to the kernel (via C, §3.1). *)
 
 val direct_call_count : unit -> int
-val reset_counters : unit -> unit
+(** Direct calls since the last {!Decaf_kernel.Boot.boot}. *)

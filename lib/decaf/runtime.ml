@@ -72,12 +72,14 @@ module Nuclear = struct
   let deferred_count () = !count
 end
 
-let reset () =
+(* Runs after the tracker registry's own boot reset, so the registry
+   holds exactly this life's two trackers. *)
+let () =
+  K.Boot.on_reset @@ fun () ->
   kernel_tracker_v := Objtracker.create ~name:"kernel-ot" ();
   java_tracker_v := Objtracker.create ~name:"JavaOT" ();
   is_started := false;
   restart_count := 0;
   Hashtbl.reset Helpers.sizeof_table;
-  Jeannie.reset_counters ();
   Nuclear.wq := None;
   Nuclear.count := 0

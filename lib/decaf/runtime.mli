@@ -14,8 +14,9 @@ val java_tracker : unit -> Decaf_xpc.Objtracker.t
 
 val start : unit -> unit
 (** Start the managed runtime for user-level driver code. The first
-    start after {!reset} charges the JVM startup cost; later calls are
-    no-ops. *)
+    start after a {!Decaf_kernel.Boot.boot} charges the JVM startup
+    cost; later calls are no-ops. Every boot gives the runtime fresh
+    trackers, an empty sizeof table and no nuclear worker. *)
 
 val started : unit -> bool
 
@@ -26,7 +27,7 @@ val restart : unit -> unit
     re-registers its objects. The sizeof table is kept. *)
 
 val restarts : unit -> int
-(** Restarts since the last {!reset}. *)
+(** Restarts since the last {!Decaf_kernel.Boot.boot}. *)
 
 (** {1 Helper routines}
 
@@ -66,6 +67,3 @@ module Nuclear : sig
 
   val deferred_count : unit -> int
 end
-
-val reset : unit -> unit
-(** Forget trackers, sizeof table, counters and worker state (reboot). *)

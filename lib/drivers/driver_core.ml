@@ -305,23 +305,14 @@ let hotplug_handler = function
 
 (* --- registry bookkeeping, reset on every kernel boot --- *)
 
-let registry_epoch = ref (-1)
-
-let ensure_epoch () =
-  let e = K.Boot.epoch () in
-  if e <> !registry_epoch then begin
-    registry_epoch := e;
-    bindings := [];
-    K.Hotplug.subscribe hotplug_handler
-  end
-
-let reset () =
-  registry_epoch := -1;
+(* Hotplug clears its subscribers in the kernel's part of the boot, which
+   runs before every hook. *)
+let () =
+  K.Boot.on_reset @@ fun () ->
   bindings := [];
-  ensure_epoch ()
+  K.Hotplug.subscribe hotplug_handler
 
 let register (Pack (module D) as p) =
-  ensure_epoch ();
   let b =
     {
       drv = p;
@@ -344,20 +335,17 @@ let register (Pack (module D) as p) =
   bindings := List.filter (fun o -> o.b_name <> D.name) !bindings @ [ b ]
 
 let registered () =
-  ensure_epoch ();
   List.filter_map
     (fun b -> if b.b_instance = 0 then Some b.b_name else None)
     !bindings
 
 let is_registered name =
-  ensure_epoch ();
   List.exists (fun b -> b.b_name = name) !bindings
 
 (* Binding ids resolve exactly: the bare driver name IS instance 0's id,
    so every pre-fleet call site addressing "e1000" still lands on the
    first instance, and "e1000#3" addresses the fourth. *)
 let find name =
-  ensure_epoch ();
   match List.find_opt (fun b -> b.b_id = name) !bindings with
   | Some b -> b
   | None -> invalid_arg ("driver_core: unknown driver " ^ name)
@@ -589,7 +577,6 @@ let snapshot_of b =
 let snapshot name = snapshot_of (find name)
 
 let snapshots () =
-  ensure_epoch ();
   (* stable (driver, instance) order: a 256-instance fleet renders as a
      contiguous, deterministically ordered block per driver *)
   let ordered =

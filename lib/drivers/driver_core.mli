@@ -118,12 +118,6 @@ type snapshot = {
   s_init_latency_ns : int;
 }
 
-val reset : unit -> unit
-(** Drop every binding and re-arm the hotplug subscription. Implicit on
-    each kernel boot: every public entry point compares
-    {!Decaf_kernel.Boot.epoch} and starts from a clean registry after a
-    reboot, so stale bindings never leak across boots. *)
-
 val register : packed -> unit
 (** Idempotent per driver name; replaces any previous registration. *)
 

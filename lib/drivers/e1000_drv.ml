@@ -716,20 +716,14 @@ let active_box : t option ref = ref None
 let active () = !active_box
 
 (* One K.Modules load serves every instance: the module is refcounted
-   and only really unloaded when its last binding goes away. The boot
-   epoch tag invalidates a handle that survived a reboot. *)
-type shared = {
-  s_handle : K.Modules.handle;
-  s_epoch : int;
-  mutable s_refs : int;
-}
+   and only really unloaded when its last binding goes away. *)
+type shared = { s_handle : K.Modules.handle; mutable s_refs : int }
 
 let shared_box : shared option ref = ref None
 
 let shared_live () =
   match !shared_box with
-  | Some s when s.s_epoch = K.Boot.epoch () && K.Modules.is_loaded driver ->
-      Some s
+  | Some s when K.Modules.is_loaded driver -> Some s
   | Some _ ->
       shared_box := None;
       None
@@ -742,6 +736,18 @@ let shared_live () =
    devices on the bus are refused and left for their own bind. *)
 let pending : (Driver_env.t * string option * adapter option ref) option ref =
   ref None
+
+(* Power-on state: no device model, binding, module load or insmod
+   argument outlives the machine it was made on. *)
+let () =
+  K.Boot.on_reset @@ fun () ->
+  Hashtbl.reset models;
+  Hashtbl.reset instances;
+  active_box := None;
+  shared_box := None;
+  pending := None;
+  checked_params := [];
+  reset_module_params ()
 
 let pci_probe pci =
   match !pending with
@@ -806,7 +812,7 @@ let insmod ?dev env =
       | Ok handle -> (
           match !out with
           | Some adapter ->
-              let s = { s_handle = handle; s_epoch = K.Boot.epoch (); s_refs = 0 } in
+              let s = { s_handle = handle; s_refs = 0 } in
               shared_box := Some s;
               wrap s adapter
           | None -> Error (-Errors.enodev))

@@ -45,7 +45,7 @@ val netdev_at : slot:string -> Decaf_kernel.Netcore.t option
 (** The netdev of whichever instance is bound to the given PCI slot —
     how a fleet harness reaches instances it bound through the registry
     (which returns binding ids, not handles). [None] if the slot is
-    unbound or the instance has no netdev yet. *)
+    unbound on this boot or the instance has no netdev yet. *)
 
 val watchdog_runs : t -> int
 (** Times the watchdog has executed (in the decaf driver when in decaf
@@ -101,7 +101,8 @@ type params = {
 val params : t -> params
 
 val active : unit -> t option
-(** The first (bare-named) instance, until its [rmmod]. Lets workloads
+(** The first (bare-named) instance, until its [rmmod] or the next
+    {!Decaf_kernel.Boot.boot}. Lets workloads
     reach a driver the registry loaded; fleet instances bound under
     "e1000#k" scopes never disturb it. *)
 

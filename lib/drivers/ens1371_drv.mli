@@ -35,7 +35,7 @@ val adapter_wire_bytes : int
 
 val active : unit -> t option
 (** The instance bound by the most recent successful [insmod], until its
-    [rmmod]. *)
+    [rmmod] or the next {!Decaf_kernel.Boot.boot}. *)
 
 val suspend : t -> unit
 (** PM suspend: cross to the decaf driver and silence the DAC. *)

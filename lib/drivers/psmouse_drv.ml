@@ -218,6 +218,11 @@ let connect env =
 let active_box : t option ref = ref None
 let active () = !active_box
 
+let () =
+  K.Boot.on_reset @@ fun () ->
+  model_box := None;
+  active_box := None
+
 let insmod env =
   (* Singleton device: a second concurrent bind is refused, not a
      panic — the registry's fleet path probes every driver. *)

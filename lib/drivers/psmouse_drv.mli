@@ -25,7 +25,7 @@ val user_event_syncs : t -> int
 
 val active : unit -> t option
 (** The instance bound by the most recent successful [insmod], until its
-    [rmmod]. *)
+    [rmmod] or the next {!Decaf_kernel.Boot.boot}. *)
 
 val suspend : t -> unit
 (** PM suspend: cross to the decaf driver and disable data reporting

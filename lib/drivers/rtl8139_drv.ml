@@ -375,20 +375,14 @@ let active_box : t option ref = ref None
 let active () = !active_box
 
 (* One K.Modules load serves every instance (see E1000_drv): refcounted,
-   really unloaded only when the last binding goes; the boot epoch tag
-   invalidates a handle that survived a reboot. *)
-type shared = {
-  s_handle : K.Modules.handle;
-  s_epoch : int;
-  mutable s_refs : int;
-}
+   really unloaded only when the last binding goes. *)
+type shared = { s_handle : K.Modules.handle; mutable s_refs : int }
 
 let shared_box : shared option ref = ref None
 
 let shared_live () =
   match !shared_box with
-  | Some s when s.s_epoch = K.Boot.epoch () && K.Modules.is_loaded driver ->
-      Some s
+  | Some s when K.Modules.is_loaded driver -> Some s
   | Some _ ->
       shared_box := None;
       None
@@ -398,6 +392,14 @@ let shared_live () =
    caller asked for claims a device (see E1000_drv.pending). *)
 let pending : (Driver_env.t * string option * adapter option ref) option ref =
   ref None
+
+let () =
+  K.Boot.on_reset @@ fun () ->
+  Hashtbl.reset models;
+  Hashtbl.reset instances;
+  active_box := None;
+  shared_box := None;
+  pending := None
 
 let pci_probe pci =
   match !pending with
@@ -454,9 +456,7 @@ let insmod ?dev env =
       | Ok handle -> (
           match !out with
           | Some adapter ->
-              let s =
-                { s_handle = handle; s_epoch = K.Boot.epoch (); s_refs = 0 }
-              in
+              let s = { s_handle = handle; s_refs = 0 } in
               shared_box := Some s;
               wrap s adapter
           | None -> Error (-Decaf_runtime.Errors.enodev))

@@ -152,6 +152,12 @@ let probe env io_base irq =
 let active_box : t option ref = ref None
 let active () = !active_box
 
+let () =
+  K.Boot.on_reset @@ fun () ->
+  model_box := None;
+  setup_params := None;
+  active_box := None
+
 let insmod env ~io_base ~irq =
   (* Singleton host controller: refuse a second concurrent bind. *)
   if K.Modules.is_loaded driver then Error (-Errors.ebusy)

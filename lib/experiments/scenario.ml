@@ -1,20 +1,9 @@
 module K = Decaf_kernel
 open Decaf_drivers
 
+(* every experiment loads drivers through the unified driver model *)
 let boot () =
   K.Boot.boot ();
-  Decaf_xpc.Domain.reset ();
-  Decaf_xpc.Channel.reset_stats ();
-  Decaf_xpc.Channel.reset_config ();
-  Decaf_xpc.Batch.reset ();
-  Decaf_xpc.Ring.reset ();
-  Decaf_xpc.Dispatch.reset ();
-  Decaf_xpc.Marshal_plan.set_delta_enabled false;
-  Decaf_xpc.Guard.reset ();
-  Decaf_runtime.Runtime.reset ();
-  (* fresh boot, fresh driver registry: every experiment loads drivers
-     through the unified driver model *)
-  Driver_core.reset ();
   Driver_set.register_defaults ()
 
 let env_of = Driver_env.of_mode

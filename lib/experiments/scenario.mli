@@ -2,8 +2,8 @@
     body in a scheduler thread, collect crossing counters. *)
 
 val boot : unit -> unit
-(** Reset every subsystem: kernel, XPC domains and counters, decaf
-    runtime. *)
+(** {!Decaf_kernel.Boot.boot}, then register the five drivers with
+    {!Decaf_drivers.Driver_core}. *)
 
 val in_thread : (unit -> 'a) -> 'a
 (** Run the body as the initial kernel thread and drive the simulation

@@ -1,11 +1,10 @@
-(* Monotonic across the whole process: never reset, so a subsystem that
-   caches kernel-lifetime resources (threads, timers) can compare epochs
-   and drop anything created before the latest boot. *)
-let epoch_counter = ref 0
-let epoch () = !epoch_counter
+(* Power-on resets of the modules outside this library. Each registers
+   while it initialises, and OCaml initialises modules in link order, so
+   a hook always runs after the hooks of the modules it uses. *)
+let hooks : (unit -> unit) list ref = ref []
+let on_reset f = hooks := !hooks @ [ f ]
 
 let boot () =
-  incr epoch_counter;
   Clock.reset ();
   Sched.reset ();
   Irq.reset ();
@@ -20,8 +19,10 @@ let boot () =
   Modules.reset ();
   Hotplug.reset ();
   Faultinject.reset ();
+  Sync.Combolock.reset_totals ();
   Klog.clear ();
-  Cost.reset ()
+  Cost.reset ();
+  List.iter (fun f -> f ()) !hooks
 
 let check_quiescent () =
   let problems = ref [] in

@@ -1,15 +1,19 @@
 (** Whole-machine lifecycle for tests and experiments. *)
 
 val boot : unit -> unit
-(** Reset every kernel subsystem to its power-on state: clock, scheduler,
-    interrupt controller, I/O maps, PCI bus, memory accounting, device
-    registries, kernel log, and cost table. *)
+(** Reset the machine to its power-on state: clock, scheduler, interrupt
+    controller, I/O maps, PCI bus, memory accounting, device registries,
+    fault plan, combolock totals, kernel log and cost table, then every
+    hook registered with {!on_reset}, in registration order. Two runs
+    after a [boot] in one process simulate the same thing. *)
 
-val epoch : unit -> int
-(** Boot generation: incremented by every {!boot}, never reset. Resources
-    tied to the machine's lifetime (worker threads, timers) record the
-    epoch at creation and must be recreated when it no longer matches —
-    a stale worker belongs to a scheduler that no longer exists. *)
+val on_reset : (unit -> unit) -> unit
+(** Register a module's power-on reset. A module outside the kernel
+    library that keeps machine state registers once, while it
+    initialises; modules initialise in link order, so each hook runs
+    after the hooks of the modules it uses. State meant to outlive a
+    reboot (trace ids and hooks, the scheduling controller, mutant
+    flags, observers) stays out of every hook. *)
 
 val check_quiescent : unit -> (unit, string) result
 (** After a run: verify no threads are runnable, no memory is leaked, and

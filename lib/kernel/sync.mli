@@ -114,6 +114,7 @@ module Combolock : sig
       since the last {!reset_totals}. *)
 
   val reset_totals : unit -> unit
+  (** Zero the totals; every {!Boot.boot} does. *)
 
   val set_wait_observer : (int -> unit) -> unit
   (** Register a callback invoked with the virtual ns a thread just spent

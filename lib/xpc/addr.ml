@@ -8,3 +8,4 @@ let alloc ~size =
 
 let embedded ~parent ~offset = parent + offset
 let reset () = next := 0xc000_0000
+let () = Decaf_kernel.Boot.on_reset reset

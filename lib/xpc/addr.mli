@@ -11,3 +11,5 @@ val alloc : size:int -> int
 
 val embedded : parent:int -> offset:int -> int
 val reset : unit -> unit
+(** Restart allocation at the first address, as every
+    {!Decaf_kernel.Boot.boot} does. *)

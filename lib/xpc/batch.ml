@@ -49,14 +49,13 @@ let queue_for target =
       q
 
 (* The flush workers and timer belong to one machine lifetime: after a
-   reboot the scheduler that owned the worker threads is gone, so the
-   infrastructure is tagged with the boot epoch (and the dispatch pool
-   width it was sized for) and lazily recreated when either is stale.
-   With N dispatch workers per domain, up to min(N, 4) flush workqueues
-   feed them round-robin, so independent flushes can occupy independent
-   workers. *)
-let infra : (int * int * K.Workqueue.t array * K.Timer.t) option ref =
-  ref None
+   reboot the scheduler that owned the worker threads is gone, so boot
+   forgets the infrastructure. It is created lazily, tagged with the
+   dispatch pool width it was sized for, and recreated when that width
+   changes. With N dispatch workers per domain, up to min(N, 4) flush
+   workqueues feed them round-robin, so independent flushes can occupy
+   independent workers. *)
+let infra : (int * K.Workqueue.t array * K.Timer.t) option ref = ref None
 
 let rr = ref 0
 
@@ -164,10 +163,9 @@ let targets () = Hashtbl.fold (fun t _ acc -> t :: acc) queues []
 let busy_retry_ns = 1_000_000
 
 let rec get_infra () =
-  let e = K.Boot.epoch () in
   let size = min (Dispatch.workers ()) 4 in
   match !infra with
-  | Some (e', s', wqs, timer) when e' = e && s' = size -> (wqs, timer)
+  | Some (s', wqs, timer) when s' = size -> (wqs, timer)
   | _ ->
       let wqs =
         Array.init size (fun i ->
@@ -181,7 +179,7 @@ let rec get_infra () =
               (fun t -> queue_flush wqs (fun () -> deferred_drain t))
               (targets ()))
       in
-      infra := Some (e, size, wqs, timer);
+      infra := Some (size, wqs, timer);
       (wqs, timer)
 
 (* Asynchronous delivery (workqueue/timer): hold off while the target's
@@ -255,9 +253,8 @@ let doorbell () =
 let drain () =
   List.iter drain_target (targets ());
   match !infra with
-  | Some (e, _, wqs, _) when e = K.Boot.epoch () ->
-      Array.iter K.Workqueue.flush wqs
-  | _ -> ()
+  | Some (_, wqs, _) -> Array.iter K.Workqueue.flush wqs
+  | None -> ()
 
 let pending () = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) queues 0
 
@@ -281,9 +278,11 @@ let snapshot () =
     dropped = counters.dropped;
   }
 
-let reset () =
+let () =
+  K.Boot.on_reset @@ fun () ->
   Hashtbl.reset queues;
   infra := None;
+  rr := 0;
   enabled := false;
   watermark := default_watermark;
   flush_interval_ns := default_flush_interval_ns;

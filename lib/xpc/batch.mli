@@ -88,10 +88,9 @@ val configure : ?watermark:int -> ?flush_interval_ns:int -> unit -> unit
     the latency bound on a posted call (default 10 ms). *)
 
 val stats : unit -> stats
-val snapshot : unit -> stats
+(** Counters since the last {!Decaf_kernel.Boot.boot}. Every boot also
+    drops the queues, restores the default configuration and forgets
+    the flush workqueues and timer, which are created again on the next
+    post, so a reboot never leaves a stale worker behind. *)
 
-val reset : unit -> unit
-(** Drop all queues, counters and configuration; forget the flush
-    workqueue/timer (they are re-created lazily, tagged with the current
-    {!Decaf_kernel.Boot.epoch}, so a reboot never leaves a stale worker
-    behind). Called from [Scenario.boot]. *)
+val snapshot : unit -> stats

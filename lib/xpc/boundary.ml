@@ -1,8 +1,8 @@
 (* The typed fault raised when inbound data from an untrusted user-level
    driver fails validation, plus the machine-wide rejection counters.
-   This module has no dependencies so that every boundary layer —
-   Marshal_plan.Dirty, Objtracker, Batch, Guard — can report into the
-   same accounting without import cycles. *)
+   This module uses nothing else in the XPC library so that every
+   boundary layer — Marshal_plan.Dirty, Objtracker, Batch, Guard — can
+   report into the same accounting without import cycles. *)
 
 exception
   Boundary_violation of {
@@ -90,7 +90,8 @@ let reject ~type_id ~field fmt =
       raise (Boundary_violation { type_id; field; reason }))
     fmt
 
-let reset () =
+let () =
+  Decaf_kernel.Boot.on_reset @@ fun () ->
   totals.checks <- 0;
   totals.rejected <- 0;
   totals.dropped <- 0;

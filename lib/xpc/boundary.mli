@@ -23,7 +23,8 @@ type counters = {
 }
 
 val totals : counters
-(** Machine-wide counters; reset by [Channel.reset_stats] on boot. *)
+(** Machine-wide counters, zeroed with the per-scope figures on every
+    {!Decaf_kernel.Boot.boot}. *)
 
 val scoped : string -> (unit -> 'a) -> 'a
 (** Run [f] with rejections attributed to the named scope (a driver
@@ -56,5 +57,3 @@ val note_dropped : unit -> unit
 
 val reject : type_id:string -> field:string -> ('a, unit, string, 'b) format4 -> 'a
 (** Count a rejection and raise {!Boundary_violation}. *)
-
-val reset : unit -> unit

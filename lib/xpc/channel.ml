@@ -91,22 +91,13 @@ let direct_marshaling () = !direct
 (* Per-domain count of crossings currently executing in that domain.
    A user-level runtime services one XPC at a time, so asynchronous
    deliveries (the Batch flush worker) consult this to avoid entering a
-   domain that is mid-call. Tagged with the boot epoch: a reboot tears
-   down the scheduler with calls still nominally in flight, and a stale
-   count must not make the next life's domains look permanently busy. *)
+   domain that is mid-call. Cleared on boot: a reboot tears down the
+   scheduler with calls still nominally in flight, and a stale count
+   must not make the next life's domains look permanently busy. *)
 let in_flight_tbl : (Domain.t, int) Hashtbl.t = Hashtbl.create 4
-let in_flight_epoch = ref (-1)
-
-let in_flight_table () =
-  let e = K.Boot.epoch () in
-  if !in_flight_epoch <> e then begin
-    Hashtbl.reset in_flight_tbl;
-    in_flight_epoch := e
-  end;
-  in_flight_tbl
 
 let in_flight target =
-  match Hashtbl.find_opt (in_flight_table ()) target with
+  match Hashtbl.find_opt in_flight_tbl target with
   | Some n -> n
   | None -> 0
 
@@ -118,10 +109,10 @@ let executing target f =
   K.Ktrace.note
     (K.Ktrace.Queue ("xpc:" ^ Domain.to_string target))
     K.Ktrace.Signal;
-  let tbl = in_flight_table () in
-  Hashtbl.replace tbl target (in_flight target + 1);
+  Hashtbl.replace in_flight_tbl target (in_flight target + 1);
   Fun.protect
-    ~finally:(fun () -> Hashtbl.replace tbl target (in_flight target - 1))
+    ~finally:(fun () ->
+      Hashtbl.replace in_flight_tbl target (in_flight target - 1))
     f
 
 (* Every crossing carries a virtual deadline: an injected Xpc_timeout
@@ -204,18 +195,15 @@ let reset_stats () =
   counters.lock_acquires <- 0;
   counters.lock_contended <- 0;
   counters.lock_spin_to_sem <- 0;
-  counters.lock_wait_ns <- 0;
-  (* The lock columns mirror the combolock totals and the shard columns
-     mirror the tracker registry; both restart with the counters. Every
-     reset_stats caller rebuilds the runtime (and thus its trackers)
-     right after. *)
-  K.Sync.Combolock.reset_totals ();
-  Objtracker.reset_registry ();
-  Boundary.reset ()
+  counters.lock_wait_ns <- 0
 
 (* Configuration is deliberately not part of [reset_stats]: clearing the
    counters between measurements must not flip the marshaling mode. *)
-let reset_config () = direct := false
+let () =
+  K.Boot.on_reset @@ fun () ->
+  reset_stats ();
+  direct := false;
+  Hashtbl.reset in_flight_tbl
 
 let snapshot () =
   refresh_lock_columns ();

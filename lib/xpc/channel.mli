@@ -88,12 +88,11 @@ val tracker_shards : unit -> Objtracker.stats array
     report shard-hit distribution alongside crossing counts. *)
 
 val reset_stats : unit -> unit
-(** Zero the counters, the machine-wide combolock totals and the
-    object-tracker registry. Does {e not} touch configuration such as
-    the direct-marshaling flag — use {!reset_config} for that. *)
-
-val reset_config : unit -> unit
-(** Restore default configuration (direct marshaling off). *)
+(** Zero the crossing counters between two measurements. The lock
+    columns keep mirroring the combolock totals, which only
+    {!Decaf_kernel.Boot.boot} clears. Does {e not} touch configuration
+    such as the direct-marshaling flag; every boot also restores the
+    default configuration. *)
 
 val snapshot : unit -> stats
 (** A copy of the current counters (for before/after measurements). *)

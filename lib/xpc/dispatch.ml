@@ -42,10 +42,9 @@ let workers_v = ref 1
 let set_workers n = workers_v := max 1 n
 let workers () = !workers_v
 
-(* Pools belong to one machine lifetime: tagged with the boot epoch and
-   dropped when it changes, like the Batch flush infrastructure. *)
+(* Pools belong to one machine lifetime: dropped on boot, like the Batch
+   flush infrastructure. *)
 let pools : (Domain.t, pool) Hashtbl.t = Hashtbl.create 4
-let pools_epoch = ref (-1)
 
 (* The lane serving the crossing each simulated thread is executing, if
    any, keyed by Sched tid: threads suspend mid-crossing (slot waits,
@@ -56,19 +55,15 @@ let pools_epoch = ref (-1)
 let lane_by_tid : (int, lane) Hashtbl.t = Hashtbl.create 8
 let serving_lane () = Hashtbl.find_opt lane_by_tid (K.Sched.current_tid ())
 
-let live_pools () =
-  let e = K.Boot.epoch () in
-  if !pools_epoch <> e then begin
-    Hashtbl.reset pools;
-    (* Sched.reset reuses tids after a reboot: bindings from the old
-       life's threads must not leak lanes onto the new life's. *)
-    Hashtbl.reset lane_by_tid;
-    pools_epoch := e
-  end;
-  pools
+let () =
+  K.Boot.on_reset @@ fun () ->
+  Hashtbl.reset pools;
+  (* Sched.reset reuses tids after a reboot: bindings from the old life's
+     threads must not leak lanes onto the new life's. *)
+  Hashtbl.reset lane_by_tid;
+  workers_v := 1
 
 let pool_for dom =
-  let pools = live_pools () in
   match Hashtbl.find_opt pools dom with
   | Some p when Array.length p.lanes = !workers_v -> p
   | Some p when p.active > 0 || K.Sync.Waitq.waiters p.waitq > 0 ->
@@ -174,14 +169,14 @@ let with_worker ~target f =
 let critical_path p = Array.fold_left (fun m l -> max m l.busy_ns) 0 p.lanes
 
 let overhead_ns () =
-  Hashtbl.fold (fun _ p acc -> acc + critical_path p) (live_pools ()) 0
+  Hashtbl.fold (fun _ p acc -> acc + critical_path p) pools 0
 
 let overlap_saved_ns () =
   Hashtbl.fold
     (fun _ p acc ->
       let total = Array.fold_left (fun a l -> a + l.busy_ns) 0 p.lanes in
       acc + (total - critical_path p))
-    (live_pools ()) 0
+    pools 0
 
 let pool_stats () =
   Hashtbl.fold
@@ -199,10 +194,4 @@ let pool_stats () =
         critical_path_ns = critical_path p;
       }
       :: acc)
-    (live_pools ()) []
-
-let reset () =
-  Hashtbl.reset pools;
-  pools_epoch := -1;
-  workers_v := 1;
-  Hashtbl.reset lane_by_tid
+    pools []

@@ -22,9 +22,10 @@
       shared object still serialize through that object's combolock, and
       the wait shows up in the blocked worker's lane.
 
-    Pools are tagged with the boot epoch and dropped on reboot. With the
-    default [workers = 1] the admission gate reproduces the historical
-    "a user-level runtime services one XPC at a time" behaviour. *)
+    Every {!Decaf_kernel.Boot.boot} drops the pools and restores
+    [workers = 1]. With that default the admission gate reproduces the
+    historical "a user-level runtime services one XPC at a time"
+    behaviour. *)
 
 type pool_stats = {
   domain : Domain.t;
@@ -47,7 +48,7 @@ val set_workers : int -> unit
     pool with crossings in flight or admissions parked on its wait queue
     keeps serving at the old width until it drains, so in-flight slot
     and stats accounting is never stranded on an abandoned pool. Call it
-    between scenario boots for a clean matrix point. *)
+    after a boot for a clean matrix point. *)
 
 val workers : unit -> int
 
@@ -82,6 +83,3 @@ val overlap_saved_ns : unit -> int
     untouched. *)
 
 val pool_stats : unit -> pool_stats list
-val reset : unit -> unit
-(** Forget all pools and restore [workers = 1]. Called from
-    [Scenario.boot]. *)

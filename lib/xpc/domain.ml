@@ -21,4 +21,4 @@ let with_domain d f =
       raise e
 
 let is_user = function Kernel -> false | Driver_lib | Decaf_driver -> true
-let reset () = cur := Kernel
+let () = Decaf_kernel.Boot.on_reset (fun () -> cur := Kernel)

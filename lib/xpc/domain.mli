@@ -18,4 +18,3 @@ val with_domain : t -> (unit -> 'a) -> 'a
 (** Run [f] with {!current} switched to the given domain. *)
 
 val is_user : t -> bool
-val reset : unit -> unit

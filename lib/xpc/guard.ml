@@ -71,6 +71,8 @@ let reset () =
   limits.max_inbound_bytes <- default_max_inbound_bytes;
   limits.max_batch_queue <- default_max_batch_queue
 
+let () = K.Boot.on_reset reset
+
 let make plan rules =
   let index = Hashtbl.create (max 8 (2 * List.length rules)) in
   List.iter

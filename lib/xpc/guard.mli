@@ -73,4 +73,5 @@ val configure : ?max_inbound_bytes:int -> ?max_batch_queue:int -> unit -> unit
     and falls back to the default instead of being honored. *)
 
 val reset : unit -> unit
-(** Re-enable validation and restore default limits (boot path). *)
+(** Re-enable validation and restore default limits, as every
+    {!Decaf_kernel.Boot.boot} does. *)

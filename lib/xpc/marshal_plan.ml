@@ -83,6 +83,7 @@ let pp ppf t =
    ambiguous after a runtime restart. *)
 let delta = ref false
 let set_delta_enabled v = delta := v
+let () = Decaf_kernel.Boot.on_reset (fun () -> delta := false)
 let delta_enabled () = !delta
 
 module Dirty = struct

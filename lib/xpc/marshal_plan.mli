@@ -48,7 +48,8 @@ val pp : Format.formatter -> t -> unit
 
 val set_delta_enabled : bool -> unit
 (** Global, like {!Channel.set_direct_marshaling}: both sides of a
-    boundary must agree on the payload format. Off by default. *)
+    boundary must agree on the payload format. Off by default and after
+    every boot. *)
 
 val delta_enabled : unit -> bool
 

@@ -66,10 +66,10 @@ type t = { name : string; shards : shard array; mask : int }
 let default_shards = 8
 
 (* Every live tracker, for machine-wide per-shard reporting through
-   Channel.stats. Cleared by [reset_registry] (Scenario.boot) before the
-   runtime recreates its trackers. *)
+   Channel.stats. Cleared on boot, before the runtime's own reset
+   recreates its trackers. *)
 let registry : t list ref = ref []
-let reset_registry () = registry := []
+let () = K.Boot.on_reset (fun () -> registry := [])
 
 let create ?(name = "objtracker") ?(shards = default_shards) () =
   let n =

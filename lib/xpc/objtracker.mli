@@ -28,8 +28,8 @@ type stats = {
 val create : ?name:string -> ?shards:int -> unit -> t
 (** [shards] (default 8) is rounded up to a power of two. Every tracker
     is added to a process-wide registry consumed by
-    {!global_shard_stats}; [Scenario.boot] clears the registry via
-    {!reset_registry} before the runtime recreates its trackers. *)
+    {!global_shard_stats}; {!Decaf_kernel.Boot.boot} clears the registry
+    before the runtime recreates its trackers. *)
 
 val associate : t -> addr:int -> Univ.t -> unit
 (** Record that [addr] corresponds to the given object; the object's
@@ -71,8 +71,6 @@ val global_shard_stats : unit -> stats array
 (** Per-shard counters summed across every registered tracker (the
     kernel- and Java-side trackers of the running machine). Indexed by
     shard; surfaced through [Channel.stats]. *)
-
-val reset_registry : unit -> unit
 
 (** {1 Capability handles}
 

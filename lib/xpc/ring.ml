@@ -61,10 +61,9 @@ let rings : (string, t) Hashtbl.t = Hashtbl.create 8
 let all () = Hashtbl.fold (fun _ r acc -> r :: acc) rings []
 
 (* Doorbell workers and timer belong to one machine lifetime, exactly
-   like the batch flush infrastructure: tagged with the boot epoch and
-   the dispatch pool width, lazily recreated when either is stale. *)
-let infra : (int * int * K.Workqueue.t array * K.Timer.t) option ref =
-  ref None
+   like the batch flush infrastructure: forgotten on boot, tagged with
+   the dispatch pool width, lazily recreated when that width changes. *)
+let infra : (int * K.Workqueue.t array * K.Timer.t) option ref = ref None
 
 let rr = ref 0
 
@@ -97,10 +96,9 @@ let slot_valid r rec_ =
       | exception Boundary.Boundary_violation _ -> false)
 
 let rec get_infra () =
-  let e = K.Boot.epoch () in
   let size = min (Dispatch.workers ()) 4 in
   match !infra with
-  | Some (e', s', wqs, timer) when e' = e && s' = size -> (wqs, timer)
+  | Some (s', wqs, timer) when s' = size -> (wqs, timer)
   | _ ->
       let wqs =
         Array.init size (fun i ->
@@ -114,7 +112,7 @@ let rec get_infra () =
               (fun r -> queue_job wqs (fun () -> deferred_drain r))
               (all ()))
       in
-      infra := Some (e, size, wqs, timer);
+      infra := Some (size, wqs, timer);
       (wqs, timer)
 
 and deferred_drain r =
@@ -242,9 +240,8 @@ let produce r rec_ =
 let drain_all () =
   List.iter drain (all ());
   match !infra with
-  | Some (e, _, wqs, _) when e = K.Boot.epoch () ->
-      Array.iter K.Workqueue.flush wqs
-  | _ -> ()
+  | Some (_, wqs, _) -> Array.iter K.Workqueue.flush wqs
+  | None -> ()
 
 let destroy r =
   (* Surprise removal: no consumer will ever drain again, so whatever
@@ -290,9 +287,11 @@ let configure ?watermark:w ?flush_interval_ns:i ?depth:d () =
   Option.iter (fun v -> flush_interval_ns := max 1 v) i;
   Option.iter (fun v -> depth_default := max 1 v) d
 
-let reset () =
+let () =
+  K.Boot.on_reset @@ fun () ->
   Hashtbl.reset rings;
   infra := None;
+  rr := 0;
   enabled_flag := false;
   watermark := default_watermark;
   flush_interval_ns := default_flush_interval_ns;

@@ -88,7 +88,9 @@ val pending : unit -> int
 val stats_of : t -> stats
 
 val stats : unit -> stats
-(** Machine-wide totals (live). Invariant:
+(** Machine-wide totals (live) since the last
+    {!Decaf_kernel.Boot.boot}, which also forgets every ring, the
+    doorbell infrastructure and the configuration. Invariant:
     [produced = consumed + rejected + discarded + pending ()] —
     overflow slots were never accepted, so they are not produced. *)
 
@@ -112,6 +114,3 @@ val configure :
     (default 100 ms — rings carry coalescable telemetry, an order
     looser than the batch queue's 10 ms). [depth]: slot count for rings
     created afterwards (default 256). *)
-
-val reset : unit -> unit
-(** Forget every ring, all infrastructure and all counters (boot). *)

@@ -9,16 +9,6 @@ module Plan = Marshal_plan
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot () =
-  K.Boot.boot ();
-  Domain.reset ();
-  Channel.reset_stats ();
-  Channel.reset_config ();
-  Batch.reset ();
-  Plan.set_delta_enabled false;
-  Decaf_runtime.Runtime.reset ();
-  Addr.reset ()
-
 let in_thread f =
   ignore (K.Sched.spawn ~name:"test" f);
   K.Sched.run ()
@@ -28,7 +18,7 @@ let crossings () = (Channel.snapshot ()).Channel.kernel_user_calls
 (* --- batching on: one crossing, FIFO delivery --- *)
 
 let test_doorbell_flush_fifo () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   let order = ref [] in
   in_thread (fun () ->
@@ -53,7 +43,7 @@ let test_doorbell_flush_fifo () =
   check "nothing left" 0 (Batch.pending ())
 
 let test_same_domain_runs_inline () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   in_thread (fun () ->
       Domain.with_domain Domain.Driver_lib (fun () ->
@@ -64,7 +54,7 @@ let test_same_domain_runs_inline () =
           check "no crossing" 0 (crossings ())))
 
 let test_watermark_forces_flush () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   Batch.configure ~watermark:4 ();
   in_thread (fun () ->
@@ -79,7 +69,7 @@ let test_watermark_forces_flush () =
       check "one flush crossing" 1 st.Batch.flush_crossings)
 
 let test_timer_bounds_latency () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   in_thread (fun () ->
       Batch.post ~target:Domain.Driver_lib (fun () -> ());
@@ -95,7 +85,7 @@ let test_timer_bounds_latency () =
 (* --- batching off: the measurement baseline pays per-call crossings *)
 
 let test_disabled_pays_per_call () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled false;
   in_thread (fun () ->
       let before = crossings () in
@@ -114,7 +104,7 @@ let test_disabled_pays_per_call () =
 (* --- fault injection on the flush crossing: no drop, no duplicate --- *)
 
 let test_flush_timeout_requeues_intact () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   let order = ref [] in
   let note i () = order := i :: !order in
@@ -148,7 +138,7 @@ let test_flush_timeout_requeues_intact () =
     (List.rev !order)
 
 let test_flush_retried_to_success () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   let ran = ref 0 in
   in_thread (fun () ->
@@ -176,7 +166,7 @@ let test_flush_retried_to_success () =
 (* --- queue bound: graceful degradation against a flooding driver --- *)
 
 let test_queue_bound_drops () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   Guard.configure ~max_batch_queue:4 ();
   Fun.protect
@@ -203,7 +193,7 @@ let test_queue_bound_drops () =
 (* --- forged delta acknowledgements --- *)
 
 let test_forged_ack_rejected () =
-  boot ();
+  K.Boot.boot ();
   let t = Plan.Dirty.create ~owner:"nic" () in
   Plan.Dirty.mark t "a";
   let upto = Plan.Dirty.snapshot t in
@@ -220,21 +210,38 @@ let test_forged_ack_rejected () =
   check "honest ack still flushes" 0 (Plan.Dirty.pending t)
 
 let test_survives_reboot () =
-  boot ();
+  K.Boot.boot ();
   Batch.set_enabled true;
   in_thread (fun () ->
       Batch.post ~target:Domain.Driver_lib (fun () -> ());
       Batch.drain ());
   check "first life delivered" 1 (Batch.stats ()).Batch.delivered;
   (* reboot: the old workqueue thread and timer died with the scheduler;
-     the epoch tag makes Batch rebuild them instead of touching them *)
-  boot ();
+     boot makes Batch forget them and build fresh ones *)
+  K.Boot.boot ();
   Batch.set_enabled true;
   let ran = ref false in
   in_thread (fun () ->
       Batch.post ~target:Domain.Driver_lib (fun () -> ran := true);
       Batch.drain ());
   check_bool "fresh infrastructure after reboot" true !ran
+
+(* The cursor that picks a flush workqueue is machine state: the first
+   post of a fresh boot runs on the same worker whatever the last life
+   posted. *)
+let test_reboot_resets_flush_cursor () =
+  let first_worker () =
+    K.Boot.boot ();
+    Dispatch.set_workers 4;
+    let worker = ref "" in
+    in_thread (fun () ->
+        Batch.post ~target:Domain.Driver_lib (fun () ->
+            worker := K.Sched.current_name ()));
+    !worker
+  in
+  let first = first_worker () in
+  Alcotest.(check string) "same flush worker after reboot" first
+    (first_worker ())
 
 (* --- delta marshaling: kernel -> user --- *)
 
@@ -249,7 +256,7 @@ let sync_to_user k j_ref =
   (j, Bytes.length payload)
 
 let test_delta_kernel_to_user () =
-  boot ();
+  K.Boot.boot ();
   Plan.set_delta_enabled true;
   let k = O.fresh_kernel_nic () in
   O.set_k_msg_enable k 7;
@@ -275,7 +282,7 @@ let test_delta_kernel_to_user () =
   check "no pending marks" 0 (Plan.Dirty.pending k.O.k_dirty)
 
 let test_delta_user_to_kernel () =
-  boot ();
+  K.Boot.boot ();
   Plan.set_delta_enabled true;
   let k = O.fresh_kernel_nic () in
   let j = O.unmarshal_at_user (O.marshal_to_user k) in
@@ -302,8 +309,7 @@ let test_dirty_mark_during_crossing_survives_ack () =
   check "one mark left" 1 (Plan.Dirty.pending t)
 
 let test_full_mode_ignores_dirty_state () =
-  boot ();
-  Plan.set_delta_enabled false;
+  K.Boot.boot ();
   let k = O.fresh_kernel_nic () in
   let j = O.unmarshal_at_user (O.marshal_to_user k) in
   ignore j;
@@ -329,6 +335,7 @@ let () =
           tc "flush timeout requeues intact" test_flush_timeout_requeues_intact;
           tc "flush retried to success" test_flush_retried_to_success;
           tc "survives reboot" test_survives_reboot;
+          tc "reboot resets the flush cursor" test_reboot_resets_flush_cursor;
         ] );
       ( "batch-bounds",
         [ tc "queue bound drops excess posts" test_queue_bound_drops ] );

@@ -168,7 +168,7 @@ let test_replay_deterministic () =
 (* --- blocking inside the irq-window hook is a caught bug --- *)
 
 let test_window_hook_blocking () =
-  Explore.boot_world ();
+  K.Boot.boot ();
   Xpc.Batch.set_enabled true;
   Xpc.Batch.configure ~watermark:64 ();
   Xpc.Batch.post ~target:Xpc.Domain.Driver_lib ~context:"test" (fun () -> ());
@@ -186,7 +186,7 @@ let test_window_hook_blocking () =
         true
         (Testutil.contains what "irq-window hook"));
   (* boot a fresh world so the poisoned hook cannot leak into later tests *)
-  Explore.boot_world ()
+  K.Boot.boot ()
 
 (* --- static lock order and the static/dynamic diff --- *)
 

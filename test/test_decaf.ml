@@ -8,12 +8,6 @@ module Xpc = Decaf_xpc
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot () =
-  K.Boot.boot ();
-  Xpc.Domain.reset ();
-  Xpc.Channel.reset_stats ();
-  Runtime.reset ()
-
 (* --- Errors --- *)
 
 let test_errors_check_and_to_errno () =
@@ -54,7 +48,7 @@ let test_errors_protect_nests_in_order () =
 (* --- Jeannie --- *)
 
 let test_jeannie_direct_switches_domain () =
-  boot ();
+  K.Boot.boot ();
   Xpc.Domain.with_domain Xpc.Domain.Decaf_driver (fun () ->
       let d =
         Jeannie.direct (fun () -> Xpc.Domain.to_string (Xpc.Domain.current ()))
@@ -64,7 +58,7 @@ let test_jeannie_direct_switches_domain () =
   check "direct calls are not XPC" 0 (Xpc.Channel.stats ()).Xpc.Channel.c_java_calls
 
 let test_jeannie_via_xpc_counts () =
-  boot ();
+  K.Boot.boot ();
   Xpc.Domain.with_domain Xpc.Domain.Decaf_driver (fun () ->
       ignore (Jeannie.via_xpc ~bytes:64 (fun () -> ())));
   check "one C/Java crossing" 1 (Xpc.Channel.stats ()).Xpc.Channel.c_java_calls
@@ -72,7 +66,7 @@ let test_jeannie_via_xpc_counts () =
 (* --- Runtime helpers --- *)
 
 let test_runtime_start_once () =
-  boot ();
+  K.Boot.boot ();
   check_bool "not started" false (Runtime.started ());
   Runtime.start ();
   let t1 = K.Clock.now () in
@@ -81,7 +75,7 @@ let test_runtime_start_once () =
   check "second start free" t1 (K.Clock.now ())
 
 let test_runtime_sizeof_registry () =
-  boot ();
+  K.Boot.boot ();
   Runtime.Helpers.register_sizeof "e1000_adapter" 512;
   check "sizeof" 512 (Runtime.Helpers.sizeof "e1000_adapter");
   check_bool "unknown sizeof is a bug" true
@@ -91,7 +85,7 @@ let test_runtime_sizeof_registry () =
      with K.Panic.Kernel_bug _ -> true)
 
 let test_runtime_port_helpers_do_io () =
-  boot ();
+  K.Boot.boot ();
   let last = ref (-1) in
   let r =
     K.Io.register_ports ~base:0x100 ~len:4
@@ -106,7 +100,7 @@ let test_runtime_port_helpers_do_io () =
 (* --- Params (the e1000_param.c rewrite of section 5.1) --- *)
 
 let test_params_range () =
-  boot ();
+  K.Boot.boot ();
   let c = new Params.range_checker ~name:"TxDescriptors" ~default:256 ~min:80 ~max:4096 in
   let ok = c#check 512 in
   check "legal kept" 512 ok.Params.value;
@@ -117,7 +111,7 @@ let test_params_range () =
   check_bool "warning logged" true (K.Klog.count K.Klog.Warning >= 1)
 
 let test_params_set_membership () =
-  boot ();
+  K.Boot.boot ();
   let c =
     new Params.set_checker ~name:"ITR" ~default:3 ~allowed:[ 0; 1; 3; 8000 ]
   in
@@ -125,7 +119,7 @@ let test_params_set_membership () =
   check "non-member replaced" 3 (c#check 17).Params.value
 
 let test_params_polymorphic_check_all () =
-  boot ();
+  K.Boot.boot ();
   let results =
     Params.check_all
       [
@@ -144,7 +138,7 @@ let test_params_polymorphic_check_all () =
 (* --- Nuclear deferral --- *)
 
 let test_nuclear_defer_and_flush () =
-  boot ();
+  K.Boot.boot ();
   let ran = ref 0 in
   ignore
     (K.Sched.spawn (fun () ->
@@ -160,7 +154,7 @@ let test_nuclear_defer_and_flush () =
 (* --- e1000 uses the checkers at probe time --- *)
 
 let test_e1000_validates_module_params () =
-  boot ();
+  K.Boot.boot ();
   Decaf_drivers.E1000_drv.reset_module_params ();
   Decaf_drivers.E1000_drv.set_module_params ~tx_descriptors:7
     ~interrupt_throttle:12345 ();
@@ -191,7 +185,7 @@ let in_thread f =
   match !r with Some v -> v | None -> Alcotest.fail "thread did not complete"
 
 let test_with_retry_eventually_succeeds () =
-  boot ();
+  K.Boot.boot ();
   let calls = ref 0 in
   let result =
     in_thread (fun () ->
@@ -204,7 +198,7 @@ let test_with_retry_eventually_succeeds () =
   check "three calls" 3 !calls
 
 let test_with_retry_exhausts () =
-  boot ();
+  K.Boot.boot ();
   let calls = ref 0 in
   let raised =
     in_thread (fun () ->
@@ -229,7 +223,7 @@ let test_with_retry_rejects_bad_args () =
 (* --- Supervisor --- *)
 
 let test_supervisor_passthrough () =
-  boot ();
+  K.Boot.boot ();
   let sup = Supervisor.create ~name:"t" () in
   let v =
     in_thread (fun () ->
@@ -240,7 +234,7 @@ let test_supervisor_passthrough () =
   check_bool "still running" true (Supervisor.state sup = Supervisor.Running)
 
 let test_supervisor_recovers () =
-  boot ();
+  K.Boot.boot ();
   let sup = Supervisor.create ~name:"t" ~restart_delay_ns:1_000 () in
   let restarted = ref 0 in
   let tries = ref 0 in
@@ -262,7 +256,7 @@ let test_supervisor_recovers () =
   check "restarts" 2 st.Supervisor.restarts
 
 let test_supervisor_budget_exhausted () =
-  boot ();
+  K.Boot.boot ();
   let sup =
     Supervisor.create ~name:"t" ~restart_budget:2 ~restart_delay_ns:1_000 ()
   in
@@ -283,7 +277,7 @@ let test_supervisor_budget_exhausted () =
   check_bool "refuses once disabled" true (again = None)
 
 let test_supervisor_never_swallows_kernel_bug () =
-  boot ();
+  K.Boot.boot ();
   let sup = Supervisor.create ~name:"t" ~restart_delay_ns:1_000 () in
   let saw =
     in_thread (fun () ->
@@ -300,7 +294,7 @@ let test_supervisor_never_swallows_kernel_bug () =
     (Supervisor.stats sup).Supervisor.detected
 
 let test_supervisor_restart_resets_runtime () =
-  boot ();
+  K.Boot.boot ();
   Runtime.start ();
   let before = Runtime.restarts () in
   let sup = Supervisor.create ~name:"t" ~restart_delay_ns:1_000 () in

@@ -227,6 +227,31 @@ let params_reset_between_probes () =
       check "second probe sees the default" 256 (tx_descriptors ());
       Driver_core.rmmod "e1000")
 
+(* --- a reboot forgets every binding --- *)
+
+(* Booting over a bound driver, with no rmmod, must leave the driver's own
+   bookkeeping as fresh as the registry's: no adapter from the old machine
+   answers [active] or [netdev_at], and the next bind claims [active]. *)
+let reboot_forgets_bindings () =
+  let slot = "00:05.0" in
+  Scenario.boot ();
+  ignore (setup_e1000 ());
+  Scenario.in_thread (fun () -> insmod_ok "e1000");
+  let old = E1000_drv.active () in
+  check_bool "first bind is active" true (Option.is_some old);
+  Scenario.boot ();
+  check_bool "no active adapter after reboot" true
+    (Option.is_none (E1000_drv.active ()));
+  check_bool "no netdev at the slot after reboot" true
+    (Option.is_none (E1000_drv.netdev_at ~slot));
+  ignore (setup_e1000 ());
+  Scenario.in_thread (fun () -> insmod_ok "e1000");
+  match (E1000_drv.active (), E1000_drv.netdev_at ~slot, old) with
+  | Some t, Some nd, Some o ->
+      check_bool "active is the new binding" true
+        (E1000_drv.netdev t == nd && t != o)
+  | _ -> Alcotest.fail "the new bind is not active"
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "drivercore"
@@ -250,4 +275,6 @@ let () =
         ] );
       ( "params",
         [ tc "module params reset between probes" params_reset_between_probes ] );
+      ( "reboot",
+        [ tc "reboot forgets bindings" reboot_forgets_bindings ] );
     ]

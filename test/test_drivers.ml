@@ -10,12 +10,6 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let mac = "\x00\x1b\x21\x0a\x0b\x0c"
 
-let boot () =
-  K.Boot.boot ();
-  Xpc.Domain.reset ();
-  Xpc.Channel.reset_stats ();
-  Decaf_runtime.Runtime.reset ()
-
 let env_of = function
   | Driver_env.Native -> Driver_env.native
   | Driver_env.Staged -> Driver_env.staged ()
@@ -32,7 +26,7 @@ let in_thread f =
 (* --- rtl8139 --- *)
 
 let rtl8139_roundtrip mode () =
-  boot ();
+  K.Boot.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   let _model =
     Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ()
@@ -76,7 +70,7 @@ let rtl8139_roundtrip mode () =
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
 
 let test_rtl8139_decaf_crossings () =
-  boot ();
+  K.Boot.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   ignore (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
   in_thread (fun () ->
@@ -101,7 +95,7 @@ let test_rtl8139_decaf_crossings () =
 
 let test_rtl8139_decaf_init_slower () =
   let init_latency mode =
-    boot ();
+    K.Boot.boot ();
     let link = Hw.Link.create ~rate_bps:100_000_000 () in
     ignore
       (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
@@ -133,7 +127,7 @@ let insmod_e1000 mode =
   | Error rc -> Alcotest.failf "e1000 insmod failed: %d" rc
 
 let e1000_roundtrip mode () =
-  boot ();
+  K.Boot.boot ();
   let link, _ = setup_e1000 () in
   let received = ref 0 in
   in_thread (fun () ->
@@ -166,7 +160,7 @@ let e1000_roundtrip mode () =
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
 
 let test_e1000_watchdog_runs_in_decaf () =
-  boot ();
+  K.Boot.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -189,7 +183,7 @@ let test_e1000_open_fault_injection () =
   (* Figure 4 semantics: a failure at each stage of open unwinds exactly
      the resources acquired before it. *)
   let try_with_failure nth =
-    boot ();
+    K.Boot.boot ();
     ignore (setup_e1000 ());
     in_thread (fun () ->
         let t = insmod_e1000 Driver_env.Decaf in
@@ -213,7 +207,7 @@ let test_e1000_open_fault_injection () =
   try_with_failure 2 (* rx ring allocation fails; tx ring must be freed *)
 
 let test_e1000_bad_eeprom_rejected () =
-  boot ();
+  K.Boot.boot ();
   let _, model = setup_e1000 () in
   (* corrupt the EEPROM checksum *)
   Hw.Eeprom.write (Hw.E1000_hw.eeprom model) 10 0x1234;
@@ -230,7 +224,7 @@ let test_e1000_bad_eeprom_rejected () =
                (K.Klog.dmesg ())))
 
 let test_e1000_object_tracker_aliasing () =
-  boot ();
+  K.Boot.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -268,7 +262,7 @@ let test_e1000_object_tracker_aliasing () =
 let test_e1000_ethtool_data_race () =
   (* section 5: the interrupt test works in the nucleus, and the very
      same logic at user level hangs on its stale marshaled copy *)
-  boot ();
+  K.Boot.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -290,7 +284,7 @@ let test_e1000_ethtool_data_race () =
       E1000_drv.rmmod t)
 
 let test_e1000_config_space_saved () =
-  boot ();
+  K.Boot.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -306,7 +300,7 @@ let test_e1000_config_space_saved () =
 let setup_snd () = Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 ()
 
 let ens1371_playback mode () =
-  boot ();
+  K.Boot.boot ();
   let model = setup_snd () in
   in_thread (fun () ->
       let t =
@@ -346,7 +340,7 @@ let ens1371_playback mode () =
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
 
 let test_ens1371_reject_bad_params () =
-  boot ();
+  K.Boot.boot ();
   ignore (setup_snd ());
   in_thread (fun () ->
       match Ens1371_drv.insmod (Driver_env.decaf ()) with
@@ -359,7 +353,7 @@ let test_ens1371_reject_bad_params () =
           Ens1371_drv.rmmod t)
 
 let test_ens1371_decaf_called_on_start_stop_only () =
-  boot ();
+  K.Boot.boot ();
   ignore (setup_snd ());
   in_thread (fun () ->
       match Ens1371_drv.insmod (Driver_env.decaf ()) with
@@ -400,7 +394,7 @@ let test_ens1371_decaf_called_on_start_stop_only () =
 (* --- uhci --- *)
 
 let uhci_write_file mode () =
-  boot ();
+  K.Boot.boot ();
   let model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
   in_thread (fun () ->
       let t =
@@ -432,7 +426,7 @@ let uhci_write_file mode () =
 (* --- psmouse --- *)
 
 let psmouse_stream mode () =
-  boot ();
+  K.Boot.boot ();
   let model = Psmouse_drv.setup_device () in
   in_thread (fun () ->
       let t =
@@ -463,7 +457,7 @@ let psmouse_stream mode () =
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
 
 let test_psmouse_negotiation_crossings () =
-  boot ();
+  K.Boot.boot ();
   ignore (Psmouse_drv.setup_device ());
   in_thread (fun () ->
       match Psmouse_drv.insmod (Driver_env.decaf ()) with
@@ -477,7 +471,7 @@ let test_psmouse_negotiation_crossings () =
 (* --- staged mode: the migration path of section 5.3 --- *)
 
 let test_staged_mode_is_c_only () =
-  boot ();
+  K.Boot.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   ignore
     (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
@@ -500,7 +494,7 @@ let test_staged_mode_is_c_only () =
 
 let test_staged_init_faster_than_decaf () =
   let init_of mode =
-    boot ();
+    K.Boot.boot ();
     let link = Hw.Link.create ~rate_bps:100_000_000 () in
     ignore
       (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());

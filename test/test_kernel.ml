@@ -357,7 +357,6 @@ let test_combolock_contention_accounting () =
      virtual wait time charged, both per-lock and in the machine-wide
      totals that Channel.stats reports. *)
   Boot.boot ();
-  Sync.Combolock.reset_totals ();
   let l = Sync.Combolock.create ~name:"contended" () in
   let workers = 3 in
   let in_crit = ref false and overlaps = ref 0 and entered = ref 0 in

@@ -17,19 +17,6 @@ module Scenario = Decaf_experiments.Scenario
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot () =
-  K.Boot.boot ();
-  Domain.reset ();
-  Channel.reset_stats ();
-  Channel.reset_config ();
-  Batch.reset ();
-  Ring.reset ();
-  Dispatch.reset ();
-  Guard.reset ();
-  Plan.set_delta_enabled false;
-  Decaf_runtime.Runtime.reset ();
-  Addr.reset ()
-
 let in_thread f =
   ignore (K.Sched.spawn ~name:"test" f);
   K.Sched.run ()
@@ -76,7 +63,7 @@ let slot ?(kind = 1) ~handle ?(arg0 = 0) ?(arg1 = 0) () =
 (* --- doorbell coalescing --- *)
 
 let test_watermark_doorbell_fifo () =
-  boot ();
+  K.Boot.boot ();
   Ring.configure ~watermark:4 ();
   let order = ref [] in
   in_thread (fun () ->
@@ -101,7 +88,7 @@ let test_watermark_doorbell_fifo () =
   invariant ()
 
 let test_timer_bounds_latency () =
-  boot ();
+  K.Boot.boot ();
   let ran = ref 0 in
   in_thread (fun () ->
       let ring, handle = fresh_ring ~handler:(fun _ -> incr ran) () in
@@ -120,7 +107,7 @@ let test_timer_bounds_latency () =
 (* --- bounded depth --- *)
 
 let test_overflow_drops_and_counts () =
-  boot ();
+  K.Boot.boot ();
   in_thread (fun () ->
       let ring, handle = fresh_ring ~depth:4 ~handler:(fun _ -> ()) () in
       (* a tight producing loop, no yield: nothing drains the ring *)
@@ -143,7 +130,7 @@ let test_overflow_drops_and_counts () =
 (* --- kernel-side slot validation --- *)
 
 let test_hostile_slots_rejected () =
-  boot ();
+  K.Boot.boot ();
   let applied = ref 0 in
   in_thread (fun () ->
       let ring, handle = fresh_ring ~handler:(fun _ -> incr applied) () in
@@ -167,7 +154,7 @@ let test_hostile_slots_rejected () =
 (* --- failed doorbells --- *)
 
 let test_failed_doorbell_keeps_slots () =
-  boot ();
+  K.Boot.boot ();
   let ran = ref 0 in
   in_thread (fun () ->
       let ring, handle = fresh_ring ~handler:(fun _ -> incr ran) () in
@@ -195,7 +182,7 @@ let test_failed_doorbell_keeps_slots () =
 (* --- teardown --- *)
 
 let test_destroy_discards_with_count () =
-  boot ();
+  K.Boot.boot ();
   in_thread (fun () ->
       let ring, handle = fresh_ring ~handler:(fun _ -> ()) () in
       for i = 1 to 3 do
@@ -338,6 +325,26 @@ let test_surprise_removal_discards_with_count () =
         (Driver_core.lifecycle_name (Driver_core.state "e1000"));
       invariant ())
 
+(* The doorbell-workqueue cursor is machine state too: the first doorbell
+   of a fresh boot runs on the same worker whatever the last life rang. *)
+let test_reboot_resets_doorbell_cursor () =
+  let first_worker () =
+    K.Boot.boot ();
+    Dispatch.set_workers 4;
+    Ring.configure ~watermark:1 ();
+    let worker = ref "" in
+    in_thread (fun () ->
+        let ring, handle =
+          fresh_ring ~handler:(fun _ -> worker := K.Sched.current_name ()) ()
+        in
+        ignore (Ring.produce ring (slot ~handle ()));
+        K.Sched.sleep_ns 1_000_000);
+    !worker
+  in
+  let first = first_worker () in
+  Alcotest.(check string) "same doorbell worker after reboot" first
+    (first_worker ())
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_ring"
@@ -364,5 +371,10 @@ let () =
             test_suspend_flushes_nonempty_ring;
           tc "surprise removal discards with count"
             test_surprise_removal_discards_with_count;
+        ] );
+      ( "ring-reboot",
+        [
+          tc "reboot resets the doorbell cursor"
+            test_reboot_resets_doorbell_cursor;
         ] );
     ]

@@ -10,12 +10,6 @@ let check_bool = Alcotest.(check bool)
 let mac1 = "\x00\x1b\x21\x0a\x0b\x0c"
 let mac2 = "\x00\x1b\x21\x0a\x0b\x0d"
 
-let boot () =
-  K.Boot.boot ();
-  Decaf_xpc.Domain.reset ();
-  Decaf_xpc.Channel.reset_stats ();
-  Decaf_runtime.Runtime.reset ()
-
 let in_thread f =
   let result = ref None in
   ignore (K.Sched.spawn ~name:"sim" (fun () -> result := Some (f ())));
@@ -25,7 +19,7 @@ let in_thread f =
 (* --- determinism: the virtual machine is a pure function of its inputs --- *)
 
 let run_e1000_send () =
-  boot ();
+  K.Boot.boot ();
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
@@ -52,7 +46,7 @@ let test_simulation_deterministic () =
 (* --- repeated lifecycle: no leak across load/unload cycles --- *)
 
 let test_repeated_insmod_rmmod () =
-  boot ();
+  K.Boot.boot ();
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
@@ -77,7 +71,7 @@ let test_repeated_insmod_rmmod () =
 (* --- two NICs coexist, one native and one decaf --- *)
 
 let test_two_nics_coexist () =
-  boot ();
+  K.Boot.boot ();
   let link1 = Hw.Link.create ~rate_bps:100_000_000 () in
   let link2 = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
@@ -116,7 +110,7 @@ let prop_scheduler_stress =
     ~count:25
     QCheck.(list_of_size Gen.(int_range 1 20) (int_range 1 200))
     (fun sleeps ->
-      boot ();
+      K.Boot.boot ();
       let done_count = ref 0 in
       let monotone = ref true in
       let last = ref 0 in
@@ -142,7 +136,7 @@ let prop_mutex_exclusion =
     ~count:25
     QCheck.(list_of_size Gen.(int_range 2 10) (int_range 0 50))
     (fun sleeps ->
-      boot ();
+      K.Boot.boot ();
       let m = K.Sync.Mutex.create () in
       let inside = ref 0 in
       let violated = ref false in
@@ -160,7 +154,7 @@ let prop_mutex_exclusion =
       (not !violated) && not (K.Sync.Mutex.held m))
 
 let test_irq_storm_coalesces () =
-  boot ();
+  K.Boot.boot ();
   let handled = ref 0 in
   K.Irq.request_irq 6 ~name:"storm" (fun () -> incr handled);
   (* a device asserting the line 1000 times in one instant *)

@@ -8,12 +8,6 @@ module Hw = Decaf_hw
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot () =
-  K.Boot.boot ();
-  Decaf_xpc.Domain.reset ();
-  Decaf_xpc.Channel.reset_stats ();
-  Decaf_runtime.Runtime.reset ()
-
 let in_thread f =
   let result = ref None in
   ignore (K.Sched.spawn ~name:"wl" (fun () -> result := Some (f ())));
@@ -21,7 +15,7 @@ let in_thread f =
   Option.get !result
 
 let test_netperf_send_saturates_gige () =
-  boot ();
+  K.Boot.boot ();
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
@@ -40,7 +34,7 @@ let test_netperf_send_saturates_gige () =
   check_bool "packets counted" true (r.Netperf.packets > 20_000)
 
 let test_netperf_recv_counts_delivered () =
-  boot ();
+  K.Boot.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   ignore
     (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10
@@ -58,7 +52,7 @@ let test_netperf_recv_counts_delivered () =
   check_bool "packets delivered" true (r.Netperf.packets > 3_000)
 
 let test_mpg123_realtime () =
-  boot ();
+  K.Boot.boot ();
   let model = Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 () in
   let r =
     in_thread (fun () ->
@@ -75,7 +69,7 @@ let test_mpg123_realtime () =
   check_bool "low cpu" true (r.Mpg123.cpu_utilization < 0.05)
 
 let test_tar_respects_usb_bandwidth () =
-  boot ();
+  K.Boot.boot ();
   let model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
   let r =
     in_thread (fun () ->
@@ -90,7 +84,7 @@ let test_tar_respects_usb_bandwidth () =
   check_bool "reasonably close to ceiling" true (r.Tar_usb.effective_kbps > 8_000.)
 
 let test_mouse_move_event_stream () =
-  boot ();
+  K.Boot.boot ();
   let model = Psmouse_drv.setup_device () in
   let r =
     in_thread (fun () ->

@@ -7,12 +7,6 @@ module K = Decaf_kernel
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let boot () =
-  K.Boot.boot ();
-  Domain.reset ();
-  Channel.reset_stats ();
-  Addr.reset ()
-
 (* --- XDR --- *)
 
 let test_xdr_scalars () =
@@ -130,7 +124,7 @@ let ring_key : fake_ring Univ.key = Univ.new_key "e1000_tx_ring"
 let adapter_key : fake_adapter Univ.key = Univ.new_key "e1000_adapter"
 
 let test_tracker_roundtrip () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let obj = { count = 3 } in
   let addr = Addr.alloc ~size:64 in
@@ -145,7 +139,7 @@ let test_tracker_roundtrip () =
 
 let test_tracker_type_disambiguation () =
   (* An adapter whose first member is a ring: same address, two types. *)
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let adapter = { flags = 1 } in
   let ring = { count = 0 } in
@@ -161,7 +155,7 @@ let test_tracker_type_disambiguation () =
     (Objtracker.types_at tr ~addr:base)
 
 let test_tracker_remove () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = Addr.alloc ~size:16 in
   Objtracker.associate tr ~addr (Univ.pack ring_key { count = 0 });
@@ -172,7 +166,7 @@ let test_tracker_remove () =
   check "empty" 0 (Objtracker.count tr)
 
 let test_tracker_stats () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = Addr.alloc ~size:16 in
   ignore (Objtracker.find tr ~addr ring_key);
@@ -257,7 +251,7 @@ let test_plan_duplicate_rejected () =
 (* --- Channel --- *)
 
 let test_channel_same_domain_free () =
-  boot ();
+  K.Boot.boot ();
   let t0 = K.Clock.now () in
   let v = Channel.call ~target:Domain.Kernel (fun () -> 42) in
   check "value" 42 v;
@@ -265,7 +259,7 @@ let test_channel_same_domain_free () =
   check "no crossings" 0 (Channel.stats ()).Channel.kernel_user_calls
 
 let test_channel_kernel_user_accounting () =
-  boot ();
+  K.Boot.boot ();
   let result = ref 0 in
   ignore
     (K.Sched.spawn (fun () ->
@@ -285,7 +279,7 @@ let test_channel_kernel_user_accounting () =
     (Domain.to_string (Domain.current ()))
 
 let test_channel_kernel_to_java_pays_both () =
-  boot ();
+  K.Boot.boot ();
   ignore
     (K.Sched.spawn (fun () ->
          ignore (Channel.call ~target:Domain.Decaf_driver (fun () -> ()))));
@@ -295,7 +289,7 @@ let test_channel_kernel_to_java_pays_both () =
   check "c/java leg" 1 st.Channel.c_java_calls
 
 let test_channel_c_java_cheaper_than_kernel () =
-  boot ();
+  K.Boot.boot ();
   let cost_of target =
     Channel.reset_stats ();
     let spent = ref 0 in
@@ -315,7 +309,7 @@ let test_channel_c_java_cheaper_than_kernel () =
   check_bool "both positive" true (to_java > 0 && to_kernel > 0)
 
 let test_channel_upcall_blocked_under_spinlock () =
-  boot ();
+  K.Boot.boot ();
   let raised = ref false in
   ignore
     (K.Sched.spawn (fun () ->
@@ -328,7 +322,7 @@ let test_channel_upcall_blocked_under_spinlock () =
   check_bool "upcall under spinlock forbidden" true !raised
 
 let test_channel_upcall_blocked_in_irq () =
-  boot ();
+  K.Boot.boot ();
   let raised = ref false in
   K.Irq.request_irq 4 ~name:"t" (fun () ->
       try ignore (Channel.call ~target:Domain.Driver_lib (fun () -> ()))
@@ -339,7 +333,7 @@ let test_channel_upcall_blocked_in_irq () =
 (* --- objtracker edge cases: shared pointers and reset --- *)
 
 let test_tracker_same_pointer_two_types () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = 0xdead0 in
   Objtracker.associate tr ~addr (Univ.pack ring_key { count = 3 });
@@ -367,7 +361,7 @@ let test_tracker_same_pointer_two_types () =
     | None -> false)
 
 let test_tracker_lookup_after_clear () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = 0xbeef0 in
   Objtracker.associate tr ~addr (Univ.pack ring_key { count = 1 });
@@ -389,17 +383,17 @@ let test_tracker_lookup_after_clear () =
 (* --- channel hardening: failures, retries, reset semantics --- *)
 
 let test_channel_reset_stats_keeps_direct () =
-  boot ();
+  K.Boot.boot ();
   Channel.set_direct_marshaling true;
   Channel.reset_stats ();
   check_bool "reset_stats keeps direct marshaling" true
     (Channel.direct_marshaling ());
-  Channel.reset_config ();
-  check_bool "reset_config restores the default" false
+  K.Boot.boot ();
+  check_bool "boot restores the default" false
     (Channel.direct_marshaling ())
 
 let test_channel_fault_raises_failure () =
-  boot ();
+  K.Boot.boot ();
   K.Faultinject.arm ~seed:7
     [
       K.Faultinject.spec ~site:"xpc.frob" ~kind:K.Faultinject.Xpc_timeout
@@ -421,7 +415,7 @@ let test_channel_fault_raises_failure () =
   check "no retry for a call with side effects" 0 st.Channel.retries
 
 let test_channel_idempotent_retry () =
-  boot ();
+  K.Boot.boot ();
   K.Faultinject.arm ~seed:7
     [
       K.Faultinject.spec ~site:"xpc.read_config"
@@ -443,7 +437,7 @@ let test_channel_idempotent_retry () =
   check "one retry" 1 st.Channel.retries
 
 let test_channel_idempotent_exhausts () =
-  boot ();
+  K.Boot.boot ();
   K.Faultinject.arm ~seed:7
     [
       K.Faultinject.spec ~site:"xpc.read_config"
@@ -467,7 +461,7 @@ let test_channel_idempotent_exhausts () =
 (* --- weak associations (the paper's proposed GC integration) --- *)
 
 let test_tracker_weak_lives_while_referenced () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let obj = { count = 5 } in
   let addr = Addr.alloc ~size:16 in
@@ -481,7 +475,7 @@ let test_tracker_weak_lives_while_referenced () =
   check "still mutable" 5 obj.count
 
 let test_tracker_weak_collects_dropped () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = Addr.alloc ~size:16 in
   (* allocate in an inner function so no local keeps the object alive *)
@@ -501,7 +495,7 @@ let test_tracker_weak_collects_dropped () =
   check "no weak entries left" 0 (Objtracker.weak_count tr)
 
 let test_tracker_sweep_stat_and_index () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = Addr.alloc ~size:16 in
   let register () =
@@ -531,7 +525,7 @@ let test_tracker_sweep_stat_and_index () =
 (* --- sharding: the concurrent-dispatch tracker layout --- *)
 
 let test_tracker_sharding_consistency () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create ~name:"shardtest" ~shards:4 () in
   check "shard count honoured" 4 (Objtracker.shard_count tr);
   (* Spread entries over the shards: nothing may be lost, every lookup
@@ -577,7 +571,7 @@ let test_tracker_sharding_consistency () =
   check "empty after per-entry removes" 0 (Objtracker.count tr)
 
 let test_tracker_sharded_sweep () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create ~name:"sweeptest" ~shards:4 () in
   let n = 32 in
   let keep = ref [] in
@@ -609,7 +603,7 @@ let test_tracker_sharded_sweep () =
     (Objtracker.stats tr).Objtracker.sweeps
 
 let test_tracker_weak_removed_explicitly () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let obj = { count = 1 } in
   let addr = Addr.alloc ~size:16 in
@@ -622,7 +616,7 @@ let test_tracker_weak_removed_explicitly () =
 (* --- direct-marshaling ablation (the optimization of section 4) --- *)
 
 let test_channel_direct_marshaling_cheaper () =
-  boot ();
+  K.Boot.boot ();
   let cost_of_call () =
     let spent = ref 0 in
     ignore
@@ -705,8 +699,7 @@ let test_dispatch_admission_per_thread () =
      with a process-global binding B would match the nested-crossing
      check and overlap A inside the single-slot pool, and B's notes
      would land on A's lane. *)
-  boot ();
-  Dispatch.reset ();
+  K.Boot.boot ();
   let order = ref [] in
   let log tag = order := tag :: !order in
   ignore
@@ -750,7 +743,7 @@ let rejects f =
   with Boundary.Boundary_violation _ -> true
 
 let test_handle_roundtrip () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let obj = { count = 3 } in
   let addr = Addr.alloc ~size:64 in
@@ -769,7 +762,7 @@ let test_handle_roundtrip () =
     (Objtracker.issue tr ~addr ~type_id:"e1000_tx_ring")
 
 let test_handle_forged_rejected () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   check_bool "never-issued handle refused" true
     (Result.is_error
@@ -779,7 +772,7 @@ let test_handle_forged_rejected () =
   check "rejections counted" 2 (Objtracker.stats tr).Objtracker.rejected
 
 let test_handle_stale_after_remove () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = Addr.alloc ~size:64 in
   Objtracker.associate tr ~addr (Univ.pack ring_key { count = 0 });
@@ -797,7 +790,7 @@ let test_handle_stale_after_remove () =
     (Result.is_error (Objtracker.resolve tr ~handle:h ~type_id:"e1000_tx_ring"))
 
 let test_handle_cross_type_rejected () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = Addr.alloc ~size:256 in
   Objtracker.associate tr ~addr (Univ.pack adapter_key { flags = 0 });
@@ -809,7 +802,7 @@ let test_handle_cross_type_rejected () =
     (Result.is_ok (Objtracker.resolve tr ~handle:h ~type_id:"e1000_tx_ring"))
 
 let test_handle_invalid_after_clear () =
-  boot ();
+  K.Boot.boot ();
   let tr = Objtracker.create () in
   let addr = Addr.alloc ~size:64 in
   Objtracker.associate tr ~addr (Univ.pack ring_key { count = 0 });
@@ -842,8 +835,7 @@ let guard_rules () =
     ]
 
 let test_guard_rules_enforced () =
-  boot ();
-  Guard.reset ();
+  K.Boot.boot ();
   let g = guard_rules () in
   check "in-range value passes through" 50 (Guard.int_field g ~field:"n" 50);
   check_bool "range high" true (rejects (fun () -> Guard.int_field g ~field:"n" 101));
@@ -864,8 +856,7 @@ let test_guard_rules_enforced () =
     (Boundary.totals.Boundary.rejected >= 5)
 
 let test_guard_readonly_field () =
-  boot ();
-  Guard.reset ();
+  K.Boot.boot ();
   let g = guard_rules () in
   (* the plan marks "ro" Read: kernel-to-user only. Any inbound value,
      however innocuous, is a write through a read-only view. *)
@@ -875,8 +866,7 @@ let test_guard_readonly_field () =
     (rejects (fun () -> Guard.int_field g ~field:"nosuch" 1))
 
 let test_guard_disabled_passthrough () =
-  boot ();
-  Guard.reset ();
+  K.Boot.boot ();
   let g = guard_rules () in
   Guard.set_enabled false;
   Fun.protect
@@ -893,8 +883,7 @@ let test_guard_disabled_passthrough () =
              Guard.check_inbound_bytes g (Guard.limits.Guard.max_inbound_bytes + 1))))
 
 let test_guard_configure_fallback () =
-  boot ();
-  Guard.reset ();
+  K.Boot.boot ();
   Fun.protect
     ~finally:(fun () -> Guard.reset ())
     (fun () ->

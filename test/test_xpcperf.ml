@@ -179,6 +179,35 @@ let test_measure_filters () =
       Alcotest.fail
         (Printf.sprintf "expected exactly one cell, got %d" (List.length l))
 
+(* A cell measures the same thing whatever ran before it in the process:
+   every boot resets the address allocator the tracker shards hash and
+   the cursors that pick flush workqueues. A-B-A: the fleet cell, then a
+   netperf cell, then the fleet cell again. [shards_used] alone can match
+   by chance, so the per-shard traffic is compared too. *)
+let test_cell_ignores_history () =
+  let duration_ns = 20_000_000 in
+  let fleet () =
+    let s =
+      E.Xpcperf.measure ~duration_ns ~scenario:"e1000-fleet"
+        ~config:"batch+delta+w4+ring+i16" ()
+    in
+    let shards =
+      Array.map
+        (fun (st : Xpc.Objtracker.stats) ->
+          (st.Xpc.Objtracker.lookups, st.Xpc.Objtracker.hits))
+        (Xpc.Channel.tracker_shards ())
+    in
+    (s, Array.to_list shards)
+  in
+  let a, a_shards = fleet () in
+  ignore
+    (E.Xpcperf.measure ~duration_ns ~scenario:"e1000-netperf-send"
+       ~config:"batch+delta+w1" ());
+  let a', a'_shards = fleet () in
+  check_bool "same sample after another cell ran" true (a = a');
+  Alcotest.(check (list (pair int int)))
+    "same per-shard lookups and hits" a_shards a'_shards
+
 let test_json_roundtrip () =
   let sample scenario batching delta workers =
     {
@@ -281,6 +310,8 @@ let () =
             test_netperf_e1000_ring;
           Alcotest.test_case "measure filters select one cell" `Quick
             test_measure_filters;
+          Alcotest.test_case "a cell ignores what ran before it" `Quick
+            test_cell_ignores_history;
           Alcotest.test_case "trajectory json roundtrip" `Quick
             test_json_roundtrip;
           Alcotest.test_case "pre-worker trajectory parses" `Quick
