@@ -62,6 +62,29 @@ let status driver json latency =
       end;
       exit 0
 
+(* Numeric flags check their range in the converter, so a negative
+   duration, fleet or depth gets cmdliner's one-line usage error and exit
+   124, exactly like a malformed number, instead of running a meaningless
+   measurement. *)
+let ranged conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+        Error
+          (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = ranged Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
+let non_negative_int =
+  ranged Arg.int ~expected:"a non-negative integer" (fun n -> n >= 0)
+
+let positive_float =
+  ranged Arg.float ~expected:"a positive number" (fun x ->
+      Float.is_finite x && x > 0.)
+
 let driver_arg =
   let doc =
     "Restrict to one driver (8139too, e1000, ens1371, uhci-hcd, psmouse)."
@@ -70,7 +93,8 @@ let driver_arg =
 
 let seconds_arg =
   let doc = "Virtual seconds of steady-state workload per cell." in
-  Arg.(value & opt float 2.0 & info [ "seconds" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value & opt positive_float 2.0 & info [ "seconds" ] ~docv:"SECONDS" ~doc)
 
 let run_cmd =
   Cmd.v
@@ -146,12 +170,13 @@ let duration_ms_arg =
   let doc = "Virtual milliseconds per phase." in
   Arg.(
     value
-    & opt int (E.Soak.default_duration_ns / 1_000_000)
+    & opt positive_int (E.Soak.default_duration_ns / 1_000_000)
     & info [ "duration-ms" ] ~docv:"MS" ~doc)
 
 let fleet_arg =
   let doc = "Concurrent e1000 instances on the virtual switch." in
-  Arg.(value & opt int E.Soak.default_fleet & info [ "fleet" ] ~docv:"N" ~doc)
+  Arg.(
+    value & opt positive_int E.Soak.default_fleet & info [ "fleet" ] ~docv:"N" ~doc)
 
 let soak_cmd =
   Cmd.v
@@ -202,7 +227,8 @@ let episode_arg =
 
 let depth_arg =
   let doc = "Override the branching-depth bound for every episode." in
-  Arg.(value & opt (some int) None & info [ "depth" ] ~docv:"DEPTH" ~doc)
+  Arg.(
+    value & opt (some non_negative_int) None & info [ "depth" ] ~docv:"DEPTH" ~doc)
 
 let smoke_arg =
   let doc = "Use each episode's reduced smoke depth (fast CI run)." in

@@ -243,7 +243,8 @@ let start_xmit a (skb : K.Netcore.Skb.t) =
         ignore (clean_tx a);
       if a.tx_in_flight >= E.n_tx_desc - 1 then K.Netcore.Xmit_busy
       else begin
-        E.stage_tx a.model (Bytes.sub skb.K.Netcore.Skb.data 0 skb.K.Netcore.Skb.len);
+        (* the device reads the frame out of the skb's own buffer (DMA) *)
+        E.stage_tx a.model skb.K.Netcore.Skb.data;
         a.tx_tail <- (a.tx_tail + 1) mod E.n_tx_desc;
         a.tx_in_flight <- a.tx_in_flight + 1;
         K.Io.writel (reg a E.reg_tdt) a.tx_tail;

@@ -121,7 +121,8 @@ let start_xmit a (skb : K.Netcore.Skb.t) =
       if tx_slots_in_flight a >= R.n_tx_desc then K.Netcore.Xmit_busy
       else begin
         let slot = a.cur_tx mod R.n_tx_desc in
-        R.stage_tx_buffer a.model slot (Bytes.sub skb.K.Netcore.Skb.data 0 skb.K.Netcore.Skb.len);
+        (* the device reads the frame out of the skb's own buffer (DMA) *)
+        R.stage_tx_buffer a.model slot skb.K.Netcore.Skb.data;
         K.Io.outl (reg a (R.tsd0 + (4 * slot))) skb.K.Netcore.Skb.len;
         a.cur_tx <- a.cur_tx + 1;
         (match a.netdev with

@@ -67,7 +67,10 @@ let do_reset t =
 let transmit t n size =
   match t.tx_staged.(n) with
   | Some (frame, tr) when Bytes.length frame >= size ->
-      let frame = Bytes.sub frame 0 size in
+      (* the TSD size says how much of the staged buffer goes out *)
+      let frame =
+        if Bytes.length frame = size then frame else Bytes.sub frame 0 size
+      in
       t.tx_staged.(n) <- None;
       t.tx_count <- t.tx_count + 1;
       (* the descriptor completes when the frame leaves the wire *)

@@ -1,25 +1,21 @@
-module Key = struct
-  type t = int * int (* due time, tie-break sequence number *)
+(* The event queue is an array-backed binary min-heap ordered by
+   (due, seq). [seq] is assigned monotonically by [at], so events
+   scheduled for the same due time fire in scheduling order (FIFO): no
+   two events share a key, and the firing order is a function of the
+   schedule alone. An event id is the queued record itself. It carries
+   its own heap slot, so [cancel] removes it in place and [pending] is a
+   field read; a record that leaves the heap (fired, cancelled, or
+   orphaned by [reset]) gets slot -1, so an id kept across a reboot can
+   never reach into the fresh heap. *)
+type event = { due : int; seq : int; fn : unit -> unit; mutable slot : int }
+type event_id = event
 
-  (* The tie-break is explicit and documented: events scheduled for the
-     same due time fire in scheduling order (FIFO), because the sequence
-     number is assigned monotonically by [at] and never reset — not even
-     across [reset]. A reset that restarted the sequence would let a
-     stale [event_id] kept across a reboot collide with (and cancel) a
-     fresh event that happened to draw the same (due, seq) pair. *)
-  let compare (d1, s1) (d2, s2) =
-    match Int.compare d1 d2 with 0 -> Int.compare s1 s2 | c -> c
-end
-
-module Emap = Map.Make (Key)
-
-type event_id = Key.t
-
-let events : (unit -> unit) Emap.t ref = ref Emap.empty
+let vacant = { due = max_int; seq = max_int; fn = ignore; slot = -1 }
+let heap = ref (Array.make 256 vacant)
+let size = ref 0
 let time = ref 0
 let busy = ref 0
 let seq = ref 0
-let boot_seq = ref 0
 
 let now () = !time
 let busy_ns () = !busy
@@ -29,17 +25,55 @@ let utilization ~since ~busy_since =
   if window <= 0 then 0.
   else float_of_int (!busy - busy_since) /. float_of_int window
 
+let before a b = a.due < b.due || (a.due = b.due && a.seq < b.seq)
+
+let place e i =
+  !heap.(i) <- e;
+  e.slot <- i
+
+let rec sift_up e i =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before e !heap.(parent) then begin
+    place !heap.(parent) i;
+    sift_up e parent
+  end
+  else place e i
+
+let rec sift_down e i =
+  let h = !heap and n = !size in
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < n && before h.(l + 1) h.(l) then l + 1 else l in
+  if c < n && before h.(c) e then begin
+    place h.(c) i;
+    sift_down e c
+  end
+  else place e i
+
+(* Take [e] out of the heap: the last record fills its slot and moves up
+   or down to restore the order. *)
+let remove e =
+  let i = e.slot and n = !size - 1 in
+  let last = !heap.(n) in
+  !heap.(n) <- vacant;
+  size := n;
+  e.slot <- -1;
+  if i < n then
+    if i > 0 && before last !heap.((i - 1) / 2) then sift_up last i
+    else sift_down last i
+
+let fire e =
+  remove e;
+  if e.due > !time then time := e.due;
+  e.fn ()
+
 (* Run every event due at or before [t], in due order. An event callback
    may itself consume time or schedule new events; events that become due
    as a result are delivered too. *)
 let rec deliver_until t =
-  match Emap.min_binding_opt !events with
-  | Some ((due, _) as key, f) when due <= t ->
-      events := Emap.remove key !events;
-      if due > !time then time := due;
-      f ();
-      deliver_until (max t !time)
-  | Some _ | None -> ()
+  if !size > 0 && !heap.(0).due <= t then begin
+    fire !heap.(0);
+    deliver_until (max t !time)
+  end
 
 (* Busy work is preemptible: an event (interrupt) due mid-interval runs
    at its due time, and the interrupted work's remaining duration resumes
@@ -50,38 +84,45 @@ let consume ns =
   busy := !busy + ns;
   let remaining = ref ns in
   while !remaining > 0 do
-    match Emap.min_binding_opt !events with
-    | Some ((due, _) as key, f) when due <= !time + !remaining ->
-        let slice = max 0 (due - !time) in
-        remaining := !remaining - slice;
-        if due > !time then time := due;
-        events := Emap.remove key !events;
-        f ()
-    | Some _ | None ->
-        time := !time + !remaining;
-        remaining := 0
+    if !size > 0 && !heap.(0).due <= !time + !remaining then begin
+      let e = !heap.(0) in
+      remaining := !remaining - max 0 (e.due - !time);
+      fire e
+    end
+    else begin
+      time := !time + !remaining;
+      remaining := 0
+    end
   done
 
-let scheduled () = !seq - !boot_seq
+let scheduled () = !seq
 
 let at t f =
   incr seq;
-  let key = (max t !time, !seq) in
-  events := Emap.add key f !events;
-  key
+  let e = { due = max t !time; seq = !seq; fn = f; slot = -1 } in
+  let n = !size in
+  if n = Array.length !heap then begin
+    let bigger = Array.make (2 * n) vacant in
+    Array.blit !heap 0 bigger 0 n;
+    heap := bigger
+  end;
+  size := n + 1;
+  sift_up e n;
+  e
 
 let after ns f = at (!time + ns) f
-let cancel key = events := Emap.remove key !events
-let pending key = Emap.mem key !events
-let has_events () = not (Emap.is_empty !events)
+let cancel e = if e.slot >= 0 then remove e
+let pending e = e.slot >= 0
+let has_events () = !size > 0
 
 let advance_to_next_event () =
-  match Emap.min_binding_opt !events with
-  | None -> false
-  | Some ((due, _), _) ->
-      if due > !time then time := due;
-      deliver_until !time;
-      true
+  if !size = 0 then false
+  else begin
+    let due = !heap.(0).due in
+    if due > !time then time := due;
+    deliver_until !time;
+    true
+  end
 
 (* --- tracked events ---------------------------------------------------
 
@@ -152,11 +193,15 @@ let tracks_in_flight () =
   Hashtbl.fold (fun _ q acc -> acc + Queue.length q) span_fifos 0
 
 let reset () =
-  events := Emap.empty;
+  let h = !heap in
+  for i = 0 to !size - 1 do
+    h.(i).slot <- -1;
+    h.(i) <- vacant
+  done;
+  size := 0;
+  seq := 0;
   time := 0;
   busy := 0;
-  (* [seq] is deliberately NOT reset — see [Key.compare]. *)
-  boot_seq := !seq;
   Hashtbl.reset span_fifos;
   Latency.reset ()
 

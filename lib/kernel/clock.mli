@@ -27,8 +27,9 @@ val at : int -> (unit -> unit) -> event_id
 (** [at t f] schedules [f] to run at absolute virtual time [t] (or
     immediately after now, if [t] is in the past). Events scheduled for
     the same due time fire in scheduling order (stable FIFO tie-break),
-    and event ids never collide across {!reset} — both are load-bearing
-    for reproducible latency percentiles. *)
+    and an id kept across {!reset} is never pending and cannot cancel a
+    fresh event — both are load-bearing for reproducible latency
+    percentiles. *)
 
 val after : int -> (unit -> unit) -> event_id
 (** [after ns f] is [at (now () + ns) f]. *)
@@ -52,9 +53,9 @@ val advance_to_next_event : unit -> bool
 
 val reset : unit -> unit
 (** Reboot: clear all events, return to time 0, zero the busy counter,
-    drop all in-flight tracked events and registered latency paths. The
-    event-id sequence is {e not} reset, so ids from a previous life can
-    never cancel this life's events. *)
+    drop all in-flight tracked events and registered latency paths. Ids
+    from a previous life stop being pending, so they can never cancel
+    this life's events. *)
 
 (** {2 Tracked events}
 

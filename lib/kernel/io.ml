@@ -10,36 +10,52 @@ type region = {
   len : int;
   read : int -> width -> int;
   write : int -> width -> int -> unit;
-  mutable active : bool;
 }
 
-let regions : region list ref = ref []
+(* Each space keeps its active regions in an array sorted by base,
+   rebuilt on every claim and release, so an access finds its region by
+   binary search. Claims are rare (device setup); accesses are on every
+   register read and write. *)
+let ports : region array ref = ref [||]
+let mmio : region array ref = ref [||]
 let port_count = ref 0
 let mmio_count = ref 0
-
-let overlaps space base len r =
-  r.active && r.space = space && base < r.base + r.len && r.base < base + len
+let table = function Port -> ports | Mmio -> mmio
 
 let register space ~base ~len ~read ~write =
   if len <= 0 then invalid_arg "Io.register";
-  if List.exists (overlaps space base len) !regions then
+  let t = table space in
+  if Array.exists (fun r -> base < r.base + r.len && r.base < base + len) !t then
     Panic.bug "I/O range %#x+%#x overlaps an existing claim" base len;
-  let r = { space; base; len; read; write; active = true } in
-  regions := r :: !regions;
+  let r = { space; base; len; read; write } in
+  let sorted = Array.append !t [| r |] in
+  Array.sort (fun a b -> Int.compare a.base b.base) sorted;
+  t := sorted;
   r
 
 let register_ports = register Port
 let register_mmio = register Mmio
-let release r = r.active <- false
+
+let release r =
+  let t = table r.space in
+  t := Array.of_list (List.filter (fun o -> o != r) (Array.to_list !t))
+
+(* The number of regions in [a] whose base is at or below [addr]. *)
+let rec count_below a addr lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if a.(mid).base <= addr then count_below a addr (mid + 1) hi
+    else count_below a addr lo mid
 
 let find space addr =
-  let hit r = r.active && r.space = space && addr >= r.base && addr < r.base + r.len in
-  match List.find_opt hit !regions with
-  | Some r -> r
-  | None ->
-      Panic.bug "%s access to unclaimed address %#x"
-        (match space with Port -> "port" | Mmio -> "MMIO")
-        addr
+  let a = !(table space) in
+  let i = count_below a addr 0 (Array.length a) - 1 in
+  if i >= 0 && addr < a.(i).base + a.(i).len then a.(i)
+  else
+    Panic.bug "%s access to unclaimed address %#x"
+      (match space with Port -> "port" | Mmio -> "MMIO")
+      addr
 
 let charge = function
   | Port ->
@@ -79,6 +95,7 @@ let port_accesses () = !port_count
 let mmio_accesses () = !mmio_count
 
 let reset () =
-  regions := [];
+  ports := [||];
+  mmio := [||];
   port_count := 0;
   mmio_count := 0

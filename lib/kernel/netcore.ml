@@ -1,11 +1,8 @@
 module Skb = struct
-  type t = { data : Bytes.t; mutable len : int; mutable protocol : int }
+  type t = { data : Bytes.t; len : int }
 
-  let alloc len = { data = Bytes.make len '\000'; len; protocol = 0 }
-  let of_bytes data = { data; len = Bytes.length data; protocol = 0 }
-
-  let copy skb =
-    { data = Bytes.copy skb.data; len = skb.len; protocol = skb.protocol }
+  let alloc len = { data = Bytes.make len '\000'; len }
+  let of_bytes data = { data; len = Bytes.length data }
 end
 
 type stats = {

@@ -2,13 +2,17 @@
     protocol stack (here: the netperf workload) attaches to. *)
 
 module Skb : sig
-  type t = { data : Bytes.t; mutable len : int; mutable protocol : int }
+  type t = private { data : Bytes.t; len : int }
+  (** A packet buffer. [len] is always [Bytes.length data]: the only
+      constructors are {!alloc} and {!of_bytes}, so a driver can hand
+      [data] to its device model as the frame itself, as DMA would,
+      without copying a prefix out of it. *)
 
   val alloc : int -> t
   (** Allocate a buffer of the given length, zero-filled. *)
 
   val of_bytes : Bytes.t -> t
-  val copy : t -> t
+  (** Wrap a received frame; the buffer is shared, not copied. *)
 end
 
 type stats = {

@@ -159,6 +159,41 @@ let e1000_roundtrip mode () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
 
+(* Allocation regression on the transmit path: one 1500-byte
+   dev_queue_xmit on a bound decaf e1000, not counting the skb itself.
+   The device model reads the frame out of the skb's own buffer, so the
+   frame is never copied. Each send starts from an idle machine (the
+   previous frame is on the wire and reclaimed) and is measured alone;
+   the median send is gated, so a timer that happens to fall inside one
+   send cannot decide the result. *)
+let test_e1000_xmit_alloc () =
+  K.Boot.boot ();
+  ignore (setup_e1000 ());
+  in_thread (fun () ->
+      let t = insmod_e1000 Driver_env.Decaf in
+      let nd = E1000_drv.netdev t in
+      (match K.Netcore.open_dev nd with
+      | Ok () -> ()
+      | Error rc -> Alcotest.failf "open failed: %d" rc);
+      let sends = 64 in
+      let skbs = Array.init sends (fun _ -> K.Netcore.Skb.alloc 1500) in
+      let words = Array.make sends 0 in
+      Array.iteri
+        (fun i skb ->
+          K.Sched.sleep_ns 1_000_000;
+          let w0 = Gc.minor_words () in
+          let r = K.Netcore.dev_queue_xmit nd skb in
+          let w1 = Gc.minor_words () in
+          if r <> K.Netcore.Xmit_ok then Alcotest.fail "send refused";
+          words.(i) <- int_of_float (w1 -. w0))
+        skbs;
+      Array.sort compare words;
+      let median = words.(sends / 2) in
+      check_bool
+        (Printf.sprintf "median send: %d words <= 100" median)
+        true (median <= 100);
+      E1000_drv.rmmod t)
+
 let test_e1000_watchdog_runs_in_decaf () =
   K.Boot.boot ();
   ignore (setup_e1000 ());
@@ -526,6 +561,7 @@ let () =
         [
           tc "native roundtrip" (e1000_roundtrip Driver_env.Native);
           tc "decaf roundtrip" (e1000_roundtrip Driver_env.Decaf);
+          tc "xmit allocation" test_e1000_xmit_alloc;
           tc "watchdog runs in decaf" test_e1000_watchdog_runs_in_decaf;
           tc "open fault injection" test_e1000_open_fault_injection;
           tc "bad eeprom rejected" test_e1000_bad_eeprom_rejected;

@@ -88,9 +88,9 @@ let test_clock_same_due_fifo () =
   ignore (Clock.advance_to_next_event ());
   Alcotest.(check (list int)) "advance keeps FIFO" [ 1; 2 ] (List.rev !log)
 
-(* Event ids must stay unique across a reboot: the sequence counter is
-   never reset, so an id held from before [reset] (a hardware model's
-   stale timer) can neither collide with nor cancel a fresh event. *)
+(* An id held from before [reset] (a hardware model's stale timer) is
+   no longer pending and can never cancel a fresh event, even one that
+   sits where the stale one did in the queue. *)
 let test_clock_stale_id_across_reset () =
   Boot.boot ();
   let stale = Clock.after 100 ignore in
@@ -103,6 +103,37 @@ let test_clock_stale_id_across_reset () =
     (Clock.pending fresh);
   Clock.consume 200;
   check_bool "fresh event fired" true !fired
+
+let nop () = ()
+
+(* Allocation regression: with 512 events pending, scheduling one more
+   and firing or cancelling it allocates the event record and little
+   else; the queue itself is an array that only grows by doubling. *)
+let test_clock_alloc () =
+  Boot.boot ();
+  for i = 1 to 512 do
+    ignore (Clock.after (1_000_000_000 + i) nop)
+  done;
+  let rounds = 1_000 in
+  let words_per_round f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to rounds do
+      f ()
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int rounds
+  in
+  let fire =
+    words_per_round (fun () ->
+        ignore (Clock.after 10 nop);
+        Clock.consume 10)
+  in
+  let cancel = words_per_round (fun () -> Clock.cancel (Clock.after 10 nop)) in
+  check_bool
+    (Printf.sprintf "after+fire: %.1f words <= 16" fire)
+    true (fire <= 16.);
+  check_bool
+    (Printf.sprintf "after+cancel: %.1f words <= 16" cancel)
+    true (cancel <= 16.)
 
 (* --- tracked events (the latency cost model's stamp points) --- *)
 
@@ -609,6 +640,103 @@ let test_io_overlap_rejected () =
        false
      with Panic.Kernel_bug _ -> true)
 
+(* Multi-region dispatch: 32 port and 32 MMIO regions over the same
+   numeric layout, claimed in shuffled order. Every third region runs
+   straight into its neighbour; the others leave a gap after them. *)
+let test_io_many_regions () =
+  Boot.boot ();
+  let n = 32 in
+  let base i = 0x1000 + (0x100 * i) in
+  let len i = if i mod 3 = 0 then 0x100 else 0x10 + (4 * i) in
+  let tag space i = (match space with `Port -> 0 | `Mmio -> 100) + i in
+  let last_write = ref (-1, -1, -1) in
+  let claim ?(tag_of = tag) space ~base ~len i =
+    let t = tag_of space i in
+    (match space with `Port -> Io.register_ports | `Mmio -> Io.register_mmio)
+      ~base ~len
+      ~read:(fun off _ -> (t lsl 16) lor off)
+      ~write:(fun off _ v -> last_write := (t, off, v))
+  in
+  let read space a = match space with `Port -> Io.inl a | `Mmio -> Io.readl a in
+  let write space a v =
+    match space with `Port -> Io.outl a v | `Mmio -> Io.writel a v
+  in
+  let raises f =
+    try
+      ignore (f ());
+      false
+    with Panic.Kernel_bug _ -> true
+  in
+  let rng = Random.State.make [| 13 |] in
+  let order =
+    List.concat_map (fun i -> [ (`Port, i); (`Mmio, i) ]) (List.init n Fun.id)
+    |> List.map (fun x -> (Random.State.bits rng, x))
+    |> List.sort compare |> List.map snd
+  in
+  let regions = Hashtbl.create 64 in
+  List.iter
+    (fun (sp, i) ->
+      Hashtbl.replace regions (sp, i) (claim sp ~base:(base i) ~len:(len i) i))
+    order;
+  let reaches ?(tag_of = tag) sp i =
+    let t = tag_of sp i and hi = base i + len i - 1 in
+    check (Printf.sprintf "base of region %d" t) (t lsl 16) (read sp (base i));
+    check
+      (Printf.sprintf "last byte of region %d" t)
+      ((t lsl 16) lor (len i - 1))
+      (read sp hi);
+    write sp hi 7;
+    check_bool
+      (Printf.sprintf "write to region %d" t)
+      true
+      (!last_write = (t, len i - 1, 7))
+  in
+  let unclaimed sp a =
+    check_bool (Printf.sprintf "%#x is unclaimed" a) true (raises (fun () -> read sp a))
+  in
+  List.iter
+    (fun sp ->
+      unclaimed sp (base 0 - 1);
+      for i = 0 to n - 1 do
+        reaches sp i;
+        if len i < 0x100 then begin
+          unclaimed sp (base i + len i);
+          unclaimed sp (base i + 0x100 - 1)
+        end
+      done)
+    [ `Port; `Mmio ];
+  (* release every fourth port region: its MMIO twin and its neighbours
+     are untouched *)
+  let released i = i mod 4 = 1 in
+  for i = 0 to n - 1 do
+    if released i then Io.release (Hashtbl.find regions (`Port, i))
+  done;
+  for i = 0 to n - 1 do
+    reaches `Mmio i;
+    if released i then begin
+      unclaimed `Port (base i);
+      unclaimed `Port (base i + len i - 1)
+    end
+    else reaches `Port i
+  done;
+  (* an overlapping claim is refused: inside one region, and across the
+     seam of two adjacent ones *)
+  check_bool "claim inside a region refused" true
+    (raises (fun () -> claim `Port ~base:(base 2 + 4) ~len:4 99));
+  check_bool "claim across a seam refused" true
+    (raises (fun () -> claim `Mmio ~base:(base 1 - 4) ~len:8 99));
+  (* a claim that exactly fills a gap is not an overlap *)
+  ignore (claim `Port ~base:(base 2 + len 2) ~len:(0x100 - len 2) 98);
+  check "gap filled" ((98 lsl 16) lor 0) (read `Port (base 2 + len 2));
+  (* a released range can be claimed again, by a new handler *)
+  let tag_of sp i = 200 + tag sp i in
+  for i = 0 to n - 1 do
+    if released i then begin
+      ignore (claim ~tag_of `Port ~base:(base i) ~len:(len i) i);
+      reaches ~tag_of `Port i
+    end
+  done
+
 (* --- PCI --- *)
 
 let make_test_dev ?(slot = "00:03.0") () =
@@ -899,6 +1027,164 @@ let prop_busy_never_exceeds_elapsed =
       Clock.consume 10_000;
       Clock.busy_ns () <= Clock.now ())
 
+(* Model-based check of the Clock queue. Random programs run against the
+   real queue and against a naive model, a list sorted by (due, seq);
+   after every step the firings so far (order and times), [pending] of
+   every id ever issued, [has_events], [scheduled] and [now] must agree.
+   Due times repeat; ids are cancelled while pending, after firing,
+   twice, from inside another event's callback, and after a reboot that
+   queued fresh events. *)
+type clock_op =
+  | Op_at of int
+  | Op_after of int
+  | Op_after_cancelling of int * int
+  | Op_cancel of int
+  | Op_consume of int
+  | Op_advance
+  | Op_reboot
+
+let show_clock_op = function
+  | Op_at t -> Printf.sprintf "at %d" t
+  | Op_after d -> Printf.sprintf "after %d" d
+  | Op_after_cancelling (d, k) -> Printf.sprintf "after %d cancelling #%d" d k
+  | Op_cancel k -> Printf.sprintf "cancel #%d" k
+  | Op_consume n -> Printf.sprintf "consume %d" n
+  | Op_advance -> "advance"
+  | Op_reboot -> "reboot"
+
+let gen_clock_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun t -> Op_at (100 * t)) (int_range 0 8));
+        (3, map (fun d -> Op_after (100 * d)) (int_range 0 4));
+        ( 2,
+          map2
+            (fun d k -> Op_after_cancelling (100 * d, k))
+            (int_range 0 4) small_nat );
+        (3, map (fun k -> Op_cancel k) small_nat);
+        (3, map (fun n -> Op_consume (50 * n)) (int_range 0 6));
+        (1, return Op_advance);
+        (1, return Op_reboot);
+      ])
+
+type model_event = {
+  m_key : int * int; (* life, seq *)
+  m_due : int;
+  m_label : int;
+  m_cancels : int option;
+}
+
+let prop_clock_matches_model =
+  QCheck.Test.make ~name:"clock queue matches a sorted-list model" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(list show_clock_op)
+       QCheck.Gen.(list_size (int_range 1 40) gen_clock_op))
+    (fun prog ->
+      Boot.boot ();
+      (* every id ever issued, paired with its model key; an event's
+         label is its index here *)
+      let ids = ref [||] in
+      let id k = !ids.(k mod Array.length !ids) in
+      let log = ref [] in
+      let life = ref 0 and m_time = ref 0 and m_seq = ref 0 in
+      let m_queue = ref [] and m_log = ref [] in
+      let m_cancel key =
+        m_queue := List.filter (fun e -> e.m_key <> key) !m_queue
+      in
+      let m_fire e =
+        m_queue := List.tl !m_queue;
+        m_time := max !m_time e.m_due;
+        m_log := (e.m_label, !m_time) :: !m_log;
+        Option.iter (fun k -> m_cancel (snd (id k))) e.m_cancels
+      in
+      let rec m_fire_until t =
+        match !m_queue with
+        | e :: _ when e.m_due <= t ->
+            m_fire e;
+            m_fire_until t
+        | _ -> ()
+      in
+      (* busy work stops at the end of its window: of several events due
+         exactly then, only the first fires inside it *)
+      let rec m_consume remaining =
+        if remaining > 0 then
+          match !m_queue with
+          | e :: _ when e.m_due <= !m_time + remaining ->
+              let slice = max 0 (e.m_due - !m_time) in
+              m_fire e;
+              m_consume (remaining - slice)
+          | _ -> m_time := !m_time + remaining
+      in
+      let schedule real due cancels =
+        let label = Array.length !ids in
+        let r =
+          real (fun () ->
+              log := (label, Clock.now ()) :: !log;
+              Option.iter (fun k -> Clock.cancel (fst (id k))) cancels)
+        in
+        incr m_seq;
+        let e =
+          {
+            m_key = (!life, !m_seq);
+            m_due = max due !m_time;
+            m_label = label;
+            m_cancels = cancels;
+          }
+        in
+        let order a b = compare (a.m_due, a.m_key) (b.m_due, b.m_key) in
+        m_queue := List.merge order [ e ] !m_queue;
+        ids := Array.append !ids [| (r, e.m_key) |]
+      in
+      let step = function
+        | Op_at t -> schedule (Clock.at t) t None
+        | Op_after d -> schedule (Clock.after d) (!m_time + d) None
+        | Op_after_cancelling (d, k) ->
+            schedule (Clock.after d) (!m_time + d) (Some k)
+        | Op_cancel k ->
+            if !ids <> [||] then begin
+              let r, key = id k in
+              Clock.cancel r;
+              m_cancel key
+            end
+        | Op_consume n ->
+            Clock.consume n;
+            m_consume n
+        | Op_advance ->
+            let advanced = Clock.advance_to_next_event () in
+            let m_advanced =
+              match !m_queue with
+              | [] -> false
+              | e :: _ ->
+                  m_time := max !m_time e.m_due;
+                  m_fire_until !m_time;
+                  true
+            in
+            if advanced <> m_advanced then
+              QCheck.Test.fail_report "advance_to_next_event disagrees"
+        | Op_reboot ->
+            Boot.boot ();
+            incr life;
+            m_time := 0;
+            m_seq := 0;
+            m_queue := []
+      in
+      let agrees () =
+        !log = !m_log
+        && Clock.now () = !m_time
+        && Clock.has_events () = (!m_queue <> [])
+        && Clock.scheduled () = !m_seq
+        && Array.for_all
+             (fun (r, key) ->
+               Clock.pending r = List.exists (fun e -> e.m_key = key) !m_queue)
+             !ids
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          agrees ())
+        prog)
+
 (* --- Faultinject --- *)
 
 let test_fi_span_trigger () =
@@ -1023,6 +1309,7 @@ let qcheck_cases =
       prop_clock_events_never_run_early;
       prop_waitq_wake_all_counts;
       prop_busy_never_exceeds_elapsed;
+      prop_clock_matches_model;
     ]
 
 let () =
@@ -1038,6 +1325,7 @@ let () =
           tc "utilization" test_clock_utilization;
           tc "same due time is FIFO" test_clock_same_due_fifo;
           tc "stale ids survive reset" test_clock_stale_id_across_reset;
+          tc "allocation per event" test_clock_alloc;
           tc "tracked events" test_clock_tracked_events;
         ] );
       ( "latency",
@@ -1098,7 +1386,11 @@ let () =
           tc "failure injection" test_dma_respects_injection;
         ] );
       ( "io",
-        [ tc "dispatch" test_io_dispatch; tc "overlap rejected" test_io_overlap_rejected ] );
+        [
+          tc "dispatch" test_io_dispatch;
+          tc "overlap rejected" test_io_overlap_rejected;
+          tc "many regions" test_io_many_regions;
+        ] );
       ( "pci",
         [
           tc "probe on add" test_pci_probe_on_add;
