@@ -72,63 +72,61 @@ type emit =
   | Library
   | Violations
 
-let run driver_name emits =
-  match List.assoc_opt driver_name drivers with
-  | None ->
-      Printf.eprintf "unknown driver %s; available: %s\n" driver_name
-        (String.concat ", " (List.map fst drivers));
-      exit 1
-  | Some { dtype; source; config; errfns; _ } ->
-      let out = Slicer.slice ~source config in
-      let emits = if emits = [] then [ Table ] else emits in
-      List.iter
-        (function
-          | Table ->
-              print_endline Report.header;
-              Format.printf "%a@." Report.pp_row (Report.stats out ~dtype)
-          | Partition_sets ->
-              let p = out.Slicer.partition in
-              Printf.printf "nucleus (%d):\n  %s\n"
-                (List.length p.Partition.nucleus)
-                (String.concat "\n  " p.Partition.nucleus);
-              Printf.printf "user (%d):\n  %s\n"
-                (List.length p.Partition.user)
-                (String.concat "\n  " p.Partition.user);
-              Printf.printf "user entry points: %s\n"
-                (String.concat ", " p.Partition.user_entry_points);
-              Printf.printf "kernel entry points: %s\n"
-                (String.concat ", " p.Partition.kernel_entry_points)
-          | Xdr -> print_string (Xdrspec.to_string out.Slicer.spec)
-          | Marshaling ->
-              let spec = out.Slicer.spec in
-              List.iter
-                (fun s ->
-                  print_string (Decaf_slicer.Marshalgen.c_marshal_code spec s);
-                  print_newline ();
-                  print_string (Decaf_slicer.Marshalgen.java_class_code s);
-                  print_string (Decaf_slicer.Marshalgen.java_marshal_code spec s);
-                  print_newline ())
-                spec.Xdrspec.xs_structs
-          | Stubs ->
-              List.iter
-                (fun (name, code) -> Printf.printf "/* %s */\n%s\n" name code)
-                out.Slicer.stubs
-          | Nucleus -> print_string out.Slicer.split.Decaf_slicer.Splitgen.nucleus_src
-          | Library -> print_string out.Slicer.split.Decaf_slicer.Splitgen.library_src
-          | Violations ->
-              let vs = Errcheck.find_violations out.Slicer.file ~extra:errfns in
-              Printf.printf "%d broken error-handling sites\n" (List.length vs);
-              List.iter
-                (fun (v : Errcheck.violation) ->
-                  Printf.printf "  line %4d %s -> %s\n" v.Errcheck.v_line
-                    v.Errcheck.v_function v.Errcheck.v_callee)
-                vs)
-        emits;
-      exit 0
+let run (_, { dtype; source; config; errfns; _ }) emits =
+  let out = Slicer.slice ~source config in
+  let emits = if emits = [] then [ Table ] else emits in
+  List.iter
+    (function
+      | Table ->
+          print_endline Report.header;
+          Format.printf "%a@." Report.pp_row (Report.stats out ~dtype)
+      | Partition_sets ->
+          let p = out.Slicer.partition in
+          Printf.printf "nucleus (%d):\n  %s\n"
+            (List.length p.Partition.nucleus)
+            (String.concat "\n  " p.Partition.nucleus);
+          Printf.printf "user (%d):\n  %s\n"
+            (List.length p.Partition.user)
+            (String.concat "\n  " p.Partition.user);
+          Printf.printf "user entry points: %s\n"
+            (String.concat ", " p.Partition.user_entry_points);
+          Printf.printf "kernel entry points: %s\n"
+            (String.concat ", " p.Partition.kernel_entry_points)
+      | Xdr -> print_string (Xdrspec.to_string out.Slicer.spec)
+      | Marshaling ->
+          let spec = out.Slicer.spec in
+          List.iter
+            (fun s ->
+              print_string (Decaf_slicer.Marshalgen.c_marshal_code spec s);
+              print_newline ();
+              print_string (Decaf_slicer.Marshalgen.java_class_code s);
+              print_string (Decaf_slicer.Marshalgen.java_marshal_code spec s);
+              print_newline ())
+            spec.Xdrspec.xs_structs
+      | Stubs ->
+          List.iter
+            (fun (name, code) -> Printf.printf "/* %s */\n%s\n" name code)
+            out.Slicer.stubs
+      | Nucleus -> print_string out.Slicer.split.Decaf_slicer.Splitgen.nucleus_src
+      | Library -> print_string out.Slicer.split.Decaf_slicer.Splitgen.library_src
+      | Violations ->
+          let vs = Errcheck.find_violations out.Slicer.file ~extra:errfns in
+          Printf.printf "%d broken error-handling sites\n" (List.length vs);
+          List.iter
+            (fun (v : Errcheck.violation) ->
+              Printf.printf "  line %4d %s -> %s\n" v.Errcheck.v_line
+                v.Errcheck.v_function v.Errcheck.v_callee)
+            vs)
+    emits;
+  exit 0
+
+(* An unknown driver name is a usage error (exit 124, naming the valid
+   ones), never confused with exit 1, "violations found". *)
+let driver_conv = Arg.enum (List.map (fun (n, d) -> (n, (n, d))) drivers)
 
 let driver_arg =
   let doc = "Driver to slice (8139too, e1000, ens1371, uhci-hcd, psmouse)." in
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"DRIVER" ~doc)
+  Arg.(required & pos 0 (some driver_conv) None & info [] ~docv:"DRIVER" ~doc)
 
 let flag name doc = Arg.(value & flag & info [ name ] ~doc)
 
@@ -218,18 +216,8 @@ let lint_consume ~json =
       end;
       findings = []
 
-let run_lint driver_name json =
-  let selected =
-    match driver_name with
-    | None -> drivers
-    | Some name -> (
-        match List.assoc_opt name drivers with
-        | Some d -> [ (name, d) ]
-        | None ->
-            Printf.eprintf "unknown driver %s; available: %s\n" name
-              (String.concat ", " (List.map fst drivers));
-            exit 1)
-  in
+let run_lint driver json =
+  let selected = match driver with None -> drivers | Some d -> [ d ] in
   let clean =
     List.fold_left
       (fun acc (name, d) -> lint_driver ~json name d && acc)
@@ -244,7 +232,7 @@ let lint_cmd =
       "Driver to lint (8139too, e1000, ens1371, uhci-hcd, psmouse); all \
        bundled drivers when omitted."
     in
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"DRIVER" ~doc)
+    Arg.(value & pos 0 (some driver_conv) None & info [] ~docv:"DRIVER" ~doc)
   in
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit a machine-readable report.")

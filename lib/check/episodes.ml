@@ -98,7 +98,6 @@ let suspend_flush =
     (fun () ->
       Chkdev.register ();
       Xpc.Batch.set_enabled true;
-      Xpc.Batch.configure ~watermark:64 ();
       spawn "loader" (fun () ->
           ignore (Driver_core.insmod Chkdev.name ~mode);
           Chkdev.kick (dev Chkdev.name);

@@ -127,8 +127,6 @@ type adapter = {
   lock : K.Sync.Combolock.t;
 }
 
-type t = { adapter : adapter; mutable module_handle : K.Modules.handle option }
-
 let reg a off = a.mmio + off
 
 (* --- plan-driven XPC with real XDR marshaling --- *)
@@ -694,155 +692,48 @@ let probe env (pci : K.Pci.dev) =
         Error rc
       end
 
-let instances : (string, adapter) Hashtbl.t = Hashtbl.create 4
+(* PCI unbind (per-instance rmmod, surprise removal, module unload):
+   whatever is still in the ring is dropped with count, never drained
+   into a dead binding. *)
+let unbind a =
+  disarm_watchdog a;
+  Option.iter Decaf_xpc.Ring.destroy a.xring;
+  a.xring <- None;
+  free_rx_resources a;
+  free_tx_resources a;
+  O.release_kernel_adapter a.ka;
+  match a.netdev with Some nd -> K.Netcore.unregister_netdev nd | None -> ()
 
-let remove (pci : K.Pci.dev) =
-  (match Hashtbl.find_opt instances (K.Pci.slot pci) with
-  | Some a -> (
-      disarm_watchdog a;
-      (* unbind (including surprise removal): whatever is still in the
-         ring is dropped with count, never drained into a dead binding *)
-      Option.iter Decaf_xpc.Ring.destroy a.xring;
-      a.xring <- None;
-      free_rx_resources a;
-      free_tx_resources a;
-      O.release_kernel_adapter a.ka;
-      match a.netdev with
-      | Some nd -> K.Netcore.unregister_netdev nd
-      | None -> ())
-  | None -> ());
-  Hashtbl.remove instances (K.Pci.slot pci)
+let ids = List.map (fun id -> (vendor_id, id)) device_ids
 
-let active_box : t option ref = ref None
-let active () = !active_box
+include Pci_family.Make (struct
+  type nonrec adapter = adapter
 
-(* One K.Modules load serves every instance: the module is refcounted
-   and only really unloaded when its last binding goes away. *)
-type shared = { s_handle : K.Modules.handle; mutable s_refs : int }
+  let name = driver
+  let ids = ids
+  let scope a = a.scope
+  let slot a = K.Pci.slot a.pci
+  let probe = probe
+  let unbind = unbind
 
-let shared_box : shared option ref = ref None
+  let quiesce a =
+    match a.netdev with
+    | Some nd when K.Netcore.is_up nd -> ignore (K.Netcore.stop_dev nd)
+    | Some _ | None -> ()
 
-let shared_live () =
-  match !shared_box with
-  | Some s when K.Modules.is_loaded driver -> Some s
-  | Some _ ->
-      shared_box := None;
-      None
-  | None -> None
+  (* module parameters are insmod arguments: they must not survive the
+     module. A later insmod with no explicit params gets the defaults,
+     not whatever the previous load was given. *)
+  let unloaded = reset_module_params
+end)
 
-(* The PCI probe callback outlives any single insmod (it is registered
-   once per module load), so the env and device filter for the binding
-   currently being created travel through this box: only the probe the
-   caller asked for claims a device; auto-probes of other matching
-   devices on the bus are refused and left for their own bind. *)
-let pending : (Driver_env.t * string option * adapter option ref) option ref =
-  ref None
-
-(* Power-on state: no device model, binding, module load or insmod
-   argument outlives the machine it was made on. *)
+(* Power-on state: no device model or insmod argument outlives the
+   machine it was made on. *)
 let () =
   K.Boot.on_reset @@ fun () ->
   Hashtbl.reset models;
-  Hashtbl.reset instances;
-  active_box := None;
-  shared_box := None;
-  pending := None;
   checked_params := [];
   reset_module_params ()
-
-let pci_probe pci =
-  match !pending with
-  | Some (env, want, out)
-    when !out = None
-         && (match want with None -> true | Some s -> s = K.Pci.slot pci) -> (
-      match probe env pci with
-      | Ok a ->
-          out := Some a;
-          Hashtbl.replace instances (K.Pci.slot pci) a;
-          Ok ()
-      | Error rc -> Error rc)
-  | _ -> Error (-Errors.enodev)
-
-let insmod ?dev env =
-  let out = ref None in
-  pending := Some (env, dev, out);
-  (* the box must not outlive this bind even when a supervised probe
-     fault unwinds through here, or a later unrelated device add could
-     claim a stale env *)
-  Fun.protect ~finally:(fun () -> pending := None) @@ fun () ->
-  let wrap s adapter =
-    s.s_refs <- s.s_refs + 1;
-    let t = { adapter; module_handle = Some s.s_handle } in
-    (* [active] keeps meaning "the first instance": only a bare-scoped
-       (singleton or registry-instance-0) bind claims the box *)
-    if adapter.scope = driver && !active_box = None then active_box := Some t;
-    Ok t
-  in
-  match shared_live () with
-  | Some s -> (
-      (* module already loaded: bind one more device to it *)
-      K.Pci.rescan ?slot:dev ();
-      match !out with
-      | Some adapter -> wrap s adapter
-      | None -> Error (-Errors.enodev))
-  | None -> (
-      let init () =
-        (* a failed or faulting load must leave the PCI core clean so a
-           supervisor retry can register the driver again *)
-        let register () =
-          K.Pci.register_driver ~name:driver
-            ~ids:
-              (List.map
-                 (fun id -> { K.Pci.id_vendor = vendor_id; id_device = id })
-                 device_ids)
-            ~probe:pci_probe ~remove
-        in
-        (match register () with
-        | () -> ()
-        | exception e ->
-            K.Pci.unregister_driver driver;
-            raise e);
-        match !out with
-        | Some _ -> Ok ()
-        | None ->
-            K.Pci.unregister_driver driver;
-            Error (-Errors.enodev)
-      in
-      let exit () = K.Pci.unregister_driver driver in
-      match K.Modules.insmod ~name:driver ~init ~exit with
-      | Ok handle -> (
-          match !out with
-          | Some adapter ->
-              let s = { s_handle = handle; s_refs = 0 } in
-              shared_box := Some s;
-              wrap s adapter
-          | None -> Error (-Errors.enodev))
-      | Error rc -> Error rc)
-
-let rmmod t =
-  (match t.module_handle with
-  | Some h ->
-      (match t.adapter.netdev with
-      | Some nd when K.Netcore.is_up nd -> ignore (K.Netcore.stop_dev nd)
-      | Some _ | None -> ());
-      (* release this binding's device only; siblings keep running *)
-      K.Pci.detach ~slot:(K.Pci.slot t.adapter.pci);
-      t.module_handle <- None;
-      (match shared_live () with
-      | Some s when s.s_handle == h ->
-          s.s_refs <- s.s_refs - 1;
-          if s.s_refs <= 0 then begin
-            K.Modules.rmmod h;
-            shared_box := None;
-            (* module parameters are insmod arguments: they must not
-               survive the module. A later insmod with no explicit
-               params gets the defaults, not whatever the previous load
-               was given. *)
-            reset_module_params ()
-          end
-      | _ -> ())
-  | None -> ());
-  match !active_box with Some t' when t' == t -> active_box := None | _ -> ()
 
 (* --- power management (§3.1.3: suspend/resume run in the decaf
    driver, like any other non-critical path) --- *)
@@ -875,9 +766,6 @@ let resume t =
   | Some nd when K.Netcore.is_up nd -> arm_watchdog a
   | Some _ | None -> ()
 
-let init_latency_ns t =
-  match t.module_handle with Some h -> K.Modules.init_latency_ns h | None -> 0
-
 let netdev t =
   match t.adapter.netdev with
   | Some nd -> nd
@@ -892,17 +780,14 @@ let params t = t.adapter.params
 
 (* Fleet access: a binding made through the registry has no [t] in the
    caller's hands; the netdev is looked up by the PCI slot it claimed. *)
-let netdev_at ~slot =
-  match Hashtbl.find_opt instances slot with
-  | Some a -> a.netdev
-  | None -> None
+let netdev_at ~slot = Option.bind (adapter_at ~slot) (fun a -> a.netdev)
 
 module Core = struct
   type nonrec t = t
 
   let name = driver
   let bus = K.Hotplug.Pci
-  let ids = List.map (fun id -> (vendor_id, id)) device_ids
+  let ids = ids
   let probe env ~dev = insmod ?dev env
   let remove = rmmod
   let suspend = suspend

@@ -43,8 +43,6 @@ type adapter = {
       (** deferred hardware-pointer refreshes delivered to user level *)
 }
 
-type t = { adapter : adapter; mutable module_handle : K.Modules.handle option }
-
 let reg a off = a.io_base + off
 
 let outl a off v =
@@ -189,123 +187,24 @@ let probe env (pci : K.Pci.dev) =
       in
       if rc = 0 then Ok a else Error rc
 
-let instances : (string, adapter) Hashtbl.t = Hashtbl.create 4
+include Pci_family.Make (struct
+  type nonrec adapter = adapter
 
-let remove (pci : K.Pci.dev) =
-  (match Hashtbl.find_opt instances (K.Pci.slot pci) with
-  | Some a -> (
-      K.Irq.free_irq a.irq;
-      match a.card with Some c -> K.Sndcore.snd_card_free c | None -> ())
-  | None -> ());
-  Hashtbl.remove instances (K.Pci.slot pci)
+  let name = driver
+  let ids = [ (vendor_id, device_id) ]
+  let scope a = a.scope
+  let slot a = a.slot
+  let probe = probe
 
-let active_box : t option ref = ref None
-let active () = !active_box
+  let unbind a =
+    K.Irq.free_irq a.irq;
+    match a.card with Some c -> K.Sndcore.snd_card_free c | None -> ()
 
-(* One K.Modules load serves every instance (see E1000_drv): refcounted,
-   really unloaded only when the last binding goes. *)
-type shared = { s_handle : K.Modules.handle; mutable s_refs : int }
+  let quiesce _ = ()
+  let unloaded () = ()
+end)
 
-let shared_box : shared option ref = ref None
-
-let shared_live () =
-  match !shared_box with
-  | Some s when K.Modules.is_loaded driver -> Some s
-  | Some _ ->
-      shared_box := None;
-      None
-  | None -> None
-
-(* env + device filter for the binding being created; only the probe the
-   caller asked for claims a device (see E1000_drv.pending). *)
-let pending : (Driver_env.t * string option * adapter option ref) option ref =
-  ref None
-
-let () =
-  K.Boot.on_reset @@ fun () ->
-  Hashtbl.reset models;
-  Hashtbl.reset instances;
-  active_box := None;
-  shared_box := None;
-  pending := None
-
-let pci_probe pci =
-  match !pending with
-  | Some (env, want, out)
-    when !out = None
-         && (match want with None -> true | Some s -> s = K.Pci.slot pci) -> (
-      match probe env pci with
-      | Ok a ->
-          out := Some a;
-          Hashtbl.replace instances (K.Pci.slot pci) a;
-          Ok ()
-      | Error rc -> Error rc)
-  | _ -> Error (-Errors.enodev)
-
-let insmod ?dev env =
-  let out = ref None in
-  pending := Some (env, dev, out);
-  Fun.protect ~finally:(fun () -> pending := None) @@ fun () ->
-  let wrap s adapter =
-    s.s_refs <- s.s_refs + 1;
-    let t = { adapter; module_handle = Some s.s_handle } in
-    if adapter.scope = driver && !active_box = None then active_box := Some t;
-    Ok t
-  in
-  match shared_live () with
-  | Some s -> (
-      (* module already loaded: bind one more device to it *)
-      K.Pci.rescan ?slot:dev ();
-      match !out with
-      | Some adapter -> wrap s adapter
-      | None -> Error (-Errors.enodev))
-  | None -> (
-      let init () =
-        (* a failed or faulting probe must leave the PCI core clean for
-           the supervisor's retry *)
-        let register () =
-          K.Pci.register_driver ~name:driver
-            ~ids:[ { K.Pci.id_vendor = vendor_id; id_device = device_id } ]
-            ~probe:pci_probe ~remove
-        in
-        (match register () with
-        | () -> ()
-        | exception e ->
-            K.Pci.unregister_driver driver;
-            raise e);
-        match !out with
-        | Some _ -> Ok ()
-        | None ->
-            K.Pci.unregister_driver driver;
-            Error (-Errors.enodev)
-      in
-      let exit () = K.Pci.unregister_driver driver in
-      match K.Modules.insmod ~name:driver ~init ~exit with
-      | Ok handle -> (
-          match !out with
-          | Some adapter ->
-              let s = { s_handle = handle; s_refs = 0 } in
-              shared_box := Some s;
-              wrap s adapter
-          | None -> Error (-Errors.enodev))
-      | Error rc -> Error rc)
-
-let rmmod t =
-  (match t.module_handle with
-  | Some h ->
-      (* release this binding's device only; siblings keep running *)
-      K.Pci.detach ~slot:t.adapter.slot;
-      t.module_handle <- None;
-      (match shared_live () with
-      | Some s when s.s_handle == h ->
-          s.s_refs <- s.s_refs - 1;
-          if s.s_refs <= 0 then begin
-            K.Modules.rmmod h;
-            shared_box := None
-          end
-      | _ -> ())
-  | None -> ());
-  match !active_box with Some t' when t' == t -> active_box := None | _ -> ()
+let () = K.Boot.on_reset @@ fun () -> Hashtbl.reset models
 
 (* --- power management --- *)
 
@@ -325,9 +224,6 @@ let resume t =
       if a.rate > 0 then outl a S.reg_src a.rate;
       (* playback that was running when we suspended picks back up *)
       if a.dac_on then outl a S.reg_control S.ctrl_dac2_en)
-
-let init_latency_ns t =
-  match t.module_handle with Some h -> K.Modules.init_latency_ns h | None -> 0
 
 let substream t =
   match t.adapter.sub with

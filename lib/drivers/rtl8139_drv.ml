@@ -42,11 +42,6 @@ type adapter = {
   lock : K.Sync.Combolock.t;
 }
 
-type t = {
-  adapter : adapter;
-  mutable module_handle : K.Modules.handle option;
-}
-
 let reg a off = a.io_base + off
 
 (* Run [f] on the Java view of the nic — the rtl8139 counterpart of
@@ -354,134 +349,35 @@ let probe env (pci : K.Pci.dev) =
         Error rc
       end
 
-let instances : (string, adapter) Hashtbl.t = Hashtbl.create 4
+(* PCI unbind (per-instance rmmod, surprise removal, module unload):
+   drop everything the probe acquired; remaining ring slots are dropped
+   with count. *)
+let unbind a =
+  K.Irq.free_irq a.irq;
+  Option.iter Decaf_xpc.Ring.destroy a.xring;
+  a.xring <- None;
+  RO.release_kernel_nic a.ka;
+  match a.netdev with Some nd -> K.Netcore.unregister_netdev nd | None -> ()
 
-(* PCI-core unbind path, shared by detach (per-instance rmmod) and
-   unregister (module unload): drop everything the probe acquired. *)
-let remove pci =
-  (match Hashtbl.find_opt instances (K.Pci.slot pci) with
-  | Some a -> (
-      K.Irq.free_irq a.irq;
-      (* unbind: remaining slots dropped with count *)
-      Option.iter Decaf_xpc.Ring.destroy a.xring;
-      a.xring <- None;
-      RO.release_kernel_nic a.ka;
-      match a.netdev with
-      | Some nd -> K.Netcore.unregister_netdev nd
-      | None -> ())
-  | None -> ());
-  Hashtbl.remove instances (K.Pci.slot pci)
+include Pci_family.Make (struct
+  type nonrec adapter = adapter
 
-let active_box : t option ref = ref None
-let active () = !active_box
+  let name = driver
+  let ids = [ (vendor_id, device_id) ]
+  let scope a = a.scope
+  let slot a = a.slot
+  let probe = probe
+  let unbind = unbind
 
-(* One K.Modules load serves every instance (see E1000_drv): refcounted,
-   really unloaded only when the last binding goes. *)
-type shared = { s_handle : K.Modules.handle; mutable s_refs : int }
+  let quiesce a =
+    match a.netdev with
+    | Some nd when K.Netcore.is_up nd -> ignore (K.Netcore.stop_dev nd)
+    | Some _ | None -> ()
 
-let shared_box : shared option ref = ref None
+  let unloaded () = ()
+end)
 
-let shared_live () =
-  match !shared_box with
-  | Some s when K.Modules.is_loaded driver -> Some s
-  | Some _ ->
-      shared_box := None;
-      None
-  | None -> None
-
-(* env + device filter for the binding being created; only the probe the
-   caller asked for claims a device (see E1000_drv.pending). *)
-let pending : (Driver_env.t * string option * adapter option ref) option ref =
-  ref None
-
-let () =
-  K.Boot.on_reset @@ fun () ->
-  Hashtbl.reset models;
-  Hashtbl.reset instances;
-  active_box := None;
-  shared_box := None;
-  pending := None
-
-let pci_probe pci =
-  match !pending with
-  | Some (env, want, out)
-    when !out = None
-         && (match want with None -> true | Some s -> s = K.Pci.slot pci) -> (
-      match probe env pci with
-      | Ok a ->
-          out := Some a;
-          Hashtbl.replace instances (K.Pci.slot pci) a;
-          Ok ()
-      | Error rc -> Error rc)
-  | _ -> Error (-Decaf_runtime.Errors.enodev)
-
-let insmod ?dev env =
-  let out = ref None in
-  pending := Some (env, dev, out);
-  Fun.protect ~finally:(fun () -> pending := None) @@ fun () ->
-  let wrap s adapter =
-    s.s_refs <- s.s_refs + 1;
-    let t = { adapter; module_handle = Some s.s_handle } in
-    if adapter.scope = driver && !active_box = None then active_box := Some t;
-    Ok t
-  in
-  match shared_live () with
-  | Some s -> (
-      (* module already loaded: bind one more device to it *)
-      K.Pci.rescan ?slot:dev ();
-      match !out with
-      | Some adapter -> wrap s adapter
-      | None -> Error (-Decaf_runtime.Errors.enodev))
-  | None -> (
-      let init () =
-        (* keep the PCI core clean when the probe fails or faults, so a
-           supervisor retry can register the driver again *)
-        let register () =
-          K.Pci.register_driver ~name:driver
-            ~ids:[ { K.Pci.id_vendor = vendor_id; id_device = device_id } ]
-            ~probe:pci_probe ~remove
-        in
-        (match register () with
-        | () -> ()
-        | exception e ->
-            K.Pci.unregister_driver driver;
-            raise e);
-        match !out with
-        | Some _ -> Ok ()
-        | None ->
-            K.Pci.unregister_driver driver;
-            Error (-Decaf_runtime.Errors.enodev)
-      in
-      let exit () = K.Pci.unregister_driver driver in
-      match K.Modules.insmod ~name:driver ~init ~exit with
-      | Ok handle -> (
-          match !out with
-          | Some adapter ->
-              let s = { s_handle = handle; s_refs = 0 } in
-              shared_box := Some s;
-              wrap s adapter
-          | None -> Error (-Decaf_runtime.Errors.enodev))
-      | Error rc -> Error rc)
-
-let rmmod t =
-  (match t.module_handle with
-  | Some h ->
-      (match t.adapter.netdev with
-      | Some nd when K.Netcore.is_up nd -> ignore (K.Netcore.stop_dev nd)
-      | Some _ | None -> ());
-      (* release this binding's device only; siblings keep running *)
-      K.Pci.detach ~slot:t.adapter.slot;
-      t.module_handle <- None;
-      (match shared_live () with
-      | Some s when s.s_handle == h ->
-          s.s_refs <- s.s_refs - 1;
-          if s.s_refs <= 0 then begin
-            K.Modules.rmmod h;
-            shared_box := None
-          end
-      | _ -> ())
-  | None -> ());
-  match !active_box with Some t' when t' == t -> active_box := None | _ -> ()
+let () = K.Boot.on_reset @@ fun () -> Hashtbl.reset models
 
 (* --- power management: suspend/resume at user level --- *)
 
@@ -518,9 +414,6 @@ let resume t =
               K.Netcore.netif_wake_queue nd;
               K.Netcore.netif_carrier_on nd)
       | Some _ | None -> ())
-
-let init_latency_ns t =
-  match t.module_handle with Some h -> K.Modules.init_latency_ns h | None -> 0
 
 let netdev t =
   match t.adapter.netdev with

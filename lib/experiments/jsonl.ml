@@ -1,0 +1,38 @@
+let field_raw line key =
+  let pat = "\"" ^ key ^ "\":" in
+  let plen = String.length pat and llen = String.length line in
+  let rec scan i =
+    if i + plen > llen then None
+    else if String.sub line i plen = pat then Some (i + plen)
+    else scan (i + 1)
+  in
+  scan 0
+
+let field_int line key =
+  match field_raw line key with
+  | None -> None
+  | Some start ->
+      let llen = String.length line in
+      let stop = ref start in
+      while
+        !stop < llen
+        && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
+      do
+        incr stop
+      done;
+      if !stop = start then None
+      else int_of_string_opt (String.sub line start (!stop - start))
+
+let field_str line key =
+  match field_raw line key with
+  | Some start when start < String.length line && line.[start] = '"' -> (
+      match String.index_from_opt line (start + 1) '"' with
+      | Some stop -> Some (String.sub line (start + 1) (stop - start - 1))
+      | None -> None)
+  | _ -> None
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))

@@ -124,44 +124,14 @@ let to_json s =
   in
   String.concat "\n" (header :: List.map json_row s.rows) ^ "\n"
 
-let field_raw line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and llen = String.length line in
-  let rec scan i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else scan (i + 1)
-  in
-  scan 0
-
-let field_int line key =
-  match field_raw line key with
-  | None -> None
-  | Some start ->
-      let llen = String.length line in
-      let stop = ref start in
-      while
-        !stop < llen
-        && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      if !stop = start then None
-      else int_of_string_opt (String.sub line start (!stop - start))
-
-let field_str line key =
-  match field_raw line key with
-  | Some start when start < String.length line && line.[start] = '"' -> (
-      match String.index_from_opt line (start + 1) '"' with
-      | Some stop -> Some (String.sub line (start + 1) (stop - start - 1))
-      | None -> None)
-  | _ -> None
-
 let row_of_line line =
-  match (field_str line "phase", field_str line "path", field_int line "p99_ns")
+  match
+    ( Jsonl.field_str line "phase",
+      Jsonl.field_str line "path",
+      Jsonl.field_int line "p99_ns" )
   with
   | Some phase, Some path, Some p99_ns ->
-      let geti key = Option.value ~default:0 (field_int line key) in
+      let geti key = Option.value ~default:0 (Jsonl.field_int line key) in
       Some
         {
           phase;
@@ -178,12 +148,12 @@ let row_of_line line =
 let of_json text =
   let lines = String.split_on_char '\n' text in
   let header =
-    List.find_opt (fun l -> field_str l "bench" = Some "soak") lines
+    List.find_opt (fun l -> Jsonl.field_str l "bench" = Some "soak") lines
   in
   let geti key d =
     match header with
     | None -> d
-    | Some h -> Option.value ~default:d (field_int h key)
+    | Some h -> Option.value ~default:d (Jsonl.field_int h key)
   in
   {
     duration_ns = geti "duration_ns" default_duration_ns;
@@ -197,12 +167,6 @@ let of_json text =
     leaked_entries = geti "leaked_entries" 0;
     leaked_bytes = geti "leaked_bytes" 0;
   }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_json ?(duration_ns = default_duration_ns) ?(fleet = default_fleet)
     ?(seed = default_seed) ~path () =
@@ -246,7 +210,7 @@ let waived () =
   | Some _ -> true
 
 let check ?(p99_slack_pct = 5) ~path () =
-  let committed = of_json (read_file path) in
+  let committed = of_json (Jsonl.read_file path) in
   if committed.rows = [] then begin
     Printf.printf "soak-check: %s holds no rows\n" path;
     false

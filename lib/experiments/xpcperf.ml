@@ -545,49 +545,16 @@ let to_json ~duration_ns samples =
   in
   String.concat "\n" (header :: List.map json_line samples) ^ "\n"
 
-let field_raw line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat and llen = String.length line in
-  let rec scan i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else scan (i + 1)
-  in
-  scan 0
-
-let field_int line key =
-  match field_raw line key with
-  | None -> None
-  | Some start ->
-      let llen = String.length line in
-      let stop = ref start in
-      while
-        !stop < llen
-        && (match line.[!stop] with '0' .. '9' | '-' -> true | _ -> false)
-      do
-        incr stop
-      done;
-      if !stop = start then None
-      else int_of_string_opt (String.sub line start (!stop - start))
-
-let field_str line key =
-  match field_raw line key with
-  | Some start when start < String.length line && line.[start] = '"' -> (
-      match String.index_from_opt line (start + 1) '"' with
-      | Some stop -> Some (String.sub line (start + 1) (stop - start - 1))
-      | None -> None)
-  | _ -> None
-
 let sample_of_line line =
   match
-    ( field_str line "scenario",
-      field_int line "batching",
-      field_int line "delta",
-      field_int line "crossings",
-      field_int line "bytes" )
+    ( Jsonl.field_str line "scenario",
+      Jsonl.field_int line "batching",
+      Jsonl.field_int line "delta",
+      Jsonl.field_int line "crossings",
+      Jsonl.field_int line "bytes" )
   with
   | Some scenario, Some batching, Some delta, Some crossings, Some bytes ->
-      let geti key = Option.value ~default:0 (field_int line key) in
+      let geti key = Option.value ~default:0 (Jsonl.field_int line key) in
       Some
         {
           scenario;
@@ -596,21 +563,21 @@ let sample_of_line line =
               batching = batching <> 0;
               delta = delta <> 0;
               (* files from before the worker axis are all serial *)
-              workers = (match field_int line "workers" with
+              workers = (match Jsonl.field_int line "workers" with
                         | Some w when w > 0 -> w
                         | _ -> 1);
               (* files from before the guard axis ran with validation
                  semantics equivalent to guard-on (nothing hostile in a
                  benchmark), so missing means true *)
-              guard = (match field_int line "guard" with
+              guard = (match Jsonl.field_int line "guard" with
                       | Some g -> g <> 0
                       | None -> true);
               (* files from before the ring axis never used the ring *)
-              ring = (match field_int line "ring" with
+              ring = (match Jsonl.field_int line "ring" with
                      | Some r -> r <> 0
                      | None -> false);
               (* files from before the fleet axis are single-instance *)
-              instances = (match field_int line "instances" with
+              instances = (match Jsonl.field_int line "instances" with
                           | Some n when n > 1 -> n
                           | _ -> 1);
             };
@@ -630,7 +597,7 @@ let sample_of_line line =
           shards_used = geti "shards_used";
           perf_milli = geti "perf_milli";
           perf_unit =
-            Option.value ~default:"" (field_str line "perf_unit");
+            Option.value ~default:"" (Jsonl.field_str line "perf_unit");
           fair_min_milli = geti "fair_min_milli";
           fair_mean_milli = geti "fair_mean_milli";
           fair_max_milli = geti "fair_max_milli";
@@ -640,16 +607,10 @@ let sample_of_line line =
 let of_json text =
   let lines = String.split_on_char '\n' text in
   let duration_ns =
-    List.find_map (fun l -> field_int l "duration_ns") lines
+    List.find_map (fun l -> Jsonl.field_int l "duration_ns") lines
   in
   let samples = List.filter_map sample_of_line lines in
   (duration_ns, samples)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_json ?(duration_ns = default_duration_ns) ~path () =
   let samples = measure ~duration_ns () in
@@ -667,7 +628,7 @@ let write_json ?(duration_ns = default_duration_ns) ~path () =
    untouched fast path reproduces the file exactly; the slack absorbs
    deliberate small retunings without a file update. *)
 let check ?(slack_pct = 10) ?(perf_slack_pct = 5) ~path () =
-  let duration_ns, committed = of_json (read_file path) in
+  let duration_ns, committed = of_json (Jsonl.read_file path) in
   let duration_ns =
     Option.value ~default:default_duration_ns duration_ns
   in

@@ -22,15 +22,12 @@
     {!Channel.call} with [~idempotent:true] under context
     ["batch.flush"], so it inherits the timeout/retry machinery and the
     fault plan; a flush that fails even after retries requeues its batch
-    intact — deferred calls are neither dropped nor duplicated.
+    intact and is retried 1 ms later — deferred calls are neither
+    dropped, duplicated nor stranded.
 
-    A user-level runtime services at most {!Dispatch.workers} XPCs at a
-    time, so the asynchronous flush paths (workqueues, timer) back off
-    while {!Channel.in_flight}[ target >= Dispatch.workers ()] and retry
-    shortly after: a deferred notification never lands in a domain whose
-    worker pool is saturated mid-crossing. The flush work itself is
-    spread round-robin over min(workers, 4) workqueues so independent
-    flushes can occupy independent dispatch workers. *)
+    When a queue flushes is {!Doorbell}'s job, shared with {!Ring}: the
+    flush workqueues, the timer, and the back-off while the target's
+    worker pool is full. *)
 
 type stats = {
   mutable posted : int;  (** deferred calls enqueued *)
@@ -57,8 +54,8 @@ val post :
 (** Defer [f] for execution in [target]. FIFO per target. If [target] is
     the current domain, [f] runs immediately (no crossing either way).
 
-    With batching enabled the queue is flushed when it reaches the
-    watermark or when the flush timer (armed on first post) expires.
+    With batching enabled the queue is flushed when it reaches 32 calls
+    or when the flush timer, armed on first post, expires after 10 ms.
     With batching disabled — the measurement baseline — each post is
     delivered promptly with its own crossing, charged under [context]
     (default ["notify"]), which is also the fault-plan site name. *)
@@ -83,14 +80,10 @@ val set_enabled : bool -> unit
 
 val batching_enabled : unit -> bool
 
-val configure : ?watermark:int -> ?flush_interval_ns:int -> unit -> unit
-(** Flush triggers: queue length that forces a flush (default 32) and
-    the latency bound on a posted call (default 10 ms). *)
-
 val stats : unit -> stats
 (** Counters since the last {!Decaf_kernel.Boot.boot}. Every boot also
-    drops the queues, restores the default configuration and forgets
-    the flush workqueues and timer, which are created again on the next
-    post, so a reboot never leaves a stale worker behind. *)
+    drops the queues, turns batching off and forgets the flush
+    workqueues and timer, which are created again on the next post, so
+    a reboot never leaves a stale worker behind. *)
 
 val snapshot : unit -> stats

@@ -71,12 +71,13 @@ val direct_marshaling : unit -> bool
 
 val in_flight : Domain.t -> int
 (** Crossings currently executing in [target]. A user-level runtime
-    services one XPC at a time, so {!Batch}'s asynchronous flush worker
-    holds off while this is non-zero — a deferred notification must not
-    reach into a domain that is mid-call (it would retroactively update
-    marshaled state an in-progress call already captured). Synchronous
-    {!Batch.doorbell}/{!Batch.drain} are not gated: their caller owns the
-    ordering. *)
+    services at most {!Dispatch.workers} XPCs at a time, so the deferred
+    drains of {!Batch} and {!Ring} (the {!Doorbell} core) hold off while
+    this is [>= Dispatch.workers ()] — a deferred notification must not
+    reach into a domain whose workers are all mid-call (it would
+    retroactively update marshaled state an in-progress call already
+    captured). Synchronous drains ({!Batch.doorbell}, {!Batch.drain},
+    {!Ring.drain}) are not gated: their caller owns the ordering. *)
 
 val stats : unit -> stats
 (** The live counters. The [lock_*] columns are refreshed from

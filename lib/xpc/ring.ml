@@ -45,37 +45,10 @@ type t = {
   s : stats;
 }
 
-let default_watermark = 64
-
-(* Ring slots carry coalescable telemetry (stats generations, link
-   flaps), so the latency bound is an order looser than the batch
-   queue's 10 ms: the doorbell is meant to amortize to ~zero crossings
-   per event, not to chase tail latency. *)
-let default_flush_interval_ns = 100_000_000
-let default_depth = 256
-let enabled_flag = ref false
-let watermark = ref default_watermark
-let flush_interval_ns = ref default_flush_interval_ns
-let depth_default = ref default_depth
+let depth = 256
 let rings : (string, t) Hashtbl.t = Hashtbl.create 8
 let all () = Hashtbl.fold (fun _ r acc -> r :: acc) rings []
-
-(* Doorbell workers and timer belong to one machine lifetime, exactly
-   like the batch flush infrastructure: forgotten on boot, tagged with
-   the dispatch pool width, lazily recreated when that width changes. *)
-let infra : (int * K.Workqueue.t array * K.Timer.t) option ref = ref None
-
-let rr = ref 0
-
-let queue_job wqs job =
-  let n = Array.length wqs in
-  rr := (!rr + 1) mod n;
-  K.Workqueue.queue_work wqs.(!rr) job
-
-(* How long a doorbell worker backs off when the target domain is
-   saturated (a user-level runtime services one XPC at a time). *)
-let busy_retry_ns = 1_000_000
-let tail r = (r.head - r.occupancy + Array.length r.slots) mod Array.length r.slots
+let tail r = (r.head - r.occupancy + depth) mod depth
 
 (* Validate one slot kernel-side before believing it: the capability
    handle must resolve in the tracker (forged handles are how a hostile
@@ -95,41 +68,15 @@ let slot_valid r rec_ =
       | _, _, _ -> true
       | exception Boundary.Boundary_violation _ -> false)
 
-let rec get_infra () =
-  let size = min (Dispatch.workers ()) 4 in
-  match !infra with
-  | Some (s', wqs, timer) when s' = size -> (wqs, timer)
-  | _ ->
-      let wqs =
-        Array.init size (fun i ->
-            K.Workqueue.create ~name:(Printf.sprintf "xpc-ring/%d" i))
-      in
-      let timer =
-        K.Timer.create ~name:"xpc-ring-doorbell" (fun () ->
-            (* interrupt context: defer the doorbell to process
-               context, where the crossing may block *)
-            List.iter
-              (fun r -> queue_job wqs (fun () -> deferred_drain r))
-              (all ()))
-      in
-      infra := Some (size, wqs, timer);
-      (wqs, timer)
-
-and deferred_drain r =
-  if Channel.in_flight r.r_target >= Dispatch.workers () then begin
-    let _, timer = get_infra () in
-    if not (K.Timer.pending timer) then K.Timer.mod_timer_in timer busy_retry_ns
-  end
-  else drain r
-
 (* One doorbell = ONE crossing with a zero-byte payload: the drain loop
    runs inside the call, reading slots out of the (conceptually shared)
    ring, so N produced records pay N slot reads plus a single crossing
    — no per-record marshaling at all. Draining is idempotent by
    construction (the fault model fires before the body runs), so a
    failed doorbell leaves every slot in place for the timer retry. *)
-and drain r =
-  if r.occupancy > 0 && not r.draining then begin
+let flush _ r =
+  if r.occupancy = 0 || r.draining then true
+  else begin
     (* The doorbell crossing may block; a drain reached from irq context
        or an irq-window hook must go through the workqueue deferral, and
        this names the ring if one ever slips through. *)
@@ -168,19 +115,25 @@ and drain r =
         with
         | () ->
             r.s.doorbells <- r.s.doorbells + 1;
-            totals.doorbells <- totals.doorbells + 1
+            totals.doorbells <- totals.doorbells + 1;
+            true
         | exception Channel.Xpc_failure _ ->
             r.s.requeues <- r.s.requeues + 1;
             totals.requeues <- totals.requeues + 1;
-            (* reprogram even a pending flush timer: the slots are aging
-               in place, so the retry must come at the short interval,
-               not at the full latency bound *)
-            let _, timer = get_infra () in
-            K.Timer.mod_timer_in timer busy_retry_ns)
+            false)
   end
 
-let create ~name ~target ~guard ~resolve ~handler ?depth () =
-  let depth = max 1 (Option.value ~default:!depth_default depth) in
+(* Rings carry coalescable telemetry (stats generations, link flaps),
+   so the latency bound is an order looser than the batch queue's
+   10 ms: the doorbell is meant to amortize to ~zero crossings per
+   event, not to chase tail latency. *)
+let core =
+  Doorbell.create ~name:"xpc-ring" ~watermark:64 ~interval_ns:100_000_000
+    ~keys:all ~target:(fun r -> r.r_target) ~flush
+
+let drain r = Doorbell.drain core r
+
+let create ~name ~target ~guard ~resolve ~handler () =
   let r =
     {
       r_name = name;
@@ -203,7 +156,7 @@ let produce r rec_ =
   let c = K.Cost.current.ring_slot_write_ns in
   K.Clock.consume c (* decaf-lint: consume-ok, birth stamped per slot below *);
   Dispatch.note c;
-  if r.occupancy >= Array.length r.slots then begin
+  if r.occupancy >= depth then begin
     (* Bounded depth: producing can run in irq context, so the overflow
        cannot raise — the record is dropped and counted, and the caller
        falls back to the delta-sync path. *)
@@ -211,15 +164,15 @@ let produce r rec_ =
     totals.overflow <- totals.overflow + 1;
     Boundary.scoped r.r_name Boundary.note_dropped;
     K.Klog.printk K.Klog.Warning
-      "xpc-ring: %s full at depth %d, dropping record kind %d" r.r_name
-      (Array.length r.slots) rec_.kind;
+      "xpc-ring: %s full at depth %d, dropping record kind %d" r.r_name depth
+      rec_.kind;
     false
   end
   else begin
     K.Ktrace.note (K.Ktrace.Queue ("ring:" ^ r.r_name)) K.Ktrace.Signal;
     r.slots.(r.head) <- Some rec_;
     r.born.(r.head) <- K.Clock.now ();
-    r.head <- (r.head + 1) mod Array.length r.slots;
+    r.head <- (r.head + 1) mod depth;
     r.occupancy <- r.occupancy + 1;
     r.s.produced <- r.s.produced + 1;
     totals.produced <- totals.produced + 1;
@@ -228,20 +181,13 @@ let produce r rec_ =
       if r.occupancy > totals.high_water then
         totals.high_water <- r.occupancy
     end;
-    (let wqs, timer = get_infra () in
-     if not r.draining then
-       if r.occupancy >= !watermark then
-         queue_job wqs (fun () -> deferred_drain r)
-       else if not (K.Timer.pending timer) then
-         K.Timer.mod_timer_in timer !flush_interval_ns);
+    (* a drain in progress loops until the ring is empty, so it takes
+       this slot too; no second doorbell *)
+    if not r.draining then Doorbell.trigger core r ~fill:r.occupancy;
     true
   end
 
-let drain_all () =
-  List.iter drain (all ());
-  match !infra with
-  | Some (_, wqs, _) -> Array.iter K.Workqueue.flush wqs
-  | None -> ()
+let drain_all () = Doorbell.drain_all core
 
 let destroy r =
   (* Surprise removal: no consumer will ever drain again, so whatever
@@ -266,36 +212,14 @@ let occupancy r = r.occupancy
 let pending () = Hashtbl.fold (fun _ r acc -> acc + r.occupancy) rings 0
 let stats_of r = r.s
 let stats () = totals
+let snapshot () = { totals with produced = totals.produced }
 
-let snapshot () =
-  {
-    produced = totals.produced;
-    consumed = totals.consumed;
-    doorbells = totals.doorbells;
-    overflow = totals.overflow;
-    rejected = totals.rejected;
-    discarded = totals.discarded;
-    requeues = totals.requeues;
-    high_water = totals.high_water;
-  }
-
-let set_enabled v = enabled_flag := v
-let enabled () = !enabled_flag
-
-let configure ?watermark:w ?flush_interval_ns:i ?depth:d () =
-  Option.iter (fun v -> watermark := max 1 v) w;
-  Option.iter (fun v -> flush_interval_ns := max 1 v) i;
-  Option.iter (fun v -> depth_default := max 1 v) d
+let set_enabled v = Doorbell.set_enabled core v
+let enabled () = Doorbell.enabled core
 
 let () =
   K.Boot.on_reset @@ fun () ->
   Hashtbl.reset rings;
-  infra := None;
-  rr := 0;
-  enabled_flag := false;
-  watermark := default_watermark;
-  flush_interval_ns := default_flush_interval_ns;
-  depth_default := default_depth;
   totals.produced <- 0;
   totals.consumed <- 0;
   totals.doorbells <- 0;

@@ -7,9 +7,10 @@
     (kernel hot path, often irq context) writes a slot for
     {!Decaf_kernel.Cost.t.ring_slot_write_ns} — a handful of stores,
     no crossing, no marshaling — and only rings a doorbell (ONE real
-    {!Channel} crossing with a zero-byte payload) when a watermark or
-    the latency-bound timer fires; the consumer then drains every
-    occupied slot without further control transfers.
+    {!Channel} crossing with a zero-byte payload) when 64 slots are
+    occupied or the 100 ms latency-bound timer fires; the consumer then
+    drains every occupied slot without further control transfers. When
+    the doorbell rings is {!Doorbell}'s job, shared with {!Batch}.
 
     The ring is itself a boundary and keeps the PR 6 threat model:
     slots carry capability handles (never raw kernel addresses), the
@@ -48,10 +49,9 @@ val create :
   guard:Guard.t ->
   resolve:(int -> (int, string) result) ->
   handler:(record -> unit) ->
-  ?depth:int ->
   unit ->
   t
-(** Allocate a ring owned by the named binding. [resolve] maps a slot's
+(** Allocate a 256-slot ring owned by the named binding. [resolve] maps a slot's
     capability handle to the kernel object (rejections counted by the
     tracker); [guard] validates the remaining fields; [handler] runs in
     the [target] domain for each valid record. Replaces any previous
@@ -89,8 +89,8 @@ val stats_of : t -> stats
 
 val stats : unit -> stats
 (** Machine-wide totals (live) since the last
-    {!Decaf_kernel.Boot.boot}, which also forgets every ring, the
-    doorbell infrastructure and the configuration. Invariant:
+    {!Decaf_kernel.Boot.boot}, which also forgets every ring and the
+    doorbell infrastructure and turns the ring axis off. Invariant:
     [produced = consumed + rejected + discarded + pending ()] —
     overflow slots were never accepted, so they are not produced. *)
 
@@ -106,11 +106,3 @@ val set_enabled : bool -> unit
     campaign attacks behave identically on either setting. *)
 
 val enabled : unit -> bool
-
-val configure :
-  ?watermark:int -> ?flush_interval_ns:int -> ?depth:int -> unit -> unit
-(** [watermark]: occupancy that triggers an eager doorbell (default
-    64). [flush_interval_ns]: latency bound for a partially filled ring
-    (default 100 ms — rings carry coalescable telemetry, an order
-    looser than the batch queue's 10 ms). [depth]: slot count for rings
-    created afterwards (default 256). *)

@@ -56,16 +56,18 @@ let test_same_domain_runs_inline () =
 let test_watermark_forces_flush () =
   K.Boot.boot ();
   Batch.set_enabled true;
-  Batch.configure ~watermark:4 ();
   in_thread (fun () ->
-      for i = 1 to 4 do
+      for i = 1 to 31 do
         ignore i;
         Batch.post ~target:Domain.Driver_lib ~payload_bytes:4 (fun () -> ())
       done;
+      K.Sched.sleep_ns 1_000_000;
+      check "below the watermark of 32: still queued" 31 (Batch.pending ());
+      Batch.post ~target:Domain.Driver_lib ~payload_bytes:4 (fun () -> ());
       (* the watermark queued a flush on the workqueue; let it run *)
       K.Sched.sleep_ns 1_000_000;
       let st = Batch.stats () in
-      check "flushed by watermark, no doorbell" 4 st.Batch.delivered;
+      check "flushed by watermark, no doorbell" 32 st.Batch.delivered;
       check "one flush crossing" 1 st.Batch.flush_crossings)
 
 let test_timer_bounds_latency () =
@@ -75,7 +77,7 @@ let test_timer_bounds_latency () =
       Batch.post ~target:Domain.Driver_lib (fun () -> ());
       Batch.post ~target:Domain.Driver_lib (fun () -> ());
       check "below watermark: still queued" 2 (Batch.pending ());
-      (* default flush interval is 10 ms *)
+      (* the flush interval is 10 ms *)
       K.Sched.sleep_ns 20_000_000;
       let st = Batch.stats () in
       check "timer flushed the queue" 2 st.Batch.delivered;
@@ -162,6 +164,30 @@ let test_flush_retried_to_success () =
   let ch = Channel.stats () in
   check "the timeout was charged" 1 ch.Channel.failures;
   check "and retried" 1 ch.Channel.retries
+
+(* A flush that fails on every attempt is not stranded: the timer is
+   reprogrammed to the short retry, which delivers the batch once. *)
+let test_failed_flush_retried_by_timer () =
+  K.Boot.boot ();
+  Batch.set_enabled true;
+  let ran = ref 0 in
+  in_thread (fun () ->
+      K.Faultinject.arm ~seed:7
+        [
+          K.Faultinject.spec ~site:"xpc.batch.flush"
+            ~kind:K.Faultinject.Xpc_timeout
+            ~trigger:(K.Faultinject.Span (1, 3))
+            ();
+        ];
+      Batch.post ~target:Domain.Driver_lib (fun () -> incr ran);
+      Batch.post ~target:Domain.Driver_lib (fun () -> incr ran);
+      K.Sched.sleep_ns 50_000_000;
+      K.Faultinject.disarm ());
+  check "both calls ran exactly once" 2 !ran;
+  check "nothing pending" 0 (Batch.pending ());
+  let st = Batch.stats () in
+  check "the timed-out flush was requeued once" 1 st.Batch.requeues;
+  check "the retry delivered in one crossing" 1 st.Batch.flush_crossings
 
 (* --- queue bound: graceful degradation against a flooding driver --- *)
 
@@ -334,6 +360,8 @@ let () =
         [
           tc "flush timeout requeues intact" test_flush_timeout_requeues_intact;
           tc "flush retried to success" test_flush_retried_to_success;
+          tc "failed flush retried by the timer"
+            test_failed_flush_retried_by_timer;
           tc "survives reboot" test_survives_reboot;
           tc "reboot resets the flush cursor" test_reboot_resets_flush_cursor;
         ] );

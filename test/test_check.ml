@@ -170,7 +170,6 @@ let test_replay_deterministic () =
 let test_window_hook_blocking () =
   K.Boot.boot ();
   Xpc.Batch.set_enabled true;
-  Xpc.Batch.configure ~watermark:64 ();
   Xpc.Batch.post ~target:Xpc.Domain.Driver_lib ~context:"test" (fun () -> ());
   check_bool "notification queued" true (Xpc.Batch.pending () > 0);
   K.Sched.set_irq_window_hook (fun () -> Xpc.Batch.drain ());

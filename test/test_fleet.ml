@@ -260,6 +260,94 @@ let churn_keeps_invariants () =
       ring_conserved ();
       check "no leaked tracker entries after churn" base (tracker_entries ()))
 
+(* --- one PCI binding family under e1000, 8139too and ens1371 --- *)
+
+type family = {
+  f_name : string;
+  f_setup : int -> unit;  (** plug device [i] into the bus *)
+  f_active : unit -> bool;
+}
+
+let families =
+  let link () = Hw.Link.create ~rate_bps:100_000_000 () in
+  [
+    {
+      f_name = "e1000";
+      f_setup =
+        (fun i ->
+          ignore
+            (E1000_drv.setup_device ~slot:(slot_of i) ~mmio_base:(mmio_of i)
+               ~irq:(32 + i) ~mac:(mac_of i) ~link:(link ()) ()));
+      f_active = (fun () -> E1000_drv.active () <> None);
+    };
+    {
+      f_name = "8139too";
+      f_setup =
+        (fun i ->
+          ignore
+            (Rtl8139_drv.setup_device ~slot:(slot_of i)
+               ~io_base:(0xc000 + (i * 0x100))
+               ~irq:(32 + i) ~mac:(mac_of i) ~link:(link ()) ()));
+      f_active = (fun () -> Rtl8139_drv.active () <> None);
+    };
+    {
+      f_name = "ens1371";
+      f_setup =
+        (fun i ->
+          ignore
+            (Ens1371_drv.setup_device ~slot:(slot_of i)
+               ~io_base:(0xd000 + (i * 0x40))
+               ~irq:(32 + i) ()));
+      f_active = (fun () -> Ens1371_drv.active () <> None);
+    };
+  ]
+
+let loads name =
+  List.length (List.filter (String.equal name) (K.Modules.loaded ()))
+
+(* Two devices of each driver over one refcounted module load: instance
+   ids, the [active] box, rmmod and eject of one sibling, the unload at
+   the last rmmod, and a boot that forgets all of it. *)
+let pci_family_lifecycle () =
+  List.iter
+    (fun f ->
+      let name = f.f_name and id1 = f.f_name ^ "#1" in
+      let what s = name ^ ": " ^ s in
+      Scenario.boot ();
+      f.f_setup 0;
+      f.f_setup 1;
+      Scenario.in_thread (fun () ->
+          check_str (what "first bind") name (bind_ok ~dev:(slot_of 0) name);
+          check_str (what "second bind") id1 (bind_ok ~dev:(slot_of 1) name);
+          check (what "one module load") 1 (loads name);
+          check_bool (what "active set") true (f.f_active ());
+          Driver_core.rmmod name;
+          check_str (what "sibling survives rmmod") "running" (state_name id1);
+          check (what "module stays loaded") 1 (loads name);
+          check_bool (what "active cleared") false (f.f_active ());
+          check_str (what "rebind reuses the bare id") name
+            (bind_ok ~dev:(slot_of 0) name);
+          check_bool (what "active set again") true (f.f_active ());
+          Driver_core.eject id1;
+          check_str (what "eject spares instance 0") "running"
+            (state_name name);
+          check (what "module still loaded") 1 (loads name);
+          Driver_core.rmmod name;
+          check (what "last rmmod unloads") 0 (loads name);
+          ignore (bind_ok ~dev:(slot_of 0) name));
+      check (what "loaded going into boot") 1 (loads name);
+      Scenario.boot ();
+      check_bool (what "boot forgets active") false (f.f_active ());
+      check (what "boot unloads") 0 (loads name);
+      check_str (what "boot unbinds") "unbound" (state_name name);
+      f.f_setup 0;
+      Scenario.in_thread (fun () ->
+          check_str (what "fresh bind after boot") name
+            (bind_ok ~dev:(slot_of 0) name);
+          check (what "one fresh load") 1 (loads name);
+          Driver_core.rmmod name))
+    families
+
 let () =
   Alcotest.run "fleet"
     [
@@ -273,5 +361,7 @@ let () =
           Alcotest.test_case "status at fleet scale" `Quick fleet_status;
           Alcotest.test_case "churn keeps invariants" `Quick
             churn_keeps_invariants;
+          Alcotest.test_case "one pci binding family" `Quick
+            pci_family_lifecycle;
         ] );
     ]

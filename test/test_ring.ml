@@ -46,14 +46,14 @@ let test_guard =
       ("arg1", Guard.Range (0, 1));
     ]
 
-let fresh_ring ?depth ~handler () =
+let fresh_ring ~handler () =
   let kt = Decaf_runtime.Runtime.kernel_tracker () in
   let addr = Addr.alloc ~size:64 in
   let handle = Objtracker.issue kt ~addr ~type_id:"test_slot" in
   let resolve h = Objtracker.resolve kt ~handle:h ~type_id:"test_slot" in
   let ring =
     Ring.create ~name:"t" ~target:Domain.Driver_lib ~guard:test_guard ~resolve
-      ~handler ?depth ()
+      ~handler ()
   in
   (ring, handle)
 
@@ -64,27 +64,28 @@ let slot ?(kind = 1) ~handle ?(arg0 = 0) ?(arg1 = 0) () =
 
 let test_watermark_doorbell_fifo () =
   K.Boot.boot ();
-  Ring.configure ~watermark:4 ();
   let order = ref [] in
   in_thread (fun () ->
       let ring, handle =
         fresh_ring ~handler:(fun r -> order := r.Ring.arg0 :: !order) ()
       in
       let before = crossings () in
-      for i = 1 to 4 do
+      for i = 1 to 64 do
         check_bool "slot accepted" true
           (Ring.produce ring (slot ~handle ~arg0:i ()))
       done;
-      (* the watermark queued a doorbell on the workqueue; let it run *)
+      (* the watermark of 64 queued a doorbell on the workqueue; let it
+         run *)
       K.Sched.sleep_ns 1_000_000;
-      check "four slots, one doorbell crossing" 1 (crossings () - before);
+      check "64 slots, one doorbell crossing" 1 (crossings () - before);
       check "nothing left occupied" 0 (Ring.occupancy ring));
-  Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 4 ] (List.rev !order);
+  Alcotest.(check (list int))
+    "FIFO order" (List.init 64 succ) (List.rev !order);
   let s = Ring.snapshot () in
-  check "produced" 4 s.Ring.produced;
-  check "consumed" 4 s.Ring.consumed;
+  check "produced" 64 s.Ring.produced;
+  check "consumed" 64 s.Ring.consumed;
   check "one doorbell" 1 s.Ring.doorbells;
-  check "high water" 4 s.Ring.high_water;
+  check "high water" 64 s.Ring.high_water;
   invariant ()
 
 let test_timer_bounds_latency () =
@@ -96,7 +97,7 @@ let test_timer_bounds_latency () =
       ignore (Ring.produce ring (slot ~handle ()));
       check "below watermark: still occupied" 2 (Ring.occupancy ring);
       check "no eager crossing" 0 !ran;
-      (* default flush interval is 100 ms — an order looser than the
+      (* the flush interval is 100 ms — an order looser than the
          batch queue's latency bound *)
       K.Sched.sleep_ns 150_000_000;
       check "timer rang the doorbell" 2 !ran;
@@ -109,22 +110,24 @@ let test_timer_bounds_latency () =
 let test_overflow_drops_and_counts () =
   K.Boot.boot ();
   in_thread (fun () ->
-      let ring, handle = fresh_ring ~depth:4 ~handler:(fun _ -> ()) () in
+      let ring, handle = fresh_ring ~handler:(fun _ -> ()) () in
       (* a tight producing loop, no yield: nothing drains the ring *)
       let accepted = ref 0 in
-      for i = 1 to 10 do
+      for i = 1 to 266 do
         if Ring.produce ring (slot ~handle ~arg0:i ()) then incr accepted
       done;
-      check "ring capped at its depth" 4 (Ring.occupancy ring);
-      check "exactly depth slots accepted" 4 !accepted;
+      check "ring capped at its depth" 256 (Ring.occupancy ring);
+      check "exactly depth slots accepted" 256 !accepted;
       let s = Ring.stats_of ring in
-      check "excess slots dropped, not queued" 6 s.Ring.overflow;
-      check "drops attributed to the ring's scope" 6 (Boundary.dropped_for "t");
+      check "excess slots dropped, not queued" 10 s.Ring.overflow;
+      check "drops attributed to the ring's scope" 10
+        (Boundary.dropped_for "t");
       invariant ();
       (* overflow is graceful degradation, not a fault: the bounded ring
          still delivers what it holds *)
       Ring.drain ring;
-      check "the bounded ring still delivers" 4 (Ring.stats_of ring).Ring.consumed);
+      check "the bounded ring still delivers" 256
+        (Ring.stats_of ring).Ring.consumed);
   invariant ()
 
 (* --- kernel-side slot validation --- *)
@@ -331,13 +334,15 @@ let test_reboot_resets_doorbell_cursor () =
   let first_worker () =
     K.Boot.boot ();
     Dispatch.set_workers 4;
-    Ring.configure ~watermark:1 ();
     let worker = ref "" in
     in_thread (fun () ->
         let ring, handle =
           fresh_ring ~handler:(fun _ -> worker := K.Sched.current_name ()) ()
         in
-        ignore (Ring.produce ring (slot ~handle ()));
+        (* fill to the watermark of 64: a doorbell on the first worker *)
+        for _ = 1 to 64 do
+          ignore (Ring.produce ring (slot ~handle ()))
+        done;
         K.Sched.sleep_ns 1_000_000);
     !worker
   in
