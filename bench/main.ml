@@ -24,8 +24,8 @@
      bench/main.exe xpcperf --scenario=e1000-fleet \
                             --config=batch+delta+w4+ring+i64
    Bad input fails fast: an unknown section or filter name, a missing
-   baseline file or a malformed number prints one line on stderr and
-   exits 2.
+   baseline file, a baseline line missing a key or a malformed number
+   prints one line on stderr and exits 2.
 *)
 
 module K = Decaf_kernel
@@ -232,12 +232,15 @@ let run_sections args =
     (fun (name, run) -> if args = [] || List.mem name args then run ())
     sections
 
-(* A regression gate exits 1; a baseline it cannot read is bad input. *)
-let gate check =
+(* A regression gate exits 1; a baseline it cannot read, or one with a
+   line missing a key, is bad input. *)
+let gate path check =
   match check () with
   | true -> ()
   | false -> exit 1
   | exception Sys_error e -> fail "%s" e
+  | exception E.Jsonl.Missing_key { line; key } ->
+      fail "%s:%d: missing key %S" path line key
 
 let positive flag v =
   match int_of_string_opt v with
@@ -251,7 +254,7 @@ let () =
       let samples = E.Xpcperf.write_json ~path () in
       print_string (E.Xpcperf.render samples);
       Printf.printf "wrote %d samples to %s\n" (List.length samples) path
-  | [ "check"; path ] -> gate (fun () -> E.Xpcperf.check ~path ())
+  | [ "check"; path ] -> gate path (fun () -> E.Xpcperf.check ~path ())
   | "soak-json" :: rest ->
       (* optional overrides, e.g. `soak-json --duration-ms=500 --fleet=4`,
          for scaled-up local runs; the committed file uses the defaults *)
@@ -276,6 +279,6 @@ let () =
       in
       print_string (E.Soak.render s);
       Printf.printf "wrote %d rows to %s\n" (List.length s.E.Soak.rows) path
-  | [ "soak-check"; path ] -> gate (fun () -> E.Soak.check ~path ())
+  | [ "soak-check"; path ] -> gate path (fun () -> E.Soak.check ~path ())
   | (("check" | "soak-check") as c) :: _ -> fail "%s wants one baseline path" c
   | args -> run_sections args

@@ -131,7 +131,16 @@ let soak json check duration_ms fleet =
   match check with
   | Some path ->
       (* gate mode: re-measure at the committed file's scale and compare *)
-      exit (if E.Soak.check ~path () then 0 else 1)
+      let ok =
+        try E.Soak.check ~path () with
+        | Sys_error e ->
+            Printf.eprintf "decafctl: %s\n" e;
+            exit 2
+        | E.Jsonl.Missing_key { line; key } ->
+            Printf.eprintf "decafctl: %s:%d: missing key %S\n" path line key;
+            exit 2
+      in
+      exit (if ok then 0 else 1)
   | None ->
       let duration_ns = duration_ms * 1_000_000 in
       let s = E.Soak.measure ~duration_ns ~fleet () in

@@ -1,7 +1,7 @@
 module K = Decaf_kernel
-module Hw = Decaf_hw
 module Xpc = Decaf_xpc
 open Decaf_drivers
+open Decaf_workloads
 
 type direct_marshal = {
   indirect_init_ns : int;
@@ -31,22 +31,12 @@ type t = {
 (* A1: e1000 decaf init latency with and without the direct path. *)
 let e1000_decaf_init ~direct =
   Scenario.boot ();
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
+  let nic = Rig.plug "e1000" in
   Scenario.in_thread (fun () ->
       Xpc.Channel.set_direct_marshaling direct;
-      let t =
-        match E1000_drv.insmod (Driver_env.decaf ()) with
-        | Ok t -> t
-        | Error rc -> K.Panic.bug "e1000 insmod: %d" rc
-      in
-      let nd = E1000_drv.netdev t in
+      let t = Rig.ok "e1000 insmod" (E1000_drv.insmod (Driver_env.decaf ())) in
       let t0 = K.Clock.now () in
-      (match K.Netcore.open_dev nd with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "open: %d" rc);
+      Rig.up nic;
       let init = E1000_drv.init_latency_ns t + (K.Clock.now () - t0) in
       let c_java = (Xpc.Channel.stats ()).Xpc.Channel.c_java_calls in
       E1000_drv.rmmod t;
@@ -93,14 +83,13 @@ let measure_marshal_selectivity () =
   (* transfers during init+open: probe, open, close use the adapter;
      count the kernel/user crossings that carry it *)
   Scenario.boot ();
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
+  let nic = Rig.plug "e1000" in
   let init_transfers =
     Scenario.in_thread (fun () ->
-        let t = Result.get_ok (E1000_drv.insmod (Driver_env.decaf ())) in
-        ignore (K.Netcore.open_dev (E1000_drv.netdev t));
+        let t =
+          Rig.ok "e1000 insmod" (E1000_drv.insmod (Driver_env.decaf ()))
+        in
+        Rig.up nic;
         let crossings = Scenario.kernel_user_crossings () in
         E1000_drv.rmmod t;
         crossings)

@@ -6,9 +6,7 @@
    disabled, but it never takes the kernel down. *)
 
 module K = Decaf_kernel
-module Hw = Decaf_hw
 module FI = K.Faultinject
-module Errors = Decaf_runtime.Errors
 module Supervisor = Decaf_runtime.Supervisor
 open Decaf_drivers
 open Decaf_workloads
@@ -39,62 +37,25 @@ type report = {
 
 (* --- trial harness --- *)
 
-let ok_or what = function
-  | Ok v -> v
-  | Error rc -> Errors.throw ~driver:what ~errno:(-rc) what
-
-(* Spurious interrupts are campaign-raised rather than device-raised:
-   the clock event asks the fault plan whether to fire, so they obey the
-   same trigger/seed discipline as every other fault kind. *)
-let schedule_spurious irq =
-  List.iter
-    (fun at_ns ->
-      ignore
-        (K.Clock.after at_ns (fun () ->
-             if FI.fires ~site:"irq.spurious" FI.Spurious_irq then
-               K.Irq.raise_irq irq)))
-    [ 2_000_000; 30_000_000; 60_000_000 ]
-
 type case = {
   c_driver : string;
   c_fault : string;
   c_expected : string;
   c_specs : FI.spec list;
-  c_spurious : int option;
-  c_setup : unit -> unit -> unit;
-      (** runs after boot; returns the workload run between the
-          registry's insmod and rmmod of [c_driver] *)
+  c_body : Trial.body;
 }
 
 (* Every trial loads, supervises and unloads its driver through the
-   registry: [Driver_core.run] binds the driver, runs the workload, and
-   tears the driver down, with the supervisor it attached owning the
-   restart budget.  The campaign only reads the stats back out. *)
+   registry (see {!Trial}): the supervisor [Driver_core.run] attached
+   owns the restart budget, and the campaign only reads the stats back
+   out. *)
 let run_case ~seed c =
-  Scenario.boot ();
-  let body = c.c_setup () in
-  FI.arm ~seed c.c_specs;
-  (match c.c_spurious with Some irq -> schedule_spurious irq | None -> ());
-  let bugs = ref 0 in
-  let finished = ref false in
-  (* A Kernel_bug — or any exception the supervisor failed to contain —
-     escaping the scheduler is exactly the outcome the campaign exists
-     to rule out; count it rather than crash the campaign. *)
-  (try
-     Scenario.in_thread (fun () ->
-         match Driver_core.run c.c_driver ~mode:Driver_env.Decaf body with
-         | Some () -> finished := true
-         | None -> ())
-   with _ -> incr bugs);
+  let r = Trial.run ~seed ~faults:c.c_specs c.c_driver c.c_body in
   let injected = FI.injected_count () in
-  let sup =
-    match Driver_core.supervisor c.c_driver with
-    | Some sup -> sup
-    | None -> Supervisor.create ~name:c.c_driver ()
-  in
+  let sup = r.Trial.supervisor in
   let st = Supervisor.stats sup in
   let outcome =
-    if !bugs > 0 then "KERNEL-BUG"
+    if r.Trial.kernel_bugs > 0 then "KERNEL-BUG"
     else if Supervisor.state sup = Supervisor.Disabled then "degraded"
     else if st.Supervisor.detected > 0 then "recovered"
     else if injected > 0 then "tolerated"
@@ -103,9 +64,9 @@ let run_case ~seed c =
   (* Faults the stack absorbed without the supervisor's help (internal
      retries, idempotent XPC replays, spurious-interrupt filtering)
      still count as detected-and-recovered episodes. *)
-  if outcome = "tolerated" && !finished then Supervisor.note_tolerated sup;
+  if outcome = "tolerated" && r.Trial.finished then
+    Supervisor.note_tolerated sup;
   let st = Supervisor.stats sup in
-  FI.disarm ();
   {
     driver = c.c_driver;
     fault = c.c_fault;
@@ -116,322 +77,158 @@ let run_case ~seed c =
     recovered = st.Supervisor.recovered;
     degraded = st.Supervisor.degraded;
     restarts = st.Supervisor.restarts;
-    kernel_bugs = !bugs;
+    kernel_bugs = r.Trial.kernel_bugs;
   }
 
-(* --- per-driver scenarios (decaf mode, as in Table 3) ---
+(* --- the trial matrix ---
 
-   The bodies are workload-only: [Driver_core.run] has already probed
-   the driver when they start, and unloads it (faulting or not) when
-   they end, so each re-fetches the live instance via [active ()]. *)
-
-let rtl_setup () =
-  let link = Hw.Link.create ~rate_bps:100_000_000 () in
-  ignore
-    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10
-       ~mac:Scenario.mac ~link ());
-  fun () ->
-    let t = Option.get (Rtl8139_drv.active ()) in
-    let nd = Rtl8139_drv.netdev t in
-    ok_or "8139too-open" (K.Netcore.open_dev nd);
-    ignore (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500)
-
-let e1000_setup () =
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
-  fun () ->
-    let t = Option.get (E1000_drv.active ()) in
-    let nd = E1000_drv.netdev t in
-    ok_or "e1000-open" (K.Netcore.open_dev nd);
-    ignore (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500)
-
-let ens_setup () =
-  let model = Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 () in
-  fun () ->
-    let t = Option.get (Ens1371_drv.active ()) in
-    ignore
-      (Mpg123.play ~substream:(Ens1371_drv.substream t) ~model
-         ~duration_ns:20_000_000)
-
-let uhci_setup () =
-  let model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
-  fun () -> ignore (Tar_usb.untar ~model ~files:1 ~file_bytes:4096)
-
-let psmouse_setup () =
-  let model = Psmouse_drv.setup_device () in
-  fun () ->
-    let t = Option.get (Psmouse_drv.active ()) in
-    ignore
-      (Mouse_move.run ~model
-         ~input:(Psmouse_drv.input_dev t)
-         ~duration_ns:20_000_000)
-
-(* --- hotplug and power-management windows --- *)
-
-let e1000_dev () =
-  K.Pci.make_dev ~slot:"00:05.0" ~vendor:0x8086 ~device:0x100e ~irq_line:11
-    ~bars:[ { K.Pci.kind = K.Pci.Mmio_bar; base = 0xf000_0000; len = 0x20000 } ]
-    ()
-
-let dev_at slot =
-  match List.find_opt (fun d -> K.Pci.slot d = slot) (K.Pci.devices ()) with
-  | Some d -> d
-  | None -> Errors.throw ~driver:"campaign" ~errno:Errors.enodev slot
+   Each trial runs its driver's traffic slice in decaf mode, as in
+   Table 3; the hotplug and power-management windows wrap an action in
+   it. *)
 
 (* Surprise-remove the NIC mid-workload, then replug it.  The registry's
    hotplug handler unbinds on removal and re-probes on re-add — both
    inside the same supervised episode, so a fault in the re-probe is one
    more recoverable crossing. *)
-let e1000_hotplug_setup () =
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
-  fun () ->
-    let send () =
-      let t = Option.get (E1000_drv.active ()) in
-      let nd = E1000_drv.netdev t in
-      ok_or "e1000-open" (K.Netcore.open_dev nd);
-      ignore
-        (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500)
-    in
-    send ();
-    K.Pci.remove_device (dev_at "00:05.0");
-    K.Pci.add_device (e1000_dev ());
-    send ()
+let plain = Trial.After ignore
+let replug = Trial.Between (fun () -> Rig.replug_e1000 ())
 
-let e1000_pm_setup () =
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
-  fun () ->
-    let t = Option.get (E1000_drv.active ()) in
-    let nd = E1000_drv.netdev t in
-    ok_or "e1000-open" (K.Netcore.open_dev nd);
-    ignore (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500);
-    ok_or "e1000-suspend" (Driver_core.suspend "e1000");
-    ok_or "e1000-resume" (Driver_core.resume "e1000");
-    ignore (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500)
+let reconnect =
+  Trial.Between
+    (fun () ->
+      Driver_core.eject "psmouse";
+      Rig.ok "psmouse-reinsmod"
+        (Driver_core.insmod "psmouse" ~mode:Driver_env.Decaf))
 
-let ens_pm_setup () =
-  let model = Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 () in
-  fun () ->
-    let t = Option.get (Ens1371_drv.active ()) in
-    ignore
-      (Mpg123.play ~substream:(Ens1371_drv.substream t) ~model
-         ~duration_ns:10_000_000);
-    ok_or "ens1371-suspend" (Driver_core.suspend "ens1371");
-    ok_or "ens1371-resume" (Driver_core.resume "ens1371");
-    ignore
-      (Mpg123.play ~substream:(Ens1371_drv.substream t) ~model
-         ~duration_ns:10_000_000)
-
-let uhci_pm_setup () =
-  let model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
-  fun () ->
-    ignore (Tar_usb.untar ~model ~files:1 ~file_bytes:4096);
-    ok_or "uhci-suspend" (Driver_core.suspend "uhci-hcd");
-    ok_or "uhci-resume" (Driver_core.resume "uhci-hcd");
-    ignore (Tar_usb.untar ~model ~files:1 ~file_bytes:4096)
-
-let psmouse_hotplug_setup () =
-  let model = Psmouse_drv.setup_device () in
-  fun () ->
-    let move () =
-      let t = Option.get (Psmouse_drv.active ()) in
-      ignore
-        (Mouse_move.run ~model
-           ~input:(Psmouse_drv.input_dev t)
-           ~duration_ns:20_000_000)
-    in
-    move ();
-    Driver_core.eject "psmouse";
-    ok_or "psmouse-reinsmod"
-      (Driver_core.insmod "psmouse" ~mode:Driver_env.Decaf);
-    move ()
-
-let psmouse_pm_setup () =
-  let model = Psmouse_drv.setup_device () in
-  fun () ->
-    let move () =
-      let t = Option.get (Psmouse_drv.active ()) in
-      ignore
-        (Mouse_move.run ~model
-           ~input:(Psmouse_drv.input_dev t)
-           ~duration_ns:20_000_000)
-    in
-    move ();
-    ok_or "psmouse-suspend" (Driver_core.suspend "psmouse");
-    ok_or "psmouse-resume" (Driver_core.resume "psmouse");
-    move ()
-
-(* --- the trial matrix --- *)
-
+let pm_cycle = Trial.Suspended ignore
 let sp ?addr site kind trigger = FI.spec ?addr ~site ~kind ~trigger ()
 
+let spurious driver =
+  {
+    c_driver = driver;
+    c_fault = Printf.sprintf "spurious interrupts on line %d" (Rig.irq driver);
+    c_expected = "tolerated";
+    c_specs = [ sp "irq.spurious" FI.Spurious_irq (FI.Span (1, 3)) ];
+    c_body = plain;
+  }
+
 let cases () =
+  let rtl_cmd = Rig.base "8139too" + 0x37 in
+  let eerd = Rig.base "e1000" + 0x14 and mdic = Rig.base "e1000" + 0x20 in
+  let usbcmd = Rig.base "uhci-hcd" and portsc1 = Rig.base "uhci-hcd" + 0x10 in
   [
-    (* 8139too: command port is io 0xc000 + 0x37 *)
+    (* 8139too *)
     { c_driver = "8139too"; c_fault = "none (baseline)"; c_expected = "clean";
-      c_specs = []; c_spurious = None; c_setup = rtl_setup };
+      c_specs = []; c_body = plain };
     { c_driver = "8139too"; c_fault = "reset stuck busy, 100 reads";
-      c_expected = "recovered";
-      c_specs = [ sp ~addr:0xc037 "io.port" FI.Stuck_ones (FI.Span (1, 100)) ];
-      c_spurious = None; c_setup = rtl_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs =
+        [ sp ~addr:rtl_cmd "io.port" FI.Stuck_ones (FI.Span (1, 100)) ] };
     { c_driver = "8139too"; c_fault = "reset wedged forever";
-      c_expected = "degraded";
-      c_specs = [ sp ~addr:0xc037 "io.port" FI.Stuck_ones FI.Always ];
-      c_spurious = None; c_setup = rtl_setup };
+      c_expected = "degraded"; c_body = plain;
+      c_specs = [ sp ~addr:rtl_cmd "io.port" FI.Stuck_ones FI.Always ] };
     { c_driver = "8139too"; c_fault = "probe upcall XPC timeout";
-      c_expected = "recovered";
-      c_specs = [ sp "xpc.rtl8139_probe" FI.Xpc_timeout (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = rtl_setup };
-    { c_driver = "8139too"; c_fault = "spurious interrupts on line 10";
-      c_expected = "tolerated";
-      c_specs = [ sp "irq.spurious" FI.Spurious_irq (FI.Span (1, 3)) ];
-      c_spurious = Some 10; c_setup = rtl_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp "xpc.rtl8139_probe" FI.Xpc_timeout (FI.Span (1, 1)) ] };
+    spurious "8139too";
     { c_driver = "8139too"; c_fault = "lossy link, p=0.5 frame drop";
-      c_expected = "tolerated";
-      c_specs = [ sp "hw.link" FI.Link_flap (FI.Prob 0.5) ];
-      c_spurious = None; c_setup = rtl_setup };
-    (* e1000: EERD is mmio+0x14, MDIC is mmio+0x20 *)
+      c_expected = "tolerated"; c_body = plain;
+      c_specs = [ sp "hw.link" FI.Link_flap (FI.Prob 0.5) ] };
+    (* e1000 *)
     { c_driver = "e1000"; c_fault = "EERD done-bit miss x2";
-      c_expected = "tolerated";
-      c_specs = [ sp ~addr:0xf000_0014 "io.mmio" FI.Stuck_zero (FI.Span (1, 2)) ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "tolerated"; c_body = plain;
+      c_specs = [ sp ~addr:eerd "io.mmio" FI.Stuck_zero (FI.Span (1, 2)) ] };
     { c_driver = "e1000"; c_fault = "EERD done-bit miss x3";
-      c_expected = "recovered";
-      c_specs = [ sp ~addr:0xf000_0014 "io.mmio" FI.Stuck_zero (FI.Span (1, 3)) ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp ~addr:eerd "io.mmio" FI.Stuck_zero (FI.Span (1, 3)) ] };
     { c_driver = "e1000"; c_fault = "EEPROM word bit flip";
-      c_expected = "recovered";
-      c_specs = [ sp "hw.eeprom" FI.Bad_read (FI.Span (10, 1)) ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp "hw.eeprom" FI.Bad_read (FI.Span (10, 1)) ] };
     { c_driver = "e1000"; c_fault = "autonegotiation stalls once";
-      c_expected = "recovered";
-      c_specs = [ sp "hw.phy.autoneg" FI.Stuck_zero (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp "hw.phy.autoneg" FI.Stuck_zero (FI.Span (1, 1)) ] };
     { c_driver = "e1000"; c_fault = "autonegotiation dead";
-      c_expected = "degraded";
-      c_specs = [ sp "hw.phy.autoneg" FI.Stuck_zero FI.Always ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "degraded"; c_body = plain;
+      c_specs = [ sp "hw.phy.autoneg" FI.Stuck_zero FI.Always ] };
     { c_driver = "e1000"; c_fault = "tx ring allocation fails";
-      c_expected = "recovered";
-      c_specs = [ sp "dma.alloc" FI.Alloc_fail (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp "dma.alloc" FI.Alloc_fail (FI.Span (1, 1)) ] };
     { c_driver = "e1000"; c_fault = "rx ring allocation fails";
-      c_expected = "recovered";
-      c_specs = [ sp "dma.alloc" FI.Alloc_fail (FI.Span (2, 1)) ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp "dma.alloc" FI.Alloc_fail (FI.Span (2, 1)) ] };
     { c_driver = "e1000"; c_fault = "MDIC never ready x2";
-      c_expected = "recovered";
-      c_specs = [ sp ~addr:0xf000_0020 "io.mmio" FI.Stuck_zero (FI.Span (1, 2)) ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp ~addr:mdic "io.mmio" FI.Stuck_zero (FI.Span (1, 2)) ] };
     { c_driver = "e1000"; c_fault = "config-space read XPC timeout";
-      c_expected = "tolerated";
-      c_specs = [ sp "xpc.pci_read_config" FI.Xpc_timeout (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = e1000_setup };
+      c_expected = "tolerated"; c_body = plain;
+      c_specs = [ sp "xpc.pci_read_config" FI.Xpc_timeout (FI.Span (1, 1)) ] };
     { c_driver = "e1000"; c_fault = "config-space read XPC dead x3";
-      c_expected = "recovered";
-      c_specs = [ sp "xpc.pci_read_config" FI.Xpc_timeout (FI.Span (1, 3)) ];
-      c_spurious = None; c_setup = e1000_setup };
-    { c_driver = "e1000"; c_fault = "spurious interrupts on line 11";
-      c_expected = "tolerated";
-      c_specs = [ sp "irq.spurious" FI.Spurious_irq (FI.Span (1, 3)) ];
-      c_spurious = Some 11; c_setup = e1000_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp "xpc.pci_read_config" FI.Xpc_timeout (FI.Span (1, 3)) ] };
+    spurious "e1000";
     (* ens1371 *)
     { c_driver = "ens1371"; c_fault = "snd_card_register XPC timeout";
-      c_expected = "recovered";
-      c_specs = [ sp "xpc.snd_card_register" FI.Xpc_timeout (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = ens_setup };
-    { c_driver = "ens1371"; c_fault = "probe upcall dead";
-      c_expected = "degraded";
-      c_specs = [ sp "xpc.ens1371_probe" FI.Xpc_timeout FI.Always ];
-      c_spurious = None; c_setup = ens_setup };
-    { c_driver = "ens1371"; c_fault = "spurious interrupts on line 9";
-      c_expected = "tolerated";
-      c_specs = [ sp "irq.spurious" FI.Spurious_irq (FI.Span (1, 3)) ];
-      c_spurious = Some 9; c_setup = ens_setup };
-    (* uhci-hcd: usbcmd is io 0xe000, portsc1 is 0xe010 *)
-    { c_driver = "uhci-hcd"; c_fault = "HCRESET stuck once";
-      c_expected = "recovered";
-      c_specs = [ sp ~addr:0xe000 "io.port" FI.Stuck_ones (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = uhci_setup };
-    { c_driver = "uhci-hcd"; c_fault = "HCRESET wedged forever";
-      c_expected = "degraded";
-      c_specs = [ sp ~addr:0xe000 "io.port" FI.Stuck_ones FI.Always ];
-      c_spurious = None; c_setup = uhci_setup };
-    { c_driver = "uhci-hcd"; c_fault = "port never enables x2";
-      c_expected = "recovered";
-      c_specs = [ sp ~addr:0xe010 "io.port" FI.Stuck_zero (FI.Span (1, 2)) ];
-      c_spurious = None; c_setup = uhci_setup };
-    { c_driver = "uhci-hcd"; c_fault = "get-config-descriptor XPC timeout";
-      c_expected = "tolerated";
+      c_expected = "recovered"; c_body = plain;
       c_specs =
-        [ sp "xpc.usb_get_config_descriptor" FI.Xpc_timeout (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = uhci_setup };
+        [ sp "xpc.snd_card_register" FI.Xpc_timeout (FI.Span (1, 1)) ] };
+    { c_driver = "ens1371"; c_fault = "probe upcall dead";
+      c_expected = "degraded"; c_body = plain;
+      c_specs = [ sp "xpc.ens1371_probe" FI.Xpc_timeout FI.Always ] };
+    spurious "ens1371";
+    (* uhci-hcd *)
+    { c_driver = "uhci-hcd"; c_fault = "HCRESET stuck once";
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp ~addr:usbcmd "io.port" FI.Stuck_ones (FI.Span (1, 1)) ] };
+    { c_driver = "uhci-hcd"; c_fault = "HCRESET wedged forever";
+      c_expected = "degraded"; c_body = plain;
+      c_specs = [ sp ~addr:usbcmd "io.port" FI.Stuck_ones FI.Always ] };
+    { c_driver = "uhci-hcd"; c_fault = "port never enables x2";
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp ~addr:portsc1 "io.port" FI.Stuck_zero (FI.Span (1, 2)) ] };
+    { c_driver = "uhci-hcd"; c_fault = "get-config-descriptor XPC timeout";
+      c_expected = "tolerated"; c_body = plain;
+      c_specs =
+        [ sp "xpc.usb_get_config_descriptor" FI.Xpc_timeout (FI.Span (1, 1)) ] };
     { c_driver = "uhci-hcd"; c_fault = "register_hcd XPC dead";
-      c_expected = "degraded";
-      c_specs = [ sp "xpc.usb_register_hcd" FI.Xpc_timeout FI.Always ];
-      c_spurious = None; c_setup = uhci_setup };
-    { c_driver = "uhci-hcd"; c_fault = "spurious interrupts on line 5";
-      c_expected = "tolerated";
-      c_specs = [ sp "irq.spurious" FI.Spurious_irq (FI.Span (1, 3)) ];
-      c_spurious = Some 5; c_setup = uhci_setup };
+      c_expected = "degraded"; c_body = plain;
+      c_specs = [ sp "xpc.usb_register_hcd" FI.Xpc_timeout FI.Always ] };
+    spurious "uhci-hcd";
     (* psmouse: i8042 data port 0x60, status port 0x64 *)
     { c_driver = "psmouse"; c_fault = "ACK byte bit flip";
-      c_expected = "recovered";
-      c_specs = [ sp ~addr:0x60 "io.port" FI.Bad_read (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = psmouse_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp ~addr:0x60 "io.port" FI.Bad_read (FI.Span (1, 1)) ] };
     { c_driver = "psmouse"; c_fault = "controller dead (status stuck 0)";
-      c_expected = "degraded";
-      c_specs = [ sp ~addr:0x64 "io.port" FI.Stuck_zero FI.Always ];
-      c_spurious = None; c_setup = psmouse_setup };
+      c_expected = "degraded"; c_body = plain;
+      c_specs = [ sp ~addr:0x64 "io.port" FI.Stuck_zero FI.Always ] };
     { c_driver = "psmouse"; c_fault = "connect upcall XPC timeout";
-      c_expected = "recovered";
-      c_specs = [ sp "xpc.psmouse_connect" FI.Xpc_timeout (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = psmouse_setup };
-    { c_driver = "psmouse"; c_fault = "spurious interrupts on line 12";
-      c_expected = "tolerated";
-      c_specs = [ sp "irq.spurious" FI.Spurious_irq (FI.Span (1, 3)) ];
-      c_spurious = Some 12; c_setup = psmouse_setup };
+      c_expected = "recovered"; c_body = plain;
+      c_specs = [ sp "xpc.psmouse_connect" FI.Xpc_timeout (FI.Span (1, 1)) ] };
+    spurious "psmouse";
     (* hotplug and suspend/resume windows (appended: earlier trials keep
        their per-case seeds) *)
     { c_driver = "e1000"; c_fault = "surprise removal + replug";
-      c_expected = "clean"; c_specs = []; c_spurious = None;
-      c_setup = e1000_hotplug_setup };
+      c_expected = "clean"; c_specs = []; c_body = replug };
     { c_driver = "e1000"; c_fault = "replug re-probe XPC timeout";
-      c_expected = "recovered";
-      c_specs = [ sp "xpc.e1000_probe" FI.Xpc_timeout (FI.Span (2, 1)) ];
-      c_spurious = None; c_setup = e1000_hotplug_setup };
+      c_expected = "recovered"; c_body = replug;
+      c_specs = [ sp "xpc.e1000_probe" FI.Xpc_timeout (FI.Span (2, 1)) ] };
     { c_driver = "e1000"; c_fault = "suspend/resume mid-workload";
-      c_expected = "clean"; c_specs = []; c_spurious = None;
-      c_setup = e1000_pm_setup };
+      c_expected = "clean"; c_specs = []; c_body = pm_cycle };
     { c_driver = "e1000"; c_fault = "suspend upcall XPC timeout";
-      c_expected = "recovered";
-      c_specs = [ sp "xpc.e1000_suspend" FI.Xpc_timeout (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = e1000_pm_setup };
+      c_expected = "recovered"; c_body = pm_cycle;
+      c_specs = [ sp "xpc.e1000_suspend" FI.Xpc_timeout (FI.Span (1, 1)) ] };
     { c_driver = "e1000"; c_fault = "resume upcall dead";
-      c_expected = "degraded";
-      c_specs = [ sp "xpc.e1000_resume" FI.Xpc_timeout FI.Always ];
-      c_spurious = None; c_setup = e1000_pm_setup };
+      c_expected = "degraded"; c_body = pm_cycle;
+      c_specs = [ sp "xpc.e1000_resume" FI.Xpc_timeout FI.Always ] };
     { c_driver = "ens1371"; c_fault = "suspend/resume mid-playback";
-      c_expected = "clean"; c_specs = []; c_spurious = None;
-      c_setup = ens_pm_setup };
+      c_expected = "clean"; c_specs = []; c_body = pm_cycle };
     { c_driver = "uhci-hcd"; c_fault = "suspend upcall XPC timeout";
-      c_expected = "recovered";
-      c_specs = [ sp "xpc.uhci_suspend" FI.Xpc_timeout (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = uhci_pm_setup };
+      c_expected = "recovered"; c_body = pm_cycle;
+      c_specs = [ sp "xpc.uhci_suspend" FI.Xpc_timeout (FI.Span (1, 1)) ] };
     { c_driver = "psmouse"; c_fault = "eject + reconnect";
-      c_expected = "clean"; c_specs = []; c_spurious = None;
-      c_setup = psmouse_hotplug_setup };
+      c_expected = "clean"; c_specs = []; c_body = reconnect };
     { c_driver = "psmouse"; c_fault = "suspend upcall XPC timeout";
-      c_expected = "recovered";
-      c_specs = [ sp "xpc.psmouse_suspend" FI.Xpc_timeout (FI.Span (1, 1)) ];
-      c_spurious = None; c_setup = psmouse_pm_setup };
+      c_expected = "recovered"; c_body = pm_cycle;
+      c_specs = [ sp "xpc.psmouse_suspend" FI.Xpc_timeout (FI.Span (1, 1)) ] };
   ]
 
 let drivers_covered trials =

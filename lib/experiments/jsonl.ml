@@ -1,3 +1,13 @@
+exception Missing_key of { line : int; key : string }
+
+type line = { number : int; text : string }
+
+let lines text =
+  List.filter (fun l -> String.trim l.text <> "")
+    (List.mapi
+       (fun i text -> { number = i + 1; text })
+       (String.split_on_char '\n' text))
+
 let field_raw line key =
   let pat = "\"" ^ key ^ "\":" in
   let plen = String.length pat and llen = String.length line in
@@ -30,6 +40,14 @@ let field_str line key =
       | Some stop -> Some (String.sub line (start + 1) (stop - start - 1))
       | None -> None)
   | _ -> None
+
+let required field l key =
+  match field l.text key with
+  | Some v -> v
+  | None -> raise (Missing_key { line = l.number; key })
+
+let int = required field_int
+let str = required field_str
 
 let read_file path =
   let ic = open_in_bin path in

@@ -10,8 +10,6 @@
    as an ordinary driver fault.  Nothing panics the kernel, and no
    kernel object absorbs an unvalidated write. *)
 
-module K = Decaf_kernel
-module Hw = Decaf_hw
 module Xpc = Decaf_xpc
 module Errors = Decaf_runtime.Errors
 module Supervisor = Decaf_runtime.Supervisor
@@ -40,10 +38,6 @@ type report = {
   total_corrupted : int;
   total_kernel_bugs : int;
 }
-
-let ok_or what = function
-  | Ok v -> v
-  | Error rc -> Errors.throw ~driver:what ~errno:(-rc) what
 
 (* --- hostile wire images ---
 
@@ -150,37 +144,29 @@ let flood_posts ~context n =
       (fun () -> ())
   done
 
-(* --- trial harness (the Faultcampaign pattern, minus the device
-   faults): boot, set the scene, run the supervised episode, classify. *)
+(* --- trial harness --- *)
 
 type case = {
   c_driver : string;
   c_attack : string;
   c_expected : string;
-  c_setup : Random.State.t -> (unit -> unit) * int ref;
-      (** runs after boot; returns the supervised workload body
-          (including the attack, usually one-shot so the supervisor's
-          retry converges) and the corrupted-object counter *)
+  c_scene : Random.State.t -> corrupted:int ref -> Trial.body;
+      (** the supervised body: the driver's traffic around the attack,
+          usually one-shot so the supervisor's retry converges; the
+          attack counts corrupted kernel objects in [corrupted] *)
 }
 
 let run_case ~seed c =
-  Scenario.boot ();
-  let rng = Random.State.make [| seed |] in
-  let body, corrupted = c.c_setup rng in
-  let bugs = ref 0 in
-  (try
-     Scenario.in_thread (fun () ->
-         ignore (Driver_core.run c.c_driver ~mode:Driver_env.Decaf body))
-   with _ -> incr bugs);
-  let sup =
-    match Driver_core.supervisor c.c_driver with
-    | Some sup -> sup
-    | None -> Supervisor.create ~name:c.c_driver ()
+  let corrupted = ref 0 in
+  let r =
+    Trial.run ~seed c.c_driver
+      (c.c_scene (Random.State.make [| seed |]) ~corrupted)
   in
+  let sup = r.Trial.supervisor in
   let st = Supervisor.stats sup in
   let totals = Xpc.Boundary.totals in
   let outcome =
-    if !bugs > 0 then "KERNEL-BUG"
+    if r.Trial.kernel_bugs > 0 then "KERNEL-BUG"
     else if Supervisor.state sup = Supervisor.Disabled then "degraded"
     else if st.Supervisor.detected > 0 then "recovered"
     else if totals.Xpc.Boundary.dropped > 0 then "dropped"
@@ -195,100 +181,38 @@ let run_case ~seed c =
     dropped = totals.Xpc.Boundary.dropped;
     restarts = st.Supervisor.restarts;
     corrupted = !corrupted;
-    kernel_bugs = !bugs;
+    kernel_bugs = r.Trial.kernel_bugs;
   }
 
 (* --- per-driver scenes --- *)
 
-(* Each setup returns a workload body that runs the honest driver, then
-   fires its attack exactly once (the [armed] ref): the supervisor's
-   restart re-runs the body, the attack does not repeat, and the episode
-   converges to a healthy driver — the "recovered" outcome.  Attacks
-   marked persistent re-arm on every run and exhaust the restart
-   budget instead. *)
-
-let rtl_scene attack _rng =
-  let link = Hw.Link.create ~rate_bps:100_000_000 () in
-  ignore
-    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10
-       ~mac:Scenario.mac ~link ());
+(* Each scene runs the honest driver's slice, then fires its attack
+   exactly once: the supervisor's restart re-runs the body, the attack
+   does not repeat, and the episode converges to a healthy driver — the
+   "recovered" outcome.  Attacks marked persistent re-arm on every run
+   and exhaust the restart budget instead. *)
+let once ?(persistent = false) attack =
   let armed = ref true in
-  let corrupted = ref 0 in
-  ( (fun () ->
-      let t = Option.get (Rtl8139_drv.active ()) in
-      let nd = Rtl8139_drv.netdev t in
-      ok_or "8139too-open" (K.Netcore.open_dev nd);
-      ignore
-        (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500);
-      if !armed then begin
-        armed := false;
-        attack ~corrupted (Rtl8139_drv.kernel_nic t)
-      end),
-    corrupted )
+  fun () ->
+    if !armed then begin
+      if not persistent then armed := false;
+      attack ()
+    end
 
-let e1000_scene ?(persistent = false) attack _rng =
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
-  let armed = ref true in
-  let corrupted = ref 0 in
-  ( (fun () ->
-      let t = Option.get (E1000_drv.active ()) in
-      let nd = E1000_drv.netdev t in
-      ok_or "e1000-open" (K.Netcore.open_dev nd);
-      ignore
-        (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500);
-      if !armed then begin
-        if not persistent then armed := false;
-        attack ~corrupted (E1000_drv.kernel_adapter t)
-      end),
-    corrupted )
+let rtl_scene attack _rng ~corrupted =
+  Trial.After
+    (once (fun () ->
+         attack ~corrupted
+           (Rtl8139_drv.kernel_nic (Option.get (Rtl8139_drv.active ())))))
 
-let ens_scene attack _rng =
-  let model =
-    Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 ()
-  in
-  let armed = ref true in
-  let corrupted = ref 0 in
-  ( (fun () ->
-      let t = Option.get (Ens1371_drv.active ()) in
-      ignore
-        (Mpg123.play ~substream:(Ens1371_drv.substream t) ~model
-           ~duration_ns:20_000_000);
-      if !armed then begin
-        armed := false;
-        attack ~corrupted ()
-      end),
-    corrupted )
+let e1000_scene ?persistent attack _rng ~corrupted =
+  Trial.After
+    (once ?persistent (fun () ->
+         attack ~corrupted
+           (E1000_drv.kernel_adapter (Option.get (E1000_drv.active ())))))
 
-let uhci_scene attack _rng =
-  let model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
-  let armed = ref true in
-  let corrupted = ref 0 in
-  ( (fun () ->
-      ignore (Tar_usb.untar ~model ~files:1 ~file_bytes:4096);
-      if !armed then begin
-        armed := false;
-        attack ~corrupted ()
-      end),
-    corrupted )
-
-let psmouse_scene attack _rng =
-  let model = Psmouse_drv.setup_device () in
-  let armed = ref true in
-  let corrupted = ref 0 in
-  ( (fun () ->
-      let t = Option.get (Psmouse_drv.active ()) in
-      ignore
-        (Mouse_move.run ~model
-           ~input:(Psmouse_drv.input_dev t)
-           ~duration_ns:20_000_000);
-      if !armed then begin
-        armed := false;
-        attack ~corrupted ()
-      end),
-    corrupted )
+(* ens1371, uhci-hcd and psmouse have no shared-object layer *)
+let scene attack _rng ~corrupted = Trial.After (once (attack ~corrupted))
 
 (* --- e1000 attacks --- *)
 
@@ -473,86 +397,33 @@ let rtl_ring_forged rng ~corrupted ka =
 (* Suspend the adapter, then attack while it sits in the window: the
    boundary fault interrupts the PM sequence itself, and recovery has
    to re-probe out of the suspended state. *)
-let e1000_pm_window_scene rng =
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
-  let armed = ref true in
-  let corrupted = ref 0 in
-  ignore rng;
-  ( (fun () ->
-      let t = Option.get (E1000_drv.active ()) in
-      let nd = E1000_drv.netdev t in
-      ok_or "e1000-open" (K.Netcore.open_dev nd);
-      ignore
-        (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500);
-      ok_or "e1000-suspend" (Driver_core.suspend "e1000");
-      if !armed then begin
-        armed := false;
-        e1000_apply ~corrupted
-          (E1000_drv.kernel_adapter t)
-          (e1000_payload ~handle:0x5bad_f00d ())
-      end;
-      ok_or "e1000-resume" (Driver_core.resume "e1000");
-      ignore
-        (Netperf.send ~netdev:nd ~link ~duration_ns:2_000_000 ~msg_bytes:1500)),
-    corrupted )
+let e1000_pm_window_scene _rng ~corrupted =
+  Trial.Suspended
+    (once (fun () ->
+         e1000_apply ~corrupted
+           (E1000_drv.kernel_adapter (Option.get (E1000_drv.active ())))
+           (e1000_payload ~handle:0x5bad_f00d ())))
 
 (* Replay a capability across an eject/replug window: the unbind path
    revoked it, so the replayed handle is stale even though the driver
    came back. *)
-let psmouse_hotplug_window_scene _rng =
-  let model = Psmouse_drv.setup_device () in
-  let armed = ref true in
-  let corrupted = ref 0 in
-  ( (fun () ->
-      let move () =
-        let t = Option.get (Psmouse_drv.active ()) in
-        ignore
-          (Mouse_move.run ~model
-             ~input:(Psmouse_drv.input_dev t)
-             ~duration_ns:20_000_000)
-      in
-      move ();
-      if !armed then begin
-        armed := false;
-        let kt = Runtime.kernel_tracker () in
-        let addr = Xpc.Addr.alloc ~size:32 in
-        let h = Xpc.Objtracker.issue kt ~addr ~type_id:"psmouse_serio" in
-        Driver_core.eject "psmouse";
-        (* unbinding revokes the instance's capabilities *)
-        Xpc.Objtracker.remove_by_handle kt ~handle:h;
-        ok_or "psmouse-reinsmod"
-          (Driver_core.insmod "psmouse" ~mode:Driver_env.Decaf);
-        resolve_or_fault ~driver:"psmouse" ~type_id:"psmouse_serio" h
-      end;
-      move ()),
-    corrupted )
+let psmouse_hotplug_window_scene _rng ~corrupted:_ =
+  Trial.Between
+    (once (fun () ->
+         let kt = Runtime.kernel_tracker () in
+         let addr = Xpc.Addr.alloc ~size:32 in
+         let h = Xpc.Objtracker.issue kt ~addr ~type_id:"psmouse_serio" in
+         Driver_core.eject "psmouse";
+         (* unbinding revokes the instance's capabilities *)
+         Xpc.Objtracker.remove_by_handle kt ~handle:h;
+         Rig.ok "psmouse-reinsmod"
+           (Driver_core.insmod "psmouse" ~mode:Driver_env.Decaf);
+         resolve_or_fault ~driver:"psmouse" ~type_id:"psmouse_serio" h))
 
 (* Flood the deferred-call queue while the card is suspended — the
    window where nothing drains it. *)
-let ens_pm_window_scene _rng =
-  let model =
-    Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 ()
-  in
-  let armed = ref true in
-  let corrupted = ref 0 in
-  ( (fun () ->
-      let t = Option.get (Ens1371_drv.active ()) in
-      ignore
-        (Mpg123.play ~substream:(Ens1371_drv.substream t) ~model
-           ~duration_ns:10_000_000);
-      ok_or "ens1371-suspend" (Driver_core.suspend "ens1371");
-      if !armed then begin
-        armed := false;
-        flood_posts ~context:"ens1371_stats" 50
-      end;
-      ok_or "ens1371-resume" (Driver_core.resume "ens1371");
-      ignore
-        (Mpg123.play ~substream:(Ens1371_drv.substream t) ~model
-           ~duration_ns:10_000_000)),
-    corrupted )
+let ens_pm_window_scene _rng ~corrupted:_ =
+  Trial.Suspended (once (fun () -> flood_posts ~context:"ens1371_stats" 50))
 
 (* --- generic attacks for the drivers without a shared-object layer --- *)
 
@@ -581,88 +452,88 @@ let cases () =
   [
     (* 8139too *)
     { c_driver = "8139too"; c_attack = "none (baseline)"; c_expected = "clean";
-      c_setup = rtl_scene (fun ~corrupted:_ _ -> ()) };
+      c_scene = rtl_scene (fun ~corrupted:_ _ -> ()) };
     { c_driver = "8139too"; c_attack = "fuzzed msg_enable";
       c_expected = "recovered";
-      c_setup = (fun rng -> rtl_scene (rtl_fuzz rng) rng) };
+      c_scene = (fun rng -> rtl_scene (rtl_fuzz rng) rng) };
     { c_driver = "8139too"; c_attack = "write to read-only mc_filter";
-      c_expected = "recovered"; c_setup = rtl_scene rtl_readonly_write };
+      c_expected = "recovered"; c_scene = rtl_scene rtl_readonly_write };
     { c_driver = "8139too"; c_attack = "forged handle";
       c_expected = "recovered";
-      c_setup = (fun rng -> rtl_scene (rtl_forged_handle rng) rng) };
+      c_scene = (fun rng -> rtl_scene (rtl_forged_handle rng) rng) };
     { c_driver = "8139too"; c_attack = "stale handle (revoked)";
-      c_expected = "recovered"; c_setup = rtl_scene rtl_stale_handle };
+      c_expected = "recovered"; c_scene = rtl_scene rtl_stale_handle };
     { c_driver = "8139too"; c_attack = "forged ring slots";
       c_expected = "dropped";
-      c_setup = (fun rng -> rtl_scene (rtl_ring_forged rng) rng) };
+      c_scene = (fun rng -> rtl_scene (rtl_ring_forged rng) rng) };
     { c_driver = "8139too"; c_attack = "forged delta ack";
-      c_expected = "recovered"; c_setup = rtl_scene rtl_forged_ack };
+      c_expected = "recovered"; c_scene = rtl_scene rtl_forged_ack };
     (* e1000 *)
     { c_driver = "e1000"; c_attack = "none (baseline)"; c_expected = "clean";
-      c_setup = e1000_scene (fun ~corrupted:_ _ -> ()) };
+      c_scene = e1000_scene (fun ~corrupted:_ _ -> ()) };
     { c_driver = "e1000"; c_attack = "fuzzed msg_enable+flags";
       c_expected = "recovered";
-      c_setup = (fun rng -> e1000_scene (e1000_fuzz rng) rng) };
+      c_scene = (fun rng -> e1000_scene (e1000_fuzz rng) rng) };
     { c_driver = "e1000"; c_attack = "write to read-only mtu";
-      c_expected = "recovered"; c_setup = e1000_scene e1000_readonly_write };
+      c_expected = "recovered"; c_scene = e1000_scene e1000_readonly_write };
     { c_driver = "e1000"; c_attack = "oversized inbound payload (6KB)";
-      c_expected = "recovered"; c_setup = e1000_scene e1000_oversized };
+      c_expected = "recovered"; c_scene = e1000_scene e1000_oversized };
     { c_driver = "e1000"; c_attack = "forged handle";
       c_expected = "recovered";
-      c_setup = (fun rng -> e1000_scene (e1000_forged_handle rng) rng) };
+      c_scene = (fun rng -> e1000_scene (e1000_forged_handle rng) rng) };
     { c_driver = "e1000"; c_attack = "stale handle (revoked)";
-      c_expected = "recovered"; c_setup = e1000_scene e1000_stale_handle };
+      c_expected = "recovered"; c_scene = e1000_scene e1000_stale_handle };
     { c_driver = "e1000"; c_attack = "cross-type handle (tx ring as adapter)";
-      c_expected = "recovered"; c_setup = e1000_scene e1000_cross_type };
+      c_expected = "recovered"; c_scene = e1000_scene e1000_cross_type };
     { c_driver = "e1000"; c_attack = "forged delta ack (beyond issued)";
-      c_expected = "recovered"; c_setup = e1000_scene e1000_forged_ack };
+      c_expected = "recovered"; c_scene = e1000_scene e1000_forged_ack };
     { c_driver = "e1000"; c_attack = "persistent fuzzer (every restart)";
       c_expected = "degraded";
-      c_setup = (fun rng -> e1000_scene ~persistent:true (e1000_fuzz rng) rng) };
+      c_scene = (fun rng -> e1000_scene ~persistent:true (e1000_fuzz rng) rng) };
     { c_driver = "e1000"; c_attack = "deferred-call queue flood";
-      c_expected = "dropped"; c_setup = e1000_scene e1000_flood };
+      c_expected = "dropped"; c_scene = e1000_scene e1000_flood };
     { c_driver = "e1000"; c_attack = "forged ring slots";
       c_expected = "dropped";
-      c_setup = (fun rng -> e1000_scene (e1000_ring_forged rng) rng) };
+      c_scene = (fun rng -> e1000_scene (e1000_ring_forged rng) rng) };
     { c_driver = "e1000"; c_attack = "ring overflow flood";
-      c_expected = "dropped"; c_setup = e1000_scene e1000_ring_flood };
+      c_expected = "dropped"; c_scene = e1000_scene e1000_ring_flood };
     (* ens1371 *)
     { c_driver = "ens1371"; c_attack = "forged handle";
       c_expected = "recovered";
-      c_setup = ens_scene (forged_for "ens1371" "ens1371_card") };
+      c_scene = scene (forged_for "ens1371" "ens1371_card") };
     { c_driver = "ens1371"; c_attack = "stale handle (revoked)";
       c_expected = "recovered";
-      c_setup = ens_scene (stale_for "ens1371" "ens1371_card") };
+      c_scene = scene (stale_for "ens1371" "ens1371_card") };
     { c_driver = "ens1371"; c_attack = "deferred-call queue flood";
       c_expected = "dropped";
-      c_setup = ens_scene (flood_for "ens1371_stats") };
+      c_scene = scene (flood_for "ens1371_stats") };
     (* uhci-hcd *)
     { c_driver = "uhci-hcd"; c_attack = "forged handle";
       c_expected = "recovered";
-      c_setup = uhci_scene (forged_for "uhci-hcd" "uhci_qh") };
+      c_scene = scene (forged_for "uhci-hcd" "uhci_qh") };
     { c_driver = "uhci-hcd"; c_attack = "cross-type handle (td as qh)";
       c_expected = "recovered";
-      c_setup = uhci_scene (cross_type_for "uhci-hcd" "uhci_qh" "uhci_td") };
+      c_scene = scene (cross_type_for "uhci-hcd" "uhci_qh" "uhci_td") };
     { c_driver = "uhci-hcd"; c_attack = "stale handle (revoked)";
       c_expected = "recovered";
-      c_setup = uhci_scene (stale_for "uhci-hcd" "uhci_qh") };
+      c_scene = scene (stale_for "uhci-hcd" "uhci_qh") };
     (* psmouse *)
     { c_driver = "psmouse"; c_attack = "forged handle";
       c_expected = "recovered";
-      c_setup = psmouse_scene (forged_for "psmouse" "psmouse_serio") };
+      c_scene = scene (forged_for "psmouse" "psmouse_serio") };
     { c_driver = "psmouse"; c_attack = "stale handle (revoked)";
       c_expected = "recovered";
-      c_setup = psmouse_scene (stale_for "psmouse" "psmouse_serio") };
+      c_scene = scene (stale_for "psmouse" "psmouse_serio") };
     { c_driver = "psmouse"; c_attack = "deferred-call queue flood";
       c_expected = "dropped";
-      c_setup = psmouse_scene (flood_for "psmouse_status") };
+      c_scene = scene (flood_for "psmouse_status") };
     (* hostile hotplug / PM windows *)
     { c_driver = "e1000"; c_attack = "forged handle in suspend window";
-      c_expected = "recovered"; c_setup = e1000_pm_window_scene };
+      c_expected = "recovered"; c_scene = e1000_pm_window_scene };
     { c_driver = "psmouse"; c_attack = "handle replay across eject/replug";
-      c_expected = "recovered"; c_setup = psmouse_hotplug_window_scene };
+      c_expected = "recovered"; c_scene = psmouse_hotplug_window_scene };
     { c_driver = "ens1371"; c_attack = "queue flood while suspended";
-      c_expected = "dropped"; c_setup = ens_pm_window_scene };
+      c_expected = "dropped"; c_scene = ens_pm_window_scene };
   ]
 
 let drivers_covered trials =

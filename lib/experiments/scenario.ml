@@ -6,8 +6,6 @@ let boot () =
   K.Boot.boot ();
   Driver_set.register_defaults ()
 
-let env_of = Driver_env.of_mode
-
 let in_thread f =
   let result = ref None in
   ignore (K.Sched.spawn ~name:"workload" (fun () -> result := Some (f ())));
@@ -18,5 +16,3 @@ let in_thread f =
 
 let kernel_user_crossings () =
   (Decaf_xpc.Channel.stats ()).Decaf_xpc.Channel.kernel_user_calls
-
-let mac = "\x00\x1b\x21\x0a\x0b\x0c"

@@ -9,6 +9,4 @@ val in_thread : (unit -> 'a) -> 'a
 (** Run the body as the initial kernel thread and drive the simulation
     until it completes. *)
 
-val env_of : Decaf_drivers.Driver_env.mode -> Decaf_drivers.Driver_env.t
 val kernel_user_crossings : unit -> int
-val mac : string

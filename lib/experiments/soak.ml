@@ -125,48 +125,35 @@ let to_json s =
   String.concat "\n" (header :: List.map json_row s.rows) ^ "\n"
 
 let row_of_line line =
-  match
-    ( Jsonl.field_str line "phase",
-      Jsonl.field_str line "path",
-      Jsonl.field_int line "p99_ns" )
-  with
-  | Some phase, Some path, Some p99_ns ->
-      let geti key = Option.value ~default:0 (Jsonl.field_int line key) in
-      Some
-        {
-          phase;
-          path;
-          samples = geti "samples";
-          overflow = geti "overflow";
-          p50_ns = geti "p50_ns";
-          p99_ns;
-          p999_ns = geti "p999_ns";
-          max_ns = geti "max_ns";
-        }
-  | _ -> None
+  let int = Jsonl.int line in
+  {
+    phase = Jsonl.str line "phase";
+    path = Jsonl.str line "path";
+    samples = int "samples";
+    overflow = int "overflow";
+    p50_ns = int "p50_ns";
+    p99_ns = int "p99_ns";
+    p999_ns = int "p999_ns";
+    max_ns = int "max_ns";
+  }
 
 let of_json text =
-  let lines = String.split_on_char '\n' text in
-  let header =
-    List.find_opt (fun l -> Jsonl.field_str l "bench" = Some "soak") lines
-  in
-  let geti key d =
-    match header with
-    | None -> d
-    | Some h -> Option.value ~default:d (Jsonl.field_int h key)
-  in
-  {
-    duration_ns = geti "duration_ns" default_duration_ns;
-    fleet = geti "fleet" default_fleet;
-    seed = geti "seed" default_seed;
-    rows = List.filter_map row_of_line lines;
-    steady_misses = geti "steady_misses" 0;
-    churn_misses = geti "churn_misses" 0;
-    audio_periods = geti "audio_periods" 0;
-    packets = geti "packets" 0;
-    leaked_entries = geti "leaked_entries" 0;
-    leaked_bytes = geti "leaked_bytes" 0;
-  }
+  match Jsonl.lines text with
+  | [] -> raise (Jsonl.Missing_key { line = 1; key = "duration_ns" })
+  | header :: rows ->
+      let int = Jsonl.int header in
+      {
+        duration_ns = int "duration_ns";
+        fleet = int "fleet";
+        seed = int "seed";
+        rows = List.map row_of_line rows;
+        steady_misses = int "steady_misses";
+        churn_misses = int "churn_misses";
+        audio_periods = int "audio_periods";
+        packets = int "packets";
+        leaked_entries = int "leaked_entries";
+        leaked_bytes = int "leaked_bytes";
+      }
 
 let write_json ?(duration_ns = default_duration_ns) ?(fleet = default_fleet)
     ?(seed = default_seed) ~path () =

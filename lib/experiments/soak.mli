@@ -50,6 +50,8 @@ val to_json : summary -> string
     JSON library, like the BENCH_xpc.json trajectory. *)
 
 val of_json : string -> summary
+(** Every key of the header and of each row is required: a line missing
+    one (an empty file misses its header) raises {!Jsonl.Missing_key}. *)
 
 val write_json :
   ?duration_ns:int -> ?fleet:int -> ?seed:int -> path:string -> unit -> summary

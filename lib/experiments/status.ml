@@ -5,67 +5,35 @@
    and Table 3 observe. *)
 
 module K = Decaf_kernel
-module Hw = Decaf_hw
 open Decaf_drivers
 open Decaf_workloads
 
 let driver_names = Driver_set.names
-
-let ok what = function
-  | Ok () -> ()
-  | Error rc -> K.Panic.bug "status: %s: %d" what rc
 
 let measure () =
   Scenario.boot ();
   (* the ring axis is live in status runs, so the per-binding ring
      counters (occupancy/high-water/doorbells/drops) show real traffic *)
   Decaf_xpc.Ring.set_enabled true;
-  let link100 = Hw.Link.create ~rate_bps:100_000_000 () in
-  let link1g = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10
-       ~mac:Scenario.mac ~link:link100 ());
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link:link1g ());
-  let ens_model =
-    Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 ()
-  in
-  let uhci_model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
-  let ps_model = Psmouse_drv.setup_device () in
+  let devices = List.map Rig.plug driver_names in
   Scenario.in_thread (fun () ->
       List.iter
-        (fun name -> ok name (Driver_core.insmod name ~mode:Driver_env.Decaf))
+        (fun name ->
+          Rig.ok (name ^ " insmod")
+            (Driver_core.insmod name ~mode:Driver_env.Decaf))
         driver_names;
-      let rtl = Option.get (Rtl8139_drv.active ()) in
-      ok "8139too-open" (K.Netcore.open_dev (Rtl8139_drv.netdev rtl));
-      ignore
-        (Netperf.send
-           ~netdev:(Rtl8139_drv.netdev rtl)
-           ~link:link100 ~duration_ns:2_000_000 ~msg_bytes:1500);
-      let e = Option.get (E1000_drv.active ()) in
-      ok "e1000-open" (K.Netcore.open_dev (E1000_drv.netdev e));
-      ignore
-        (Netperf.send
-           ~netdev:(E1000_drv.netdev e)
-           ~link:link1g ~duration_ns:2_000_000 ~msg_bytes:1500);
-      ok "e1000-suspend" (Driver_core.suspend "e1000");
-      ok "e1000-resume" (Driver_core.resume "e1000");
-      ignore
-        (Netperf.send
-           ~netdev:(E1000_drv.netdev e)
-           ~link:link1g ~duration_ns:2_000_000 ~msg_bytes:1500);
-      let ens = Option.get (Ens1371_drv.active ()) in
-      ignore
-        (Mpg123.play
-           ~substream:(Ens1371_drv.substream ens)
-           ~model:ens_model ~duration_ns:10_000_000);
-      ignore (Tar_usb.untar ~model:uhci_model ~files:1 ~file_bytes:4096);
-      let ps = Option.get (Psmouse_drv.active ()) in
-      ignore
-        (Mouse_move.run ~model:ps_model
-           ~input:(Psmouse_drv.input_dev ps)
-           ~duration_ns:20_000_000);
+      List.iter
+        (fun dev ->
+          Rig.up dev;
+          (* half the campaigns' audio slice *)
+          if Rig.name dev = "ens1371" then Rig.slice ~duration_ns:10_000_000 dev
+          else Rig.slice dev;
+          if Rig.name dev = "e1000" then begin
+            Rig.ok "e1000-suspend" (Driver_core.suspend "e1000");
+            Rig.ok "e1000-resume" (Driver_core.resume "e1000");
+            Rig.slice dev
+          end)
+        devices;
       let snaps = Driver_core.snapshots () in
       List.iter Driver_core.rmmod driver_names;
       snaps)

@@ -1,5 +1,4 @@
 module K = Decaf_kernel
-module Hw = Decaf_hw
 open Decaf_drivers
 open Decaf_workloads
 
@@ -21,161 +20,66 @@ type row = {
 let relative_performance row =
   if row.native.perf = 0. then 1. else row.decaf.perf /. row.native.perf
 
-(* --- 8139too --- *)
-
-let rtl8139_scenario which ~duration_ns mode =
-  Scenario.boot ();
-  let link = Hw.Link.create ~rate_bps:100_000_000 () in
-  ignore
-    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10
-       ~mac:Scenario.mac ~link ());
-  Scenario.in_thread (fun () ->
-      (match Driver_core.insmod "8139too" ~mode with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "8139too insmod: %d" rc);
-      let t = Option.get (Rtl8139_drv.active ()) in
-      let nd = Rtl8139_drv.netdev t in
-      let t_open0 = K.Clock.now () in
-      (match K.Netcore.open_dev nd with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "8139too open: %d" rc);
-      let init_ns = Rtl8139_drv.init_latency_ns t + (K.Clock.now () - t_open0) in
-      let init_crossings = Scenario.kernel_user_crossings () in
-      let r =
-        match which with
-        | `Send -> Netperf.send ~netdev:nd ~link ~duration_ns ~msg_bytes:1500
-        | `Recv -> Netperf.recv ~netdev:nd ~link ~duration_ns ~msg_bytes:1500
-      in
-      Driver_core.rmmod "8139too";
-      {
-        perf = r.Netperf.throughput_mbps;
-        cpu = r.Netperf.cpu_utilization;
-        init_ns;
-        init_crossings;
-      })
-
-(* --- e1000 --- *)
-
-let e1000_scenario which ~duration_ns mode =
-  Scenario.boot ();
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
-  Scenario.in_thread (fun () ->
-      (match Driver_core.insmod "e1000" ~mode with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "e1000 insmod: %d" rc);
-      let t = Option.get (E1000_drv.active ()) in
-      let nd = E1000_drv.netdev t in
-      let t_open0 = K.Clock.now () in
-      (match K.Netcore.open_dev nd with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "e1000 open: %d" rc);
-      let init_ns = E1000_drv.init_latency_ns t + (K.Clock.now () - t_open0) in
-      let init_crossings = Scenario.kernel_user_crossings () in
-      let r =
-        match which with
-        | `Send -> Netperf.send ~netdev:nd ~link ~duration_ns ~msg_bytes:1500
-        | `Recv -> Netperf.recv ~netdev:nd ~link ~duration_ns ~msg_bytes:1500
-        | `Send_small ->
-            (* the paper's UDP test with 1-byte messages *)
-            Netperf.send ~netdev:nd ~link ~duration_ns ~msg_bytes:1
-      in
-      Driver_core.rmmod "e1000";
-      {
-        perf = r.Netperf.throughput_mbps;
-        cpu = r.Netperf.cpu_utilization;
-        init_ns;
-        init_crossings;
-      })
-
-(* --- ens1371 --- *)
-
-let ens1371_scenario ~duration_ns mode =
-  Scenario.boot ();
-  let model = Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 () in
-  Scenario.in_thread (fun () ->
-      (match Driver_core.insmod "ens1371" ~mode with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "ens1371 insmod: %d" rc);
-      let t = Option.get (Ens1371_drv.active ()) in
-      let init_ns = Ens1371_drv.init_latency_ns t in
-      let init_crossings = Scenario.kernel_user_crossings () in
-      let r = Mpg123.play ~substream:(Ens1371_drv.substream t) ~model ~duration_ns in
-      Driver_core.rmmod "ens1371";
-      {
-        (* figure of merit: realtime playback with no mid-stream
-           underrun (the final partial period is inherent) *)
-        perf = (if r.Mpg123.underruns <= 1 then 1.0 else 0.0);
-        cpu = r.Mpg123.cpu_utilization;
-        init_ns;
-        init_crossings;
-      })
-
-(* --- uhci --- *)
-
-let uhci_scenario ~duration_ns mode =
-  Scenario.boot ();
-  let model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
-  Scenario.in_thread (fun () ->
-      (match Driver_core.insmod "uhci-hcd" ~mode with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "uhci insmod: %d" rc);
-      let t = Option.get (Uhci_drv.active ()) in
-      let init_ns = Uhci_drv.init_latency_ns t in
-      let init_crossings = Scenario.kernel_user_crossings () in
+(* Each workload returns its figure of merit and CPU utilization. *)
+let workload name dev ~duration_ns =
+  match name with
+  | "netperf-send" | "netperf-recv" | "netperf-udp-1B" ->
+      (* the paper's UDP test sends 1-byte messages *)
+      let msg_bytes = if name = "netperf-udp-1B" then 1 else 1500 in
+      let recv = name = "netperf-recv" in
+      let r = Rig.netperf ~recv ~msg_bytes dev ~duration_ns in
+      (r.Netperf.throughput_mbps, r.Netperf.cpu_utilization)
+  | "mpg123" ->
+      let r = Rig.play dev ~duration_ns in
+      (* figure of merit: realtime playback with no mid-stream underrun
+         (the final partial period is inherent) *)
+      ((if r.Mpg123.underruns <= 1 then 1.0 else 0.0), r.Mpg123.cpu_utilization)
+  | "tar" ->
       (* size the archive to roughly fill the duration at USB 1.1 speed *)
       let total_bytes = 1_200 * (duration_ns / 1_000_000) in
       let files = max 1 (total_bytes / 65_536) in
-      let r = Tar_usb.untar ~model ~files ~file_bytes:65_536 in
-      Driver_core.rmmod "uhci-hcd";
-      {
-        perf = r.Tar_usb.effective_kbps;
-        cpu = r.Tar_usb.cpu_utilization;
-        init_ns;
-        init_crossings;
-      })
+      let r = Rig.untar ~files ~file_bytes:65_536 dev in
+      (r.Tar_usb.effective_kbps, r.Tar_usb.cpu_utilization)
+  | "move-and-click" ->
+      let r = Rig.move dev ~duration_ns in
+      (float_of_int r.Mouse_move.packets, r.Mouse_move.cpu_utilization)
+  | _ -> invalid_arg ("Table3: no workload " ^ name)
 
-(* --- psmouse --- *)
-
-let psmouse_scenario ~duration_ns mode =
+(* One cell: boot, plug, load the [mode] build, bring a NIC up, run the
+   workload, unload. Init latency is the probe plus the bring-up. *)
+let cell driver name ~duration_ns mode =
   Scenario.boot ();
-  let model = Psmouse_drv.setup_device () in
+  let dev = Rig.plug driver in
   Scenario.in_thread (fun () ->
-      (match Driver_core.insmod "psmouse" ~mode with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "psmouse insmod: %d" rc);
-      let t = Option.get (Psmouse_drv.active ()) in
-      let init_ns = Psmouse_drv.init_latency_ns t in
-      let init_crossings = Scenario.kernel_user_crossings () in
-      let r =
-        Mouse_move.run ~model ~input:(Psmouse_drv.input_dev t) ~duration_ns
+      Rig.ok (driver ^ " insmod") (Driver_core.insmod driver ~mode);
+      let t_open0 = K.Clock.now () in
+      Rig.up dev;
+      let init_ns =
+        (Driver_core.snapshot driver).Driver_core.s_init_latency_ns
+        + (K.Clock.now () - t_open0)
       in
-      Driver_core.rmmod "psmouse";
-      {
-        perf = float_of_int r.Mouse_move.packets;
-        cpu = r.Mouse_move.cpu_utilization;
-        init_ns;
-        init_crossings;
-      })
+      let init_crossings = Scenario.kernel_user_crossings () in
+      let perf, cpu = workload name dev ~duration_ns in
+      Driver_core.rmmod driver;
+      { perf; cpu; init_ns; init_crossings })
 
 let measure ?(duration_ns = 2_000_000_000) () =
-  let both scenario = (scenario Driver_env.Native, scenario Driver_env.Decaf) in
-  let mk driver workload perf_unit scenario =
-    let native, decaf = both scenario in
+  let mk driver workload perf_unit ?(duration_ns = duration_ns) () =
+    let cell = cell driver workload ~duration_ns in
+    let native, decaf = (cell Driver_env.Native, cell Driver_env.Decaf) in
+    let driver = if driver = "e1000" then "E1000" else driver in
     { driver; workload; perf_unit; native; decaf }
   in
   [
-    mk "8139too" "netperf-send" "Mb/s" (rtl8139_scenario `Send ~duration_ns);
-    mk "8139too" "netperf-recv" "Mb/s" (rtl8139_scenario `Recv ~duration_ns);
-    mk "E1000" "netperf-send" "Mb/s" (e1000_scenario `Send ~duration_ns);
-    mk "E1000" "netperf-recv" "Mb/s" (e1000_scenario `Recv ~duration_ns);
-    mk "E1000" "netperf-udp-1B" "Mb/s" (e1000_scenario `Send_small ~duration_ns);
-    mk "ens1371" "mpg123" "ok" (ens1371_scenario ~duration_ns);
-    mk "uhci-hcd" "tar" "kb/s" (uhci_scenario ~duration_ns);
+    mk "8139too" "netperf-send" "Mb/s" ();
+    mk "8139too" "netperf-recv" "Mb/s" ();
+    mk "e1000" "netperf-send" "Mb/s" ();
+    mk "e1000" "netperf-recv" "Mb/s" ();
+    mk "e1000" "netperf-udp-1B" "Mb/s" ();
+    mk "ens1371" "mpg123" "ok" ();
+    mk "uhci-hcd" "tar" "kb/s" ();
     mk "psmouse" "move-and-click" "packets"
-      (psmouse_scenario ~duration_ns:(max duration_ns 10_000_000_000));
+      ~duration_ns:(max duration_ns 10_000_000_000) ();
   ]
 
 let render rows =

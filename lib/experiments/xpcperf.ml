@@ -1,5 +1,4 @@
 module K = Decaf_kernel
-module Hw = Decaf_hw
 module Xpc = Decaf_xpc
 open Decaf_drivers
 open Decaf_workloads
@@ -104,11 +103,6 @@ let apply_config c =
   Xpc.Guard.set_enabled c.guard;
   Xpc.Ring.set_enabled c.ring
 
-let insmod_via name =
-  match Driver_core.insmod name ~mode:Driver_env.Decaf with
-  | Ok () -> ()
-  | Error rc -> K.Panic.bug "xpcperf %s insmod: %d" name rc
-
 let milli v = int_of_float ((v *. 1000.) +. 0.5)
 
 let finish ?(fairness = (0., 0., 0.)) ~scenario ~config ~perf ~perf_unit () =
@@ -148,105 +142,40 @@ let finish ?(fairness = (0., 0., 0.)) ~scenario ~config ~perf ~perf_unit () =
     fair_max_milli = (let _, _, mx = fairness in milli mx);
   }
 
-let e1000_net which config ~duration_ns =
+(* One single-instance cell: boot, apply [config], plug the driver's
+   device, load the decaf build, bring a NIC up, run the workload, drain
+   the batch queues and unload. *)
+let cell driver ~scenario ~perf_unit workload config ~duration_ns =
   Scenario.boot ();
   apply_config config;
-  let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-  ignore
-    (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
+  let dev = Rig.plug driver in
   Scenario.in_thread (fun () ->
-      insmod_via "e1000";
-      let t = Option.get (E1000_drv.active ()) in
-      let nd = E1000_drv.netdev t in
-      (match K.Netcore.open_dev nd with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "xpcperf e1000 open: %d" rc);
-      let r, scenario =
-        match which with
-        | `Send ->
-            ( Netperf.send ~netdev:nd ~link ~duration_ns ~msg_bytes:1500,
-              "e1000-netperf-send" )
-        | `Recv ->
-            ( Netperf.recv ~netdev:nd ~link ~duration_ns ~msg_bytes:1500,
-              "e1000-netperf-recv" )
-      in
+      Rig.ok (driver ^ " insmod")
+        (Driver_core.insmod driver ~mode:Driver_env.Decaf);
+      Rig.up dev;
+      let perf = workload dev ~duration_ns in
       Xpc.Batch.drain ();
-      Driver_core.rmmod "e1000";
-      finish ~scenario ~config ~perf:r.Netperf.goodput_mbps ~perf_unit:"Mb/s" ())
+      Driver_core.rmmod driver;
+      finish ~scenario ~config ~perf ~perf_unit ())
 
-let rtl8139_net config ~duration_ns =
-  Scenario.boot ();
-  apply_config config;
-  let link = Hw.Link.create ~rate_bps:100_000_000 () in
-  ignore
-    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10
-       ~mac:Scenario.mac ~link ());
-  Scenario.in_thread (fun () ->
-      insmod_via "8139too";
-      let t = Option.get (Rtl8139_drv.active ()) in
-      let nd = Rtl8139_drv.netdev t in
-      (match K.Netcore.open_dev nd with
-      | Ok () -> ()
-      | Error rc -> K.Panic.bug "xpcperf 8139too open: %d" rc);
-      let r = Netperf.send ~netdev:nd ~link ~duration_ns ~msg_bytes:1500 in
-      Xpc.Batch.drain ();
-      Driver_core.rmmod "8139too";
-      finish ~scenario:"8139too-netperf-send" ~config
-        ~perf:r.Netperf.goodput_mbps ~perf_unit:"Mb/s" ())
+let goodput ~recv dev ~duration_ns =
+  (Rig.netperf ~recv dev ~duration_ns).Netperf.goodput_mbps
 
-let psmouse config ~duration_ns =
-  Scenario.boot ();
-  apply_config config;
-  let model = Psmouse_drv.setup_device () in
-  Scenario.in_thread (fun () ->
-      insmod_via "psmouse";
-      let t = Option.get (Psmouse_drv.active ()) in
-      let r =
-        Mouse_move.run ~model ~input:(Psmouse_drv.input_dev t) ~duration_ns
-      in
-      Xpc.Batch.drain ();
-      Driver_core.rmmod "psmouse";
-      finish ~scenario:"psmouse-move" ~config
-        ~perf:r.Mouse_move.event_rate_hz ~perf_unit:"ev/s" ())
-
-let ens1371 config ~duration_ns =
-  Scenario.boot ();
-  apply_config config;
-  let model =
-    Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 ()
+let e1000_net which =
+  let scenario =
+    match which with
+    | `Send -> "e1000-netperf-send"
+    | `Recv -> "e1000-netperf-recv"
   in
-  Scenario.in_thread (fun () ->
-      insmod_via "ens1371";
-      let t = Option.get (Ens1371_drv.active ()) in
-      let r = Mpg123.play ~substream:(Ens1371_drv.substream t) ~model ~duration_ns in
-      Xpc.Batch.drain ();
-      Driver_core.rmmod "ens1371";
-      finish ~scenario:"ens1371-mpg123" ~config
-        ~perf:(if r.Mpg123.underruns <= 1 then r.Mpg123.realtime_factor else 0.0)
-        ~perf_unit:"rt" ())
+  cell "e1000" ~scenario ~perf_unit:"Mb/s" (goodput ~recv:(which = `Recv))
 
 (* --- the fleet scenario: N e1000 instances under one virtual switch --- *)
-
-let fleet_slot i = Printf.sprintf "%02x:00.0" i
-
-let fleet_mac i =
-  Printf.sprintf "\x02\x00\x00\x00%c%c"
-    (Char.chr ((i lsr 8) land 0xff))
-    (Char.chr (i land 0xff))
 
 let e1000_fleet config ~duration_ns =
   Scenario.boot ();
   apply_config config;
-  let n = config.instances in
   let links =
-    List.init n (fun i ->
-        let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-        ignore
-          (E1000_drv.setup_device ~slot:(fleet_slot i)
-             ~mmio_base:(0xe000_0000 + (i * 0x20000))
-             ~irq:(32 + i) ~mac:(fleet_mac i) ~link ());
-        link)
+    List.init config.instances (fun port -> Rig.plug_e1000 ~port ())
   in
   Scenario.in_thread (fun () ->
       (* one registry binding per device, all through the same module:
@@ -254,24 +183,19 @@ let e1000_fleet config ~duration_ns =
       let ids =
         List.mapi
           (fun i _ ->
-            match
-              Driver_core.bind_device "e1000" ~dev:(fleet_slot i)
-                ~mode:Driver_env.Decaf ()
-            with
-            | Ok id -> id
-            | Error rc -> K.Panic.bug "xpcperf fleet bind %d: %d" i rc)
+            Rig.ok "e1000 fleet bind"
+              (Driver_core.bind_device "e1000" ~dev:(Rig.port_slot i)
+                 ~mode:Driver_env.Decaf ()))
           links
       in
       let ports =
         List.mapi
           (fun i link ->
-            match E1000_drv.netdev_at ~slot:(fleet_slot i) with
-            | Some nd ->
-                (match K.Netcore.open_dev nd with
-                | Ok () -> ()
-                | Error rc -> K.Panic.bug "xpcperf fleet open %d: %d" i rc);
-                { Vswitch.netdev = nd; link }
-            | None -> K.Panic.bug "xpcperf fleet: no netdev on port %d" i)
+            let netdev =
+              Option.get (E1000_drv.netdev_at ~slot:(Rig.port_slot i))
+            in
+            Rig.ok "e1000 fleet open" (K.Netcore.open_dev netdev);
+            { Vswitch.netdev; link })
           links
       in
       let r = Vswitch.run ~ports ~duration_ns ~msg_bytes:1500 in
@@ -287,14 +211,23 @@ let default_duration_ns = 300_000_000
    single-instance scenarios sweep the full optimization matrix, the
    fleet scenario sweeps the instance axis on the best parallel point. *)
 let scenarios ~duration_ns =
+  let single driver scenario perf_unit ?(duration_ns = duration_ns) workload =
+    ( scenario,
+      configs,
+      fun cfg -> cell driver ~scenario ~perf_unit workload cfg ~duration_ns )
+  in
   [
     ("e1000-netperf-send", configs, fun cfg -> e1000_net `Send cfg ~duration_ns);
     ("e1000-netperf-recv", configs, fun cfg -> e1000_net `Recv cfg ~duration_ns);
-    ("8139too-netperf-send", configs, fun cfg -> rtl8139_net cfg ~duration_ns);
-    ( "psmouse-move",
-      configs,
-      fun cfg -> psmouse cfg ~duration_ns:(max duration_ns 2_000_000_000) );
-    ("ens1371-mpg123", configs, fun cfg -> ens1371 cfg ~duration_ns);
+    single "8139too" "8139too-netperf-send" "Mb/s" (goodput ~recv:false);
+    single "psmouse" "psmouse-move" "ev/s"
+      ~duration_ns:(max duration_ns 2_000_000_000)
+      (fun dev ~duration_ns ->
+        (Rig.move dev ~duration_ns).Mouse_move.event_rate_hz);
+    (* realtime factor of playback with no mid-stream underrun *)
+    single "ens1371" "ens1371-mpg123" "rt" (fun dev ~duration_ns ->
+        let r = Rig.play dev ~duration_ns in
+        if r.Mpg123.underruns <= 1 then r.Mpg123.realtime_factor else 0.0);
     ("e1000-fleet", fleet_configs, fun cfg -> e1000_fleet cfg ~duration_ns);
   ]
 
@@ -546,71 +479,45 @@ let to_json ~duration_ns samples =
   String.concat "\n" (header :: List.map json_line samples) ^ "\n"
 
 let sample_of_line line =
-  match
-    ( Jsonl.field_str line "scenario",
-      Jsonl.field_int line "batching",
-      Jsonl.field_int line "delta",
-      Jsonl.field_int line "crossings",
-      Jsonl.field_int line "bytes" )
-  with
-  | Some scenario, Some batching, Some delta, Some crossings, Some bytes ->
-      let geti key = Option.value ~default:0 (Jsonl.field_int line key) in
-      Some
-        {
-          scenario;
-          config =
-            {
-              batching = batching <> 0;
-              delta = delta <> 0;
-              (* files from before the worker axis are all serial *)
-              workers = (match Jsonl.field_int line "workers" with
-                        | Some w when w > 0 -> w
-                        | _ -> 1);
-              (* files from before the guard axis ran with validation
-                 semantics equivalent to guard-on (nothing hostile in a
-                 benchmark), so missing means true *)
-              guard = (match Jsonl.field_int line "guard" with
-                      | Some g -> g <> 0
-                      | None -> true);
-              (* files from before the ring axis never used the ring *)
-              ring = (match Jsonl.field_int line "ring" with
-                     | Some r -> r <> 0
-                     | None -> false);
-              (* files from before the fleet axis are single-instance *)
-              instances = (match Jsonl.field_int line "instances" with
-                          | Some n when n > 1 -> n
-                          | _ -> 1);
-            };
-          crossings;
-          c_java = geti "c_java";
-          bytes;
-          posted = geti "posted";
-          delivered = geti "delivered";
-          flushes = geti "flushes";
-          doorbells = geti "doorbells";
-          ring_produced = geti "ring_produced";
-          ring_drops = geti "ring_drops";
-          xpc_ns = geti "xpc_ns";
-          lock_contended = geti "lock_contended";
-          lock_wait_ns = geti "lock_wait_ns";
-          shard_hits = geti "shard_hits";
-          shards_used = geti "shards_used";
-          perf_milli = geti "perf_milli";
-          perf_unit =
-            Option.value ~default:"" (Jsonl.field_str line "perf_unit");
-          fair_min_milli = geti "fair_min_milli";
-          fair_mean_milli = geti "fair_mean_milli";
-          fair_max_milli = geti "fair_max_milli";
-        }
-  | _ -> None
+  let int = Jsonl.int line in
+  let flag key = int key <> 0 in
+  {
+    scenario = Jsonl.str line "scenario";
+    config =
+      {
+        batching = flag "batching";
+        delta = flag "delta";
+        workers = int "workers";
+        guard = flag "guard";
+        ring = flag "ring";
+        instances = int "instances";
+      };
+    crossings = int "crossings";
+    c_java = int "c_java";
+    bytes = int "bytes";
+    posted = int "posted";
+    delivered = int "delivered";
+    flushes = int "flushes";
+    doorbells = int "doorbells";
+    ring_produced = int "ring_produced";
+    ring_drops = int "ring_drops";
+    xpc_ns = int "xpc_ns";
+    lock_contended = int "lock_contended";
+    lock_wait_ns = int "lock_wait_ns";
+    shard_hits = int "shard_hits";
+    shards_used = int "shards_used";
+    perf_milli = int "perf_milli";
+    perf_unit = Jsonl.str line "perf_unit";
+    fair_min_milli = int "fair_min_milli";
+    fair_mean_milli = int "fair_mean_milli";
+    fair_max_milli = int "fair_max_milli";
+  }
 
 let of_json text =
-  let lines = String.split_on_char '\n' text in
-  let duration_ns =
-    List.find_map (fun l -> Jsonl.field_int l "duration_ns") lines
-  in
-  let samples = List.filter_map sample_of_line lines in
-  (duration_ns, samples)
+  match Jsonl.lines text with
+  | [] -> raise (Jsonl.Missing_key { line = 1; key = "duration_ns" })
+  | header :: samples ->
+      (Some (Jsonl.int header "duration_ns"), List.map sample_of_line samples)
 
 let write_json ?(duration_ns = default_duration_ns) ~path () =
   let samples = measure ~duration_ns () in
@@ -629,9 +536,8 @@ let write_json ?(duration_ns = default_duration_ns) ~path () =
    deliberate small retunings without a file update. *)
 let check ?(slack_pct = 10) ?(perf_slack_pct = 5) ~path () =
   let duration_ns, committed = of_json (Jsonl.read_file path) in
-  let duration_ns =
-    Option.value ~default:default_duration_ns duration_ns
-  in
+  (* of_json raises on a file without a header *)
+  let duration_ns = Option.get duration_ns in
   if committed = [] then begin
     Printf.printf "bench-check: %s holds no samples\n" path;
     false
@@ -660,7 +566,7 @@ let check ?(slack_pct = 10) ?(perf_slack_pct = 5) ~path () =
             let perf_floor =
               c.perf_milli * (100 - perf_slack_pct) / 100
             in
-            if c.perf_milli > 0 && f.perf_milli < perf_floor then
+            if f.perf_milli < perf_floor then
               complain
                 "bench-check: %s %s: perf regressed %d -> %d milli%s (>%d%%)"
                 c.scenario (config_name c.config) c.perf_milli f.perf_milli

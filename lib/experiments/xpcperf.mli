@@ -92,9 +92,6 @@ val default_duration_ns : int
     its delivered event rate (ev/s), ens1371 its realtime factor. *)
 
 val e1000_net : [ `Send | `Recv ] -> config -> duration_ns:int -> sample
-val rtl8139_net : config -> duration_ns:int -> sample
-val psmouse : config -> duration_ns:int -> sample
-val ens1371 : config -> duration_ns:int -> sample
 
 val e1000_fleet : config -> duration_ns:int -> sample
 (** [config.instances] e1000 devices on the bus, each bound as its own
@@ -131,8 +128,9 @@ val to_json : duration_ns:int -> sample list -> string
     parseable by {!of_json} without a JSON library. *)
 
 val of_json : string -> int option * sample list
-(** Lines without a [workers] field parse as [workers = 1], so
-    trajectory files from before the worker axis stay readable. *)
+(** The header's [duration_ns] and the samples. Every key is required:
+    a line missing one (an empty file misses its header) raises
+    {!Jsonl.Missing_key}. *)
 
 val write_json : ?duration_ns:int -> path:string -> unit -> sample list
 (** Measure and write the trajectory file; returns the samples. *)

@@ -61,16 +61,6 @@ type result = {
 }
 
 let default_phase_ns = 2_000_000_000
-let mac = "\x00\x1b\x21\x0a\x0b\x0c"
-let fleet_slot i = Printf.sprintf "%02x:00.0" i
-
-let fleet_mac i =
-  Printf.sprintf "\x02\x00\x00\x00%c%c"
-    (Char.chr ((i lsr 8) land 0xff))
-    (Char.chr (i land 0xff))
-
-let fleet_mmio i = 0xe000_0000 + (i * 0x20000)
-let fleet_irq i = 32 + i
 
 let tracker_entries () =
   Xpc.Objtracker.count (Decaf_runtime.Runtime.kernel_tracker ())
@@ -97,10 +87,6 @@ let burst_ns rng =
   min 50_000_000 (max 2_000_000 b)
 
 let gap_ns rng = 500_000 + (rng () mod 2_000_000)
-
-let ok_or what = function
-  | Ok () -> ()
-  | Error rc -> K.Panic.bug "soak: %s: %d" what rc
 
 let in_thread f =
   let result = ref None in
@@ -131,41 +117,27 @@ let snapshot_paths () =
 let run ?(fleet = 3) ?(seed = 0x50a11) ?(phase_ns = default_phase_ns) () =
   let base_tracker = tracker_entries () in
   let base_blocks, base_bytes = K.Kmem.outstanding () in
-  (* --- devices: the fleet on bus 01.., the classic four on bus 00 --- *)
+  (* --- devices: the fleet ports from slot 00:00.0 up, then the
+     classic four (see {!Rig}) --- *)
   let fleet = max 2 fleet in
-  let links =
-    List.init fleet (fun i ->
-        let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
-        ignore
-          (E1000_drv.setup_device ~slot:(fleet_slot i)
-             ~mmio_base:(fleet_mmio i) ~irq:(fleet_irq i) ~mac:(fleet_mac i)
-             ~link ());
-        link)
-  in
-  let link100 = Hw.Link.create ~rate_bps:100_000_000 () in
-  ignore
-    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac
-       ~link:link100 ());
-  let ens_model =
-    Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 ()
-  in
-  let uhci_model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
-  let ps_model = Psmouse_drv.setup_device () in
+  let links = List.init fleet (fun port -> Rig.plug_e1000 ~port ()) in
+  let link100 = Rig.plug_8139too () in
+  let ens_model = Rig.plug_ens1371 () in
+  let uhci_model = Rig.plug_uhci () in
+  let ps_model = Rig.plug_psmouse () in
   in_thread (fun () ->
       ignore
         (List.init fleet (fun i ->
-             match
-               Driver_core.bind_device "e1000" ~dev:(fleet_slot i)
-                 ~mode:Driver_env.Decaf ()
-             with
-             | Ok id -> id
-             | Error rc -> K.Panic.bug "soak: fleet bind %d: %d" i rc));
+             Rig.ok "soak fleet bind"
+               (Driver_core.bind_device "e1000" ~dev:(Rig.port_slot i)
+                  ~mode:Driver_env.Decaf ())));
       List.iter
         (fun name ->
-          ok_or (name ^ " insmod") (Driver_core.insmod name ~mode:Driver_env.Decaf))
+          Rig.ok (name ^ " insmod")
+            (Driver_core.insmod name ~mode:Driver_env.Decaf))
         [ "8139too"; "ens1371"; "uhci-hcd"; "psmouse" ];
       let rtl = Option.get (Rtl8139_drv.active ()) in
-      ok_or "8139too open" (K.Netcore.open_dev (Rtl8139_drv.netdev rtl));
+      Rig.ok "8139too open" (K.Netcore.open_dev (Rtl8139_drv.netdev rtl));
 
       (* One phase: five concurrent traffic threads over the shared
          machine. Churn actions run inside the thread that owns the
@@ -191,7 +163,7 @@ let run ?(fleet = 3) ?(seed = 0x50a11) ?(phase_ns = default_phase_ns) () =
               8139too and fleet lines, gated through the fault engine *)
            let rec poke () =
              if K.Clock.now () < deadline then begin
-               let lines = 10 :: List.init fleet fleet_irq in
+               let lines = Rig.irq "8139too" :: List.init fleet Rig.port_irq in
                let irq = List.nth lines (rng () mod List.length lines) in
                if FI.fires ~site:"irq.spurious" FI.Spurious_irq then
                  K.Irq.raise_irq irq;
@@ -200,22 +172,12 @@ let run ?(fleet = 3) ?(seed = 0x50a11) ?(phase_ns = default_phase_ns) () =
            in
            ignore (K.Clock.after 1_000_000 poke));
         let done_count = ref 0 in
-        let want = ref 0 in
-        (* DECAF_SOAK_THREADS=soak-fleet,soak-audio,... restricts the
-           run to a subset of the traffic threads — a bisection knob for
-           debugging a soak regression, not a measurement mode *)
+        let want = 5 (* the traffic threads spawned below *) in
         let spawn name f =
-          match Sys.getenv_opt "DECAF_SOAK_THREADS" with
-          | Some allow
-            when not
-                   (List.mem name (String.split_on_char ',' allow)) ->
-              ()
-          | _ ->
-              incr want;
-              ignore
-                (K.Sched.spawn ~name (fun () ->
-                     f ();
-                     incr done_count))
+          ignore
+            (K.Sched.spawn ~name (fun () ->
+                 f ();
+                 incr done_count))
         in
         (* fleet: bursty heavy-tailed vswitch flows; in churn, hotplug
            storms on ports >= 1 and suspend/resume on instance 0 ride
@@ -227,7 +189,7 @@ let run ?(fleet = 3) ?(seed = 0x50a11) ?(phase_ns = default_phase_ns) () =
                 List.concat
                   (List.mapi
                      (fun i link ->
-                       match E1000_drv.netdev_at ~slot:(fleet_slot i) with
+                       match E1000_drv.netdev_at ~slot:(Rig.port_slot i) with
                        | Some nd ->
                            if not (K.Netcore.is_up nd) then
                              ignore (K.Netcore.open_dev nd);
@@ -247,28 +209,8 @@ let run ?(fleet = 3) ?(seed = 0x50a11) ?(phase_ns = default_phase_ns) () =
                 match !step mod 3 with
                 | 0 ->
                     (* hotplug storm: surprise-remove a port, replug it *)
-                    let k = 1 + (rng () mod (fleet - 1)) in
-                    (match
-                       List.find_opt
-                         (fun d -> K.Pci.slot d = fleet_slot k)
-                         (K.Pci.devices ())
-                     with
-                    | Some d ->
-                        K.Pci.remove_device d;
-                        K.Sched.sleep_ns 500_000;
-                        K.Pci.add_device
-                          (K.Pci.make_dev ~slot:(fleet_slot k) ~vendor:0x8086
-                             ~device:0x100e ~irq_line:(fleet_irq k)
-                             ~bars:
-                               [
-                                 {
-                                   K.Pci.kind = K.Pci.Mmio_bar;
-                                   base = fleet_mmio k;
-                                   len = 0x20000;
-                                 };
-                               ]
-                             ())
-                    | None -> ())
+                    let port = 1 + (rng () mod (fleet - 1)) in
+                    Rig.replug_e1000 ~port ~gap_ns:500_000 ()
                 | 1 ->
                     (* power-management cycle on the lead instance *)
                     (match Driver_core.suspend "e1000" with
@@ -342,11 +284,11 @@ let run ?(fleet = 3) ?(seed = 0x50a11) ?(phase_ns = default_phase_ns) () =
               if churn && !step mod 4 = 0 then begin
                 Driver_core.eject "psmouse";
                 K.Clock.track_drain "input.event";
-                ok_or "psmouse reinsmod"
+                Rig.ok "psmouse reinsmod"
                   (Driver_core.insmod "psmouse" ~mode:Driver_env.Decaf)
               end
             done);
-        while !done_count < !want do
+        while !done_count < want do
           K.Sched.sleep_ns 1_000_000
         done;
         if churn then FI.disarm ();

@@ -167,6 +167,41 @@ let test_faultcampaign_report_shape () =
     && Testutil.contains rendered "degraded"
     && Testutil.contains rendered "Acceptance: OK")
 
+(* --- The campaign trial harness: both outcomes of its catch-all --- *)
+
+module Supervisor = Decaf_runtime.Supervisor
+
+(* The supervisor re-raises a kernel bug, so it escapes the episode; the
+   harness counts it instead of crashing the campaign. *)
+let test_trial_kernel_bug () =
+  let r =
+    E.Trial.run ~seed:1 "e1000"
+      (E.Trial.After (fun () -> Decaf_kernel.Panic.bug "trial test"))
+  in
+  check "kernel bug counted" 1 r.E.Trial.kernel_bugs;
+  check_bool "episode did not finish" false r.E.Trial.finished
+
+(* A driver fault stays inside the supervisor: one restart re-runs the
+   episode, which then finishes. *)
+let test_trial_driver_fault () =
+  let thrown = ref false in
+  let r =
+    E.Trial.run ~seed:1 "e1000"
+      (E.Trial.After
+         (fun () ->
+           if not !thrown then begin
+             thrown := true;
+             Decaf_runtime.Errors.throw ~driver:"e1000"
+               ~errno:Decaf_runtime.Errors.eio "trial test"
+           end))
+  in
+  let st = Supervisor.stats r.E.Trial.supervisor in
+  check "no kernel bug" 0 r.E.Trial.kernel_bugs;
+  check "detected" 1 st.Supervisor.detected;
+  check "recovered" 1 st.Supervisor.recovered;
+  check "restarts" 1 st.Supervisor.restarts;
+  check_bool "episode finished" true r.E.Trial.finished
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_experiments"
@@ -191,4 +226,9 @@ let () =
           tc "violation spread" test_casestudy_violation_kinds;
         ] );
       ("faultcampaign", [ tc "report shape" test_faultcampaign_report_shape ]);
+      ( "trial",
+        [
+          tc "a kernel bug is counted" test_trial_kernel_bug;
+          tc "a driver fault is recovered" test_trial_driver_fault;
+        ] );
     ]

@@ -206,7 +206,7 @@ let setup_e1000 () =
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
-       ~mac:Scenario.mac ~link ());
+       ~mac:Decaf_workloads.Rig.mac ~link ());
   link
 
 let insmod_ok name =

@@ -130,6 +130,31 @@ let test_json_roundtrip () =
   check_bool "rows survive the round trip" true
     (s.E.Soak.rows = s'.E.Soak.rows)
 
+(* A baseline header missing its seed is rejected: the gate must not
+   re-measure at the default seed and compare against another run. *)
+let test_json_missing_seed_rejected () =
+  let s =
+    {
+      E.Soak.duration_ns = 1_000_000;
+      fleet = 2;
+      seed = 7;
+      rows = [ row 1_000 ];
+      steady_misses = 0;
+      churn_misses = 0;
+      audio_periods = 1;
+      packets = 1;
+      leaked_entries = 0;
+      leaked_bytes = 0;
+    }
+  in
+  Alcotest.check_raises "line 1 names the missing key"
+    (E.Jsonl.Missing_key { line = 1; key = "seed" })
+    (fun () ->
+      ignore
+        (E.Soak.of_json
+           (Testutil.replace (E.Soak.to_json s) ~needle:"\"seed\":7,"
+              ~replacement:"")))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_soak"
@@ -146,5 +171,10 @@ let () =
           tc "absolute floor" test_compare_absolute_floor;
           tc "disappeared path" test_compare_disappeared_path;
         ] );
-      ("json", [ tc "round trip" test_json_roundtrip ]);
+      ( "json",
+        [
+          tc "round trip" test_json_roundtrip;
+          tc "a header missing seed is rejected"
+            test_json_missing_seed_rejected;
+        ] );
     ]

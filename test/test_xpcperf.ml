@@ -208,40 +208,40 @@ let test_cell_ignores_history () =
   Alcotest.(check (list (pair int int)))
     "same per-shard lookups and hits" a_shards a'_shards
 
+let sample scenario batching delta workers =
+  {
+    E.Xpcperf.scenario;
+    config =
+      {
+        E.Xpcperf.batching;
+        delta;
+        workers;
+        guard = workers < 4;
+        ring = workers >= 4;
+        instances = 1;
+      };
+    crossings = 123;
+    c_java = 45;
+    bytes = 6789;
+    posted = 10;
+    delivered = 10;
+    flushes = 3;
+    doorbells = 2;
+    ring_produced = 64;
+    ring_drops = 1;
+    xpc_ns = 250_000;
+    lock_contended = 7;
+    lock_wait_ns = 12_500;
+    shard_hits = 90;
+    shards_used = 5;
+    perf_milli = 987_654;
+    perf_unit = "Mb/s";
+    fair_min_milli = 0;
+    fair_mean_milli = 0;
+    fair_max_milli = 0;
+  }
+
 let test_json_roundtrip () =
-  let sample scenario batching delta workers =
-    {
-      E.Xpcperf.scenario;
-      config =
-        {
-          E.Xpcperf.batching;
-          delta;
-          workers;
-          guard = workers < 4;
-          ring = workers >= 4;
-          instances = 1;
-        };
-      crossings = 123;
-      c_java = 45;
-      bytes = 6789;
-      posted = 10;
-      delivered = 10;
-      flushes = 3;
-      doorbells = 2;
-      ring_produced = 64;
-      ring_drops = 1;
-      xpc_ns = 250_000;
-      lock_contended = 7;
-      lock_wait_ns = 12_500;
-      shard_hits = 90;
-      shards_used = 5;
-      perf_milli = 987_654;
-      perf_unit = "Mb/s";
-      fair_min_milli = 0;
-      fair_mean_milli = 0;
-      fair_max_milli = 0;
-    }
-  in
   let samples =
     [
       sample "e1000-netperf-send" false false 1;
@@ -255,25 +255,21 @@ let test_json_roundtrip () =
     duration_ns;
   check_bool "samples survive verbatim" true (parsed = samples)
 
-let test_json_pre_worker_compat () =
-  (* A trajectory line from before the worker axis: no workers field, no
-     dispatch/lock/shard counters. Must parse as workers = 1. *)
-  let line =
-    "{\"scenario\":\"e1000-netperf-send\",\"batching\":1,\"delta\":1,\"crossings\":52,\"c_java\":18,\"bytes\":7928,\"posted\":40,\"delivered\":40,\"flushes\":6,\"perf_milli\":996947,\"perf_unit\":\"Mb/s\"}"
+(* A baseline line missing a key is rejected, never read with a
+   default: a defaulted perf_milli of 0 used to switch that cell's perf
+   gate off. *)
+let test_json_missing_key_rejected () =
+  let text =
+    E.Xpcperf.to_json ~duration_ns:300_000_000
+      [ sample "e1000-netperf-send" false false 1 ]
   in
-  match E.Xpcperf.of_json line with
-  | _, [ s ] ->
-      Alcotest.(check int) "workers defaults to 1" 1 s.E.Xpcperf.config.workers;
-      check_bool "guard defaults to true" true s.E.Xpcperf.config.guard;
-      check_bool "ring defaults to false" false s.E.Xpcperf.config.ring;
-      Alcotest.(check int) "crossings parsed" 52 s.E.Xpcperf.crossings;
-      Alcotest.(check int) "missing counters default to 0" 0
-        s.E.Xpcperf.xpc_ns;
-      Alcotest.(check int) "missing doorbells default to 0" 0
-        s.E.Xpcperf.doorbells;
-      Alcotest.(check int) "missing instances default to 1" 1
-        s.E.Xpcperf.config.instances
-  | _ -> Alcotest.fail "pre-worker line did not parse as one sample"
+  Alcotest.check_raises "line 2 names the missing key"
+    (E.Jsonl.Missing_key { line = 2; key = "perf_milli" })
+    (fun () ->
+      ignore
+        (E.Xpcperf.of_json
+           (Testutil.replace text ~needle:"\"perf_milli\":987654,"
+              ~replacement:"")))
 
 (* The committed soak trajectory: the same 5% p99 diff that runs as the
    @soak-smoke alias, exercised here so the two bench regression gates
@@ -314,8 +310,8 @@ let () =
             test_cell_ignores_history;
           Alcotest.test_case "trajectory json roundtrip" `Quick
             test_json_roundtrip;
-          Alcotest.test_case "pre-worker trajectory parses" `Quick
-            test_json_pre_worker_compat;
+          Alcotest.test_case "a line missing perf_milli is rejected" `Quick
+            test_json_missing_key_rejected;
           Alcotest.test_case "soak trajectory gate holds" `Quick
             test_soak_trajectory_gate;
         ] );
