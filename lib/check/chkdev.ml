@@ -50,6 +50,7 @@ type dev = {
   d_irq : int;
   d_lock : K.Sync.Spinlock.t;
   mutable d_count : int;
+  d_count_trace : K.Ktrace.obj;  (* Var "<d_id>.count", built once *)
   d_lo_a : K.Sync.Combolock.t;
   d_lo_b : K.Sync.Combolock.t;
   d_ring : Xpc.Ring.t option;
@@ -75,12 +76,12 @@ let irq_of_id id = irq_base + instance_index id
 let bump d =
   K.Sync.Spinlock.lock_irqsave d.d_lock;
   d.d_count <- d.d_count + 1;
-  K.Ktrace.note_var (d.d_id ^ ".count") K.Ktrace.Write;
+  K.Ktrace.note d.d_count_trace K.Ktrace.Write;
   K.Sync.Spinlock.unlock_irqrestore d.d_lock
 
 let read_count d =
   K.Sync.Spinlock.lock_irqsave d.d_lock;
-  K.Ktrace.note_var (d.d_id ^ ".count") K.Ktrace.Read;
+  K.Ktrace.note d.d_count_trace K.Ktrace.Read;
   let v = d.d_count in
   K.Sync.Spinlock.unlock_irqrestore d.d_lock;
   v
@@ -165,6 +166,7 @@ module Core : Driver_core.DRIVER with type t = dev = struct
         d_irq = irq_of_id id;
         d_lock = K.Sync.Spinlock.create ~name:id ();
         d_count = 0;
+        d_count_trace = K.Ktrace.Var (id ^ ".count");
         d_lo_a = K.Sync.Combolock.create ~name:(id ^ "-A") ();
         d_lo_b = K.Sync.Combolock.create ~name:(id ^ "-B") ();
         d_ring = ring;

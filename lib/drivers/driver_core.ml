@@ -94,6 +94,7 @@ type binding = {
   b_name : string;
   b_instance : int;
   b_id : string;
+  b_trace : K.Ktrace.obj;  (** "binding:<b_id>", built once *)
   b_bus : K.Hotplug.bus;
   b_ids : (int * int) list;
   mutable b_dev : string option;
@@ -141,7 +142,7 @@ let transition b to_ =
      by the FSM, so the exploration harness only needs the dependency
      (concurrent lifecycle ops on one binding do not commute), not a
      lockset obligation the registry's cooperative callers never had. *)
-  K.Ktrace.note (K.Ktrace.Queue ("binding:" ^ b.b_id)) K.Ktrace.Signal;
+  K.Ktrace.note b.b_trace K.Ktrace.Signal;
   b.state <- to_
 
 let set_disabled b = if b.state <> Disabled then transition b Disabled
@@ -319,6 +320,7 @@ let register (Pack (module D) as p) =
       b_name = D.name;
       b_instance = 0;
       b_id = D.name;
+      b_trace = K.Ktrace.Queue ("binding:" ^ D.name);
       b_bus = D.bus;
       b_ids = D.ids;
       b_dev = None;
@@ -394,11 +396,13 @@ let bind_device name ?dev ~mode () =
         let inst =
           1 + List.fold_left (fun acc b -> max acc b.b_instance) 0 fam
         in
+        let id = Printf.sprintf "%s#%d" proto.b_name inst in
         let b =
           {
             proto with
             b_instance = inst;
-            b_id = Printf.sprintf "%s#%d" proto.b_name inst;
+            b_id = id;
+            b_trace = K.Ktrace.Queue ("binding:" ^ id);
             b_dev = None;
             meter =
               { m_upcalls = 0; m_downcalls = 0; m_notifies = 0;

@@ -31,6 +31,8 @@ let rctl_en = 0x02
 let tctl_en = 0x02
 let n_tx_desc = 256
 let n_rx_desc = 256
+let net_tx = K.Latency.path "net.tx"
+let net_rx = K.Latency.path "net.rx"
 
 type t = {
   irq_line : int;
@@ -186,7 +188,7 @@ let write t off (_w : Io.width) v =
 
 let on_rx t frame =
   if t.rctl land rctl_en <> 0 && Queue.length t.rx_fifo < n_rx_desc then begin
-    Queue.push (frame, K.Clock.track "net.rx") t.rx_fifo;
+    Queue.push (frame, K.Clock.track net_rx) t.rx_fifo;
     t.rx_count <- t.rx_count + 1;
     assert_cause t icr_rxt0
   end
@@ -234,7 +236,7 @@ let create ~mmio_base ~irq ~device_id ~mac ~link =
   t
 
 let destroy t = Option.iter Io.release t.region
-let stage_tx t frame = Queue.push (frame, K.Clock.track "net.tx") t.tx_staged
+let stage_tx t frame = Queue.push (frame, K.Clock.track net_tx) t.tx_staged
 let take_rx t = Queue.take_opt t.rx_fifo
 let rx_pending t = Queue.length t.rx_fifo
 let phy t = t.phy

@@ -10,6 +10,7 @@ let reg_pos = 0x2c
 let ctrl_dac2_en = 1 lsl 5
 let status_intr = 1 lsl 31
 let status_dac2 = 1 lsl 1
+let audio_period = K.Latency.path "audio.period"
 
 type t = {
   irq_line : int;
@@ -54,7 +55,7 @@ and on_period t =
     (* period-tick birth: completed when the driver services the period
        (Sndcore.period_elapsed) — the latency against [period_ns] is the
        deadline margin *)
-    K.Clock.track_begin "audio.period";
+    K.Clock.track_begin audio_period;
     K.Irq.raise_irq t.irq_line;
     schedule_tick t
   end

@@ -1,6 +1,7 @@
 module K = Decaf_kernel
 module Io = K.Io
 
+let input_event = K.Latency.path "input.event"
 let data_port = 0x60
 let status_port = 0x64
 let status_obf = 0x01
@@ -142,7 +143,7 @@ let move t ~dx ~dy ~buttons =
     t.packets <- t.packets + 1;
     (* one motion = one 3-byte packet = one input event: the birth is
        completed when the driver's sync reaches the input core *)
-    K.Clock.track_begin "input.event";
+    K.Clock.track_begin input_event;
     queue_bytes t [ flags; dx land 0xff; dy land 0xff ]
   end
 

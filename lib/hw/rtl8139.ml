@@ -23,6 +23,8 @@ let n_tx_desc = 4
 let tsd_own = 0x2000
 let tsd_tok = 0x8000
 let rx_fifo_max = 64
+let net_tx = K.Latency.path "net.tx"
+let net_rx = K.Latency.path "net.rx"
 
 type t = {
   irq_line : int;
@@ -137,7 +139,7 @@ let on_rx t frame =
     if Queue.length t.rx_fifo >= rx_fifo_max then
       assert_status t isr_rx_overflow
     else begin
-      Queue.push (frame, K.Clock.track "net.rx") t.rx_fifo;
+      Queue.push (frame, K.Clock.track net_rx) t.rx_fifo;
       t.rx_count <- t.rx_count + 1;
       assert_status t isr_rok
     end
@@ -176,7 +178,7 @@ let create ~io_base ~irq ~mac ~link =
 
 let destroy t = Option.iter Io.release t.region
 let stage_tx_buffer t n frame =
-  t.tx_staged.(n) <- Some (frame, K.Clock.track "net.tx")
+  t.tx_staged.(n) <- Some (frame, K.Clock.track net_tx)
 
 let take_rx t = Queue.take_opt t.rx_fifo
 

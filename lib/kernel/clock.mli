@@ -53,44 +53,45 @@ val advance_to_next_event : unit -> bool
 
 val reset : unit -> unit
 (** Reboot: clear all events, return to time 0, zero the busy counter,
-    drop all in-flight tracked events and registered latency paths. Ids
-    from a previous life stop being pending, so they can never cancel
-    this life's events. *)
+    drop all in-flight tracked events and empty every latency path
+    ({!Latency.reset}). Ids from a previous life stop being pending, so
+    they can never cancel this life's events. *)
 
 (** {2 Tracked events}
 
     A tracked event pairs a birth stamp with a completion stamp; the
-    elapsed virtual time is recorded into the per-path histogram
-    registry ({!Latency}). *)
+    elapsed virtual time is recorded into the path's histogram
+    ({!Latency.observe_at}). Producers resolve their {!Latency.path}
+    once; FIFO keys are strings. *)
 
 type track
 (** An explicit birth stamp bound to a path. *)
 
-val track : string -> track
+val track : Latency.path -> track
 (** [track path] stamps the birth of one event on [path]. *)
 
 val complete : track -> int
 (** Stamp completion: records now - birth into [path]'s histogram and
     returns the elapsed nanoseconds. *)
 
-val track_begin : ?key:string -> string -> unit
+val track_begin : ?key:string -> Latency.path -> unit
 (** FIFO-paired birth stamp for pipelines that preserve order but lose
     identity (a NIC rx fifo, the mouse byte stream). [key] selects the
-    FIFO (default: the path itself), so several instances can share one
+    FIFO (default: the path's name), so several instances can share one
     histogram path without interleaving their pairings. Each FIFO is
     bounded; past the bound the oldest birth is discarded. *)
 
-val track_end : ?key:string -> string -> int option
+val track_end : ?key:string -> Latency.path -> int option
 (** Complete the oldest outstanding birth on [key]: records into
     [path]'s histogram and returns the elapsed ns, or [None] when no
     birth is outstanding (a no-op, so completion points are safe to run
     against producers that never stamped). *)
 
-val track_discard : ?key:string -> string -> unit
+val track_discard : ?key:string -> Latency.path -> unit
 (** Drop the oldest outstanding birth without recording (the paired
     item was itself dropped). *)
 
-val track_drain : ?key:string -> string -> unit
+val track_drain : ?key:string -> Latency.path -> unit
 (** Drop every outstanding birth for the key (hotplug killed the
     producer; completions after the replug must not pair with births
     from before it). *)

@@ -19,7 +19,13 @@ type injection = {
 }
 
 type armed = { spec : spec; mutable matched : int }
-type plan = { rng : Random.State.t; specs : armed list }
+type plan = {
+  rng : Random.State.t;
+  specs : armed list;
+  read_sites : string list;
+      (* sites with a read-fault spec: [filter_read] returns at once for
+         any other site, drawing nothing, as the full match would *)
+}
 
 let plan_v : plan option ref = ref None
 let injected = ref 0
@@ -36,12 +42,20 @@ let kind_name = function
 
 let spec ?addr ~site ~kind ~trigger () = { site; addr; kind; trigger }
 
+let read_fault = function
+  | Stuck_ones | Stuck_zero | Bad_read -> true
+  | Alloc_fail | Xpc_timeout | Spurious_irq | Link_flap -> false
+
 let arm ~seed specs =
   plan_v :=
     Some
       {
         rng = Random.State.make [| seed |];
         specs = List.map (fun s -> { spec = s; matched = 0 }) specs;
+        read_sites =
+          List.filter_map
+            (fun s -> if read_fault s.kind then Some s.site else None)
+            specs;
       };
   injected := 0;
   log_v := []
@@ -96,6 +110,7 @@ let flip_bit p v = v lxor (1 lsl Random.State.int p.rng 8)
 let filter_read ~site ~addr v =
   match !plan_v with
   | None -> v
+  | Some p when not (List.mem site p.read_sites) -> v
   | Some p ->
       let apply v k =
         if fires ~site ~addr k then

@@ -23,6 +23,8 @@ let unregister d =
 let name d = d.name
 let set_handler d f = d.handler <- Some f
 
+let input_event = Latency.path "input.event"
+
 let emit d ev =
   d.events <- d.events + 1;
   (match d.handler with Some f -> f ev | None -> ());
@@ -30,7 +32,7 @@ let emit d ev =
      birth when the user motion reaches the device); no-op when nothing
      was stamped. *)
   match ev with
-  | Sync_report -> ignore (Clock.track_end "input.event")
+  | Sync_report -> ignore (Clock.track_end input_event)
   | Rel _ | Key _ -> ()
 
 let report_rel d ~dx ~dy = emit d (Rel (dx, dy))

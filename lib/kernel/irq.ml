@@ -19,10 +19,11 @@ type line = {
          or a fleet of devices asserting during long irq-masked windows
          schedules one retry chain per assertion and the event queue
          grows with traffic instead of with line count *)
-  mutable born : int option;
-      (* birth stamp of the oldest undelivered assertion: re-assertions
-         while pending coalesce onto it, so the recorded raise-to-entry
-         latency covers the full masked window, not the last re-raise *)
+  mutable born : int;
+      (* birth stamp of the oldest undelivered assertion, -1 when none:
+         re-assertions while pending coalesce onto it, so the recorded
+         raise-to-entry latency covers the full masked window, not the
+         last re-raise *)
 }
 
 let fresh_line () =
@@ -33,10 +34,12 @@ let fresh_line () =
     delivered = 0;
     queued = false;
     retry_armed = false;
-    born = None;
+    born = -1;
   }
 
 let lines = Array.init nr_irqs (fun _ -> fresh_line ())
+let traces = Array.init nr_irqs (fun n -> Ktrace.Irq_line n)
+let latency = Latency.path "irq"
 let spurious_count = ref 0
 
 let check n =
@@ -45,7 +48,7 @@ let check n =
 
 let request_irq n ~name handler =
   let l = check n in
-  Ktrace.note (Ktrace.Irq_line n) Ktrace.Write;
+  Ktrace.note traces.(n) Ktrace.Write;
   (match l.handler with
   | Some (owner, _) -> Panic.bug "irq %d already claimed by %s" n owner
   | None -> ());
@@ -53,12 +56,12 @@ let request_irq n ~name handler =
 
 let free_irq n =
   let l = check n in
-  Ktrace.note (Ktrace.Irq_line n) Ktrace.Write;
+  Ktrace.note traces.(n) Ktrace.Write;
   l.handler <- None;
   l.pending <- false;
   l.queued <- false;
   l.retry_armed <- false;
-  l.born <- None
+  l.born <- -1
 
 let cpu_can_take_irq () = not (Sched.irqs_masked () || Sched.in_interrupt ())
 
@@ -94,16 +97,15 @@ let rec try_deliver n =
       match l.handler with
       | Some (_, handler) ->
           l.delivered <- l.delivered + 1;
-          Ktrace.note (Ktrace.Irq_line n) Ktrace.Wait;
+          Ktrace.note traces.(n) Ktrace.Wait;
           Sched.enter_interrupt ();
           Clock.consume Cost.current.irq_dispatch_ns;
           (* handler entry: the raise-to-entry timeline includes the
              dispatch cost and any masked/backlogged wait *)
-          (match l.born with
-          | Some b ->
-              l.born <- None;
-              Latency.observe_path "irq" (max 0 (Clock.now () - b))
-          | None -> ());
+          if l.born >= 0 then begin
+            Latency.observe_at latency (max 0 (Clock.now () - l.born));
+            l.born <- -1
+          end;
           (match handler () with
           | () -> Sched.exit_interrupt ()
           | exception e ->
@@ -140,23 +142,23 @@ let () = Sched.set_irq_window_hook drain_backlog
 
 let raise_irq n =
   let l = check n in
-  Ktrace.note (Ktrace.Irq_line n) Ktrace.Signal;
+  Ktrace.note traces.(n) Ktrace.Signal;
   if l.handler = None then incr spurious_count
   else begin
-    if l.born = None then l.born <- Some (Clock.now ());
+    if l.born < 0 then l.born <- Clock.now ();
     l.pending <- true;
     try_deliver n
   end
 
 let disable_irq n =
   let l = check n in
-  Ktrace.note (Ktrace.Irq_line n) Ktrace.Write;
+  Ktrace.note traces.(n) Ktrace.Write;
   l.disable_depth <- l.disable_depth + 1
 
 let enable_irq n =
   let l = check n in
   if l.disable_depth = 0 then Panic.bug "enable_irq %d: not disabled" n;
-  Ktrace.note (Ktrace.Irq_line n) Ktrace.Write;
+  Ktrace.note traces.(n) Ktrace.Write;
   l.disable_depth <- l.disable_depth - 1;
   if l.disable_depth = 0 then try_deliver n
 

@@ -49,8 +49,10 @@ let active () = !hook <> None
 let set_hook f = hook := Some f
 let clear_hook () = hook := None
 
+(* Every caller passes an object its owner built once (a lock, waitq,
+   irq line, ring, batch queue, channel or binding), so a note with no
+   hook allocates nothing. *)
 let note o a = match !hook with Some f -> f o a | None -> ()
-let note_var name a = note (Var name) a
 
 (* Creation-time stamps for lock identity; never reset — only
    within-execution uniqueness matters and the counter cannot wrap in

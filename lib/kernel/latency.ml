@@ -131,27 +131,61 @@ let merged ts =
   List.iter (fun src -> merge ~into:t src) ts;
   t
 
-(* --- the path registry ------------------------------------------------
+(* --- event paths --------------------------------------------------
 
    One histogram per named event path ("irq", "xpc.dispatch", "net.rx",
-   ...), created on first use. Clock.reset clears the registry, so every
-   boot starts with empty timelines. *)
+   ...). A producer resolves its path once, when its module initialises,
+   and records through the handle, so a sample costs no string hashing.
+   A path's histogram is allocated on its first observation and reused
+   for the life of the process: [reset] zeroes it in place and unlists
+   the path until it is observed again, so every boot starts with empty
+   timelines. *)
 
-let registry : (string, t) Hashtbl.t = Hashtbl.create 16
+type path = { p_name : string; mutable hist : t option; mutable listed : bool }
 
-let get path =
-  match Hashtbl.find_opt registry path with
-  | Some t -> t
+let interned : (string, path) Hashtbl.t = Hashtbl.create 16
+
+let path name =
+  match Hashtbl.find_opt interned name with
+  | Some p -> p
   | None ->
-      let t = create () in
-      Hashtbl.replace registry path t;
-      t
+      let p = { p_name = name; hist = None; listed = false } in
+      Hashtbl.replace interned name p;
+      p
 
-let observe_path path v = observe (get path) v
-let find path = Hashtbl.find_opt registry path
+let name p = p.p_name
+
+let list p =
+  p.listed <- true;
+  match p.hist with
+  | Some h -> h
+  | None ->
+      let h = create () in
+      p.hist <- Some h;
+      h
+
+let observe_at p v =
+  match p.hist with
+  | Some h when p.listed -> observe h v
+  | _ -> observe (list p) v
+
+let find name =
+  match Hashtbl.find_opt interned name with
+  | Some { listed = true; hist; _ } -> hist
+  | _ -> None
 
 let paths () =
-  Hashtbl.fold (fun k _ acc -> k :: acc) registry [] |> List.sort compare
+  Hashtbl.fold (fun k p acc -> if p.listed then k :: acc else acc) interned []
+  |> List.sort compare
 
-let clear_paths () = Hashtbl.iter (fun _ t -> clear t) registry
-let reset () = Hashtbl.reset registry
+let clear_paths () =
+  Hashtbl.iter (fun _ p -> if p.listed then Option.iter clear p.hist) interned
+
+let reset () =
+  Hashtbl.iter
+    (fun _ p ->
+      if p.listed then begin
+        p.listed <- false;
+        Option.iter clear p.hist
+      end)
+    interned

@@ -1,4 +1,4 @@
-(** Fixed-bucket log-linear latency histograms and the per-path registry.
+(** Fixed-bucket log-linear latency histograms and named event paths.
 
     Values are integer nanoseconds. The layout is 64 exact unit buckets
     for [0, 64), then one octave per power of two, each split into 64
@@ -49,20 +49,35 @@ val bucket_index : int -> int
 val bucket_bounds : int -> int * int
 (** Inclusive [(low, high)] value range of a bucket index. *)
 
-(** {2 Path registry}
+(** {2 Event paths}
 
-    One histogram per named event path, created on first use. The
-    registry is cleared by [Clock.reset], so every boot starts with
-    empty timelines. *)
+    One histogram per named event path. A producer resolves its handle
+    once with {!path} and records through {!observe_at}, which hashes
+    nothing and allocates nothing after the path's first observation.
+    A path is listed by {!paths} and {!find} from its first observation
+    after a {!reset} until the next {!reset}; [Clock.reset] calls it, so
+    every boot starts with empty timelines. *)
 
-val get : string -> t
-val observe_path : string -> int -> unit
+type path
+
+val path : string -> path
+(** The handle for a path name; the same name always gives the same
+    handle. Interning allocates no histogram and lists nothing. *)
+
+val name : path -> string
+
+val observe_at : path -> int -> unit
+(** Record one sample on the path, listing it if it is not listed. *)
+
 val find : string -> t option
+(** The histogram of a listed path. *)
+
 val paths : unit -> string list
-(** Registered paths, sorted. *)
+(** Listed paths, sorted. *)
 
 val clear_paths : unit -> unit
-(** Zero every registered histogram, keeping the paths (phase windows). *)
+(** Zero every listed histogram, keeping the paths listed (phase
+    windows). *)
 
 val reset : unit -> unit
-(** Drop every registered path. *)
+(** Zero every histogram in place and unlist every path. *)

@@ -36,7 +36,10 @@ type t = {
   mutable rx_handler : (Skb.t -> unit) option;
 }
 
-let registry : t list ref = ref []
+(* Registered devices by name, so naming, the duplicate check and
+   lookup cost one probe each rather than a scan of a fleet-sized
+   registry. *)
+let registry : (string, t) Hashtbl.t = Hashtbl.create 64
 
 let create ~name ~mtu ops =
   {
@@ -63,8 +66,7 @@ let create ~name ~mtu ops =
 let alloc_name prefix =
   let rec scan n =
     let candidate = Printf.sprintf "%s%d" prefix n in
-    if List.exists (fun d -> d.name = candidate) !registry then scan (n + 1)
-    else candidate
+    if Hashtbl.mem registry candidate then scan (n + 1) else candidate
   in
   scan 0
 
@@ -73,13 +75,17 @@ let mtu d = d.mtu
 let stats d = d.stats
 
 let register_netdev d =
-  if List.exists (fun o -> o.name = d.name) !registry then
+  if Hashtbl.mem registry d.name then
     Panic.bug "netdev %s already registered" d.name;
-  registry := d :: !registry;
+  Hashtbl.replace registry d.name d;
   Klog.printk Klog.Info "net %s: registered" d.name
 
-let unregister_netdev d = registry := List.filter (fun o -> o != d) !registry
-let lookup name = List.find_opt (fun d -> d.name = name) !registry
+let unregister_netdev d =
+  match Hashtbl.find_opt registry d.name with
+  | Some o when o == d -> Hashtbl.remove registry d.name
+  | _ -> ()
+
+let lookup name = Hashtbl.find_opt registry name
 
 let open_dev d =
   match d.ops.ndo_open () with
@@ -110,4 +116,4 @@ let netif_queue_stopped d = d.tx_stopped
 let netif_carrier_on d = d.carrier <- true
 let netif_carrier_off d = d.carrier <- false
 let netif_carrier_ok d = d.carrier
-let reset () = registry := []
+let reset () = Hashtbl.reset registry

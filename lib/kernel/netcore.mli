@@ -12,7 +12,10 @@ module Skb : sig
   (** Allocate a buffer of the given length, zero-filled. *)
 
   val of_bytes : Bytes.t -> t
-  (** Wrap a received frame; the buffer is shared, not copied. *)
+  (** Wrap a buffer, shared rather than copied: a received frame, or a
+      traffic generator's payload reused for every message. Sharing is
+      safe because no driver or device model writes a frame after it is
+      handed over. *)
 end
 
 type stats = {

@@ -96,12 +96,14 @@ let pcm_write s n =
   done;
   s.appl_pos <- s.appl_pos + n
 
+let audio_period = Latency.path "audio.period"
+
 let period_elapsed s =
   s.hw_pos <- max s.hw_pos (s.ops.pcm_pointer ());
   (* period serviced: close the hardware period-tick timeline (no-op
      when the tick was not stamped, e.g. tests driving the core
      directly) *)
-  ignore (Clock.track_end "audio.period");
+  ignore (Clock.track_end audio_period);
   ignore (Sync.Waitq.wake_all s.writers)
 
 let reset () =

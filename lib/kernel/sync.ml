@@ -1,19 +1,22 @@
 module Waitq = struct
-  type t = { wq_tag : string; q : (unit -> unit) Queue.t }
+  type t = { trace : Ktrace.obj; q : (unit -> unit) Queue.t }
 
   let create ?(name = "waitq") () =
-    { wq_tag = Printf.sprintf "%s#%d" name (Ktrace.fresh_id ()); q = Queue.create () }
+    {
+      trace = Ktrace.Queue (Printf.sprintf "%s#%d" name (Ktrace.fresh_id ()));
+      q = Queue.create ();
+    }
 
   (* Two notes per wait: entry (ordering against a wake that would have
      been lost had it come earlier) and resumption (the happens-before
      edge from the wake that actually fired). *)
   let wait t =
-    Ktrace.note (Ktrace.Queue t.wq_tag) Ktrace.Wait;
+    Ktrace.note t.trace Ktrace.Wait;
     Sched.suspend ~register:(fun wake -> Queue.push wake t.q);
-    Ktrace.note (Ktrace.Queue t.wq_tag) Ktrace.Wait
+    Ktrace.note t.trace Ktrace.Wait
 
   let wake_one t =
-    Ktrace.note (Ktrace.Queue t.wq_tag) Ktrace.Signal;
+    Ktrace.note t.trace Ktrace.Signal;
     match Queue.take_opt t.q with
     | Some wake ->
         wake ();
@@ -21,7 +24,7 @@ module Waitq = struct
     | None -> false
 
   let wake_all t =
-    Ktrace.note (Ktrace.Queue t.wq_tag) Ktrace.Signal;
+    Ktrace.note t.trace Ktrace.Signal;
     let n = Queue.length t.q in
     Queue.iter (fun wake -> wake ()) t.q;
     Queue.clear t.q;
@@ -33,7 +36,7 @@ end
 module Spinlock = struct
   type t = {
     name : string;
-    tag : string;  (** trace identity: "spin:name#id" *)
+    trace : Ktrace.obj;  (** trace identity: "spin:name#id" *)
     mutable held : bool;
     mutable irqsave : bool;
   }
@@ -41,7 +44,7 @@ module Spinlock = struct
   let create ?(name = "spinlock") () =
     {
       name;
-      tag = Printf.sprintf "spin:%s#%d" name (Ktrace.fresh_id ());
+      trace = Ktrace.Lock (Printf.sprintf "spin:%s#%d" name (Ktrace.fresh_id ()));
       held = false;
       irqsave = false;
     }
@@ -52,11 +55,11 @@ module Spinlock = struct
     Sched.spin_acquire ();
     Clock.consume Cost.current.spinlock_ns;
     l.held <- true;
-    Ktrace.note (Ktrace.Lock l.tag) Ktrace.Acquire
+    Ktrace.note l.trace Ktrace.Acquire
 
   let unlock l =
     if not l.held then Panic.bug "spinlock %s: unlock while not held" l.name;
-    Ktrace.note (Ktrace.Lock l.tag) Ktrace.Release;
+    Ktrace.note l.trace Ktrace.Release;
     l.held <- false;
     Sched.spin_release ()
 
@@ -88,7 +91,7 @@ end
 module Semaphore = struct
   type t = {
     name : string;
-    sem_tag : string;
+    sem_trace : Ktrace.obj;
     mutable count : int;
     waitq : Waitq.t;
   }
@@ -96,7 +99,8 @@ module Semaphore = struct
   let create ?(name = "sem") count =
     {
       name;
-      sem_tag = Printf.sprintf "sem:%s#%d" name (Ktrace.fresh_id ());
+      sem_trace =
+        Ktrace.Queue (Printf.sprintf "sem:%s#%d" name (Ktrace.fresh_id ()));
       count;
       waitq = Waitq.create ~name ();
     }
@@ -107,7 +111,7 @@ module Semaphore = struct
      and lock-order checks see the logical lock, not its plumbing. *)
   let down s =
     Sched.assert_may_block ("down on semaphore " ^ s.name);
-    Ktrace.note (Ktrace.Queue s.sem_tag) Ktrace.Wait;
+    Ktrace.note s.sem_trace Ktrace.Wait;
     Clock.consume Cost.current.semaphore_ns;
     while s.count = 0 do
       Waitq.wait s.waitq
@@ -115,7 +119,7 @@ module Semaphore = struct
     s.count <- s.count - 1
 
   let up s =
-    Ktrace.note (Ktrace.Queue s.sem_tag) Ktrace.Signal;
+    Ktrace.note s.sem_trace Ktrace.Signal;
     s.count <- s.count + 1;
     ignore (Waitq.wake_one s.waitq)
 
@@ -123,12 +127,12 @@ module Semaphore = struct
 end
 
 module Mutex = struct
-  type t = { sem : Semaphore.t; tag : string; mutable owner : string option }
+  type t = { sem : Semaphore.t; trace : Ktrace.obj; mutable owner : string option }
 
   let create ?(name = "mutex") () =
     {
       sem = Semaphore.create ~name 1;
-      tag = Printf.sprintf "mutex:%s#%d" name (Ktrace.fresh_id ());
+      trace = Ktrace.Lock (Printf.sprintf "mutex:%s#%d" name (Ktrace.fresh_id ()));
       owner = None;
     }
 
@@ -138,12 +142,12 @@ module Mutex = struct
         (Sched.current_name ());
     Semaphore.down m.sem;
     m.owner <- Some (Sched.current_name ());
-    Ktrace.note (Ktrace.Lock m.tag) Ktrace.Acquire
+    Ktrace.note m.trace Ktrace.Acquire
 
   let unlock m =
     if m.owner = None then
       Panic.bug "mutex %s: unlock while not held" m.sem.Semaphore.name;
-    Ktrace.note (Ktrace.Lock m.tag) Ktrace.Release;
+    Ktrace.note m.trace Ktrace.Release;
     m.owner <- None;
     Semaphore.up m.sem
 
@@ -195,7 +199,7 @@ module Combolock = struct
 
   type t = {
     name : string;
-    tag : string;  (** trace identity: "combo:name#id" *)
+    trace : Ktrace.obj;  (** trace identity: "combo:name#id" *)
     sem : Semaphore.t;
     mutable holder : holder;
     mutable user_waiters : int;
@@ -241,7 +245,7 @@ module Combolock = struct
   let create ?(name = "combolock") () =
     {
       name;
-      tag = Printf.sprintf "combo:%s#%d" name (Ktrace.fresh_id ());
+      trace = Ktrace.Lock (Printf.sprintf "combo:%s#%d" name (Ktrace.fresh_id ()));
       sem = Semaphore.create ~name 1;
       holder = No_one;
       user_waiters = 0;
@@ -277,7 +281,7 @@ module Combolock = struct
         l.holder <- Kernel_spin;
         l.stats.spin_acquires <- l.stats.spin_acquires + 1;
         totals_v.spin_acquires <- totals_v.spin_acquires + 1;
-        Ktrace.note (Ktrace.Lock l.tag) Ktrace.Acquire
+        Ktrace.note l.trace Ktrace.Acquire
     | Kernel_spin ->
         Panic.bug "combolock %s: kernel spin deadlock" l.name
     | No_one | Kernel_sem | User ->
@@ -294,16 +298,16 @@ module Combolock = struct
         end;
         sem_down l;
         l.holder <- Kernel_sem;
-        Ktrace.note (Ktrace.Lock l.tag) Ktrace.Acquire
+        Ktrace.note l.trace Ktrace.Acquire
 
   let unlock_kernel l =
     match l.holder with
     | Kernel_spin ->
-        Ktrace.note (Ktrace.Lock l.tag) Ktrace.Release;
+        Ktrace.note l.trace Ktrace.Release;
         l.holder <- No_one;
         Sched.spin_release ()
     | Kernel_sem ->
-        Ktrace.note (Ktrace.Lock l.tag) Ktrace.Release;
+        Ktrace.note l.trace Ktrace.Release;
         l.holder <- No_one;
         Semaphore.up l.sem
     | No_one | User ->
@@ -316,12 +320,12 @@ module Combolock = struct
     sem_down l;
     l.user_waiters <- l.user_waiters - 1;
     l.holder <- User;
-    Ktrace.note (Ktrace.Lock l.tag) Ktrace.Acquire
+    Ktrace.note l.trace Ktrace.Acquire
 
   let unlock_user l =
     match l.holder with
     | User ->
-        Ktrace.note (Ktrace.Lock l.tag) Ktrace.Release;
+        Ktrace.note l.trace Ktrace.Release;
         l.holder <- No_one;
         Semaphore.up l.sem
     | No_one | Kernel_spin | Kernel_sem ->

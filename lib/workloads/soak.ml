@@ -61,6 +61,7 @@ type result = {
 }
 
 let default_phase_ns = 2_000_000_000
+let input_event = K.Latency.path "input.event"
 
 let tracker_entries () =
   Xpc.Objtracker.count (Decaf_runtime.Runtime.kernel_tracker ())
@@ -283,7 +284,7 @@ let run ?(fleet = 3) ?(seed = 0x50a11) ?(phase_ns = default_phase_ns) () =
               incr step;
               if churn && !step mod 4 = 0 then begin
                 Driver_core.eject "psmouse";
-                K.Clock.track_drain "input.event";
+                K.Clock.track_drain input_event;
                 Rig.ok "psmouse reinsmod"
                   (Driver_core.insmod "psmouse" ~mode:Driver_env.Decaf)
               end

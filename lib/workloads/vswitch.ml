@@ -29,7 +29,11 @@ let app_cost bytes = K.Cost.current.syscall_ns + (bytes / 4)
    stall until the run ends and fairness collapses. With the grant, a
    sender that fires while the CPU is busy requeues itself at the grant
    time; simultaneous waiters fire in arrival order, so contended ports
-   round-robin and saturation shows up as uniform slowdown. *)
+   round-robin and saturation shows up as uniform slowdown.
+
+   Every message is sent from one payload allocated per run, as netperf
+   reuses its send buffer: nothing writes a frame after handing it over
+   (DESIGN §5). *)
 let run ~ports ~duration_ns ~msg_bytes =
   if ports = [] then invalid_arg "Vswitch.run: no ports";
   let t0 = K.Clock.now () in
@@ -43,6 +47,7 @@ let run ~ports ~duration_ns ~msg_bytes =
   let busy_backoff_ns = 100_000 in
   let cpu_free_at = ref 0 in
   let cost = app_cost msg_bytes in
+  let payload = Bytes.make msg_bytes '\000' in
   let rec send p () =
     if K.Clock.now () < deadline then
       if K.Netcore.is_up p.netdev then
@@ -51,7 +56,7 @@ let run ~ports ~duration_ns ~msg_bytes =
             ((msg_bytes + 20) * 8 * 1_000_000_000 / Hw.Link.rate_bps p.link)
         in
         match
-          K.Netcore.dev_queue_xmit p.netdev (K.Netcore.Skb.alloc msg_bytes)
+          K.Netcore.dev_queue_xmit p.netdev (K.Netcore.Skb.of_bytes payload)
         with
         | K.Netcore.Xmit_ok -> ignore (K.Clock.after gap (pump p))
         | K.Netcore.Xmit_busy -> ignore (K.Clock.after busy_backoff_ns (pump p))

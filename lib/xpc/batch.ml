@@ -32,6 +32,10 @@ let counters =
   }
 
 let queues : (Domain.t, item Queue.t) Hashtbl.t = Hashtbl.create 4
+let latency = K.Latency.path "xpc.batch"
+
+let trace =
+  Domain.tabulate (fun d -> K.Ktrace.Queue ("batch:" ^ Domain.to_string d))
 
 let queue_for target =
   match Hashtbl.find_opt queues target with
@@ -54,9 +58,7 @@ let flush_batch target q =
      irq context (or an irq-window hook) here names the batch machinery
      instead of surfacing deep inside Channel. *)
   K.Sched.assert_may_block "batch flush";
-  K.Ktrace.note
-    (K.Ktrace.Queue ("batch:" ^ Domain.to_string target))
-    K.Ktrace.Wait;
+  K.Ktrace.note (trace target) K.Ktrace.Wait;
   let batch = Queue.create () in
   Queue.transfer q batch;
   let n = Queue.length batch in
@@ -68,8 +70,7 @@ let flush_batch target q =
         Queue.iter
           (fun it ->
             it.thunk ();
-            K.Latency.observe_path "xpc.batch"
-              (max 0 (K.Clock.now () - it.born)))
+            K.Latency.observe_at latency (max 0 (K.Clock.now () - it.born)))
           batch)
   with
   | () ->
@@ -90,17 +91,14 @@ let flush_batch target q =
    against. *)
 let flush_one target q =
   K.Sched.assert_may_block "batch single-delivery flush";
-  K.Ktrace.note
-    (K.Ktrace.Queue ("batch:" ^ Domain.to_string target))
-    K.Ktrace.Wait;
+  K.Ktrace.note (trace target) K.Ktrace.Wait;
   let it = Queue.pop q in
   match
     Channel.call ~target ~payload_bytes:it.payload_bytes ~idempotent:true
       ~context:it.context
       (fun () ->
         it.thunk ();
-        K.Latency.observe_path "xpc.batch"
-          (max 0 (K.Clock.now () - it.born)))
+        K.Latency.observe_at latency (max 0 (K.Clock.now () - it.born)))
   with
   | () ->
       counters.single_crossings <- counters.single_crossings + 1;
@@ -163,9 +161,7 @@ let post ~target ?(payload_bytes = 0) ?(context = "notify") f =
     end
     else begin
     counters.posted <- counters.posted + 1;
-    K.Ktrace.note
-      (K.Ktrace.Queue ("batch:" ^ Domain.to_string target))
-      K.Ktrace.Signal;
+    K.Ktrace.note (trace target) K.Ktrace.Signal;
     Queue.push { payload_bytes; context; thunk = f; born = K.Clock.now () } q;
     if Doorbell.enabled core then
       Doorbell.trigger core target ~fill:(Queue.length q)

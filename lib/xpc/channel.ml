@@ -101,14 +101,15 @@ let in_flight target =
   | Some n -> n
   | None -> 0
 
+let trace =
+  Domain.tabulate (fun d -> K.Ktrace.Queue ("xpc:" ^ Domain.to_string d))
+
 let executing target f =
   (* Crossings into the same domain conflict (the one-at-a-time service
      gate below): a queue edge, so the exploration harness orders
      concurrent callers without subjecting the gate to the lockset
      check. *)
-  K.Ktrace.note
-    (K.Ktrace.Queue ("xpc:" ^ Domain.to_string target))
-    K.Ktrace.Signal;
+  K.Ktrace.note (trace target) K.Ktrace.Signal;
   Hashtbl.replace in_flight_tbl target (in_flight target + 1);
   Fun.protect
     ~finally:(fun () ->
@@ -120,6 +121,7 @@ let executing target f =
    are retried with capped exponential backoff before the failure is
    surfaced to the caller; anything with side effects fails fast. *)
 let timeout_ns = 1_000_000
+let latency = K.Latency.path "xpc.call"
 let max_attempts = 3
 let backoff_base_ns = 10_000
 let backoff_cap_ns = 80_000
@@ -134,7 +136,7 @@ let call ~target ?(payload_bytes = 0) ?(reply_bytes = 0) ?(idempotent = false)
          timeouts and retry backoffs show up in the tail instead of
          vanishing into counters. Failed calls never complete and are
          judged from [failures]. *)
-      let tr = K.Clock.track "xpc.call" in
+      let tr = K.Clock.track latency in
       let charge () =
         match b with
         | User_user -> charge_c_java bytes

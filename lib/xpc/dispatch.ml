@@ -45,6 +45,7 @@ let workers () = !workers_v
 (* Pools belong to one machine lifetime: dropped on boot, like the Batch
    flush infrastructure. *)
 let pools : (Domain.t, pool) Hashtbl.t = Hashtbl.create 4
+let latency = K.Latency.path "xpc.dispatch"
 
 (* The lane serving the crossing each simulated thread is executing, if
    any, keyed by Sched tid: threads suspend mid-crossing (slot waits,
@@ -162,7 +163,7 @@ let with_worker ~target f =
                "xpc.dispatch" path. *)
             let dt = max 0 (K.Clock.now () - submitted) in
             K.Latency.observe lane.latency dt;
-            K.Latency.observe_path "xpc.dispatch" dt;
+            K.Latency.observe_at latency dt;
             ignore (K.Sync.Waitq.wake_one p.waitq))
           f
 

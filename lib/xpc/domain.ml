@@ -6,6 +6,10 @@ let to_string = function
   | Decaf_driver -> "decaf-driver"
 
 let pp ppf d = Format.pp_print_string ppf (to_string d)
+
+let tabulate f =
+  let k = f Kernel and l = f Driver_lib and d = f Decaf_driver in
+  function Kernel -> k | Driver_lib -> l | Decaf_driver -> d
 let cur = ref Kernel
 let current () = !cur
 

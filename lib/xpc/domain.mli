@@ -11,6 +11,10 @@ type t = Kernel | Driver_lib | Decaf_driver
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
+val tabulate : (t -> 'a) -> t -> 'a
+(** [tabulate f] computes [f] once per domain and returns the lookup,
+    for per-domain values built once (trace objects). *)
+
 val current : unit -> t
 (** Domain executing on the (single) CPU right now; [Kernel] at boot. *)
 

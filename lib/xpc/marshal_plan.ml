@@ -89,6 +89,8 @@ let delta_enabled () = !delta
 module Dirty = struct
   module K = Decaf_kernel
 
+  let latency = K.Latency.path "xpc.dirty"
+
   type tracker = {
     owner : string;  (* boundary-fault attribution, default "dirty" *)
     mutable gen : int;  (* monotonic write counter, never reset *)
@@ -144,7 +146,7 @@ module Dirty = struct
         match Hashtbl.find_opt t.births field with
         | Some b ->
             Hashtbl.remove t.births field;
-            K.Latency.observe_path "xpc.dirty" (max 0 (K.Clock.now () - b))
+            K.Latency.observe_at latency (max 0 (K.Clock.now () - b))
         | None -> ())
       dead
 

@@ -30,6 +30,7 @@ let totals = mk_stats ()
 
 type t = {
   r_name : string;
+  r_trace : K.Ktrace.obj;  (** "ring:<name>", built once *)
   r_target : Domain.t;
   r_guard : Guard.t;
   r_resolve : int -> (int, string) result;
@@ -46,6 +47,7 @@ type t = {
 }
 
 let depth = 256
+let latency = K.Latency.path "xpc.ring"
 let rings : (string, t) Hashtbl.t = Hashtbl.create 8
 let all () = Hashtbl.fold (fun _ r acc -> r :: acc) rings []
 let tail r = (r.head - r.occupancy + depth) mod depth
@@ -81,7 +83,7 @@ let flush _ r =
        or an irq-window hook must go through the workqueue deferral, and
        this names the ring if one ever slips through. *)
     K.Sched.assert_may_block ("ring " ^ r.r_name ^ " doorbell drain");
-    K.Ktrace.note (K.Ktrace.Queue ("ring:" ^ r.r_name)) K.Ktrace.Wait;
+    K.Ktrace.note r.r_trace K.Ktrace.Wait;
     r.draining <- true;
     Fun.protect
       ~finally:(fun () -> r.draining <- false)
@@ -99,7 +101,7 @@ let flush _ r =
                     K.Clock.consume c
                     (* decaf-lint: consume-ok, slot age tracked as xpc.ring *);
                     Dispatch.note c;
-                    K.Latency.observe_path "xpc.ring"
+                    K.Latency.observe_at latency
                       (max 0 (K.Clock.now () - r.born.(i)));
                     if slot_valid r rec_ then begin
                       r.r_handler rec_;
@@ -137,6 +139,7 @@ let create ~name ~target ~guard ~resolve ~handler () =
   let r =
     {
       r_name = name;
+      r_trace = K.Ktrace.Queue ("ring:" ^ name);
       r_target = target;
       r_guard = guard;
       r_resolve = resolve;
@@ -169,7 +172,7 @@ let produce r rec_ =
     false
   end
   else begin
-    K.Ktrace.note (K.Ktrace.Queue ("ring:" ^ r.r_name)) K.Ktrace.Signal;
+    K.Ktrace.note r.r_trace K.Ktrace.Signal;
     r.slots.(r.head) <- Some rec_;
     r.born.(r.head) <- K.Clock.now ();
     r.head <- (r.head + 1) mod depth;
@@ -192,7 +195,7 @@ let drain_all () = Doorbell.drain_all core
 let destroy r =
   (* Surprise removal: no consumer will ever drain again, so whatever
      is still occupied is dropped with count — never silently. *)
-  K.Ktrace.note (K.Ktrace.Queue ("ring:" ^ r.r_name)) K.Ktrace.Wait;
+  K.Ktrace.note r.r_trace K.Ktrace.Wait;
   Boundary.scoped r.r_name (fun () ->
       while r.occupancy > 0 do
         let i = tail r in

@@ -194,6 +194,43 @@ let test_e1000_xmit_alloc () =
         true (median <= 100);
       E1000_drv.rmmod t)
 
+(* Allocation regression on one whole frame: a 1500-byte dev_queue_xmit
+   of a reused skb on a bound decaf e1000, then the wire completion, the
+   TXDW interrupt and the descriptor reclaim it triggers. The clock runs
+   on from the sending thread, so no scheduler switch is counted. Each
+   frame starts from an idle machine and the median is gated. *)
+let test_e1000_frame_alloc () =
+  K.Boot.boot ();
+  let link, _ = setup_e1000 () in
+  in_thread (fun () ->
+      let t = insmod_e1000 Driver_env.Decaf in
+      let nd = E1000_drv.netdev t in
+      (match K.Netcore.open_dev nd with
+      | Ok () -> ()
+      | Error rc -> Alcotest.failf "open failed: %d" rc);
+      let skb = K.Netcore.Skb.alloc 1500 in
+      let frames = 64 in
+      let words = Array.make frames 0 in
+      for i = 0 to frames - 1 do
+        K.Sched.sleep_ns 1_000_000;
+        let irqs = K.Irq.delivered 11 and sent = Hw.Link.tx_frames link in
+        let w0 = Gc.minor_words () in
+        if K.Netcore.dev_queue_xmit nd skb <> K.Netcore.Xmit_ok then
+          Alcotest.fail "send refused";
+        (* 12.2 us on the wire at 1 Gb/s, then the interrupt *)
+        K.Clock.consume 50_000;
+        let w1 = Gc.minor_words () in
+        check "the frame left the wire" (sent + 1) (Hw.Link.tx_frames link);
+        check_bool "its TXDW interrupt ran" true (K.Irq.delivered 11 > irqs);
+        words.(i) <- int_of_float (w1 -. w0)
+      done;
+      Array.sort compare words;
+      let median = words.(frames / 2) in
+      check_bool
+        (Printf.sprintf "median frame: %d words <= 40" median)
+        true (median <= 40);
+      E1000_drv.rmmod t)
+
 let test_e1000_watchdog_runs_in_decaf () =
   K.Boot.boot ();
   ignore (setup_e1000 ());
@@ -543,6 +580,95 @@ let test_staged_init_faster_than_decaf () =
   let decaf = init_of Driver_env.Decaf in
   check_bool "staged avoids the managed-runtime start" true (staged * 2 < decaf)
 
+(* --- frame sharing: nothing writes a frame after it is handed over --- *)
+
+(* The traffic generators send every message from one buffer and the
+   drivers hand the skb's own bytes to the device model (DESIGN §5), so
+   a driver or model that wrote a frame after the handover would corrupt
+   every later message. Each test sends and injects one patterned buffer
+   many times: the wire and the stack must see exactly its bytes, and
+   the buffer must come back unchanged. *)
+
+let pattern len = Bytes.init len (fun i -> Char.chr (((i * 31) + 7) land 0xff))
+
+let check_frame_sharing ~link ~bring_up ~len ~frames =
+  let buf = pattern len in
+  let copy = Bytes.copy buf in
+  let wire = ref 0 and wire_same = ref 0 in
+  Hw.Link.set_peer link (fun _ frame ->
+      incr wire;
+      if Bytes.equal frame copy then incr wire_same);
+  let rx = ref 0 and rx_same = ref 0 in
+  in_thread (fun () ->
+      let nd, unload = bring_up () in
+      K.Netcore.set_rx_handler nd (fun skb ->
+          incr rx;
+          if Bytes.equal skb.K.Netcore.Skb.data copy then incr rx_same);
+      (match K.Netcore.open_dev nd with
+      | Ok () -> ()
+      | Error rc -> Alcotest.failf "open failed: %d" rc);
+      let skb = K.Netcore.Skb.of_bytes buf in
+      for _ = 1 to frames do
+        while K.Netcore.dev_queue_xmit nd skb <> K.Netcore.Xmit_ok do
+          K.Sched.sleep_ns 100_000
+        done
+      done;
+      K.Sched.sleep_ns 10_000_000;
+      for _ = 1 to frames do
+        Hw.Link.inject link buf
+      done;
+      K.Sched.sleep_ns 50_000_000;
+      unload ());
+  check "every frame reached the wire" frames !wire;
+  check "the wire saw the buffer's bytes" frames !wire_same;
+  check "every injected frame reached the stack" frames !rx;
+  check "netif_rx saw the injected bytes" frames !rx_same;
+  check_bool "the buffer is unchanged" true (Bytes.equal buf copy)
+
+let test_e1000_frames_unwritten () =
+  K.Boot.boot ();
+  let link, _ = setup_e1000 () in
+  check_frame_sharing ~link ~len:1500 ~frames:300 ~bring_up:(fun () ->
+      let t = insmod_e1000 Driver_env.Decaf in
+      (E1000_drv.netdev t, fun () -> E1000_drv.rmmod t))
+
+let test_rtl8139_frames_unwritten () =
+  K.Boot.boot ();
+  let link = Hw.Link.create ~rate_bps:100_000_000 () in
+  ignore
+    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac
+       ~link ());
+  check_frame_sharing ~link ~len:1000 ~frames:40 ~bring_up:(fun () ->
+      match Rtl8139_drv.insmod (Driver_env.decaf ()) with
+      | Ok t -> (Rtl8139_drv.netdev t, fun () -> Rtl8139_drv.rmmod t)
+      | Error rc -> Alcotest.failf "insmod failed: %d" rc)
+
+(* A TSD size shorter than the staged buffer sends a prefix: the model
+   copies it out and leaves the buffer alone. *)
+let test_rtl8139_short_tsd_copy () =
+  K.Boot.boot ();
+  let link = Hw.Link.create ~rate_bps:100_000_000 () in
+  let model = Hw.Rtl8139.create ~io_base:0xc000 ~irq:10 ~mac ~link in
+  let buf = pattern 1000 in
+  let copy = Bytes.copy buf in
+  let seen = ref [] in
+  Hw.Link.set_peer link (fun _ frame -> seen := Bytes.to_string frame :: !seen);
+  K.Io.outb (0xc000 + Hw.Rtl8139.cmd) Hw.Rtl8139.cmd_te;
+  let sizes = List.init Hw.Rtl8139.n_tx_desc (fun n -> 600 + n) in
+  List.iteri
+    (fun n size ->
+      Hw.Rtl8139.stage_tx_buffer model n buf;
+      K.Io.outl (0xc000 + Hw.Rtl8139.tsd0 + (4 * n)) size)
+    sizes;
+  ignore (K.Clock.advance_to_next_event ());
+  while K.Clock.advance_to_next_event () do () done;
+  Alcotest.(check (list string))
+    "each frame is the buffer's prefix"
+    (List.map (fun size -> Bytes.sub_string copy 0 size) sizes)
+    (List.rev !seen);
+  check_bool "the buffer is unchanged" true (Bytes.equal buf copy);
+  Hw.Rtl8139.destroy model
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_drivers"
@@ -562,12 +688,19 @@ let () =
           tc "native roundtrip" (e1000_roundtrip Driver_env.Native);
           tc "decaf roundtrip" (e1000_roundtrip Driver_env.Decaf);
           tc "xmit allocation" test_e1000_xmit_alloc;
+          tc "frame allocation" test_e1000_frame_alloc;
           tc "watchdog runs in decaf" test_e1000_watchdog_runs_in_decaf;
           tc "open fault injection" test_e1000_open_fault_injection;
           tc "bad eeprom rejected" test_e1000_bad_eeprom_rejected;
           tc "object tracker aliasing" test_e1000_object_tracker_aliasing;
           tc "config space saved" test_e1000_config_space_saved;
           tc "ethtool data race (sec. 5)" test_e1000_ethtool_data_race;
+        ] );
+      ( "frame sharing",
+        [
+          tc "e1000 leaves frames unwritten" test_e1000_frames_unwritten;
+          tc "8139too leaves frames unwritten" test_rtl8139_frames_unwritten;
+          tc "8139too short TSD copies a prefix" test_rtl8139_short_tsd_copy;
         ] );
       ( "ens1371",
         [

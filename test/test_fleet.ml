@@ -260,6 +260,42 @@ let churn_keeps_invariants () =
       ring_conserved ();
       check "no leaked tracker entries after churn" base (tracker_entries ()))
 
+(* --- allocation per frame on the fleet path --- *)
+
+(* Four ports on the fleet configuration (batch, delta, 4 workers,
+   ring, guard) stream 20 ms through the virtual switch. The frame path
+   reuses the switch's payload, the Clock slab and the latency handles,
+   so the words allocated per frame stay far below the 190 that a fresh
+   1500-byte buffer per frame costs alone. *)
+let fleet_alloc_per_frame () =
+  Scenario.boot ();
+  Batch.set_enabled true;
+  Decaf_xpc.Marshal_plan.set_delta_enabled true;
+  Decaf_xpc.Dispatch.set_workers 4;
+  Decaf_xpc.Guard.set_enabled true;
+  Ring.set_enabled true;
+  let n = 4 in
+  let links = setup_fleet n in
+  Scenario.in_thread (fun () ->
+      let ids = List.init n (fun i -> bind_ok ~dev:(slot_of i) "e1000") in
+      let ports =
+        List.mapi
+          (fun i link ->
+            let nd = netdev_of i in
+            open_ok nd;
+            { Vswitch.netdev = nd; link })
+          links
+      in
+      let w0 = Gc.minor_words () in
+      let r = Vswitch.run ~ports ~duration_ns:20_000_000 ~msg_bytes:1500 in
+      let words = Gc.minor_words () -. w0 in
+      check_bool "frames were sent" true (r.Vswitch.packets > 1_000);
+      let per_frame = words /. float_of_int r.Vswitch.packets in
+      check_bool
+        (Printf.sprintf "%.1f words per frame <= 64" per_frame)
+        true (per_frame <= 64.);
+      List.iter Driver_core.rmmod ids)
+
 (* --- one PCI binding family under e1000, 8139too and ens1371 --- *)
 
 type family = {
@@ -361,6 +397,8 @@ let () =
           Alcotest.test_case "status at fleet scale" `Quick fleet_status;
           Alcotest.test_case "churn keeps invariants" `Quick
             churn_keeps_invariants;
+          Alcotest.test_case "allocation per frame" `Quick
+            fleet_alloc_per_frame;
           Alcotest.test_case "one pci binding family" `Quick
             pci_family_lifecycle;
         ] );

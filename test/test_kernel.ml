@@ -104,11 +104,34 @@ let test_clock_stale_id_across_reset () =
   Clock.consume 200;
   check_bool "fresh event fired" true !fired
 
+(* Growing the slab keeps every id apart: ids issued before a growth
+   and before a reboot stay dead, and cancelling them never touches the
+   fresh events that reuse their slots. *)
+let test_clock_growth_stale_ids () =
+  Boot.boot ();
+  let fired = ref 0 in
+  let bump () = incr fired in
+  let old = Array.init 1_000 (fun i -> Clock.after (1 + i) bump) in
+  Array.iteri (fun i id -> if i mod 2 = 0 then Clock.cancel id) old;
+  check_bool "cancelled ids are not pending" false (Clock.pending old.(0));
+  check_bool "others still pending" true (Clock.pending old.(1));
+  Boot.boot ();
+  let fresh = Array.init 1_000 (fun i -> Clock.after (1 + i) bump) in
+  check_bool "no id from before the reboot is pending" false
+    (Array.exists Clock.pending old);
+  Array.iter Clock.cancel old;
+  check_bool "stale cancels left every fresh event armed" true
+    (Array.for_all Clock.pending fresh);
+  Clock.consume 2_000;
+  check "every fresh event fired" 1_000 !fired;
+  check_bool "the queue is empty" false (Clock.has_events ())
+
 let nop () = ()
 
 (* Allocation regression: with 512 events pending, scheduling one more
-   and firing or cancelling it allocates the event record and little
-   else; the queue itself is an array that only grows by doubling. *)
+   and firing or cancelling it allocates nothing. The queue is a slab of
+   int arrays that only grows by doubling; the callback here is a
+   static closure, so a round allocates no word at all. *)
 let test_clock_alloc () =
   Boot.boot ();
   for i = 1 to 512 do
@@ -129,35 +152,36 @@ let test_clock_alloc () =
   in
   let cancel = words_per_round (fun () -> Clock.cancel (Clock.after 10 nop)) in
   check_bool
-    (Printf.sprintf "after+fire: %.1f words <= 16" fire)
-    true (fire <= 16.);
+    (Printf.sprintf "after+fire: %.1f words <= 1" fire)
+    true (fire <= 1.);
   check_bool
-    (Printf.sprintf "after+cancel: %.1f words <= 16" cancel)
-    true (cancel <= 16.)
+    (Printf.sprintf "after+cancel: %.1f words <= 1" cancel)
+    true (cancel <= 1.)
 
 (* --- tracked events (the latency cost model's stamp points) --- *)
 
 let test_clock_tracked_events () =
   Boot.boot ();
-  let tr = Clock.track "t.explicit" in
+  let explicit = Latency.path "t.explicit" and span = Latency.path "t.span" in
+  let tr = Clock.track explicit in
   Clock.consume 250;
   check "complete returns the elapsed ns" 250 (Clock.complete tr);
-  check "observation landed in the registry" 1
-    (Latency.count (Latency.get "t.explicit"));
-  Clock.track_begin "t.span";
+  check "observation landed in the path's histogram" 1
+    (Option.fold ~none:0 ~some:Latency.count (Latency.find "t.explicit"));
+  Clock.track_begin span;
   Clock.consume 100;
-  Clock.track_begin "t.span";
+  Clock.track_begin span;
   Clock.consume 50;
   Alcotest.(check (option int))
-    "first end pairs the oldest birth" (Some 150) (Clock.track_end "t.span");
+    "first end pairs the oldest birth" (Some 150) (Clock.track_end span);
   Alcotest.(check (option int))
-    "second end pairs the newer birth" (Some 50) (Clock.track_end "t.span");
+    "second end pairs the newer birth" (Some 50) (Clock.track_end span);
   Alcotest.(check (option int))
-    "unmatched end is a no-op" None (Clock.track_end "t.span");
-  Clock.track_begin "t.span";
-  Clock.track_drain "t.span";
+    "unmatched end is a no-op" None (Clock.track_end span);
+  Clock.track_begin span;
+  Clock.track_drain span;
   Alcotest.(check (option int))
-    "drain orphans outstanding births" None (Clock.track_end "t.span")
+    "drain orphans outstanding births" None (Clock.track_end span)
 
 (* --- Latency histograms --- *)
 
@@ -213,6 +237,47 @@ let test_latency_overflow () =
   check "overflow accounted separately" 1 (Latency.overflow_count h);
   check "median unaffected" 5 (Latency.percentile h 0.5);
   check "tail reports the true max" max_int (Latency.percentile h 0.999)
+
+(* A path handle outlives reboots: [reset] unlists it and zeroes its
+   histogram in place, and its next observation lists it again with
+   only the new sample. *)
+let test_latency_path_across_reset () =
+  Boot.boot ();
+  let p = Latency.path "t.handle" in
+  check_bool "same name, same handle" true (Latency.path "t.handle" == p);
+  Latency.observe_at p 100;
+  Latency.observe_at p 200;
+  check_bool "listed once observed" true
+    (List.mem "t.handle" (Latency.paths ()));
+  Latency.reset ();
+  check_bool "unlisted after reset" false
+    (List.mem "t.handle" (Latency.paths ()));
+  check_bool "not found after reset" true (Latency.find "t.handle" = None);
+  Latency.observe_at p 7;
+  match Latency.find "t.handle" with
+  | None -> Alcotest.fail "re-observed path is not listed"
+  | Some h ->
+      check "only the new sample" 1 (Latency.count h);
+      check "its value" 7 (Latency.max_ns h);
+      check_bool "listed again" true (List.mem "t.handle" (Latency.paths ()))
+
+let test_latency_interned_unobserved () =
+  Boot.boot ();
+  ignore (Latency.path "t.never");
+  check_bool "an interned path is not listed" false
+    (List.mem "t.never" (Latency.paths ()));
+  check_bool "nor found" true (Latency.find "t.never" = None)
+
+let test_latency_observe_at_alloc () =
+  Boot.boot ();
+  let p = Latency.path "t.alloc" in
+  Latency.observe_at p 1 (* first observation allocates the histogram *);
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Latency.observe_at p (i * 37)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "observe_at: %.0f words = 0" words) true (words = 0.)
 
 (* --- Scheduler --- *)
 
@@ -819,6 +884,28 @@ let test_netcore_queue_stop () =
     (Netcore.dev_queue_xmit dev (Netcore.Skb.alloc 64) = Netcore.Xmit_busy);
   check "driver saw one packet" 1 !sent
 
+(* Naming probes the name-keyed registry: the lowest free index wins,
+   and a freed name is the next one handed out. *)
+let test_netcore_names () =
+  Boot.boot ();
+  let devs =
+    List.init 256 (fun _ ->
+        let d =
+          Netcore.create ~name:(Netcore.alloc_name "eth") ~mtu:1500 null_net_ops
+        in
+        Netcore.register_netdev d;
+        d)
+  in
+  Alcotest.(check (list string))
+    "eth0 ... eth255"
+    (List.init 256 (Printf.sprintf "eth%d"))
+    (List.map Netcore.name devs);
+  Netcore.unregister_netdev (List.nth devs 3);
+  Alcotest.(check string) "a freed name is reused first" "eth3"
+    (Netcore.alloc_name "eth");
+  Alcotest.(check string) "other prefixes start at 0" "wlan0"
+    (Netcore.alloc_name "wlan")
+
 (* --- Sndcore --- *)
 
 let null_pcm_ops pointer =
@@ -1042,6 +1129,7 @@ type clock_op =
   | Op_consume of int
   | Op_advance
   | Op_reboot
+  | Op_burst of int  (** schedule this many events at once *)
 
 let show_clock_op = function
   | Op_at t -> Printf.sprintf "at %d" t
@@ -1051,6 +1139,7 @@ let show_clock_op = function
   | Op_consume n -> Printf.sprintf "consume %d" n
   | Op_advance -> "advance"
   | Op_reboot -> "reboot"
+  | Op_burst n -> Printf.sprintf "burst %d" n
 
 let gen_clock_op =
   QCheck.Gen.(
@@ -1066,6 +1155,9 @@ let gen_clock_op =
         (3, map (fun n -> Op_consume (50 * n)) (int_range 0 6));
         (1, return Op_advance);
         (1, return Op_reboot);
+        (* bursts push some programs past 256 pending events, so slab
+           growth and slot reuse are exercised under stale ids *)
+        (1, map (fun n -> Op_burst n) (int_range 100 300));
       ])
 
 type model_event = {
@@ -1084,8 +1176,8 @@ let prop_clock_matches_model =
       Boot.boot ();
       (* every id ever issued, paired with its model key; an event's
          label is its index here *)
-      let ids = ref [||] in
-      let id k = !ids.(k mod Array.length !ids) in
+      let ids = ref [||] and n_ids = ref 0 in
+      let id k = !ids.(k mod !n_ids) in
       let log = ref [] in
       let life = ref 0 and m_time = ref 0 and m_seq = ref 0 in
       let m_queue = ref [] and m_log = ref [] in
@@ -1117,7 +1209,7 @@ let prop_clock_matches_model =
           | _ -> m_time := !m_time + remaining
       in
       let schedule real due cancels =
-        let label = Array.length !ids in
+        let label = !n_ids in
         let r =
           real (fun () ->
               log := (label, Clock.now ()) :: !log;
@@ -1134,7 +1226,10 @@ let prop_clock_matches_model =
         in
         let order a b = compare (a.m_due, a.m_key) (b.m_due, b.m_key) in
         m_queue := List.merge order [ e ] !m_queue;
-        ids := Array.append !ids [| (r, e.m_key) |]
+        if !n_ids = Array.length !ids then
+          ids := Array.append !ids (Array.make (max 16 !n_ids) (r, e.m_key));
+        !ids.(!n_ids) <- (r, e.m_key);
+        incr n_ids
       in
       let step = function
         | Op_at t -> schedule (Clock.at t) t None
@@ -1142,7 +1237,7 @@ let prop_clock_matches_model =
         | Op_after_cancelling (d, k) ->
             schedule (Clock.after d) (!m_time + d) (Some k)
         | Op_cancel k ->
-            if !ids <> [||] then begin
+            if !n_ids > 0 then begin
               let r, key = id k in
               Clock.cancel r;
               m_cancel key
@@ -1168,16 +1263,23 @@ let prop_clock_matches_model =
             m_time := 0;
             m_seq := 0;
             m_queue := []
+        | Op_burst n ->
+            for i = 0 to n - 1 do
+              let d = 100 * (i mod 7) in
+              schedule (Clock.after d) (!m_time + d) None
+            done
       in
       let agrees () =
         !log = !m_log
         && Clock.now () = !m_time
         && Clock.has_events () = (!m_queue <> [])
         && Clock.scheduled () = !m_seq
-        && Array.for_all
-             (fun (r, key) ->
-               Clock.pending r = List.exists (fun e -> e.m_key = key) !m_queue)
-             !ids
+        &&
+        let queued = Hashtbl.create 64 in
+        List.iter (fun e -> Hashtbl.replace queued e.m_key ()) !m_queue;
+        Array.for_all
+          (fun (r, key) -> Clock.pending r = Hashtbl.mem queued key)
+          (Array.sub !ids 0 !n_ids)
       in
       List.for_all
         (fun op ->
@@ -1302,6 +1404,61 @@ let test_fi_boot_resets () =
   check_bool "plan disarmed by boot" false (Faultinject.active ());
   check "counters cleared by boot" 0 (Faultinject.injected_count ())
 
+(* A plan that names no read-fault site leaves Io reads alone: they
+   return the device's value and draw nothing, so the plan's own draws
+   come out as if no read had happened. *)
+let test_fi_reads_skip_unnamed_sites () =
+  run_sim (fun () ->
+      let region =
+        Io.register_mmio ~base:0xf100_0000 ~len:0x100
+          ~read:(fun off _ -> 0x1234 + off)
+          ~write:(fun _ _ _ -> ())
+      in
+      let arm () =
+        Faultinject.arm ~seed:21
+          [
+            Faultinject.spec ~site:"hw.link" ~kind:Faultinject.Link_flap
+              ~trigger:(Faultinject.Prob 0.5) ();
+          ]
+      in
+      let draws ~reads =
+        arm ();
+        List.init 40 (fun i ->
+            if reads then
+              check "device value" (0x1234 + (i mod 16) * 4)
+                (Io.readl (0xf100_0000 + ((i mod 16) * 4)));
+            Faultinject.fires ~site:"hw.link" Faultinject.Link_flap)
+      in
+      let quiet = draws ~reads:false in
+      let with_reads = draws ~reads:true in
+      Alcotest.(check (list bool)) "same draw sequence" quiet with_reads;
+      check_bool "only link flaps recorded" true
+        (List.for_all
+           (fun i -> i.Faultinject.inj_site = "hw.link")
+           (Faultinject.injections ()));
+      Faultinject.disarm ();
+      Io.release region)
+
+let test_fi_bad_read_on_mmio () =
+  run_sim (fun () ->
+      let region =
+        Io.register_mmio ~base:0xf200_0000 ~len:0x100
+          ~read:(fun _ _ -> 0xa5)
+          ~write:(fun _ _ _ -> ())
+      in
+      Faultinject.arm ~seed:8
+        [
+          Faultinject.spec ~site:"io.mmio" ~kind:Faultinject.Bad_read
+            ~trigger:Faultinject.Always ();
+        ];
+      for _ = 1 to 8 do
+        let diff = Io.readb 0xf200_0010 lxor 0xa5 in
+        check_bool "one bit flipped" true (diff <> 0 && diff land (diff - 1) = 0)
+      done;
+      check "every read recorded" 8 (Faultinject.injected_count ());
+      Faultinject.disarm ();
+      Io.release region)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1325,6 +1482,7 @@ let () =
           tc "utilization" test_clock_utilization;
           tc "same due time is FIFO" test_clock_same_due_fifo;
           tc "stale ids survive reset" test_clock_stale_id_across_reset;
+          tc "stale ids across slab growth" test_clock_growth_stale_ids;
           tc "allocation per event" test_clock_alloc;
           tc "tracked events" test_clock_tracked_events;
         ] );
@@ -1334,6 +1492,9 @@ let () =
           tc "small-sample percentiles" test_latency_percentiles_small;
           tc "merge" test_latency_merge;
           tc "overflow accounting" test_latency_overflow;
+          tc "path handle across reset" test_latency_path_across_reset;
+          tc "interned path unlisted" test_latency_interned_unobserved;
+          tc "observe_at allocation" test_latency_observe_at_alloc;
         ] );
       ( "sched",
         [
@@ -1398,7 +1559,11 @@ let () =
           tc "config space" test_pci_config_space;
         ] );
       ( "netcore",
-        [ tc "rx path" test_netcore_rx_path; tc "queue stop" test_netcore_queue_stop ] );
+        [
+          tc "rx path" test_netcore_rx_path;
+          tc "queue stop" test_netcore_queue_stop;
+          tc "names" test_netcore_names;
+        ] );
       ( "sndcore",
         [
           tc "write blocks until period" test_sndcore_write_blocks_until_period;
@@ -1420,6 +1585,8 @@ let () =
           tc "prob trigger deterministic" test_fi_prob_deterministic;
           tc "dma alloc hook" test_fi_dma_alloc_hook;
           tc "boot resets the plan" test_fi_boot_resets;
+          tc "reads skip sites no plan names" test_fi_reads_skip_unnamed_sites;
+          tc "bad read on mmio flips a bit" test_fi_bad_read_on_mmio;
         ] );
       ("properties", qcheck_cases);
     ]
