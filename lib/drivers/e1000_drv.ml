@@ -227,7 +227,7 @@ let clean_tx a =
      | Some nd ->
          if K.Netcore.netif_queue_stopped nd then K.Netcore.netif_wake_queue nd
      | None -> ());
-  let retired = max 0 (before - a.tx_in_flight) in
+  let retired = Int.max 0 (before - a.tx_in_flight) in
   note_packets a retired;
   retired
 
@@ -306,7 +306,7 @@ let adjust_itr a ~data work =
              already harvested, so only a status-only interrupt — no
              TX/RX cause at all, the line is idle and latency matters —
              drops the window back to unthrottled. *)
-          if cur = 0 then itr_floor else min (cur * 2) itr_ceiling
+          if cur = 0 then itr_floor else Int.min (cur * 2) itr_ceiling
         else if not data then 0
         else cur
       in

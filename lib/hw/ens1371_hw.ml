@@ -33,7 +33,7 @@ let playing t = t.control land ctrl_dac2_en <> 0 && t.rate > 0
 let period_ns t =
   (* 16-bit stereo: 4 bytes per frame at [rate] frames per second. *)
   let byte_rate = t.rate * 4 in
-  max 1 (t.period_bytes * 1_000_000_000 / byte_rate)
+  Int.max 1 (t.period_bytes * 1_000_000_000 / byte_rate)
 
 let rec schedule_tick t =
   t.tick <- Some (K.Clock.after (period_ns t) (fun () -> on_period t))
@@ -46,7 +46,7 @@ and on_period t =
       | Some source -> source ()
       | None -> t.buffered
     in
-    let take = min available t.period_bytes in
+    let take = Int.min available t.period_bytes in
     if take < t.period_bytes then t.underruns <- t.underruns + 1;
     if t.data_source = None then t.buffered <- t.buffered - take;
     t.consumed <- t.consumed + take;

@@ -34,7 +34,7 @@ let wire_time t len_bytes =
   (len_bytes + 20) * 8 * 1_000_000_000 / t.rate_bps
 
 let transmit t ?(on_done = fun () -> ()) frame =
-  let start = max (K.Clock.now ()) t.tx_free_at in
+  let start = Int.max (K.Clock.now ()) t.tx_free_at in
   let finish = start + wire_time t (Bytes.length frame) in
   t.tx_free_at <- finish;
   t.tx_frames <- t.tx_frames + 1;
@@ -48,7 +48,7 @@ let transmit t ?(on_done = fun () -> ()) frame =
          if not dropped then t.peer t frame))
 
 let inject t frame =
-  let start = max (K.Clock.now ()) t.rx_free_at in
+  let start = Int.max (K.Clock.now ()) t.rx_free_at in
   let finish = start + wire_time t (Bytes.length frame) in
   t.rx_free_at <- finish;
   t.rx_frames <- t.rx_frames + 1;

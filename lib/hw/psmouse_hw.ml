@@ -133,7 +133,7 @@ let destroy t =
 
 let move t ~dx ~dy ~buttons =
   if t.streaming && t.aux_enabled then begin
-    let clamp v = max (-255) (min 255 v) in
+    let clamp v = Int.max (-255) (Int.min 255 v) in
     let dx = clamp dx and dy = clamp dy in
     let flags =
       0x08 lor (buttons land 0x07)

@@ -73,7 +73,7 @@ and on_frame t =
       end
       else begin
         let td = Queue.peek t.tds in
-        let chunk = min !budget (td.length - td.moved) in
+        let chunk = Int.min !budget (td.length - td.moved) in
         td.moved <- td.moved + chunk;
         budget := !budget - chunk;
         if td.moved >= td.length then begin

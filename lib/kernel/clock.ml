@@ -4,10 +4,13 @@
    (FIFO): no two events share a key, and the firing order is a function
    of the schedule alone.
 
-   A slot's due time, seq, heap position and current id live in int
-   arrays and its callback in one more, so a sift moves ints only and
-   never stores a young pointer into the long-lived heap array. Freed
-   slots go on a stack and are reused.
+   The heap is three int arrays indexed by heap position: an entry's
+   due time, its seq and its slot. No comparison chases a slot number
+   into the slab, and the two children a sift weighs sit side by side.
+   A slot's heap position, current id and callback live in arrays
+   indexed by slot; a sift moves ints only and never stores a young
+   pointer into a long-lived array. Freed slots go on a stack and are
+   reused.
 
    An event id is the slot number tagged with a stamp that no other
    event ever gets, not even across [reset]. [pending] and [cancel]
@@ -19,12 +22,12 @@ type event_id = int
 let slot_bits = 24
 let slot_mask = (1 lsl slot_bits) - 1
 let no_id = -1
-let due = ref (Array.make 256 0)
-let seqs = ref (Array.make 256 0)
-let pos = ref (Array.make 256 0) (* heap index of a queued slot *)
+let due = ref (Array.make 256 0) (* by heap position *)
+let seqs = ref (Array.make 256 0) (* by heap position *)
+let slots = ref (Array.make 256 0) (* by heap position *)
+let pos = ref (Array.make 256 0) (* heap position of a queued slot *)
 let ids = ref (Array.make 256 no_id)
 let fns = ref (Array.make 256 ignore)
-let heap = ref (Array.make 256 0) (* slot numbers *)
 let free = ref (Array.init 256 (fun i -> 255 - i)) (* stack of free slots *)
 let nfree = ref 256
 let size = ref 0
@@ -41,30 +44,44 @@ let utilization ~since ~busy_since =
   if window <= 0 then 0.
   else float_of_int (!busy - busy_since) /. float_of_int window
 
-let before (d : int array) (q : int array) a b =
-  d.(a) < d.(b) || (d.(a) = d.(b) && q.(a) < q.(b))
-
-let place s i =
-  !heap.(i) <- s;
-  !pos.(s) <- i
-
-let rec sift_up s i =
-  let parent = (i - 1) / 2 in
-  if i > 0 && before !due !seqs s !heap.(parent) then begin
-    place !heap.(parent) i;
-    sift_up s parent
-  end
-  else place s i
-
-let rec sift_down s i =
-  let h = !heap and n = !size and d = !due and q = !seqs in
-  let l = (2 * i) + 1 in
-  let c = if l + 1 < n && before d q h.(l + 1) h.(l) then l + 1 else l in
-  if c < n && before d q h.(c) s then begin
-    place h.(c) i;
-    sift_down s c
-  end
-  else place s i
+(* Settle the entry (d, q, s) into the hole at heap position [i]: the
+   hole rises past later parents or sinks past earlier children (only
+   one of the two can happen). Each step copies one entry into the hole
+   and updates that entry's [pos]; (d, q, s) is written once, where the
+   hole stops. The earlier child is picked by arithmetic, not by a
+   branch on random data; seq decides only between equal dues, which
+   is rare. *)
+let sift d q s i =
+  let hd = !due and hq = !seqs and hs = !slots and p = !pos and n = !size in
+  let i = ref i and j = ref ((i - 1) / 2) and go = ref true in
+  while !i > 0 && (d < hd.(!j) || (d = hd.(!j) && q < hq.(!j))) do
+    hd.(!i) <- hd.(!j);
+    hq.(!i) <- hq.(!j);
+    hs.(!i) <- hs.(!j);
+    p.(hs.(!j)) <- !i;
+    i := !j;
+    j := (!j - 1) / 2
+  done;
+  while !go && (2 * !i) + 1 < n do
+    let l = (2 * !i) + 1 in
+    let r = if l + 1 < n then l + 1 else l in
+    let c =
+      if hd.(r) <> hd.(l) then l + Bool.to_int (hd.(r) < hd.(l))
+      else l + Bool.to_int (hq.(r) < hq.(l))
+    in
+    if hd.(c) < d || (hd.(c) = d && hq.(c) < q) then begin
+      hd.(!i) <- hd.(c);
+      hq.(!i) <- hq.(c);
+      hs.(!i) <- hs.(c);
+      p.(hs.(c)) <- !i;
+      i := c
+    end
+    else go := false
+  done;
+  hd.(!i) <- d;
+  hq.(!i) <- q;
+  hs.(!i) <- s;
+  p.(s) <- !i
 
 (* Free slot [s]: its id stops matching and its callback is dropped. *)
 let release s =
@@ -73,19 +90,17 @@ let release s =
   !free.(!nfree) <- s;
   incr nfree
 
-(* Take slot [s] out of the heap and free it: the last slot fills its
+(* Take slot [s] out of the heap and free it: the last entry fills its
    place and moves up or down to restore the order. *)
 let remove s =
   let i = !pos.(s) and n = !size - 1 in
-  let last = !heap.(n) in
   size := n;
-  if i < n then
-    if i > 0 && before !due !seqs last !heap.((i - 1) / 2) then sift_up last i
-    else sift_down last i;
+  if i < n then sift !due.(n) !seqs.(n) !slots.(n) i;
   release s
 
-let fire s =
-  let fn = !fns.(s) and d = !due.(s) in
+let fire () =
+  let s = !slots.(0) and d = !due.(0) in
+  let fn = !fns.(s) in
   remove s;
   if d > !time then time := d;
   fn ()
@@ -94,9 +109,9 @@ let fire s =
    may itself consume time or schedule new events; events that become due
    as a result are delivered too. *)
 let rec deliver_until t =
-  if !size > 0 && !due.(!heap.(0)) <= t then begin
-    fire !heap.(0);
-    deliver_until (max t !time)
+  if !size > 0 && !due.(0) <= t then begin
+    fire ();
+    deliver_until (Int.max t !time)
   end
 
 (* Busy work is preemptible: an event (interrupt) due mid-interval runs
@@ -108,10 +123,9 @@ let consume ns =
   busy := !busy + ns;
   let remaining = ref ns in
   while !remaining > 0 do
-    if !size > 0 && !due.(!heap.(0)) <= !time + !remaining then begin
-      let s = !heap.(0) in
-      remaining := !remaining - max 0 (!due.(s) - !time);
-      fire s
+    if !size > 0 && !due.(0) <= !time + !remaining then begin
+      remaining := !remaining - Int.max 0 (!due.(0) - !time);
+      fire ()
     end
     else begin
       time := !time + !remaining;
@@ -132,10 +146,10 @@ let grow () =
   in
   due := widen !due 0;
   seqs := widen !seqs 0;
+  slots := widen !slots 0;
   pos := widen !pos 0;
   ids := widen !ids no_id;
   fns := widen !fns ignore;
-  heap := widen !heap 0;
   free := Array.init (2 * n) (fun i -> (2 * n) - 1 - i);
   nfree := n
 
@@ -146,13 +160,11 @@ let at t f =
   decr nfree;
   let s = !free.(!nfree) in
   let id = (!stamp lsl slot_bits) lor s in
-  !due.(s) <- max t !time;
-  !seqs.(s) <- !seq;
   !ids.(s) <- id;
   !fns.(s) <- f;
   let n = !size in
   size := n + 1;
-  sift_up s n;
+  sift (Int.max t !time) !seq s n;
   id
 
 let after ns f = at (!time + ns) f
@@ -163,7 +175,7 @@ let has_events () = !size > 0
 let advance_to_next_event () =
   if !size = 0 then false
   else begin
-    let d = !due.(!heap.(0)) in
+    let d = !due.(0) in
     if d > !time then time := d;
     deliver_until !time;
     true
@@ -187,7 +199,7 @@ type track = { t_path : Latency.path; t_born : int }
 let track path = { t_path = path; t_born = !time }
 
 let complete tr =
-  let dt = max 0 (!time - tr.t_born) in
+  let dt = Int.max 0 (!time - tr.t_born) in
   Latency.observe_at tr.t_path dt;
   dt
 
@@ -218,7 +230,7 @@ let track_end ?key path =
       match Queue.take_opt q with
       | None -> None
       | Some born ->
-          let dt = max 0 (!time - born) in
+          let dt = Int.max 0 (!time - born) in
           Latency.observe_at path dt;
           Some dt)
 
@@ -240,7 +252,7 @@ let tracks_in_flight () =
 
 let reset () =
   for i = 0 to !size - 1 do
-    release !heap.(i)
+    release !slots.(i)
   done;
   size := 0;
   seq := 0;

@@ -103,7 +103,7 @@ let rec try_deliver n =
           (* handler entry: the raise-to-entry timeline includes the
              dispatch cost and any masked/backlogged wait *)
           if l.born >= 0 then begin
-            Latency.observe_at latency (max 0 (Clock.now () - l.born));
+            Latency.observe_at latency (Int.max 0 (Clock.now () - l.born));
             l.born <- -1
           end;
           (match handler () with
@@ -143,12 +143,12 @@ let () = Sched.set_irq_window_hook drain_backlog
 let raise_irq n =
   let l = check n in
   Ktrace.note traces.(n) Ktrace.Signal;
-  if l.handler = None then incr spurious_count
-  else begin
-    if l.born < 0 then l.born <- Clock.now ();
-    l.pending <- true;
-    try_deliver n
-  end
+  match l.handler with
+  | None -> incr spurious_count
+  | Some _ ->
+      if l.born < 0 then l.born <- Clock.now ();
+      l.pending <- true;
+      try_deliver n
 
 let disable_irq n =
   let l = check n in
@@ -165,7 +165,18 @@ let enable_irq n =
 let delivered n = (check n).delivered
 let spurious () = !spurious_count
 
+(* Power-on state, written in place: [lines] never leaves this module,
+   so a boot allocates no line record. *)
 let reset () =
-  Array.iteri (fun i _ -> lines.(i) <- fresh_line ()) lines;
+  Array.iter
+    (fun l ->
+      l.handler <- None;
+      l.disable_depth <- 0;
+      l.pending <- false;
+      l.delivered <- 0;
+      l.queued <- false;
+      l.retry_armed <- false;
+      l.born <- -1)
+    lines;
   Queue.clear backlog;
   spurious_count := 0

@@ -99,7 +99,7 @@ let pcm_write s n =
 let audio_period = Latency.path "audio.period"
 
 let period_elapsed s =
-  s.hw_pos <- max s.hw_pos (s.ops.pcm_pointer ());
+  s.hw_pos <- Int.max s.hw_pos (s.ops.pcm_pointer ());
   (* period serviced: close the hardware period-tick timeline (no-op
      when the tick was not stamped, e.g. tests driving the core
      directly) *)

@@ -52,7 +52,7 @@ let run ~ports ~duration_ns ~msg_bytes =
     if K.Clock.now () < deadline then
       if K.Netcore.is_up p.netdev then
         let gap =
-          max cost
+          Int.max cost
             ((msg_bytes + 20) * 8 * 1_000_000_000 / Hw.Link.rate_bps p.link)
         in
         match
@@ -66,7 +66,7 @@ let run ~ports ~duration_ns ~msg_bytes =
   and pump p () =
     let now = K.Clock.now () in
     if now < deadline then begin
-      let slot = max now !cpu_free_at in
+      let slot = Int.max now !cpu_free_at in
       cpu_free_at := slot + cost;
       if slot > now then ignore (K.Clock.after (slot - now) (send p))
       else send p ()

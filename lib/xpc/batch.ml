@@ -70,7 +70,7 @@ let flush_batch target q =
         Queue.iter
           (fun it ->
             it.thunk ();
-            K.Latency.observe_at latency (max 0 (K.Clock.now () - it.born)))
+            K.Latency.observe_at latency (Int.max 0 (K.Clock.now () - it.born)))
           batch)
   with
   | () ->
@@ -98,7 +98,7 @@ let flush_one target q =
       ~context:it.context
       (fun () ->
         it.thunk ();
-        K.Latency.observe_at latency (max 0 (K.Clock.now () - it.born)))
+        K.Latency.observe_at latency (Int.max 0 (K.Clock.now () - it.born)))
   with
   | () ->
       counters.single_crossings <- counters.single_crossings + 1;

@@ -161,7 +161,7 @@ let with_worker ~target f =
             p.active <- p.active - 1;
             (* Dispatch-complete stamp: per-lane and on the machine-wide
                "xpc.dispatch" path. *)
-            let dt = max 0 (K.Clock.now () - submitted) in
+            let dt = Int.max 0 (K.Clock.now () - submitted) in
             K.Latency.observe lane.latency dt;
             K.Latency.observe_at latency dt;
             ignore (K.Sync.Waitq.wake_one p.waitq))

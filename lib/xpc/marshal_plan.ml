@@ -146,7 +146,7 @@ module Dirty = struct
         match Hashtbl.find_opt t.births field with
         | Some b ->
             Hashtbl.remove t.births field;
-            K.Latency.observe_at latency (max 0 (K.Clock.now () - b))
+            K.Latency.observe_at latency (Int.max 0 (K.Clock.now () - b))
         | None -> ())
       dead
 

@@ -102,7 +102,7 @@ let flush _ r =
                     (* decaf-lint: consume-ok, slot age tracked as xpc.ring *);
                     Dispatch.note c;
                     K.Latency.observe_at latency
-                      (max 0 (K.Clock.now () - r.born.(i)));
+                      (Int.max 0 (K.Clock.now () - r.born.(i)));
                     if slot_valid r rec_ then begin
                       r.r_handler rec_;
                       r.s.consumed <- r.s.consumed + 1;

@@ -126,6 +126,54 @@ let test_clock_growth_stale_ids () =
   check "every fresh event fired" 1_000 !fired;
   check_bool "the queue is empty" false (Clock.has_events ())
 
+(* A deep heap with interior cancels: 1,000 events over a fixed
+   permutation of due times, every third one cancelled. Removing an
+   interior entry moves the last entry into its place, up or down, so
+   the survivors fire in (due, seq) order only if both directions and
+   the child pick are right. *)
+let test_clock_deep_heap_cancels () =
+  Boot.boot ();
+  let log = ref [] in
+  let due i = 1 + (i * 7_919 mod 1_009) in
+  let ids =
+    Array.init 1_000 (fun i ->
+        Clock.at (due i) (fun () -> log := (Clock.now (), i) :: !log))
+  in
+  Array.iteri (fun i id -> if i mod 3 = 0 then Clock.cancel id) ids;
+  Clock.consume 2_000;
+  let expected =
+    List.init 1_000 Fun.id
+    |> List.filter (fun i -> i mod 3 <> 0)
+    |> List.map (fun i -> (due i, i))
+    |> List.sort compare
+  in
+  Alcotest.(check (list (pair int int)))
+    "survivors fire in due order, at their due time" expected (List.rev !log)
+
+(* Ties deep in the heap: 600 events over 3 due values, some cancelled.
+   Many sibling pairs share a due time, so the child pick must fall back
+   to seq, or events of one due time fire out of scheduling order. *)
+let test_clock_deep_ties () =
+  Boot.boot ();
+  let log = ref [] in
+  let due i = 100 * (1 + (i * 5 mod 3)) in
+  let ids =
+    Array.init 600 (fun i -> Clock.at (due i) (fun () -> log := i :: !log))
+  in
+  Array.iteri (fun i id -> if i mod 7 = 3 then Clock.cancel id) ids;
+  (* fire the first due time, then cancel two entries deep in the rest *)
+  ignore (Clock.advance_to_next_event ());
+  let late = [ 299; 301 ] in
+  List.iter (fun i -> Clock.cancel ids.(i)) late;
+  Clock.consume 1_000;
+  let expected =
+    List.init 600 Fun.id
+    |> List.filter (fun i -> i mod 7 <> 3 && not (List.mem i late))
+    |> List.stable_sort (fun a b -> compare (due a) (due b))
+  in
+  Alcotest.(check (list int))
+    "each due time fires in scheduling order" expected (List.rev !log)
+
 let nop () = ()
 
 (* Allocation regression: with 512 events pending, scheduling one more
@@ -1130,6 +1178,7 @@ type clock_op =
   | Op_advance
   | Op_reboot
   | Op_burst of int  (** schedule this many events at once *)
+  | Op_spread of int  (** as many events, at distinct due times *)
 
 let show_clock_op = function
   | Op_at t -> Printf.sprintf "at %d" t
@@ -1140,6 +1189,7 @@ let show_clock_op = function
   | Op_advance -> "advance"
   | Op_reboot -> "reboot"
   | Op_burst n -> Printf.sprintf "burst %d" n
+  | Op_spread n -> Printf.sprintf "spread %d" n
 
 let gen_clock_op =
   QCheck.Gen.(
@@ -1158,6 +1208,10 @@ let gen_clock_op =
         (* bursts push some programs past 256 pending events, so slab
            growth and slot reuse are exercised under stale ids *)
         (1, map (fun n -> Op_burst n) (int_range 100 300));
+        (* bursts repeat 7 due times, so their deep heaps are all ties;
+           a spread builds deep heaps where an interior cancel can make
+           the replacement entry move up *)
+        (1, map (fun n -> Op_spread n) (int_range 100 300));
       ])
 
 type model_event = {
@@ -1266,6 +1320,14 @@ let prop_clock_matches_model =
         | Op_burst n ->
             for i = 0 to n - 1 do
               let d = 100 * (i mod 7) in
+              schedule (Clock.after d) (!m_time + d) None
+            done
+        | Op_spread n ->
+            (* n distinct due times in [0, 1009), by a stride whose
+               start shifts with the history *)
+            let base = !m_seq in
+            for i = 0 to n - 1 do
+              let d = (base + i) * 389 mod 1_009 in
               schedule (Clock.after d) (!m_time + d) None
             done
       in
@@ -1483,6 +1545,8 @@ let () =
           tc "same due time is FIFO" test_clock_same_due_fifo;
           tc "stale ids survive reset" test_clock_stale_id_across_reset;
           tc "stale ids across slab growth" test_clock_growth_stale_ids;
+          tc "deep heap with cancels" test_clock_deep_heap_cancels;
+          tc "ties deep in the heap" test_clock_deep_ties;
           tc "allocation per event" test_clock_alloc;
           tc "tracked events" test_clock_tracked_events;
         ] );
