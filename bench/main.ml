@@ -1,11 +1,12 @@
 (* The benchmark harness: regenerates every table of the paper's
-   evaluation and measures the cost of the core XPC/marshaling
-   primitives with Bechamel.
+   evaluation and the committed XPC and soak trajectories. Host cost
+   per layer (marshal, crossing, tracker lookup, lock fast path) is
+   timed by perfbench's traced pass, not here.
 
    Usage:
      bench/main.exe              run everything
      bench/main.exe table1 ...   run selected parts
-       (table1 table2 table3 table4 casestudy ablations xpcperf soak micro)
+       (table1 table2 table3 table4 casestudy ablations xpcperf soak)
      bench/main.exe json [path]  write the batched-XPC trajectory
                                  (default BENCH_xpc.json)
      bench/main.exe check path   re-measure and fail on >10% regression
@@ -28,11 +29,7 @@
    prints one line on stderr and exits 2.
 *)
 
-module K = Decaf_kernel
-module Xpc = Decaf_xpc
 module E = Decaf_experiments
-open Bechamel
-open Toolkit
 
 let section title = Printf.printf "\n==== %s ====\n%!" title
 
@@ -59,101 +56,6 @@ let run_casestudy () =
   let before, after = E.Casestudy.figure5_before_after () in
   Printf.printf "--- original (return codes) ---\n%s\n" before;
   Printf.printf "--- exception style ---\n%s\n" after
-
-(* --- micro-benchmarks over the core primitives --- *)
-
-let bench_tests () =
-  K.Boot.boot ();
-  let adapter = Decaf_drivers.E1000_objects.fresh_kernel_adapter () in
-  let marshaled = Decaf_drivers.E1000_objects.marshal_to_user adapter in
-  let tracker = Xpc.Objtracker.create () in
-  let key = Decaf_drivers.E1000_objects.ring_key in
-  let ring = { Decaf_drivers.E1000_objects.head = 0; tail = 0; count = 8 } in
-  Xpc.Objtracker.associate tracker ~addr:0xc000_0000 (Xpc.Univ.pack key ring);
-  let combolock = K.Sync.Combolock.create () in
-  let micro =
-    Test.make_grouped ~name:"micro"
-      [
-        Test.make ~name:"xpc/kernel-user-crossing"
-          (Staged.stage (fun () ->
-               Xpc.Channel.call ~target:Xpc.Domain.Driver_lib ~payload_bytes:64
-                 (fun () -> ())));
-        Test.make ~name:"xpc/c-java-crossing"
-          (Staged.stage (fun () ->
-               Xpc.Domain.with_domain Xpc.Domain.Driver_lib (fun () ->
-                   Xpc.Channel.call ~target:Xpc.Domain.Decaf_driver
-                     ~payload_bytes:64 (fun () -> ()))));
-        Test.make ~name:"xdr/marshal-e1000-adapter"
-          (Staged.stage (fun () ->
-               ignore (Decaf_drivers.E1000_objects.marshal_to_user adapter)));
-        Test.make ~name:"xdr/unmarshal-e1000-adapter"
-          (Staged.stage (fun () ->
-               ignore
-                 (Decaf_drivers.E1000_objects.unmarshal_at_user marshaled
-                    adapter)));
-        Test.make ~name:"objtracker/hit"
-          (Staged.stage (fun () ->
-               ignore (Xpc.Objtracker.find tracker ~addr:0xc000_0000 key)));
-        Test.make ~name:"combolock/kernel-fast-path"
-          (Staged.stage (fun () ->
-               K.Sync.Combolock.with_kernel combolock (fun () -> ())));
-        Test.make ~name:"minic/parse-e1000-driver"
-          (Staged.stage (fun () ->
-               ignore (Decaf_minic.Parser.parse Decaf_drivers.E1000_src.source)));
-        Test.make ~name:"slicer/slice-e1000-driver"
-          (Staged.stage (fun () ->
-               ignore
-                 (Decaf_slicer.Slicer.slice
-                    ~source:Decaf_drivers.E1000_src.source
-                    Decaf_drivers.E1000_src.config)));
-      ]
-  in
-  let tables =
-    Test.make_grouped ~name:"tables"
-      [
-        Test.make ~name:"table1/infrastructure-loc"
-          (Staged.stage (fun () -> ignore (E.Table1.measure ())));
-        Test.make ~name:"table2/slice-five-drivers"
-          (Staged.stage (fun () -> ignore (E.Table2.measure ())));
-        Test.make ~name:"table3/all-workloads"
-          (Staged.stage (fun () ->
-               ignore (E.Table3.measure ~duration_ns:200_000_000 ())));
-        Test.make ~name:"table4/evolution"
-          (Staged.stage (fun () -> ignore (E.Table4.measure ())));
-        Test.make ~name:"casestudy/error-analysis"
-          (Staged.stage (fun () -> ignore (E.Casestudy.measure ())));
-      ]
-  in
-  (micro, tables)
-
-let run_bechamel ~quota ~limit test =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit ~quota:(Time.second quota) ~kde:None ~stabilize:false
-      ()
-  in
-  let raw = Benchmark.all cfg instances test in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) results [] in
-  List.sort compare names
-  |> List.iter (fun name ->
-         let ols_result = Hashtbl.find results name in
-         match Analyze.OLS.estimates ols_result with
-         | Some (est :: _) -> Printf.printf "%-40s %12.0f ns/run\n%!" name est
-         | Some [] | None -> Printf.printf "%-40s (no estimate)\n%!" name)
-
-let run_micro () =
-  let micro, _ = bench_tests () in
-  section "Bechamel micro-benchmarks (wall-clock per run)";
-  run_bechamel ~quota:0.25 ~limit:500 micro
-
-let run_table_benches () =
-  let _, tables = bench_tests () in
-  section "Bechamel table-regeneration benchmarks (wall-clock per run)";
-  run_bechamel ~quota:1.0 ~limit:4 tables
 
 let fail fmt =
   Printf.ksprintf
@@ -214,10 +116,6 @@ let run_sections args =
       ( "soak",
         titled "Mixed-traffic soak (latency percentiles per event path)"
           (fun () -> print_string (E.Soak.render (E.Soak.measure ()))) );
-      ( "micro",
-        fun () ->
-          run_micro ();
-          run_table_benches () );
     ]
   in
   let names = List.map fst sections in

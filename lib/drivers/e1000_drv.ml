@@ -2,6 +2,7 @@ module K = Decaf_kernel
 module Hw = Decaf_hw
 module E = Hw.E1000_hw
 module O = E1000_objects
+module Codec = Decaf_xpc.Codec
 module Errors = Decaf_runtime.Errors
 module Runtime = Decaf_runtime.Runtime
 
@@ -131,55 +132,14 @@ let reg a off = a.mmio + off
 
 (* --- plan-driven XPC with real XDR marshaling --- *)
 
-(* Run [f] on the Java view of the adapter. In decaf mode this is a real
-   XPC: the plan's copy-in fields are XDR-encoded, decoded at user level
-   through the object tracker, and the decaf driver's writes travel back
-   the same way. In native mode the same logic runs in the kernel on a
-   scratch view. *)
-let with_java_adapter a ~name f =
-  match a.env.Driver_env.mode with
-  | Driver_env.Native ->
-      let payload = O.marshal_to_user a.ka in
-      let j = O.unmarshal_at_user payload a.ka in
-      let result = f j in
-      O.unmarshal_at_kernel (O.marshal_to_kernel j) a.ka;
-      result
-  | Driver_env.Staged | Driver_env.Decaf ->
-      if a.env.Driver_env.mode = Driver_env.Decaf then Runtime.start ();
-      (* boundary faults caught below (handle resolution, field
-         validation, ack high-water) are attributed to this binding *)
-      Decaf_xpc.Boundary.scoped a.scope (fun () ->
-          let upto = O.user_view_mark a.ka in
-          let payload = O.marshal_to_user a.ka in
-          let result, back =
-            a.env.Driver_env.upcall ~name ~bytes:(Bytes.length payload)
-              (fun () ->
-                let j = O.unmarshal_at_user payload a.ka in
-                let result = f j in
-                (result, O.marshal_to_kernel j))
-          in
-          (* the crossing carried every mark up to the snapshot; marks from
-             interrupts that fired during the call stay for the next sync *)
-          O.ack_user_view a.ka ~upto;
-          O.unmarshal_at_kernel back a.ka;
-          result)
+(* Run [f] on the user-level view of the adapter (one upcall in decaf
+   mode), and post a non-urgent kernel->user refresh (stats rollups,
+   link state) to Batch; see {!Shared_struct.S.with_view}. *)
+let with_java_adapter a ~name f = O.with_view a.env ~scope:a.scope a.ka ~name f
 
-(* Non-urgent kernel->user view refresh (stats rollups, link state):
-   marshal the delta now — interrupt context is fine, nothing blocks —
-   and let Batch deliver it. Acknowledge only in the delivered thunk:
-   if the flush crossing fails, the marks survive and the fields ride
-   the next sync. *)
 let post_adapter_sync a ~name =
-  match a.env.Driver_env.mode with
-  | Driver_env.Native -> ()
-  | Driver_env.Staged | Driver_env.Decaf ->
-      let upto = O.user_view_mark a.ka in
-      let payload = O.marshal_to_user a.ka in
-      a.env.Driver_env.notify ~name ~bytes:(Bytes.length payload) (fun () ->
-          Decaf_xpc.Boundary.scoped a.scope (fun () ->
-              ignore (O.unmarshal_at_user payload a.ka);
-              O.ack_user_view a.ka ~upto;
-              a.user_syncs <- a.user_syncs + 1))
+  O.post_sync a.env ~scope:a.scope a.ka ~name ~delivered:(fun () ->
+      a.user_syncs <- a.user_syncs + 1)
 
 (* The kernel nucleus refreshes the user-level stats view once per
    [stats_notify_interval] data-path packets — often enough for user
@@ -210,7 +170,8 @@ let note_packets a n =
           if not (Decaf_xpc.Ring.produce ring r) then
             O.ring_undeliverable a.ka r
       | None ->
-          O.bump_k_stats a.ka;
+          let fields = a.ka.O.fields in
+          Codec.set fields O.stats_gen (Codec.get fields O.stats_gen + 1);
           post_adapter_sync a ~name:"e1000_stats"
     end
   end
@@ -325,7 +286,7 @@ let interrupt a =
     adjust_itr a ~data:(icr land (E.icr_txdw lor E.icr_rxt0) <> 0) !work;
     if icr land E.icr_lsc <> 0 then begin
       let up = Hw.Phy.link_up (E.phy a.model) in
-      if up <> a.ka.O.k_link_up then
+      if up <> Codec.get a.ka.O.fields O.link_up then
         match ring_of a with
         | Some ring ->
             let r = O.ring_link_record a.ka up in
@@ -336,7 +297,7 @@ let interrupt a =
               post_adapter_sync a ~name:"e1000_link_state"
             end
         | None ->
-            O.set_k_link_up a.ka up;
+            Codec.set a.ka.O.fields O.link_up up;
             post_adapter_sync a ~name:"e1000_link_state"
     end
   end
@@ -399,9 +360,9 @@ let phy_setup a =
 
 (* Save PCI config space into the adapter (Figure 3's config_space
    array); each dword is a downcall to the kernel's PCI services. *)
-let save_config_space a (j : O.java_adapter) =
+let save_config_space a j =
   for i = 0 to O.config_words - 1 do
-    O.set_j_config_word j i
+    Codec.set_word j O.config_space i
       (a.env.Driver_env.downcall ~name:"pci_read_config" ~bytes:8 (fun () ->
            K.Pci.read_config32 a.pci (4 * i)))
   done
@@ -487,7 +448,7 @@ let e1000_down a =
 
 (* The paper's Figure 4: nested handlers so each failure unwinds exactly
    the resources acquired before it. *)
-let e1000_open_user a (j : O.java_adapter) =
+let e1000_open_user a j =
   setup_tx_resources a;
   Errors.protect ~cleanup:(fun () -> free_tx_resources a) (fun () ->
       setup_rx_resources a;
@@ -500,24 +461,24 @@ let e1000_open_user a (j : O.java_adapter) =
             (fun () ->
               phy_setup a;
               e1000_up a;
-              O.set_j_link_up j true;
-              O.set_j_flags j (j.O.j_flags lor 1))))
+              Codec.set j O.link_up true;
+              Codec.set j O.flags (Codec.get j O.flags lor 1))))
 
-let e1000_close_user a (j : O.java_adapter) =
+let e1000_close_user a j =
   e1000_down a;
   a.env.Driver_env.downcall ~name:"free_irq" ~bytes:16 (fun () ->
       K.Irq.free_irq a.irq);
   free_rx_resources a;
   free_tx_resources a;
-  O.set_j_flags j (j.O.j_flags land lnot 1)
+  Codec.set j O.flags (Codec.get j O.flags land lnot 1)
 
 (* Watchdog: runs every two seconds in the decaf driver (§3.1.3). *)
 let watchdog_task a () =
   ignore
     (with_java_adapter a ~name:"e1000_watchdog" (fun j ->
          let status = rd32 a E.reg_status in
-         O.set_j_link_up j (status land E.status_lu <> 0);
-         O.bump_j_watchdog j));
+         Codec.set j O.link_up (status land E.status_lu <> 0);
+         Codec.set j O.watchdog_events (Codec.get j O.watchdog_events + 1)));
   a.watchdog_runs <- a.watchdog_runs + 1
 
 let arm_watchdog a =
@@ -551,13 +512,13 @@ let disarm_watchdog a =
 let diag_test_adapter a =
   (* nucleus implementation: shares the kernel adapter with the irq
      handler, so the flag flip is visible *)
-  O.set_k_link_up a.ka false;
+  Codec.set a.ka.O.fields O.link_up false;
   (* unmask and have the device raise a link-status-change interrupt *)
   K.Io.writel (reg a E.reg_ims) E.icr_lsc;
   K.Io.writel (reg a E.reg_ics) E.icr_lsc;
   let deadline = K.Clock.now () + 100_000_000 in
   let rec poll () =
-    if a.ka.O.k_link_up then 0
+    if Codec.get a.ka.O.fields O.link_up then 0
     else if K.Clock.now () >= deadline then -Errors.etimedout
     else begin
       K.Sched.sleep_ns 1_000_000;
@@ -570,13 +531,13 @@ let diag_test_at_user_level_adapter a =
   (* the WRONG implementation: runs in the decaf driver against the
      marshaled copy of the adapter. The interrupt handler changes the
      kernel object; this copy stays stale and the wait times out. *)
-  O.set_k_link_up a.ka false;
+  Codec.set a.ka.O.fields O.link_up false;
   with_java_adapter a ~name:"e1000_diag_test_wrong" (fun j ->
       K.Io.writel (reg a E.reg_ims) E.icr_lsc;
       K.Io.writel (reg a E.reg_ics) E.icr_lsc;
       let deadline = K.Clock.now () + 50_000_000 in
       let rec poll () =
-        if j.O.j_link_up then 0
+        if Codec.get j O.link_up then 0
         else if K.Clock.now () >= deadline then -Errors.etimedout
         else begin
           Runtime.Helpers.msleep 1;
@@ -677,7 +638,7 @@ let probe env (pci : K.Pci.dev) =
                 let mac = read_mac_from_eeprom a in
                 ignore mac;
                 save_config_space a j;
-                O.set_j_msg_enable j 7;
+                Codec.set j O.msg_enable 7;
                 a.env.Driver_env.downcall ~name:"register_netdev" ~bytes:64
                   (fun () ->
                     let nd =
@@ -701,7 +662,7 @@ let unbind a =
   a.xring <- None;
   free_rx_resources a;
   free_tx_resources a;
-  O.release_kernel_adapter a.ka;
+  O.release a.ka;
   match a.netdev with Some nd -> K.Netcore.unregister_netdev nd | None -> ()
 
 let ids = List.map (fun id -> (vendor_id, id)) device_ids
@@ -757,7 +718,7 @@ let resume t =
   with_java_adapter a ~name:"e1000_resume" (fun j ->
       for i = 0 to O.config_words - 1 do
         a.env.Driver_env.downcall ~name:"pci_write_config" ~bytes:8 (fun () ->
-            K.Pci.write_config32 a.pci (4 * i) j.O.j_config_space.(i))
+            K.Pci.write_config32 a.pci (4 * i) (Codec.get j O.config_space).(i))
       done;
       match a.netdev with
       | Some nd when K.Netcore.is_up nd -> e1000_up a

@@ -9,107 +9,80 @@ type kernel_adapter = {
   k_rx_addr : int;
   k_tx : ring;
   k_rx : ring;
-  mutable k_msg_enable : int;
-  mutable k_flags : int;
-  mutable k_link_up : bool;
-  mutable k_mtu : int;
-  k_config_space : int array;
-  mutable k_watchdog_events : int;
-  mutable k_stats_gen : int;
-  k_dirty : Plan.Dirty.t;
-}
-
-type java_adapter = {
-  mutable j_c_addr : int;
-  j_tx : ring;
-  j_rx : ring;
-  mutable j_msg_enable : int;
-  mutable j_flags : int;
-  mutable j_link_up : bool;
-  mutable j_mtu : int;
-  j_config_space : int array;
-  mutable j_watchdog_events : int;
-  mutable j_stats_gen : int;
-  j_dirty : Plan.Dirty.t;
+  fields : Codec.obj;
 }
 
 let config_words = 16
 
-(* The fields user-level code touches; tx/rx ring indices are data-path
-   state and stay out of the plan. [stats_gen] is the kernel's running
-   count of data-path stats rollups — the payload of the periodic stats
-   notification, so delta marshals of an otherwise-clean adapter carry
-   one int instead of the whole struct. *)
-let plan =
-  Plan.make ~type_id:"e1000_adapter"
+(* The fields user-level code touches, with the Guard rule each inbound
+   value must clear (the honest driver's envelope: msg_enable is a
+   NETIF_MSG_* mask, flags a small bitmask, config_space at most the
+   config window). tx/rx ring indices are data-path state and stay out.
+   [stats_gen] is the kernel's running count of data-path stats rollups,
+   the payload of the periodic stats notification, so delta marshals of
+   an otherwise-clean adapter carry one int instead of the whole struct.
+   The Read fields carry rules too, but writability rejects them first. *)
+let codec =
+  let row name access kind rule = { Codec.name; access; kind; rule } in
+  Codec.make ~type_id:"e1000_adapter"
     [
-      ("msg_enable", Plan.Read_write);
-      ("flags", Plan.Read_write);
-      ("link_up", Plan.Read_write);
-      ("mtu", Plan.Read);
-      ("config_space", Plan.Read_write);
-      ("watchdog_events", Plan.Read_write);
-      ("stats_gen", Plan.Read);
+      row "msg_enable" Plan.Read_write Codec.Int (Guard.Range (0, 0xffff));
+      row "flags" Plan.Read_write Codec.Int Guard.Non_negative;
+      row "link_up" Plan.Read_write Codec.Bool Guard.Any;
+      row "mtu" Plan.Read Codec.Int (Guard.Range (68, 9000));
+      row "config_space" Plan.Read_write (Codec.Words config_words)
+        (Guard.Max_len config_words);
+      row "watchdog_events" Plan.Read_write Codec.Int Guard.Non_negative;
+      row "stats_gen" Plan.Read Codec.Int Guard.Non_negative;
     ]
 
-let adapter_key : java_adapter Univ.key = Univ.new_key "e1000_adapter"
+let plan = Codec.plan codec
+let guard = Codec.guard codec
+let msg_enable = Codec.int codec "msg_enable"
+let flags = Codec.int codec "flags"
+let link_up = Codec.bool codec "link_up"
+let mtu = Codec.int codec "mtu"
+let config_space = Codec.words codec "config_space"
+let watchdog_events = Codec.int codec "watchdog_events"
+let stats_gen = Codec.int codec "stats_gen"
+let adapter_key = Univ.new_key (Codec.type_id codec)
 let ring_key : ring Univ.key = Univ.new_key "e1000_ring"
 
-(* Inbound validation rules, next to the plan they refine. Values are
-   the honest driver's envelope: msg_enable is a NETIF_MSG_* mask,
-   flags a small bitmask, config_space at most the config window. The
-   Read-only fields carry rules too, but writability rejects them
-   before any rule runs. *)
-let guard =
-  Guard.make plan
-    [
-      ("msg_enable", Guard.Range (0, 0xffff));
-      ("flags", Guard.Non_negative);
-      ("mtu", Guard.Range (68, 9000));
-      ("config_space", Guard.Max_len config_words);
-      ("watchdog_events", Guard.Non_negative);
-      ("stats_gen", Guard.Non_negative);
-    ]
+let ring_handle addr =
+  Objtracker.issue
+    (Decaf_runtime.Runtime.kernel_tracker ())
+    ~addr ~type_id:(Univ.key_name ring_key)
 
-let guard_rejections () = Guard.rejections guard
+let tx_ring_handle k = ring_handle k.k_tx_addr
+let rx_ring_handle k = ring_handle k.k_rx_addr
 
-(* Capability handles: the wire's object-reference field carries a
-   handle issued by the kernel tracker, never the C address. Issue is
-   idempotent, so outbound marshals and [user_has_view] agree on the
-   handle without extra bookkeeping. The embedded rings get their own
-   handles — same C address as the adapter (the tx ring is the first
-   member), different capabilities. *)
-let kernel_tracker () = Decaf_runtime.Runtime.kernel_tracker ()
+include Shared_struct.Make (struct
+  type kernel = kernel_adapter
 
-let adapter_handle (k : kernel_adapter) =
-  Objtracker.issue (kernel_tracker ()) ~addr:k.k_addr
-    ~type_id:(Plan.type_id plan)
+  let codec = codec
+  let key = adapter_key
+  let addr k = k.k_addr
+  let fields k = k.fields
 
-let tx_ring_handle (k : kernel_adapter) =
-  Objtracker.issue (kernel_tracker ()) ~addr:k.k_tx_addr
-    ~type_id:(Univ.key_name ring_key)
+  let on_create k _ =
+    let jt = Decaf_runtime.Runtime.java_tracker () in
+    let fresh () = Univ.pack ring_key { head = 0; tail = 0; count = 0 } in
+    Objtracker.associate jt ~addr:(tx_ring_handle k) (fresh ());
+    Objtracker.associate jt ~addr:(rx_ring_handle k) (fresh ())
 
-let rx_ring_handle (k : kernel_adapter) =
-  Objtracker.issue (kernel_tracker ()) ~addr:k.k_rx_addr
-    ~type_id:(Univ.key_name ring_key)
+  (* a list literal evaluates right to left: rx, then tx *)
+  let embedded k = [ tx_ring_handle k; rx_ring_handle k ]
 
-(* Driver unload: revoke this instance's capability handles in both
-   trackers. The tracker mirrors object lifetime (the Nooks
-   discipline), so a fleet binding that comes and goes leaves no
-   entries behind, and a handle a driver kept across its own unload
-   resolves to nothing rather than to a dead sibling's object. *)
-let release_kernel_adapter (k : kernel_adapter) =
-  let kt = kernel_tracker () in
-  let jt = Decaf_runtime.Runtime.java_tracker () in
-  List.iter
-    (fun h -> Objtracker.remove_all jt ~addr:h)
-    [ adapter_handle k; tx_ring_handle k; rx_ring_handle k ];
   (* the tx ring shares the adapter's address; the rx ring has its own *)
-  Objtracker.remove_all kt ~addr:k.k_addr;
-  Objtracker.remove_all kt ~addr:k.k_rx_addr
+  let aliases k = [ k.k_rx_addr ]
+end)
+
+let adapter_handle = handle
 
 let fresh_kernel_adapter () =
   let k_addr = Addr.alloc ~size:512 in
+  let fields = Codec.create codec in
+  Codec.set_quiet fields mtu 1500;
   {
     k_addr;
     (* the tx ring is the first member: same address as the adapter *)
@@ -117,297 +90,12 @@ let fresh_kernel_adapter () =
     k_rx_addr = Addr.embedded ~parent:k_addr ~offset:16;
     k_tx = { head = 0; tail = 0; count = 256 };
     k_rx = { head = 0; tail = 0; count = 256 };
-    k_msg_enable = 0;
-    k_flags = 0;
-    k_link_up = false;
-    k_mtu = 1500;
-    k_config_space = Array.make config_words 0;
-    k_watchdog_events = 0;
-    k_stats_gen = 0;
-    k_dirty = Plan.Dirty.create ~owner:"e1000_adapter" ();
+    fields;
   }
 
-(* Dirty-marking writers. Kernel code that wants its write to reach the
-   user-level view must go through these (or mark manually): when delta
-   marshaling is on, only marked fields are re-copied. *)
-
-let set_k_msg_enable k v =
-  if k.k_msg_enable <> v then begin
-    k.k_msg_enable <- v;
-    Plan.Dirty.mark k.k_dirty "msg_enable"
-  end
-
-let set_k_flags k v =
-  if k.k_flags <> v then begin
-    k.k_flags <- v;
-    Plan.Dirty.mark k.k_dirty "flags"
-  end
-
-let set_k_link_up k v =
-  if k.k_link_up <> v then begin
-    k.k_link_up <- v;
-    Plan.Dirty.mark k.k_dirty "link_up"
-  end
-
-let set_k_mtu k v =
-  if k.k_mtu <> v then begin
-    k.k_mtu <- v;
-    Plan.Dirty.mark k.k_dirty "mtu"
-  end
-
-let bump_k_stats k =
-  k.k_stats_gen <- k.k_stats_gen + 1;
-  Plan.Dirty.mark k.k_dirty "stats_gen"
-
-let user_view_mark k = Plan.Dirty.snapshot k.k_dirty
-let ack_user_view k ~upto = Plan.Dirty.acknowledge k.k_dirty ~upto
-
-let set_j_msg_enable j v =
-  if j.j_msg_enable <> v then begin
-    j.j_msg_enable <- v;
-    Plan.Dirty.mark j.j_dirty "msg_enable"
-  end
-
-let set_j_flags j v =
-  if j.j_flags <> v then begin
-    j.j_flags <- v;
-    Plan.Dirty.mark j.j_dirty "flags"
-  end
-
-let set_j_link_up j v =
-  if j.j_link_up <> v then begin
-    j.j_link_up <- v;
-    Plan.Dirty.mark j.j_dirty "link_up"
-  end
-
-let bump_j_watchdog j =
-  j.j_watchdog_events <- j.j_watchdog_events + 1;
-  Plan.Dirty.mark j.j_dirty "watchdog_events"
-
-let set_j_config_word j i v =
-  if j.j_config_space.(i) <> v then begin
-    j.j_config_space.(i) <- v;
-    Plan.Dirty.mark j.j_dirty "config_space"
-  end
-
-(* Marshal layout (plan-driven): address, then each planned field in a
-   fixed order with a presence flag. [includes] decides presence, which
-   lets the same encoder emit full images (plan-selected fields) and
-   deltas (plan-selected AND dirty). *)
-
-let encode_fields ~includes ~addr ~msg_enable ~flags ~link_up ~mtu
-    ~config_space ~watchdog_events ~stats_gen =
-  let e = Xdr.Enc.create () in
-  Xdr.Enc.uint e addr;
-  let opt name enc =
-    if includes name then begin
-      Xdr.Enc.bool e true;
-      enc ()
-    end
-    else Xdr.Enc.bool e false
-  in
-  opt "msg_enable" (fun () -> Xdr.Enc.int e msg_enable);
-  opt "flags" (fun () -> Xdr.Enc.int e flags);
-  opt "link_up" (fun () -> Xdr.Enc.bool e link_up);
-  opt "mtu" (fun () -> Xdr.Enc.int e mtu);
-  opt "config_space" (fun () -> Xdr.Enc.array_var e Xdr.Enc.uint config_space);
-  opt "watchdog_events" (fun () -> Xdr.Enc.int e watchdog_events);
-  opt "stats_gen" (fun () -> Xdr.Enc.int e stats_gen);
-  Xdr.Enc.to_bytes e
-
-type decoded = {
-  d_addr : int;
-  d_msg_enable : int option;
-  d_flags : int option;
-  d_link_up : bool option;
-  d_mtu : int option;
-  d_config_space : int array option;
-  d_watchdog_events : int option;
-  d_stats_gen : int option;
-}
-
-let decode_fields bytes =
-  let d = Xdr.Dec.of_bytes bytes in
-  let d_addr = Xdr.Dec.uint d in
-  let opt dec = if Xdr.Dec.bool d then Some (dec d) else None in
-  let d_msg_enable = opt Xdr.Dec.int in
-  let d_flags = opt Xdr.Dec.int in
-  let d_link_up = opt Xdr.Dec.bool in
-  let d_mtu = opt Xdr.Dec.int in
-  let d_config_space = opt (fun d -> Xdr.Dec.array_var d Xdr.Dec.uint) in
-  let d_watchdog_events = opt Xdr.Dec.int in
-  let d_stats_gen = opt Xdr.Dec.int in
-  Xdr.Dec.check_drained d;
-  {
-    d_addr;
-    d_msg_enable;
-    d_flags;
-    d_link_up;
-    d_mtu;
-    d_config_space;
-    d_watchdog_events;
-    d_stats_gen;
-  }
-
-(* Delta marshals only make sense against an up-to-date peer: until the
-   user-level tracker has an object for this address (first crossing, or
-   first crossing after a runtime restart cleared the tracker), the image
-   must be full regardless of marks. *)
-(* The user-level tracker is keyed by the handle (that IS the object
-   reference user level holds); the kernel's C address never reaches
-   user level. *)
-let user_has_view (k : kernel_adapter) =
-  Objtracker.mem
-    (Decaf_runtime.Runtime.java_tracker ())
-    ~addr:(adapter_handle k) ~type_id:(Plan.type_id plan)
-
-let marshal_to_user (k : kernel_adapter) =
-  let delta = Plan.delta_enabled () && user_has_view k in
-  let includes name =
-    Plan.copies_in plan name
-    && ((not delta) || Plan.Dirty.test k.k_dirty name)
-  in
-  encode_fields ~includes ~addr:(adapter_handle k) ~msg_enable:k.k_msg_enable
-    ~flags:k.k_flags ~link_up:k.k_link_up ~mtu:k.k_mtu
-    ~config_space:k.k_config_space ~watchdog_events:k.k_watchdog_events
-    ~stats_gen:k.k_stats_gen
-
-(* Note: NOT via [marshal_to_user] — the wire size of a full image must
-   not depend on the delta mode or touch the user-level tracker. *)
-let wire_size =
-  let k = fresh_kernel_adapter () in
-  Bytes.length
-    (encode_fields
-       ~includes:(Plan.copies_in plan)
-       ~addr:k.k_addr ~msg_enable:k.k_msg_enable ~flags:k.k_flags
-       ~link_up:k.k_link_up ~mtu:k.k_mtu ~config_space:k.k_config_space
-       ~watchdog_events:k.k_watchdog_events ~stats_gen:k.k_stats_gen)
-
-let unmarshal_at_user bytes (k : kernel_adapter) =
-  let d = decode_fields bytes in
-  let tracker = Decaf_runtime.Runtime.java_tracker () in
-  let j =
-    match Objtracker.find tracker ~addr:d.d_addr adapter_key with
-    | Some j -> j
-    | None ->
-        (* first crossing: allocate the Java object and register it, and
-           its embedded rings, in the user-level tracker *)
-        let j =
-          {
-            j_c_addr = d.d_addr;
-            j_tx = { head = 0; tail = 0; count = 0 };
-            j_rx = { head = 0; tail = 0; count = 0 };
-            j_msg_enable = 0;
-            j_flags = 0;
-            j_link_up = false;
-            j_mtu = 0;
-            j_config_space = Array.make config_words 0;
-            j_watchdog_events = 0;
-            j_stats_gen = 0;
-            j_dirty = Plan.Dirty.create ~owner:"e1000_adapter.user" ();
-          }
-        in
-        Objtracker.associate tracker ~addr:d.d_addr (Univ.pack adapter_key j);
-        Objtracker.associate tracker ~addr:(tx_ring_handle k)
-          (Univ.pack ring_key j.j_tx);
-        Objtracker.associate tracker ~addr:(rx_ring_handle k)
-          (Univ.pack ring_key j.j_rx);
-        j
-  in
-  (* plain assignments: these values just arrived from the kernel, so
-     they are in sync by construction and must not be re-marked dirty *)
-  Option.iter (fun v -> j.j_msg_enable <- v) d.d_msg_enable;
-  Option.iter (fun v -> j.j_flags <- v) d.d_flags;
-  Option.iter (fun v -> j.j_link_up <- v) d.d_link_up;
-  Option.iter (fun v -> j.j_mtu <- v) d.d_mtu;
-  Option.iter (fun v -> Array.blit v 0 j.j_config_space 0 (Array.length v))
-    d.d_config_space;
-  Option.iter (fun v -> j.j_watchdog_events <- v) d.d_watchdog_events;
-  Option.iter (fun v -> j.j_stats_gen <- v) d.d_stats_gen;
-  j
-
-let marshal_to_kernel (j : java_adapter) =
-  let delta = Plan.delta_enabled () in
-  let upto = Plan.Dirty.snapshot j.j_dirty in
-  let includes name =
-    Plan.copies_out plan name
-    && ((not delta) || Plan.Dirty.test j.j_dirty name)
-  in
-  let b =
-    encode_fields ~includes ~addr:j.j_c_addr ~msg_enable:j.j_msg_enable
-      ~flags:j.j_flags ~link_up:j.j_link_up ~mtu:j.j_mtu
-      ~config_space:j.j_config_space ~watchdog_events:j.j_watchdog_events
-      ~stats_gen:j.j_stats_gen
-  in
-  (* The return payload rides the reply leg of a crossing that already
-     survived its deadline (the fault model fires at call time), so the
-     marks it carries are acknowledged at marshal time. *)
-  if delta then Plan.Dirty.acknowledge j.j_dirty ~upto;
-  b
-
-(* Inbound crossing: the user-level driver is untrusted, so everything
-   is checked before anything is applied — the reference resolves
-   through the capability table (a forged, stale or cross-type handle
-   is a boundary fault, not a panic), every present field clears its
-   guard rule, and only then does kernel state absorb the image. A
-   violation anywhere leaves the adapter untouched. *)
-let unmarshal_at_kernel bytes (k : kernel_adapter) =
-  Guard.check_inbound_bytes guard (Bytes.length bytes);
-  let d = decode_fields bytes in
-  (match
-     Objtracker.resolve (kernel_tracker ()) ~handle:d.d_addr
-       ~type_id:(Plan.type_id plan)
-   with
-  | Error reason ->
-      (* resolve already counted the rejection *)
-      raise
-        (Boundary.Boundary_violation
-           { type_id = Plan.type_id plan; field = "handle"; reason })
-  | Ok addr ->
-      if addr <> k.k_addr then
-        Boundary.reject ~type_id:(Plan.type_id plan) ~field:"handle"
-          "handle %#x names adapter %#x, crossing is for %#x" d.d_addr addr
-          k.k_addr);
-  let msg_enable =
-    Option.map (Guard.int_field guard ~field:"msg_enable") d.d_msg_enable
-  in
-  let flags = Option.map (Guard.int_field guard ~field:"flags") d.d_flags in
-  let link_up =
-    Option.map (Guard.bool_field guard ~field:"link_up") d.d_link_up
-  in
-  let config_space =
-    Option.map (Guard.array_field guard ~field:"config_space") d.d_config_space
-  in
-  let watchdog_events =
-    Option.map
-      (Guard.int_field guard ~field:"watchdog_events")
-      d.d_watchdog_events
-  in
-  (* mtu / stats_gen are Read-only in the plan: never applied, and with
-     the guard on their very presence inbound is a violation *)
-  Option.iter (fun v -> ignore (Guard.int_field guard ~field:"mtu" v)) d.d_mtu;
-  Option.iter
-    (fun v -> ignore (Guard.int_field guard ~field:"stats_gen" v))
-    d.d_stats_gen;
-  Option.iter (fun v -> k.k_msg_enable <- v) msg_enable;
-  Option.iter (fun v -> k.k_flags <- v) flags;
-  Option.iter (fun v -> k.k_link_up <- v) link_up;
-  Option.iter
-    (fun v ->
-      Array.blit v 0 k.k_config_space 0 (min (Array.length v) config_words))
-    config_space;
-  Option.iter (fun v -> k.k_watchdog_events <- v) watchdog_events
-
-let resync_user_view (k : kernel_adapter) =
-  List.iter
-    (fun (f, _) -> if Plan.copies_in plan f then Plan.Dirty.mark k.k_dirty f)
-    (Plan.fields plan)
-
-(* Ring fast path: the two hot notifications (periodic stats rollups,
-   link transitions) as fixed-layout slot records. The slot plan is
-   what DriverSlicer would derive for the shared-ring record type —
-   every field Write, because the ring lives in memory the untrusted
-   domain can scribble, so anything read out of a slot is inbound. *)
+(* Ring fast path. The slot plan is what DriverSlicer would derive for
+   the shared-ring record type: every field Write, because anything read
+   out of a slot is inbound. *)
 
 let ring_ev_stats = 1
 let ring_ev_link = 2
@@ -424,50 +112,35 @@ let ring_guard =
       ("arg1", Guard.Range (0, 1));
     ]
 
-let ring_resolve handle =
-  Objtracker.resolve (kernel_tracker ()) ~handle ~type_id:(Plan.type_id plan)
+let ring_resolve = resolve
 
-(* Record constructors bump kernel state WITHOUT a dirty mark: the ring
-   carries the new value itself, so letting the delta path re-send it
-   would pay the marshal twice. Only when a record cannot be delivered
-   (ring overflow, teardown) does {!ring_undeliverable} mark the field,
-   handing staleness repair back to the delta-sync slow path. *)
+(* Record constructors write kernel state WITHOUT a dirty mark: the ring
+   carries the new value, so letting the delta path re-send it would pay
+   the marshal twice. Only an undeliverable record marks its field. *)
 
-let ring_stats_record (k : kernel_adapter) =
-  k.k_stats_gen <- k.k_stats_gen + 1;
-  {
-    Ring.kind = ring_ev_stats;
-    handle = adapter_handle k;
-    arg0 = k.k_stats_gen;
-    arg1 = 0;
-  }
+let ring_stats_record k =
+  let gen = Codec.get k.fields stats_gen + 1 in
+  Codec.set_quiet k.fields stats_gen gen;
+  { Ring.kind = ring_ev_stats; handle = handle k; arg0 = gen; arg1 = 0 }
 
-let ring_link_record (k : kernel_adapter) up =
-  k.k_link_up <- up;
-  {
-    Ring.kind = ring_ev_link;
-    handle = adapter_handle k;
-    arg0 = 0;
-    arg1 = (if up then 1 else 0);
-  }
+let ring_link_record k up =
+  Codec.set_quiet k.fields link_up up;
+  let arg1 = if up then 1 else 0 in
+  { Ring.kind = ring_ev_link; handle = handle k; arg0 = 0; arg1 }
 
-let ring_undeliverable (k : kernel_adapter) (r : Ring.record) =
-  if r.Ring.kind = ring_ev_stats then Plan.Dirty.mark k.k_dirty "stats_gen"
-  else if r.Ring.kind = ring_ev_link then Plan.Dirty.mark k.k_dirty "link_up"
+let ring_undeliverable k (r : Ring.record) =
+  if r.Ring.kind = ring_ev_stats then Codec.mark k.fields stats_gen
+  else if r.Ring.kind = ring_ev_link then Codec.mark k.fields link_up
 
-(* Consumer side (runs in the user domain inside the doorbell crossing,
-   after the handle resolved and the guard passed): update the Java
-   view in place, zero marshaling. Plain assignments — the values just
-   arrived from the kernel and must not be re-marked dirty. No view yet
-   (runtime restarted since produce) is benign: the next full-image
-   crossing carries everything anyway. *)
+(* Runs in the user domain inside the doorbell crossing, after the
+   handle resolved and the guard passed: the view updates in place with
+   no marks. No view yet (runtime restarted since produce) is benign:
+   the next full-image crossing carries everything anyway. *)
 let apply_ring_record (r : Ring.record) =
-  match
-    Objtracker.find
-      (Decaf_runtime.Runtime.java_tracker ())
-      ~addr:r.Ring.handle adapter_key
-  with
+  match find_view r.Ring.handle with
   | None -> ()
-  | Some j ->
-      if r.Ring.kind = ring_ev_stats then j.j_stats_gen <- r.Ring.arg0
-      else if r.Ring.kind = ring_ev_link then j.j_link_up <- r.Ring.arg1 = 1
+  | Some { Shared_struct.fields; _ } ->
+      if r.Ring.kind = ring_ev_stats then
+        Codec.set_quiet fields stats_gen r.Ring.arg0
+      else if r.Ring.kind = ring_ev_link then
+        Codec.set_quiet fields link_up (r.Ring.arg1 = 1)

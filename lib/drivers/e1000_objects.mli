@@ -1,21 +1,14 @@
-(** Shared-object layer of the E1000 decaf driver: the "generated"
-    marshaling code and container classes of §3.2.3, written out as the
-    DriverSlicer XDR compilers would emit them.
+(** Shared-object layer of the E1000 decaf driver: the descriptor table
+    of [struct e1000_adapter] and its ring records, what the DriverSlicer
+    XDR compilers would emit (§3.2.3). The crossing itself — handles,
+    marshaling, the user-level view, validate-then-apply — is
+    {!Shared_struct}'s.
 
-    The kernel-side [struct e1000_adapter] has a simulated C address
-    (embedded rings share it, offset by their position, reproducing the
-    inner/outer aliasing of §3.1.2). The user-side {!java_adapter} is a
-    container of public mutable fields. Marshaling is plan-driven: only
-    the fields the decaf driver accesses cross the boundary, through
-    real {!Decaf_xpc.Xdr} encoding, and unmarshaling consults the object
-    tracker to update objects in place.
-
-    Each side also carries a {!Decaf_xpc.Marshal_plan.Dirty} tracker;
-    when delta marshaling is enabled
-    ({!Decaf_xpc.Marshal_plan.set_delta_enabled}), repeat marshals copy
-    only fields written — through the [set_*] writers below — since the
-    last acknowledged crossing. The first crossing (no user-level view
-    yet, e.g. after a runtime restart) is always a full image. *)
+    The kernel adapter has a simulated C address; its embedded rings
+    share it, offset by their position (the inner/outer aliasing of
+    §3.1.2), but get their own capability handles, so the aliasing
+    cannot be abused for type confusion. The first crossing registers
+    both rings beside the user-level view; {!release} revokes all three. *)
 
 type ring = { mutable head : int; mutable tail : int; mutable count : int }
 
@@ -25,60 +18,27 @@ type kernel_adapter = {
   k_rx_addr : int;
   k_tx : ring;
   k_rx : ring;
-  mutable k_msg_enable : int;
-  mutable k_flags : int;
-  mutable k_link_up : bool;
-  mutable k_mtu : int;
-  k_config_space : int array;  (** 16 dwords, Figure 3's annotated array *)
-  mutable k_watchdog_events : int;
-  mutable k_stats_gen : int;
-      (** data-path stats rollups so far; the payload of the periodic
-          stats notification *)
-  k_dirty : Decaf_xpc.Marshal_plan.Dirty.t;
-}
-
-type java_adapter = {
-  mutable j_c_addr : int;
-      (** capability handle this object mirrors — user level never
-          holds the kernel's C address *)
-  j_tx : ring;
-  j_rx : ring;
-  mutable j_msg_enable : int;
-  mutable j_flags : int;
-  mutable j_link_up : bool;
-  mutable j_mtu : int;
-  j_config_space : int array;
-  mutable j_watchdog_events : int;
-  mutable j_stats_gen : int;
-  j_dirty : Decaf_xpc.Marshal_plan.Dirty.t;
+  fields : Decaf_xpc.Codec.obj;
+      (** read and written with {!Decaf_xpc.Codec.get}/[set] *)
 }
 
 val config_words : int
 (** Length of the saved PCI config-space array (dwords). *)
 
+val codec : Decaf_xpc.Codec.t
 val plan : Decaf_xpc.Marshal_plan.t
-(** The marshal plan DriverSlicer derives for [e1000_adapter]. *)
-
-val adapter_key : java_adapter Decaf_xpc.Univ.key
+val guard : Decaf_xpc.Guard.t
+val msg_enable : int Decaf_xpc.Codec.field
+val flags : int Decaf_xpc.Codec.field
+val link_up : bool Decaf_xpc.Codec.field
+val mtu : int Decaf_xpc.Codec.field
+val config_space : int array Decaf_xpc.Codec.field
+val watchdog_events : int Decaf_xpc.Codec.field
+val stats_gen : int Decaf_xpc.Codec.field
+val adapter_key : Shared_struct.user Decaf_xpc.Univ.key
 val ring_key : ring Decaf_xpc.Univ.key
 
-val guard : Decaf_xpc.Guard.t
-(** Inbound validator derived from {!plan}: writability plus per-field
-    range/enum/length rules, applied by {!unmarshal_at_kernel}. *)
-
-val guard_rejections : unit -> int
-(** Boundary violations this validator has caught (campaign assertions). *)
-
-(** {2 Capability handles}
-
-    The wire's object-reference field carries a handle issued by the
-    kernel tracker ({!Decaf_xpc.Objtracker.issue}), never a raw C
-    address; inbound crossings resolve it back
-    ({!Decaf_xpc.Objtracker.resolve}) and treat forged, stale or
-    cross-type handles as boundary faults. The embedded rings get their
-    own handles — same C address (the tx ring is the adapter's first
-    member), different capabilities, so the §3.1.2 aliasing cannot be
-    abused for type confusion. *)
+include Shared_struct.S with type kernel := kernel_adapter
 
 val adapter_handle : kernel_adapter -> Decaf_xpc.Objtracker.handle
 val tx_ring_handle : kernel_adapter -> Decaf_xpc.Objtracker.handle
@@ -86,74 +46,6 @@ val rx_ring_handle : kernel_adapter -> Decaf_xpc.Objtracker.handle
 
 val fresh_kernel_adapter : unit -> kernel_adapter
 (** Allocate with fresh simulated addresses. *)
-
-val release_kernel_adapter : kernel_adapter -> unit
-(** Revoke the instance's capability handles in both trackers at driver
-    unload, so fleet bindings that come and go leave no tracker entries
-    behind and stale handles resolve to nothing. *)
-
-(** {2 Dirty-marking writers}
-
-    Kernel or decaf-driver code whose write must reach the other side
-    goes through these; with delta marshaling on, unmarked fields are
-    not re-copied. The [set_*] writers mark only on change. *)
-
-val set_k_msg_enable : kernel_adapter -> int -> unit
-val set_k_flags : kernel_adapter -> int -> unit
-val set_k_link_up : kernel_adapter -> bool -> unit
-val set_k_mtu : kernel_adapter -> int -> unit
-
-val bump_k_stats : kernel_adapter -> unit
-(** Advance [k_stats_gen] (a stats rollup happened) and mark it. *)
-
-val user_view_mark : kernel_adapter -> int
-(** Dirty-generation snapshot to take before [marshal_to_user]; pass to
-    {!ack_user_view} once the crossing carrying that payload succeeded.
-    Writes landing between snapshot and ack (an interrupt during the
-    call) keep their marks. *)
-
-val ack_user_view : kernel_adapter -> upto:int -> unit
-
-val set_j_msg_enable : java_adapter -> int -> unit
-val set_j_flags : java_adapter -> int -> unit
-val set_j_link_up : java_adapter -> bool -> unit
-val bump_j_watchdog : java_adapter -> unit
-val set_j_config_word : java_adapter -> int -> int -> unit
-
-val user_has_view : kernel_adapter -> bool
-(** Whether the user-level tracker holds a view of this adapter (first
-    crossing happened, runtime not restarted since) — the gate for the
-    delta and ring fast paths, which both update an existing view. *)
-
-val wire_size : int
-(** Bytes of a full plan-selected marshal (used for XPC cost sizing);
-    independent of the delta mode. *)
-
-val marshal_to_user : kernel_adapter -> bytes
-(** Encode the plan's copy-in fields — all of them, or (delta mode, user
-    view exists) only the dirty ones. *)
-
-val unmarshal_at_user : bytes -> kernel_adapter -> java_adapter
-(** Decode at user level: finds (or creates and registers) the Java
-    adapter for the capability handle in the user-level tracker, updates
-    the planned fields in place, and returns it. *)
-
-val marshal_to_kernel : java_adapter -> bytes
-(** Encode the plan's copy-out fields for the return trip; in delta mode
-    only the decaf driver's unacknowledged writes, which this call
-    acknowledges (the reply leg cannot independently time out). *)
-
-val unmarshal_at_kernel : bytes -> kernel_adapter -> unit
-(** Apply the decaf driver's writes back to the kernel object — after
-    resolving the capability handle and validating every present field
-    against {!guard}. Checks run before any write, so a
-    {!Decaf_xpc.Boundary.Boundary_violation} (routed to the supervisor
-    as a recoverable driver fault) leaves the adapter untouched. *)
-
-val resync_user_view : kernel_adapter -> unit
-(** Mark every copy-in plan field dirty so the next crossing carries a
-    full image — the resume-from-suspend resync, where the user-level
-    view may be stale but the tracker entry still exists. *)
 
 (** {2 Ring fast path}
 
@@ -165,25 +57,22 @@ val resync_user_view : kernel_adapter -> unit
 
 val ring_ev_stats : int
 val ring_ev_link : int
-
-val ring_plan : Decaf_xpc.Marshal_plan.t
 val ring_guard : Decaf_xpc.Guard.t
 
 val ring_resolve : int -> (int, string) result
-(** Resolve a slot's capability handle against the kernel tracker (the
-    [resolve] argument for {!Decaf_xpc.Ring.create}). *)
+(** The [resolve] argument for {!Decaf_xpc.Ring.create}. *)
 
 val ring_stats_record : kernel_adapter -> Decaf_xpc.Ring.record
-(** Advance [k_stats_gen] WITHOUT a dirty mark (the ring carries the
+(** Advance [stats_gen] WITHOUT a dirty mark (the ring carries the
     value) and build the slot record for it. *)
 
 val ring_link_record : kernel_adapter -> bool -> Decaf_xpc.Ring.record
-(** Set [k_link_up] without a mark and build the slot record. *)
+(** Set [link_up] without a mark and build the slot record. *)
 
 val ring_undeliverable : kernel_adapter -> Decaf_xpc.Ring.record -> unit
 (** The record was dropped (ring overflow, teardown): mark the field it
     carried dirty so the delta-sync slow path repairs the staleness. *)
 
 val apply_ring_record : Decaf_xpc.Ring.record -> unit
-(** Consumer side, after validation: update the Java view in place
-    (zero marshaling); no user view yet is benign. *)
+(** Consumer side, after validation: update the user-level view in
+    place; no view yet is benign. *)

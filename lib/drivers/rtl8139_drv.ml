@@ -2,6 +2,7 @@ module K = Decaf_kernel
 module Hw = Decaf_hw
 module R = Hw.Rtl8139
 module RO = Rtl8139_objects
+module Codec = Decaf_xpc.Codec
 module Runtime = Decaf_runtime.Runtime
 
 let driver = "8139too"
@@ -44,45 +45,13 @@ type adapter = {
 
 let reg a off = a.io_base + off
 
-(* Run [f] on the Java view of the nic — the rtl8139 counterpart of
-   E1000_drv's [with_java_adapter]: plan-driven XDR marshaling with the
-   dirty-snapshot/ack protocol for delta mode. *)
-let with_java_nic a ~name f =
-  match a.env.Driver_env.mode with
-  | Driver_env.Native ->
-      let j = RO.unmarshal_at_user (RO.marshal_to_user a.ka) in
-      let result = f j in
-      RO.unmarshal_at_kernel (RO.marshal_to_kernel j) a.ka;
-      result
-  | Driver_env.Staged | Driver_env.Decaf ->
-      if a.env.Driver_env.mode = Driver_env.Decaf then Runtime.start ();
-      (* attribute boundary faults on this crossing to the binding *)
-      Decaf_xpc.Boundary.scoped a.scope (fun () ->
-          let upto = RO.user_view_mark a.ka in
-          let payload = RO.marshal_to_user a.ka in
-          let result, back =
-            a.env.Driver_env.upcall ~name ~bytes:(Bytes.length payload)
-              (fun () ->
-                let j = RO.unmarshal_at_user payload in
-                let result = f j in
-                (result, RO.marshal_to_kernel j))
-          in
-          RO.ack_user_view a.ka ~upto;
-          RO.unmarshal_at_kernel back a.ka;
-          result)
+(* Run [f] on the user-level view of the nic, and post deferred
+   kernel->user refreshes, as in E1000_drv. *)
+let with_java_nic a ~name f = RO.with_view a.env ~scope:a.scope a.ka ~name f
 
-(* Deferred kernel->user view refresh, as in E1000_drv. *)
 let post_nic_sync a ~name =
-  match a.env.Driver_env.mode with
-  | Driver_env.Native -> ()
-  | Driver_env.Staged | Driver_env.Decaf ->
-      let upto = RO.user_view_mark a.ka in
-      let payload = RO.marshal_to_user a.ka in
-      a.env.Driver_env.notify ~name ~bytes:(Bytes.length payload) (fun () ->
-          Decaf_xpc.Boundary.scoped a.scope (fun () ->
-              ignore (RO.unmarshal_at_user payload);
-              RO.ack_user_view a.ka ~upto;
-              a.user_syncs <- a.user_syncs + 1))
+  RO.post_sync a.env ~scope:a.scope a.ka ~name ~delivered:(fun () ->
+      a.user_syncs <- a.user_syncs + 1)
 
 let stats_notify_interval = 64
 
@@ -102,7 +71,8 @@ let note_packets a n =
           if not (Decaf_xpc.Ring.produce ring r) then
             RO.ring_undeliverable a.ka r
       | None ->
-          RO.bump_k_stats a.ka;
+          let fields = a.ka.RO.fields in
+          Codec.set fields RO.stats_gen (Codec.get fields RO.stats_gen + 1);
           post_nic_sync a ~name:"rtl8139_stats"
     end
   end
@@ -185,7 +155,8 @@ let interrupt a =
           if not (Decaf_xpc.Ring.produce ring r) then
             RO.ring_undeliverable a.ka r
       | None ->
-          RO.bump_k_rx_dropped a.ka;
+          let fields = a.ka.RO.fields in
+          Codec.set fields RO.rx_dropped (Codec.get fields RO.rx_dropped + 1);
           post_nic_sync a ~name:"rtl8139_rx_dropped"
     end
   end
@@ -327,7 +298,7 @@ let probe env (pci : K.Pci.dev) =
             if rc <> 0 then rc
             else begin
               let mac = read_mac a in
-              RO.set_j_msg_enable j 1;
+              Codec.set j RO.msg_enable 1;
               (* register with the kernel: downcalls from user level *)
               a.env.Driver_env.downcall ~name:"register_netdev" ~bytes:64
                 (fun () ->
@@ -356,7 +327,7 @@ let unbind a =
   K.Irq.free_irq a.irq;
   Option.iter Decaf_xpc.Ring.destroy a.xring;
   a.xring <- None;
-  RO.release_kernel_nic a.ka;
+  RO.release a.ka;
   match a.netdev with Some nd -> K.Netcore.unregister_netdev nd | None -> ()
 
 include Pci_family.Make (struct
@@ -433,7 +404,7 @@ let set_rx_mode t ~mc_filter:(w0, w1) =
         post_nic_sync a ~name:"rtl8139_set_rx_mode"
       end
   | None ->
-      RO.set_k_mc_filter a.ka w0 w1;
+      Codec.set a.ka.RO.fields RO.mc_filter [| w0; w1 |];
       post_nic_sync a ~name:"rtl8139_set_rx_mode"
 
 let kernel_nic t = t.adapter.ka

@@ -1,259 +1,49 @@
 open Decaf_xpc
 module Plan = Marshal_plan
 
-type kernel_nic = {
-  k_addr : int;
-  mutable k_msg_enable : int;
-  k_mc_filter : int array;
-  mutable k_rx_dropped : int;
-  mutable k_stats_gen : int;
-  k_dirty : Plan.Dirty.t;
-}
-
-type java_nic = {
-  mutable j_c_addr : int;
-  mutable j_msg_enable : int;
-  j_mc_filter : int array;
-  mutable j_rx_dropped : int;
-  mutable j_stats_gen : int;
-  j_dirty : Plan.Dirty.t;
-}
+type kernel_nic = { k_addr : int; fields : Codec.obj }
 
 let mc_filter_words = 2
 
 (* What the user-level 8139too code touches: msg_enable both ways, and
    the kernel-maintained multicast filter, drop counter and stats
-   generation as read-only views refreshed by deferred notifications. *)
-let plan =
-  Plan.make ~type_id:"rtl8139_nic"
-    [
-      ("msg_enable", Plan.Read_write);
-      ("mc_filter", Plan.Read);
-      ("rx_dropped", Plan.Read);
-      ("stats_gen", Plan.Read);
-    ]
-
-let nic_key : java_nic Univ.key = Univ.new_key "rtl8139_nic"
-
-(* Inbound validation rules (see E1000_objects for the shape): only
-   msg_enable is writable from user level; the Read-only views carry
+   generation as read-only views refreshed by deferred notifications.
+   Only msg_enable is writable from user level; the Read views carry
    rules for completeness but writability rejects them first. *)
-let guard =
-  Guard.make plan
+let codec =
+  let row name access kind rule = { Codec.name; access; kind; rule } in
+  Codec.make ~type_id:"rtl8139_nic"
     [
-      ("msg_enable", Guard.Range (0, 0xffff));
-      ("mc_filter", Guard.Max_len mc_filter_words);
-      ("rx_dropped", Guard.Non_negative);
-      ("stats_gen", Guard.Non_negative);
+      row "msg_enable" Plan.Read_write Codec.Int (Guard.Range (0, 0xffff));
+      row "mc_filter" Plan.Read (Codec.Words mc_filter_words)
+        (Guard.Max_len mc_filter_words);
+      row "rx_dropped" Plan.Read Codec.Int Guard.Non_negative;
+      row "stats_gen" Plan.Read Codec.Int Guard.Non_negative;
     ]
 
-let guard_rejections () = Guard.rejections guard
+let msg_enable = Codec.int codec "msg_enable"
+let mc_filter = Codec.words codec "mc_filter"
+let rx_dropped = Codec.int codec "rx_dropped"
+let stats_gen = Codec.int codec "stats_gen"
+let nic_key = Univ.new_key (Codec.type_id codec)
 
-let kernel_tracker () = Decaf_runtime.Runtime.kernel_tracker ()
+include Shared_struct.Make (struct
+  type kernel = kernel_nic
 
-let nic_handle (k : kernel_nic) =
-  Objtracker.issue (kernel_tracker ()) ~addr:k.k_addr
-    ~type_id:(Plan.type_id plan)
-
-(* Driver unload: revoke the instance's capability handle in both
-   trackers so unbinding leaves no entries behind (see
-   {!E1000_objects.release_kernel_adapter}). *)
-let release_kernel_nic (k : kernel_nic) =
-  Objtracker.remove_all
-    (Decaf_runtime.Runtime.java_tracker ())
-    ~addr:(nic_handle k);
-  Objtracker.remove_all (kernel_tracker ()) ~addr:k.k_addr
+  let codec = codec
+  let key = nic_key
+  let addr k = k.k_addr
+  let fields k = k.fields
+  let on_create _ _ = ()
+  let embedded _ = []
+  let aliases _ = []
+end)
 
 let fresh_kernel_nic () =
-  {
-    k_addr = Addr.alloc ~size:256;
-    k_msg_enable = 0;
-    k_mc_filter = Array.make mc_filter_words 0;
-    k_rx_dropped = 0;
-    k_stats_gen = 0;
-    k_dirty = Plan.Dirty.create ~owner:"rtl8139_nic" ();
-  }
+  { k_addr = Addr.alloc ~size:256; fields = Codec.create codec }
 
-let set_k_msg_enable k v =
-  if k.k_msg_enable <> v then begin
-    k.k_msg_enable <- v;
-    Plan.Dirty.mark k.k_dirty "msg_enable"
-  end
-
-let set_k_mc_filter k w0 w1 =
-  if k.k_mc_filter.(0) <> w0 || k.k_mc_filter.(1) <> w1 then begin
-    k.k_mc_filter.(0) <- w0;
-    k.k_mc_filter.(1) <- w1;
-    Plan.Dirty.mark k.k_dirty "mc_filter"
-  end
-
-let bump_k_rx_dropped k =
-  k.k_rx_dropped <- k.k_rx_dropped + 1;
-  Plan.Dirty.mark k.k_dirty "rx_dropped"
-
-let bump_k_stats k =
-  k.k_stats_gen <- k.k_stats_gen + 1;
-  Plan.Dirty.mark k.k_dirty "stats_gen"
-
-let user_view_mark k = Plan.Dirty.snapshot k.k_dirty
-let ack_user_view k ~upto = Plan.Dirty.acknowledge k.k_dirty ~upto
-
-let set_j_msg_enable j v =
-  if j.j_msg_enable <> v then begin
-    j.j_msg_enable <- v;
-    Plan.Dirty.mark j.j_dirty "msg_enable"
-  end
-
-let encode_fields ~includes ~addr ~msg_enable ~mc_filter ~rx_dropped
-    ~stats_gen =
-  let e = Xdr.Enc.create () in
-  Xdr.Enc.uint e addr;
-  let opt name enc =
-    if includes name then begin
-      Xdr.Enc.bool e true;
-      enc ()
-    end
-    else Xdr.Enc.bool e false
-  in
-  opt "msg_enable" (fun () -> Xdr.Enc.int e msg_enable);
-  opt "mc_filter" (fun () -> Xdr.Enc.array_var e Xdr.Enc.uint mc_filter);
-  opt "rx_dropped" (fun () -> Xdr.Enc.int e rx_dropped);
-  opt "stats_gen" (fun () -> Xdr.Enc.int e stats_gen);
-  Xdr.Enc.to_bytes e
-
-type decoded = {
-  d_addr : int;
-  d_msg_enable : int option;
-  d_mc_filter : int array option;
-  d_rx_dropped : int option;
-  d_stats_gen : int option;
-}
-
-let decode_fields bytes =
-  let d = Xdr.Dec.of_bytes bytes in
-  let d_addr = Xdr.Dec.uint d in
-  let opt dec = if Xdr.Dec.bool d then Some (dec d) else None in
-  let d_msg_enable = opt Xdr.Dec.int in
-  let d_mc_filter = opt (fun d -> Xdr.Dec.array_var d Xdr.Dec.uint) in
-  let d_rx_dropped = opt Xdr.Dec.int in
-  let d_stats_gen = opt Xdr.Dec.int in
-  Xdr.Dec.check_drained d;
-  { d_addr; d_msg_enable; d_mc_filter; d_rx_dropped; d_stats_gen }
-
-(* The user-level tracker is keyed by the capability handle — the C
-   address never crosses to user level. *)
-let user_has_view (k : kernel_nic) =
-  Objtracker.mem
-    (Decaf_runtime.Runtime.java_tracker ())
-    ~addr:(nic_handle k) ~type_id:(Plan.type_id plan)
-
-let marshal_to_user (k : kernel_nic) =
-  let delta = Plan.delta_enabled () && user_has_view k in
-  let includes name =
-    Plan.copies_in plan name
-    && ((not delta) || Plan.Dirty.test k.k_dirty name)
-  in
-  encode_fields ~includes ~addr:(nic_handle k) ~msg_enable:k.k_msg_enable
-    ~mc_filter:k.k_mc_filter ~rx_dropped:k.k_rx_dropped
-    ~stats_gen:k.k_stats_gen
-
-let wire_size =
-  let k = fresh_kernel_nic () in
-  Bytes.length
-    (encode_fields
-       ~includes:(Plan.copies_in plan)
-       ~addr:k.k_addr ~msg_enable:k.k_msg_enable ~mc_filter:k.k_mc_filter
-       ~rx_dropped:k.k_rx_dropped ~stats_gen:k.k_stats_gen)
-
-let unmarshal_at_user bytes =
-  let d = decode_fields bytes in
-  let tracker = Decaf_runtime.Runtime.java_tracker () in
-  let j =
-    match Objtracker.find tracker ~addr:d.d_addr nic_key with
-    | Some j -> j
-    | None ->
-        let j =
-          {
-            j_c_addr = d.d_addr;
-            j_msg_enable = 0;
-            j_mc_filter = Array.make mc_filter_words 0;
-            j_rx_dropped = 0;
-            j_stats_gen = 0;
-            j_dirty = Plan.Dirty.create ~owner:"rtl8139_nic.user" ();
-          }
-        in
-        Objtracker.associate tracker ~addr:d.d_addr (Univ.pack nic_key j);
-        j
-  in
-  Option.iter (fun v -> j.j_msg_enable <- v) d.d_msg_enable;
-  Option.iter (fun v -> Array.blit v 0 j.j_mc_filter 0 (Array.length v))
-    d.d_mc_filter;
-  Option.iter (fun v -> j.j_rx_dropped <- v) d.d_rx_dropped;
-  Option.iter (fun v -> j.j_stats_gen <- v) d.d_stats_gen;
-  j
-
-let marshal_to_kernel (j : java_nic) =
-  let delta = Plan.delta_enabled () in
-  let upto = Plan.Dirty.snapshot j.j_dirty in
-  let includes name =
-    Plan.copies_out plan name
-    && ((not delta) || Plan.Dirty.test j.j_dirty name)
-  in
-  let b =
-    encode_fields ~includes ~addr:j.j_c_addr ~msg_enable:j.j_msg_enable
-      ~mc_filter:j.j_mc_filter ~rx_dropped:j.j_rx_dropped
-      ~stats_gen:j.j_stats_gen
-  in
-  if delta then Plan.Dirty.acknowledge j.j_dirty ~upto;
-  b
-
-(* Inbound crossing: validate everything (capability handle, payload
-   size, field rules) before applying anything — a boundary fault
-   leaves the nic untouched and routes to the supervisor, never a
-   panic. *)
-let unmarshal_at_kernel bytes (k : kernel_nic) =
-  Guard.check_inbound_bytes guard (Bytes.length bytes);
-  let d = decode_fields bytes in
-  (match
-     Objtracker.resolve (kernel_tracker ()) ~handle:d.d_addr
-       ~type_id:(Plan.type_id plan)
-   with
-  | Error reason ->
-      (* resolve already counted the rejection *)
-      raise
-        (Boundary.Boundary_violation
-           { type_id = Plan.type_id plan; field = "handle"; reason })
-  | Ok addr ->
-      if addr <> k.k_addr then
-        Boundary.reject ~type_id:(Plan.type_id plan) ~field:"handle"
-          "handle %#x names nic %#x, crossing is for %#x" d.d_addr addr
-          k.k_addr);
-  let msg_enable =
-    Option.map (Guard.int_field guard ~field:"msg_enable") d.d_msg_enable
-  in
-  (* mc_filter / rx_dropped / stats_gen are Read-only in the plan:
-     never applied, and with the guard on their presence inbound is a
-     violation *)
-  Option.iter
-    (fun v -> ignore (Guard.array_field guard ~field:"mc_filter" v))
-    d.d_mc_filter;
-  Option.iter
-    (fun v -> ignore (Guard.int_field guard ~field:"rx_dropped" v))
-    d.d_rx_dropped;
-  Option.iter
-    (fun v -> ignore (Guard.int_field guard ~field:"stats_gen" v))
-    d.d_stats_gen;
-  Option.iter (fun v -> k.k_msg_enable <- v) msg_enable
-
-let resync_user_view (k : kernel_nic) =
-  List.iter
-    (fun (f, _) -> if Plan.copies_in plan f then Plan.Dirty.mark k.k_dirty f)
-    (Plan.fields plan)
-
-(* Ring fast path (see E1000_objects for the rationale): the three hot
-   notifications — stats rollups, rx-overflow drops, multicast-filter
-   refreshes — as fixed-layout slot records, all-Write in the slot plan
-   because slots live in conceptually shared memory. *)
+(* Ring fast path, as in E1000_objects: stats rollups, rx-overflow drops
+   and multicast-filter refreshes as all-Write slot records. *)
 
 let ring_ev_stats = 1
 let ring_ev_rx_dropped = 2
@@ -271,54 +61,34 @@ let ring_guard =
       ("arg1", Guard.Non_negative);
     ]
 
-let ring_resolve handle =
-  Objtracker.resolve (kernel_tracker ()) ~handle ~type_id:(Plan.type_id plan)
+let ring_resolve = resolve
 
-(* Quiet bumps: the ring delivers the value, the dirty mark happens only
-   if the record turns out to be undeliverable. *)
+(* Quiet writes: the ring delivers the value; only an undeliverable
+   record marks its field. *)
+let bump_record kind f k =
+  let v = Codec.get k.fields f + 1 in
+  Codec.set_quiet k.fields f v;
+  { Ring.kind; handle = handle k; arg0 = v; arg1 = 0 }
 
-let ring_stats_record (k : kernel_nic) =
-  k.k_stats_gen <- k.k_stats_gen + 1;
-  {
-    Ring.kind = ring_ev_stats;
-    handle = nic_handle k;
-    arg0 = k.k_stats_gen;
-    arg1 = 0;
-  }
+let ring_stats_record = bump_record ring_ev_stats stats_gen
+let ring_rx_dropped_record = bump_record ring_ev_rx_dropped rx_dropped
 
-let ring_rx_dropped_record (k : kernel_nic) =
-  k.k_rx_dropped <- k.k_rx_dropped + 1;
-  {
-    Ring.kind = ring_ev_rx_dropped;
-    handle = nic_handle k;
-    arg0 = k.k_rx_dropped;
-    arg1 = 0;
-  }
+let ring_mc_filter_record k w0 w1 =
+  Codec.set_quiet k.fields mc_filter [| w0; w1 |];
+  { Ring.kind = ring_ev_mc_filter; handle = handle k; arg0 = w0; arg1 = w1 }
 
-let ring_mc_filter_record (k : kernel_nic) w0 w1 =
-  k.k_mc_filter.(0) <- w0;
-  k.k_mc_filter.(1) <- w1;
-  { Ring.kind = ring_ev_mc_filter; handle = nic_handle k; arg0 = w0; arg1 = w1 }
-
-let ring_undeliverable (k : kernel_nic) (r : Ring.record) =
-  if r.Ring.kind = ring_ev_stats then Plan.Dirty.mark k.k_dirty "stats_gen"
-  else if r.Ring.kind = ring_ev_rx_dropped then
-    Plan.Dirty.mark k.k_dirty "rx_dropped"
-  else if r.Ring.kind = ring_ev_mc_filter then
-    Plan.Dirty.mark k.k_dirty "mc_filter"
+let ring_undeliverable k (r : Ring.record) =
+  if r.Ring.kind = ring_ev_stats then Codec.mark k.fields stats_gen
+  else if r.Ring.kind = ring_ev_rx_dropped then Codec.mark k.fields rx_dropped
+  else if r.Ring.kind = ring_ev_mc_filter then Codec.mark k.fields mc_filter
 
 let apply_ring_record (r : Ring.record) =
-  match
-    Objtracker.find
-      (Decaf_runtime.Runtime.java_tracker ())
-      ~addr:r.Ring.handle nic_key
-  with
+  match find_view r.Ring.handle with
   | None -> ()
-  | Some j ->
-      if r.Ring.kind = ring_ev_stats then j.j_stats_gen <- r.Ring.arg0
+  | Some { Shared_struct.fields; _ } ->
+      if r.Ring.kind = ring_ev_stats then
+        Codec.set_quiet fields stats_gen r.Ring.arg0
       else if r.Ring.kind = ring_ev_rx_dropped then
-        j.j_rx_dropped <- r.Ring.arg0
-      else if r.Ring.kind = ring_ev_mc_filter then begin
-        j.j_mc_filter.(0) <- r.Ring.arg0;
-        j.j_mc_filter.(1) <- r.Ring.arg1
-      end
+        Codec.set_quiet fields rx_dropped r.Ring.arg0
+      else if r.Ring.kind = ring_ev_mc_filter then
+        Codec.set_quiet fields mc_filter [| r.Ring.arg0; r.Ring.arg1 |]

@@ -1,90 +1,33 @@
 (** Shared-object layer of the 8139too decaf driver: the rtl8139
-    counterpart of {!E1000_objects}, with the same plan-driven XDR
-    marshaling and per-side {!Decaf_xpc.Marshal_plan.Dirty} trackers for
-    delta marshaling.
+    counterpart of {!E1000_objects} over the same {!Shared_struct}.
 
     The kernel keeps the authoritative [msg_enable], multicast filter,
     drop counter and stats generation; user-level code reads them
-    through a marshaled {!java_nic} view refreshed on control crossings
-    and by deferred notifications ({!Decaf_xpc.Batch}). Only
-    [msg_enable] is written back. *)
+    through a marshaled view refreshed on control crossings and by
+    deferred notifications ({!Decaf_xpc.Batch}). Only [msg_enable] is
+    written back. *)
 
-type kernel_nic = {
-  k_addr : int;  (** simulated C address *)
-  mutable k_msg_enable : int;
-  k_mc_filter : int array;  (** 2 words of multicast hash filter *)
-  mutable k_rx_dropped : int;
-  mutable k_stats_gen : int;
-  k_dirty : Decaf_xpc.Marshal_plan.Dirty.t;
-}
+type kernel_nic = { k_addr : int; fields : Decaf_xpc.Codec.obj }
 
-type java_nic = {
-  mutable j_c_addr : int;  (** capability handle this object mirrors *)
-  mutable j_msg_enable : int;
-  j_mc_filter : int array;
-  mutable j_rx_dropped : int;
-  mutable j_stats_gen : int;
-  j_dirty : Decaf_xpc.Marshal_plan.Dirty.t;
-}
+val codec : Decaf_xpc.Codec.t
+val msg_enable : int Decaf_xpc.Codec.field
+val mc_filter : int array Decaf_xpc.Codec.field
+val rx_dropped : int Decaf_xpc.Codec.field
+val stats_gen : int Decaf_xpc.Codec.field
 
-val mc_filter_words : int
-val plan : Decaf_xpc.Marshal_plan.t
-val nic_key : java_nic Decaf_xpc.Univ.key
-
-val guard : Decaf_xpc.Guard.t
-(** Inbound validator derived from {!plan}; see {!E1000_objects.guard}. *)
-
-val guard_rejections : unit -> int
-
-val nic_handle : kernel_nic -> Decaf_xpc.Objtracker.handle
-(** The capability handle the wire carries instead of [k_addr]; see
-    {!E1000_objects.adapter_handle}. *)
+include Shared_struct.S with type kernel := kernel_nic
 
 val fresh_kernel_nic : unit -> kernel_nic
-
-val release_kernel_nic : kernel_nic -> unit
-(** Revoke the instance's capability handle in both trackers at driver
-    unload. *)
-
-(** {2 Dirty-marking writers} *)
-
-val set_k_msg_enable : kernel_nic -> int -> unit
-val set_k_mc_filter : kernel_nic -> int -> int -> unit
-val bump_k_rx_dropped : kernel_nic -> unit
-val bump_k_stats : kernel_nic -> unit
-
-val user_view_mark : kernel_nic -> int
-(** Snapshot/acknowledge protocol as in {!E1000_objects.user_view_mark}. *)
-
-val ack_user_view : kernel_nic -> upto:int -> unit
-val set_j_msg_enable : java_nic -> int -> unit
-
-val user_has_view : kernel_nic -> bool
-(** Whether the user-level tracker holds a view of this nic; see
-    {!E1000_objects.user_has_view}. *)
-
-val wire_size : int
-(** Bytes of a full plan-selected marshal; independent of delta mode. *)
-
-val marshal_to_user : kernel_nic -> bytes
-val unmarshal_at_user : bytes -> java_nic
-val marshal_to_kernel : java_nic -> bytes
-val unmarshal_at_kernel : bytes -> kernel_nic -> unit
-
-val resync_user_view : kernel_nic -> unit
-(** Mark every copy-in field dirty: the post-resume full-image resync,
-    as in {!E1000_objects.resync_user_view}. *)
 
 (** {2 Ring fast path}
 
     Stats rollups, rx-overflow drops and multicast-filter refreshes as
-    fixed-layout {!Decaf_xpc.Ring} slot records; see
-    {!E1000_objects.ring_plan} for the trust rationale. *)
+    fixed-layout {!Decaf_xpc.Ring} slot records, all-Write as in
+    {!E1000_objects}. *)
 
 val ring_ev_stats : int
 val ring_ev_rx_dropped : int
 val ring_ev_mc_filter : int
-val ring_plan : Decaf_xpc.Marshal_plan.t
 val ring_guard : Decaf_xpc.Guard.t
 val ring_resolve : int -> (int, string) result
 val ring_stats_record : kernel_nic -> Decaf_xpc.Ring.record

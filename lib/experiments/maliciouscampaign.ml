@@ -11,6 +11,7 @@
    kernel object absorbs an unvalidated write. *)
 
 module Xpc = Decaf_xpc
+module Codec = Xpc.Codec
 module Errors = Decaf_runtime.Errors
 module Supervisor = Decaf_runtime.Supervisor
 module Runtime = Decaf_runtime.Runtime
@@ -42,46 +43,9 @@ type report = {
 (* --- hostile wire images ---
 
    A compromised decaf driver controls the reply bytes of an upcall, so
-   the campaign crafts them directly with the XDR encoder: any handle
-   bits, any presence flags (including fields the plan marks Read), any
-   values.  The layouts mirror the honest encoders in E1000_objects /
-   Rtl8139_objects — that is the wire format the kernel glue decodes. *)
-
-let e1000_payload ~handle ?msg_enable ?flags ?link_up ?mtu ?config_space
-    ?watchdog_events ?stats_gen () =
-  let e = Xpc.Xdr.Enc.create () in
-  Xpc.Xdr.Enc.uint e handle;
-  let opt enc v =
-    match v with
-    | Some v ->
-        Xpc.Xdr.Enc.bool e true;
-        enc v
-    | None -> Xpc.Xdr.Enc.bool e false
-  in
-  opt (Xpc.Xdr.Enc.int e) msg_enable;
-  opt (Xpc.Xdr.Enc.int e) flags;
-  opt (Xpc.Xdr.Enc.bool e) link_up;
-  opt (Xpc.Xdr.Enc.int e) mtu;
-  opt (Xpc.Xdr.Enc.array_var e Xpc.Xdr.Enc.uint) config_space;
-  opt (Xpc.Xdr.Enc.int e) watchdog_events;
-  opt (Xpc.Xdr.Enc.int e) stats_gen;
-  Xpc.Xdr.Enc.to_bytes e
-
-let rtl_payload ~handle ?msg_enable ?mc_filter ?rx_dropped ?stats_gen () =
-  let e = Xpc.Xdr.Enc.create () in
-  Xpc.Xdr.Enc.uint e handle;
-  let opt enc v =
-    match v with
-    | Some v ->
-        Xpc.Xdr.Enc.bool e true;
-        enc v
-    | None -> Xpc.Xdr.Enc.bool e false
-  in
-  opt (Xpc.Xdr.Enc.int e) msg_enable;
-  opt (Xpc.Xdr.Enc.array_var e Xpc.Xdr.Enc.uint) mc_filter;
-  opt (Xpc.Xdr.Enc.int e) rx_dropped;
-  opt (Xpc.Xdr.Enc.int e) stats_gen;
-  Xpc.Xdr.Enc.to_bytes e
+   the campaign crafts them with [Codec.payload]: any handle bits, any
+   presence flags (including fields the plan marks Read), any values —
+   in the wire format the kernel glue decodes. *)
 
 (* Seeded hostile scalar: out of every rule's envelope, deterministic
    per trial so failures replay. *)
@@ -97,18 +61,7 @@ let hostile_int rng =
    object: the validate-everything-then-apply discipline makes this
    impossible, and the campaign measures it rather than assumes it. *)
 
-let e1000_snapshot (ka : E1000_objects.kernel_adapter) =
-  ( ka.E1000_objects.k_msg_enable,
-    ka.E1000_objects.k_flags,
-    ka.E1000_objects.k_link_up,
-    ka.E1000_objects.k_mtu,
-    Array.copy ka.E1000_objects.k_config_space,
-    ka.E1000_objects.k_watchdog_events )
-
-let rtl_snapshot (ka : Rtl8139_objects.kernel_nic) =
-  ( ka.Rtl8139_objects.k_msg_enable,
-    Array.copy ka.Rtl8139_objects.k_mc_filter,
-    ka.Rtl8139_objects.k_rx_dropped )
+let snapshot fields () = Codec.values fields
 
 (* Run [attack] (expected to raise a boundary fault) and record whether
    the attacked object changed despite the rejection. *)
@@ -220,47 +173,54 @@ module EO = E1000_objects
 module RO = Rtl8139_objects
 
 let e1000_apply ~corrupted ka payload =
-  checked corrupted
-    (fun () -> e1000_snapshot ka)
-    (fun () ->
+  checked corrupted (snapshot ka.EO.fields) (fun () ->
       Xpc.Boundary.scoped "e1000" (fun () ->
           EO.unmarshal_at_kernel payload ka))
 
 let e1000_fuzz rng ~corrupted ka =
   e1000_apply ~corrupted ka
-    (e1000_payload ~handle:(EO.adapter_handle ka) ~msg_enable:(hostile_int rng)
-       ~flags:(-1 - Random.State.int rng 7) ())
+    (Codec.payload EO.codec ~handle:(EO.adapter_handle ka)
+       [
+         ("msg_enable", Codec.I (hostile_int rng));
+         ("flags", Codec.I (-1 - Random.State.int rng 7));
+       ])
 
 let e1000_readonly_write ~corrupted ka =
   (* mtu is Read in the plan: presence inbound is an attempted write
      through a read-only view, whatever the value *)
   e1000_apply ~corrupted ka
-    (e1000_payload ~handle:(EO.adapter_handle ka) ~mtu:1500 ())
+    (Codec.payload EO.codec ~handle:(EO.adapter_handle ka)
+       [ ("mtu", Codec.I 1500) ])
 
 let e1000_oversized ~corrupted ka =
   (* 1500 uints ~ 6 KB: over the inbound payload bound before any field
      is even decoded *)
   e1000_apply ~corrupted ka
-    (e1000_payload ~handle:(EO.adapter_handle ka)
-       ~config_space:(Array.make 1500 0xffff_ffff) ())
+    (Codec.payload EO.codec ~handle:(EO.adapter_handle ka)
+       [ ("config_space", Codec.W (Array.make 1500 0xffff_ffff)) ])
 
 let e1000_forged_handle rng ~corrupted ka =
   e1000_apply ~corrupted ka
-    (e1000_payload ~handle:(0x1dea_d000 + Random.State.int rng 0xfff) ())
+    (Codec.payload EO.codec
+       ~handle:(0x1dea_d000 + Random.State.int rng 0xfff)
+       [])
 
 let e1000_stale_handle ~corrupted ka =
   let h = EO.adapter_handle ka in
   Xpc.Objtracker.remove_by_handle (Runtime.kernel_tracker ()) ~handle:h;
-  e1000_apply ~corrupted ka (e1000_payload ~handle:h ())
+  e1000_apply ~corrupted ka (Codec.payload EO.codec ~handle:h [])
 
 let e1000_cross_type ~corrupted ka =
   (* the tx ring shares the adapter's C address (§3.1.2): its handle is
      a real capability, just not for this type *)
-  e1000_apply ~corrupted ka (e1000_payload ~handle:(EO.tx_ring_handle ka) ())
+  e1000_apply ~corrupted ka
+    (Codec.payload EO.codec ~handle:(EO.tx_ring_handle ka) [])
 
 let e1000_forged_ack ~corrupted:_ ka =
   Xpc.Boundary.scoped "e1000" (fun () ->
-      let issued = Xpc.Marshal_plan.Dirty.issued ka.EO.k_dirty in
+      let issued =
+        Xpc.Marshal_plan.Dirty.issued (Codec.dirty ka.EO.fields)
+      in
       EO.ack_user_view ka ~upto:(issued + 7))
 
 let e1000_flood ~corrupted:_ _ka = flood_posts ~context:"e1000_stats" 50
@@ -284,9 +244,7 @@ let ring_of driver =
    left untouched. *)
 let e1000_ring_forged rng ~corrupted ka =
   let ring = ring_of "e1000" in
-  checked corrupted
-    (fun () -> e1000_snapshot ka)
-    (fun () ->
+  checked corrupted (snapshot ka.EO.fields) (fun () ->
       ignore
         (Xpc.Ring.produce ring
            {
@@ -332,39 +290,41 @@ let e1000_ring_flood ~corrupted:_ ka =
 (* --- 8139too attacks --- *)
 
 let rtl_apply ~corrupted ka payload =
-  checked corrupted
-    (fun () -> rtl_snapshot ka)
-    (fun () ->
+  checked corrupted (snapshot ka.RO.fields) (fun () ->
       Xpc.Boundary.scoped "8139too" (fun () ->
           RO.unmarshal_at_kernel payload ka))
 
 let rtl_fuzz rng ~corrupted ka =
   rtl_apply ~corrupted ka
-    (rtl_payload ~handle:(RO.nic_handle ka) ~msg_enable:(hostile_int rng) ())
+    (Codec.payload RO.codec ~handle:(RO.handle ka)
+       [ ("msg_enable", Codec.I (hostile_int rng)) ])
 
 let rtl_readonly_write ~corrupted ka =
   rtl_apply ~corrupted ka
-    (rtl_payload ~handle:(RO.nic_handle ka) ~mc_filter:[| 0xffff; 0xffff |] ())
+    (Codec.payload RO.codec ~handle:(RO.handle ka)
+       [ ("mc_filter", Codec.W [| 0xffff; 0xffff |]) ])
 
 let rtl_forged_handle rng ~corrupted ka =
   rtl_apply ~corrupted ka
-    (rtl_payload ~handle:(0x2bad_0000 + Random.State.int rng 0xfff) ())
+    (Codec.payload RO.codec
+       ~handle:(0x2bad_0000 + Random.State.int rng 0xfff)
+       [])
 
 let rtl_stale_handle ~corrupted ka =
-  let h = RO.nic_handle ka in
+  let h = RO.handle ka in
   Xpc.Objtracker.remove_by_handle (Runtime.kernel_tracker ()) ~handle:h;
-  rtl_apply ~corrupted ka (rtl_payload ~handle:h ())
+  rtl_apply ~corrupted ka (Codec.payload RO.codec ~handle:h [])
 
 let rtl_forged_ack ~corrupted:_ ka =
   Xpc.Boundary.scoped "8139too" (fun () ->
-      let issued = Xpc.Marshal_plan.Dirty.issued ka.RO.k_dirty in
+      let issued =
+        Xpc.Marshal_plan.Dirty.issued (Codec.dirty ka.RO.fields)
+      in
       RO.ack_user_view ka ~upto:(issued + 3))
 
 let rtl_ring_forged rng ~corrupted ka =
   let ring = ring_of "8139too" in
-  checked corrupted
-    (fun () -> rtl_snapshot ka)
-    (fun () ->
+  checked corrupted (snapshot ka.RO.fields) (fun () ->
       ignore
         (Xpc.Ring.produce ring
            {
@@ -377,7 +337,7 @@ let rtl_ring_forged rng ~corrupted ka =
         (Xpc.Ring.produce ring
            {
              Xpc.Ring.kind = 7;
-             handle = RO.nic_handle ka;
+             handle = RO.handle ka;
              arg0 = 1;
              arg1 = 0;
            });
@@ -385,7 +345,7 @@ let rtl_ring_forged rng ~corrupted ka =
         (Xpc.Ring.produce ring
            {
              Xpc.Ring.kind = RO.ring_ev_rx_dropped;
-             handle = RO.nic_handle ka;
+             handle = RO.handle ka;
              (* rx_dropped is a counter: negative is out of envelope *)
              arg0 = -(1 + Random.State.int rng 1000);
              arg1 = 0;
@@ -402,7 +362,7 @@ let e1000_pm_window_scene _rng ~corrupted =
     (once (fun () ->
          e1000_apply ~corrupted
            (E1000_drv.kernel_adapter (Option.get (E1000_drv.active ())))
-           (e1000_payload ~handle:0x5bad_f00d ())))
+           (Codec.payload EO.codec ~handle:0x5bad_f00d [])))
 
 (* Replay a capability across an eject/replug window: the unbind path
    revoked it, so the replayed handle is stale even though the driver

@@ -172,3 +172,8 @@ let check_inbound_bytes t n =
       "inbound payload of %d bytes exceeds limit %d" n
       limits.max_inbound_bytes
   end
+
+let reject_malformed t reason =
+  t.rejections <- t.rejections + 1;
+  Boundary.reject ~type_id:(type_id t) ~field:"payload" "malformed image: %s"
+    reason

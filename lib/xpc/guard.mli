@@ -47,6 +47,10 @@ val check_inbound_bytes : t -> int -> unit
     the kmalloc an inbound crossing can force on the kernel. Enforced
     even when the guard axis is off. *)
 
+val reject_malformed : t -> string -> 'a
+(** Count an inbound payload that does not decode as one image of the
+    plan, and raise {!Boundary.Boundary_violation} on ["payload"]. *)
+
 (** {1 The guard axis} *)
 
 val set_enabled : bool -> unit

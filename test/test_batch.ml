@@ -276,7 +276,7 @@ let sync_to_user k j_ref =
      after the crossing delivered *)
   let upto = O.user_view_mark k in
   let payload = O.marshal_to_user k in
-  let j = O.unmarshal_at_user payload in
+  let j = (O.unmarshal_at_user payload k).Decaf_drivers.Shared_struct.fields in
   O.ack_user_view k ~upto;
   j_ref := Some j;
   (j, Bytes.length payload)
@@ -285,41 +285,41 @@ let test_delta_kernel_to_user () =
   K.Boot.boot ();
   Plan.set_delta_enabled true;
   let k = O.fresh_kernel_nic () in
-  O.set_k_msg_enable k 7;
-  O.set_k_mc_filter k 0xaa 0xbb;
+  Codec.set k.O.fields O.msg_enable 7;
+  Codec.set k.O.fields O.mc_filter [| 0xaa; 0xbb |];
   let j_ref = ref None in
   (* first crossing: the user side has no view yet, so the payload is a
      full image regardless of delta mode *)
   let j, first_len = sync_to_user k j_ref in
   check "first crossing is full-size" O.wire_size first_len;
-  check "msg_enable arrived" 7 j.O.j_msg_enable;
-  check "mc_filter arrived" 0xaa j.O.j_mc_filter.(0);
+  check "msg_enable arrived" 7 (Codec.get j O.msg_enable);
+  check "mc_filter arrived" 0xaa (Codec.get j O.mc_filter).(0);
   (* kernel writes one field; the next crossing carries only it *)
-  O.bump_k_rx_dropped k;
-  j.O.j_msg_enable <- 999 (* sentinel: must NOT be overwritten *);
+  Codec.set k.O.fields O.rx_dropped (Codec.get k.O.fields O.rx_dropped + 1);
+  Codec.set_quiet j O.msg_enable 999 (* sentinel: must NOT be overwritten *);
   let j', delta_len = sync_to_user k j_ref in
   check_bool "same user object updated in place" true (j' == j);
   check_bool "delta smaller than full image" true (delta_len < O.wire_size);
-  check "written field visible user-side" 1 j.O.j_rx_dropped;
-  check "unwritten field not re-copied" 999 j.O.j_msg_enable;
+  check "written field visible user-side" 1 (Codec.get j O.rx_dropped);
+  check "unwritten field not re-copied" 999 (Codec.get j O.msg_enable);
   (* nothing written since the acknowledge: an empty delta *)
   let _, idle_len = sync_to_user k j_ref in
   check_bool "idle resync smaller still" true (idle_len <= delta_len);
-  check "no pending marks" 0 (Plan.Dirty.pending k.O.k_dirty)
+  check "no pending marks" 0 (Plan.Dirty.pending (Codec.dirty k.O.fields))
 
 let test_delta_user_to_kernel () =
   K.Boot.boot ();
   Plan.set_delta_enabled true;
   let k = O.fresh_kernel_nic () in
-  let j = O.unmarshal_at_user (O.marshal_to_user k) in
-  O.set_j_msg_enable j 5;
+  let j = O.unmarshal_at_user (O.marshal_to_user k) k in
+  Codec.set j.Decaf_drivers.Shared_struct.fields O.msg_enable 5;
   O.unmarshal_at_kernel (O.marshal_to_kernel j) k;
-  check "user write reached the kernel" 5 k.O.k_msg_enable;
+  check "user write reached the kernel" 5 (Codec.get k.O.fields O.msg_enable);
   (* no further user writes: the reply carries nothing, so a kernel-side
      value set meanwhile survives *)
-  k.O.k_msg_enable <- 42;
+  Codec.set_quiet k.O.fields O.msg_enable 42;
   O.unmarshal_at_kernel (O.marshal_to_kernel j) k;
-  check "unwritten field not replayed" 42 k.O.k_msg_enable
+  check "unwritten field not replayed" 42 (Codec.get k.O.fields O.msg_enable)
 
 let test_dirty_mark_during_crossing_survives_ack () =
   (* an interrupt writing a field while the crossing is in flight must
@@ -337,7 +337,7 @@ let test_dirty_mark_during_crossing_survives_ack () =
 let test_full_mode_ignores_dirty_state () =
   K.Boot.boot ();
   let k = O.fresh_kernel_nic () in
-  let j = O.unmarshal_at_user (O.marshal_to_user k) in
+  let j = O.unmarshal_at_user (O.marshal_to_user k) k in
   ignore j;
   (* with delta off, repeat marshals stay full-size even though nothing
      is dirty *)

@@ -247,8 +247,9 @@ let test_e1000_watchdog_runs_in_decaf () =
       check "one crossing per watchdog run" runs (crossings_after - crossings_before);
       let ka = E1000_drv.kernel_adapter t in
       check "watchdog events marshaled back to the kernel object" runs
-        ka.E1000_objects.k_watchdog_events;
-      check_bool "link seen up" true ka.E1000_objects.k_link_up;
+        (Xpc.Codec.get ka.E1000_objects.fields E1000_objects.watchdog_events);
+      check_bool "link seen up" true
+        (Xpc.Codec.get ka.E1000_objects.fields E1000_objects.link_up);
       E1000_drv.rmmod t)
 
 let test_e1000_open_fault_injection () =
@@ -364,7 +365,7 @@ let test_e1000_config_space_saved () =
       (* dword 0 of config space: device id << 16 | vendor id, copied to
          user level during probe and marshaled back *)
       check "config_space[0]" ((0x100e lsl 16) lor 0x8086)
-        ka.E1000_objects.k_config_space.(0);
+        (Xpc.Codec.get ka.E1000_objects.fields E1000_objects.config_space).(0);
       E1000_drv.rmmod t)
 
 (* --- ens1371 --- *)

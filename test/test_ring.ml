@@ -256,8 +256,9 @@ let test_suspend_flushes_nonempty_ring () =
       check "nothing discarded by a clean suspend" 0
         (Ring.stats_of ring).Ring.discarded;
       let j = Option.get (java_view ka) in
-      check "user view caught up through the ring" ka.EO.k_stats_gen
-        j.EO.j_stats_gen;
+      check "user view caught up through the ring"
+        (Codec.get ka.EO.fields EO.stats_gen)
+        (Codec.get j.Decaf_drivers.Shared_struct.fields EO.stats_gen);
       check "ring slots leaked no tracker entries" tracked_before
         (Objtracker.handle_count kt);
       invariant ();
@@ -269,8 +270,10 @@ let test_suspend_flushes_nonempty_ring () =
       in
       check_bool "traffic flows after resume" true
         (r.Decaf_workloads.Netperf.packets > 0);
-      check "view still consistent after resume resync" ka.EO.k_stats_gen
-        (Option.get (java_view ka)).EO.j_stats_gen;
+      let j = Option.get (java_view ka) in
+      check "view still consistent after resume resync"
+        (Codec.get ka.EO.fields EO.stats_gen)
+        (Codec.get j.Decaf_drivers.Shared_struct.fields EO.stats_gen);
       Driver_core.rmmod "e1000";
       check_bool "ring unregistered at unbind" true
         (Ring.find ~name:"e1000" = None);
