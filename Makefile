@@ -14,11 +14,11 @@ test:
 check: build test lint campaign-malicious bench-check soak explore
 
 # Exhaustive schedule exploration (DPOR) of the decaf-check episode
-# catalog at full depth, with the dynamic lock-acquisition order and
-# the static/dynamic cross-check; fails on any counterexample. The
-# reduced-depth pass runs inside `dune runtest` as @check-smoke.
+# catalog at full depth, with the dynamic lock-acquisition order; fails
+# on any counterexample. The reduced-depth pass runs inside
+# `dune runtest` as @check-smoke.
 explore:
-	dune exec bin/decafctl.exe -- explore --lock-order --lock-diff
+	dune exec bin/decafctl.exe -- explore --lock-order
 
 # The fault-injection campaign (buggy drivers: Table "no panics" row).
 campaign:
@@ -62,10 +62,8 @@ soak:
 	dune exec bin/decafctl.exe -- soak --duration-ms 10000
 
 # Regenerate the committed soak trajectory after a deliberate
-# cost-model retuning and show what changed. To land the retuning and
-# the file update in separate steps, run the gate once with
-# DECAF_SOAK_WAIVE=1 (skips only the p99 comparison; the deadline-miss
-# and leak gates always hold).
+# cost-model retuning and show what changed; land it in the same change
+# as the retuning.
 soak-json:
 	dune exec bench/main.exe -- soak-json BENCH_soak.json.new
 	-diff -u BENCH_soak.json BENCH_soak.json.new

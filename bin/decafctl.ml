@@ -170,8 +170,7 @@ let soak_check_arg =
   let doc =
     "Gate mode: re-measure at the committed trajectory's scale and fail on \
      a p99 regression, an audio deadline miss in the fault-free phase, or \
-     a leak at quiescence (DECAF_SOAK_WAIVE=1 skips only the p99 \
-     comparison)."
+     a leak at quiescence."
   in
   Arg.(value & opt (some string) None & info [ "check" ] ~docv:"PATH" ~doc)
 
@@ -199,7 +198,7 @@ let soak_cmd =
 
 (* ---- explore: the decaf-check exploration harness ---- *)
 
-let explore episode depth smoke json lock_order lock_diff =
+let explore episode depth smoke json lock_order =
   let results =
     try E.Exploration.run ?episode ?depth ~smoke ()
     with Invalid_argument msg ->
@@ -212,10 +211,6 @@ let explore episode depth smoke json lock_order lock_diff =
     if lock_order then begin
       print_newline ();
       print_string (E.Exploration.render_lock_order results)
-    end;
-    if lock_diff then begin
-      print_newline ();
-      print_string (E.Exploration.render_lock_diff results)
     end
   end;
   let cxs =
@@ -223,8 +218,7 @@ let explore episode depth smoke json lock_order lock_diff =
       (fun r -> r.E.Exploration.x_report.Decaf_check.Explore.r_counterexamples <> [])
       results
   in
-  let conflicts = lock_diff && E.Exploration.has_conflicts results in
-  exit (if cxs || conflicts then 1 else 0)
+  exit (if cxs then 1 else 0)
 
 let episode_arg =
   let doc =
@@ -254,13 +248,6 @@ let lock_order_arg =
   let doc = "Also print the dynamic lock-acquisition-order edges." in
   Arg.(value & flag & info [ "lock-order" ] ~doc)
 
-let lock_diff_arg =
-  let doc =
-    "Also cross-check the dynamic lock order against decaf-lint's static \
-     acquisition-order edges; AB/BA conflicts fail the run."
-  in
-  Arg.(value & flag & info [ "lock-diff" ] ~doc)
-
 let explore_cmd =
   Cmd.v
     (Cmd.info "explore"
@@ -270,7 +257,7 @@ let explore_cmd =
           replayable counterexample traces")
     Term.(
       const explore $ episode_arg $ depth_arg $ smoke_arg $ explore_json_arg
-      $ lock_order_arg $ lock_diff_arg)
+      $ lock_order_arg)
 
 let cmd =
   Cmd.group

@@ -14,7 +14,6 @@
 
 module K = Decaf_kernel
 module Xpc = Decaf_xpc
-module Plan = Decaf_xpc.Marshal_plan
 module Guard = Decaf_xpc.Guard
 open Decaf_drivers
 
@@ -27,21 +26,13 @@ let after_free : string list ref = ref []
 let note_after_free what = after_free := what :: !after_free
 let reset_observations () = after_free := []
 
-(* --- slot plan for the shared ring --- *)
+(* --- slot table for the shared ring --- *)
 
 let ring_ev_tick = 1
 
-let ring_plan =
-  Plan.make ~type_id:"chkdev_slot"
-    [ ("kind", Plan.Write); ("arg0", Plan.Write); ("arg1", Plan.Write) ]
-
-let ring_guard =
-  Guard.make ring_plan
-    [
-      ("kind", Guard.Enum [ ring_ev_tick ]);
-      ("arg0", Guard.Non_negative);
-      ("arg1", Guard.Non_negative);
-    ]
+let ring_table =
+  Xpc.Ring.table ~type_id:"chkdev_slot" ~kinds:[ ring_ev_tick ]
+    ~arg0:Guard.Non_negative ~arg1:Guard.Non_negative
 
 let kernel_tracker () = Decaf_runtime.Runtime.kernel_tracker ()
 
@@ -142,7 +133,7 @@ module Core : Driver_core.DRIVER with type t = dev = struct
     let idx = instance_index id in
     let handle =
       Xpc.Objtracker.issue (kernel_tracker ()) ~addr:(0xCD00 + idx)
-        ~type_id:(Plan.type_id ring_plan)
+        ~type_id:(Xpc.Codec.type_id ring_table)
     in
     let ring =
       match env.Driver_env.mode with
@@ -154,10 +145,11 @@ module Core : Driver_core.DRIVER with type t = dev = struct
             else Xpc.Domain.Driver_lib
           in
           Some
-            (Xpc.Ring.create ~name:id ~target ~guard:ring_guard
+            (Xpc.Ring.create ~name:id ~target
+               ~guard:(Xpc.Codec.guard ring_table)
                ~resolve:(fun handle ->
                  Xpc.Objtracker.resolve (kernel_tracker ()) ~handle
-                   ~type_id:(Plan.type_id ring_plan))
+                   ~type_id:(Xpc.Codec.type_id ring_table))
                ~handler:(fun _ -> ()) ())
     in
     let d =

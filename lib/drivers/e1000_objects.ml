@@ -93,24 +93,18 @@ let fresh_kernel_adapter () =
     fields;
   }
 
-(* Ring fast path. The slot plan is what DriverSlicer would derive for
-   the shared-ring record type: every field Write, because anything read
-   out of a slot is inbound. *)
+(* Ring fast path: a stats record carries the generation in arg0, a
+   link record the new state in arg1. *)
 
 let ring_ev_stats = 1
 let ring_ev_link = 2
 
-let ring_plan =
-  Plan.make ~type_id:"e1000_ring_slot"
-    [ ("kind", Plan.Write); ("arg0", Plan.Write); ("arg1", Plan.Write) ]
+let ring_table =
+  Ring.table ~type_id:"e1000_ring_slot"
+    ~kinds:[ ring_ev_stats; ring_ev_link ]
+    ~arg0:Guard.Non_negative ~arg1:(Guard.Range (0, 1))
 
-let ring_guard =
-  Guard.make ring_plan
-    [
-      ("kind", Guard.Enum [ ring_ev_stats; ring_ev_link ]);
-      ("arg0", Guard.Non_negative);
-      ("arg1", Guard.Range (0, 1));
-    ]
+let ring_guard = Codec.guard ring_table
 
 let ring_resolve = resolve
 

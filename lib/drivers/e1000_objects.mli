@@ -25,7 +25,6 @@ type kernel_adapter = {
 val config_words : int
 (** Length of the saved PCI config-space array (dwords). *)
 
-val codec : Decaf_xpc.Codec.t
 val plan : Decaf_xpc.Marshal_plan.t
 val guard : Decaf_xpc.Guard.t
 val msg_enable : int Decaf_xpc.Codec.field
@@ -38,7 +37,7 @@ val stats_gen : int Decaf_xpc.Codec.field
 val adapter_key : Shared_struct.user Decaf_xpc.Univ.key
 val ring_key : ring Decaf_xpc.Univ.key
 
-include Shared_struct.S with type kernel := kernel_adapter
+include Shared_struct.S with type kernel = kernel_adapter
 
 val adapter_handle : kernel_adapter -> Decaf_xpc.Objtracker.handle
 val tx_ring_handle : kernel_adapter -> Decaf_xpc.Objtracker.handle
@@ -50,14 +49,17 @@ val fresh_kernel_adapter : unit -> kernel_adapter
 (** {2 Ring fast path}
 
     The two hot notifications (periodic stats rollups, link
-    transitions) as fixed-layout {!Decaf_xpc.Ring} slot records. The
-    slot plan marks every field Write: the ring lives in conceptually
-    shared memory the untrusted domain can scribble, so everything read
-    out of a slot is inbound and guard-checked. *)
+    transitions) as fixed-layout {!Decaf_xpc.Ring} slot records. *)
 
 val ring_ev_stats : int
 val ring_ev_link : int
+
+val ring_table : Decaf_xpc.Codec.t
+(** The slot table ({!Decaf_xpc.Ring.table}): a stats or link kind,
+    [arg0] non-negative, [arg1] 0 or 1. *)
+
 val ring_guard : Decaf_xpc.Guard.t
+(** [Codec.guard ring_table], the [guard] of the driver's ring. *)
 
 val ring_resolve : int -> (int, string) result
 (** The [resolve] argument for {!Decaf_xpc.Ring.create}. *)

@@ -43,23 +43,18 @@ let fresh_kernel_nic () =
   { k_addr = Addr.alloc ~size:256; fields = Codec.create codec }
 
 (* Ring fast path, as in E1000_objects: stats rollups, rx-overflow drops
-   and multicast-filter refreshes as all-Write slot records. *)
+   and multicast-filter refreshes as slot records. *)
 
 let ring_ev_stats = 1
 let ring_ev_rx_dropped = 2
 let ring_ev_mc_filter = 3
 
-let ring_plan =
-  Plan.make ~type_id:"rtl8139_ring_slot"
-    [ ("kind", Plan.Write); ("arg0", Plan.Write); ("arg1", Plan.Write) ]
+let ring_table =
+  Ring.table ~type_id:"rtl8139_ring_slot"
+    ~kinds:[ ring_ev_stats; ring_ev_rx_dropped; ring_ev_mc_filter ]
+    ~arg0:Guard.Non_negative ~arg1:Guard.Non_negative
 
-let ring_guard =
-  Guard.make ring_plan
-    [
-      ("kind", Guard.Enum [ ring_ev_stats; ring_ev_rx_dropped; ring_ev_mc_filter ]);
-      ("arg0", Guard.Non_negative);
-      ("arg1", Guard.Non_negative);
-    ]
+let ring_guard = Codec.guard ring_table
 
 let ring_resolve = resolve
 

@@ -9,25 +9,28 @@
 
 type kernel_nic = { k_addr : int; fields : Decaf_xpc.Codec.obj }
 
-val codec : Decaf_xpc.Codec.t
 val msg_enable : int Decaf_xpc.Codec.field
 val mc_filter : int array Decaf_xpc.Codec.field
 val rx_dropped : int Decaf_xpc.Codec.field
 val stats_gen : int Decaf_xpc.Codec.field
 
-include Shared_struct.S with type kernel := kernel_nic
+include Shared_struct.S with type kernel = kernel_nic
 
 val fresh_kernel_nic : unit -> kernel_nic
 
 (** {2 Ring fast path}
 
     Stats rollups, rx-overflow drops and multicast-filter refreshes as
-    fixed-layout {!Decaf_xpc.Ring} slot records, all-Write as in
+    fixed-layout {!Decaf_xpc.Ring} slot records, as in
     {!E1000_objects}. *)
 
 val ring_ev_stats : int
 val ring_ev_rx_dropped : int
 val ring_ev_mc_filter : int
+
+val ring_table : Decaf_xpc.Codec.t
+(** The slot table: one of the three kinds, both args non-negative. *)
+
 val ring_guard : Decaf_xpc.Guard.t
 val ring_resolve : int -> (int, string) result
 val ring_stats_record : kernel_nic -> Decaf_xpc.Ring.record

@@ -49,6 +49,12 @@ end
 module type S = sig
   type kernel
 
+  val codec : Codec.t
+  (** The structure's descriptor table. *)
+
+  val fields : kernel -> Codec.obj
+  (** The kernel copy's storage. *)
+
   val handle : kernel -> Objtracker.handle
   (** The structure's capability; issue is idempotent until revoked. *)
 
@@ -107,8 +113,11 @@ module type S = sig
       [delivered] runs when it arrives. *)
 end
 
-module Make (Spec : SPEC) : S with type kernel := Spec.kernel = struct
+module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
+  type kernel = Spec.kernel
+
   let codec = Spec.codec
+  let fields = Spec.fields
   let plan = Codec.plan codec
   let type_id = Codec.type_id codec
   let kernel_tracker = Runtime.kernel_tracker

@@ -130,78 +130,3 @@ let render_json results =
       (String.concat "," (List.map edge_json r.Explore.r_lock_edges))
   in
   Printf.sprintf "[%s]\n" (String.concat ",\n " (List.map result_json results))
-
-(* --- static/dynamic lock-order cross-check ----------------------------- *)
-
-(* Static acquisition-order edges from the bundled legacy drivers, via
-   the decaf-lint lock-identity pass. The namespaces are mostly
-   disjoint (C expressions vs. runtime lock tags), so the diff
-   normalizes both sides to bare lock names before comparing; agreement
-   is only meaningful where the names genuinely coincide, and the
-   static-only/dynamic-only sections are informational. *)
-let static_edges () =
-  List.concat_map
-    (fun (driver, (source, config)) ->
-      let out = Decaf_slicer.Slicer.slice ~source config in
-      List.map
-        (fun (a, b) -> (driver, a, b))
-        (Decaf_slicer.Lint.static_lock_order out.Decaf_slicer.Slicer.file))
-    [
-      ( "8139too",
-        (Decaf_drivers.Rtl8139_src.source, Decaf_drivers.Rtl8139_src.config) );
-      ("e1000", (Decaf_drivers.E1000_src.source, Decaf_drivers.E1000_src.config));
-      ( "ens1371",
-        (Decaf_drivers.Ens1371_src.source, Decaf_drivers.Ens1371_src.config) );
-      ( "uhci-hcd",
-        (Decaf_drivers.Uhci_src.source, Decaf_drivers.Uhci_src.config) );
-      ( "psmouse",
-        (Decaf_drivers.Psmouse_src.source, Decaf_drivers.Psmouse_src.config) );
-    ]
-
-let render_lock_diff results =
-  let static_raw = static_edges () in
-  let static = List.map (fun (_, a, b) -> (a, b)) static_raw in
-  let dynamic =
-    List.concat_map (fun r -> r.x_report.Explore.r_lock_edges) results
-  in
-  let d = Check.Lockorder.diff ~static ~dynamic in
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "static edges (lint): %d across %d drivers\n"
-       (List.length static)
-       (List.length
-          (List.sort_uniq compare (List.map (fun (d, _, _) -> d) static_raw))));
-  List.iter
-    (fun (drv, a, b) ->
-      Buffer.add_string buf (Printf.sprintf "  [%s] %s -> %s\n" drv a b))
-    static_raw;
-  Buffer.add_string buf
-    (Printf.sprintf "dynamic edges (explore): %d\n" (List.length dynamic));
-  List.iter
-    (fun (a, b) -> Buffer.add_string buf (Printf.sprintf "  %s -> %s\n" a b))
-    (List.sort_uniq compare dynamic);
-  (match d.Check.Lockorder.conflicts with
-  | [] -> Buffer.add_string buf "conflicts: none\n"
-  | cs ->
-      Buffer.add_string buf
-        (Printf.sprintf "conflicts: %d\n" (List.length cs));
-      List.iter
-        (fun (a, b) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "  CONFLICT %s -> %s statically but %s -> %s dynamically\n" a b b
-               a))
-        cs);
-  Buffer.add_string buf
-    (Printf.sprintf "agreements: %d, static-only: %d, dynamic-only: %d\n"
-       (List.length d.Check.Lockorder.agreements)
-       (List.length d.Check.Lockorder.static_only)
-       (List.length d.Check.Lockorder.dynamic_only));
-  Buffer.contents buf
-
-let has_conflicts results =
-  let static = List.map (fun (_, a, b) -> (a, b)) (static_edges ()) in
-  let dynamic =
-    List.concat_map (fun r -> r.x_report.Explore.r_lock_edges) results
-  in
-  (Check.Lockorder.diff ~static ~dynamic).Check.Lockorder.conflicts <> []

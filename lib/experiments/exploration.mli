@@ -1,8 +1,7 @@
 (** The decaf-check exploration experiment: drive the episode catalog
     through the DPOR explorer ({!Decaf_check.Explore}) and render the
-    per-episode statistics, counterexamples, the dynamic
-    lock-acquisition order, and the static/dynamic lock-order
-    cross-check against decaf-lint. *)
+    per-episode statistics, counterexamples and the dynamic
+    lock-acquisition order. *)
 
 type result = {
   x_depth : int;  (** branching-depth bound the exploration ran at *)
@@ -33,10 +32,3 @@ val render_json : result list -> string
 
 val render_lock_order : result list -> string
 (** The accumulated dynamic lock-acquisition-order edges per episode. *)
-
-val render_lock_diff : result list -> string
-(** Static edges (decaf-lint over the bundled drivers) vs. dynamic
-    edges (exploration), with AB/BA conflicts flagged. *)
-
-val has_conflicts : result list -> bool
-(** True if the static/dynamic cross-check found an AB/BA conflict. *)

@@ -7,11 +7,8 @@
    The check gate re-measures at the committed file's scale and fails
    on a p99 regression beyond the slack, any missing (phase, path)
    point, any audio deadline miss in the fresh steady phase, or any
-   leak at quiescence. Intentional cost-model retunings go through the
-   waiver: regenerate the file with `make soak-json` (or run the check
-   once with DECAF_SOAK_WAIVE=1 to land the change and the file update
-   in separate steps); the waiver skips only the p99 comparison — the
-   miss and leak gates always hold. *)
+   leak at quiescence. An intentional cost-model retuning regenerates
+   the file with `make soak-json` in the same change. *)
 
 module K = Decaf_kernel
 module Xpc = Decaf_xpc
@@ -191,11 +188,6 @@ let compare_rows ?(p99_slack_pct = 5) ~committed ~fresh () =
     committed;
   List.rev !complaints
 
-let waived () =
-  match Sys.getenv_opt "DECAF_SOAK_WAIVE" with
-  | Some ("" | "0") | None -> false
-  | Some _ -> true
-
 let check ?(p99_slack_pct = 5) ~path () =
   let committed = of_json (Jsonl.read_file path) in
   if committed.rows = [] then begin
@@ -215,7 +207,6 @@ let check ?(p99_slack_pct = 5) ~path () =
           print_endline m)
         fmt
     in
-    (* unconditional gates: deadlines and leaks have no waiver *)
     if fresh.steady_misses > 0 then
       complain "soak-check: %d audio deadline misses in the fault-free phase"
         fresh.steady_misses;
@@ -225,16 +216,11 @@ let check ?(p99_slack_pct = 5) ~path () =
     if fresh.leaked_bytes <> 0 then
       complain "soak-check: %d kmalloc bytes leaked at quiescence"
         fresh.leaked_bytes;
-    (if waived () then
-       print_endline
-         "soak-check: DECAF_SOAK_WAIVE set; skipping the p99 comparison \
-          (regenerate BENCH_soak.json with `make soak-json`)"
-     else
-       List.iter
-         (fun m ->
-           ok := false;
-           print_endline m)
-         (compare_rows ~p99_slack_pct ~committed:committed.rows
-            ~fresh:fresh.rows ()));
+    List.iter
+      (fun m ->
+        ok := false;
+        print_endline m)
+      (compare_rows ~p99_slack_pct ~committed:committed.rows
+         ~fresh:fresh.rows ());
     !ok
   end

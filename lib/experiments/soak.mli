@@ -70,8 +70,5 @@ val check : ?p99_slack_pct:int -> path:string -> unit -> bool
 (** Re-measure at the committed file's (duration, fleet, seed) and
     gate: p99 per (phase, path) within the slack, zero audio deadline
     misses in the fresh steady phase, zero leaked tracker entries and
-    kmalloc bytes at quiescence. Setting [DECAF_SOAK_WAIVE=1] in the
-    environment skips only the p99 comparison (for landing intentional
-    cost-model changes ahead of the regenerated file); the miss and
-    leak gates always apply. Prints each violation; returns [false] on
-    any. *)
+    kmalloc bytes at quiescence. Prints each violation; returns
+    [false] on any. *)

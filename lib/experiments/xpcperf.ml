@@ -26,8 +26,10 @@ let config_name c =
    then the worker axis — the best serial config at 2 and 4 workers,
    plus the unoptimized baseline at 4 to separate the two effects — and
    finally the guard axis: the best serial and parallel configs with
-   per-field boundary validation switched off, to price the validation
-   layer. Guard on is the product configuration, so every other point
+   per-field boundary validation switched off. These were meant to
+   price the validation layer, but every guard-off cell equals its
+   guard-on twin field for field, so they price nothing yet (ROADMAP
+   item 1). Guard on is the product configuration, so every other point
    keeps it enabled. *)
 let configs =
   [

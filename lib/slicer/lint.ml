@@ -253,124 +253,6 @@ let summarize_function ~taken_defined (fn : Ast.func) =
     fs_local = List.rev !local;
   }
 
-(* --- static lock-acquisition order ------------------------------------
-
-   The discipline pass above tracks lock *depth*; this walk tracks lock
-   *identity*: which lock-argument expression each nested acquire names,
-   yielding (outer, inner) acquisition-order edges. Intraprocedural and
-   path-insensitive — both arms of a branch are walked under the entry
-   stack — which over-approximates orders but never invents a nesting
-   that no path contains. The edges feed the static/dynamic lock-order
-   cross-check against the exploration harness. *)
-
-let lock_acquire = function
-  | "spin_lock" | "spin_lock_bh" | "spin_trylock" | "spin_lock_irqsave"
-  | "spin_lock_irq" | "mutex_lock" | "mutex_lock_interruptible" | "down"
-  | "down_interruptible" ->
-      true
-  | _ -> false
-
-let lock_release = function
-  | "spin_unlock" | "spin_unlock_bh" | "spin_unlock_irqrestore"
-  | "spin_unlock_irq" | "mutex_unlock" | "up" ->
-      true
-  | _ -> false
-
-(* Render a lock-argument expression as a stable name: "&lp->tx_lock"
-   and "lp->tx_lock" must coincide. *)
-let rec lock_arg_name (e : Ast.expr) =
-  match e with
-  | Ast.Eident s -> s
-  | Ast.Eunop (_, a) | Ast.Ecast (_, a) -> lock_arg_name a
-  | Ast.Efield (a, f) -> lock_arg_name a ^ "." ^ f
-  | Ast.Earrow (a, f) -> lock_arg_name a ^ "->" ^ f
-  | Ast.Eindex (a, _) -> lock_arg_name a ^ "[]"
-  | _ -> "?"
-
-let static_lock_order (file : Ast.file) =
-  let edges = ref [] in
-  let add outer inner =
-    if outer <> inner && not (List.mem (outer, inner) !edges) then
-      edges := (outer, inner) :: !edges
-  in
-  let rec eval held (e : Ast.expr) =
-    match e with
-    | Ast.Ecall (Ast.Eident name, (lockarg :: _ as args)) ->
-        let held = List.fold_left eval held args in
-        let lname = lock_arg_name lockarg in
-        if lock_acquire name && lname <> "?" then begin
-          List.iter (fun outer -> add outer lname) held;
-          lname :: held
-        end
-        else if lock_release name then
-          let rec drop = function
-            | [] -> []
-            | h :: rest -> if h = lname then rest else h :: drop rest
-          in
-          drop held
-        else held
-    | Ast.Ecall (callee, args) ->
-        List.fold_left eval (eval held callee) args
-    | Ast.Econst _ | Ast.Estr _ | Ast.Echar _ | Ast.Eident _
-    | Ast.Esizeof_type _ ->
-        held
-    | Ast.Eunop (_, a)
-    | Ast.Ecast (_, a)
-    | Ast.Esizeof_expr a
-    | Ast.Efield (a, _)
-    | Ast.Earrow (a, _)
-    | Ast.Epostincr a
-    | Ast.Epostdecr a
-    | Ast.Epreincr a
-    | Ast.Epredecr a ->
-        eval held a
-    | Ast.Ebinop (_, a, b) | Ast.Eassign (_, a, b) | Ast.Eindex (a, b) ->
-        eval (eval held a) b
-    | Ast.Econd (c, a, b) ->
-        let held = eval held c in
-        ignore (eval held a);
-        ignore (eval held b);
-        held
-  in
-  let rec stmt held (s : Ast.stmt) =
-    match s.Ast.skind with
-    | Ast.Sexpr e -> eval held e
-    | Ast.Sdecl (_, _, init) ->
-        Option.fold ~none:held ~some:(eval held) init
-    | Ast.Sif (c, t, e) ->
-        let held = eval held c in
-        ignore (stmts held t);
-        ignore (stmts held e);
-        held
-    | Ast.Swhile (c, body) ->
-        let held = eval held c in
-        ignore (stmts held body);
-        held
-    | Ast.Sdo (body, c) ->
-        ignore (stmts held body);
-        eval held c
-    | Ast.Sfor (init, c, step, body) ->
-        let held = Option.fold ~none:held ~some:(stmt held) init in
-        let held = Option.fold ~none:held ~some:(eval held) c in
-        ignore (Option.map (eval held) step);
-        ignore (stmts held body);
-        held
-    | Ast.Sreturn e -> Option.fold ~none:held ~some:(eval held) e
-    | Ast.Sswitch (c, cases) ->
-        let held = eval held c in
-        List.iter
-          (function
-            | Ast.Case (_, body) | Ast.Default body -> ignore (stmts held body))
-          cases;
-        held
-    | Ast.Sblock body -> stmts held body
-    | Ast.Sgoto _ | Ast.Slabel _ | Ast.Sbreak | Ast.Scontinue -> held
-  and stmts held l = List.fold_left stmt held l in
-  List.iter
-    (fun (fn : Ast.func) -> ignore (stmts [] fn.Ast.fbody))
-    (Ast.functions file);
-  List.sort compare !edges
-
 let lock_pass ~file ~cg ~atomic_roots ~nucleus ~user () =
   let defined = Sset.of_list (Callgraph.defined cg) in
   let taken_defined =

@@ -108,13 +108,6 @@ val analyze :
 val violations : finding list -> finding list
 (** The [Error] and [Warning] findings. *)
 
-val static_lock_order : Decaf_minic.Ast.file -> (string * string) list
-(** (outer, inner) lock-acquisition-order edges: for every nested
-    acquire, which lock-argument expression was already held when the
-    inner one was taken. Intraprocedural and path-insensitive; feeds the
-    static/dynamic lock-order cross-check against the exploration
-    harness ({!Decaf_check.Lockorder} in the checker library). *)
-
 val consume_waiver_marker : string
 (** The same-line suppression comment for {!scan_clock_consume}:
     [(* decaf-lint: consume-ok *)]. *)

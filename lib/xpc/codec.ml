@@ -196,6 +196,31 @@ let apply o img ~writable_only =
         | Some (W _), (Int | Bool) | None, _ -> ())
     img.fields
 
+(* --- hostile images from the table --- *)
+
+let in_envelope d =
+  match (d.kind, d.rule) with
+  | Bool, _ -> B true
+  | Words n, _ -> W (Array.init n (fun i -> i + 1))
+  | Int, Guard.Range (_, hi) -> I hi
+  | Int, Guard.Enum (v :: _) -> I v
+  | Int, _ -> I 7
+
+let violations d =
+  let read =
+    if d.access = Plan.Read then [ ("present", in_envelope d) ] else []
+  in
+  read
+  @
+  match d.rule with
+  | Guard.Range (lo, hi) ->
+      [ ("below range", I (lo - 1)); ("above range", I (hi + 1)) ]
+  | Guard.Enum vs ->
+      [ ("outside enum", I (List.fold_left Int.max min_int vs + 1)) ]
+  | Guard.Non_negative -> [ ("negative", I (-1)) ]
+  | Guard.Max_len n -> [ ("too long", W (Array.make (n + 1) 0)) ]
+  | Guard.Any -> []
+
 let payload t ~handle fields =
   List.iter (fun (name, _) -> ignore (lookup t name)) fields;
   let e = Xdr.Enc.create () in

@@ -93,3 +93,14 @@ val apply : obj -> image -> writable_only:bool -> unit
 val payload : t -> handle:int -> (string * value) list -> bytes
 (** An arbitrary image: the listed fields present with any values, Read
     fields included, the rest absent. *)
+
+val in_envelope : desc -> value
+(** A value the field's rule accepts: the top of a range, the first enum
+    member, a full word array. *)
+
+val violations : desc -> (string * value) list
+(** The values Guard must refuse on this field, each with a label: the
+    field present at all when the plan marks it Read (["present"]), one
+    below and one above a [Range], one above an [Enum]'s largest member,
+    [-1] for [Non_negative], [Max_len + 1] words. A field with neither a
+    Read access nor a rule has none. *)

@@ -12,8 +12,9 @@
 
     Each accepted check charges
     {!Decaf_kernel.Cost.t.guard_check_ns} to the virtual clock and the
-    serving dispatch lane, so validation cost shows up in the Xpcperf
-    trajectory under the [guard] axis. *)
+    serving dispatch lane. The Xpcperf trajectory does not price it yet:
+    every guard-off cell of [BENCH_xpc.json] equals its guard-on twin
+    field for field (ROADMAP item 1). *)
 
 type rule =
   | Range of int * int  (** inclusive bounds *)

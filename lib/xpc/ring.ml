@@ -46,6 +46,30 @@ type t = {
   s : stats;
 }
 
+(* A slot's guarded fields, named here only: the handle is resolved
+   through the tracker, not guarded. *)
+let kind_f = "kind"
+let arg0_f = "arg0"
+let arg1_f = "arg1"
+
+(* Everything read out of a slot is inbound, so every field is Write. *)
+let table ~type_id ~kinds ~arg0 ~arg1 =
+  let row name rule =
+    { Codec.name; access = Marshal_plan.Write; kind = Codec.Int; rule }
+  in
+  Codec.make ~type_id
+    [ row kind_f (Guard.Enum kinds); row arg0_f arg0; row arg1_f arg1 ]
+
+let forge table ~handle fields =
+  let value name =
+    let d = List.find (fun d -> d.Codec.name = name) (Codec.descs table) in
+    let v = List.assoc_opt name fields in
+    match Option.value v ~default:(Codec.in_envelope d) with
+    | Codec.I v -> v
+    | Codec.B _ | Codec.W _ -> invalid_arg ("Ring.forge: " ^ name)
+  in
+  { kind = value kind_f; handle; arg0 = value arg0_f; arg1 = value arg1_f }
+
 let depth = 256
 let latency = K.Latency.path "xpc.ring"
 let rings : (string, t) Hashtbl.t = Hashtbl.create 8
@@ -63,9 +87,9 @@ let slot_valid r rec_ =
   | Error _ -> false
   | Ok _ -> (
       match
-        ( Guard.int_field r.r_guard ~field:"kind" rec_.kind,
-          Guard.int_field r.r_guard ~field:"arg0" rec_.arg0,
-          Guard.int_field r.r_guard ~field:"arg1" rec_.arg1 )
+        ( Guard.int_field r.r_guard ~field:kind_f rec_.kind,
+          Guard.int_field r.r_guard ~field:arg0_f rec_.arg0,
+          Guard.int_field r.r_guard ~field:arg1_f rec_.arg1 )
       with
       | _, _, _ -> true
       | exception Boundary.Boundary_violation _ -> false)

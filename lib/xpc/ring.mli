@@ -30,6 +30,22 @@ type record = {
     cannot be expressed in four integers does not belong on the fast
     path and takes the delta-sync slow path instead. *)
 
+val table :
+  type_id:string ->
+  kinds:int list ->
+  arg0:Guard.rule ->
+  arg1:Guard.rule ->
+  Codec.t
+(** A ring's slot table: [kind] must be one of [kinds], [arg0] and
+    [arg1] obey their rules, and every field is Write, because the
+    untrusted domain can scribble the shared slots. {!Codec.guard} of it
+    is the ring's [guard]. *)
+
+val forge : Codec.t -> handle:int -> (string * Codec.value) list -> record
+(** A record of the table with the named fields set (ints only) and the
+    rest at {!Codec.in_envelope}: what a hostile driver writes into a
+    slot. *)
+
 type stats = {
   mutable produced : int;  (** slots accepted into a ring *)
   mutable consumed : int;  (** slots validated and handed to a handler *)

@@ -1,8 +1,8 @@
 (* decaf-check regressions: clean-tree catalog exploration, the
    seed-and-catch mutation gate (both planted bugs must be found), the
    checked-in minimized counterexamples replayed as a table, replay
-   determinism, the blocking-in-irq-window-hook guard, and the
-   static/dynamic lock-acquisition-order cross-check. *)
+   determinism, the blocking-in-irq-window-hook guard, and the bundled
+   drivers' dynamic lock-acquisition order. *)
 
 module K = Decaf_kernel
 module Xpc = Decaf_xpc
@@ -11,7 +11,6 @@ module Explore = C.Explore
 module Episodes = C.Episodes
 module Invariants = C.Invariants
 
-let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
 
@@ -187,70 +186,17 @@ let test_window_hook_blocking () =
   (* boot a fresh world so the poisoned hook cannot leak into later tests *)
   K.Boot.boot ()
 
-(* --- static lock order and the static/dynamic diff --- *)
+(* --- the bundled drivers take no lock pair in both orders --- *)
 
-let nested_locks_src =
-  {|
-struct card { int dummy; };
-void inner(struct card *c) { }
-void path_one(struct card *c)
-{
-    spin_lock(&c->lock_a);
-    spin_lock(&c->lock_b);
-    inner(c);
-    spin_unlock(&c->lock_b);
-    spin_unlock(&c->lock_a);
-}
-void path_two(struct card *c)
-{
-    spin_lock_irqsave(&c->lock_a, flags);
-    if (c->dummy) {
-        spin_lock(&c->lock_c);
-        spin_unlock(&c->lock_c);
-    }
-    spin_unlock_irqrestore(&c->lock_a, flags);
-}
-|}
-
-let test_static_lock_order () =
-  let file = Decaf_minic.Parser.parse nested_locks_src in
-  let edges = Decaf_slicer.Lint.static_lock_order file in
-  check_bool "a->b edge found" true
-    (List.mem ("c->lock_a", "c->lock_b") edges);
-  check_bool "a->c edge found (branch arm)" true
-    (List.mem ("c->lock_a", "c->lock_c") edges);
-  check "no other edges" 2 (List.length edges)
-
-let test_lock_order_diff () =
-  let d =
-    C.Lockorder.diff
-      ~static:[ ("&lp->lock_a", "lp->lock_b"); ("s->only_static", "s->x") ]
-      ~dynamic:
-        [
-          ("combo:lock_b", "combo:lock_a");
-          ("spin:only_dynamic", "spin:y");
-        ]
-  in
-  check "one conflict" 1 (List.length d.C.Lockorder.conflicts);
-  check_bool "conflict is the reversed pair" true
-    (List.mem ("lock_a", "lock_b") d.C.Lockorder.conflicts);
-  check "static-only" 2 (List.length d.C.Lockorder.static_only);
-  check "dynamic-only" 2 (List.length d.C.Lockorder.dynamic_only);
-  check "no agreements" 0 (List.length d.C.Lockorder.agreements);
-  let agree =
-    C.Lockorder.diff
-      ~static:[ ("lp->lock_a", "lp->lock_b") ]
-      ~dynamic:[ ("spin:lock_a", "spin:lock_b") ]
-  in
-  check "agreement counted" 1 (List.length agree.C.Lockorder.agreements)
-
-(* --- the bundled legacy drivers pass the cross-check --- *)
-
-let test_bundled_static_edges () =
+let test_bundled_conflict_free () =
   let module E = Decaf_experiments.Exploration in
-  let results = E.run ~smoke:true () in
-  check_bool "no static/dynamic lock-order conflicts" false
-    (E.has_conflicts results)
+  let edges =
+    List.concat_map
+      (fun r -> r.E.x_report.Explore.r_lock_edges)
+      (E.run ~smoke:true ())
+  in
+  check_bool "no AB/BA pair in the dynamic lock order" false
+    (List.exists (fun (a, b) -> List.mem (b, a) edges) edges)
 
 let () =
   Alcotest.run "decaf-check"
@@ -277,9 +223,7 @@ let () =
         ] );
       ( "lock-order",
         [
-          Alcotest.test_case "static extraction" `Quick test_static_lock_order;
-          Alcotest.test_case "static/dynamic diff" `Quick test_lock_order_diff;
           Alcotest.test_case "bundled drivers conflict-free" `Quick
-            test_bundled_static_edges;
+            test_bundled_conflict_free;
         ] );
     ]

@@ -265,35 +265,13 @@ let test_malformed s () =
       check_bool (what ^ ": object unchanged") true unchanged)
     malformed_shapes
 
-(* An in-envelope value for a field, by kind and rule. *)
-let in_envelope (d : Codec.desc) =
-  match (d.Codec.kind, d.Codec.rule) with
-  | Codec.Bool, _ -> Codec.B true
-  | Codec.Words n, _ -> Codec.W (Array.init n (fun i -> i + 1))
-  | Codec.Int, Guard.Range (_, hi) -> Codec.I hi
-  | Codec.Int, Guard.Enum (v :: _) -> Codec.I v
-  | Codec.Int, _ -> Codec.I 7
-
 (* --- violations generated from the tables ---
 
-   For every descriptor: a Read field present, a value just outside its
-   Range or Non_negative rule, and Max_len + 1 words are each rejected
-   on that field, once, under the binding's scope, with every field of
-   the kernel object unchanged. Every writable field also takes an
-   in-envelope value. *)
-
-let violations (d : Codec.desc) =
-  let read =
-    if d.Codec.access = Plan.Read then [ ("present", in_envelope d) ] else []
-  in
-  read
-  @
-  match d.Codec.rule with
-  | Guard.Range (lo, hi) ->
-      [ ("below range", Codec.I (lo - 1)); ("above range", Codec.I (hi + 1)) ]
-  | Guard.Non_negative -> [ ("negative", Codec.I (-1)) ]
-  | Guard.Max_len n -> [ ("too long", Codec.W (Array.make (n + 1) 0)) ]
-  | Guard.Enum _ | Guard.Any -> []
+   For every descriptor: each of its Codec.violations (a Read field
+   present, a value just outside its Range or Non_negative rule, Max_len
+   + 1 words) is rejected on that field, once, under the binding's
+   scope, with every field of the kernel object unchanged. Every
+   writable field also takes an in-envelope value. *)
 
 let test_table_violations s () =
   let descs = Codec.descs s.codec in
@@ -301,7 +279,7 @@ let test_table_violations s () =
   List.iter
     (fun (d : Codec.desc) ->
       let writable = Plan.copies_out (Codec.plan s.codec) d.Codec.name in
-      if writable || violations d <> [] then incr exercised;
+      if writable || Codec.violations d <> [] then incr exercised;
       List.iter
         (fun (case, v) ->
           let what = Printf.sprintf "%s.%s %s" s.s_name d.Codec.name case in
@@ -314,9 +292,9 @@ let test_table_violations s () =
             (Some d.Codec.name) rejected;
           check (what ^ ": one rejection under the binding") 1 c.scoped;
           check_bool (what ^ ": object unchanged") true unchanged)
-        (violations d);
+        (Codec.violations d);
       if writable then begin
-        let v = in_envelope d in
+        let v = Codec.in_envelope d in
         let rejected, c, _, fields =
           feed s (fun k ->
               Codec.payload s.codec ~handle:k.handle [ (d.Codec.name, v) ])
@@ -329,6 +307,49 @@ let test_table_violations s () =
       end)
     descs;
   check "every descriptor exercised" (List.length descs) !exercised
+
+(* --- an Enum rule: a ring table's kind ---
+
+   The kind one above the slot table's largest is refused at drain, on
+   that field, under the ring's scope; the same record with the
+   in-envelope kind is handled. *)
+
+let test_ring_kind_enum () =
+  K.Boot.boot ();
+  let table = EO.ring_table in
+  let kind =
+    List.find
+      (fun d -> match d.Codec.rule with Guard.Enum _ -> true | _ -> false)
+      (Codec.descs table)
+  in
+  let label, v =
+    match Codec.violations kind with
+    | [ one ] -> one
+    | l -> Alcotest.failf "%d violations of one enum" (List.length l)
+  in
+  check_string "label" "outside enum" label;
+  check_bool "one above the largest kind" true
+    (v = Codec.I (EO.ring_ev_link + 1));
+  let handled = ref [] in
+  ignore
+    (K.Sched.spawn ~name:"test" (fun () ->
+         let ring =
+           Ring.create ~name:"e1000" ~target:Domain.Decaf_driver
+             ~guard:(Codec.guard table) ~resolve:Result.ok
+             ~handler:(fun r -> handled := r.Ring.kind :: !handled)
+             ()
+         in
+         List.iter
+           (fun values ->
+             ignore (Ring.produce ring (Ring.forge table ~handle:1 values)))
+           [ [ (kind.Codec.name, v) ]; [] ];
+         Ring.drain ring));
+  K.Sched.run ();
+  check "forged kind rejected at drain" 1 (Ring.snapshot ()).Ring.rejected;
+  check "one rejection under the ring's scope" 1
+    (Boundary.rejected_for "e1000");
+  Alcotest.(check (list int))
+    "in-envelope record handled" [ EO.ring_ev_stats ] !handled
 
 (* --- the codec on its own --- *)
 
@@ -383,6 +404,7 @@ let () =
         [
           tc "every e1000 descriptor" (test_table_violations e1000);
           tc "every 8139too descriptor" (test_table_violations rtl);
+          tc "e1000 ring kind outside the enum" test_ring_kind_enum;
         ] );
       ( "codec",
         [

@@ -1,11 +1,17 @@
 (* The malicious-driver campaign as a tier-1 gate: a fixed seed must
    drive all five drivers through at least 25 attack trials — fuzzed
    values, read-only writes, forged/stale/cross-type handles, replayed
-   acks, oversized payloads, queue floods, hostile PM/hotplug windows —
-   with every attack rejected or absorbed, zero kernel panics and zero
-   corrupted kernel objects. *)
+   acks, oversized payloads, forged ring slots, queue floods, hostile
+   PM/hotplug windows — with every attack rejected or absorbed as
+   declared, zero kernel panics and zero corrupted kernel objects; and
+   the trials must cover every rule of the crossing structs' codec
+   tables and of their rings' slot tables. *)
 
 module MC = Decaf_experiments.Maliciouscampaign
+module Codec = Decaf_xpc.Codec
+module Guard = Decaf_xpc.Guard
+module EO = Decaf_drivers.E1000_objects
+module RO = Decaf_drivers.Rtl8139_objects
 
 let report = lazy (MC.run ~seed:0xfeed ())
 
@@ -54,6 +60,51 @@ let deterministic () =
     (List.map (fun t -> t.MC.outcome) a.MC.trials)
     (List.map (fun t -> t.MC.outcome) b.MC.trials)
 
+(* --- coverage of the tables --- *)
+
+let attacked ?attack ~driver name =
+  List.exists
+    (fun t ->
+      t.MC.driver = driver
+      && Option.fold ~none:true ~some:(String.equal t.MC.attack) attack
+      && List.mem name t.MC.targets)
+    (Lazy.force report).MC.trials
+
+let struct_tables_covered () =
+  List.iter
+    (fun (driver, codec) ->
+      List.iter
+        (fun (d : Codec.desc) ->
+          let read = d.Codec.access = Decaf_xpc.Marshal_plan.Read in
+          if read || d.Codec.rule <> Guard.Any then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s.%s is attacked" driver d.Codec.name)
+              true
+              (attacked ~driver d.Codec.name))
+        (Codec.descs codec))
+    [ ("e1000", EO.codec); ("8139too", RO.codec) ]
+
+let ring_tables_covered () =
+  List.iter
+    (fun (driver, table) ->
+      List.iter
+        (fun (d : Codec.desc) ->
+          if d.Codec.rule <> Guard.Any then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s ring %s forged" driver d.Codec.name)
+              true
+              (attacked ~attack:"forged ring slots" ~driver d.Codec.name))
+        (Codec.descs table))
+    [ ("e1000", EO.ring_table); ("8139too", RO.ring_table) ]
+
+let rejections_as_declared () =
+  List.iter
+    (fun t ->
+      Alcotest.(check int)
+        (Printf.sprintf "%s / %s rejections" t.MC.driver t.MC.attack)
+        t.MC.expected_rejections t.MC.rejections)
+    (Lazy.force report).MC.trials
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "maliciouscampaign"
@@ -66,5 +117,11 @@ let () =
           tc ">=25 trials across all five drivers" volume_and_coverage;
           tc "rejection, drop and restart paths all land" all_attack_classes_land;
           tc "deterministic under fixed seed" deterministic;
+        ] );
+      ( "coverage",
+        [
+          tc "every struct rule attacked" struct_tables_covered;
+          tc "every ring rule forged in a slot" ring_tables_covered;
+          tc "rejections as declared" rejections_as_declared;
         ] );
     ]

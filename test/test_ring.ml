@@ -7,7 +7,6 @@ open Decaf_xpc
 module K = Decaf_kernel
 module Hw = Decaf_hw
 module FI = K.Faultinject
-module Plan = Marshal_plan
 module EO = Decaf_drivers.E1000_objects
 module E1000_drv = Decaf_drivers.E1000_drv
 module Driver_core = Decaf_drivers.Driver_core
@@ -32,19 +31,12 @@ let invariant () =
     s.Ring.produced
     (s.Ring.consumed + s.Ring.rejected + s.Ring.discarded + Ring.pending ())
 
-(* A standalone test ring: its own slot plan and guard, a real handle
-   issued by the kernel tracker. *)
-let test_plan =
-  Plan.make ~type_id:"test_slot"
-    [ ("kind", Plan.Write); ("arg0", Plan.Write); ("arg1", Plan.Write) ]
-
+(* A standalone test ring: its own slot table, a real handle issued by
+   the kernel tracker. *)
 let test_guard =
-  Guard.make test_plan
-    [
-      ("kind", Guard.Enum [ 1; 2 ]);
-      ("arg0", Guard.Non_negative);
-      ("arg1", Guard.Range (0, 1));
-    ]
+  Codec.guard
+    (Ring.table ~type_id:"test_slot" ~kinds:[ 1; 2 ] ~arg0:Guard.Non_negative
+       ~arg1:(Guard.Range (0, 1)))
 
 let fresh_ring ~handler () =
   let kt = Decaf_runtime.Runtime.kernel_tracker () in

@@ -273,10 +273,8 @@ let test_json_missing_key_rejected () =
 
 (* The committed soak trajectory: the same 5% p99 diff that runs as the
    @soak-smoke alias, exercised here so the two bench regression gates
-   live side by side. DECAF_SOAK_WAIVE=1 is the documented waiver path
-   for intentional cost-model retunings — it skips only the p99
-   comparison; the deadline-miss and leak gates always hold (see
-   `make soak-json` in the Makefile for the full landing recipe). *)
+   live side by side. An intentional cost-model retuning regenerates
+   the file with `make soak-json` in the same change. *)
 let test_soak_trajectory_gate () =
   let candidates =
     [
