@@ -37,6 +37,11 @@ campaign-malicious:
 bench-check:
 	dune build @bench-smoke
 
+# Every allocation gate and nothing else: the frame-path and
+# control-path words-per-operation bounds (also part of `dune runtest`).
+alloc-check:
+	dune build @alloc-smoke
+
 # Regenerate the committed trajectory after a deliberate retuning and
 # show what changed against the committed file.
 bench-json:
@@ -78,4 +83,4 @@ lint:
 clean:
 	dune clean
 
-.PHONY: all build test check bench-check bench-json bench soak-smoke soak soak-json lint explore clean
+.PHONY: all build test check bench-check alloc-check bench-json bench soak-smoke soak soak-json lint explore clean

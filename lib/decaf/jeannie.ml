@@ -7,10 +7,10 @@ let direct_calls = ref 0
    charge a small fixed cost (JNI-style transition). *)
 let direct_transition_ns = 300
 
-let direct f =
+let direct io a b =
   incr direct_calls;
   K.Clock.consume direct_transition_ns;
-  Domain.with_domain Domain.Driver_lib f
+  Domain.call_in Domain.Driver_lib io a b
 
 let via_xpc ~bytes f =
   Channel.call ~target:Domain.Driver_lib ~payload_bytes:bytes f

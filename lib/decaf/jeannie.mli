@@ -7,10 +7,11 @@
     marshal through XDR. Downcalls into the kernel always traverse C
     first; {!to_kernel} charges both boundary crossings. *)
 
-val direct : (unit -> 'a) -> 'a
-(** Invoke driver-library code from the decaf driver with scalar
-    arguments (e.g. a port-I/O helper). Charged as a bare language
-    transition. *)
+val direct : ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [direct io a b] invokes driver-library code [io] from the decaf
+    driver with scalar arguments (e.g. a port-I/O helper). Charged as a
+    bare language transition. The arguments are passed, not captured,
+    so a call allocates nothing. *)
 
 val via_xpc : bytes:int -> (unit -> 'a) -> 'a
 (** Invoke driver-library code passing complex objects: full C/Java XPC

@@ -34,14 +34,15 @@ let restarts () = !restart_count
 module Helpers = struct
   let sizeof_table : (string, int) Hashtbl.t = Hashtbl.create 16
 
-  let inb p = Jeannie.direct (fun () -> K.Io.inb p)
-  let inw p = Jeannie.direct (fun () -> K.Io.inw p)
-  let inl p = Jeannie.direct (fun () -> K.Io.inl p)
-  let outb p v = Jeannie.direct (fun () -> K.Io.outb p v)
-  let outw p v = Jeannie.direct (fun () -> K.Io.outw p v)
-  let outl p v = Jeannie.direct (fun () -> K.Io.outl p v)
-  let readl a = Jeannie.direct (fun () -> K.Io.readl a)
-  let writel a v = Jeannie.direct (fun () -> K.Io.writel a v)
+  let read io p = Jeannie.direct (fun io p -> io p) io p
+  let inb p = read K.Io.inb p
+  let inw p = read K.Io.inw p
+  let inl p = read K.Io.inl p
+  let outb p v = Jeannie.direct K.Io.outb p v
+  let outw p v = Jeannie.direct K.Io.outw p v
+  let outl p v = Jeannie.direct K.Io.outl p v
+  let readl a = read K.Io.readl a
+  let writel a v = Jeannie.direct K.Io.writel a v
   let msleep ms = K.Sched.sleep_ns (ms * 1_000_000)
 
   let sizeof name =

@@ -137,22 +137,13 @@ module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
   let user_view_mark k = Plan.Dirty.snapshot (dirty k)
   let ack_user_view k ~upto = Plan.Dirty.acknowledge (dirty k) ~upto
 
-  (* The fields an image carries: those the plan copies that way, and in
-     delta mode only the dirty ones among them. *)
-  let selected copies fields ~delta =
-    let dirty = Codec.dirty fields in
-    fun name -> copies plan name && ((not delta) || Plan.Dirty.test dirty name)
-
   let wire_size =
-    let fields = Codec.create codec in
-    let full = selected Plan.copies_in fields ~delta:false in
-    Bytes.length (Codec.encode fields ~handle:0 full)
+    Bytes.length
+      (Codec.encode (Codec.create codec) ~handle:0 Codec.Copy_in ~delta:false)
 
   let marshal_to_user k =
     let delta = Plan.delta_enabled () && user_has_view k in
-    let fields = Spec.fields k in
-    Codec.encode fields ~handle:(handle k)
-      (selected Plan.copies_in fields ~delta)
+    Codec.encode (Spec.fields k) ~handle:(handle k) Codec.Copy_in ~delta
 
   let unmarshal_at_user bytes k =
     let img = Codec.decode codec bytes in
@@ -174,10 +165,7 @@ module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
     let delta = Plan.delta_enabled () in
     let dirty = Codec.dirty j.fields in
     let upto = Plan.Dirty.snapshot dirty in
-    let b =
-      Codec.encode j.fields ~handle:j.handle
-        (selected Plan.copies_out j.fields ~delta)
-    in
+    let b = Codec.encode j.fields ~handle:j.handle Codec.Copy_out ~delta in
     if delta then Plan.Dirty.acknowledge dirty ~upto;
     b
 

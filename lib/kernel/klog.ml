@@ -7,7 +7,8 @@ let level_tag = function
   | Info -> "INFO"
   | Debug -> "DEBUG"
 
-type entry = { level : level; text : string }
+(* [dmesg] renders the timestamp: nothing reads the log during a run. *)
+type entry = { level : level; ts : int; text : string }
 
 let buffer : entry Queue.t = Queue.create ()
 let capacity = 16_384
@@ -18,17 +19,17 @@ let timestamp_of = ref (fun () -> 0)
 let set_timestamp_source f = timestamp_of := f
 
 let printk level fmt =
-  let k text =
-    if Queue.length buffer >= capacity then ignore (Queue.pop buffer);
-    let ts = !timestamp_of () in
-    let text = Printf.sprintf "[%10.6f] %s" (float_of_int ts /. 1e9) text in
-    Queue.push { level; text } buffer
-  in
-  Format.kasprintf k fmt
+  Printf.ksprintf
+    (fun text ->
+      if Queue.length buffer >= capacity then ignore (Queue.pop buffer);
+      Queue.push { level; ts = !timestamp_of (); text } buffer)
+    fmt
 
 let dmesg () =
   Queue.fold
-    (fun acc e -> Printf.sprintf "<%s>%s" (level_tag e.level) e.text :: acc)
+    (fun acc e ->
+      let ts = float_of_int e.ts /. 1e9 in
+      Printf.sprintf "<%s>[%10.6f] %s" (level_tag e.level) ts e.text :: acc)
     [] buffer
   |> List.rev
 

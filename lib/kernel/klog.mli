@@ -2,8 +2,8 @@
 
 type level = Emerg | Err | Warning | Info | Debug
 
-val printk : level -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Append a formatted message to the kernel log. *)
+val printk : level -> ('a, unit, string, unit) format4 -> 'a
+(** Append a message to the kernel log, formatted once with {!Printf}. *)
 
 val dmesg : unit -> string list
 (** All retained messages, oldest first, each prefixed with its level and

@@ -119,12 +119,16 @@ let percentile t p =
   end
 
 let merge ~into src =
-  Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) src.counts;
-  into.total <- into.total + src.total;
-  into.overflowed <- into.overflowed + src.overflowed;
-  into.sum_ns <- into.sum_ns + src.sum_ns;
-  if src.total > 0 && src.min_v < into.min_v then into.min_v <- src.min_v;
-  if src.max_v > into.max_v then into.max_v <- src.max_v
+  if src.total > 0 then begin
+    for i = 0 to num_buckets - 1 do
+      into.counts.(i) <- into.counts.(i) + src.counts.(i)
+    done;
+    into.total <- into.total + src.total;
+    into.overflowed <- into.overflowed + src.overflowed;
+    into.sum_ns <- into.sum_ns + src.sum_ns;
+    if src.min_v < into.min_v then into.min_v <- src.min_v;
+    if src.max_v > into.max_v then into.max_v <- src.max_v
+  end
 
 let merged ts =
   let t = create () in

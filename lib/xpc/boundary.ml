@@ -36,7 +36,13 @@ let by_scope : (string, int) Hashtbl.t = Hashtbl.create 8
 let scoped name f =
   let saved = !scope in
   scope := Some name;
-  Fun.protect ~finally:(fun () -> scope := saved) f
+  match f () with
+  | v ->
+      scope := saved;
+      v
+  | exception e ->
+      scope := saved;
+      raise e
 
 let rejected_for name =
   Option.value ~default:0 (Hashtbl.find_opt by_scope name)

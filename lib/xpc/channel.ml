@@ -94,27 +94,45 @@ let direct_marshaling () = !direct
    domain that is mid-call. Cleared on boot: a reboot tears down the
    scheduler with calls still nominally in flight, and a stale count
    must not make the next life's domains look permanently busy. *)
-let in_flight_tbl : (Domain.t, int) Hashtbl.t = Hashtbl.create 4
-
-let in_flight target =
-  match Hashtbl.find_opt in_flight_tbl target with
-  | Some n -> n
-  | None -> 0
+let in_flight_of = Domain.tabulate (fun _ -> ref 0)
+let in_flight target = !(in_flight_of target)
 
 let trace =
   Domain.tabulate (fun d -> K.Ktrace.Queue ("xpc:" ^ Domain.to_string d))
 
-let executing target f =
+let charge b bytes =
+  match b with
+  | User_user -> charge_c_java bytes
+  | Kernel_user -> charge_kernel_user bytes
+  | Kernel_java when !direct ->
+      (* data moves straight between nucleus and decaf driver: one
+         crossing, one marshal pass *)
+      charge_kernel_user bytes
+  | Kernel_java ->
+      charge_kernel_user bytes;
+      charge_c_java bytes
+
+(* Admission first: the crossing's charges (and everything [f] does)
+   are accounted to the worker lane that serves it. *)
+let executing target b bytes f =
   (* Crossings into the same domain conflict (the one-at-a-time service
      gate below): a queue edge, so the exploration harness orders
      concurrent callers without subjecting the gate to the lockset
      check. *)
   K.Ktrace.note (trace target) K.Ktrace.Signal;
-  Hashtbl.replace in_flight_tbl target (in_flight target + 1);
-  Fun.protect
-    ~finally:(fun () ->
-      Hashtbl.replace in_flight_tbl target (in_flight target - 1))
-    f
+  let n = in_flight_of target in
+  incr n;
+  match
+    Dispatch.with_worker ~target (fun () ->
+        charge b bytes;
+        Domain.with_domain target f)
+  with
+  | r ->
+      decr n;
+      r
+  | exception e ->
+      decr n;
+      raise e
 
 (* Every crossing carries a virtual deadline: an injected Xpc_timeout
    manifests as that deadline expiring with no reply. Idempotent calls
@@ -126,9 +144,31 @@ let max_attempts = 3
 let backoff_base_ns = 10_000
 let backoff_cap_ns = 80_000
 
+(* Returns once attempt [n] gets a reply. The fault site is built only
+   when a plan is armed: with none, nothing can fire. *)
+let rec await_reply ~context ~idempotent b n backoff =
+  if
+    K.Faultinject.active ()
+    && K.Faultinject.fires ~site:("xpc." ^ context) K.Faultinject.Xpc_timeout
+  then begin
+    counters.failures <- counters.failures + 1;
+    (* the call burned its whole deadline waiting for a reply *)
+    K.Clock.consume timeout_ns
+    (* decaf-lint: consume-ok, inside the xpc.call span *);
+    if idempotent && n < max_attempts then begin
+      counters.retries <- counters.retries + 1;
+      K.Clock.consume backoff
+      (* decaf-lint: consume-ok, inside the xpc.call span *);
+      await_reply ~context ~idempotent b (n + 1)
+        (min (backoff * 2) backoff_cap_ns)
+    end
+    else
+      raise
+        (Xpc_failure { boundary = crossing_name b; attempts = n; context })
+  end
+
 let call ~target ?(payload_bytes = 0) ?(reply_bytes = 0) ?(idempotent = false)
     ?(context = "call") f =
-  let bytes = payload_bytes + reply_bytes in
   match crossing_between (Domain.current ()) target with
   | None -> Domain.with_domain target f
   | Some b ->
@@ -137,50 +177,10 @@ let call ~target ?(payload_bytes = 0) ?(reply_bytes = 0) ?(idempotent = false)
          vanishing into counters. Failed calls never complete and are
          judged from [failures]. *)
       let tr = K.Clock.track latency in
-      let charge () =
-        match b with
-        | User_user -> charge_c_java bytes
-        | Kernel_user -> charge_kernel_user bytes
-        | Kernel_java when !direct ->
-            (* data moves straight between nucleus and decaf driver: one
-               crossing, one marshal pass *)
-            charge_kernel_user bytes
-        | Kernel_java ->
-            charge_kernel_user bytes;
-            charge_c_java bytes
-      in
-      let rec attempt n backoff =
-        if
-          K.Faultinject.fires ~site:("xpc." ^ context) K.Faultinject.Xpc_timeout
-        then begin
-          counters.failures <- counters.failures + 1;
-          (* the call burned its whole deadline waiting for a reply *)
-          K.Clock.consume timeout_ns
-          (* decaf-lint: consume-ok, inside the xpc.call span *);
-          if idempotent && n < max_attempts then begin
-            counters.retries <- counters.retries + 1;
-            K.Clock.consume backoff
-            (* decaf-lint: consume-ok, inside the xpc.call span *);
-            attempt (n + 1) (min (backoff * 2) backoff_cap_ns)
-          end
-          else
-            raise
-              (Xpc_failure
-                 { boundary = crossing_name b; attempts = n; context })
-        end
-        else
-          (* Admission first: the crossing's charges (and everything [f]
-             does) are accounted to the worker lane that serves it. *)
-          let r =
-            executing target (fun () ->
-                Dispatch.with_worker ~target (fun () ->
-                    charge ();
-                    Domain.with_domain target f))
-          in
-          ignore (K.Clock.complete tr);
-          r
-      in
-      attempt 1 backoff_base_ns
+      await_reply ~context ~idempotent b 1 backoff_base_ns;
+      let r = executing target b (payload_bytes + reply_bytes) f in
+      ignore (K.Clock.complete tr);
+      r
 
 let stats () =
   refresh_lock_columns ();
@@ -205,7 +205,9 @@ let () =
   K.Boot.on_reset @@ fun () ->
   reset_stats ();
   direct := false;
-  Hashtbl.reset in_flight_tbl
+  List.iter
+    (fun d -> in_flight_of d := 0)
+    Domain.[ Kernel; Driver_lib; Decaf_driver ]
 
 let snapshot () =
   refresh_lock_columns ();

@@ -13,6 +13,7 @@ type t = {
   descs : desc array;
   plan : Plan.t;
   guard : Guard.t;
+  readable : bool array;  (* per field: the plan copies it in *)
   writable : bool array;  (* per field: the plan copies it out *)
 }
 
@@ -25,6 +26,8 @@ let make ~type_id descs =
     descs = Array.of_list descs;
     plan;
     guard = Guard.make plan (List.map (fun d -> (d.name, d.rule)) descs);
+    readable =
+      Array.of_list (List.map (fun d -> Plan.copies_in plan d.name) descs);
     writable =
       Array.of_list (List.map (fun d -> Plan.copies_out plan d.name) descs);
   }
@@ -138,20 +141,32 @@ let values o =
 
 (* --- wire --- *)
 
-let encode o ~handle includes =
-  let e = Xdr.Enc.create () in
-  Xdr.Enc.uint e handle;
-  Array.iteri
-    (fun i d ->
-      let present = includes d.name in
-      Xdr.Enc.bool e present;
-      if present then
-        match d.kind with
-        | Int -> Xdr.Enc.int e o.scalars.(i)
-        | Bool -> Xdr.Enc.bool e (o.scalars.(i) <> 0)
-        | Words _ -> Xdr.Enc.array_var e Xdr.Enc.uint o.arrays.(i))
-    o.codec.descs;
-  Xdr.Enc.to_bytes e
+type direction = Copy_in | Copy_out
+
+(* One buffer for every image: nothing in [encode] can suspend, so no
+   second encode can start before [to_bytes] copies this one out. *)
+let enc = Xdr.Enc.create ()
+
+let encode o ~handle direction ~delta =
+  let t = o.codec in
+  let copies =
+    match direction with Copy_in -> t.readable | Copy_out -> t.writable
+  in
+  Xdr.Enc.clear enc;
+  Xdr.Enc.uint enc handle;
+  for i = 0 to Array.length t.descs - 1 do
+    let d = t.descs.(i) in
+    let present =
+      copies.(i) && ((not delta) || Plan.Dirty.test o.dirty d.name)
+    in
+    Xdr.Enc.bool enc present;
+    if present then
+      match d.kind with
+      | Int -> Xdr.Enc.int enc o.scalars.(i)
+      | Bool -> Xdr.Enc.bool enc (o.scalars.(i) <> 0)
+      | Words _ -> Xdr.Enc.array_var enc Xdr.Enc.uint o.arrays.(i)
+  done;
+  Xdr.Enc.to_bytes enc
 
 type image = { i_codec : t; i_handle : int; fields : value option array }
 

@@ -72,8 +72,13 @@ val values : obj -> (string * value) list
 
 (** {1 Wire images} *)
 
-val encode : obj -> handle:int -> (string -> bool) -> bytes
-(** The image of the fields the predicate selects by name. *)
+type direction =
+  | Copy_in  (** toward the user level: the fields the plan copies in *)
+  | Copy_out  (** back to the kernel: the fields the plan copies out *)
+
+val encode : obj -> handle:int -> direction -> delta:bool -> bytes
+(** The image of the fields the plan copies that way; with [delta], only
+    those among them with a dirty mark. *)
 
 type image
 (** A decoded image, staged: nothing is stored before {!apply}. *)

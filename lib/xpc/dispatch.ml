@@ -43,33 +43,50 @@ let set_workers n = workers_v := max 1 n
 let workers () = !workers_v
 
 (* Pools belong to one machine lifetime: dropped on boot, like the Batch
-   flush infrastructure. *)
-let pools : (Domain.t, pool) Hashtbl.t = Hashtbl.create 4
+   flush infrastructure. Only the user domains get one, and they are
+   listed in this order. *)
+let user_domains = [ Domain.Driver_lib; Domain.Decaf_driver ]
+let pool_of = Domain.tabulate (fun _ -> ref None)
 let latency = K.Latency.path "xpc.dispatch"
 
-(* The lane serving the crossing each simulated thread is executing, if
-   any, keyed by Sched tid: threads suspend mid-crossing (slot waits,
-   combolock semaphores, driver sleeps), so a process-global binding
-   would leak one thread's lane into whatever runs while it is blocked.
-   [note] charges into the calling thread's lane; combolock waits arrive
-   here through the observer registered below. *)
-let lane_by_tid : (int, lane) Hashtbl.t = Hashtbl.create 8
-let serving_lane () = Hashtbl.find_opt lane_by_tid (K.Sched.current_tid ())
+(* The lane serving the crossing each simulated thread is executing,
+   indexed by Sched tid ([idle] when none): threads suspend mid-crossing
+   (slot waits, combolock semaphores, driver sleeps), so a process-global
+   binding would leak one thread's lane into whatever runs while it is
+   blocked. [note] charges into the calling thread's lane; combolock
+   waits arrive here through the observer registered below. *)
+let idle =
+  { owner = Kernel; busy_ns = 0; served = 0; latency = K.Latency.create () }
+
+let lane_by_tid = ref (Array.make 64 idle)
+
+let serving_lane () =
+  let tid = K.Sched.current_tid () in
+  let a = !lane_by_tid in
+  if tid < Array.length a then a.(tid) else idle
+
+let bind tid lane =
+  let a = !lane_by_tid in
+  if tid >= Array.length a then
+    lane_by_tid :=
+      Array.init (2 * tid) (fun i ->
+          if i < Array.length a then a.(i) else idle);
+  !lane_by_tid.(tid) <- lane
 
 let () =
   K.Boot.on_reset @@ fun () ->
-  Hashtbl.reset pools;
-  (* Sched.reset reuses tids after a reboot: bindings from the old life's
-     threads must not leak lanes onto the new life's. *)
-  Hashtbl.reset lane_by_tid;
+  List.iter (fun d -> pool_of d := None) user_domains;
+  (* Sched.reset restarts tids at 1 after a reboot: bindings from the old
+     life's threads must not leak lanes onto the new life's. *)
+  Array.fill !lane_by_tid 0 (Array.length !lane_by_tid) idle;
   workers_v := 1
 
 let pool_for dom =
-  match Hashtbl.find_opt pools dom with
+  match !(pool_of dom) with
   | Some p when Array.length p.lanes = !workers_v -> p
   | Some p when p.active > 0 || K.Sync.Waitq.waiters p.waitq > 0 ->
       (* A width change must not strand in-flight crossings on an
-         abandoned pool (their finally would decrement a stale [active]
+         abandoned pool (their release would decrement a stale [active]
          and wake a stale waitq while new admissions race a fresh pool).
          Keep serving at the old width until the pool drains; the next
          admission against an idle pool picks up the new width. *)
@@ -94,33 +111,44 @@ let pool_for dom =
           queue_wait_ns = 0;
         }
       in
-      Hashtbl.replace pools dom p;
+      pool_of dom := Some p;
       p
 
 let note ns =
   if ns > 0 then
-    match serving_lane () with
-    | Some l -> l.busy_ns <- l.busy_ns + ns
-    | None -> ()
+    let l = serving_lane () in
+    if l != idle then l.busy_ns <- l.busy_ns + ns
 
 let () = K.Sync.Combolock.set_wait_observer note
 
 let least_busy lanes =
   let best = ref lanes.(0) in
-  Array.iter (fun l -> if l.busy_ns < !best.busy_ns then best := l) lanes;
+  for i = 1 to Array.length lanes - 1 do
+    if lanes.(i).busy_ns < !best.busy_ns then best := lanes.(i)
+  done;
   !best
+
+(* Unbind the lane, free the slot, and stamp dispatch-complete: per lane
+   and on the machine-wide "xpc.dispatch" path. *)
+let release p tid prev lane submitted =
+  bind tid prev;
+  p.active <- p.active - 1;
+  let dt = Int.max 0 (K.Clock.now () - submitted) in
+  K.Latency.observe lane.latency dt;
+  K.Latency.observe_at latency dt;
+  ignore (K.Sync.Waitq.wake_one p.waitq)
 
 let with_worker ~target f =
   if not (Domain.is_user target) then f ()
   else
     match serving_lane () with
-    | Some l when l.owner = target ->
+    | l when l.owner = target ->
         (* Nested crossing into the domain whose worker this thread
            already is: stay on our lane rather than deadlocking on our
            own slot. Other threads crossing into the same domain have no
            binding for their own tid and go through admission. *)
         f ()
-    | _ ->
+    | prev ->
         (* Submit stamp: the crossing's timeline starts here, so the
            recorded latency covers admission wait (blocked slot acquire)
            as well as the dispatched body. *)
@@ -151,37 +179,32 @@ let with_worker ~target f =
         lane.busy_ns <- lane.busy_ns + K.Cost.current.xpc_dispatch_ns;
         lane.served <- lane.served + 1;
         let tid = K.Sched.current_tid () in
-        let prev = Hashtbl.find_opt lane_by_tid tid in
-        Hashtbl.replace lane_by_tid tid lane;
-        Fun.protect
-          ~finally:(fun () ->
-            (match prev with
-            | Some l -> Hashtbl.replace lane_by_tid tid l
-            | None -> Hashtbl.remove lane_by_tid tid);
-            p.active <- p.active - 1;
-            (* Dispatch-complete stamp: per-lane and on the machine-wide
-               "xpc.dispatch" path. *)
-            let dt = Int.max 0 (K.Clock.now () - submitted) in
-            K.Latency.observe lane.latency dt;
-            K.Latency.observe_at latency dt;
-            ignore (K.Sync.Waitq.wake_one p.waitq))
-          f
+        bind tid lane;
+        match f () with
+        | r ->
+            release p tid prev lane submitted;
+            r
+        | exception e ->
+            release p tid prev lane submitted;
+            raise e
 
 let critical_path p = Array.fold_left (fun m l -> max m l.busy_ns) 0 p.lanes
 
+let live_pools () = List.filter_map (fun d -> !(pool_of d)) user_domains
+
 let overhead_ns () =
-  Hashtbl.fold (fun _ p acc -> acc + critical_path p) pools 0
+  List.fold_left (fun acc p -> acc + critical_path p) 0 (live_pools ())
 
 let overlap_saved_ns () =
-  Hashtbl.fold
-    (fun _ p acc ->
+  List.fold_left
+    (fun acc p ->
       let total = Array.fold_left (fun a l -> a + l.busy_ns) 0 p.lanes in
       acc + (total - critical_path p))
-    pools 0
+    0 (live_pools ())
 
 let pool_stats () =
-  Hashtbl.fold
-    (fun _ p acc ->
+  List.map
+    (fun p ->
       {
         domain = p.dom;
         workers = Array.length p.lanes;
@@ -193,6 +216,5 @@ let pool_stats () =
         lane_served = Array.map (fun l -> l.served) p.lanes;
         lane_latency = Array.map (fun l -> l.latency) p.lanes;
         critical_path_ns = critical_path p;
-      }
-      :: acc)
-    pools []
+      })
+    (live_pools ())

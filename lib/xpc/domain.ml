@@ -13,16 +13,18 @@ let tabulate f =
 let cur = ref Kernel
 let current () = !cur
 
-let with_domain d f =
+let call_in d f a b =
   let prev = !cur in
   cur := d;
-  match f () with
+  match f a b with
   | v ->
       cur := prev;
       v
   | exception e ->
       cur := prev;
       raise e
+
+let with_domain d f = call_in d (fun f () -> f ()) f ()
 
 let is_user = function Kernel -> false | Driver_lib | Decaf_driver -> true
 let () = Decaf_kernel.Boot.on_reset (fun () -> cur := Kernel)

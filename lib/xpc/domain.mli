@@ -21,4 +21,8 @@ val current : unit -> t
 val with_domain : t -> (unit -> 'a) -> 'a
 (** Run [f] with {!current} switched to the given domain. *)
 
+val call_in : t -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [call_in d f a b] is [with_domain d (fun () -> f a b)] without the
+    closure, for per-access paths that must not allocate. *)
+
 val is_user : t -> bool

@@ -79,19 +79,20 @@ let tail r = (r.head - r.occupancy + depth) mod depth
 (* Validate one slot kernel-side before believing it: the capability
    handle must resolve in the tracker (forged handles are how a hostile
    driver names kernel memory it was never given), then the plan-derived
-   guard checks the remaining fields. Both layers count their own
-   rejections; the discarded slot additionally counts as a boundary drop
-   so status totals reconcile. *)
+   guard checks the remaining fields in table order, stopping at the
+   first bad one. Both layers count their own rejections; the discarded
+   slot additionally counts as a boundary drop so status totals
+   reconcile. *)
 let slot_valid r rec_ =
   match r.r_resolve rec_.handle with
   | Error _ -> false
   | Ok _ -> (
       match
-        ( Guard.int_field r.r_guard ~field:kind_f rec_.kind,
-          Guard.int_field r.r_guard ~field:arg0_f rec_.arg0,
-          Guard.int_field r.r_guard ~field:arg1_f rec_.arg1 )
+        let _ = Guard.int_field r.r_guard ~field:kind_f rec_.kind in
+        let _ = Guard.int_field r.r_guard ~field:arg0_f rec_.arg0 in
+        Guard.int_field r.r_guard ~field:arg1_f rec_.arg1
       with
-      | _, _, _ -> true
+      | _ -> true
       | exception Boundary.Boundary_violation _ -> false)
 
 (* One doorbell = ONE crossing with a zero-byte payload: the drain loop

@@ -6,6 +6,7 @@ module Enc = struct
   type t = Buffer.t
 
   let create () = Buffer.create 256
+  let clear = Buffer.clear
 
   let uint b v =
     if v < 0 || v > 0xffff_ffff then

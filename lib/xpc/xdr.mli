@@ -12,6 +12,7 @@ module Enc : sig
   type t
 
   val create : unit -> t
+  val clear : t -> unit (** Empty the buffer, keeping its storage. *)
 
   val int : t -> int -> unit
   (** 32-bit signed integer; raises [Invalid_argument] outside range. *)

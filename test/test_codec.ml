@@ -386,6 +386,30 @@ let test_table_derives_plan_and_guard () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* Allocation regression: with delta on and a user view in place, an
+   e1000 delta image picks its fields by table position and is encoded
+   into one reused buffer, so the returned bytes are nearly all it
+   allocates. *)
+let test_e1000_marshal_alloc () =
+  K.Boot.boot ();
+  Plan.set_delta_enabled true;
+  let k = EO.fresh_kernel_adapter () in
+  ignore (EO.unmarshal_at_user (EO.marshal_to_user k) k);
+  Codec.set k.EO.fields EO.stats_gen 1;
+  Codec.set k.EO.fields EO.link_up true;
+  check "a delta image" 40 (Bytes.length (EO.marshal_to_user k));
+  for _ = 1 to 100 do
+    ignore (EO.marshal_to_user k)
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (EO.marshal_to_user k)
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool (Printf.sprintf "%.1f words per image <= 44" words) true
+    (words <= 44.)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_codec"
@@ -410,5 +434,6 @@ let () =
         [
           tc "set marks only on change" test_set_marks_only_on_change;
           tc "table derives plan and guard" test_table_derives_plan_and_guard;
+          tc "e1000 marshal allocation" test_e1000_marshal_alloc;
         ] );
     ]

@@ -51,7 +51,9 @@ let test_jeannie_direct_switches_domain () =
   K.Boot.boot ();
   Xpc.Domain.with_domain Xpc.Domain.Decaf_driver (fun () ->
       let d =
-        Jeannie.direct (fun () -> Xpc.Domain.to_string (Xpc.Domain.current ()))
+        Jeannie.direct
+          (fun () () -> Xpc.Domain.to_string (Xpc.Domain.current ()))
+          () ()
       in
       Alcotest.(check string) "ran in the driver library" "driver-library" d);
   check "counted" 1 (Jeannie.direct_call_count ());
@@ -95,6 +97,26 @@ let test_runtime_port_helpers_do_io () =
   Runtime.Helpers.outb 0x100 0x77;
   check "write reached the device" 0x77 !last;
   check "read returns device data" 0x5a (Runtime.Helpers.inb 0x100);
+  K.Io.release r
+
+(* Allocation regression: a register read passes the access and its
+   address through the Jeannie bridge instead of capturing them in a
+   thunk, so it allocates nothing. *)
+let test_runtime_readl_alloc () =
+  K.Boot.boot ();
+  let r =
+    K.Io.register_mmio ~base:0xfebc_0000 ~len:0x20
+      ~read:(fun off _ -> off)
+      ~write:(fun _ _ _ -> ())
+  in
+  check "read reaches the register" 8 (Runtime.Helpers.readl 0xfebc_0008);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Runtime.Helpers.readl 0xfebc_0008)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "readl: %.0f words in 10,000 reads = 0" words) true
+    (words = 0.);
   K.Io.release r
 
 (* --- Params (the e1000_param.c rewrite of section 5.1) --- *)
@@ -328,6 +350,7 @@ let () =
           tc "start once" test_runtime_start_once;
           tc "sizeof registry" test_runtime_sizeof_registry;
           tc "port helpers" test_runtime_port_helpers_do_io;
+          tc "readl allocation" test_runtime_readl_alloc;
         ] );
       ( "params",
         [

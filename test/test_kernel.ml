@@ -327,6 +327,89 @@ let test_latency_observe_at_alloc () =
   let words = Gc.minor_words () -. w0 in
   check_bool (Printf.sprintf "observe_at: %.0f words = 0" words) true (words = 0.)
 
+(* --- Klog --- *)
+
+(* Messages at chosen virtual times, in every conversion the kernel's
+   call sites use (%s, %d, %04x, %.3f) and at every level; the rendered
+   lines are pinned byte for byte. *)
+let dmesg_golden =
+  [
+    "<INFO>[  0.000000] net eth0: registered";
+    "<WARN>[  0.000001] pci 0000:00:03.0: probe by e1000 failed (errno -19)";
+    "<INFO>[  1.234568] hotplug: pci 0000:00:04.0 added (8086:100e)";
+    "<INFO>[  1.234568] module e1000 loaded in 1.234 ms";
+    "<ERR>[ 59.999999] module uhci-hcd failed to load: errno 12";
+    "<EMERG>[1000.000000] supervisor e1000: decaf fault: timeout";
+    "<DEBUG>[12345.678901] xpc-ring: e1000 full at depth 256, dropping record kind 1";
+  ]
+
+let test_dmesg_golden () =
+  Boot.boot ();
+  let at ns = Clock.consume (ns - Clock.now ()) in
+  Klog.printk Klog.Info "net %s: registered" "eth0";
+  at 1_499;
+  Klog.printk Klog.Warning "pci %s: probe by %s failed (errno %d)"
+    "0000:00:03.0" "e1000" (-19);
+  at 1_234_567_890;
+  Klog.printk Klog.Info "hotplug: %s %s added (%04x:%04x)" "pci"
+    "0000:00:04.0" 0x8086 0x100e;
+  Klog.printk Klog.Info "module %s loaded in %.3f ms" "e1000" 1.2344;
+  at 59_999_999_499;
+  Klog.printk Klog.Err "module %s failed to load: errno %d" "uhci-hcd" 12;
+  at 999_999_999_999;
+  Klog.printk Klog.Emerg "supervisor %s: decaf fault: %s" "e1000" "timeout";
+  at 12_345_678_901_234;
+  Klog.printk Klog.Debug
+    "xpc-ring: %s full at depth %d, dropping record kind %d" "e1000" 256 1;
+  Alcotest.(check (list string)) "rendered lines" dmesg_golden (Klog.dmesg ())
+
+(* The ring keeps the newest 16,384 messages; [count] sees only those. *)
+let test_klog_eviction () =
+  Boot.boot ();
+  let level i =
+    match i mod 3 with 0 -> Klog.Info | 1 -> Klog.Warning | _ -> Klog.Err
+  in
+  let total = 16_384 + 5 in
+  for i = 0 to total - 1 do
+    Klog.printk (level i) "message %d" i
+  done;
+  let lines = Klog.dmesg () in
+  check "capacity retained" 16_384 (List.length lines);
+  Alcotest.(check string) "the five oldest were evicted"
+    "<ERR>[  0.000000] message 5" (List.hd lines);
+  Alcotest.(check string) "the newest is last"
+    "<ERR>[  0.000000] message 16388" (List.nth lines 16_383);
+  let retained l =
+    List.length
+      (List.filter (fun i -> level i = l) (List.init 16_384 (fun i -> i + 5)))
+  in
+  List.iter
+    (fun l -> check "count per level" (retained l) (Klog.count l))
+    [ Klog.Info; Klog.Warning; Klog.Err ];
+  check "no debug messages" 0 (Klog.count Klog.Debug);
+  Klog.clear ();
+  check "cleared" 0 (List.length (Klog.dmesg ()))
+
+(* Allocation regression: a two-argument message is formatted once,
+   with Printf, into plain text; the timestamp stays an int until
+   [dmesg]. *)
+let test_printk_alloc () =
+  Boot.boot ();
+  let log () =
+    Klog.printk Klog.Info "pci %s: bound to driver %s" "0000:00:03.0" "e1000"
+  in
+  for _ = 1 to 100 do
+    log ()
+  done;
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    log ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check_bool (Printf.sprintf "printk: %.1f words per message <= 78" words) true
+    (words <= 78.)
+
 (* --- Scheduler --- *)
 
 let test_sched_yield_interleaves () =
@@ -1559,6 +1642,12 @@ let () =
           tc "path handle across reset" test_latency_path_across_reset;
           tc "interned path unlisted" test_latency_interned_unobserved;
           tc "observe_at allocation" test_latency_observe_at_alloc;
+        ] );
+      ( "klog",
+        [
+          tc "dmesg golden" test_dmesg_golden;
+          tc "eviction and counts" test_klog_eviction;
+          tc "printk allocation" test_printk_alloc;
         ] );
       ( "sched",
         [

@@ -146,6 +146,36 @@ let test_hostile_slots_rejected () =
       check "drained regardless" 0 (Ring.occupancy ring));
   invariant ()
 
+(* A slot's fields are checked in table order (kind, arg0, arg1) and the
+   first bad one ends the check: a forged e1000 slot with an unknown kind
+   costs its two kind checks (writability, then the enum), where an
+   honest slot pays all six. *)
+let test_slot_checked_in_table_order () =
+  K.Boot.boot ();
+  in_thread (fun () ->
+      let handle = EO.adapter_handle (EO.fresh_kernel_adapter ()) in
+      let ring =
+        Ring.create ~name:"forged" ~target:Domain.Decaf_driver
+          ~guard:EO.ring_guard ~resolve:EO.ring_resolve
+          ~handler:EO.apply_ring_record ()
+      in
+      let drain fields =
+        let t = Boundary.totals in
+        let checks = t.Boundary.checks and rejected = t.Boundary.rejected in
+        ignore (Ring.produce ring (Ring.forge EO.ring_table ~handle fields));
+        Ring.drain ring;
+        (t.Boundary.checks - checks, t.Boundary.rejected - rejected)
+      in
+      check "an honest slot pays every check" 6 (fst (drain []));
+      let checks, rejected = drain [ ("kind", Codec.I 99) ] in
+      check "a bad kind is rejected after its 2 checks" 2 checks;
+      check "and rejected once" 1 rejected;
+      let _, rejected = drain [ ("kind", Codec.I 99); ("arg1", Codec.I 7) ] in
+      check "a bad kind and a bad arg1: rejected once" 1 rejected;
+      check "the honest slot was consumed" 1
+        (Ring.stats_of ring).Ring.consumed);
+  invariant ()
+
 (* --- failed doorbells --- *)
 
 let test_failed_doorbell_keeps_slots () =
@@ -358,7 +388,11 @@ let () =
       ( "ring-bounds",
         [ tc "overflow drops and counts" test_overflow_drops_and_counts ] );
       ( "ring-adversarial",
-        [ tc "hostile slots rejected at drain" test_hostile_slots_rejected ] );
+        [
+          tc "hostile slots rejected at drain" test_hostile_slots_rejected;
+          tc "slot fields checked in table order"
+            test_slot_checked_in_table_order;
+        ] );
       ( "ring-faults",
         [
           tc "failed doorbell keeps slots intact"

@@ -898,6 +898,109 @@ let test_guard_configure_fallback () =
       Guard.configure ~max_batch_queue:8 ();
       check "valid queue bound honored" 8 Guard.limits.Guard.max_batch_queue)
 
+(* --- a crossing leaves no trace when its callback raises --- *)
+
+exception Callee_failed
+
+(* The callback raises at once, or after blocking on a Waitq inside the
+   crossing. Afterwards the in-flight count is back to 0, the caller's
+   lane is unbound (a [Dispatch.note] charges no lane), its domain and
+   Boundary scope are restored, and a nested crossing into the same
+   domain still stays on the caller's lane: one worker, so a second
+   admission would block on its own slot. *)
+let crossing_unwinds ~block () =
+  K.Boot.boot ();
+  let wq = K.Sync.Waitq.create ~name:"callee" () in
+  let lanes () =
+    match Dispatch.pool_stats () with
+    | [ p ] ->
+        ( p.Dispatch.admissions,
+          Array.fold_left ( + ) 0 p.Dispatch.lane_busy_ns )
+    | _ -> Alcotest.fail "one pool expected"
+  in
+  let nested = ref false in
+  ignore
+    (K.Sched.spawn ~name:"caller" (fun () ->
+         Boundary.scoped "outer" (fun () ->
+             (try
+                Channel.call ~target:Domain.Decaf_driver (fun () ->
+                    Boundary.scoped "inner" (fun () ->
+                        if block then K.Sync.Waitq.wait wq;
+                        raise Callee_failed))
+              with Callee_failed -> ());
+             check "nothing in flight" 0
+               (Channel.in_flight Domain.Decaf_driver);
+             check_bool "caller's domain restored" true
+               (Domain.current () = Domain.Kernel);
+             Boundary.note_rejected ();
+             check "the outer scope is current again" 1
+               (Boundary.rejected_for "outer");
+             check "the inner scope is gone" 0 (Boundary.rejected_for "inner");
+             let admitted, busy = lanes () in
+             Dispatch.note 777;
+             check "no lane charged after the crossing" busy (snd (lanes ()));
+             Channel.call ~target:Domain.Decaf_driver (fun () ->
+                 Channel.call ~target:Domain.Kernel (fun () ->
+                     Channel.call ~target:Domain.Decaf_driver (fun () ->
+                         nested := true)));
+             check "the nested crossing stayed on the caller's lane"
+               (admitted + 1) (fst (lanes ())))));
+  if block then
+    ignore
+      (K.Sched.spawn ~name:"waker" (fun () ->
+           K.Sched.sleep_ns 10_000;
+           ignore (K.Sync.Waitq.wake_one wq)));
+  K.Sched.run ();
+  check_bool "the nested crossing ran" true !nested;
+  check "nothing in flight at the end" 0 (Channel.in_flight Domain.Decaf_driver)
+
+(* --- allocation per crossing on the control path --- *)
+
+(* Words per call of [f], on the workloads' XPC configuration (batch,
+   delta, 4 workers, ring, guard), after 100 warm-up calls, inside a
+   thread running in [domain]. *)
+let words_per_call ~domain f =
+  K.Boot.boot ();
+  Batch.set_enabled true;
+  Marshal_plan.set_delta_enabled true;
+  Dispatch.set_workers 4;
+  Guard.set_enabled true;
+  Ring.set_enabled true;
+  let n = 10_000 and words = ref nan in
+  ignore
+    (K.Sched.spawn ~name:"probe" (fun () ->
+         Domain.with_domain domain (fun () ->
+             for _ = 1 to 100 do
+               f ()
+             done;
+             let w0 = Gc.minor_words () in
+             for _ = 1 to n do
+               f ()
+             done;
+             words := (Gc.minor_words () -. w0) /. float_of_int n)));
+  K.Sched.run ();
+  !words
+
+(* A kernel-to-decaf upcall of 64 + 64 bytes: the in-flight counts and
+   pools are indexed by domain and the serving lane by tid, so the
+   crossing hashes nothing and builds no fault-site string. *)
+let test_channel_call_alloc () =
+  let words =
+    words_per_call ~domain:Domain.Kernel (fun () ->
+        Channel.call ~target:Domain.Decaf_driver ~payload_bytes:64
+          ~reply_bytes:64 ignore)
+  in
+  check_bool (Printf.sprintf "%.1f words per upcall <= 11" words) true
+    (words <= 11.)
+
+let test_channel_downcall_alloc () =
+  let words =
+    words_per_call ~domain:Domain.Decaf_driver (fun () ->
+        Channel.call ~target:Domain.Kernel ~payload_bytes:8 ignore)
+  in
+  check_bool (Printf.sprintf "%.1f words per downcall <= 11" words) true
+    (words <= 11.)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_xpc"
@@ -942,6 +1045,10 @@ let () =
           tc "fault raises Xpc_failure" test_channel_fault_raises_failure;
           tc "idempotent call retried" test_channel_idempotent_retry;
           tc "idempotent retries exhausted" test_channel_idempotent_exhausts;
+          tc "raising callback unwinds" (crossing_unwinds ~block:false);
+          tc "raising after wake-up unwinds" (crossing_unwinds ~block:true);
+          tc "call allocation" test_channel_call_alloc;
+          tc "downcall allocation" test_channel_downcall_alloc;
         ] );
       ( "dispatch",
         [ tc "admission is per thread" test_dispatch_admission_per_thread ] );
