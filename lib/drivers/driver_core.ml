@@ -97,6 +97,7 @@ type binding = {
   b_trace : K.Ktrace.obj;  (** "binding:<b_id>", built once *)
   b_bus : K.Hotplug.bus;
   b_ids : (int * int) list;
+  b_family : family;  (** shared by every instance of the driver *)
   mutable b_dev : string option;
       (** bus device this binding is pinned to, when bound via
           {!bind_device} with an explicit device *)
@@ -111,7 +112,21 @@ type binding = {
       (** inside {!run}: nested ops must not re-wrap supervision *)
 }
 
+(* A driver's instances, indexed by instance number: the first [size]
+   slots of [members] are in use. No member below [free_from] is free
+   (Unbound or Removed), so the next bind looks for a free one from
+   there rather than from instance 0. *)
+and family = {
+  mutable members : binding array;
+  mutable size : int;
+  mutable free_from : int;
+}
+
+(* Every binding, newest first: [List.rev] gives creation order, in
+   which the hotplug handlers visit them. [by_id] indexes the same
+   bindings by binding id. *)
 let bindings : binding list ref = ref []
+let by_id : (string, binding) Hashtbl.t = Hashtbl.create 64
 
 (* --- lifecycle state machine --- *)
 
@@ -135,6 +150,9 @@ let allowed from_ to_ =
   | Probed, Unbound -> true
   | _ -> false
 
+(* A free binding can be bound again. *)
+let is_free = function Unbound | Removed -> true | _ -> false
+
 let transition b to_ =
   if not (allowed b.state to_) then
     raise (Illegal_transition { driver = b.b_id; from_ = b.state; to_ });
@@ -143,7 +161,9 @@ let transition b to_ =
      (concurrent lifecycle ops on one binding do not commute), not a
      lockset obligation the registry's cooperative callers never had. *)
   K.Ktrace.note b.b_trace K.Ktrace.Signal;
-  b.state <- to_
+  b.state <- to_;
+  if is_free to_ then
+    b.b_family.free_from <- Int.min b.b_family.free_from b.b_instance
 
 let set_disabled b = if b.state <> Disabled then transition b Disabled
 
@@ -265,7 +285,7 @@ let handle_removed bus id =
             b.b_name id;
           eject_binding b
       | _ -> ())
-    !bindings
+    (List.rev !bindings)
 
 let handle_added bus ~id ~vendor ~device =
   List.iter
@@ -297,7 +317,7 @@ let handle_added bus ~id ~vendor ~device =
           | Some (Error rc) -> warn rc
           | None -> set_disabled b
       end)
-    !bindings
+    (List.rev !bindings)
 
 let hotplug_handler = function
   | K.Hotplug.Device_removed { bus; id } -> handle_removed bus id
@@ -311,9 +331,25 @@ let hotplug_handler = function
 let () =
   K.Boot.on_reset @@ fun () ->
   bindings := [];
+  Hashtbl.reset by_id;
   K.Hotplug.subscribe hotplug_handler
 
+let add_member fam b =
+  if fam.size = Array.length fam.members then begin
+    let grown = Array.make (Int.max 4 (2 * fam.size)) b in
+    Array.blit fam.members 0 grown 0 fam.size;
+    fam.members <- grown
+  end;
+  fam.members.(fam.size) <- b;
+  fam.size <- fam.size + 1;
+  bindings := b :: !bindings;
+  Hashtbl.replace by_id b.b_id b
+
 let register (Pack (module D) as p) =
+  (* re-registering a driver discards its whole instance family *)
+  let gone, kept = List.partition (fun o -> o.b_name = D.name) !bindings in
+  List.iter (fun o -> Hashtbl.remove by_id o.b_id) gone;
+  bindings := kept;
   let b =
     {
       drv = p;
@@ -323,6 +359,7 @@ let register (Pack (module D) as p) =
       b_trace = K.Ktrace.Queue ("binding:" ^ D.name);
       b_bus = D.bus;
       b_ids = D.ids;
+      b_family = { members = [||]; size = 0; free_from = 0 };
       b_dev = None;
       meter = { m_upcalls = 0; m_downcalls = 0; m_notifies = 0; m_wire_bytes = 0 };
       state = Unbound;
@@ -333,13 +370,12 @@ let register (Pack (module D) as p) =
       in_run = false;
     }
   in
-  (* re-registering a driver discards its whole instance family *)
-  bindings := List.filter (fun o -> o.b_name <> D.name) !bindings @ [ b ]
+  add_member b.b_family b
 
 let registered () =
   List.filter_map
     (fun b -> if b.b_instance = 0 then Some b.b_name else None)
-    !bindings
+    (List.rev !bindings)
 
 let is_registered name =
   List.exists (fun b -> b.b_name = name) !bindings
@@ -348,15 +384,13 @@ let is_registered name =
    so every pre-fleet call site addressing "e1000" still lands on the
    first instance, and "e1000#3" addresses the fourth. *)
 let find name =
-  match List.find_opt (fun b -> b.b_id = name) !bindings with
-  | Some b -> b
-  | None -> invalid_arg ("driver_core: unknown driver " ^ name)
-
-let family name = List.filter (fun b -> b.b_name = name) !bindings
+  match Hashtbl.find by_id name with
+  | b -> b
+  | exception Not_found -> invalid_arg ("driver_core: unknown driver " ^ name)
 
 let instances_of name =
-  let b = find name in
-  List.map (fun b -> b.b_id) (family b.b_name)
+  let fam = (find name).b_family in
+  List.init fam.size (fun i -> fam.members.(i).b_id)
 
 let state name = (find name).state
 let supervisor name = (find name).sup
@@ -380,22 +414,28 @@ let insmod_binding b ~mode =
 
 let insmod name ~mode = insmod_binding (find name) ~mode
 
-(* N-way binding: reuse a free (Unbound/Removed) member of the driver's
-   instance family or mint the next instance, pin it to [dev] when
-   given, and run the ordinary supervised insmod on that binding. The
-   returned binding id is the handle for every other registry call. *)
+let rec free_member fam i =
+  if i >= fam.size then None
+  else
+    let b = fam.members.(i) in
+    if is_free b.state then Some b else free_member fam (i + 1)
+
+(* N-way binding: reuse the lowest free (Unbound/Removed) member of the
+   driver's instance family or mint the next instance, pin it to [dev]
+   when given, and run the ordinary supervised insmod on that binding.
+   The returned binding id is the handle for every other registry
+   call. *)
 let bind_device name ?dev ~mode () =
   let proto = find name in
-  let fam = family proto.b_name in
+  let fam = proto.b_family in
   let b =
-    match
-      List.find_opt (fun b -> b.state = Unbound || b.state = Removed) fam
-    with
-    | Some b -> b
+    match free_member fam fam.free_from with
+    | Some b ->
+        fam.free_from <- b.b_instance;
+        b
     | None ->
-        let inst =
-          1 + List.fold_left (fun acc b -> max acc b.b_instance) 0 fam
-        in
+        fam.free_from <- fam.size;
+        let inst = fam.size in
         let id = Printf.sprintf "%s#%d" proto.b_name inst in
         let b =
           {
@@ -415,7 +455,7 @@ let bind_device name ?dev ~mode () =
             in_run = false;
           }
         in
-        bindings := !bindings @ [ b ];
+        add_member fam b;
         b
   in
   b.b_dev <- dev;

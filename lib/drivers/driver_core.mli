@@ -152,7 +152,7 @@ val bind_device :
   mode:Driver_env.mode ->
   unit ->
   (string, int) result
-(** Bind one more device to the named driver: reuses a free
+(** Bind one more device to the named driver: reuses the lowest free
     (Unbound/Removed) instance binding or creates the next one, pins it
     to [dev] when given (hotplug re-probe then only accepts that
     device back), and runs the same supervised insmod path. Returns the

@@ -12,33 +12,17 @@ type region = {
   write : int -> width -> int -> unit;
 }
 
-(* Each space keeps its active regions in an array sorted by base,
-   rebuilt on every claim and release, so an access finds its region by
-   binary search. Claims are rare (device setup); accesses are on every
-   register read and write. *)
+(* Each space keeps its active regions in an array sorted by base, so
+   an access finds its region by binary search. Claims are rare (device
+   setup) and accesses are on every register read and write; a claim
+   copies the array once, with the new region at its sorted place, and
+   checks overlap against its two neighbours only, which suffices
+   because the regions already claimed never overlap each other. *)
 let ports : region array ref = ref [||]
 let mmio : region array ref = ref [||]
 let port_count = ref 0
 let mmio_count = ref 0
 let table = function Port -> ports | Mmio -> mmio
-
-let register space ~base ~len ~read ~write =
-  if len <= 0 then invalid_arg "Io.register";
-  let t = table space in
-  if Array.exists (fun r -> base < r.base + r.len && r.base < base + len) !t then
-    Panic.bug "I/O range %#x+%#x overlaps an existing claim" base len;
-  let r = { space; base; len; read; write } in
-  let sorted = Array.append !t [| r |] in
-  Array.sort (fun a b -> Int.compare a.base b.base) sorted;
-  t := sorted;
-  r
-
-let register_ports = register Port
-let register_mmio = register Mmio
-
-let release r =
-  let t = table r.space in
-  t := Array.of_list (List.filter (fun o -> o != r) (Array.to_list !t))
 
 (* The number of regions in [a] whose base is at or below [addr]. *)
 let rec count_below a addr lo hi =
@@ -47,6 +31,30 @@ let rec count_below a addr lo hi =
     let mid = (lo + hi) / 2 in
     if a.(mid).base <= addr then count_below a addr (mid + 1) hi
     else count_below a addr lo mid
+
+let register space ~base ~len ~read ~write =
+  if len <= 0 then invalid_arg "Io.register";
+  let t = table space in
+  let a = !t in
+  let n = Array.length a in
+  let i = count_below a base 0 n in
+  if (i > 0 && base < a.(i - 1).base + a.(i - 1).len)
+     || (i < n && a.(i).base < base + len)
+  then
+    Panic.bug "I/O range %#x+%#x overlaps an existing claim" base len;
+  let r = { space; base; len; read; write } in
+  let grown = Array.make (n + 1) r in
+  Array.blit a 0 grown 0 i;
+  Array.blit a i grown (i + 1) (n - i);
+  t := grown;
+  r
+
+let register_ports = register Port
+let register_mmio = register Mmio
+
+let release r =
+  let t = table r.space in
+  t := Array.of_list (List.filter (fun o -> o != r) (Array.to_list !t))
 
 let find space addr =
   let a = !(table space) in

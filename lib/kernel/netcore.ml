@@ -63,12 +63,30 @@ let create ~name ~mtu ops =
     rx_handler = None;
   }
 
+(* Per prefix, a lowest-free cursor: every "<prefix><n>" with [n] below
+   it is registered, so naming resumes there instead of formatting and
+   probing eth0, eth1, ... again. Unregistering such a name moves the
+   cursor back to it, so the lowest free index still wins. *)
+let cursors : (string, int ref) Hashtbl.t = Hashtbl.create 4
+
 let alloc_name prefix =
+  let cursor =
+    match Hashtbl.find_opt cursors prefix with
+    | Some c -> c
+    | None ->
+        let c = ref 0 in
+        Hashtbl.replace cursors prefix c;
+        c
+  in
   let rec scan n =
     let candidate = Printf.sprintf "%s%d" prefix n in
-    if Hashtbl.mem registry candidate then scan (n + 1) else candidate
+    if Hashtbl.mem registry candidate then scan (n + 1)
+    else begin
+      cursor := n;
+      candidate
+    end
   in
-  scan 0
+  scan !cursor
 
 let name d = d.name
 let mtu d = d.mtu
@@ -82,7 +100,17 @@ let register_netdev d =
 
 let unregister_netdev d =
   match Hashtbl.find_opt registry d.name with
-  | Some o when o == d -> Hashtbl.remove registry d.name
+  | Some o when o == d ->
+      Hashtbl.remove registry d.name;
+      let len = String.length d.name in
+      Hashtbl.iter
+        (fun prefix cursor ->
+          let p = String.length prefix in
+          if String.starts_with ~prefix d.name then
+            match int_of_string_opt (String.sub d.name p (len - p)) with
+            | Some n when n >= 0 -> cursor := Int.min !cursor n
+            | _ -> ())
+        cursors
   | _ -> ()
 
 let lookup name = Hashtbl.find_opt registry name
@@ -116,4 +144,6 @@ let netif_queue_stopped d = d.tx_stopped
 let netif_carrier_on d = d.carrier <- true
 let netif_carrier_off d = d.carrier <- false
 let netif_carrier_ok d = d.carrier
-let reset () = Hashtbl.reset registry
+let reset () =
+  Hashtbl.reset registry;
+  Hashtbl.reset cursors

@@ -22,7 +22,11 @@ type driver = {
   remove : dev -> unit;
 }
 
+(* The bus newest first, so a plug conses instead of copying the list;
+   [List.rev] gives bus order, in which drivers are offered devices.
+   [slots] indexes the same devices by slot. *)
 let bus : dev list ref = ref []
+let slots : (string, dev) Hashtbl.t = Hashtbl.create 64
 let drivers : driver list ref = ref []
 
 let set16 b off v =
@@ -66,7 +70,7 @@ let matches drv dev =
     drv.ids
 
 let try_bind drv dev =
-  if dev.driver = None && matches drv dev then
+  if Option.is_none dev.driver && matches drv dev then
     match drv.probe dev with
     | Ok () ->
         dev.driver <- Some drv.name;
@@ -75,11 +79,14 @@ let try_bind drv dev =
         Klog.printk Klog.Warning "pci %s: probe by %s failed (errno %d)"
           dev.slot drv.name errno
 
+let offer dev = List.iter (fun drv -> try_bind drv dev) !drivers
+
 let add_device dev =
-  if List.exists (fun d -> d.slot = dev.slot) !bus then
+  if Hashtbl.mem slots dev.slot then
     Panic.bug "pci: slot %s already populated" dev.slot;
-  bus := !bus @ [ dev ];
-  List.iter (fun drv -> try_bind drv dev) !drivers;
+  bus := dev :: !bus;
+  Hashtbl.replace slots dev.slot dev;
+  offer dev;
   Hotplug.publish
     (Hotplug.Device_added
        { bus = Hotplug.Pci; id = dev.slot; vendor = dev.vendor;
@@ -100,33 +107,34 @@ let remove_device dev =
   Hotplug.publish
     (Hotplug.Device_removed { bus = Hotplug.Pci; id = dev.slot });
   unbind dev;
-  bus := List.filter (fun d -> d != dev) !bus
+  bus := List.filter (fun d -> d != dev) !bus;
+  match Hashtbl.find_opt slots dev.slot with
+  | Some d when d == dev -> Hashtbl.remove slots dev.slot
+  | _ -> ()
 
 (* Re-offer unbound devices to every registered driver — the hook a
    driver module uses to pick up an additional device after its initial
    registration pass (multi-instance insmod). With [slot], only that
-   device is offered, so a fleet bind stays O(drivers), not O(bus). *)
+   device is offered, found through the slot index, so a fleet bind
+   costs O(drivers), not O(bus). *)
 let rescan ?slot () =
-  List.iter
-    (fun dev ->
-      if slot = None || slot = Some dev.slot then
-        List.iter (fun drv -> try_bind drv dev) !drivers)
-    !bus
+  match slot with
+  | None -> List.iter offer (List.rev !bus)
+  | Some s -> Option.iter offer (Hashtbl.find_opt slots s)
 
-let detach ~slot =
-  match List.find_opt (fun d -> d.slot = slot) !bus with
-  | Some dev -> unbind dev
-  | None -> ()
+let detach ~slot = Option.iter unbind (Hashtbl.find_opt slots slot)
 
 let register_driver ~name ~ids ~probe ~remove =
   if List.exists (fun d -> d.name = name) !drivers then
     Panic.bug "pci: driver %s already registered" name;
   let drv = { name; ids; probe; remove } in
   drivers := drv :: !drivers;
-  List.iter (try_bind drv) !bus
+  List.iter (try_bind drv) (List.rev !bus)
 
 let unregister_driver name =
-  List.iter (fun dev -> if dev.driver = Some name then unbind dev) !bus;
+  List.iter
+    (fun dev -> if dev.driver = Some name then unbind dev)
+    (List.rev !bus);
   drivers := List.filter (fun d -> d.name <> name) !drivers
 
 let slot d = d.slot
@@ -160,8 +168,9 @@ let write_config32 d off v =
   write_config16 d (off + 2) (v lsr 16)
 
 let config_space_words d = Array.init 64 (fun i -> read_config32 d (4 * i))
-let devices () = !bus
+let devices () = List.rev !bus
 
 let reset () =
   bus := [];
+  Hashtbl.reset slots;
   drivers := []

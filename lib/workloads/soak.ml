@@ -64,8 +64,8 @@ let default_phase_ns = 2_000_000_000
 let input_event = K.Latency.path "input.event"
 
 let tracker_entries () =
-  Xpc.Objtracker.count (Decaf_runtime.Runtime.kernel_tracker ())
-  + Xpc.Objtracker.count (Decaf_runtime.Runtime.java_tracker ())
+  Xpc.Objtracker.entries (Decaf_runtime.Runtime.kernel_tracker ())
+  + Xpc.Objtracker.entries (Decaf_runtime.Runtime.java_tracker ())
 
 (* xorshift64*: deterministic per seed, so a soak schedule is
    reproducible from its (seed, fleet, phase_ns) triple alone. *)

@@ -41,8 +41,8 @@ type result = {
   steady : phase;
   churn : phase;
   leaked_tracker_entries : int;
-      (** object-tracker entries above the post-boot baseline at
-          quiescence — must be zero *)
+      (** object-tracker associations and capability handles above
+          the post-boot baseline at quiescence — must be zero *)
   leaked_kmalloc_blocks : int;
   leaked_kmalloc_bytes : int;  (** kmalloc bytes still outstanding *)
 }

@@ -52,9 +52,12 @@ type shard = {
      address. Maintained on every (de)registration. *)
   by_addr : (int, (string, unit) Hashtbl.t) Hashtbl.t;
   (* Capability handles issued for this shard's addresses: slot ->
-     entry, with a reverse index for idempotent issue. *)
+     entry, and per address the (type, slot) pairs live there, for
+     idempotent issue and for [remove_all], which revokes an address's
+     handles whether or not anything is associated with it (the kernel
+     tracker only issues). *)
   handles : (int, h_entry) Hashtbl.t;
-  h_index : (int * string, int) Hashtbl.t;
+  h_at : (int, (string * int) list) Hashtbl.t;
   mutable h_next : int;  (* next slot; starts at 1 (0 is never valid) *)
   mutable h_gen : int;  (* generation tag stamped into new handles *)
   lock : K.Sync.Combolock.t;
@@ -87,7 +90,7 @@ let create ?(name = "objtracker") ?(shards = default_shards) () =
               weak_table = Hashtbl.create 8;
               by_addr = Hashtbl.create 16;
               handles = Hashtbl.create 8;
-              h_index = Hashtbl.create 8;
+              h_at = Hashtbl.create 8;
               h_next = 1;
               h_gen = 0;
               lock =
@@ -140,14 +143,26 @@ let index_remove sh addr ty =
       Hashtbl.remove set ty;
       if Hashtbl.length set = 0 then Hashtbl.remove sh.by_addr addr
 
+let issued_at sh addr =
+  Option.value ~default:[] (Hashtbl.find_opt sh.h_at addr)
+
+(* The slot issued for [ty] among an address's (type, slot) pairs. *)
+let rec slot_for ty = function
+  | [] -> None
+  | (t, slot) :: rest ->
+      if String.equal t ty then Some slot else slot_for ty rest
+
 (* Revoke the capability handle (if any) issued for (addr, ty): after
    the association is gone, a replayed handle must reject as stale. *)
 let revoke sh addr ty =
-  match Hashtbl.find_opt sh.h_index (addr, ty) with
+  let issued = issued_at sh addr in
+  match slot_for ty issued with
   | None -> ()
-  | Some slot ->
+  | Some slot -> (
       Hashtbl.remove sh.handles slot;
-      Hashtbl.remove sh.h_index (addr, ty)
+      match List.filter (fun (t, _) -> not (String.equal t ty)) issued with
+      | [] -> Hashtbl.remove sh.h_at addr
+      | rest -> Hashtbl.replace sh.h_at addr rest)
 
 (* --- capability handles --- *)
 
@@ -155,7 +170,8 @@ let issue t ~addr ~type_id =
   let i = Hashtbl.hash addr land t.mask in
   let sh = t.shards.(i) in
   locked sh (fun () ->
-      match Hashtbl.find_opt sh.h_index (addr, type_id) with
+      let issued = issued_at sh addr in
+      match slot_for type_id issued with
       | Some slot ->
           let e = Hashtbl.find sh.handles slot in
           encode_handle ~slot ~shard:i ~gen:e.he_gen
@@ -164,7 +180,7 @@ let issue t ~addr ~type_id =
           sh.h_next <- slot + 1;
           Hashtbl.replace sh.handles slot
             { he_addr = addr; he_ty = type_id; he_gen = sh.h_gen };
-          Hashtbl.replace sh.h_index (addr, type_id) slot;
+          Hashtbl.replace sh.h_at addr ((type_id, slot) :: issued);
           encode_handle ~slot ~shard:i ~gen:sh.h_gen)
 
 let resolve t ~handle ~type_id =
@@ -348,7 +364,7 @@ let remove_all t ~addr =
      snapshot taken before blocking on the lock could go stale while the
      holder (de)registers types at this address. *)
   locked sh (fun () ->
-      match Hashtbl.find_opt sh.by_addr addr with
+      (match Hashtbl.find_opt sh.by_addr addr with
       | None -> ()
       | Some set ->
           let types = Hashtbl.fold (fun ty () acc -> ty :: acc) set [] in
@@ -356,13 +372,25 @@ let remove_all t ~addr =
             (fun type_id ->
               Hashtbl.remove sh.table (addr, type_id);
               Hashtbl.remove sh.weak_table (addr, type_id);
-              index_remove sh addr type_id;
-              revoke sh addr type_id)
-            types)
+              index_remove sh addr type_id)
+            types);
+      (* every handle issued at the address, associated or not *)
+      List.iter
+        (fun (_, slot) -> Hashtbl.remove sh.handles slot)
+        (issued_at sh addr);
+      Hashtbl.remove sh.h_at addr)
 
 let count t =
   Array.fold_left
     (fun acc sh -> acc + locked sh (fun () -> Hashtbl.length sh.table))
+    0 t.shards
+
+let entries t =
+  Array.fold_left
+    (fun acc sh ->
+      acc
+      + locked sh (fun () ->
+            Hashtbl.length sh.table + Hashtbl.length sh.handles))
     0 t.shards
 
 let add_stats into s =
@@ -418,6 +446,6 @@ let clear t =
          the generation tag moves on, so a handle minted before the
          clear stays invalid against anything issued after it. *)
       Hashtbl.reset sh.handles;
-      Hashtbl.reset sh.h_index;
+      Hashtbl.reset sh.h_at;
       sh.h_gen <- (sh.h_gen + 1) land gen_mask)
     t.shards

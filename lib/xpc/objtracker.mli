@@ -48,8 +48,22 @@ val types_at : t -> addr:int -> string list
     scales with the types at that address, not the table size. *)
 
 val remove : t -> addr:int -> type_id:string -> unit
+
 val remove_all : t -> addr:int -> unit
+(** Drop every association at the address and revoke every handle
+    issued there, whether or not an association backs it. The kernel
+    tracker only issues (the handles of shared structures and their
+    embedded rings), so this is what revokes them at unbind. *)
+
 val count : t -> int
+
+val entries : t -> int
+(** Strong associations plus live handles ({!count} plus
+    {!handle_count}): what a leak ledger holds to its baseline, since a
+    handle the kernel tracker issued leaks without any association.
+    One lock per shard, as {!count} takes, so a ledger reading this
+    instead of {!count} takes no more locks and charges no more
+    virtual time. *)
 
 val stats : t -> stats
 (** Aggregated snapshot over all shards. [sweeps] counts whole {!sweep}

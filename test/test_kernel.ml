@@ -836,6 +836,32 @@ let test_io_overlap_rejected () =
        false
      with Panic.Kernel_bug _ -> true)
 
+(* A claim that swallows whole regions overlaps them though neither of
+   its ends falls inside one; it is refused and the regions it would
+   have covered still answer. *)
+let test_io_enclosing_claim_rejected () =
+  Boot.boot ();
+  let mk ~tag base len =
+    Io.register_ports ~base ~len
+      ~read:(fun _ _ -> tag)
+      ~write:(fun _ _ _ -> ())
+  in
+  ignore (mk ~tag:1 0x100 0x10);
+  ignore (mk ~tag:2 0x180 0x10);
+  let refused base len =
+    try
+      ignore (mk ~tag:9 base len);
+      false
+    with Panic.Kernel_bug _ -> true
+  in
+  check_bool "claim enclosing one region refused" true (refused 0x80 0x100);
+  check_bool "claim enclosing two regions refused" true (refused 0xf0 0x200);
+  check_bool "claim from a region's base refused" true (refused 0x100 0x100);
+  check "enclosed region intact" 1 (Io.inb 0x108);
+  check "second enclosed region intact" 2 (Io.inb 0x18f);
+  ignore (mk ~tag:3 0x110 0x70);
+  check "a claim filling the gap exactly is accepted" 3 (Io.inb 0x17f)
+
 (* Multi-region dispatch: 32 port and 32 MMIO regions over the same
    numeric layout, claimed in shuffled order. Every third region runs
    straight into its neighbour; the others leave a gap after them. *)
@@ -964,6 +990,73 @@ let test_pci_probe_on_register () =
     ~remove:ignore;
   check "late driver probes existing device" 1 !probed
 
+let pci_ids = [ { Pci.id_vendor = 0x8086; id_device = 0x100e } ]
+let pci_slot i = Printf.sprintf "00:%02x.0" i
+
+let test_pci_slot_populated () =
+  Boot.boot ();
+  let dev = make_test_dev () in
+  Pci.add_device dev;
+  check_bool "a second device in the slot is a bug" true
+    (try
+       Pci.add_device (make_test_dev ());
+       false
+     with Panic.Kernel_bug _ -> true);
+  check "the bus keeps one device" 1 (List.length (Pci.devices ()));
+  Pci.remove_device dev;
+  Pci.add_device (make_test_dev ());
+  check "an unplugged slot takes a new device" 1
+    (List.length (Pci.devices ()))
+
+(* A driver that refuses every probe is offered each unbound device:
+   the whole bus in bus order at registration, one device by slot. *)
+let test_pci_rescan_slot () =
+  Boot.boot ();
+  List.iter
+    (fun i -> Pci.add_device (make_test_dev ~slot:(pci_slot i) ()))
+    [ 0; 1; 2; 3 ];
+  let offered = ref [] in
+  Pci.register_driver ~name:"e1000" ~ids:pci_ids
+    ~probe:(fun d ->
+      offered := Pci.slot d :: !offered;
+      Error (-19))
+    ~remove:ignore;
+  let took what want =
+    Alcotest.(check (list string)) what want (List.rev !offered);
+    offered := []
+  in
+  took "registration offers the bus in order" (List.init 4 pci_slot);
+  Pci.rescan ~slot:(pci_slot 2) ();
+  took "rescan ~slot offers that device alone" [ pci_slot 2 ];
+  Pci.rescan ~slot:(pci_slot 9) ();
+  took "an empty slot offers nothing" [];
+  Pci.rescan ();
+  took "a full rescan offers the bus in order" (List.init 4 pci_slot)
+
+let test_pci_detach_by_slot () =
+  Boot.boot ();
+  let devs = List.init 3 (fun i -> make_test_dev ~slot:(pci_slot i) ()) in
+  List.iter Pci.add_device devs;
+  let removed = ref [] in
+  Pci.register_driver ~name:"e1000" ~ids:pci_ids
+    ~probe:(fun _ -> Ok ())
+    ~remove:(fun d -> removed := Pci.slot d :: !removed);
+  let bound () = List.map Pci.bound_driver devs in
+  Pci.detach ~slot:(pci_slot 1);
+  Alcotest.(check (list string))
+    "remove ran for that slot" [ pci_slot 1 ] !removed;
+  Alcotest.(check (list (option string)))
+    "only that device unbound"
+    [ Some "e1000"; None; Some "e1000" ]
+    (bound ());
+  check "the device stays on the bus" 3 (List.length (Pci.devices ()));
+  Pci.detach ~slot:(pci_slot 1);
+  Pci.detach ~slot:(pci_slot 9);
+  check "an unbound or empty slot detaches nothing" 1 (List.length !removed);
+  Pci.rescan ~slot:(pci_slot 1) ();
+  Alcotest.(check (list (option string)))
+    "rescan rebinds it" [ Some "e1000"; Some "e1000"; Some "e1000" ] (bound ())
+
 let test_pci_config_space () =
   Boot.boot ();
   let dev = make_test_dev () in
@@ -1036,6 +1129,41 @@ let test_netcore_names () =
     (Netcore.alloc_name "eth");
   Alcotest.(check string) "other prefixes start at 0" "wlan0"
     (Netcore.alloc_name "wlan")
+
+(* Naming resumes from a cursor, which a freed name moves back: the
+   lowest free index wins whatever order names are freed in, and
+   freeing "eth10" frees index 10 under "eth" and index 0 under
+   "eth1". *)
+let test_netcore_names_cursor () =
+  Boot.boot ();
+  let add name =
+    let d = Netcore.create ~name ~mtu:1500 null_net_ops in
+    Netcore.register_netdev d;
+    d
+  in
+  let devs = List.init 8 (fun _ -> add (Netcore.alloc_name "eth")) in
+  let next () = Netcore.name (add (Netcore.alloc_name "eth")) in
+  Netcore.unregister_netdev (List.nth devs 6);
+  Netcore.unregister_netdev (List.nth devs 2);
+  Alcotest.(check (list string))
+    "lowest freed first, then the next, then fresh" [ "eth2"; "eth6"; "eth8" ]
+    (List.map (fun _ -> next ()) [ 1; 2; 3 ]);
+  Alcotest.(check string) "unused name not taken" "eth9"
+    (Netcore.alloc_name "eth");
+  Alcotest.(check string) "allocating twice gives it again" "eth9"
+    (Netcore.alloc_name "eth");
+  let e10 = add (Netcore.alloc_name "eth1") in
+  Alcotest.(check string) "eth1 prefix" "eth10" (Netcore.name e10);
+  Alcotest.(check string) "eth1 prefix skips taken names" "eth11"
+    (Netcore.alloc_name "eth1");
+  Alcotest.(check string) "eth9 taken" "eth9" (next ());
+  Alcotest.(check string) "eth skips eth10 too" "eth11"
+    (Netcore.alloc_name "eth");
+  Netcore.unregister_netdev e10;
+  Alcotest.(check string) "freeing eth10 frees eth's index 10" "eth10"
+    (Netcore.alloc_name "eth");
+  Alcotest.(check string) "and eth1's index 0" "eth10"
+    (Netcore.alloc_name "eth1")
 
 (* --- Sndcore --- *)
 
@@ -1704,18 +1832,23 @@ let () =
           tc "dispatch" test_io_dispatch;
           tc "overlap rejected" test_io_overlap_rejected;
           tc "many regions" test_io_many_regions;
+          tc "enclosing claim rejected" test_io_enclosing_claim_rejected;
         ] );
       ( "pci",
         [
           tc "probe on add" test_pci_probe_on_add;
           tc "probe on register" test_pci_probe_on_register;
           tc "config space" test_pci_config_space;
+          tc "populated slot" test_pci_slot_populated;
+          tc "rescan by slot" test_pci_rescan_slot;
+          tc "detach by slot" test_pci_detach_by_slot;
         ] );
       ( "netcore",
         [
           tc "rx path" test_netcore_rx_path;
           tc "queue stop" test_netcore_queue_stop;
           tc "names" test_netcore_names;
+          tc "names resume from a cursor" test_netcore_names_cursor;
         ] );
       ( "sndcore",
         [

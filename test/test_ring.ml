@@ -307,6 +307,9 @@ let test_surprise_removal_discards_with_count () =
   Ring.set_enabled true;
   let link = setup_e1000 () in
   Scenario.in_thread (fun () ->
+      let kt = Decaf_runtime.Runtime.kernel_tracker () in
+      (* the eject revokes every handle the binding was issued *)
+      let handles_before_insmod = Objtracker.handle_count kt in
       insmod_ok "e1000";
       let t = Option.get (E1000_drv.active ()) in
       let ka = E1000_drv.kernel_adapter t in
@@ -316,8 +319,6 @@ let test_surprise_removal_discards_with_count () =
         (Decaf_workloads.Netperf.send ~netdev:nd ~link ~duration_ns:1_000_000
            ~msg_bytes:1500);
       let ring = Option.get (Ring.find ~name:"e1000") in
-      let kt = Decaf_runtime.Runtime.kernel_tracker () in
-      let tracked_before = Objtracker.handle_count kt in
       let dropped_before = Boundary.dropped_for "e1000" in
       for _ = 1 to 3 do
         ignore (Ring.produce ring (EO.ring_stats_record ka))
@@ -346,7 +347,7 @@ let test_surprise_removal_discards_with_count () =
       check_bool "ring unregistered by surprise removal" true
         (Ring.find ~name:"e1000" = None);
       check "no slot left anywhere" 0 (Ring.pending ());
-      check "zero leaked tracker entries" tracked_before
+      check "zero leaked tracker entries" handles_before_insmod
         (Objtracker.handle_count kt);
       Alcotest.(check string)
         "driver removed" "removed"
