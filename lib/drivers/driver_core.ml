@@ -282,7 +282,7 @@ let handle_removed bus id =
       | (Probed | Running | Suspended), Some (B ((module D), t))
         when D.bus = bus && D.owns t id ->
           K.Klog.printk K.Klog.Info "driver_core: %s: device %s removed"
-            b.b_name id;
+            b.b_id id;
           eject_binding b
       | _ -> ())
     (List.rev !bindings)
@@ -301,7 +301,7 @@ let handle_added bus ~id ~vendor ~device =
         let mode = Option.get b.want in
         let warn rc =
           K.Klog.printk K.Klog.Warning
-            "driver_core: %s: hotplug re-probe failed (errno %d)" b.b_name rc
+            "driver_core: %s: hotplug re-probe failed (errno %d)" b.b_id rc
         in
         if b.in_run then begin
           (* already under a supervised episode: probe directly so a

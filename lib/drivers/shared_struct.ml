@@ -193,8 +193,9 @@ module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
     Codec.apply (Spec.fields k) img ~writable_only:true
 
   let resync_user_view k =
-    List.iter
-      (fun (f, _) -> if Plan.copies_in plan f then Plan.Dirty.mark (dirty k) f)
+    List.iteri
+      (fun i (f, _) ->
+        if Plan.copies_in plan f then Plan.Dirty.mark (dirty k) i)
       (Plan.fields plan)
 
   (* The tracker mirrors object lifetime (the Nooks discipline), so a

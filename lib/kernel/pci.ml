@@ -75,6 +75,9 @@ let try_bind drv dev =
     | Ok () ->
         dev.driver <- Some drv.name;
         Klog.printk Klog.Info "pci %s: bound to driver %s" dev.slot drv.name
+    (* -ENODEV, -ENXIO: the driver does not support this device, a
+       refusal the Linux driver core takes without a warning *)
+    | Error (-19 | -6) -> ()
     | Error errno ->
         Klog.printk Klog.Warning "pci %s: probe by %s failed (errno %d)"
           dev.slot drv.name errno

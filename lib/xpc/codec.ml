@@ -85,14 +85,16 @@ let create ?owner t =
           match d.kind with Words n -> Array.make n 0 | Int | Bool -> [||])
         t.descs;
     dirty =
-      Plan.Dirty.create ~owner:(Option.value owner ~default:t.type_id) ();
+      Plan.Dirty.create
+        ~owner:(Option.value owner ~default:t.type_id)
+        (Array.length t.descs);
   }
 
 let dirty o = o.dirty
 
 let mark (type a) o (f : a field) =
   let i = match f with Int_f i | Bool_f i -> i | Words_f (i, _) -> i in
-  Plan.Dirty.mark o.dirty o.codec.descs.(i).name
+  Plan.Dirty.mark o.dirty i
 
 let get (type a) o (f : a field) : a =
   match f with
@@ -155,13 +157,10 @@ let encode o ~handle direction ~delta =
   Xdr.Enc.clear enc;
   Xdr.Enc.uint enc handle;
   for i = 0 to Array.length t.descs - 1 do
-    let d = t.descs.(i) in
-    let present =
-      copies.(i) && ((not delta) || Plan.Dirty.test o.dirty d.name)
-    in
+    let present = copies.(i) && ((not delta) || Plan.Dirty.test o.dirty i) in
     Xdr.Enc.bool enc present;
     if present then
-      match d.kind with
+      match t.descs.(i).kind with
       | Int -> Xdr.Enc.int enc o.scalars.(i)
       | Bool -> Xdr.Enc.bool enc (o.scalars.(i) <> 0)
       | Words _ -> Xdr.Enc.array_var enc Xdr.Enc.uint o.arrays.(i)

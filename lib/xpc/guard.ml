@@ -14,9 +14,13 @@ type rule =
   | Non_negative
   | Any  (* writability check only *)
 
+(* Per field, in plan order. A table has a handful of fields, so a
+   check finds its field by scanning the names. *)
 type t = {
-  plan : Plan.t;
-  rules : (string, rule) Hashtbl.t;
+  type_id : string;
+  names : string array;
+  writable : bool array;  (* the plan copies the field out *)
+  rules : rule array;  (* [Any] where the field has no rule *)
   mutable rejections : int;  (* per-validator, for campaign assertions *)
 }
 
@@ -74,22 +78,27 @@ let reset () =
 let () = K.Boot.on_reset reset
 
 let make plan rules =
-  let index = Hashtbl.create (max 8 (2 * List.length rules)) in
-  List.iter
-    (fun (field, rule) ->
-      if Plan.access plan field = None then
-        invalid_arg
-          (Printf.sprintf "Guard.make: %s has no field %s"
-             (Plan.type_id plan) field);
-      if Hashtbl.mem index field then
-        invalid_arg
-          (Printf.sprintf "Guard.make: duplicate rule for %s.%s"
-             (Plan.type_id plan) field);
-      Hashtbl.replace index field rule)
-    rules;
-  { plan; rules = index; rejections = 0 }
+  let type_id = Plan.type_id plan in
+  let bad fmt = Printf.ksprintf invalid_arg ("Guard.make: " ^^ fmt) in
+  ignore
+    (List.fold_left
+       (fun seen (field, _) ->
+         if Plan.access plan field = None then
+           bad "%s has no field %s" type_id field;
+         if List.mem field seen then bad "duplicate rule for %s.%s" type_id field;
+         field :: seen)
+       [] rules);
+  let fields = Array.of_list (Plan.fields plan) in
+  let rule (name, _) = Option.value (List.assoc_opt name rules) ~default:Any in
+  {
+    type_id;
+    names = Array.map fst fields;
+    writable = Array.map (fun (name, _) -> Plan.copies_out plan name) fields;
+    rules = Array.map rule fields;
+    rejections = 0;
+  }
 
-let type_id t = Plan.type_id t.plan
+let type_id t = t.type_id
 let rejections t = t.rejections
 
 let charge () =
@@ -106,58 +115,64 @@ let fail t ~field fmt =
       Boundary.reject ~type_id:(type_id t) ~field "%s" reason)
     fmt
 
+(* The field's plan position, or -1 when the plan has none. A table has
+   at most seven fields, and Codec and Ring pass the table's own
+   strings, so the match itself is a pointer compare. *)
+let rec position names field i =
+  if i = Array.length names then -1
+  else if String.equal names.(i) field then i
+  else position names field (i + 1)
+
 (* A field the plan marks [Read] is kernel-to-user only: a presence flag
    for it in an inbound image is an attempted write through a read-only
-   view, whatever the value. *)
+   view, whatever the value. Returns the field's position. *)
 let writable t ~field =
   charge ();
-  if not (Plan.copies_out t.plan field) then
-    fail t ~field "attempted write to a field the plan marks read-only"
-
-let rule_of t field = Hashtbl.find_opt t.rules field
+  let i = position t.names field 0 in
+  if i < 0 || not t.writable.(i) then
+    fail t ~field "attempted write to a field the plan marks read-only";
+  i
 
 let int_field t ~field v =
   if not !enabled then v
   else begin
-    writable t ~field;
-    (match rule_of t field with
-    | Some (Range (lo, hi)) ->
+    (match t.rules.(writable t ~field) with
+    | Range (lo, hi) ->
         charge ();
         if v < lo || v > hi then
           fail t ~field "value %d outside [%d, %d]" v lo hi
-    | Some (Enum allowed) ->
+    | Enum allowed ->
         charge ();
         if not (List.mem v allowed) then fail t ~field "value %d not in enum" v
-    | Some Non_negative ->
+    | Non_negative ->
         charge ();
         if v < 0 then fail t ~field "negative value %d" v
-    | Some (Max_len _) ->
+    | Max_len _ ->
         charge ();
         fail t ~field "scalar value for an array field"
-    | Some Any | None -> ());
+    | Any -> ());
     v
   end
 
 let bool_field t ~field v =
   if not !enabled then v
   else begin
-    writable t ~field;
+    ignore (writable t ~field);
     v
   end
 
 let array_field t ~field v =
   if not !enabled then v
   else begin
-    writable t ~field;
-    (match rule_of t field with
-    | Some (Max_len n) ->
+    (match t.rules.(writable t ~field) with
+    | Max_len n ->
         charge ();
         if Array.length v > n then
           fail t ~field "length %d exceeds bound %d" (Array.length v) n
-    | Some (Range _ | Enum _ | Non_negative) ->
+    | Range _ | Enum _ | Non_negative ->
         charge ();
         fail t ~field "array value for a scalar field"
-    | Some Any | None -> ());
+    | Any -> ());
     v
   end
 

@@ -3,9 +3,12 @@
     The kernel side of the XPC boundary treats the user-level driver as
     untrusted: whatever comes back from an upcall (or rides a deferred
     notification) is validated before kernel state absorbs it. A guard
-    is built from a {!Marshal_plan.t} plus per-field rules; every
-    checker first enforces writability — a field the plan marks [Read]
-    must never be accepted inbound — and then the field's rule.
+    is built from a {!Marshal_plan.t} plus per-field rules, and keeps
+    each field's writability and rule in plan order; a check finds its
+    field by scanning the plan's names (a crossing structure has a
+    handful of fields), with no table and no plan lookup. Every checker
+    first enforces writability — a field the plan marks [Read] must
+    never be accepted inbound — and then the field's rule.
     Violations raise {!Boundary.Boundary_violation} (counted in
     {!Boundary.totals}), which the recovery supervisor handles like any
     other driver fault: restart within budget, never a panic.

@@ -1,29 +1,22 @@
 type access = Read | Write | Read_write
 
-type t = {
-  type_id : string;
-  fields : (string * access) list;
-  (* Precomputed name -> access map: [access] is on the per-field hot path
-     of every marshal (once per field per crossing), so the list lookup is
-     replaced by a hash probe built once at plan-construction time. *)
-  index : (string, access) Hashtbl.t;
-}
+type t = { type_id : string; fields : (string * access) list }
 
 let make ~type_id fields =
-  let index = Hashtbl.create (max 8 (2 * List.length fields)) in
-  List.iter
-    (fun (name, a) ->
-      if Hashtbl.mem index name then
-        invalid_arg
-          ("Marshal_plan.make: duplicate field in plan for " ^ type_id);
-      Hashtbl.replace index name a)
-    fields;
-  { type_id; fields; index }
+  let rec unique = function
+    | [] -> ()
+    | (name, _) :: rest ->
+        if List.mem_assoc name rest then
+          invalid_arg
+            ("Marshal_plan.make: duplicate field in plan for " ^ type_id);
+        unique rest
+  in
+  unique fields;
+  { type_id; fields }
 
 let type_id t = t.type_id
 let fields t = t.fields
-
-let access t name = Hashtbl.find_opt t.index name
+let access t name = List.assoc_opt name t.fields
 
 let copies_in t name =
   match access t name with
@@ -62,9 +55,6 @@ let union a b =
   in
   make ~type_id:a.type_id (merged_a @ only_b)
 
-let full ~type_id names =
-  make ~type_id (List.map (fun n -> (n, Read_write)) names)
-
 let pp ppf t =
   let pp_access ppf = function
     | Read -> Format.pp_print_string ppf "R"
@@ -91,36 +81,40 @@ module Dirty = struct
 
   let latency = K.Latency.path "xpc.dirty"
 
-  type tracker = {
+  (* Per field, by table position. Generations start at 1, so a 0 mark
+     is a clean field. *)
+  type t = {
     owner : string;  (* boundary-fault attribution, default "dirty" *)
     mutable gen : int;  (* monotonic write counter, never reset *)
     mutable issued : int;  (* high-water mark of generations snapshotted *)
-    marks : (string, int) Hashtbl.t;  (* field -> generation of last write *)
-    births : (string, int) Hashtbl.t;
-        (* field -> stamp of the oldest unacknowledged mark: re-marks
-           keep the first stamp, so the mark-to-resync timeline measures
-           how stale the peer's view of the field actually got *)
+    marks : int array;  (* generation of the last write, 0 when clean *)
+    births : int array;
+        (* stamp of the oldest unacknowledged mark: re-marks keep the
+           first stamp, so the mark-to-resync timeline measures how
+           stale the peer's view of the field actually got *)
+    mutable pending : int;  (* fields with a mark *)
   }
 
-  type t = tracker
-
-  let create ?(owner = "dirty") () =
+  let create ?(owner = "dirty") n =
     {
       owner;
       gen = 0;
       issued = 0;
-      marks = Hashtbl.create 8;
-      births = Hashtbl.create 8;
+      marks = Array.make n 0;
+      births = Array.make n 0;
+      pending = 0;
     }
 
-  let mark t field =
+  let mark t i =
     t.gen <- t.gen + 1;
-    if not (Hashtbl.mem t.births field) then
-      Hashtbl.replace t.births field (K.Clock.now ());
-    Hashtbl.replace t.marks field t.gen
+    if t.marks.(i) = 0 then begin
+      t.births.(i) <- K.Clock.now ();
+      t.pending <- t.pending + 1
+    end;
+    t.marks.(i) <- t.gen
 
-  let test t field = Hashtbl.mem t.marks field
-  let pending t = Hashtbl.length t.marks
+  let test t i = t.marks.(i) <> 0
+  let pending t = t.pending
 
   let snapshot t =
     if t.gen > t.issued then t.issued <- t.gen;
@@ -135,24 +129,15 @@ module Dirty = struct
       Boundary.reject ~type_id:t.owner ~field:"ack"
         "acknowledged generation %d was never issued (high-water %d)" upto
         t.issued;
-    let dead =
-      Hashtbl.fold
-        (fun field gen acc -> if gen <= upto then field :: acc else acc)
-        t.marks []
-    in
-    List.iter
-      (fun field ->
-        Hashtbl.remove t.marks field;
-        match Hashtbl.find_opt t.births field with
-        | Some b ->
-            Hashtbl.remove t.births field;
-            K.Latency.observe_at latency (Int.max 0 (K.Clock.now () - b))
-        | None -> ())
-      dead
+    for i = 0 to Array.length t.marks - 1 do
+      let gen = t.marks.(i) in
+      if gen <> 0 && gen <= upto then begin
+        t.marks.(i) <- 0;
+        t.pending <- t.pending - 1;
+        K.Latency.observe_at latency
+          (Int.max 0 (K.Clock.now () - t.births.(i)))
+      end
+    done
 
   let issued t = t.issued
-
-  let clear t =
-    Hashtbl.reset t.marks;
-    Hashtbl.reset t.births
 end

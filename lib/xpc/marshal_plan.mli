@@ -16,8 +16,9 @@ val type_id : t -> string
 val fields : t -> (string * access) list
 
 val access : t -> string -> access option
-(** Per-field access lookup; O(1) via an index precomputed in {!make}
-    (this runs once per field per crossing, the hottest plan path). *)
+(** Per-field access lookup, a walk of the plan. Only construction
+    ({!Codec.make}, {!Guard.make}), the slicer and lint ask: a marshal
+    reads each field's access from the codec's table by position. *)
 
 val copies_in : t -> string -> bool
 (** Whether the field is copied toward the target (target reads it). *)
@@ -31,9 +32,6 @@ val union : t -> t -> t
     deterministic and documented: [a]'s fields first in [a]'s order, then
     fields only [b] lists, in [b]'s order — order is part of the wire
     format, so it must not depend on merge internals. *)
-
-val full : type_id:string -> string list -> t
-(** A plan marshaling every listed field in both directions. *)
 
 val pp : Format.formatter -> t -> unit
 
@@ -62,15 +60,16 @@ module Dirty : sig
       during the crossing (an interrupt marking fields mid-call) keep
       their marks and go out with the next delta. *)
 
-  val create : ?owner:string -> unit -> t
-  (** [owner] (default ["dirty"]) names the tracker in boundary-fault
-      reports. *)
+  val create : ?owner:string -> int -> t
+  (** A tracker for a structure of this many fields, which {!mark} and
+      {!test} name by table position. [owner] (default ["dirty"]) names
+      the tracker in boundary-fault reports. *)
 
-  val mark : t -> string -> unit
-  (** Record a write to the field. *)
+  val mark : t -> int -> unit
+  (** Record a write to the field at this position. *)
 
-  val test : t -> string -> bool
-  (** Whether the field has an unacknowledged write. *)
+  val test : t -> int -> bool
+  (** Whether the field at this position has an unacknowledged write. *)
 
   val pending : t -> int
   (** Number of fields with unacknowledged writes. *)
@@ -89,7 +88,4 @@ module Dirty : sig
 
   val issued : t -> int
   (** The snapshot high-water mark (highest generation ever issued). *)
-
-  val clear : t -> unit
-  (** Drop every mark (full-image resync). *)
 end

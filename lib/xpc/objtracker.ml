@@ -11,7 +11,7 @@ type stats = {
 let fresh_stats () =
   { lookups = 0; hits = 0; registrations = 0; sweeps = 0; rejected = 0 }
 
-type weak_entry = { w_get : unit -> Univ.t option }
+type weak_entry = { w_ty : string; w_get : unit -> Univ.t option }
 
 type handle = int
 
@@ -40,24 +40,24 @@ let handle_slot h = h lsr (gen_bits + shard_bits)
 let handle_shard h = (h lsr gen_bits) land shard_mask
 let handle_gen h = h land gen_mask
 
+(* Everything one address holds, each list keyed by type id: its strong
+   and weak associations, and the handles issued for it, for idempotent
+   issue and for [remove_all], which revokes an address's handles
+   whether or not anything is associated with it (the kernel tracker
+   only issues). A few types share an address at most (a structure and
+   those embedded at offset 0), so the lists are walked, not indexed. *)
+type cell = {
+  mutable strong : Univ.t list;
+  mutable weak : weak_entry list;
+  mutable issued : (string * handle) list;
+}
+
 (* One shard: the former global tracker structure, now guarded by its
    own combolock and counting its own traffic. Addresses hash to shards,
    so lookups touching different objects take different locks. *)
 type shard = {
-  table : (int * string, Univ.t) Hashtbl.t;
-  weak_table : (int * string, weak_entry) Hashtbl.t;
-  (* Secondary index: address -> set of type_ids registered there (strong
-     or weak). [types_at]/[remove_all] used to fold over both full tables;
-     with the index they touch only the handful of types actually at the
-     address. Maintained on every (de)registration. *)
-  by_addr : (int, (string, unit) Hashtbl.t) Hashtbl.t;
-  (* Capability handles issued for this shard's addresses: slot ->
-     entry, and per address the (type, slot) pairs live there, for
-     idempotent issue and for [remove_all], which revokes an address's
-     handles whether or not anything is associated with it (the kernel
-     tracker only issues). *)
-  handles : (int, h_entry) Hashtbl.t;
-  h_at : (int, (string * int) list) Hashtbl.t;
+  cells : (int, cell) Hashtbl.t;
+  handles : (int, h_entry) Hashtbl.t;  (* slot -> entry *)
   mutable h_next : int;  (* next slot; starts at 1 (0 is never valid) *)
   mutable h_gen : int;  (* generation tag stamped into new handles *)
   lock : K.Sync.Combolock.t;
@@ -86,11 +86,8 @@ let create ?(name = "objtracker") ?(shards = default_shards) () =
       shards =
         Array.init n (fun i ->
             {
-              table = Hashtbl.create 16;
-              weak_table = Hashtbl.create 8;
-              by_addr = Hashtbl.create 16;
+              cells = Hashtbl.create 16;
               handles = Hashtbl.create 8;
-              h_at = Hashtbl.create 8;
               h_next = 1;
               h_gen = 0;
               lock =
@@ -125,44 +122,56 @@ let locked sh f =
     K.Sync.Combolock.with_kernel sh.lock f
   end
 
-let index_add sh addr ty =
-  let set =
-    match Hashtbl.find_opt sh.by_addr addr with
-    | Some s -> s
-    | None ->
-        let s = Hashtbl.create 4 in
-        Hashtbl.replace sh.by_addr addr s;
-        s
-  in
-  Hashtbl.replace set ty ()
+(* --- a cell's lists, walked by top-level functions: [ty_of] names a
+   top-level function too, so a probe builds no closure --- *)
 
-let index_remove sh addr ty =
-  match Hashtbl.find_opt sh.by_addr addr with
-  | None -> ()
-  | Some set ->
-      Hashtbl.remove set ty;
-      if Hashtbl.length set = 0 then Hashtbl.remove sh.by_addr addr
+let strong_ty = Univ.name
+let weak_ty w = w.w_ty
+let issued_ty (ty, _) = ty
 
-let issued_at sh addr =
-  Option.value ~default:[] (Hashtbl.find_opt sh.h_at addr)
-
-(* The slot issued for [ty] among an address's (type, slot) pairs. *)
-let rec slot_for ty = function
+let rec find_ty ty_of ty = function
   | [] -> None
-  | (t, slot) :: rest ->
-      if String.equal t ty then Some slot else slot_for ty rest
+  | x :: rest ->
+      if String.equal (ty_of x) ty then Some x else find_ty ty_of ty rest
 
-(* Revoke the capability handle (if any) issued for (addr, ty): after
-   the association is gone, a replayed handle must reject as stale. *)
-let revoke sh addr ty =
-  let issued = issued_at sh addr in
-  match slot_for ty issued with
+let rec has_ty ty_of ty = function
+  | [] -> false
+  | x :: rest -> String.equal (ty_of x) ty || has_ty ty_of ty rest
+
+(* Types are unique within a list, so the first match is the only one. *)
+let rec drop_ty ty_of ty = function
+  | [] -> []
+  | x :: rest ->
+      if String.equal (ty_of x) ty then rest else x :: drop_ty ty_of ty rest
+
+let cell_at sh addr =
+  match Hashtbl.find_opt sh.cells addr with
+  | Some c -> c
+  | None ->
+      let c = { strong = []; weak = []; issued = [] } in
+      Hashtbl.replace sh.cells addr c;
+      c
+
+(* An address that holds nothing leaves the table. *)
+let empty = function
+  | { strong = []; weak = []; issued = [] } -> true
+  | _ -> false
+
+let prune sh addr c = if empty c then Hashtbl.remove sh.cells addr
+
+let revoke sh (_, h) = Hashtbl.remove sh.handles (handle_slot h)
+
+(* Drop (addr, ty)'s associations and revoke its handle: after the
+   association is gone, a replayed handle must reject as stale. *)
+let remove_in sh addr ty =
+  match Hashtbl.find_opt sh.cells addr with
   | None -> ()
-  | Some slot -> (
-      Hashtbl.remove sh.handles slot;
-      match List.filter (fun (t, _) -> not (String.equal t ty)) issued with
-      | [] -> Hashtbl.remove sh.h_at addr
-      | rest -> Hashtbl.replace sh.h_at addr rest)
+  | Some c ->
+      c.strong <- drop_ty strong_ty ty c.strong;
+      c.weak <- drop_ty weak_ty ty c.weak;
+      Option.iter (revoke sh) (find_ty issued_ty ty c.issued);
+      c.issued <- drop_ty issued_ty ty c.issued;
+      prune sh addr c
 
 (* --- capability handles --- *)
 
@@ -170,18 +179,17 @@ let issue t ~addr ~type_id =
   let i = Hashtbl.hash addr land t.mask in
   let sh = t.shards.(i) in
   locked sh (fun () ->
-      let issued = issued_at sh addr in
-      match slot_for type_id issued with
-      | Some slot ->
-          let e = Hashtbl.find sh.handles slot in
-          encode_handle ~slot ~shard:i ~gen:e.he_gen
+      let c = cell_at sh addr in
+      match find_ty issued_ty type_id c.issued with
+      | Some (_, h) -> h
       | None ->
           let slot = sh.h_next in
           sh.h_next <- slot + 1;
           Hashtbl.replace sh.handles slot
             { he_addr = addr; he_ty = type_id; he_gen = sh.h_gen };
-          Hashtbl.replace sh.h_at addr ((type_id, slot) :: issued);
-          encode_handle ~slot ~shard:i ~gen:sh.h_gen)
+          let h = encode_handle ~slot ~shard:i ~gen:sh.h_gen in
+          c.issued <- (type_id, h) :: c.issued;
+          h)
 
 let resolve t ~handle ~type_id =
   K.Clock.consume K.Cost.current.objtracker_lookup_ns
@@ -217,15 +225,8 @@ let associate t ~addr u =
   let sh = shard_of t ~addr in
   locked sh (fun () ->
       sh.stats.registrations <- sh.stats.registrations + 1;
-      let ty = Univ.name u in
-      Hashtbl.replace sh.table (addr, ty) u;
-      index_add sh addr ty)
-
-let drop_weak sh addr ty =
-  (* Reaching here means the strong table missed this slot, so dropping
-     the weak entry leaves nothing at (addr, ty). *)
-  Hashtbl.remove sh.weak_table (addr, ty);
-  index_remove sh addr ty
+      let c = cell_at sh addr in
+      c.strong <- u :: drop_ty strong_ty (Univ.name u) c.strong)
 
 let find t ~addr key =
   let sh = shard_of t ~addr in
@@ -234,23 +235,27 @@ let find t ~addr key =
   Dispatch.note K.Cost.current.objtracker_lookup_ns;
   locked sh (fun () ->
       sh.stats.lookups <- sh.stats.lookups + 1;
-      let ty = Univ.key_name key in
-      match Hashtbl.find_opt sh.table (addr, ty) with
-      | Some u ->
-          sh.stats.hits <- sh.stats.hits + 1;
-          Univ.unpack key u
-      | None -> (
-          match Hashtbl.find_opt sh.weak_table (addr, ty) with
-          | Some entry -> (
-              match entry.w_get () with
-              | Some u ->
-                  sh.stats.hits <- sh.stats.hits + 1;
-                  Univ.unpack key u
-              | None ->
-                  (* the decaf driver dropped its last reference *)
-                  drop_weak sh addr ty;
-                  None)
-          | None -> None))
+      match Hashtbl.find_opt sh.cells addr with
+      | None -> None
+      | Some c -> (
+          let ty = Univ.key_name key in
+          match find_ty strong_ty ty c.strong with
+          | Some u ->
+              sh.stats.hits <- sh.stats.hits + 1;
+              Univ.unpack key u
+          | None -> (
+              match find_ty weak_ty ty c.weak with
+              | Some entry -> (
+                  match entry.w_get () with
+                  | Some u ->
+                      sh.stats.hits <- sh.stats.hits + 1;
+                      Univ.unpack key u
+                  | None ->
+                      (* the decaf driver dropped its last reference *)
+                      c.weak <- drop_ty weak_ty ty c.weak;
+                      prune sh addr c;
+                      None)
+              | None -> None)))
 
 let find_by_handle t ~handle key =
   match resolve t ~handle ~type_id:(Univ.key_name key) with
@@ -269,16 +274,8 @@ let remove_by_handle t ~handle =
       else
         match Hashtbl.find_opt sh.handles (handle_slot handle) with
         | Some e when e.he_gen land gen_mask = handle_gen handle ->
-            Hashtbl.remove sh.table (e.he_addr, e.he_ty);
-            Hashtbl.remove sh.weak_table (e.he_addr, e.he_ty);
-            index_remove sh e.he_addr e.he_ty;
-            revoke sh e.he_addr e.he_ty
+            remove_in sh e.he_addr e.he_ty
         | Some _ | None -> reject ())
-
-let handle_count t =
-  Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> Hashtbl.length sh.handles))
-    0 t.shards
 
 (* Read paths take the shard lock like the write paths: they are safe
    unlocked today (no suspension point, one simulated CPU), but the
@@ -287,8 +284,10 @@ let handle_count t =
 let mem t ~addr ~type_id =
   let sh = shard_of t ~addr in
   locked sh (fun () ->
-      Hashtbl.mem sh.table (addr, type_id)
-      || Hashtbl.mem sh.weak_table (addr, type_id))
+      match Hashtbl.find_opt sh.cells addr with
+      | None -> false
+      | Some c ->
+          has_ty strong_ty type_id c.strong || has_ty weak_ty type_id c.weak)
 
 let associate_weak t ~addr key v =
   let sh = shard_of t ~addr in
@@ -298,100 +297,75 @@ let associate_weak t ~addr key v =
       Weak.set w 0 (Some v);
       let w_get () = Option.map (Univ.pack key) (Weak.get w 0) in
       let ty = Univ.key_name key in
-      Hashtbl.replace sh.weak_table (addr, ty) { w_get };
-      index_add sh addr ty)
+      let c = cell_at sh addr in
+      c.weak <- { w_ty = ty; w_get } :: drop_ty weak_ty ty c.weak)
 
 let sweep t =
   (* Shard by shard, each pass under that shard's lock: a sweep never
      holds more than one shard, so lookups on other shards proceed while
-     dead entries are reclaimed. One [w_get] per entry: collect the dead
-     slots in a single pass, then unregister them (table and address
-     index together). *)
+     dead entries are reclaimed. One [w_get] per entry. *)
   Array.fold_left
     (fun total sh ->
       locked sh (fun () ->
           sh.stats.sweeps <- sh.stats.sweeps + 1;
-          let dead =
-            Hashtbl.fold
-              (fun slot entry acc ->
-                if entry.w_get () = None then slot :: acc else acc)
-              sh.weak_table []
-          in
-          List.iter
-            (fun (addr, ty) ->
-              Hashtbl.remove sh.weak_table (addr, ty);
-              if not (Hashtbl.mem sh.table (addr, ty)) then
-                index_remove sh addr ty)
-            dead;
-          total + List.length dead))
+          let dead = ref 0 in
+          Hashtbl.filter_map_inplace
+            (fun _ c ->
+              let live =
+                List.filter (fun w -> Option.is_some (w.w_get ())) c.weak
+              in
+              dead := !dead + List.length c.weak - List.length live;
+              c.weak <- live;
+              if empty c then None else Some c)
+            sh.cells;
+          total + !dead))
     0 t.shards
 
-let weak_count t =
+(* Per shard, under its one lock: [base] of the shard plus [f] summed
+   over its cells; summed over the shards. *)
+let sum_shards t base f =
   Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> Hashtbl.length sh.weak_table))
+    (fun acc sh ->
+      locked sh (fun () ->
+          Hashtbl.fold (fun _ c acc -> acc + f c) sh.cells (acc + base sh)))
     0 t.shards
+
+let none _ = 0
+let handles_in sh = Hashtbl.length sh.handles
+let strong_in c = List.length c.strong
+let handle_count t = sum_shards t handles_in none
+let weak_count t = sum_shards t none (fun c -> List.length c.weak)
+let count t = sum_shards t none strong_in
+let entries t = sum_shards t handles_in strong_in
 
 let types_at t ~addr =
   let sh = shard_of t ~addr in
   locked sh (fun () ->
-      match Hashtbl.find_opt sh.by_addr addr with
+      match Hashtbl.find_opt sh.cells addr with
       | None -> []
-      | Some set ->
-          let live =
-            Hashtbl.fold
-              (fun ty () acc ->
-                if Hashtbl.mem sh.table (addr, ty) then ty :: acc
-                else
-                  match Hashtbl.find_opt sh.weak_table (addr, ty) with
-                  | Some entry ->
-                      if entry.w_get () <> None then ty :: acc else acc
-                  | None -> acc)
-              set []
-          in
-          List.sort compare live)
+      | Some c ->
+          List.fold_left
+            (fun acc w ->
+              if Option.is_some (w.w_get ()) then w.w_ty :: acc else acc)
+            (List.map strong_ty c.strong) c.weak
+          |> List.sort_uniq String.compare)
 
 let remove t ~addr ~type_id =
   let sh = shard_of t ~addr in
-  locked sh (fun () ->
-      Hashtbl.remove sh.table (addr, type_id);
-      Hashtbl.remove sh.weak_table (addr, type_id);
-      index_remove sh addr type_id;
-      revoke sh addr type_id)
+  locked sh (fun () -> remove_in sh addr type_id)
 
 let remove_all t ~addr =
   let sh = shard_of t ~addr in
-  (* The index read happens under the same lock as the removals: a
-     snapshot taken before blocking on the lock could go stale while the
-     holder (de)registers types at this address. *)
+  (* The cell is read under the same lock as the removals: a snapshot
+     taken before blocking on the lock could go stale while the holder
+     (de)registers types at this address. *)
   locked sh (fun () ->
-      (match Hashtbl.find_opt sh.by_addr addr with
+      match Hashtbl.find_opt sh.cells addr with
       | None -> ()
-      | Some set ->
-          let types = Hashtbl.fold (fun ty () acc -> ty :: acc) set [] in
-          List.iter
-            (fun type_id ->
-              Hashtbl.remove sh.table (addr, type_id);
-              Hashtbl.remove sh.weak_table (addr, type_id);
-              index_remove sh addr type_id)
-            types);
-      (* every handle issued at the address, associated or not *)
-      List.iter
-        (fun (_, slot) -> Hashtbl.remove sh.handles slot)
-        (issued_at sh addr);
-      Hashtbl.remove sh.h_at addr)
-
-let count t =
-  Array.fold_left
-    (fun acc sh -> acc + locked sh (fun () -> Hashtbl.length sh.table))
-    0 t.shards
-
-let entries t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + locked sh (fun () ->
-            Hashtbl.length sh.table + Hashtbl.length sh.handles))
-    0 t.shards
+      | Some c ->
+          (* every handle issued at the address, associated or not *)
+          List.iter (revoke sh) c.issued;
+          Hashtbl.remove sh.cells addr)
 
 let add_stats into s =
   into.lookups <- into.lookups + s.lookups;
@@ -408,16 +382,7 @@ let stats t =
   acc
 
 let shard_stats t =
-  Array.map
-    (fun sh ->
-      {
-        lookups = sh.stats.lookups;
-        hits = sh.stats.hits;
-        registrations = sh.stats.registrations;
-        sweeps = sh.stats.sweeps;
-        rejected = sh.stats.rejected;
-      })
-    t.shards
+  Array.map (fun sh -> { sh.stats with lookups = sh.stats.lookups }) t.shards
 
 let shard_lock_stats t =
   Array.map (fun sh -> K.Sync.Combolock.stats sh.lock) t.shards
@@ -439,13 +404,10 @@ let global_shard_stats () =
 let clear t =
   Array.iter
     (fun sh ->
-      Hashtbl.reset sh.table;
-      Hashtbl.reset sh.weak_table;
-      Hashtbl.reset sh.by_addr;
+      Hashtbl.reset sh.cells;
       (* Every outstanding handle is revoked: slots are never reused and
          the generation tag moves on, so a handle minted before the
          clear stays invalid against anything issued after it. *)
       Hashtbl.reset sh.handles;
-      Hashtbl.reset sh.h_at;
       sh.h_gen <- (sh.h_gen + 1) land gen_mask)
     t.shards

@@ -2,11 +2,13 @@
     its local incarnation in some other domain (§3.1.2).
 
     A single C pointer may be associated with several objects when an
-    embedded structure shares its parent's address, so entries are keyed
-    by (address, type identifier).
+    embedded structure shares its parent's address, so each address has
+    one record holding its associations, strong and weak, and the
+    handles issued for it, each listed by type identifier.
 
     The tracker is sharded by address hash: each shard has its own
-    tables, its own {!Decaf_kernel.Sync.Combolock} and its own counters,
+    tables (records by address, handles by slot), its own
+    {!Decaf_kernel.Sync.Combolock} and its own counters,
     so concurrent dispatch workers touching different objects take
     different locks, and only same-shard traffic serializes. User-level
     callers take the semaphore path (combolock semantics: kernel threads
@@ -44,8 +46,9 @@ val mem : t -> addr:int -> type_id:string -> bool
 
 val types_at : t -> addr:int -> string list
 (** Every type identifier registered at the address (inner and outer
-    structures). Served from a per-address secondary index, so the cost
-    scales with the types at that address, not the table size. *)
+    structures, weak entries whose object is still alive), sorted, each
+    once. Read from the address's record, so the cost scales with the
+    types at that address, not the table size. *)
 
 val remove : t -> addr:int -> type_id:string -> unit
 

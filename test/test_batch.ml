@@ -220,8 +220,8 @@ let test_queue_bound_drops () =
 
 let test_forged_ack_rejected () =
   K.Boot.boot ();
-  let t = Plan.Dirty.create ~owner:"nic" () in
-  Plan.Dirty.mark t "a";
+  let t = Plan.Dirty.create ~owner:"nic" 1 in
+  Plan.Dirty.mark t 0;
   let upto = Plan.Dirty.snapshot t in
   (* an ack above the issued high-water mark was never snapshotted: a
      hostile runtime trying to flush marks it never saw *)
@@ -231,7 +231,7 @@ let test_forged_ack_rejected () =
        false
      with Boundary.Boundary_violation v ->
        v.type_id = "nic" && v.field = "ack");
-  check_bool "marks survive the rejected ack" true (Plan.Dirty.test t "a");
+  check_bool "marks survive the rejected ack" true (Plan.Dirty.test t 0);
   Plan.Dirty.acknowledge t ~upto;
   check "honest ack still flushes" 0 (Plan.Dirty.pending t)
 
@@ -324,14 +324,14 @@ let test_delta_user_to_kernel () =
 let test_dirty_mark_during_crossing_survives_ack () =
   (* an interrupt writing a field while the crossing is in flight must
      not have its mark eaten by the post-crossing acknowledge *)
-  let t = Plan.Dirty.create () in
-  Plan.Dirty.mark t "a";
+  let t = Plan.Dirty.create 2 in
+  Plan.Dirty.mark t 0;
   let upto = Plan.Dirty.snapshot t in
-  Plan.Dirty.mark t "b";
+  Plan.Dirty.mark t 1;
   Plan.Dirty.acknowledge t ~upto;
-  check_bool "field carried by the crossing acked" false (Plan.Dirty.test t "a");
+  check_bool "field carried by the crossing acked" false (Plan.Dirty.test t 0);
   check_bool "field written mid-crossing still dirty" true
-    (Plan.Dirty.test t "b");
+    (Plan.Dirty.test t 1);
   check "one mark left" 1 (Plan.Dirty.pending t)
 
 let test_full_mode_ignores_dirty_state () =

@@ -483,6 +483,14 @@ let hotplug_visits_in_creation_order () =
       check_str "the newer finds nothing to claim" "unbound" (state_name id1);
       check_bool "the older binding owns the replugged slot" true
         (E1000_drv.netdev_at ~slot:(slot_of 1) <> None);
+      (* hotplug log lines name the binding, not its driver *)
+      let logged line =
+        List.exists (fun l -> contains l line) (K.Klog.dmesg ())
+      in
+      check_bool "the removal names e1000#1" true
+        (logged "driver_core: e1000#1: device 01:00.0 removed");
+      check_bool "the failed re-probe names e1000#1" true
+        (logged "driver_core: e1000#1: hotplug re-probe failed");
       Driver_core.rmmod "e1000")
 
 (* --- bring-up cost per bind stays flat across the fleet --- *)

@@ -1033,6 +1033,24 @@ let test_pci_rescan_slot () =
   Pci.rescan ();
   took "a full rescan offers the bus in order" (List.init 4 pci_slot)
 
+(* -ENODEV and -ENXIO from a probe mean "not this device", as the Linux
+   driver core reads them: no warning. Any other errno still warns. *)
+let test_pci_refusal_quiet () =
+  Boot.boot ();
+  List.iter
+    (fun i -> Pci.add_device (make_test_dev ~slot:(pci_slot i) ()))
+    [ 0; 1; 2 ];
+  let errno = [ (pci_slot 0, -19); (pci_slot 1, -6); (pci_slot 2, -5) ] in
+  Pci.register_driver ~name:"e1000" ~ids:pci_ids
+    ~probe:(fun d -> Error (List.assoc (Pci.slot d) errno))
+    ~remove:ignore;
+  check "one warning" 1 (Klog.count Klog.Warning);
+  check_bool "for the -5 failure" true
+    (List.exists
+       (fun l ->
+         Testutil.contains l "pci 00:02.0: probe by e1000 failed (errno -5)")
+       (Klog.dmesg ()))
+
 let test_pci_detach_by_slot () =
   Boot.boot ();
   let devs = List.init 3 (fun i -> make_test_dev ~slot:(pci_slot i) ()) in
@@ -1842,6 +1860,7 @@ let () =
           tc "populated slot" test_pci_slot_populated;
           tc "rescan by slot" test_pci_rescan_slot;
           tc "detach by slot" test_pci_detach_by_slot;
+          tc "probe refusal is quiet" test_pci_refusal_quiet;
         ] );
       ( "netcore",
         [

@@ -690,6 +690,251 @@ let qcheck_cases =
       prop_plan_union_idempotent_commutative;
     ]
 
+(* --- reference models: the tracker and the dirty marks against naive
+   association lists, over random operation sequences. They pin what
+   callers see, not how the state is laid out. --- *)
+
+type tracker_op =
+  | Associate of int * int  (* address index, type index *)
+  | Associate_weak of int * int
+  | Issue of int * int
+  | Resolve of int * int  (* handle index (history or 0), type index *)
+  | Remove of int * int
+  | Remove_all of int
+  | Remove_by_handle of int
+  | Clear
+
+let model_addrs = [| 0x1000; 0x2000; 0x3000 |]
+
+(* two types at one address: a structure and one embedded at offset 0 *)
+let model_types = [| "e1000_adapter"; "e1000_tx_ring" |]
+
+let show_tracker_op = function
+  | Associate (a, t) -> Printf.sprintf "associate %d %d" a t
+  | Associate_weak (a, t) -> Printf.sprintf "associate_weak %d %d" a t
+  | Issue (a, t) -> Printf.sprintf "issue %d %d" a t
+  | Resolve (h, t) -> Printf.sprintf "resolve h%d %d" h t
+  | Remove (a, t) -> Printf.sprintf "remove %d %d" a t
+  | Remove_all a -> Printf.sprintf "remove_all %d" a
+  | Remove_by_handle h -> Printf.sprintf "remove_by_handle h%d" h
+  | Clear -> "clear"
+
+let gen_tracker_op =
+  let open QCheck.Gen in
+  let a = int_bound 2 and t = int_bound 1 and h = int_bound 7 in
+  frequency
+    [
+      (4, map2 (fun a t -> Associate (a, t)) a t);
+      (2, map2 (fun a t -> Associate_weak (a, t)) a t);
+      (4, map2 (fun a t -> Issue (a, t)) a t);
+      (4, map2 (fun h t -> Resolve (h, t)) h t);
+      (2, map2 (fun a t -> Remove (a, t)) a t);
+      (1, map (fun a -> Remove_all a) a);
+      (2, map (fun h -> Remove_by_handle h) h);
+      (1, return Clear);
+    ]
+
+(* The rejection a refused handle names, from its reason. *)
+let rejection reason =
+  let has = Testutil.contains reason in
+  if has "no such shard" then "no shard"
+  else if has "not issued" then "not issued"
+  else if has "cross-type" then "cross-type"
+  else if has "generation" then "stale generation"
+  else "other: " ^ reason
+
+let prop_tracker_model =
+  QCheck.Test.make ~name:"objtracker agrees with an association-list model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_tracker_op ops))
+       QCheck.Gen.(list_size (int_range 1 40) gen_tracker_op))
+    (fun ops ->
+      K.Boot.boot ();
+      let tr = Objtracker.create () in
+      (* the model: (addr, type) pairs, live handles, every handle ever
+         issued (oldest first) and the rejections counted *)
+      let strong = ref [] and weak = ref [] and live = ref [] in
+      let history = ref [] and rejected = ref 0 in
+      let keep = ref [] (* weak objects stay reachable *) in
+      let pair a t = (model_addrs.(a), model_types.(t)) in
+      let handle_at i =
+        match !history with
+        | [] -> 0
+        | hs -> if i = 0 then 0 else List.nth hs ((i - 1) mod List.length hs)
+      in
+      let drop key = List.filter (fun k -> k <> key) in
+      let revoke key = live := List.filter (fun (_, k) -> k <> key) !live in
+      let remove key =
+        strong := drop key !strong;
+        weak := drop key !weak;
+        revoke key
+      in
+      let pack t =
+        if t = 0 then Univ.pack adapter_key { flags = 0 }
+        else Univ.pack ring_key { count = 0 }
+      in
+      let associate_weak addr key v =
+        keep := Univ.pack key v :: !keep;
+        Objtracker.associate_weak tr ~addr key v
+      in
+      let step op =
+        match op with
+        | Associate (a, t) ->
+            let addr, ty = pair a t in
+            Objtracker.associate tr ~addr (pack t);
+            strong := (addr, ty) :: drop (addr, ty) !strong;
+            true
+        | Associate_weak (a, t) ->
+            let addr, ty = pair a t in
+            if t = 0 then associate_weak addr adapter_key { flags = 0 }
+            else associate_weak addr ring_key { count = 0 };
+            weak := (addr, ty) :: drop (addr, ty) !weak;
+            true
+        | Issue (a, t) -> (
+            let addr, ty = pair a t in
+            let h = Objtracker.issue tr ~addr ~type_id:ty in
+            match List.find_opt (fun (_, k) -> k = (addr, ty)) !live with
+            | Some (h', _) -> h = h'
+            | None ->
+                let fresh = h > 0 && not (List.mem h !history) in
+                live := (h, (addr, ty)) :: !live;
+                history := !history @ [ h ];
+                fresh)
+        | Resolve (i, t) ->
+            let h = handle_at i and ty = model_types.(t) in
+            let want =
+              match List.assoc_opt h !live with
+              | Some (addr, ty') when ty' = ty -> Ok addr
+              | Some _ -> Error "cross-type"
+              | None -> Error (if h <= 0 then "no shard" else "not issued")
+            in
+            if Result.is_error want then incr rejected;
+            Result.map_error rejection
+              (Objtracker.resolve tr ~handle:h ~type_id:ty)
+            = want
+        | Remove (a, t) ->
+            let addr, ty = pair a t in
+            Objtracker.remove tr ~addr ~type_id:ty;
+            remove (addr, ty);
+            true
+        | Remove_all a ->
+            let addr = model_addrs.(a) in
+            Objtracker.remove_all tr ~addr;
+            let other (addr', _) = addr' <> addr in
+            strong := List.filter other !strong;
+            weak := List.filter other !weak;
+            live := List.filter (fun (_, k) -> other k) !live;
+            true
+        | Remove_by_handle i ->
+            let h = handle_at i in
+            Objtracker.remove_by_handle tr ~handle:h;
+            (match List.assoc_opt h !live with
+            | Some key -> remove key
+            | None -> incr rejected);
+            true
+        | Clear ->
+            Objtracker.clear tr;
+            strong := [];
+            weak := [];
+            live := [];
+            true
+      in
+      let agrees () =
+        let at addr = List.filter (fun (a, _) -> a = addr) in
+        Array.for_all
+          (fun addr ->
+            let types =
+              List.sort_uniq compare
+                (List.map snd (at addr !strong @ at addr !weak))
+            in
+            Objtracker.types_at tr ~addr = types
+            && Array.for_all
+                 (fun ty ->
+                   Objtracker.mem tr ~addr ~type_id:ty = List.mem ty types)
+                 model_types)
+          model_addrs
+        && Objtracker.count tr = List.length !strong
+        && Objtracker.handle_count tr = List.length !live
+        && Objtracker.entries tr = List.length !strong + List.length !live
+        && (Objtracker.stats tr).Objtracker.rejected = !rejected
+      in
+      List.for_all (fun op -> step op && agrees ()) ops)
+
+type dirty_op = Mark of int | Snapshot | Ack of int | Forged_ack of int
+
+let show_dirty_op = function
+  | Mark i -> Printf.sprintf "mark %d" i
+  | Snapshot -> "snapshot"
+  | Ack i -> Printf.sprintf "ack s%d" i
+  | Forged_ack k -> Printf.sprintf "forged ack +%d" k
+
+let dirty_samples () =
+  match K.Latency.find "xpc.dirty" with Some h -> K.Latency.count h | None -> 0
+
+let prop_dirty_model =
+  let fields = 4 in
+  QCheck.Test.make ~name:"dirty marks agree with a generation model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_dirty_op ops))
+       QCheck.Gen.(
+         list_size (int_range 1 40)
+           (frequency
+              [
+                (4, map (fun i -> Mark i) (int_bound (fields - 1)));
+                (2, return Snapshot);
+                (2, map (fun i -> Ack i) (int_bound 7));
+                (1, map (fun k -> Forged_ack k) (int_range 1 3));
+              ])))
+    (fun ops ->
+      K.Boot.boot ();
+      let d = Marshal_plan.Dirty.create ~owner:"model" fields in
+      (* the model: field -> generation of its last unacknowledged write *)
+      let gen = ref 0 and marks = ref [] and snaps = ref [] in
+      let step = function
+        | Mark i ->
+            Marshal_plan.Dirty.mark d i;
+            incr gen;
+            marks := (i, !gen) :: List.remove_assoc i !marks;
+            true
+        | Snapshot ->
+            snaps := Marshal_plan.Dirty.snapshot d :: !snaps;
+            List.hd !snaps = !gen
+        | Ack i -> (
+            match !snaps with
+            | [] -> true
+            | ss ->
+                let upto = List.nth ss (i mod List.length ss) in
+                let before = dirty_samples () in
+                Marshal_plan.Dirty.acknowledge d ~upto;
+                let acked, kept =
+                  List.partition (fun (_, g) -> g <= upto) !marks
+                in
+                marks := kept;
+                dirty_samples () - before = List.length acked)
+        | Forged_ack k -> (
+            let issued = List.fold_left max 0 !snaps in
+            let before = dirty_samples () in
+            match Marshal_plan.Dirty.acknowledge d ~upto:(issued + k) with
+            | () -> false
+            | exception Boundary.Boundary_violation v ->
+                v.type_id = "model" && v.field = "ack"
+                && dirty_samples () = before)
+      in
+      let agrees () =
+        Marshal_plan.Dirty.pending d = List.length !marks
+        && Marshal_plan.Dirty.issued d = List.fold_left max 0 !snaps
+        && List.for_all
+             (fun i ->
+               Marshal_plan.Dirty.test d i = List.mem_assoc i !marks)
+             (List.init fields Fun.id)
+      in
+      List.for_all (fun op -> step op && agrees ()) ops)
+
+let model_cases =
+  List.map QCheck_alcotest.to_alcotest [ prop_tracker_model; prop_dirty_model ]
+
 (* --- dispatch: worker lanes are bound per thread --- *)
 
 let test_dispatch_admission_per_thread () =
@@ -1001,6 +1246,64 @@ let test_channel_downcall_alloc () =
   check_bool (Printf.sprintf "%.1f words per downcall <= 11" words) true
     (words <= 11.)
 
+(* --- allocation per boundary check: every probe is keyed by what the
+   caller holds (address, handle slot, field position), not by a
+   string-built key --- *)
+
+(* One write through a delta crossing: mark a field, snapshot, then
+   acknowledge. The marks are int arrays indexed by position. *)
+let test_dirty_alloc () =
+  let d = Marshal_plan.Dirty.create 7 in
+  let words =
+    words_per_call ~domain:Domain.Kernel (fun () ->
+        Marshal_plan.Dirty.mark d 3;
+        Marshal_plan.Dirty.acknowledge d
+          ~upto:(Marshal_plan.Dirty.snapshot d))
+  in
+  check_bool (Printf.sprintf "%.1f words per mark and ack <= 8" words) true
+    (words <= 8.)
+
+(* A passing check names its field by string, as perfbench's micro
+   does; Guard scans the table's names and reads the rule by position. *)
+let test_guard_int_field_alloc () =
+  let words =
+    words_per_call ~domain:Domain.Kernel (fun () ->
+        ignore
+          (Guard.int_field Decaf_drivers.E1000_objects.guard
+             ~field:"msg_enable" 7))
+  in
+  check_bool (Printf.sprintf "%.1f words per int_field = 0" words) true
+    (words = 0.)
+
+(* A user-level probe of an address with nothing filed, as a view
+   lookup before the first crossing: one table probe by address, with
+   no key to build. *)
+let test_tracker_mem_alloc () =
+  let tr = Objtracker.create () in
+  Objtracker.associate tr ~addr:0x4000 (Univ.pack adapter_key { flags = 1 });
+  let words =
+    words_per_call ~domain:Domain.Decaf_driver (fun () ->
+        ignore (Objtracker.mem tr ~addr:0x5000 ~type_id:"e1000_adapter"))
+  in
+  check_bool (Printf.sprintf "%.1f words per mem <= 12" words) true
+    (words <= 12.)
+
+let test_tracker_issue_resolve_alloc () =
+  let tr = Objtracker.create () in
+  let issue () = Objtracker.issue tr ~addr:0x4000 ~type_id:"e1000_adapter" in
+  let h = issue () in
+  let issue_words =
+    words_per_call ~domain:Domain.Kernel (fun () -> ignore (issue ()))
+  in
+  let resolve_words =
+    words_per_call ~domain:Domain.Kernel (fun () ->
+        ignore (Objtracker.resolve tr ~handle:h ~type_id:"e1000_adapter"))
+  in
+  check_bool (Printf.sprintf "%.1f words per issue <= 11" issue_words) true
+    (issue_words <= 11.);
+  check_bool (Printf.sprintf "%.1f words per resolve <= 12" resolve_words)
+    true (resolve_words <= 12.)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_xpc"
@@ -1074,4 +1377,12 @@ let () =
           tc "explicit remove" test_tracker_weak_removed_explicitly;
         ] );
       ("xdr-properties", qcheck_cases);
+      ("models", model_cases);
+      ( "allocation",
+        [
+          tc "dirty mark and ack" test_dirty_alloc;
+          tc "guard int_field" test_guard_int_field_alloc;
+          tc "objtracker mem" test_tracker_mem_alloc;
+          tc "objtracker issue and resolve" test_tracker_issue_resolve_alloc;
+        ] );
     ]
