@@ -299,9 +299,13 @@ let handle_added bus ~id ~vendor ~device =
         && (match b.b_dev with None -> true | Some d -> d = id)
       then begin
         let mode = Option.get b.want in
-        let warn rc =
-          K.Klog.printk K.Klog.Warning
-            "driver_core: %s: hotplug re-probe failed (errno %d)" b.b_id rc
+        (* -ENODEV, -ENXIO: nothing here for this binding (an older one
+           took the device), which is no failure, as in [Pci.try_bind] *)
+        let warn = function
+          | -19 | -6 -> ()
+          | rc ->
+              K.Klog.printk K.Klog.Warning
+                "driver_core: %s: hotplug re-probe failed (errno %d)" b.b_id rc
         in
         if b.in_run then begin
           (* already under a supervised episode: probe directly so a

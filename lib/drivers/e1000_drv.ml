@@ -192,49 +192,59 @@ let clean_tx a =
   note_packets a retired;
   retired
 
-let start_xmit a (skb : K.Netcore.Skb.t) =
-  K.Sync.Combolock.with_kernel a.lock (fun () ->
-      (* lazy TX reclaim, as the real driver does in hard_start_xmit:
-         when the ring runs low, retire completed descriptors here
-         instead of waiting for a (possibly throttled) TXDW interrupt,
-         so forward progress never depends on interrupt latency *)
-      if a.tx_in_flight >= E.n_tx_desc - (E.n_tx_desc / 4) then
-        ignore (clean_tx a);
-      if a.tx_in_flight >= E.n_tx_desc - 1 then K.Netcore.Xmit_busy
-      else begin
-        (* the device reads the frame out of the skb's own buffer (DMA) *)
-        E.stage_tx a.model skb.K.Netcore.Skb.data;
-        a.tx_tail <- (a.tx_tail + 1) mod E.n_tx_desc;
-        a.tx_in_flight <- a.tx_in_flight + 1;
-        K.Io.writel (reg a E.reg_tdt) a.tx_tail;
-        (match a.netdev with
-        | Some nd ->
-            let st = K.Netcore.stats nd in
-            st.K.Netcore.tx_packets <- st.K.Netcore.tx_packets + 1;
-            st.K.Netcore.tx_bytes <- st.K.Netcore.tx_bytes + skb.K.Netcore.Skb.len;
-            if a.tx_in_flight >= E.n_tx_desc - 1 then K.Netcore.netif_stop_queue nd
-        | None -> ());
-        K.Netcore.Xmit_ok
-      end)
+let xmit_locked a (skb : K.Netcore.Skb.t) =
+  (* lazy TX reclaim, as the real driver does in hard_start_xmit: when
+     the ring runs low, retire completed descriptors here instead of
+     waiting for a (possibly throttled) TXDW interrupt, so forward
+     progress never depends on interrupt latency *)
+  if a.tx_in_flight >= E.n_tx_desc - (E.n_tx_desc / 4) then ignore (clean_tx a);
+  if a.tx_in_flight >= E.n_tx_desc - 1 then K.Netcore.Xmit_busy
+  else begin
+    (* the device reads the frame out of the skb's own buffer (DMA) *)
+    E.stage_tx a.model skb.K.Netcore.Skb.data;
+    a.tx_tail <- (a.tx_tail + 1) mod E.n_tx_desc;
+    a.tx_in_flight <- a.tx_in_flight + 1;
+    K.Io.writel (reg a E.reg_tdt) a.tx_tail;
+    (match a.netdev with
+    | Some nd ->
+        let st = K.Netcore.stats nd in
+        st.K.Netcore.tx_packets <- st.K.Netcore.tx_packets + 1;
+        st.K.Netcore.tx_bytes <- st.K.Netcore.tx_bytes + skb.K.Netcore.Skb.len;
+        if a.tx_in_flight >= E.n_tx_desc - 1 then K.Netcore.netif_stop_queue nd
+    | None -> ());
+    K.Netcore.Xmit_ok
+  end
+
+(* [Combolock.with_kernel] without its closure: one per frame adds up. *)
+let start_xmit a skb =
+  K.Sync.Combolock.lock_kernel a.lock;
+  match xmit_locked a skb with
+  | r ->
+      K.Sync.Combolock.unlock_kernel a.lock;
+      r
+  | exception e ->
+      K.Sync.Combolock.unlock_kernel a.lock;
+      raise e
+
+let net_rx = K.Latency.path "net.rx"
 
 let handle_rx a =
-  let continue = ref true in
+  let ring = E.rx_ring a.model in
   let received = ref 0 in
-  while !continue do
-    match E.take_rx a.model with
-    | Some (frame, tr) ->
-        K.Clock.consume 800
-        (* decaf-lint: consume-ok, inside the net.rx span (born at DMA) *);
-        (match a.netdev with
-        | Some nd -> K.Netcore.netif_rx nd (K.Netcore.Skb.of_bytes frame)
-        | None -> ());
-        (* packet delivered: close the wire-arrival timeline *)
-        ignore (K.Clock.complete tr);
-        incr received;
-        (* return the buffer to the device: advance the rx tail *)
-        let rdt = K.Io.readl (reg a E.reg_rdt) in
-        K.Io.writel (reg a E.reg_rdt) ((rdt + 1) mod E.n_rx_desc)
-    | None -> continue := false
+  while not (Hw.Frameq.is_empty ring) do
+    let frame = Hw.Frameq.head ring and born = Hw.Frameq.head_stamp ring in
+    Hw.Frameq.drop ring;
+    K.Clock.consume 800
+    (* decaf-lint: consume-ok, inside the net.rx span (born at DMA) *);
+    (match a.netdev with
+    | Some nd -> K.Netcore.netif_rx nd (K.Netcore.Skb.of_bytes frame)
+    | None -> ());
+    (* packet delivered: close the wire-arrival timeline *)
+    K.Clock.complete_since net_rx born;
+    incr received;
+    (* return the buffer to the device: advance the rx tail *)
+    let rdt = K.Io.readl (reg a E.reg_rdt) in
+    K.Io.writel (reg a E.reg_rdt) ((rdt + 1) mod E.n_rx_desc)
   done;
   note_packets a !received;
   !received

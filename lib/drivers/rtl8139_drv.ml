@@ -81,42 +81,52 @@ let note_packets a n =
 
 let tx_slots_in_flight a = a.cur_tx - a.dirty_tx
 
-let start_xmit a (skb : K.Netcore.Skb.t) =
-  K.Sync.Combolock.with_kernel a.lock (fun () ->
-      if tx_slots_in_flight a >= R.n_tx_desc then K.Netcore.Xmit_busy
-      else begin
-        let slot = a.cur_tx mod R.n_tx_desc in
-        (* the device reads the frame out of the skb's own buffer (DMA) *)
-        R.stage_tx_buffer a.model slot skb.K.Netcore.Skb.data;
-        K.Io.outl (reg a (R.tsd0 + (4 * slot))) skb.K.Netcore.Skb.len;
-        a.cur_tx <- a.cur_tx + 1;
-        (match a.netdev with
-        | Some nd ->
-            let st = K.Netcore.stats nd in
-            st.K.Netcore.tx_packets <- st.K.Netcore.tx_packets + 1;
-            st.K.Netcore.tx_bytes <- st.K.Netcore.tx_bytes + skb.K.Netcore.Skb.len;
-            if tx_slots_in_flight a >= R.n_tx_desc then
-              K.Netcore.netif_stop_queue nd
-        | None -> ());
-        K.Netcore.Xmit_ok
-      end)
+let xmit_locked a (skb : K.Netcore.Skb.t) =
+  if tx_slots_in_flight a >= R.n_tx_desc then K.Netcore.Xmit_busy
+  else begin
+    let slot = a.cur_tx mod R.n_tx_desc in
+    (* the device reads the frame out of the skb's own buffer (DMA) *)
+    R.stage_tx_buffer a.model slot skb.K.Netcore.Skb.data;
+    K.Io.outl (reg a (R.tsd0 + (4 * slot))) skb.K.Netcore.Skb.len;
+    a.cur_tx <- a.cur_tx + 1;
+    (match a.netdev with
+    | Some nd ->
+        let st = K.Netcore.stats nd in
+        st.K.Netcore.tx_packets <- st.K.Netcore.tx_packets + 1;
+        st.K.Netcore.tx_bytes <- st.K.Netcore.tx_bytes + skb.K.Netcore.Skb.len;
+        if tx_slots_in_flight a >= R.n_tx_desc then K.Netcore.netif_stop_queue nd
+    | None -> ());
+    K.Netcore.Xmit_ok
+  end
+
+(* [Combolock.with_kernel] without its closure, as in E1000_drv. *)
+let start_xmit a skb =
+  K.Sync.Combolock.lock_kernel a.lock;
+  match xmit_locked a skb with
+  | r ->
+      K.Sync.Combolock.unlock_kernel a.lock;
+      r
+  | exception e ->
+      K.Sync.Combolock.unlock_kernel a.lock;
+      raise e
+
+let net_rx = K.Latency.path "net.rx"
 
 let handle_rx a =
-  let continue = ref true in
+  let ring = R.rx_ring a.model in
   let received = ref 0 in
-  while !continue do
-    match R.take_rx a.model with
-    | Some (frame, tr) ->
-        K.Clock.consume 1_000
-        (* per-packet receive processing; decaf-lint: consume-ok, inside
-           the net.rx span *);
-        incr received;
-        (match a.netdev with
-        | Some nd -> K.Netcore.netif_rx nd (K.Netcore.Skb.of_bytes frame)
-        | None -> ());
-        (* packet delivered: close the wire-arrival timeline *)
-        ignore (K.Clock.complete tr)
-    | None -> continue := false
+  while not (Hw.Frameq.is_empty ring) do
+    let frame = Hw.Frameq.head ring and born = Hw.Frameq.head_stamp ring in
+    Hw.Frameq.drop ring;
+    K.Clock.consume 1_000
+    (* per-packet receive processing; decaf-lint: consume-ok, inside
+       the net.rx span *);
+    incr received;
+    (match a.netdev with
+    | Some nd -> K.Netcore.netif_rx nd (K.Netcore.Skb.of_bytes frame)
+    | None -> ());
+    (* packet delivered: close the wire-arrival timeline *)
+    K.Clock.complete_since net_rx born
   done;
   note_packets a !received
 

@@ -32,7 +32,6 @@ let tctl_en = 0x02
 let n_tx_desc = 256
 let n_rx_desc = 256
 let net_tx = K.Latency.path "net.tx"
-let net_rx = K.Latency.path "net.rx"
 
 type t = {
   irq_line : int;
@@ -41,11 +40,11 @@ type t = {
   phy : Phy.t;
   eeprom : Eeprom.t;
   mutable region : Io.region option;
-  tx_staged : (bytes * K.Clock.track) Queue.t;
-      (* each staged frame carries its xmit-stage birth stamp; completed
+  tx_staged : unit Frameq.t;
+      (* each staged frame's stamp is its xmit-stage birth, completed
          when the frame finishes serializing onto the wire *)
-  rx_fifo : (bytes * K.Clock.track) Queue.t;
-      (* each received frame carries its wire-arrival birth stamp; the
+  rx_fifo : unit Frameq.t;
+      (* each received frame's stamp is its wire-arrival birth; the
          driver completes it when the packet reaches netif_rx *)
   mutable ctrl : int;
   mutable icr : int;
@@ -64,6 +63,8 @@ type t = {
   mutable itr : int;  (** ITR register, 256 ns units; 0 = no throttling *)
   mutable next_irq_at : int;  (** earliest virtual time the next irq may fire *)
   mutable itr_armed : bool;  (** a deferred-irq timer is outstanding *)
+  mutable tx_done : int -> unit;  (** descriptor write-back, built once *)
+  mutable itr_fire : unit -> unit;  (** the deferred-irq timer, built once *)
 }
 
 (* Interrupt throttling, as on the real part: ITR holds the minimum
@@ -71,7 +72,7 @@ type t = {
    regardless; the line is only raised when the window has elapsed,
    otherwise one timer is armed for the window's end and delivers every
    cause that piled up meanwhile — hardware-side coalescing. *)
-let rec update_irq t =
+let update_irq t =
   if t.icr land t.ims <> 0 then
     let now = K.Clock.now () in
     if t.itr = 0 || now >= t.next_irq_at then begin
@@ -80,11 +81,12 @@ let rec update_irq t =
     end
     else if not t.itr_armed then begin
       t.itr_armed <- true;
-      ignore
-        (K.Clock.after (t.next_irq_at - now) (fun () ->
-             t.itr_armed <- false;
-             update_irq t))
+      ignore (K.Clock.after (t.next_irq_at - now) t.itr_fire)
     end
+
+let itr_fire t () =
+  t.itr_armed <- false;
+  update_irq t
 
 let assert_cause t bits =
   t.icr <- t.icr lor bits;
@@ -103,8 +105,15 @@ let do_reset t =
   t.rdt <- 0;
   t.itr <- 0;
   t.next_irq_at <- 0;
-  Queue.clear t.tx_staged;
-  Queue.clear t.rx_fifo
+  Frameq.clear t.tx_staged;
+  Frameq.clear t.rx_fifo
+
+(* A frame has left the wire: write its descriptor back. *)
+let tx_done t born =
+  t.tdh <- (t.tdh + 1) mod n_tx_desc;
+  t.inflight <- t.inflight - 1;
+  K.Clock.complete_since net_tx born;
+  assert_cause t icr_txdw
 
 (* Advancing TDT transmits every staged frame up to the new tail; each
    descriptor is written back (head advances, TXDW raised) when its frame
@@ -113,16 +122,14 @@ let pump_tx t =
   if t.tctl land tctl_en <> 0 then
     while t.tdh <> t.tdt
           && t.inflight < n_tx_desc
-          && not (Queue.is_empty t.tx_staged)
+          && not (Frameq.is_empty t.tx_staged)
     do
-      let frame, tr = Queue.pop t.tx_staged in
+      let frame = Frameq.head t.tx_staged in
+      let born = Frameq.head_stamp t.tx_staged in
+      Frameq.drop t.tx_staged;
       t.tx_count <- t.tx_count + 1;
       t.inflight <- t.inflight + 1;
-      Link.transmit t.link frame ~on_done:(fun () ->
-          t.tdh <- (t.tdh + 1) mod n_tx_desc;
-          t.inflight <- t.inflight - 1;
-          ignore (K.Clock.complete tr);
-          assert_cause t icr_txdw)
+      Link.transmit t.link ~on_done:t.tx_done ~stamp:born frame
     done
 
 let eeprom_read t v =
@@ -187,8 +194,8 @@ let write t off (_w : Io.width) v =
   | _ -> ()
 
 let on_rx t frame =
-  if t.rctl land rctl_en <> 0 && Queue.length t.rx_fifo < n_rx_desc then begin
-    Queue.push (frame, K.Clock.track net_rx) t.rx_fifo;
+  if t.rctl land rctl_en <> 0 && Frameq.length t.rx_fifo < n_rx_desc then begin
+    Frameq.push t.rx_fifo frame (K.Clock.now ()) ();
     t.rx_count <- t.rx_count + 1;
     assert_cause t icr_rxt0
   end
@@ -206,8 +213,8 @@ let create ~mmio_base ~irq ~device_id ~mac ~link =
       phy = Phy.create ();
       eeprom;
       region = None;
-      tx_staged = Queue.create ();
-      rx_fifo = Queue.create ();
+      tx_staged = Frameq.create ();
+      rx_fifo = Frameq.create ();
       ctrl = 0;
       icr = 0;
       ims = 0;
@@ -225,8 +232,12 @@ let create ~mmio_base ~irq ~device_id ~mac ~link =
       itr = 0;
       next_irq_at = 0;
       itr_armed = false;
+      tx_done = ignore;
+      itr_fire = ignore;
     }
   in
+  t.tx_done <- tx_done t;
+  t.itr_fire <- itr_fire t;
   t.region <-
     Some
       (Io.register_mmio ~base:mmio_base ~len:0x20000
@@ -236,9 +247,9 @@ let create ~mmio_base ~irq ~device_id ~mac ~link =
   t
 
 let destroy t = Option.iter Io.release t.region
-let stage_tx t frame = Queue.push (frame, K.Clock.track net_tx) t.tx_staged
-let take_rx t = Queue.take_opt t.rx_fifo
-let rx_pending t = Queue.length t.rx_fifo
+let stage_tx t frame = Frameq.push t.tx_staged frame (K.Clock.now ()) ()
+let rx_ring t = t.rx_fifo
+let rx_pending t = Frameq.length t.rx_fifo
 let phy t = t.phy
 let device_id t = t.device_id
 let tx_count t = t.tx_count

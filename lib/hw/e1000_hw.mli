@@ -57,12 +57,17 @@ val create :
 val destroy : t -> unit
 
 val stage_tx : t -> bytes -> unit
-(** DMA: append a frame to the transmit ring's staged buffers; it is sent
-    when the driver advances TDT past it (with TCTL.EN set). *)
+(** DMA: append a frame to the transmit ring's staged buffers, stamped
+    with its birth on the "net.tx" path; it is sent when the driver
+    advances TDT past it (with TCTL.EN set), and the stamp completes
+    when it has left the wire. [CTRL.RST] drops the staged and received
+    frames but not the frames already on the wire. *)
 
-val take_rx : t -> (bytes * Decaf_kernel.Clock.track) option
-(** Pop the oldest received frame together with its wire-arrival birth
-    stamp; the driver completes the stamp when the packet reaches
+val rx_ring : t -> unit Frameq.t
+(** The receive ring, oldest frame first, each stamped with its
+    wire-arrival birth ({!Decaf_kernel.Clock.now} as it arrived). The
+    driver reads and drops frames in place and completes the stamp with
+    {!Decaf_kernel.Clock.complete_since} when the packet reaches
     [netif_rx], closing the "net.rx" end-to-end timeline. *)
 
 val rx_pending : t -> int

@@ -11,20 +11,65 @@ type t = {
   mutable tx_bytes : int;
   mutable rx_frames : int;
   mutable rx_bytes : int;
+  tx : (int -> unit) Frameq.t;
+      (* toward the peer: each frame with the sender's stamp and its
+         completion; a frame a flap ate is kept as [lost] *)
+  rx : unit Frameq.t;  (* toward the NIC *)
+  (* The completion event of each direction's newest frame. Completions
+     fire in transmit order, so the event that fires always belongs to
+     the oldest frame; a frame left over from before a reboot is
+     recognised by its direction's newest event no longer pending. *)
+  mutable tx_last : K.Clock.event_id;
+  mutable rx_last : K.Clock.event_id;
+  tx_fire : unit -> unit;
+  rx_fire : unit -> unit;
 }
 
+(* Stands in for a frame a link flap ate: compared by address, so no
+   real frame, even an empty one, is ever taken for it. *)
+let lost = Bytes.create 0
+
+(* The oldest frame has left the adapter: complete it, then hand it to
+   the peer unless a flap ate it. It leaves the ring first, so whatever
+   the completion transmits queues behind the frames still in flight. *)
+let tx_done t () =
+  let frame = Frameq.head t.tx and stamp = Frameq.head_stamp t.tx in
+  let on_done = Frameq.head_tag t.tx in
+  Frameq.drop t.tx;
+  on_done stamp;
+  if frame != lost then t.peer t frame
+
+let rx_done t () =
+  let frame = Frameq.head t.rx in
+  Frameq.drop t.rx;
+  t.nic_rx frame
+
+(* A reboot dropped the completions of every frame still listed: its
+   newest frame's event no longer pending means the ring is stale. *)
+let purge_stale q last =
+  if (not (Frameq.is_empty q)) && not (K.Clock.pending last) then Frameq.clear q
+
 let create ~rate_bps () =
-  {
-    rate_bps;
-    nic_rx = ignore;
-    peer = (fun _ _ -> ());
-    tx_free_at = 0;
-    rx_free_at = 0;
-    tx_frames = 0;
-    tx_bytes = 0;
-    rx_frames = 0;
-    rx_bytes = 0;
-  }
+  let rec t =
+    {
+      rate_bps;
+      nic_rx = ignore;
+      peer = (fun _ _ -> ());
+      tx_free_at = 0;
+      rx_free_at = 0;
+      tx_frames = 0;
+      tx_bytes = 0;
+      rx_frames = 0;
+      rx_bytes = 0;
+      tx = Frameq.create ignore;
+      rx = Frameq.create ();
+      tx_last = K.Clock.no_event;
+      rx_last = K.Clock.no_event;
+      tx_fire = (fun () -> tx_done t ());
+      rx_fire = (fun () -> rx_done t ());
+    }
+  in
+  t
 
 let connect t ~nic_rx = t.nic_rx <- nic_rx
 let set_peer t peer = t.peer <- peer
@@ -33,7 +78,7 @@ let wire_time t len_bytes =
   (* ns to serialize the frame plus preamble and inter-frame gap. *)
   (len_bytes + 20) * 8 * 1_000_000_000 / t.rate_bps
 
-let transmit t ?(on_done = fun () -> ()) frame =
+let transmit t ~on_done ~stamp frame =
   let start = Int.max (K.Clock.now ()) t.tx_free_at in
   let finish = start + wire_time t (Bytes.length frame) in
   t.tx_free_at <- finish;
@@ -41,11 +86,10 @@ let transmit t ?(on_done = fun () -> ()) frame =
   t.tx_bytes <- t.tx_bytes + Bytes.length frame;
   (* A flap drops the frame in flight: the NIC sees a completed send but
      the peer never receives it. *)
-  let dropped = K.Faultinject.fires ~site:"hw.link" K.Faultinject.Link_flap in
-  ignore
-    (K.Clock.at finish (fun () ->
-         on_done ();
-         if not dropped then t.peer t frame))
+  let flapped = K.Faultinject.fires ~site:"hw.link" K.Faultinject.Link_flap in
+  purge_stale t.tx t.tx_last;
+  Frameq.push t.tx (if flapped then lost else frame) stamp on_done;
+  t.tx_last <- K.Clock.at finish t.tx_fire
 
 let inject t frame =
   let start = Int.max (K.Clock.now ()) t.rx_free_at in
@@ -53,7 +97,9 @@ let inject t frame =
   t.rx_free_at <- finish;
   t.rx_frames <- t.rx_frames + 1;
   t.rx_bytes <- t.rx_bytes + Bytes.length frame;
-  ignore (K.Clock.at finish (fun () -> t.nic_rx frame))
+  purge_stale t.rx t.rx_last;
+  Frameq.push t.rx frame 0 ();
+  t.rx_last <- K.Clock.at finish t.rx_fire
 
 let tx_frames t = t.tx_frames
 let tx_bytes t = t.tx_bytes

@@ -24,7 +24,7 @@ let tsd_own = 0x2000
 let tsd_tok = 0x8000
 let rx_fifo_max = 64
 let net_tx = K.Latency.path "net.tx"
-let net_rx = K.Latency.path "net.rx"
+let unstaged = -1 (* no birth: births are [Clock.now ()], never negative *)
 
 type t = {
   irq_line : int;
@@ -34,11 +34,14 @@ type t = {
   mutable region : Io.region option;
   tsd : int array;
   tsad : int array;
-  tx_staged : (bytes * K.Clock.track) option array;
-      (* staged frames carry their xmit-stage birth stamp, completed
-         when the frame finishes serializing onto the wire *)
-  rx_fifo : (bytes * K.Clock.track) Queue.t;
-      (* received frames carry their wire-arrival birth stamp; the
+  tx_staged : bytes array;  (** per descriptor, [Bytes.empty] when unstaged *)
+  tx_born : int array;
+      (* each staged frame's xmit-stage birth ([unstaged] when none),
+         completed when the frame finishes serializing onto the wire *)
+  mutable tx_done : (int -> unit) array;
+      (* per descriptor, its write-back: built once, handed to the link *)
+  rx_fifo : unit Frameq.t;
+      (* each received frame's stamp is its wire-arrival birth; the
          driver completes it when the packet reaches netif_rx *)
   mutable command : int;
   mutable mask : int;
@@ -62,27 +65,33 @@ let do_reset t =
   t.command <- cmd_bufe;
   t.mask <- 0;
   t.status <- 0;
-  Queue.clear t.rx_fifo;
+  Frameq.clear t.rx_fifo;
   Array.fill t.tsd 0 n_tx_desc tsd_own;
-  Array.fill t.tx_staged 0 n_tx_desc None
+  Array.fill t.tx_staged 0 n_tx_desc Bytes.empty;
+  Array.fill t.tx_born 0 n_tx_desc unstaged
+
+(* Descriptor [n]'s frame has left the wire: write the descriptor back. *)
+let tx_done t n born =
+  t.tsd.(n) <- t.tsd.(n) lor tsd_own lor tsd_tok;
+  K.Clock.complete_since net_tx born;
+  assert_status t isr_tok
 
 let transmit t n size =
-  match t.tx_staged.(n) with
-  | Some (frame, tr) when Bytes.length frame >= size ->
-      (* the TSD size says how much of the staged buffer goes out *)
-      let frame =
-        if Bytes.length frame = size then frame else Bytes.sub frame 0 size
-      in
-      t.tx_staged.(n) <- None;
-      t.tx_count <- t.tx_count + 1;
-      (* the descriptor completes when the frame leaves the wire *)
-      Link.transmit t.link frame ~on_done:(fun () ->
-          t.tsd.(n) <- t.tsd.(n) lor tsd_own lor tsd_tok;
-          ignore (K.Clock.complete tr);
-          assert_status t isr_tok)
-  | Some _ | None ->
-      (* Descriptor fired without (enough) staged data: transmit abort. *)
-      t.tsd.(n) <- t.tsd.(n) lor tsd_own
+  let frame = t.tx_staged.(n) and born = t.tx_born.(n) in
+  if born <> unstaged && Bytes.length frame >= size then begin
+    (* the TSD size says how much of the staged buffer goes out *)
+    let frame =
+      if Bytes.length frame = size then frame else Bytes.sub frame 0 size
+    in
+    t.tx_staged.(n) <- Bytes.empty;
+    t.tx_born.(n) <- unstaged;
+    t.tx_count <- t.tx_count + 1;
+    (* the descriptor completes when the frame leaves the wire *)
+    Link.transmit t.link ~on_done:t.tx_done.(n) ~stamp:born frame
+  end
+  else
+    (* Descriptor fired without (enough) staged data: transmit abort. *)
+    t.tsd.(n) <- t.tsd.(n) lor tsd_own
 
 let read t off (width : Io.width) =
   match off with
@@ -95,7 +104,7 @@ let read t off (width : Io.width) =
       t.tsad.((off - tsad0) / 4)
   | _ when off = rbstart -> t.rbstart_v
   | _ when off = cmd ->
-      let bufe = if Queue.is_empty t.rx_fifo then cmd_bufe else 0 in
+      let bufe = if Frameq.is_empty t.rx_fifo then cmd_bufe else 0 in
       t.command land lnot cmd_bufe lor bufe
   | _ when off = capr -> t.capr_v
   | _ when off = imr -> t.mask
@@ -136,10 +145,10 @@ let write t off (width : Io.width) v =
 
 let on_rx t frame =
   if t.command land cmd_re <> 0 then
-    if Queue.length t.rx_fifo >= rx_fifo_max then
+    if Frameq.length t.rx_fifo >= rx_fifo_max then
       assert_status t isr_rx_overflow
     else begin
-      Queue.push (frame, K.Clock.track net_rx) t.rx_fifo;
+      Frameq.push t.rx_fifo frame (K.Clock.now ()) ();
       t.rx_count <- t.rx_count + 1;
       assert_status t isr_rok
     end
@@ -155,8 +164,10 @@ let create ~io_base ~irq ~mac ~link =
         region = None;
         tsd = Array.make n_tx_desc tsd_own;
         tsad = Array.make n_tx_desc 0;
-        tx_staged = Array.make n_tx_desc None;
-        rx_fifo = Queue.create ();
+        tx_staged = Array.make n_tx_desc Bytes.empty;
+        tx_born = Array.make n_tx_desc unstaged;
+        tx_done = [||];
+        rx_fifo = Frameq.create ();
         command = cmd_bufe;
         mask = 0;
         status = 0;
@@ -168,6 +179,7 @@ let create ~io_base ~irq ~mac ~link =
         rx_count = 0;
       }
   in
+  t.tx_done <- Array.init n_tx_desc (tx_done t);
   t.region <-
     Some
       (Io.register_ports ~base:io_base ~len:0x100
@@ -178,11 +190,11 @@ let create ~io_base ~irq ~mac ~link =
 
 let destroy t = Option.iter Io.release t.region
 let stage_tx_buffer t n frame =
-  t.tx_staged.(n) <- Some (frame, K.Clock.track net_tx)
+  t.tx_staged.(n) <- frame;
+  t.tx_born.(n) <- K.Clock.now ()
 
-let take_rx t = Queue.take_opt t.rx_fifo
-
-let rx_pending t = Queue.length t.rx_fifo
+let rx_ring t = t.rx_fifo
+let rx_pending t = Frameq.length t.rx_fifo
 let phy t = t.phy
 let tx_count t = t.tx_count
 let rx_count t = t.rx_count

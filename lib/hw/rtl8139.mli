@@ -1,7 +1,7 @@
 (** Register-level model of a RealTek RTL8139 fast-Ethernet NIC.
 
     The device decodes a 256-byte port-I/O window (BAR 0). Frame payloads
-    move through explicit DMA queues ({!stage_tx_buffer}, {!take_rx})
+    move through explicit DMA queues ({!stage_tx_buffer}, {!rx_ring})
     standing in for the descriptor rings in host memory; the control path
     — command register, transmit status slots, interrupt mask/status —
     follows the real part. *)
@@ -62,14 +62,17 @@ val destroy : t -> unit
 
 val stage_tx_buffer : t -> int -> bytes -> unit
 (** DMA: place frame data in the buffer of transmit descriptor [n]
-    (modelling the write to the address in TSAD[n]). The frame goes on
-    the wire when TSD[n] is written with the size and OWN cleared. *)
+    (modelling the write to the address in TSAD[n]), stamped with its
+    birth on the "net.tx" path. The frame goes on the wire when TSD[n]
+    is written with the size and OWN cleared, and the stamp completes
+    when it has left the wire. *)
 
-val take_rx : t -> (bytes * Decaf_kernel.Clock.track) option
-(** DMA: pull the next received frame from the receive ring, together
-    with its wire-arrival birth stamp; the driver completes the stamp
-    when the packet reaches [netif_rx], closing the "net.rx" end-to-end
-    timeline. *)
+val rx_ring : t -> unit Frameq.t
+(** DMA: the receive ring, oldest frame first, each stamped with its
+    wire-arrival birth ({!Decaf_kernel.Clock.now} as it arrived). The
+    driver reads and drops frames in place and completes the stamp with
+    {!Decaf_kernel.Clock.complete_since} when the packet reaches
+    [netif_rx], closing the "net.rx" end-to-end timeline. *)
 
 val rx_pending : t -> int
 val phy : t -> Phy.t

@@ -168,6 +168,7 @@ let at t f =
   id
 
 let after ns f = at (!time + ns) f
+let no_event = no_id
 let pending id = id >= 0 && !ids.(id land slot_mask) = id
 let cancel id = if pending id then remove (id land slot_mask)
 let has_events () = !size > 0
@@ -202,6 +203,8 @@ let complete tr =
   let dt = Int.max 0 (!time - tr.t_born) in
   Latency.observe_at tr.t_path dt;
   dt
+
+let complete_since path born = Latency.observe_at path (Int.max 0 (!time - born))
 
 (* Each FIFO is bounded: a producer whose consumer died (an ejected
    device mid-storm) must not grow births without limit, so past the cap

@@ -40,6 +40,10 @@ val cancel : event_id -> unit
 val pending : event_id -> bool
 (** Whether the event is scheduled and not yet fired or cancelled. *)
 
+val no_event : event_id
+(** An id that is never pending, for a slot that has scheduled nothing
+    yet. *)
+
 val scheduled : unit -> int
 (** Total events ever scheduled since boot (diagnostic). *)
 
@@ -73,6 +77,12 @@ val track : Latency.path -> track
 val complete : track -> int
 (** Stamp completion: records now - birth into [path]'s histogram and
     returns the elapsed nanoseconds. *)
+
+val complete_since : Latency.path -> int -> unit
+(** [complete_since path born] records now - [born] (at least 0) into
+    [path]'s histogram, as {!complete} does for a birth kept as a plain
+    [now ()] int: the NIC models keep their frames' births that way, so
+    a frame carries no stamp record. *)
 
 val track_begin : ?key:string -> Latency.path -> unit
 (** FIFO-paired birth stamp for pipelines that preserve order but lose

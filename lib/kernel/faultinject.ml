@@ -85,42 +85,50 @@ let eval p (a : armed) =
   | Span (first, count) -> a.matched >= first && a.matched < first + count
   | Prob pr -> Random.State.float p.rng 1.0 < pr
 
-let addr_matches s addr =
-  match s.addr with None -> true | Some a -> addr = Some a
+(* Evaluate every spec matching the access, in plan order, and tell
+   whether any fired: each match advances its spec's counter (and a
+   [Prob] draws), so none may be skipped once one has fired. An access
+   with no address ([at] false) matches only specs that name none.
+   Recursive rather than a fold, so a check builds no closure. *)
+let rec any_fired p ~site ~at ~addr kind fired = function
+  | [] -> fired
+  | a :: rest ->
+      let s = a.spec in
+      let hit =
+        String.equal s.site site && s.kind = kind
+        && match s.addr with None -> true | Some x -> at && x = addr
+      in
+      let fired = if hit then eval p a || fired else fired in
+      any_fired p ~site ~at ~addr kind fired rest
+
+let fires_at p ~site ~at ~addr kind =
+  let fired = any_fired p ~site ~at ~addr kind false p.specs in
+  if fired then record ~site ~addr:(if at then Some addr else None) kind;
+  fired
 
 let fires ~site ?addr kind =
   match !plan_v with
   | None -> false
-  | Some p ->
-      let fired =
-        List.fold_left
-          (fun acc a ->
-            if a.spec.site = site && a.spec.kind = kind && addr_matches a.spec addr
-            then
-              let f = eval p a in
-              f || acc
-            else acc)
-          false p.specs
-      in
-      if fired then record ~site ~addr kind;
-      fired
+  | Some p -> (
+      match addr with
+      | None -> fires_at p ~site ~at:false ~addr:0 kind
+      | Some addr -> fires_at p ~site ~at:true ~addr kind)
 
 let flip_bit p v = v lxor (1 lsl Random.State.int p.rng 8)
 
+(* Stuck-ones, then stuck-zero, then a flipped bit, each on the value
+   the previous one left. *)
 let filter_read ~site ~addr v =
   match !plan_v with
   | None -> v
   | Some p when not (List.mem site p.read_sites) -> v
   | Some p ->
-      let apply v k =
-        if fires ~site ~addr k then
-          match k with
-          | Stuck_ones -> -1 (* callers mask to access width: all ones *)
-          | Stuck_zero -> 0
-          | _ -> flip_bit p v
-        else v
+      let v =
+        (* callers mask to access width: all ones *)
+        if fires_at p ~site ~at:true ~addr Stuck_ones then -1 else v
       in
-      List.fold_left apply v [ Stuck_ones; Stuck_zero; Bad_read ]
+      let v = if fires_at p ~site ~at:true ~addr Stuck_zero then 0 else v in
+      if fires_at p ~site ~at:true ~addr Bad_read then flip_bit p v else v
 
 let record_external ~site ?addr kind = record ~site ~addr kind
 let injected_count () = !injected

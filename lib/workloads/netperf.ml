@@ -44,12 +44,12 @@ let send ~netdev ~link ~duration_ns ~msg_bytes =
   let saved0 = Xpc.Dispatch.overlap_saved_ns () in
   let tx_bytes0 = Hw.Link.tx_bytes link and tx_frames0 = Hw.Link.tx_frames link in
   let deadline = t0 + duration_ns in
-  (* one send buffer, reused: nothing writes a frame once it is handed
-     over (DESIGN §5) *)
-  let payload = Bytes.make msg_bytes '\000' in
+  (* one send buffer and skb, reused: nothing writes a frame once it is
+     handed over (DESIGN §5) *)
+  let skb = K.Netcore.Skb.of_bytes (Bytes.make msg_bytes '\000') in
   while K.Clock.now () < deadline do
     K.Clock.consume (app_cost msg_bytes);
-    match K.Netcore.dev_queue_xmit netdev (K.Netcore.Skb.of_bytes payload) with
+    match K.Netcore.dev_queue_xmit netdev skb with
     | K.Netcore.Xmit_ok -> ()
     | K.Netcore.Xmit_busy ->
         (* ring full: back off briefly, as the socket layer would block *)

@@ -31,9 +31,10 @@ let app_cost bytes = K.Cost.current.syscall_ns + (bytes / 4)
    time; simultaneous waiters fire in arrival order, so contended ports
    round-robin and saturation shows up as uniform slowdown.
 
-   Every message is sent from one payload allocated per run, as netperf
-   reuses its send buffer: nothing writes a frame after handing it over
-   (DESIGN §5). *)
+   Every message is sent from one payload and one skb built per run, as
+   netperf reuses its send buffer: nothing writes a frame after handing
+   it over (DESIGN §5). Each port's send/pump pair is built once per
+   run, so a message allocates no closure. *)
 let run ~ports ~duration_ns ~msg_bytes =
   if ports = [] then invalid_arg "Vswitch.run: no ports";
   let t0 = K.Clock.now () in
@@ -47,34 +48,33 @@ let run ~ports ~duration_ns ~msg_bytes =
   let busy_backoff_ns = 100_000 in
   let cpu_free_at = ref 0 in
   let cost = app_cost msg_bytes in
-  let payload = Bytes.make msg_bytes '\000' in
-  let rec send p () =
-    if K.Clock.now () < deadline then
-      if K.Netcore.is_up p.netdev then
-        let gap =
-          Int.max cost
-            ((msg_bytes + 20) * 8 * 1_000_000_000 / Hw.Link.rate_bps p.link)
-        in
-        match
-          K.Netcore.dev_queue_xmit p.netdev (K.Netcore.Skb.of_bytes payload)
-        with
-        | K.Netcore.Xmit_ok -> ignore (K.Clock.after gap (pump p))
-        | K.Netcore.Xmit_busy -> ignore (K.Clock.after busy_backoff_ns (pump p))
-  (* Book the next free CPU grant at enqueue time — a ticket, not a
-     retry loop: waking every waiter per grant and letting all but one
-     requeue costs hundreds of events per message at 256 ports. *)
-  and pump p () =
-    let now = K.Clock.now () in
-    if now < deadline then begin
-      let slot = Int.max now !cpu_free_at in
-      cpu_free_at := slot + cost;
-      if slot > now then ignore (K.Clock.after (slot - now) (send p))
-      else send p ()
-    end
+  let skb = K.Netcore.Skb.of_bytes (Bytes.make msg_bytes '\000') in
+  let flow p =
+    let gap =
+      Int.max cost ((msg_bytes + 20) * 8 * 1_000_000_000 / Hw.Link.rate_bps p.link)
+    in
+    let rec send () =
+      if K.Clock.now () < deadline then
+        if K.Netcore.is_up p.netdev then
+          match K.Netcore.dev_queue_xmit p.netdev skb with
+          | K.Netcore.Xmit_ok -> ignore (K.Clock.after gap pump)
+          | K.Netcore.Xmit_busy -> ignore (K.Clock.after busy_backoff_ns pump)
+    (* Book the next free CPU grant at enqueue time — a ticket, not a
+       retry loop: waking every waiter per grant and letting all but one
+       requeue costs hundreds of events per message at 256 ports. *)
+    and pump () =
+      let now = K.Clock.now () in
+      if now < deadline then begin
+        let slot = Int.max now !cpu_free_at in
+        cpu_free_at := slot + cost;
+        if slot > now then ignore (K.Clock.after (slot - now) send) else send ()
+      end
+    in
+    pump
   in
   (* stagger the starts so the flows interleave instead of arriving as
      one synchronized burst every wire gap *)
-  List.iteri (fun i p -> ignore (K.Clock.after (1 + (i * 97)) (pump p))) ports;
+  List.iteri (fun i p -> ignore (K.Clock.after (1 + (i * 97)) (flow p))) ports;
   while K.Clock.now () < deadline do
     K.Sched.sleep_ns 1_000_000
   done;

@@ -47,6 +47,24 @@ let workers () = !workers_v
    listed in this order. *)
 let user_domains = [ Domain.Driver_lib; Domain.Decaf_driver ]
 let pool_of = Domain.tabulate (fun _ -> ref None)
+
+(* Lane histograms outlive their pools: 2,880 buckets each, they would
+   go straight to the major heap on every boot. A fresh pool clears as
+   many as it has lanes, in place, and only a wider pool allocates. *)
+let lane_hists = Domain.tabulate (fun _ -> ref [||])
+
+let fresh_hists dom n =
+  let have = !(lane_hists dom) in
+  if Array.length have < n then
+    lane_hists dom :=
+      Array.init n (fun i ->
+          if i < Array.length have then have.(i) else K.Latency.create ());
+  let hists = !(lane_hists dom) in
+  for i = 0 to n - 1 do
+    K.Latency.clear hists.(i)
+  done;
+  hists
+
 let latency = K.Latency.path "xpc.dispatch"
 
 (* The lane serving the crossing each simulated thread is executing,
@@ -92,17 +110,13 @@ let pool_for dom =
          admission against an idle pool picks up the new width. *)
       p
   | _ ->
+      let hists = fresh_hists dom !workers_v in
       let p =
         {
           dom;
           lanes =
-            Array.init !workers_v (fun _ ->
-                {
-                  owner = dom;
-                  busy_ns = 0;
-                  served = 0;
-                  latency = K.Latency.create ();
-                });
+            Array.init !workers_v (fun i ->
+                { owner = dom; busy_ns = 0; served = 0; latency = hists.(i) });
           waitq = K.Sync.Waitq.create ~name:"dispatch-slots" ();
           active = 0;
           admissions = 0;

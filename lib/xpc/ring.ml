@@ -35,8 +35,11 @@ type t = {
   r_guard : Guard.t;
   r_resolve : int -> (int, string) result;
   r_handler : record -> unit;
-  slots : record option array;  (** fixed layout, preallocated *)
-  born : int array;
+  mutable slots : record array;
+      (** fixed layout, [vacant] where empty; grown on demand by doubling
+          up to [depth], so a ring that never carries a record costs no
+          storage *)
+  mutable born : int array;
       (** per-slot write stamp, read at drain for the slot-write to
           drain-consume timeline; dead entries are ignored once the slot
           empties *)
@@ -71,10 +74,29 @@ let forge table ~handle fields =
   { kind = value kind_f; handle; arg0 = value arg0_f; arg1 = value arg1_f }
 
 let depth = 256
+let vacant = { kind = 0; handle = 0; arg0 = 0; arg1 = 0 }
 let latency = K.Latency.path "xpc.ring"
 let rings : (string, t) Hashtbl.t = Hashtbl.create 8
 let all () = Hashtbl.fold (fun _ r acc -> r :: acc) rings []
-let tail r = (r.head - r.occupancy + depth) mod depth
+
+(* Storage is a power of two no larger than [depth], so wrapping is a
+   mask. *)
+let wrap r i = i land (Array.length r.slots - 1)
+let tail r = wrap r (r.head - r.occupancy)
+
+(* Double the storage (4 slots the first time), moving the occupied
+   slots to the front in order. Only [produce] grows, below [depth]. *)
+let grow r =
+  let n = Int.max 4 (2 * Array.length r.slots) in
+  let slots = Array.make n vacant and born = Array.make n 0 in
+  for k = 0 to r.occupancy - 1 do
+    let i = wrap r (r.head - r.occupancy + k) in
+    slots.(k) <- r.slots.(i);
+    born.(k) <- r.born.(i)
+  done;
+  r.slots <- slots;
+  r.born <- born;
+  r.head <- r.occupancy
 
 (* Validate one slot kernel-side before believing it: the capability
    handle must resolve in the tracker (forged handles are how a hostile
@@ -119,15 +141,15 @@ let flush _ r =
               Boundary.scoped r.r_name (fun () ->
                   while r.occupancy > 0 do
                     let i = tail r in
-                    let rec_ = Option.get r.slots.(i) in
-                    r.slots.(i) <- None;
+                    let rec_ = r.slots.(i) and born = r.born.(i) in
+                    r.slots.(i) <- vacant;
                     r.occupancy <- r.occupancy - 1;
                     let c = K.Cost.current.ring_slot_read_ns in
                     K.Clock.consume c
                     (* decaf-lint: consume-ok, slot age tracked as xpc.ring *);
                     Dispatch.note c;
                     K.Latency.observe_at latency
-                      (Int.max 0 (K.Clock.now () - r.born.(i)));
+                      (Int.max 0 (K.Clock.now () - born));
                     if slot_valid r rec_ then begin
                       r.r_handler rec_;
                       r.s.consumed <- r.s.consumed + 1;
@@ -169,8 +191,8 @@ let create ~name ~target ~guard ~resolve ~handler () =
       r_guard = guard;
       r_resolve = resolve;
       r_handler = handler;
-      slots = Array.make depth None;
-      born = Array.make depth 0;
+      slots = [||];
+      born = [||];
       head = 0;
       occupancy = 0;
       draining = false;
@@ -198,9 +220,10 @@ let produce r rec_ =
   end
   else begin
     K.Ktrace.note r.r_trace K.Ktrace.Signal;
-    r.slots.(r.head) <- Some rec_;
+    if r.occupancy = Array.length r.slots then grow r;
+    r.slots.(r.head) <- rec_;
     r.born.(r.head) <- K.Clock.now ();
-    r.head <- (r.head + 1) mod depth;
+    r.head <- wrap r (r.head + 1);
     r.occupancy <- r.occupancy + 1;
     r.s.produced <- r.s.produced + 1;
     totals.produced <- totals.produced + 1;
@@ -224,7 +247,7 @@ let destroy r =
   Boundary.scoped r.r_name (fun () ->
       while r.occupancy > 0 do
         let i = tail r in
-        r.slots.(i) <- None;
+        r.slots.(i) <- vacant;
         r.occupancy <- r.occupancy - 1;
         r.s.discarded <- r.s.discarded + 1;
         totals.discarded <- totals.discarded + 1;

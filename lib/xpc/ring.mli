@@ -2,8 +2,9 @@
 
     The third transfer mode beside {!Batch} (one crossing per flush,
     payload still marshaled) and {!Marshal_plan.Dirty} (smaller
-    payloads, still one XDR walk per sync): a preallocated fixed-layout
-    record ring conceptually mapped into both domains. The producer
+    payloads, still one XDR walk per sync): a fixed-layout record ring
+    conceptually mapped into both domains, its storage grown on demand
+    up to 256 slots. The producer
     (kernel hot path, often irq context) writes a slot for
     {!Decaf_kernel.Cost.t.ring_slot_write_ns} — a handful of stores,
     no crossing, no marshaling — and only rings a doorbell (ONE real

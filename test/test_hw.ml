@@ -15,7 +15,7 @@ let test_link_rate_limits () =
   let received = ref 0 in
   Link.set_peer link (fun _ frame -> received := !received + Bytes.length frame);
   for _ = 1 to 10 do
-    Link.transmit link (Bytes.make 1500 'x')
+    Link.transmit link ~on_done:ignore ~stamp:0 (Bytes.make 1500 'x')
   done;
   ignore (K.Sched.spawn (fun () -> ()));
   K.Sched.run ();
@@ -29,9 +29,62 @@ let test_link_echo_peer () =
   let nic_got = ref 0 in
   Link.connect link ~nic_rx:(fun frame -> nic_got := !nic_got + Bytes.length frame);
   Link.set_peer link (fun l frame -> Link.inject l frame);
-  Link.transmit link (Bytes.make 1000 'y');
+  Link.transmit link ~on_done:ignore ~stamp:0 (Bytes.make 1000 'y');
   K.Sched.run ();
   check "echo returned" 1000 !nic_got
+
+(* Frames on two links sent interleaved finish in wire order: each
+   link's in transmit order, and the faster link's first. Each frame
+   gets its own [on_done] with its own stamp, then reaches the peer
+   unless a flap ate it (the 2nd and 5th frames sent, fast 0 and slow 2,
+   by a Link_flap plan). A frame still on the wire at a reboot is never delivered after
+   it, in either direction, and frames sent after it are. *)
+let test_link_completion_order () =
+  K.Boot.boot ();
+  let slow = Link.create ~rate_bps:100_000_000 () in
+  let fast = Link.create ~rate_bps:1_000_000_000 () in
+  let log = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
+  List.iter
+    (fun (name, l) ->
+      Link.set_peer l (fun _ frame -> note "%s peer %s" name (Bytes.to_string frame));
+      Link.connect l ~nic_rx:(fun frame -> note "%s nic %s" name (Bytes.to_string frame)))
+    [ ("slow", slow); ("fast", fast) ];
+  let send name l i =
+    let frame = Bytes.make 1000 ' ' in
+    Bytes.blit_string (string_of_int i) 0 frame 0 1;
+    Link.transmit l ~stamp:i ~on_done:(fun st -> note "%s done %d" name st) frame
+  in
+  let flap first =
+    K.Faultinject.spec ~site:"hw.link" ~kind:K.Faultinject.Link_flap
+      ~trigger:(K.Faultinject.Span (first, 1)) ()
+  in
+  K.Faultinject.arm ~seed:1 [ flap 2; flap 5 ];
+  for i = 0 to 2 do
+    send "slow" slow i;
+    send "fast" fast i
+  done;
+  K.Sched.run ();
+  Alcotest.(check (list string))
+    "wire order, own stamps, flapped frames completed but not delivered"
+    [
+      "fast done 0"; "fast done 1"; "fast peer 1"; "fast done 2"; "fast peer 2";
+      "slow done 0"; "slow peer 0"; "slow done 1"; "slow peer 1"; "slow done 2";
+    ]
+    (List.rev_map String.trim !log);
+  check "both flaps injected" 2 (K.Faultinject.injected_count ());
+  (* a reboot with frames on the wire both ways *)
+  log := [];
+  send "slow" slow 7;
+  Link.inject fast (Bytes.of_string "7");
+  K.Boot.boot ();
+  send "slow" slow 8;
+  Link.inject fast (Bytes.of_string "8");
+  K.Sched.run ();
+  Alcotest.(check (list string))
+    "only the frames sent after the reboot arrive"
+    [ "fast nic 8"; "slow done 8"; "slow peer 8" ]
+    (List.rev_map String.trim !log)
 
 (* --- Eeprom / Phy --- *)
 
@@ -111,10 +164,11 @@ let test_rtl8139_rx_path () =
   Link.inject link (Bytes.make 64 'r');
   K.Sched.run ();
   check "one rx irq" 1 !irqs;
-  (match Rtl8139.take_rx dev with
-  | Some (f, _) -> check "frame length" 64 (Bytes.length f)
-  | None -> Alcotest.fail "no frame");
-  check_bool "fifo empty again" true (Rtl8139.take_rx dev = None);
+  let ring = Rtl8139.rx_ring dev in
+  if Frameq.is_empty ring then Alcotest.fail "no frame";
+  check "frame length" 64 (Bytes.length (Frameq.head ring));
+  Frameq.drop ring;
+  check_bool "fifo empty again" true (Frameq.is_empty ring);
   Rtl8139.destroy dev
 
 let test_rtl8139_rx_disabled_drops () =
@@ -194,9 +248,9 @@ let test_e1000_rx () =
   Link.inject link (Bytes.make 500 'z');
   K.Sched.run ();
   check "pending" 1 (E1000_hw.rx_pending dev);
-  (match E1000_hw.take_rx dev with
-  | Some (f, _) -> check "len" 500 (Bytes.length f)
-  | None -> Alcotest.fail "no frame");
+  let ring = E1000_hw.rx_ring dev in
+  if Frameq.is_empty ring then Alcotest.fail "no frame";
+  check "len" 500 (Bytes.length (Frameq.head ring));
   E1000_hw.destroy dev
 
 (* --- ENS1371 --- *)
@@ -349,7 +403,11 @@ let () =
   Alcotest.run "decaf_hw"
     [
       ( "link",
-        [ tc "rate limits" test_link_rate_limits; tc "echo peer" test_link_echo_peer ] );
+        [
+          tc "rate limits" test_link_rate_limits;
+          tc "echo peer" test_link_echo_peer;
+          tc "completion order" test_link_completion_order;
+        ] );
       ( "eeprom-phy",
         [ tc "mac+checksum" test_eeprom_mac_checksum; tc "phy autoneg" test_phy_autoneg ] );
       ( "rtl8139",
