@@ -35,7 +35,7 @@ let () =
       ignore
         (K.Sched.spawn ~name:"inject" (fun () ->
              let t =
-               match E1000_drv.insmod (Driver_env.decaf ()) with
+               match E1000_drv.insmod Driver_env.decaf with
                | Ok t -> t
                | Error rc -> failwith (Printf.sprintf "insmod: %d" rc)
              in

@@ -22,7 +22,7 @@ let run mode =
          let env =
            match mode with
            | `Native -> Driver_env.native
-           | `Decaf -> Driver_env.decaf ()
+           | `Decaf -> Driver_env.decaf
          in
          let t =
            match E1000_drv.insmod env with

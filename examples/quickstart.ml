@@ -22,7 +22,7 @@ let () =
          (* load the driver in decaf mode: probe runs in the decaf driver
             with XDR marshaling of the adapter structure *)
          let t =
-           match E1000_drv.insmod (Driver_env.decaf ()) with
+           match E1000_drv.insmod Driver_env.decaf with
            | Ok t -> t
            | Error rc -> failwith (Printf.sprintf "insmod failed: %d" rc)
          in

@@ -29,13 +29,17 @@ let protect ~cleanup body =
       cleanup ();
       raise e
 
-let with_retry ~attempts ~backoff_ns body =
+(* Attempt [n] of [f a b], with the next backoff: a top-level loop, so
+   a retried handshake builds no closure. *)
+let rec attempt ~attempts ~backoff_ns n backoff f a b =
+  match f a b with
+  | v -> v
+  | exception Hw_error _ when n < attempts ->
+      Decaf_kernel.Sched.sleep_ns backoff;
+      attempt ~attempts ~backoff_ns (n + 1)
+        (min (backoff * 2) (8 * backoff_ns))
+        f a b
+
+let with_retry ~attempts ~backoff_ns f a b =
   if attempts < 1 || backoff_ns < 0 then invalid_arg "Errors.with_retry";
-  let rec go n backoff =
-    match body () with
-    | v -> v
-    | exception Hw_error _ when n < attempts ->
-        Decaf_kernel.Sched.sleep_ns backoff;
-        go (n + 1) (min (backoff * 2) (8 * backoff_ns))
-  in
-  go 1 backoff_ns
+  attempt ~attempts ~backoff_ns 1 backoff_ns f a b

@@ -35,8 +35,11 @@ val protect : cleanup:(unit -> unit) -> (unit -> 'a) -> 'a
 (** Run the body; on exception, run [cleanup] then re-raise — the nested
     try/catch shape of the paper's Figure 4. *)
 
-val with_retry : attempts:int -> backoff_ns:int -> (unit -> 'a) -> 'a
-(** Run the body up to [attempts] times, sleeping [backoff_ns] (doubling
-    each round, capped at 8x) between tries. Only {!Hw_error} triggers a
-    retry — the transient-handshake idiom for EEPROM/PHY waits; the last
-    attempt's exception propagates. *)
+val with_retry :
+  attempts:int -> backoff_ns:int -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [with_retry ~attempts ~backoff_ns f a b] runs [f a b] up to
+    [attempts] times, sleeping [backoff_ns] (doubling each round, capped
+    at 8x) between tries. Only {!Hw_error} triggers a retry — the
+    transient-handshake idiom for EEPROM/PHY waits; the last attempt's
+    exception propagates. The arguments are passed, not captured, so a
+    handshake that succeeds first time allocates nothing here. *)

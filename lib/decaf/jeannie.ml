@@ -13,10 +13,11 @@ let direct io a b =
   Domain.call_in Domain.Driver_lib io a b
 
 let via_xpc ~bytes f =
-  Channel.call ~target:Domain.Driver_lib ~payload_bytes:bytes f
+  Channel.call ~target:Domain.Driver_lib ~payload_bytes:bytes ~reply_bytes:0
+    f
 
 let to_kernel ~bytes f =
-  Channel.call ~target:Domain.Kernel ~payload_bytes:bytes f
+  Channel.call ~target:Domain.Kernel ~payload_bytes:bytes ~reply_bytes:0 f
 
 let direct_call_count () = !direct_calls
 let () = K.Boot.on_reset (fun () -> direct_calls := 0)

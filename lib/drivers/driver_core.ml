@@ -169,6 +169,18 @@ let set_disabled b = if b.state <> Disabled then transition b Disabled
 
 (* --- metered driver environment --- *)
 
+(* Run one call of [base] under the binding's boundary scope; the scope
+   is a plain string, saved and restored without a closure. *)
+let within driver call ~name ~bytes f =
+  let saved = Xpc.Boundary.enter driver in
+  match call ~name ~bytes f with
+  | v ->
+      Xpc.Boundary.leave saved;
+      v
+  | exception e ->
+      Xpc.Boundary.leave saved;
+      raise e
+
 let metered ~driver meter (base : Driver_env.t) =
   (* Native-mode "calls" never leave the kernel; only count crossings
      that a split build actually pays for. The meter itself costs no
@@ -177,7 +189,6 @@ let metered ~driver meter (base : Driver_env.t) =
      validation rejections land in the per-driver counter surfaced by
      [snapshot]. *)
   let live = base.Driver_env.mode <> Driver_env.Native in
-  let scoped f = Xpc.Boundary.scoped driver f in
   {
     Driver_env.mode = base.Driver_env.mode;
     scope = driver;
@@ -187,21 +198,21 @@ let metered ~driver meter (base : Driver_env.t) =
           meter.m_upcalls <- meter.m_upcalls + 1;
           meter.m_wire_bytes <- meter.m_wire_bytes + bytes
         end;
-        scoped (fun () -> base.Driver_env.upcall ~name ~bytes f));
+        within driver base.Driver_env.upcall ~name ~bytes f);
     downcall =
       (fun ~name ~bytes f ->
         if live then begin
           meter.m_downcalls <- meter.m_downcalls + 1;
           meter.m_wire_bytes <- meter.m_wire_bytes + bytes
         end;
-        scoped (fun () -> base.Driver_env.downcall ~name ~bytes f));
+        within driver base.Driver_env.downcall ~name ~bytes f);
     notify =
       (fun ~name ~bytes f ->
         if live then begin
           meter.m_notifies <- meter.m_notifies + 1;
           meter.m_wire_bytes <- meter.m_wire_bytes + bytes
         end;
-        scoped (fun () -> base.Driver_env.notify ~name ~bytes f));
+        within driver base.Driver_env.notify ~name ~bytes f);
   }
 
 (* --- internal operations --- *)

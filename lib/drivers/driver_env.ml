@@ -17,13 +17,19 @@ type t = {
 let scope_or env default = if env.scope = "" then default else env.scope
 
 (* Calls that only read state and may safely be re-issued when a crossing
-   times out. Everything else fails fast so the supervisor decides. *)
-let idempotent_call = function
+   times out. Everything else fails fast so the supervisor decides. The
+   answer is [Channel.call]'s own optional argument: a literal [Some
+   true] is a constant, so passing it allocates nothing. *)
+let idempotent = function
   | "pci_read_config" | "serio_status" | "usb_get_device_descriptor"
   | "usb_get_device_descriptor_full" | "usb_get_config_descriptor"
   | "usb_get_string_manufacturer" | "usb_get_string_product" ->
-      true
-  | _ -> false
+      Some true
+  | _ -> None
+
+let call target ~name ~bytes f =
+  Channel.call ~target ~payload_bytes:bytes ~reply_bytes:0
+    ?idempotent:(idempotent name) ~context:name f
 
 let native =
   {
@@ -34,37 +40,27 @@ let native =
     notify = (fun ~name:_ ~bytes:_ f -> f ());
   }
 
-let staged () =
+let staged =
   {
     mode = Staged;
     scope = "";
-    upcall =
-      (fun ~name ~bytes f ->
-        Channel.call ~target:Domain.Driver_lib ~payload_bytes:bytes
-          ~idempotent:(idempotent_call name) ~context:name f);
-    downcall =
-      (fun ~name ~bytes f ->
-        Channel.call ~target:Domain.Kernel ~payload_bytes:bytes
-          ~idempotent:(idempotent_call name) ~context:name f);
+    upcall = (fun ~name ~bytes f -> call Domain.Driver_lib ~name ~bytes f);
+    downcall = (fun ~name ~bytes f -> call Domain.Kernel ~name ~bytes f);
     notify =
       (fun ~name ~bytes f ->
         Batch.post ~target:Domain.Driver_lib ~payload_bytes:bytes
           ~context:name f);
   }
 
-let decaf () =
+let decaf =
   {
     mode = Decaf;
     scope = "";
     upcall =
       (fun ~name ~bytes f ->
         Decaf_runtime.Runtime.start ();
-        Channel.call ~target:Domain.Decaf_driver ~payload_bytes:bytes
-          ~idempotent:(idempotent_call name) ~context:name f);
-    downcall =
-      (fun ~name ~bytes f ->
-        Channel.call ~target:Domain.Kernel ~payload_bytes:bytes
-          ~idempotent:(idempotent_call name) ~context:name f);
+        call Domain.Decaf_driver ~name ~bytes f);
+    downcall = (fun ~name ~bytes f -> call Domain.Kernel ~name ~bytes f);
     (* No [Runtime.start] here: a notification can be posted from
        interrupt context, and by the time a driver has anything to notify
        about its probe upcall has already started the runtime. *)
@@ -74,10 +70,7 @@ let decaf () =
           ~context:name f);
   }
 
-let of_mode = function
-  | Native -> native
-  | Staged -> staged ()
-  | Decaf -> decaf ()
+let of_mode = function Native -> native | Staged -> staged | Decaf -> decaf
 
 let mode_name = function
   | Native -> "native"

@@ -36,7 +36,7 @@ val scope_or : t -> string -> string
 
 val native : t
 
-val staged : unit -> t
+val staged : t
 (** The migration staging ground of §5.3: user-level code runs, but in
     the C driver library rather than the managed language — upcalls
     target the driver-library domain, so there are kernel/user crossings
@@ -44,12 +44,13 @@ val staged : unit -> t
     the paper ran all user-mode E1000 functions before converting them
     to Java one at a time. *)
 
-val decaf : unit -> t
-(** Build a decaf environment: upcalls enter the decaf-driver domain
+val decaf : t
+(** The decaf environment: upcalls enter the decaf-driver domain
     (starting the managed runtime on first use), downcalls enter the
-    kernel. *)
+    kernel. Like [native] and [staged] it captures nothing, so every
+    binding shares one. *)
 
 val of_mode : mode -> t
-(** [native], [staged ()] or [decaf ()] according to [mode]. *)
+(** [native], [staged] or [decaf] according to [mode]. *)
 
 val mode_name : mode -> string

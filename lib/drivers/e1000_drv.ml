@@ -44,20 +44,27 @@ let reset_module_params () =
 (* checked values after the last probe *)
 let checked_params : (string * Decaf_runtime.Params.outcome) list ref = ref []
 
+(* The checkers hold no per-probe state, so they are built once. *)
+let tx_descriptors_checker =
+  new Decaf_runtime.Params.range_checker
+    ~name:"TxDescriptors" ~default:256 ~min:80 ~max:4096
+
+let interrupt_throttle_checker =
+  new Decaf_runtime.Params.set_checker
+    ~name:"InterruptThrottleRate" ~default:3
+    ~allowed:[ 0; 1; 3; 4000; 8000; 10000 ]
+
+let smart_power_down_checker =
+  new Decaf_runtime.Params.flag_checker
+    ~name:"SmartPowerDownEnable" ~default:0
+
 let check_options () =
-  let open Decaf_runtime.Params in
   checked_params :=
-    check_all
+    Decaf_runtime.Params.check_all
       [
-        ( new range_checker
-            ~name:"TxDescriptors" ~default:256 ~min:80 ~max:4096,
-          !param_tx_descriptors );
-        ( new set_checker
-            ~name:"InterruptThrottleRate" ~default:3
-            ~allowed:[ 0; 1; 3; 4000; 8000; 10000 ],
-          !param_interrupt_throttle );
-        ( new flag_checker ~name:"SmartPowerDownEnable" ~default:0,
-          !param_smart_power_down );
+        (tx_descriptors_checker, !param_tx_descriptors);
+        (interrupt_throttle_checker, !param_interrupt_throttle);
+        (smart_power_down_checker, !param_smart_power_down);
       ];
   !checked_params
 
@@ -330,14 +337,16 @@ let reset_hw a =
   (* after reset the device comes back with registers cleared *)
   wr32 a E.reg_ctrl E.ctrl_slu
 
+let eeprom_handshake a addr =
+  wr32 a E.reg_eerd ((addr lsl 8) lor E.eerd_start);
+  let v = rd32 a E.reg_eerd in
+  if v land E.eerd_done = 0 then throw Errors.eio "EEPROM read timeout";
+  (v lsr 16) land 0xffff
+
 (* EEPROM reads occasionally miss the done bit on real parts; retry the
    handshake with backoff before giving up on the whole probe. *)
 let read_eeprom_word a addr =
-  Errors.with_retry ~attempts:3 ~backoff_ns:50_000 (fun () ->
-      wr32 a E.reg_eerd ((addr lsl 8) lor E.eerd_start);
-      let v = rd32 a E.reg_eerd in
-      if v land E.eerd_done = 0 then throw Errors.eio "EEPROM read timeout";
-      (v lsr 16) land 0xffff)
+  Errors.with_retry ~attempts:3 ~backoff_ns:50_000 eeprom_handshake a addr
 
 (* Validate the EEPROM: the sum of all 64 words must be 0xBABA. *)
 let validate_eeprom a =

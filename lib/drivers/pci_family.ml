@@ -73,6 +73,10 @@ module Make (D : DRIVER) = struct
         | Error rc -> Error rc)
     | _ -> Error (-Errors.enodev)
 
+  (* The PCI id table, built once: every module load registers it. *)
+  let pci_ids =
+    List.map (fun (v, d) -> { K.Pci.id_vendor = v; id_device = d }) D.ids
+
   let insmod ?dev env =
     let out = ref None in
     pending := Some (env, dev, out);
@@ -101,12 +105,8 @@ module Make (D : DRIVER) = struct
           (* a failed or faulting load must leave the PCI core clean so a
              supervisor retry can register the driver again *)
           let register () =
-            K.Pci.register_driver ~name:D.name
-              ~ids:
-                (List.map
-                   (fun (v, d) -> { K.Pci.id_vendor = v; id_device = d })
-                   D.ids)
-              ~probe:pci_probe ~remove
+            K.Pci.register_driver ~name:D.name ~ids:pci_ids ~probe:pci_probe
+              ~remove
           in
           (match register () with
           | () -> ()

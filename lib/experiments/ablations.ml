@@ -34,7 +34,7 @@ let e1000_decaf_init ~direct =
   let nic = Rig.plug "e1000" in
   Scenario.in_thread (fun () ->
       Xpc.Channel.set_direct_marshaling direct;
-      let t = Rig.ok "e1000 insmod" (E1000_drv.insmod (Driver_env.decaf ())) in
+      let t = Rig.ok "e1000 insmod" (E1000_drv.insmod Driver_env.decaf) in
       let t0 = K.Clock.now () in
       Rig.up nic;
       let init = E1000_drv.init_latency_ns t + (K.Clock.now () - t0) in
@@ -87,7 +87,7 @@ let measure_marshal_selectivity () =
   let init_transfers =
     Scenario.in_thread (fun () ->
         let t =
-          Rig.ok "e1000 insmod" (E1000_drv.insmod (Driver_env.decaf ()))
+          Rig.ok "e1000 insmod" (E1000_drv.insmod Driver_env.decaf)
         in
         Rig.up nic;
         let crossings = Scenario.kernel_user_crossings () in

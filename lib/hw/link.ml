@@ -78,8 +78,17 @@ let wire_time t len_bytes =
   (* ns to serialize the frame plus preamble and inter-frame gap. *)
   (len_bytes + 20) * 8 * 1_000_000_000 / t.rate_bps
 
+(* A frame starts when the direction's wire is free. Its newest
+   completion no longer pending means the wire is idle: within one life
+   that event fired at [free_at] <= now, and after a reboot it belongs
+   to the old life, whose occupancy the restarted clock must not wait
+   out. *)
+let start_at free_at last =
+  if K.Clock.pending last then Int.max (K.Clock.now ()) free_at
+  else K.Clock.now ()
+
 let transmit t ~on_done ~stamp frame =
-  let start = Int.max (K.Clock.now ()) t.tx_free_at in
+  let start = start_at t.tx_free_at t.tx_last in
   let finish = start + wire_time t (Bytes.length frame) in
   t.tx_free_at <- finish;
   t.tx_frames <- t.tx_frames + 1;
@@ -92,7 +101,7 @@ let transmit t ~on_done ~stamp frame =
   t.tx_last <- K.Clock.at finish t.tx_fire
 
 let inject t frame =
-  let start = Int.max (K.Clock.now ()) t.rx_free_at in
+  let start = start_at t.rx_free_at t.rx_last in
   let finish = start + wire_time t (Bytes.length frame) in
   t.rx_free_at <- finish;
   t.rx_frames <- t.rx_frames + 1;

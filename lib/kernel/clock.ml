@@ -188,21 +188,12 @@ let advance_to_next_event () =
    elapsed virtual time lands in the path's histogram ({!Latency}). Two
    shapes:
 
-   - [track]/[complete]: an explicit handle, for code that can carry the
-     birth stamp alongside the object it describes (an irq line, a ring
-     slot, a batch item).
+   - [complete_since]: the birth is a plain [now ()] int that the code
+     carries alongside the object it describes (a crossing, a frame, a
+     ring slot, a batch item).
    - [track_begin]/[track_end]: FIFO-paired stamps for pipelines that
      preserve order but lose identity (a NIC's rx fifo, the mouse byte
      stream); the oldest outstanding birth completes first. *)
-
-type track = { t_path : Latency.path; t_born : int }
-
-let track path = { t_path = path; t_born = !time }
-
-let complete tr =
-  let dt = Int.max 0 (!time - tr.t_born) in
-  Latency.observe_at tr.t_path dt;
-  dt
 
 let complete_since path born = Latency.observe_at path (Int.max 0 (!time - born))
 

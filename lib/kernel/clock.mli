@@ -68,21 +68,11 @@ val reset : unit -> unit
     ({!Latency.observe_at}). Producers resolve their {!Latency.path}
     once; FIFO keys are strings. *)
 
-type track
-(** An explicit birth stamp bound to a path. *)
-
-val track : Latency.path -> track
-(** [track path] stamps the birth of one event on [path]. *)
-
-val complete : track -> int
-(** Stamp completion: records now - birth into [path]'s histogram and
-    returns the elapsed nanoseconds. *)
-
 val complete_since : Latency.path -> int -> unit
 (** [complete_since path born] records now - [born] (at least 0) into
-    [path]'s histogram, as {!complete} does for a birth kept as a plain
-    [now ()] int: the NIC models keep their frames' births that way, so
-    a frame carries no stamp record. *)
+    [path]'s histogram. The birth is a plain [now ()] int kept by the
+    producer (a crossing, a NIC frame), so an event carries no stamp
+    record. *)
 
 val track_begin : ?key:string -> Latency.path -> unit
 (** FIFO-paired birth stamp for pipelines that preserve order but lose

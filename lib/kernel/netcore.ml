@@ -79,7 +79,7 @@ let alloc_name prefix =
         c
   in
   let rec scan n =
-    let candidate = Printf.sprintf "%s%d" prefix n in
+    let candidate = prefix ^ string_of_int n in
     if Hashtbl.mem registry candidate then scan (n + 1)
     else begin
       cursor := n;

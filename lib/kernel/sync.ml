@@ -3,7 +3,7 @@ module Waitq = struct
 
   let create ?(name = "waitq") () =
     {
-      trace = Ktrace.Queue (Printf.sprintf "%s#%d" name (Ktrace.fresh_id ()));
+      trace = Ktrace.Queue (name ^ "#" ^ string_of_int (Ktrace.fresh_id ()));
       q = Queue.create ();
     }
 
@@ -44,7 +44,8 @@ module Spinlock = struct
   let create ?(name = "spinlock") () =
     {
       name;
-      trace = Ktrace.Lock (Printf.sprintf "spin:%s#%d" name (Ktrace.fresh_id ()));
+      trace =
+        Ktrace.Lock ("spin:" ^ name ^ "#" ^ string_of_int (Ktrace.fresh_id ()));
       held = false;
       irqsave = false;
     }
@@ -100,7 +101,7 @@ module Semaphore = struct
     {
       name;
       sem_trace =
-        Ktrace.Queue (Printf.sprintf "sem:%s#%d" name (Ktrace.fresh_id ()));
+        Ktrace.Queue ("sem:" ^ name ^ "#" ^ string_of_int (Ktrace.fresh_id ()));
       count;
       waitq = Waitq.create ~name ();
     }
@@ -132,7 +133,8 @@ module Mutex = struct
   let create ?(name = "mutex") () =
     {
       sem = Semaphore.create ~name 1;
-      trace = Ktrace.Lock (Printf.sprintf "mutex:%s#%d" name (Ktrace.fresh_id ()));
+      trace =
+        Ktrace.Lock ("mutex:" ^ name ^ "#" ^ string_of_int (Ktrace.fresh_id ()));
       owner = None;
     }
 
@@ -245,7 +247,8 @@ module Combolock = struct
   let create ?(name = "combolock") () =
     {
       name;
-      trace = Ktrace.Lock (Printf.sprintf "combo:%s#%d" name (Ktrace.fresh_id ()));
+      trace =
+        Ktrace.Lock ("combo:" ^ name ^ "#" ^ string_of_int (Ktrace.fresh_id ()));
       sem = Semaphore.create ~name 1;
       holder = No_one;
       user_waiters = 0;

@@ -1057,8 +1057,8 @@ let scan_clock_consume ?(dirs = consume_scan_dirs) ~root () =
                         f_line = i + 1;
                         f_message =
                           "direct Clock.consume bypasses event accounting; \
-                           use Clock.track/track_begin or waive with (* \
-                           decaf-lint: consume-ok *)";
+                           use Clock.complete_since/track_begin or waive \
+                           with (* decaf-lint: consume-ok *)";
                         f_witness = [ String.trim line ];
                       }
                       :: !findings)

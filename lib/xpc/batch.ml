@@ -64,7 +64,7 @@ let flush_batch target q =
   let n = Queue.length batch in
   let bytes = Queue.fold (fun acc it -> acc + it.payload_bytes) 0 batch in
   match
-    Channel.call ~target ~payload_bytes:bytes ~idempotent:true
+    Channel.call ~target ~payload_bytes:bytes ~reply_bytes:0 ~idempotent:true
       ~context:"batch.flush"
       (fun () ->
         Queue.iter
@@ -94,8 +94,8 @@ let flush_one target q =
   K.Ktrace.note (trace target) K.Ktrace.Wait;
   let it = Queue.pop q in
   match
-    Channel.call ~target ~payload_bytes:it.payload_bytes ~idempotent:true
-      ~context:it.context
+    Channel.call ~target ~payload_bytes:it.payload_bytes ~reply_bytes:0
+      ~idempotent:true ~context:it.context
       (fun () ->
         it.thunk ();
         K.Latency.observe_at latency (Int.max 0 (K.Clock.now () - it.born)))

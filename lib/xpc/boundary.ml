@@ -29,19 +29,27 @@ let totals = { checks = 0; rejected = 0; dropped = 0 }
 (* Per-scope rejection attribution: Driver_core sets the scope to the
    binding's name around every metered crossing, and the split drivers
    set it around their own inbound unmarshal paths, so `decafctl status`
-   can show rejections per driver. Save/restore keeps nesting correct. *)
-let scope : string option ref = ref None
+   can show rejections per driver. Save/restore keeps nesting correct.
+   The scope is a plain string, [""] for none, so entering one builds
+   nothing. *)
+let scope = ref ""
 let by_scope : (string, int) Hashtbl.t = Hashtbl.create 8
 
-let scoped name f =
+let enter name =
   let saved = !scope in
-  scope := Some name;
+  scope := name;
+  saved
+
+let leave saved = scope := saved
+
+let scoped name f =
+  let saved = enter name in
   match f () with
   | v ->
-      scope := saved;
+      leave saved;
       v
   | exception e ->
-      scope := saved;
+      leave saved;
       raise e
 
 let rejected_for name =
@@ -79,15 +87,14 @@ let note_check () = totals.checks <- totals.checks + 1
 
 let note_rejected () =
   totals.rejected <- totals.rejected + 1;
-  match !scope with
-  | None -> ()
-  | Some name -> Hashtbl.replace by_scope name (1 + rejected_for name)
+  let name = !scope in
+  if name <> "" then Hashtbl.replace by_scope name (1 + rejected_for name)
 
 let note_dropped () =
   totals.dropped <- totals.dropped + 1;
-  match !scope with
-  | None -> ()
-  | Some name -> Hashtbl.replace dropped_by_scope name (1 + dropped_for name)
+  let name = !scope in
+  if name <> "" then
+    Hashtbl.replace dropped_by_scope name (1 + dropped_for name)
 
 let reject ~type_id ~field fmt =
   Printf.ksprintf
@@ -103,4 +110,4 @@ let () =
   totals.dropped <- 0;
   Hashtbl.reset by_scope;
   Hashtbl.reset dropped_by_scope;
-  scope := None
+  scope := ""

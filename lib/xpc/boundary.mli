@@ -26,9 +26,19 @@ val totals : counters
 (** Machine-wide counters, zeroed with the per-scope figures on every
     {!Decaf_kernel.Boot.boot}. *)
 
+val enter : string -> string
+(** [enter name] attributes rejections and drops to the named scope (a
+    driver binding) from now on, and returns the scope it replaces for
+    {!leave}. The scope is a plain string, so a crossing that brackets
+    its body with [enter]/[leave] allocates nothing. *)
+
+val leave : string -> unit
+(** [leave saved] restores the scope that {!enter} returned. Restore it
+    on the exceptional path too. *)
+
 val scoped : string -> (unit -> 'a) -> 'a
-(** Run [f] with rejections attributed to the named scope (a driver
-    binding). Nesting saves and restores the previous scope. *)
+(** Run [f] between {!enter} and {!leave}, also when it raises: the
+    bracket for code that already holds its work as a closure. *)
 
 val rejected_for : string -> int
 (** Rejections attributed to the named scope since the last reset. *)

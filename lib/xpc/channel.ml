@@ -112,6 +112,25 @@ let charge b bytes =
       charge_kernel_user bytes;
       charge_c_java bytes
 
+(* What a worker lane runs for one crossing: charge the legs, then run
+   [f] in the target domain. One per (crossing, target) pair, built
+   once: a crossing hands its bytes and [f] to the lane instead of
+   capturing them in a closure. *)
+type body = { run : 'a. int -> (unit -> 'a) -> 'a }
+
+let body =
+  let per b =
+    Domain.tabulate (fun target ->
+        {
+          run =
+            (fun bytes f ->
+              charge b bytes;
+              Domain.with_domain target f);
+        })
+  in
+  let uu = per User_user and ku = per Kernel_user and kj = per Kernel_java in
+  function User_user -> uu | Kernel_user -> ku | Kernel_java -> kj
+
 (* Admission first: the crossing's charges (and everything [f] does)
    are accounted to the worker lane that serves it. *)
 let executing target b bytes f =
@@ -122,11 +141,7 @@ let executing target b bytes f =
   K.Ktrace.note (trace target) K.Ktrace.Signal;
   let n = in_flight_of target in
   incr n;
-  match
-    Dispatch.with_worker ~target (fun () ->
-        charge b bytes;
-        Domain.with_domain target f)
-  with
+  match Dispatch.with_worker ~target (body b target).run bytes f with
   | r ->
       decr n;
       r
@@ -167,7 +182,7 @@ let rec await_reply ~context ~idempotent b n backoff =
         (Xpc_failure { boundary = crossing_name b; attempts = n; context })
   end
 
-let call ~target ?(payload_bytes = 0) ?(reply_bytes = 0) ?(idempotent = false)
+let call ~target ~payload_bytes ~reply_bytes ?(idempotent = false)
     ?(context = "call") f =
   match crossing_between (Domain.current ()) target with
   | None -> Domain.with_domain target f
@@ -176,10 +191,10 @@ let call ~target ?(payload_bytes = 0) ?(reply_bytes = 0) ?(idempotent = false)
          timeouts and retry backoffs show up in the tail instead of
          vanishing into counters. Failed calls never complete and are
          judged from [failures]. *)
-      let tr = K.Clock.track latency in
+      let born = K.Clock.now () in
       await_reply ~context ~idempotent b 1 backoff_base_ns;
       let r = executing target b (payload_bytes + reply_bytes) f in
-      ignore (K.Clock.complete tr);
+      K.Clock.complete_since latency born;
       r
 
 let stats () =

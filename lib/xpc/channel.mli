@@ -37,8 +37,8 @@ exception
 
 val call :
   target:Domain.t ->
-  ?payload_bytes:int ->
-  ?reply_bytes:int ->
+  payload_bytes:int ->
+  reply_bytes:int ->
   ?idempotent:bool ->
   ?context:string ->
   (unit -> 'a) ->
@@ -47,6 +47,14 @@ val call :
     call carrying [payload_bytes] and returning [reply_bytes]. A call
     whose target is the current domain is a plain procedure call: free,
     and not counted.
+
+    A crossing allocates nothing of its own: the byte counts are plain
+    ints, the call's birth is an int ({!Decaf_kernel.Clock.complete_since}),
+    and the worker lane gets [f] as an argument ({!Dispatch.with_worker}).
+    [idempotent] (default [false]) and [context] (default ["call"])
+    stay optional; a caller that passes a value it computed, rather
+    than a literal, builds its [Some], so pass the option itself
+    ([?idempotent]) where the value is computed.
 
     Crossings consult the fault plan (site ["xpc." ^ context]); a firing
     [Xpc_timeout] charges the per-call deadline and raises

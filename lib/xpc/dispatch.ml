@@ -152,8 +152,8 @@ let release p tid prev lane submitted =
   K.Latency.observe_at latency dt;
   ignore (K.Sync.Waitq.wake_one p.waitq)
 
-let with_worker ~target f =
-  if not (Domain.is_user target) then f ()
+let with_worker ~target f a b =
+  if not (Domain.is_user target) then f a b
   else
     match serving_lane () with
     | l when l.owner = target ->
@@ -161,7 +161,7 @@ let with_worker ~target f =
            already is: stay on our lane rather than deadlocking on our
            own slot. Other threads crossing into the same domain have no
            binding for their own tid and go through admission. *)
-        f ()
+        f a b
     | prev ->
         (* Submit stamp: the crossing's timeline starts here, so the
            recorded latency covers admission wait (blocked slot acquire)
@@ -194,7 +194,7 @@ let with_worker ~target f =
         lane.served <- lane.served + 1;
         let tid = K.Sched.current_tid () in
         bind tid lane;
-        match f () with
+        match f a b with
         | r ->
             release p tid prev lane submitted;
             r

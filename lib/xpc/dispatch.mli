@@ -52,11 +52,15 @@ val set_workers : int -> unit
 
 val workers : unit -> int
 
-val with_worker : target:Domain.t -> (unit -> 'a) -> 'a
-(** Run [f] on a worker of [target]'s pool. Identity for kernel targets.
+val with_worker : target:Domain.t -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [with_worker ~target f a b] runs [f a b] on a worker of [target]'s
+    pool. Identity for kernel targets. The arguments are passed, not
+    captured, so admission allocates nothing: {!Channel.call} hands over
+    a lane body built once, its byte count and the caller's function.
     Charges {!Decaf_kernel.Cost.t.xpc_dispatch_ns} to the chosen lane
     (and to the global clock, like every lane charge). The lane is bound
-    to the current {!Decaf_kernel.Sched} thread for the duration of [f],
+    to the current {!Decaf_kernel.Sched} thread for the duration of the
+    call,
     so a crossing that suspends mid-call does not leak its lane onto
     whichever thread runs while it is blocked. Re-entrant: a nested
     crossing into the domain the current thread is already serving stays

@@ -92,7 +92,7 @@ let create ?(name = "objtracker") ?(shards = default_shards) () =
               h_gen = 0;
               lock =
                 K.Sync.Combolock.create
-                  ~name:(Printf.sprintf "%s/shard%d" name i)
+                  ~name:(name ^ "/shard" ^ string_of_int i)
                   ();
               stats = fresh_stats ();
             });

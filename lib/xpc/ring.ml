@@ -136,8 +136,8 @@ let flush _ r =
       ~finally:(fun () -> r.draining <- false)
       (fun () ->
         match
-          Channel.call ~target:r.r_target ~payload_bytes:0 ~idempotent:true
-            ~context:"ring.doorbell" (fun () ->
+          Channel.call ~target:r.r_target ~payload_bytes:0 ~reply_bytes:0
+            ~idempotent:true ~context:"ring.doorbell" (fun () ->
               Boundary.scoped r.r_name (fun () ->
                   while r.occupancy > 0 do
                     let i = tail r in

@@ -186,7 +186,7 @@ let test_e1000_validates_module_params () =
        ~mmio_base:0xf000_0000 ~irq:11 ~mac:"\x00\x1b\x21\x0a\x0b\x0c" ~link ());
   ignore
     (K.Sched.spawn (fun () ->
-         match Decaf_drivers.E1000_drv.insmod (Decaf_drivers.Driver_env.decaf ()) with
+         match Decaf_drivers.E1000_drv.insmod Decaf_drivers.Driver_env.decaf with
          | Ok t -> Decaf_drivers.E1000_drv.rmmod t
          | Error rc -> Alcotest.failf "insmod: %d" rc));
   K.Sched.run ();
@@ -209,12 +209,14 @@ let in_thread f =
 let test_with_retry_eventually_succeeds () =
   K.Boot.boot ();
   let calls = ref 0 in
+  let flaky calls factor =
+    incr calls;
+    if !calls < 3 then Errors.throw ~driver:"t" ~errno:Errors.eio "flaky";
+    !calls * factor
+  in
   let result =
     in_thread (fun () ->
-        Errors.with_retry ~attempts:3 ~backoff_ns:1_000 (fun () ->
-            incr calls;
-            if !calls < 3 then Errors.throw ~driver:"t" ~errno:Errors.eio "flaky";
-            !calls * 10))
+        Errors.with_retry ~attempts:3 ~backoff_ns:1_000 flaky calls 10)
   in
   check "third try succeeded" 30 result;
   check "three calls" 3 !calls
@@ -226,9 +228,11 @@ let test_with_retry_exhausts () =
     in_thread (fun () ->
         try
           ignore
-            (Errors.with_retry ~attempts:3 ~backoff_ns:1_000 (fun () ->
+            (Errors.with_retry ~attempts:3 ~backoff_ns:1_000
+               (fun calls context ->
                  incr calls;
-                 Errors.throw ~driver:"t" ~errno:Errors.eio "dead"));
+                 Errors.throw ~driver:"t" ~errno:Errors.eio context)
+               calls "dead");
           false
         with Errors.Hw_error { errno; _ } -> errno = Errors.eio)
   in
@@ -238,7 +242,8 @@ let test_with_retry_exhausts () =
 let test_with_retry_rejects_bad_args () =
   check_bool "attempts must be positive" true
     (try
-       ignore (Errors.with_retry ~attempts:0 ~backoff_ns:1 (fun () -> ()));
+       ignore
+         (Errors.with_retry ~attempts:0 ~backoff_ns:1 (fun () () -> ()) () ());
        false
      with Invalid_argument _ -> true)
 

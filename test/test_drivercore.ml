@@ -75,7 +75,7 @@ let removal_drains_in_flight () =
       (* a slow decaf-driver crossing from another thread ... *)
       ignore
         (K.Sched.spawn ~name:"slow-crossing" (fun () ->
-             let env = Driver_env.decaf () in
+             let env = Driver_env.decaf in
              env.Driver_env.upcall ~name:"slow_ioctl" ~bytes:8 (fun () ->
                  K.Sched.sleep_ns 1_000_000;
                  crossing_done := true)));
@@ -252,6 +252,66 @@ let reboot_forgets_bindings () =
         (E1000_drv.netdev t == nd && t != o)
   | _ -> Alcotest.fail "the new bind is not active"
 
+(* --- allocation per crossing through a bound binding --- *)
+
+(* A driver that keeps the env the registry hands its probe: the
+   binding's metered env, as every real driver gets it. *)
+module Env_probe = struct
+  type t = unit
+
+  let name = "envprobe"
+  let bus = K.Hotplug.Input
+  let ids = []
+  let env = ref Driver_env.native
+
+  let probe e ~dev:_ =
+    env := e;
+    Ok ()
+
+  let remove () = ()
+  let suspend () = ()
+  let resume () = ()
+  let owns () _ = false
+  let deferred_syncs () = 0
+  let init_latency_ns () = 0
+end
+
+(* A 64-byte upcall through the metered env on the workloads' XPC
+   configuration, from a kernel thread: words per call beyond the call
+   site's own closure (a constant here). The meter, the binding's
+   boundary scope, the env and the crossing build nothing; the 2 words
+   are the [Some] of the call's name, which Channel.call takes as an
+   optional context. 25 when the scope, the env and the crossing each
+   built closures or options. *)
+let metered_crossing_alloc () =
+  Scenario.boot ();
+  Driver_core.register (Driver_core.Pack (module Env_probe));
+  Decaf_xpc.Batch.set_enabled true;
+  Decaf_xpc.Marshal_plan.set_delta_enabled true;
+  Decaf_xpc.Dispatch.set_workers 4;
+  Decaf_xpc.Guard.set_enabled true;
+  Decaf_xpc.Ring.set_enabled true;
+  let words = ref nan in
+  Scenario.in_thread (fun () ->
+      insmod_ok "envprobe";
+      let env = !Env_probe.env in
+      let call () =
+        env.Driver_env.upcall ~name:"envprobe_ioctl" ~bytes:64 ignore
+      in
+      for _ = 1 to 100 do
+        call ()
+      done;
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        call ()
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int n;
+      Driver_core.rmmod "envprobe");
+  check_bool
+    (Printf.sprintf "%.1f words per metered upcall <= 2" !words)
+    true (!words <= 2.)
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "drivercore"
@@ -277,4 +337,5 @@ let () =
         [ tc "module params reset between probes" params_reset_between_probes ] );
       ( "reboot",
         [ tc "reboot forgets bindings" reboot_forgets_bindings ] );
+      ("allocation", [ tc "metered crossing" metered_crossing_alloc ]);
     ]

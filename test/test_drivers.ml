@@ -12,8 +12,8 @@ let mac = "\x00\x1b\x21\x0a\x0b\x0c"
 
 let env_of = function
   | Driver_env.Native -> Driver_env.native
-  | Driver_env.Staged -> Driver_env.staged ()
-  | Driver_env.Decaf -> Driver_env.decaf ()
+  | Driver_env.Staged -> Driver_env.staged
+  | Driver_env.Decaf -> Driver_env.decaf
 
 let in_thread f =
   let result = ref None in
@@ -100,7 +100,7 @@ let test_rtl8139_decaf_crossings () =
   ignore (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
   in_thread (fun () ->
       let t =
-        match Rtl8139_drv.insmod (Driver_env.decaf ()) with
+        match Rtl8139_drv.insmod Driver_env.decaf with
         | Ok t -> t
         | Error rc -> Alcotest.failf "insmod failed: %d" rc
       in
@@ -127,7 +127,7 @@ let test_rtl8139_frame_alloc () =
   ignore (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
   in_thread (fun () ->
       let t =
-        match Rtl8139_drv.insmod (Driver_env.decaf ()) with
+        match Rtl8139_drv.insmod Driver_env.decaf with
         | Ok t -> t
         | Error rc -> Alcotest.failf "insmod failed: %d" rc
       in
@@ -360,7 +360,7 @@ let test_e1000_bad_eeprom_rejected () =
   (* corrupt the EEPROM checksum *)
   Hw.Eeprom.write (Hw.E1000_hw.eeprom model) 10 0x1234;
   in_thread (fun () ->
-      match E1000_drv.insmod (Driver_env.decaf ()) with
+      match E1000_drv.insmod Driver_env.decaf with
       | Ok _ -> Alcotest.fail "probe should reject a bad EEPROM"
       | Error rc ->
           (* the module loader sees no bound device; the probe's EIO is
@@ -491,7 +491,7 @@ let test_ens1371_reject_bad_params () =
   K.Boot.boot ();
   ignore (setup_snd ());
   in_thread (fun () ->
-      match Ens1371_drv.insmod (Driver_env.decaf ()) with
+      match Ens1371_drv.insmod Driver_env.decaf with
       | Error rc -> Alcotest.failf "insmod failed: %d" rc
       | Ok t ->
           let sub = Ens1371_drv.substream t in
@@ -504,7 +504,7 @@ let test_ens1371_decaf_called_on_start_stop_only () =
   K.Boot.boot ();
   ignore (setup_snd ());
   in_thread (fun () ->
-      match Ens1371_drv.insmod (Driver_env.decaf ()) with
+      match Ens1371_drv.insmod Driver_env.decaf with
       | Error rc -> Alcotest.failf "insmod failed: %d" rc
       | Ok t ->
           let sub = Ens1371_drv.substream t in
@@ -608,7 +608,7 @@ let test_psmouse_negotiation_crossings () =
   K.Boot.boot ();
   ignore (Psmouse_drv.setup_device ());
   in_thread (fun () ->
-      match Psmouse_drv.insmod (Driver_env.decaf ()) with
+      match Psmouse_drv.insmod Driver_env.decaf with
       | Error rc -> Alcotest.failf "insmod failed: %d" rc
       | Ok t ->
           let st = Xpc.Channel.stats () in
@@ -625,7 +625,7 @@ let test_staged_mode_is_c_only () =
     (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
   in_thread (fun () ->
       let t =
-        match Rtl8139_drv.insmod (Driver_env.staged ()) with
+        match Rtl8139_drv.insmod Driver_env.staged with
         | Ok t -> t
         | Error rc -> Alcotest.failf "insmod failed: %d" rc
       in
@@ -715,7 +715,7 @@ let test_rtl8139_frames_unwritten () =
     (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac
        ~link ());
   check_frame_sharing ~link ~len:1000 ~frames:40 ~bring_up:(fun () ->
-      match Rtl8139_drv.insmod (Driver_env.decaf ()) with
+      match Rtl8139_drv.insmod Driver_env.decaf with
       | Ok t -> (Rtl8139_drv.netdev t, fun () -> Rtl8139_drv.rmmod t)
       | Error rc -> Alcotest.failf "insmod failed: %d" rc)
 

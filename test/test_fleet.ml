@@ -75,6 +75,26 @@ let ring_conserved () =
     s.Ring.produced
     (s.Ring.consumed + s.Ring.rejected + s.Ring.discarded + Ring.pending ())
 
+(* The XPC configuration every perfbench workload boots into: batch,
+   delta, 4 workers, guard and ring. *)
+let workloads_config () =
+  Batch.set_enabled true;
+  Decaf_xpc.Marshal_plan.set_delta_enabled true;
+  Decaf_xpc.Dispatch.set_workers 4;
+  Decaf_xpc.Guard.set_enabled true;
+  Ring.set_enabled true
+
+let median a =
+  let a = Array.copy a in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  (a.((n - 1) / 2) +. a.(n / 2)) /. 2.
+
+let words_of f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
 (* --- double bind: FSM and datapath isolation --- *)
 
 let double_bind_isolated () =
@@ -155,7 +175,7 @@ let per_instance_params () =
       E1000_drv.set_module_params ~tx_descriptors:1024 ~interrupt_throttle:8000
         ();
       let insmod_at i =
-        match E1000_drv.insmod ~dev:(slot_of i) (Driver_env.decaf ()) with
+        match E1000_drv.insmod ~dev:(slot_of i) Driver_env.decaf with
         | Ok t -> t
         | Error rc -> Alcotest.failf "insmod instance %d failed: %d" i rc
       in
@@ -274,11 +294,7 @@ let churn_keeps_invariants () =
    closures. *)
 let fleet_alloc_per_frame () =
   Scenario.boot ();
-  Batch.set_enabled true;
-  Decaf_xpc.Marshal_plan.set_delta_enabled true;
-  Decaf_xpc.Dispatch.set_workers 4;
-  Decaf_xpc.Guard.set_enabled true;
-  Ring.set_enabled true;
+  workloads_config ();
   let n = 4 in
   let links = setup_fleet n in
   Scenario.in_thread (fun () ->
@@ -531,32 +547,82 @@ let hotplug_visits_in_creation_order () =
    ratio is 3.17 (17,718 against 5,595 words). *)
 let bind_alloc_flat () =
   Scenario.boot ();
-  Batch.set_enabled true;
-  Decaf_xpc.Marshal_plan.set_delta_enabled true;
-  Decaf_xpc.Dispatch.set_workers 4;
-  Decaf_xpc.Guard.set_enabled true;
-  Ring.set_enabled true;
+  workloads_config ();
   let n = 256 in
   ignore (setup_fleet n);
   Scenario.in_thread (fun () ->
       let words =
         Array.init n (fun i ->
-            let w0 = Gc.minor_words () in
-            ignore (bind_ok ~dev:(slot_of i) "e1000");
-            Gc.minor_words () -. w0)
+            words_of (fun () -> ignore (bind_ok ~dev:(slot_of i) "e1000")))
       in
-      let median lo len =
-        let a = Array.sub words lo len in
-        Array.sort Float.compare a;
-        (a.((len / 2) - 1) +. a.(len / 2)) /. 2.
-      in
-      let early = median 16 16 and late = median (n - 16) 16 in
+      let early = median (Array.sub words 16 16)
+      and late = median (Array.sub words (n - 16) 16) in
       check_bool
         (Printf.sprintf "late binds %.0f words, early %.0f: ratio %.2f <= 1.10"
            late early (late /. early))
         true
         (late <= 1.10 *. early);
       List.iter Driver_core.rmmod (Driver_core.instances_of "e1000"))
+
+(* --- absolute bring-up gates on the workloads' configuration --- *)
+
+(* 64 e1000 binds: the median words of binds 17-64. A probe crosses to
+   the decaf driver and reads the EEPROM word by word, so this prices
+   the crossing, the handshake retry, the object names and the per-load
+   tables together: 1,575 words, 3,131 when each crossing built its
+   closures, options and stamp record. *)
+let e1000_bind_alloc () =
+  Scenario.boot ();
+  workloads_config ();
+  let n = 64 in
+  ignore (setup_fleet n);
+  Scenario.in_thread (fun () ->
+      let words =
+        Array.init n (fun i ->
+            words_of (fun () -> ignore (bind_ok ~dev:(slot_of i) "e1000")))
+      in
+      let m = median (Array.sub words 16 (n - 16)) in
+      check_bool (Printf.sprintf "%.0f words per e1000 bind <= 1730" m) true
+        (m <= 1730.);
+      List.iter Driver_core.rmmod (Driver_core.instances_of "e1000"))
+
+(* One bound e1000 suspended and resumed 40 times: the median words of
+   the last 32 cycles, 918 (1,727 with per-crossing closures). *)
+let e1000_pm_alloc () =
+  Scenario.boot ();
+  workloads_config ();
+  ignore (setup_fleet 1);
+  Scenario.in_thread (fun () ->
+      let id = bind_ok ~dev:(slot_of 0) "e1000" in
+      let ok what = function
+        | Ok () -> ()
+        | Error rc -> Alcotest.failf "%s failed: %d" what rc
+      in
+      let words =
+        Array.init 40 (fun _ ->
+            words_of (fun () ->
+                ok "suspend" (Driver_core.suspend id);
+                ok "resume" (Driver_core.resume id)))
+      in
+      let m = median (Array.sub words 8 32) in
+      check_bool
+        (Printf.sprintf "%.0f words per suspend and resume <= 1010" m)
+        true (m <= 1010.);
+      Driver_core.rmmod id)
+
+(* A whole machine booted onto the workloads' configuration 24 times:
+   the median words of the last 16 boots, 2,530 (5,378 when every lock
+   and tracker shard formatted its name with [Printf]). *)
+let machine_boot_alloc () =
+  let words =
+    Array.init 24 (fun _ ->
+        words_of (fun () ->
+            Scenario.boot ();
+            workloads_config ()))
+  in
+  let m = median (Array.sub words 8 16) in
+  check_bool (Printf.sprintf "%.0f words per boot <= 2780" m) true
+    (m <= 2780.)
 
 let () =
   Alcotest.run "fleet"
@@ -582,5 +648,10 @@ let () =
             bind_reuses_lowest_free;
           Alcotest.test_case "hotplug visits bindings in creation order"
             `Quick hotplug_visits_in_creation_order;
+          Alcotest.test_case "e1000 bind allocation" `Quick e1000_bind_alloc;
+          Alcotest.test_case "e1000 suspend and resume allocation" `Quick
+            e1000_pm_alloc;
+          Alcotest.test_case "machine boot allocation" `Quick
+            machine_boot_alloc;
         ] );
     ]

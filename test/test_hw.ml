@@ -43,17 +43,23 @@ let test_link_completion_order () =
   K.Boot.boot ();
   let slow = Link.create ~rate_bps:100_000_000 () in
   let fast = Link.create ~rate_bps:1_000_000_000 () in
-  let log = ref [] in
+  let log = ref [] and done_at = ref 0 and rx_at = ref 0 in
   let note fmt = Printf.ksprintf (fun s -> log := s :: !log) fmt in
   List.iter
     (fun (name, l) ->
       Link.set_peer l (fun _ frame -> note "%s peer %s" name (Bytes.to_string frame));
-      Link.connect l ~nic_rx:(fun frame -> note "%s nic %s" name (Bytes.to_string frame)))
+      Link.connect l ~nic_rx:(fun frame ->
+          rx_at := K.Clock.now ();
+          note "%s nic %s" name (Bytes.to_string frame)))
     [ ("slow", slow); ("fast", fast) ];
   let send name l i =
     let frame = Bytes.make 1000 ' ' in
     Bytes.blit_string (string_of_int i) 0 frame 0 1;
-    Link.transmit l ~stamp:i ~on_done:(fun st -> note "%s done %d" name st) frame
+    Link.transmit l ~stamp:i
+      ~on_done:(fun st ->
+        done_at := K.Clock.now ();
+        note "%s done %d" name st)
+      frame
   in
   let flap first =
     K.Faultinject.spec ~site:"hw.link" ~kind:K.Faultinject.Link_flap
@@ -84,7 +90,13 @@ let test_link_completion_order () =
   Alcotest.(check (list string))
     "only the frames sent after the reboot arrive"
     [ "fast nic 8"; "slow done 8"; "slow peer 8" ]
-    (List.rev_map String.trim !log)
+    (List.rev_map String.trim !log);
+  (* the old life's occupancy is gone: each frame takes its wire time
+     alone, 1,020 bytes at 100 Mb/s and 21 bytes at 1 Gb/s *)
+  check "the frame sent after the reboot completes at its wire time" 81_600
+    !done_at;
+  check "the frame injected after the reboot arrives at its wire time" 168
+    !rx_at
 
 (* --- Eeprom / Phy --- *)
 

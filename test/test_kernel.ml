@@ -211,11 +211,13 @@ let test_clock_alloc () =
 let test_clock_tracked_events () =
   Boot.boot ();
   let explicit = Latency.path "t.explicit" and span = Latency.path "t.span" in
-  let tr = Clock.track explicit in
+  let born = Clock.now () in
   Clock.consume 250;
-  check "complete returns the elapsed ns" 250 (Clock.complete tr);
+  Clock.complete_since explicit born;
   check "observation landed in the path's histogram" 1
     (Option.fold ~none:0 ~some:Latency.count (Latency.find "t.explicit"));
+  check "the sample is the elapsed 250 ns" 250
+    (Option.fold ~none:0 ~some:Latency.sum_ns (Latency.find "t.explicit"));
   Clock.track_begin span;
   Clock.consume 100;
   Clock.track_begin span;

@@ -25,7 +25,7 @@ let run_e1000_send () =
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
        ~mac:mac1 ~link ());
   in_thread (fun () ->
-      let t = Result.get_ok (E1000_drv.insmod (Driver_env.decaf ())) in
+      let t = Result.get_ok (E1000_drv.insmod Driver_env.decaf) in
       let nd = E1000_drv.netdev t in
       ignore (K.Netcore.open_dev nd);
       let r =
@@ -53,7 +53,7 @@ let test_repeated_insmod_rmmod () =
        ~mac:mac1 ~link ());
   in_thread (fun () ->
       for _cycle = 1 to 10 do
-        let t = Result.get_ok (E1000_drv.insmod (Driver_env.decaf ())) in
+        let t = Result.get_ok (E1000_drv.insmod Driver_env.decaf) in
         let nd = E1000_drv.netdev t in
         (match K.Netcore.open_dev nd with
         | Ok () -> ()
@@ -82,7 +82,7 @@ let test_two_nics_coexist () =
        ~mac:mac2 ~link:link2 ());
   in_thread (fun () ->
       let t1 = Result.get_ok (Rtl8139_drv.insmod Driver_env.native) in
-      let t2 = Result.get_ok (E1000_drv.insmod (Driver_env.decaf ())) in
+      let t2 = Result.get_ok (E1000_drv.insmod Driver_env.decaf) in
       let nd1 = Rtl8139_drv.netdev t1 and nd2 = E1000_drv.netdev t2 in
       check_bool "distinct interface names" true
         (K.Netcore.name nd1 <> K.Netcore.name nd2);

@@ -253,7 +253,10 @@ let test_plan_duplicate_rejected () =
 let test_channel_same_domain_free () =
   K.Boot.boot ();
   let t0 = K.Clock.now () in
-  let v = Channel.call ~target:Domain.Kernel (fun () -> 42) in
+  let v =
+    Channel.call ~target:Domain.Kernel ~payload_bytes:0 ~reply_bytes:0
+      (fun () -> 42)
+  in
   check "value" 42 v;
   check "no time" t0 (K.Clock.now ());
   check "no crossings" 0 (Channel.stats ()).Channel.kernel_user_calls
@@ -282,7 +285,9 @@ let test_channel_kernel_to_java_pays_both () =
   K.Boot.boot ();
   ignore
     (K.Sched.spawn (fun () ->
-         ignore (Channel.call ~target:Domain.Decaf_driver (fun () -> ()))));
+         ignore
+           (Channel.call ~target:Domain.Decaf_driver ~payload_bytes:0
+              ~reply_bytes:0 (fun () -> ()))));
   K.Sched.run ();
   let st = Channel.stats () in
   check "kernel/user leg" 1 st.Channel.kernel_user_calls;
@@ -297,7 +302,9 @@ let test_channel_c_java_cheaper_than_kernel () =
       (K.Sched.spawn (fun () ->
            Domain.with_domain Domain.Driver_lib (fun () ->
                let t0 = K.Clock.now () in
-               ignore (Channel.call ~target ~payload_bytes:64 (fun () -> ()));
+               ignore
+                 (Channel.call ~target ~payload_bytes:64 ~reply_bytes:0
+                    (fun () -> ()));
                spent := K.Clock.now () - t0)));
     K.Sched.run ();
     !spent
@@ -315,7 +322,10 @@ let test_channel_upcall_blocked_under_spinlock () =
     (K.Sched.spawn (fun () ->
          let l = K.Sync.Spinlock.create () in
          K.Sync.Spinlock.lock l;
-         (try ignore (Channel.call ~target:Domain.Decaf_driver (fun () -> ()))
+         (try
+            ignore
+              (Channel.call ~target:Domain.Decaf_driver ~payload_bytes:0
+                 ~reply_bytes:0 (fun () -> ()))
           with K.Sched.Would_block_in_atomic _ -> raised := true);
          K.Sync.Spinlock.unlock l));
   K.Sched.run ();
@@ -325,7 +335,10 @@ let test_channel_upcall_blocked_in_irq () =
   K.Boot.boot ();
   let raised = ref false in
   K.Irq.request_irq 4 ~name:"t" (fun () ->
-      try ignore (Channel.call ~target:Domain.Driver_lib (fun () -> ()))
+      try
+        ignore
+          (Channel.call ~target:Domain.Driver_lib ~payload_bytes:0
+             ~reply_bytes:0 (fun () -> ()))
       with K.Sched.Would_block_in_atomic _ -> raised := true);
   K.Irq.raise_irq 4;
   check_bool "upcall from interrupt forbidden" true !raised
@@ -404,8 +417,8 @@ let test_channel_fault_raises_failure () =
     (K.Sched.spawn (fun () ->
          try
            ignore
-             (Channel.call ~target:Domain.Driver_lib ~context:"frob" (fun () ->
-                  1))
+             (Channel.call ~target:Domain.Driver_lib ~payload_bytes:0
+                ~reply_bytes:0 ~context:"frob" (fun () -> 1))
          with Channel.Xpc_failure { attempts; _ } -> observed := Some attempts));
   K.Sched.run ();
   K.Faultinject.disarm ();
@@ -427,8 +440,9 @@ let test_channel_idempotent_retry () =
   ignore
     (K.Sched.spawn (fun () ->
          result :=
-           Channel.call ~target:Domain.Driver_lib ~idempotent:true
-             ~context:"read_config" (fun () -> 99)));
+           Channel.call ~target:Domain.Driver_lib ~payload_bytes:0
+             ~reply_bytes:0 ~idempotent:true ~context:"read_config" (fun () ->
+               99)));
   K.Sched.run ();
   K.Faultinject.disarm ();
   check "retried to success" 99 !result;
@@ -448,8 +462,9 @@ let test_channel_idempotent_exhausts () =
     (K.Sched.spawn (fun () ->
          try
            ignore
-             (Channel.call ~target:Domain.Driver_lib ~idempotent:true
-                ~context:"read_config" (fun () -> ()))
+             (Channel.call ~target:Domain.Driver_lib ~payload_bytes:0
+                ~reply_bytes:0 ~idempotent:true ~context:"read_config"
+                (fun () -> ()))
          with Channel.Xpc_failure { attempts; _ } -> attempts_seen := attempts));
   K.Sched.run ();
   K.Faultinject.disarm ();
@@ -624,7 +639,7 @@ let test_channel_direct_marshaling_cheaper () =
            let t0 = K.Clock.now () in
            ignore
              (Channel.call ~target:Domain.Decaf_driver ~payload_bytes:256
-                (fun () -> ()));
+                ~reply_bytes:0 (fun () -> ()));
            spent := K.Clock.now () - t0));
     K.Sched.run ();
     !spent
@@ -949,18 +964,21 @@ let test_dispatch_admission_per_thread () =
   let log tag = order := tag :: !order in
   ignore
     (K.Sched.spawn ~name:"a" (fun () ->
-         Dispatch.with_worker ~target:Domain.Decaf_driver (fun () ->
+         Dispatch.with_worker ~target:Domain.Decaf_driver
+           (fun () () ->
              log "a-enter";
              K.Sched.sleep_ns 1_000_000;
-             log "a-exit")));
+             log "a-exit")
+           () ()));
   ignore
     (K.Sched.spawn ~name:"b" (fun () ->
          K.Sched.sleep_ns 10_000;
          (* B serves no crossing here: this charge must be dropped, not
             credited to A's suspended lane. *)
          Dispatch.note 777;
-         Dispatch.with_worker ~target:Domain.Decaf_driver (fun () ->
-             log "b-enter")));
+         Dispatch.with_worker ~target:Domain.Decaf_driver
+           (fun () () -> log "b-enter")
+           () ()));
   K.Sched.run ();
   Alcotest.(check (list string))
     "b admitted only after a's crossing exits"
@@ -1168,7 +1186,8 @@ let crossing_unwinds ~block () =
     (K.Sched.spawn ~name:"caller" (fun () ->
          Boundary.scoped "outer" (fun () ->
              (try
-                Channel.call ~target:Domain.Decaf_driver (fun () ->
+                Channel.call ~target:Domain.Decaf_driver ~payload_bytes:0
+                  ~reply_bytes:0 (fun () ->
                     Boundary.scoped "inner" (fun () ->
                         if block then K.Sync.Waitq.wait wq;
                         raise Callee_failed))
@@ -1184,10 +1203,12 @@ let crossing_unwinds ~block () =
              let admitted, busy = lanes () in
              Dispatch.note 777;
              check "no lane charged after the crossing" busy (snd (lanes ()));
-             Channel.call ~target:Domain.Decaf_driver (fun () ->
-                 Channel.call ~target:Domain.Kernel (fun () ->
-                     Channel.call ~target:Domain.Decaf_driver (fun () ->
-                         nested := true)));
+             Channel.call ~target:Domain.Decaf_driver ~payload_bytes:0
+               ~reply_bytes:0 (fun () ->
+                 Channel.call ~target:Domain.Kernel ~payload_bytes:0
+                   ~reply_bytes:0 (fun () ->
+                     Channel.call ~target:Domain.Decaf_driver ~payload_bytes:0
+                       ~reply_bytes:0 (fun () -> nested := true)));
              check "the nested crossing stayed on the caller's lane"
                (admitted + 1) (fst (lanes ())))));
   if block then
@@ -1228,23 +1249,26 @@ let words_per_call ~domain f =
 
 (* A kernel-to-decaf upcall of 64 + 64 bytes: the in-flight counts and
    pools are indexed by domain and the serving lane by tid, so the
-   crossing hashes nothing and builds no fault-site string. *)
+   crossing hashes nothing and builds no fault-site string; its byte
+   counts are plain ints, its birth an int, and the lane gets [f] as an
+   argument, so it allocates nothing at all. *)
 let test_channel_call_alloc () =
   let words =
     words_per_call ~domain:Domain.Kernel (fun () ->
         Channel.call ~target:Domain.Decaf_driver ~payload_bytes:64
           ~reply_bytes:64 ignore)
   in
-  check_bool (Printf.sprintf "%.1f words per upcall <= 11" words) true
-    (words <= 11.)
+  check_bool (Printf.sprintf "%.1f words per upcall = 0" words) true
+    (words = 0.)
 
 let test_channel_downcall_alloc () =
   let words =
     words_per_call ~domain:Domain.Decaf_driver (fun () ->
-        Channel.call ~target:Domain.Kernel ~payload_bytes:8 ignore)
+        Channel.call ~target:Domain.Kernel ~payload_bytes:8 ~reply_bytes:0
+          ignore)
   in
-  check_bool (Printf.sprintf "%.1f words per downcall <= 11" words) true
-    (words <= 11.)
+  check_bool (Printf.sprintf "%.1f words per downcall = 0" words) true
+    (words = 0.)
 
 (* --- allocation per boundary check: every probe is keyed by what the
    caller holds (address, handle slot, field position), not by a
