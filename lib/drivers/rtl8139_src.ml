@@ -400,9 +400,7 @@ let lint_waivers : Decaf_slicer.Lint.waiver list =
       w_pass = Annotation_soundness;
       w_anchor = "rtl8139_private";
       w_line = 11;
-      w_reason =
-        "pre-conversion corpus: the C bodies remain the slicer's input, and \
-         the legacy plan counts the mac_addr array-element store as a read";
+      w_reason = "pre-conversion corpus: the C bodies remain the slicer's input";
     };
     {
       w_pass = Inbound_validation;

@@ -22,8 +22,8 @@ type t = {
   mutable objtracker_lookup_ns : int;  (** one object-tracker lookup *)
   mutable xpc_dispatch_ns : int;
       (** per-upcall worker-pool admission overhead; charged to the
-          serving worker's lane in the dispatch accounting, not to the
-          global clock *)
+          serving worker's lane in the dispatch accounting and, like
+          every lane charge, consumed on the global clock too *)
   mutable guard_check_ns : int;
       (** one boundary-validation check on an inbound field (range/enum/
           length/writability), charged per validated field when

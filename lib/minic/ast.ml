@@ -111,47 +111,11 @@ type global =
 
 type file = { source : string; globals : global list }
 
-(* --- Traversal helpers --- *)
+(* --- Traversals --- *)
 
-(** Fold [f] over every expression in a statement list, including
-    sub-expressions. *)
-let rec fold_exprs_stmt f acc (s : stmt) =
-  match s.skind with
-  | Sexpr e -> fold_expr f acc e
-  | Sdecl (_, _, Some e) -> fold_expr f acc e
-  | Sdecl (_, _, None) -> acc
-  | Sif (c, a, b) ->
-      let acc = fold_expr f acc c in
-      let acc = fold_exprs_stmts f acc a in
-      fold_exprs_stmts f acc b
-  | Swhile (c, body) ->
-      let acc = fold_expr f acc c in
-      fold_exprs_stmts f acc body
-  | Sdo (body, c) ->
-      let acc = fold_exprs_stmts f acc body in
-      fold_expr f acc c
-  | Sfor (init, cond, update, body) ->
-      let acc = match init with Some s -> fold_exprs_stmt f acc s | None -> acc in
-      let acc = match cond with Some e -> fold_expr f acc e | None -> acc in
-      let acc = match update with Some e -> fold_expr f acc e | None -> acc in
-      fold_exprs_stmts f acc body
-  | Sreturn (Some e) -> fold_expr f acc e
-  | Sswitch (e, cases) ->
-      let acc = fold_expr f acc e in
-      List.fold_left
-        (fun acc case ->
-          match case with
-          | Case (_, body) | Default body -> fold_exprs_stmts f acc body)
-        acc cases
-  | Sreturn None | Sgoto _ | Slabel _ | Sbreak | Scontinue -> acc
-  | Sblock body -> fold_exprs_stmts f acc body
-
-and fold_exprs_stmts f acc stmts = List.fold_left (fold_exprs_stmt f) acc stmts
-
-and fold_expr f acc e =
-  let acc = f acc e in
-  match e with
-  | Econst _ | Estr _ | Echar _ | Eident _ | Esizeof_type _ -> acc
+(** An expression's immediate sub-expressions, in evaluation order. *)
+let children = function
+  | Econst _ | Estr _ | Echar _ | Eident _ | Esizeof_type _ -> []
   | Eunop (_, a)
   | Ecast (_, a)
   | Esizeof_expr a
@@ -161,14 +125,52 @@ and fold_expr f acc e =
   | Epostdecr a
   | Epreincr a
   | Epredecr a ->
-      fold_expr f acc a
-  | Ebinop (_, a, b) | Eassign (_, a, b) | Eindex (a, b) ->
-      fold_expr f (fold_expr f acc a) b
-  | Econd (a, b, c) -> fold_expr f (fold_expr f (fold_expr f acc a) b) c
-  | Ecall (callee, args) ->
-      List.fold_left (fold_expr f) (fold_expr f acc callee) args
+      [ a ]
+  | Ebinop (_, a, b) | Eassign (_, a, b) | Eindex (a, b) -> [ a; b ]
+  | Econd (a, b, c) -> [ a; b; c ]
+  | Ecall (callee, args) -> callee :: args
 
-let fold_exprs_func f acc (fn : func) = fold_exprs_stmts f acc fn.fbody
+(** Every statement of a body, nested ones included, in pre-order: a
+    statement comes before the statements it contains (a [for]'s init
+    first, then its body; an [if]'s then-branch before its else-branch;
+    switch cases in order). *)
+let rec stmts body =
+  List.concat_map
+    (fun s ->
+      s
+      ::
+      (match s.skind with
+      | Sif (_, a, b) -> stmts a @ stmts b
+      | Swhile (_, b) | Sdo (b, _) | Sblock b -> stmts b
+      | Sfor (init, _, _, b) -> stmts (Option.to_list init) @ stmts b
+      | Sswitch (_, cases) ->
+          List.concat_map (function Case (_, b) | Default b -> stmts b) cases
+      | Sexpr _ | Sdecl _ | Sreturn _ | Sgoto _ | Slabel _ | Sbreak
+      | Scontinue ->
+          []))
+    body
+
+(** The expressions a statement itself evaluates, not those of the
+    statements nested in it: a condition, a [for]'s condition and update,
+    an initializer, a returned or bare expression. *)
+let exprs_of s =
+  match s.skind with
+  | Sexpr e | Sdecl (_, _, Some e) | Sreturn (Some e) -> [ e ]
+  | Sif (c, _, _) | Swhile (c, _) | Sdo (_, c) | Sswitch (c, _) -> [ c ]
+  | Sfor (_, cond, update, _) -> Option.to_list cond @ Option.to_list update
+  | Sdecl (_, _, None) | Sreturn None | Sgoto _ | Slabel _ | Sbreak
+  | Scontinue | Sblock _ ->
+      []
+
+(** Fold [f] over an expression and all its sub-expressions, parents
+    before children. *)
+let rec fold_expr f acc e = List.fold_left (fold_expr f) (f acc e) (children e)
+
+(** Fold [f] over every expression node of a body, each exactly once:
+    statements in {!stmts} order, each statement's {!exprs_of} through
+    {!fold_expr}. *)
+let fold_exprs_stmts f acc body =
+  List.fold_left (fold_expr f) acc (List.concat_map exprs_of (stmts body))
 
 let functions file =
   List.filter_map (function Gfunc f -> Some f | _ -> None) file.globals

@@ -9,94 +9,27 @@ type t = {
 }
 
 (* Collect, for one function body: direct callee names, whether it makes
-   indirect calls, and which function names appear outside call position
-   (address taken). *)
+   indirect calls, and the identifiers used as values anywhere other than
+   as the callee of a direct call (a function named there has its
+   address taken). *)
 let analyze_body (fn : Ast.func) =
-  let direct = ref Sset.empty in
-  let indirect = ref false in
-  let taken = ref Sset.empty in
-  let visit () e =
-    match e with
-    | Ast.Ecall (Ast.Eident callee, _) -> direct := Sset.add callee !direct
-    | Ast.Ecall (_, _) -> indirect := true
-    | _ -> ()
+  let direct, indirect =
+    Ast.fold_exprs_stmts
+      (fun (direct, indirect) e ->
+        match e with
+        | Ast.Ecall (Ast.Eident callee, _) -> (Sset.add callee direct, indirect)
+        | Ast.Ecall (_, _) -> (direct, true)
+        | _ -> (direct, indirect))
+      (Sset.empty, false) fn.Ast.fbody
   in
-  Ast.fold_exprs_func visit () fn;
-  (* Second pass for address-taken: an identifier appearing anywhere other
-     than as the callee of a direct call. We approximate by counting
-     occurrences: ids referenced more often than they are directly called,
-     or referenced under Addr_of / as call arguments. *)
-  let note_ident e =
+  let rec value_idents acc e =
     match e with
-    | Ast.Eident x -> taken := Sset.add x !taken
-    | _ -> ()
+    | Ast.Ecall (Ast.Eident _, args) -> List.fold_left value_idents acc args
+    | Ast.Eident x -> Sset.add x acc
+    | _ -> List.fold_left value_idents acc (Ast.children e)
   in
-  let rec scan_value_positions e =
-    match e with
-    | Ast.Ecall (Ast.Eident _, args) -> List.iter scan_value_positions args
-    | Ast.Ecall (callee, args) ->
-        scan_value_positions callee;
-        List.iter scan_value_positions args
-    | _ ->
-        note_ident e;
-        scan_children e
-  and scan_children e =
-    match e with
-    | Ast.Econst _ | Ast.Estr _ | Ast.Echar _ | Ast.Eident _
-    | Ast.Esizeof_type _ ->
-        ()
-    | Ast.Eunop (_, a)
-    | Ast.Ecast (_, a)
-    | Ast.Esizeof_expr a
-    | Ast.Efield (a, _)
-    | Ast.Earrow (a, _)
-    | Ast.Epostincr a
-    | Ast.Epostdecr a
-    | Ast.Epreincr a
-    | Ast.Epredecr a ->
-        scan_value_positions a
-    | Ast.Ebinop (_, a, b) | Ast.Eassign (_, a, b) | Ast.Eindex (a, b) ->
-        scan_value_positions a;
-        scan_value_positions b
-    | Ast.Econd (a, b, c) ->
-        scan_value_positions a;
-        scan_value_positions b;
-        scan_value_positions c
-    | Ast.Ecall _ -> scan_value_positions e
-  in
-  let scan_stmt_exprs () e = scan_value_positions e in
-  let rec seed_stmt (s : Ast.stmt) =
-    match s.skind with
-    | Sexpr e -> scan_stmt_exprs () e
-    | Sdecl (_, _, Some e) -> scan_stmt_exprs () e
-    | Sdecl (_, _, None) -> ()
-    | Sif (c, a, b) ->
-        scan_stmt_exprs () c;
-        List.iter seed_stmt a;
-        List.iter seed_stmt b
-    | Swhile (c, body) ->
-        scan_stmt_exprs () c;
-        List.iter seed_stmt body
-    | Sdo (body, c) ->
-        List.iter seed_stmt body;
-        scan_stmt_exprs () c
-    | Sfor (init, cond, update, body) ->
-        Option.iter seed_stmt init;
-        Option.iter (scan_stmt_exprs ()) cond;
-        Option.iter (scan_stmt_exprs ()) update;
-        List.iter seed_stmt body
-    | Sreturn (Some e) -> scan_stmt_exprs () e
-    | Sswitch (e, cases) ->
-        scan_stmt_exprs () e;
-        List.iter
-          (function
-            | Ast.Case (_, body) | Ast.Default body -> List.iter seed_stmt body)
-          cases
-    | Sreturn None | Sgoto _ | Slabel _ | Sbreak | Scontinue -> ()
-    | Sblock body -> List.iter seed_stmt body
-  in
-  List.iter seed_stmt fn.Ast.fbody;
-  (!direct, !indirect, !taken)
+  let exprs = List.concat_map Ast.exprs_of (Ast.stmts fn.Ast.fbody) in
+  (direct, indirect, List.fold_left value_idents Sset.empty exprs)
 
 let build (file : Ast.file) =
   let funcs = Ast.functions file in
@@ -153,10 +86,6 @@ let callers t name =
   |> List.filter (fun caller -> List.mem name (callees t caller))
 
 let address_taken t = Sset.elements t.taken
-
-let indirect_sites t = Sset.elements t.indirect_sites
-
-let has_indirect_call t name = Sset.mem name t.indirect_sites
 
 let reachable t ~roots =
   let rec go visited frontier =

@@ -21,14 +21,6 @@ val external_callees : t -> string -> string list
 val callers : t -> string -> string list
 val address_taken : t -> string list
 
-val indirect_sites : t -> string list
-(** Functions whose body contains at least one call through a function
-    pointer (ops-table dispatch). Analyses that rely on call edges
-    should treat these conservatively: any address-taken function may be
-    the target. *)
-
-val has_indirect_call : t -> string -> bool
-
 val reachable : t -> roots:string list -> string list
 (** Defined functions transitively reachable from the roots (roots
     included when defined), sorted. *)

@@ -207,5 +207,4 @@ let file ppf (f : Ast.file) =
 let with_str pp v = Format.asprintf "%a" pp v
 let typ_to_string = with_str typ
 let expr_to_string = with_str expr
-let func_to_string = with_str func
 let file_to_string = with_str file

@@ -13,5 +13,4 @@ val file : Format.formatter -> Ast.file -> unit
 
 val typ_to_string : Ast.typ -> string
 val expr_to_string : Ast.expr -> string
-val func_to_string : Ast.func -> string
 val file_to_string : Ast.file -> string

@@ -25,7 +25,6 @@ let build (file : Ast.file) =
   { funcs; struct_defs; typedefs; decls; order = List.rev !order }
 
 let functions t = List.filter_map (Hashtbl.find_opt t.funcs) t.order
-let function_names t = t.order
 let find_function t name = Hashtbl.find_opt t.funcs name
 
 let structs t =

@@ -4,7 +4,6 @@ type t
 
 val build : Ast.file -> t
 val functions : t -> Ast.func list
-val function_names : t -> string list
 val find_function : t -> string -> Ast.func option
 val structs : t -> Ast.struct_def list
 val find_struct : t -> string -> Ast.struct_def option

@@ -1,7 +1,6 @@
 module Ast = Decaf_minic.Ast
 module Pp = Decaf_minic.Pp
-
-type access = Read | Write | Read_write
+module Plan = Decaf_xpc.Marshal_plan
 
 type field_annot = {
   fa_struct : string;
@@ -12,7 +11,7 @@ type field_annot = {
 
 type var_annot = {
   va_function : string;
-  va_access : access;
+  va_access : Plan.access;
   va_path : string;
   va_field : string;
   va_line : int;
@@ -20,10 +19,12 @@ type var_annot = {
 
 type t = { fields : field_annot list; vars : var_annot list }
 
+let is_macro name = String.starts_with ~prefix:"DECAF_" name
+
 let access_of_macro = function
-  | "DECAF_RVAR" -> Some Read
-  | "DECAF_WVAR" -> Some Write
-  | "DECAF_RWVAR" -> Some Read_write
+  | "DECAF_RVAR" -> Some Plan.Read
+  | "DECAF_WVAR" -> Some Plan.Write
+  | "DECAF_RWVAR" -> Some Plan.Read_write
   | _ -> None
 
 let rec last_field = function
@@ -49,9 +50,9 @@ let collect_field_annots (file : Ast.file) =
         s.Ast.sfields)
     (Ast.structs file)
 
-(* Walk statements rather than bare expressions so each annotation keeps
-   the line of its enclosing statement (annotation macros are always
-   expression statements, but sub-expressions are covered too). *)
+(* Each annotation keeps the line of its enclosing statement
+   (annotation macros are always expression statements, but
+   sub-expressions are covered too). *)
 let collect_var_annots (file : Ast.file) =
   let in_function (fn : Ast.func) =
     let note line acc e =
@@ -70,44 +71,12 @@ let collect_var_annots (file : Ast.file) =
           | None -> acc)
       | _ -> acc
     in
-    let rec in_stmt acc (s : Ast.stmt) =
-      let line = s.Ast.sloc.Decaf_minic.Loc.line in
-      let acc =
-        match s.Ast.skind with
-        | Sexpr e | Sdecl (_, _, Some e) -> Ast.fold_expr (note line) acc e
-        | Sif (c, a, b) ->
-            let acc = Ast.fold_expr (note line) acc c in
-            List.fold_left in_stmt (List.fold_left in_stmt acc a) b
-        | Swhile (c, body) ->
-            List.fold_left in_stmt (Ast.fold_expr (note line) acc c) body
-        | Sdo (body, c) ->
-            Ast.fold_expr (note line) (List.fold_left in_stmt acc body) c
-        | Sfor (init, cond, update, body) ->
-            let acc = match init with Some s -> in_stmt acc s | None -> acc in
-            let acc =
-              List.fold_left
-                (fun acc e -> Ast.fold_expr (note line) acc e)
-                acc
-                (Option.to_list cond @ Option.to_list update)
-            in
-            List.fold_left in_stmt acc body
-        | Sreturn (Some e) -> Ast.fold_expr (note line) acc e
-        | Sswitch (e, cases) ->
-            let acc = Ast.fold_expr (note line) acc e in
-            List.fold_left
-              (fun acc case ->
-                match case with
-                | Ast.Case (_, body) | Ast.Default body ->
-                    List.fold_left in_stmt acc body)
-              acc cases
-        | Sblock body -> List.fold_left in_stmt acc body
-        | Sdecl (_, _, None) | Sreturn None | Sgoto _ | Slabel _ | Sbreak
-        | Scontinue ->
-            acc
-      in
-      acc
-    in
-    List.fold_left in_stmt [] fn.Ast.fbody |> List.rev
+    List.fold_left
+      (fun acc (s : Ast.stmt) ->
+        let line = s.Ast.sloc.Decaf_minic.Loc.line in
+        List.fold_left (Ast.fold_expr (note line)) acc (Ast.exprs_of s))
+      [] (Ast.stmts fn.Ast.fbody)
+    |> List.rev
   in
   List.concat_map in_function (Ast.functions file)
 
@@ -115,8 +84,3 @@ let collect file =
   { fields = collect_field_annots file; vars = collect_var_annots file }
 
 let count_lines t = List.length t.fields + List.length t.vars
-
-let plan_access = function
-  | Read -> Decaf_xpc.Marshal_plan.Read
-  | Write -> Decaf_xpc.Marshal_plan.Write
-  | Read_write -> Decaf_xpc.Marshal_plan.Read_write

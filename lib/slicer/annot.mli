@@ -9,8 +9,6 @@
       entry-point functions declaring that the decaf driver reads and/or
       writes variable [x]. *)
 
-type access = Read | Write | Read_write
-
 type field_annot = {
   fa_struct : string;
   fa_field : string;
@@ -20,7 +18,7 @@ type field_annot = {
 
 type var_annot = {
   va_function : string;  (** entry point containing the annotation *)
-  va_access : access;
+  va_access : Decaf_xpc.Marshal_plan.access;
   va_path : string;  (** annotated expression, e.g. "adapter->msg_enable" *)
   va_field : string;  (** last path component *)
   va_line : int;  (** source line of the annotation statement *)
@@ -30,8 +28,10 @@ type t = { fields : field_annot list; vars : var_annot list }
 
 val collect : Decaf_minic.Ast.file -> t
 
+val is_macro : string -> bool
+(** Whether a called name is an annotation macro ([DECAF_]-prefixed):
+    an annotation, not a field access or a call across the boundary. *)
+
 val count_lines : t -> int
 (** Number of annotation sites — the "DriverSlicer Annotations" column of
     Table 2. *)
-
-val plan_access : access -> Decaf_xpc.Marshal_plan.access

@@ -13,25 +13,13 @@ type violation = {
 
 (* Does the function body contain [return -CONST]? *)
 let returns_negative_constant (fn : Ast.func) =
-  let rec in_stmt (s : Ast.stmt) =
-    match s.Ast.skind with
-    | Sreturn (Some (Ast.Econst n)) -> n < 0
-    | Sreturn (Some (Ast.Eunop (Ast.Neg, Ast.Econst n))) -> n > 0
-    | Sreturn _ | Sexpr _ | Sdecl _ | Sgoto _ | Slabel _ | Sbreak | Scontinue ->
-        false
-    | Sif (_, a, b) -> List.exists in_stmt a || List.exists in_stmt b
-    | Swhile (_, b) | Sblock b -> List.exists in_stmt b
-    | Sdo (b, _) -> List.exists in_stmt b
-    | Sfor (i, _, _, b) ->
-        (match i with Some s -> in_stmt s | None -> false)
-        || List.exists in_stmt b
-    | Sswitch (_, cases) ->
-        List.exists
-          (function
-            | Ast.Case (_, body) | Ast.Default body -> List.exists in_stmt body)
-          cases
-  in
-  List.exists in_stmt fn.Ast.fbody
+  List.exists
+    (fun (s : Ast.stmt) ->
+      match s.Ast.skind with
+      | Sreturn (Some (Ast.Econst n)) -> n < 0
+      | Sreturn (Some (Ast.Eunop (Ast.Neg, Ast.Econst n))) -> n > 0
+      | _ -> false)
+    (Ast.stmts fn.Ast.fbody)
 
 (* Direct callees whose value can escape through this function's return:
    either [return f(...)] directly, or [v = f(...); ... return v]. *)
@@ -45,32 +33,19 @@ let propagates_call_of (fn : Ast.func) =
     in
     Hashtbl.replace assigned_from var (Sset.add callee prev)
   in
-  let rec in_stmt (s : Ast.stmt) =
-    match s.Ast.skind with
-    | Sreturn (Some (Ast.Ecall (Ast.Eident callee, _))) ->
-        direct := Sset.add callee !direct
-    | Sreturn (Some (Ast.Eident v)) -> returned_vars := Sset.add v !returned_vars
-    | Sexpr (Ast.Eassign (None, Ast.Eident v, Ast.Ecall (Ast.Eident callee, _)))
-    | Sdecl (_, v, Some (Ast.Ecall (Ast.Eident callee, _))) ->
-        note_assign v callee
-    | Sif (_, a, b) ->
-        List.iter in_stmt a;
-        List.iter in_stmt b
-    | Swhile (_, b) | Sblock b -> List.iter in_stmt b
-    | Sdo (b, _) -> List.iter in_stmt b
-    | Sfor (i, _, _, b) ->
-        Option.iter in_stmt i;
-        List.iter in_stmt b
-    | Sswitch (_, cases) ->
-        List.iter
-          (function
-            | Ast.Case (_, body) | Ast.Default body -> List.iter in_stmt body)
-          cases
-    | Sreturn _ | Sexpr _ | Sdecl _ | Sgoto _ | Slabel _ | Sbreak | Scontinue
-      ->
-        ()
-  in
-  List.iter in_stmt fn.Ast.fbody;
+  List.iter
+    (fun (s : Ast.stmt) ->
+      match s.Ast.skind with
+      | Sreturn (Some (Ast.Ecall (Ast.Eident callee, _))) ->
+          direct := Sset.add callee !direct
+      | Sreturn (Some (Ast.Eident v)) ->
+          returned_vars := Sset.add v !returned_vars
+      | Sexpr
+          (Ast.Eassign (None, Ast.Eident v, Ast.Ecall (Ast.Eident callee, _)))
+      | Sdecl (_, v, Some (Ast.Ecall (Ast.Eident callee, _))) ->
+          note_assign v callee
+      | _ -> ())
+    (Ast.stmts fn.Ast.fbody);
   Sset.fold
     (fun var acc ->
       match Hashtbl.find_opt assigned_from var with
@@ -102,51 +77,21 @@ let error_returning_functions (file : Ast.file) ~extra =
   in
   Sset.elements (fixpoint base)
 
-(* Flatten a body into a linear statement sequence (approximating control
-   flow for the never-read-after analysis). *)
-let rec flatten (stmts : Ast.stmt list) =
-  List.concat_map
-    (fun (s : Ast.stmt) ->
-      s
-      ::
-      (match s.Ast.skind with
-      | Sif (_, a, b) -> flatten a @ flatten b
-      | Swhile (_, b) | Sblock b -> flatten b
-      | Sdo (b, _) -> flatten b
-      | Sfor (i, _, _, b) ->
-          (match i with Some s -> [ s ] | None -> []) @ flatten b
-      | Sswitch (_, cases) ->
-          List.concat_map
-            (function
-              | Ast.Case (_, body) | Ast.Default body -> flatten body)
-            cases
-      | Sexpr _ | Sdecl _ | Sreturn _ | Sgoto _ | Slabel _ | Sbreak
-      | Scontinue ->
-          []))
-    stmts
-
 let expr_mentions var e =
   Ast.fold_expr
     (fun acc e -> acc || match e with Ast.Eident x -> x = var | _ -> false)
     false e
 
-let stmt_mentions var (s : Ast.stmt) =
-  match s.Ast.skind with
-  | Sexpr e | Sdecl (_, _, Some e) | Sreturn (Some e) -> expr_mentions var e
-  | Sif (c, _, _) | Swhile (c, _) | Sdo (_, c) -> expr_mentions var c
-  | Sfor (_, c, u, _) ->
-      (match c with Some e -> expr_mentions var e | None -> false)
-      || (match u with Some e -> expr_mentions var e | None -> false)
-  | Sswitch (c, _) -> expr_mentions var c
-  | Sblock _ (* children appear separately in the flattened sequence *)
-  | Sdecl (_, _, None)
-  | Sreturn None | Sgoto _ | Slabel _ | Sbreak | Scontinue ->
-      false
+(* Nested statements appear separately in the {!Ast.stmts} sequence, so
+   only the statement's own expressions count. *)
+let stmt_mentions var s = List.exists (expr_mentions var) (Ast.exprs_of s)
 
 let find_violations (file : Ast.file) ~extra =
   let errfns = Sset.of_list (error_returning_functions file ~extra) in
   let check_function (fn : Ast.func) =
-    let linear = flatten fn.Ast.fbody in
+    (* the pre-order sequence approximates control flow for the
+       never-read-after test *)
+    let linear = Ast.stmts fn.Ast.fbody in
     let rec scan acc = function
       | [] -> acc
       | (s : Ast.stmt) :: rest -> (
@@ -260,22 +205,7 @@ let flow_check_function errfns (fn : Ast.func) =
             Smap.add v Checked env)
     | Ast.Eident v ->
         if Smap.mem v env then Smap.add v Checked env else env
-    | Ast.Econst _ | Ast.Estr _ | Ast.Echar _ | Ast.Esizeof_type _ -> env
-    | Ast.Eunop (_, a)
-    | Ast.Ecast (_, a)
-    | Ast.Esizeof_expr a
-    | Ast.Efield (a, _)
-    | Ast.Earrow (a, _)
-    | Ast.Epostincr a
-    | Ast.Epostdecr a
-    | Ast.Epreincr a
-    | Ast.Epredecr a ->
-        eval env line a
-    | Ast.Ebinop (_, a, b) | Ast.Eindex (a, b) | Ast.Eassign (_, a, b) ->
-        eval (eval env line a) line b
-    | Ast.Econd (a, b, c) -> eval (eval (eval env line a) line b) line c
-    | Ast.Ecall (callee, args) ->
-        List.fold_left (fun env a -> eval env line a) (eval env line callee) args
+    | _ -> List.fold_left (fun env a -> eval env line a) env (Ast.children e)
   in
   let drop_all env =
     Smap.iter
@@ -403,7 +333,7 @@ let is_propagation (s : Ast.stmt) =
   | _ -> false
 
 let propagation_sites (fn : Ast.func) =
-  List.length (List.filter is_propagation (flatten fn.Ast.fbody))
+  List.length (List.filter is_propagation (Ast.stmts fn.Ast.fbody))
 
 let func_loc source (fn : Ast.func) =
   Loc_count.count_range Loc_count.C source ~first:fn.Ast.floc_start.Loc.line

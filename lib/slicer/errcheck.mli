@@ -7,7 +7,8 @@
     handled. This module is the static-analysis equivalent: it finds
     calls whose error return is discarded or stored but never examined —
     the 28 cases the paper found in the E1000 — and measures how much
-    code the exception rewrite deletes (the ~8 % of [e1000_hw.c]). *)
+    code the exception rewrite deletes (the ~8 % of [e1000_hw.c]): the
+    pure propagation statements ([if (ret) return ret;] and variants). *)
 
 type violation_kind =
   | Ignored_return  (** the error-returning call is a bare statement *)
@@ -21,14 +22,12 @@ type violation = {
   v_line : int;
 }
 
-val error_returning_functions :
-  Decaf_minic.Ast.file -> extra:string list -> string list
-(** Functions that can return a negative errno: those containing a
-    [return -CONST], those propagating another error-returning
-    function's result, and the [extra] known kernel functions. *)
-
 val find_violations :
   Decaf_minic.Ast.file -> extra:string list -> violation list
+(** Calls to error-returning functions whose result is ignored or never
+    read again. A function returns errors when it contains a
+    [return -CONST], returns another error-returning function's result,
+    or is one of the [extra] known kernel functions. *)
 
 type flow_kind =
   | Overwritten of int
@@ -56,11 +55,6 @@ val flow_violations :
     (may-analysis), so results tested on one path but dropped on
     another are still found. Purely additive — {!find_violations} is
     unchanged. *)
-
-val propagation_sites : Decaf_minic.Ast.func -> int
-(** Count of pure error-propagation statements
-    ([if (ret) return ret;] and variants) that an exception rewrite
-    deletes outright. *)
 
 val exception_savings :
   Decaf_minic.Ast.file -> funcs:string list -> int * int

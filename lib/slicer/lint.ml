@@ -2,6 +2,7 @@ module Ast = Decaf_minic.Ast
 module Loc = Decaf_minic.Loc
 module Callgraph = Decaf_minic.Callgraph
 module Symtab = Decaf_minic.Symtab
+module Plan = Decaf_xpc.Marshal_plan
 module Sset = Set.Make (String)
 module Smap = Map.Make (String)
 
@@ -65,9 +66,6 @@ let default_atomic_roots (pc : Partition.config) =
       contains_sub l "intr" || contains_sub l "irq"
       || contains_sub l "interrupt")
     pc.Partition.critical_roots
-
-let is_decaf_macro name =
-  String.length name >= 6 && String.sub name 0 6 = "DECAF_"
 
 (* ===================== pass 1: lock / XPC discipline ================= *)
 
@@ -185,22 +183,7 @@ let summarize_function ~taken_defined (fn : Ast.func) =
               :: !sites)
           taken_defined;
         st
-    | Ast.Econst _ | Ast.Estr _ | Ast.Echar _ | Ast.Eident _
-    | Ast.Esizeof_type _ ->
-        st
-    | Ast.Eunop (_, a)
-    | Ast.Ecast (_, a)
-    | Ast.Esizeof_expr a
-    | Ast.Efield (a, _)
-    | Ast.Earrow (a, _)
-    | Ast.Epostincr a
-    | Ast.Epostdecr a
-    | Ast.Epreincr a
-    | Ast.Epredecr a ->
-        eval st line a
-    | Ast.Ebinop (_, a, b) | Ast.Eassign (_, a, b) | Ast.Eindex (a, b) ->
-        eval (eval st line a) line b
-    | Ast.Econd (a, b, c) -> eval (eval (eval st line a) line b) line c
+    | _ -> List.fold_left (fun st a -> eval st line a) st (Ast.children e)
   in
   let rec stmts st body = List.fold_left stmt st body
   and stmt st (s : Ast.stmt) =
@@ -375,7 +358,7 @@ let lock_pass ~file ~cg ~atomic_roots ~nucleus ~user () =
                  a spinlock across the crossing — the paper's "never call
                  up with a spinlock held" rule seen from the other side. *)
               in_user
-              && (not (is_decaf_macro cs.cs_callee))
+              && (not (Annot.is_macro cs.cs_callee))
               && lock_effect cs.cs_callee = None
               && ((not (Sset.mem cs.cs_callee defined))
                  || Sset.mem cs.cs_callee nucleus_set)
@@ -417,120 +400,10 @@ let lock_pass ~file ~cg ~atomic_roots ~nucleus ~user () =
 
 (* ================ pass 2: annotation soundness ======================= *)
 
-(* Field read/write analysis used to validate annotations. Unlike
-   Marshalgen.field_accesses, an array-element store through a field
-   ([x->f[i] = v]) counts as a write to [f]. *)
-type fuse = { fu_read : bool; fu_written : bool }
-
-let field_uses (file : Ast.file) ~funcs =
-  let uses = ref Smap.empty in
-  let note field ~write =
-    let u =
-      Option.value ~default:{ fu_read = false; fu_written = false }
-        (Smap.find_opt field !uses)
-    in
-    let u =
-      if write then { u with fu_written = true } else { u with fu_read = true }
-    in
-    uses := Smap.add field u !uses
-  in
-  (* the field a write through an lvalue lands on, Eindex-aware *)
-  let rec written_field = function
-    | Ast.Efield (_, f) | Ast.Earrow (_, f) -> Some f
-    | Ast.Eindex (e, _) -> written_field e
-    | _ -> None
-  in
-  let rec reads (e : Ast.expr) =
-    match e with
-    | Ast.Efield (base, f) | Ast.Earrow (base, f) ->
-        note f ~write:false;
-        reads base
-    | Ast.Eassign (op, lhs, rhs) ->
-        (match written_field lhs with
-        | Some f ->
-            note f ~write:true;
-            if op <> None then note f ~write:false;
-            (* base / index sub-expressions are ordinary reads *)
-            (match lhs with
-            | Ast.Efield (base, _) | Ast.Earrow (base, _) -> reads base
-            | Ast.Eindex (inner, idx) ->
-                (match inner with
-                | Ast.Efield (base, _) | Ast.Earrow (base, _) -> reads base
-                | other -> reads other);
-                reads idx
-            | _ -> ())
-        | None -> reads lhs);
-        reads rhs
-    | Ast.Epostincr inner | Ast.Epostdecr inner | Ast.Epreincr inner
-    | Ast.Epredecr inner -> (
-        match written_field inner with
-        | Some f ->
-            note f ~write:true;
-            note f ~write:false
-        | None -> reads inner)
-    | Ast.Econst _ | Ast.Estr _ | Ast.Echar _ | Ast.Eident _
-    | Ast.Esizeof_type _ ->
-        ()
-    | Ast.Eunop (_, a) | Ast.Ecast (_, a) | Ast.Esizeof_expr a -> reads a
-    | Ast.Ebinop (_, a, b) | Ast.Eindex (a, b) ->
-        reads a;
-        reads b
-    | Ast.Econd (a, b, c) ->
-        reads a;
-        reads b;
-        reads c
-    | Ast.Ecall (Ast.Eident name, _) when is_decaf_macro name ->
-        (* the annotation itself is not an access *)
-        ()
-    | Ast.Ecall (callee, args) ->
-        reads callee;
-        List.iter reads args
-  in
-  (* A custom walker (not Ast.fold_exprs_func) so each top-level
-     expression is analyzed exactly once: the generic fold re-visits
-     sub-expressions, which would turn every write lvalue and every
-     DECAF_ macro argument into a spurious read. *)
-  let rec walk_stmt (s : Ast.stmt) =
-    match s.Ast.skind with
-    | Sexpr e | Sdecl (_, _, Some e) -> reads e
-    | Sdecl (_, _, None) -> ()
-    | Sif (c, a, b) ->
-        reads c;
-        List.iter walk_stmt a;
-        List.iter walk_stmt b
-    | Swhile (c, body) ->
-        reads c;
-        List.iter walk_stmt body
-    | Sdo (body, c) ->
-        List.iter walk_stmt body;
-        reads c
-    | Sfor (init, cond, update, body) ->
-        Option.iter walk_stmt init;
-        Option.iter reads cond;
-        Option.iter reads update;
-        List.iter walk_stmt body
-    | Sreturn (Some e) -> reads e
-    | Sswitch (e, cases) ->
-        reads e;
-        List.iter
-          (function
-            | Ast.Case (_, body) | Ast.Default body -> List.iter walk_stmt body)
-          cases
-    | Sreturn None | Sgoto _ | Slabel _ | Sbreak | Scontinue -> ()
-    | Sblock body -> List.iter walk_stmt body
-  in
-  List.iter
-    (fun name ->
-      match Ast.find_function file name with
-      | Some fn -> List.iter walk_stmt fn.Ast.fbody
-      | None -> ())
-    funcs;
-  !uses
-
 let macro_of = function
-  | Annot.Read -> "DECAF_RVAR"
-  | Annot.Write -> "DECAF_WVAR"
-  | Annot.Read_write -> "DECAF_RWVAR"
+  | Plan.Read -> "DECAF_RVAR"
+  | Plan.Write -> "DECAF_WVAR"
+  | Plan.Read_write -> "DECAF_RWVAR"
 
 let annot_pass ~file ~cg ~annots ~user_funcs ~library_funcs () =
   let findings = ref [] in
@@ -562,24 +435,25 @@ let annot_pass ~file ~cg ~annots ~user_funcs ~library_funcs () =
           }
       else begin
         let reach = Callgraph.reachable cg ~roots:[ va.Annot.va_function ] in
-        let uses = field_uses file ~funcs:reach in
-        let actual =
-          Option.value ~default:{ fu_read = false; fu_written = false }
-            (Smap.find_opt va.Annot.va_field uses)
+        let act_r, act_w =
+          match
+            List.find_opt
+              (fun (u : Marshalgen.field_use) ->
+                u.Marshalgen.fu_field = va.Annot.va_field)
+              (Marshalgen.field_accesses file ~funcs:reach)
+          with
+          | Some u -> (u.Marshalgen.fu_read, u.Marshalgen.fu_written)
+          | None -> (false, false)
         in
         let ann_r, ann_w =
           match va.Annot.va_access with
-          | Annot.Read -> (true, false)
-          | Annot.Write -> (false, true)
-          | Annot.Read_write -> (true, true)
+          | Plan.Read -> (true, false)
+          | Plan.Write -> (false, true)
+          | Plan.Read_write -> (true, true)
         in
-        let too_narrow =
-          (actual.fu_read && not ann_r) || (actual.fu_written && not ann_w)
-        in
-        let unwitnessed =
-          (ann_r && not actual.fu_read) || (ann_w && not actual.fu_written)
-        in
-        if too_narrow then
+        let narrow_r = act_r && not ann_r and narrow_w = act_w && not ann_w in
+        let unseen_r = ann_r && not act_r and unseen_w = ann_w && not act_w in
+        if narrow_r || narrow_w then
           emit
             {
               f_pass = Annotation_soundness;
@@ -591,15 +465,13 @@ let annot_pass ~file ~cg ~annots ~user_funcs ~library_funcs () =
                   "annotation %s(%s) is too narrow: code reachable from %s %s \
                    the field"
                   macro va.Annot.va_path va.Annot.va_function
-                  (match (actual.fu_read && not ann_r,
-                          actual.fu_written && not ann_w)
-                   with
+                  (match (narrow_r, narrow_w) with
                   | true, true -> "also reads and writes"
                   | false, true -> "also writes"
                   | _ -> "also reads");
               f_witness = reach;
             }
-        else if unwitnessed then
+        else if unseen_r || unseen_w then
           emit
             {
               f_pass = Annotation_soundness;
@@ -611,9 +483,7 @@ let annot_pass ~file ~cg ~annots ~user_funcs ~library_funcs () =
                   "annotation %s(%s): no %s of '%s' is reachable from %s to \
                    witness it"
                   macro va.Annot.va_path
-                  (match (ann_r && not actual.fu_read,
-                          ann_w && not actual.fu_written)
-                   with
+                  (match (unseen_r, unseen_w) with
                   | true, true -> "read or write"
                   | true, false -> "read"
                   | _ -> "write")
@@ -629,7 +499,6 @@ let annot_pass ~file ~cg ~annots ~user_funcs ~library_funcs () =
      evolution hazard. *)
   let full = Marshalgen.plans file ~user_funcs ~annots in
   let post = Marshalgen.plans file ~user_funcs:library_funcs ~annots in
-  let module Plan = Decaf_xpc.Marshal_plan in
   List.iter
     (fun p ->
       let name = Plan.type_id p in
@@ -848,7 +717,6 @@ let errflow_pass ~file ~extra () =
    malicious campaign's fuzz attacks drive through. *)
 
 let inbound_pass ~file ~plans ~kernel_funcs () =
-  let module Plan = Decaf_xpc.Marshal_plan in
   let validated = ref Sset.empty in
   let consumed = ref Sset.empty in
   let rec field_names acc = function
@@ -879,31 +747,12 @@ let inbound_pass ~file ~plans ~kernel_funcs () =
   let scan_switch (s : Ast.stmt) =
     match s.Ast.skind with Ast.Sswitch (e, _) -> note e | _ -> ()
   in
-  let rec walk_switches (s : Ast.stmt) =
-    scan_switch s;
-    match s.Ast.skind with
-    | Ast.Sif (_, a, b) ->
-        List.iter walk_switches a;
-        List.iter walk_switches b
-    | Ast.Swhile (_, body)
-    | Ast.Sdo (body, _)
-    | Ast.Sfor (_, _, _, body)
-    | Ast.Sblock body ->
-        List.iter walk_switches body
-    | Ast.Sswitch (_, cases) ->
-        List.iter
-          (function
-            | Ast.Case (_, body) | Ast.Default body ->
-                List.iter walk_switches body)
-          cases
-    | _ -> ()
-  in
   List.iter
     (fun name ->
       match Ast.find_function file name with
       | Some fn ->
-          ignore (Ast.fold_exprs_stmts scan () fn.Ast.fbody);
-          List.iter walk_switches fn.Ast.fbody
+          Ast.fold_exprs_stmts scan () fn.Ast.fbody;
+          List.iter scan_switch (Ast.stmts fn.Ast.fbody)
       | None -> ())
     kernel_funcs;
   let findings = ref [] in

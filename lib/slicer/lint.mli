@@ -81,12 +81,7 @@ type report = {
           cannot silently outlive the code they excuse *)
 }
 
-val pass_name : pass -> string
 val severity_name : severity -> string
-
-val default_atomic_roots : Partition.config -> string list
-(** Critical roots whose name marks them as interrupt-context entry
-    points (contains "intr", "irq" or "interrupt"). *)
 
 val analyze :
   ?atomic_roots:string list ->
@@ -100,17 +95,14 @@ val analyze :
   library_funcs:string list ->
   unit ->
   finding list
-(** Run all five passes. [atomic_roots] defaults to
-    {!default_atomic_roots} of the partition config; [extra_errfns]
+(** Run all five passes. [atomic_roots] defaults to the partition's
+    critical roots whose name marks them as interrupt-context entry
+    points (contains "intr", "irq" or "interrupt"); [extra_errfns]
     seeds the error-flow pass like {!Errcheck.find_violations}'s
     [extra]. *)
 
 val violations : finding list -> finding list
 (** The [Error] and [Warning] findings. *)
-
-val consume_waiver_marker : string
-(** The same-line suppression comment for {!scan_clock_consume}:
-    [(* decaf-lint: consume-ok *)]. *)
 
 val scan_clock_consume :
   ?dirs:string list -> root:string -> unit -> finding list
@@ -120,7 +112,7 @@ val scan_clock_consume :
     without a birth stamp is invisible to the per-path latency
     histograms, so every such call must either use the
     {!Decaf_kernel.Clock} tracked-event API or carry the
-    {!consume_waiver_marker} comment on the same line or the line
+    [(* decaf-lint: consume-ok *)] comment on the same line or the line
     immediately after (with the justification alongside). One
     [Warning] per unwaived line, in
     (dir, file, line) order; directories that do not exist under

@@ -5,139 +5,87 @@ type field_use = { fu_field : string; fu_read : bool; fu_written : bool }
 
 module Smap = Map.Make (String)
 
-(* Walk the bodies of [funcs], recording which struct fields are read and
-   which are written. Assignment left-hand sides whose outermost node is
-   a field access count as writes; everything else counts as reads. *)
+(* The field a store lands on, with the operands the store reads on the
+   way: [x->f = v] and [x->f[i] = v] both store into [f], reading [x]
+   (and [i]). *)
+let rec store_target = function
+  | Ast.Efield (base, f) | Ast.Earrow (base, f) -> Some (f, [ base ])
+  | Ast.Eindex (e, idx) ->
+      Option.map (fun (f, operands) -> (f, idx :: operands)) (store_target e)
+  | _ -> None
+
+(* Each statement's expressions are walked from the top, not through
+   Ast.fold_expr: the generic fold would also visit a store's target and
+   an annotation macro's argument as plain reads. *)
 let field_accesses (file : Ast.file) ~funcs =
   let uses = ref Smap.empty in
-  let note field ~write =
-    let u =
-      match Smap.find_opt field !uses with
-      | Some u -> u
-      | None -> { fu_field = field; fu_read = false; fu_written = false }
+  let note field ~read ~write =
+    let r, w =
+      Option.value ~default:(false, false) (Smap.find_opt field !uses)
     in
-    let u =
-      if write then { u with fu_written = true } else { u with fu_read = true }
-    in
-    uses := Smap.add field u !uses
+    uses := Smap.add field (r || read, w || write) !uses
   in
-  let rec reads e =
+  let rec access e =
     match e with
     | Ast.Efield (base, f) | Ast.Earrow (base, f) ->
-        note f ~write:false;
-        reads base
+        note f ~read:true ~write:false;
+        access base
     | Ast.Eassign (op, lhs, rhs) ->
-        (match lhs with
-        | Ast.Efield (base, f) | Ast.Earrow (base, f) ->
-            note f ~write:true;
-            (* compound assignment also reads the field *)
-            if op <> None then note f ~write:false;
-            reads base
-        | _ -> reads lhs);
-        reads rhs
-    | Ast.Epostincr inner | Ast.Epostdecr inner | Ast.Epreincr inner
-    | Ast.Epredecr inner -> (
-        match inner with
-        | Ast.Efield (base, f) | Ast.Earrow (base, f) ->
-            note f ~write:true;
-            note f ~write:false;
-            reads base
-        | _ -> reads inner)
-    | Ast.Econst _ | Ast.Estr _ | Ast.Echar _ | Ast.Eident _
-    | Ast.Esizeof_type _ ->
-        ()
-    | Ast.Eunop (_, a) | Ast.Ecast (_, a) | Ast.Esizeof_expr a -> reads a
-    | Ast.Ebinop (_, a, b) | Ast.Eindex (a, b) ->
-        reads a;
-        reads b
-    | Ast.Econd (a, b, c) ->
-        reads a;
-        reads b;
-        reads c
-    | Ast.Ecall (Ast.Eident name, _)
-      when String.length name >= 6 && String.sub name 0 6 = "DECAF_" ->
+        (* compound assignment also reads the field *)
+        store lhs ~read:(op <> None);
+        access rhs
+    | Ast.Epostincr lhs | Ast.Epostdecr lhs | Ast.Epreincr lhs
+    | Ast.Epredecr lhs ->
+        store lhs ~read:true
+    | Ast.Ecall (Ast.Eident name, _) when Annot.is_macro name ->
         (* annotation macro, not a real access: handled by Annot *)
         ()
-    | Ast.Ecall (callee, args) ->
-        reads callee;
-        List.iter reads args
-  in
-  let rec stmt (s : Ast.stmt) =
-    match s.Ast.skind with
-    | Sexpr e -> reads e
-    | Sdecl (_, _, init) -> Option.iter reads init
-    | Sif (c, a, b) ->
-        reads c;
-        List.iter stmt a;
-        List.iter stmt b
-    | Swhile (c, body) ->
-        reads c;
-        List.iter stmt body
-    | Sdo (body, c) ->
-        List.iter stmt body;
-        reads c
-    | Sfor (init, cond, update, body) ->
-        Option.iter stmt init;
-        Option.iter reads cond;
-        Option.iter reads update;
-        List.iter stmt body
-    | Sreturn e -> Option.iter reads e
-    | Sswitch (e, cases) ->
-        reads e;
-        List.iter
-          (function
-            | Ast.Case (_, body) | Ast.Default body -> List.iter stmt body)
-          cases
-    | Sgoto _ | Slabel _ | Sbreak | Scontinue -> ()
-    | Sblock body -> List.iter stmt body
+    | _ -> List.iter access (Ast.children e)
+  and store lhs ~read =
+    match store_target lhs with
+    | Some (f, operands) ->
+        note f ~read ~write:true;
+        List.iter access operands
+    | None -> access lhs
   in
   List.iter
     (fun name ->
       match Ast.find_function file name with
-      | Some fn -> List.iter stmt fn.Ast.fbody
+      | Some fn ->
+          List.iter access
+            (List.concat_map Ast.exprs_of (Ast.stmts fn.Ast.fbody))
       | None -> ())
     funcs;
-  Smap.fold (fun _ u acc -> u :: acc) !uses [] |> List.rev
+  List.map
+    (fun (fu_field, (fu_read, fu_written)) -> { fu_field; fu_read; fu_written })
+    (Smap.bindings !uses)
 
 let plans (file : Ast.file) ~user_funcs ~annots =
-  let uses = field_accesses file ~funcs:user_funcs in
   let access_of u =
     match (u.fu_read, u.fu_written) with
     | true, true -> Plan.Read_write
     | false, true -> Plan.Write
     | _, false -> Plan.Read
   in
-  let from_annots (s : Ast.struct_def) =
-    List.filter_map
-      (fun (va : Annot.var_annot) ->
-        if
-          List.exists
-            (fun (f : Ast.field) -> f.Ast.fname = va.Annot.va_field)
-            s.Ast.sfields
-        then Some (va.Annot.va_field, Annot.plan_access va.Annot.va_access)
-        else None)
-      annots.Annot.vars
+  let accesses =
+    List.map
+      (fun u -> (u.fu_field, access_of u))
+      (field_accesses file ~funcs:user_funcs)
+    @ List.map
+        (fun (va : Annot.var_annot) -> (va.Annot.va_field, va.Annot.va_access))
+        annots.Annot.vars
   in
   List.filter_map
     (fun (s : Ast.struct_def) ->
-      let from_uses =
-        List.filter_map
-          (fun u ->
-            if
-              List.exists
-                (fun (f : Ast.field) -> f.Ast.fname = u.fu_field)
-                s.Ast.sfields
-            then Some (u.fu_field, access_of u)
-            else None)
-          uses
+      let declared (name, _) =
+        List.exists (fun (f : Ast.field) -> f.Ast.fname = name) s.Ast.sfields
       in
       let merged =
         List.fold_left
           (fun acc (name, a) ->
-            let single = Plan.make ~type_id:s.Ast.sname [ (name, a) ] in
-            Plan.union acc single)
+            Plan.union acc (Plan.make ~type_id:s.Ast.sname [ (name, a) ]))
           (Plan.make ~type_id:s.Ast.sname [])
-          (from_uses @ from_annots s)
+          (List.filter declared accesses)
       in
       if Plan.fields merged = [] then None else Some merged)
     (Ast.structs file)

@@ -15,8 +15,14 @@ type field_use = { fu_field : string; fu_read : bool; fu_written : bool }
 
 val field_accesses :
   Decaf_minic.Ast.file -> funcs:string list -> field_use list
-(** Union of struct-field accesses across the named functions'
-    bodies. *)
+(** Union of struct-field accesses across the named functions' bodies,
+    sorted by field name. A store writes the field it lands on, through
+    any array index: [x->f = v], [x->f[i] = v], [x->f[i] op= v] and
+    [x->f[i]++] all write [f], and the compound and increment forms also
+    read it. The base and index operands of a store ([x], [i]) are
+    reads, as is every other field access; [DECAF_*VAR] annotations are
+    not accesses. The plans, lint's annotation-soundness check and its
+    missing-annotation diff all read this one analysis. *)
 
 val plans :
   Decaf_minic.Ast.file ->

@@ -19,6 +19,3 @@ val regenerate :
 (** Slice the updated source and union every new plan with its
     predecessor, returning the merged output and the per-struct
     changes. *)
-
-val interface_changes : old_plans:Decaf_xpc.Marshal_plan.t list ->
-  new_plans:Decaf_xpc.Marshal_plan.t list -> change list

@@ -9,15 +9,6 @@
       object-tracker translation, XDR copy in, the backtick-call, XDR
       copy back — the paper's Figure 2. *)
 
-val kernel_stub :
-  Decaf_minic.Ast.func -> string
-(** Stub text installed in the driver nucleus for a user-mode entry
-    point. *)
-
-val jeannie_stub :
-  class_name:string -> Decaf_minic.Ast.func -> string
-(** Jeannie stub text for a kernel entry point invoked from Java. *)
-
 val generate :
   Decaf_minic.Ast.file -> Partition.result -> (string * string) list
 (** [(stub name, stub code)] for every entry point of the partition;

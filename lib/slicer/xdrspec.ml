@@ -166,5 +166,4 @@ let rec size_of_type spec ~seen = function
               0 s.xs_fields
         | None -> 4)
 
-let type_wire_size spec t = size_of_type spec ~seen:[] t
-let wire_size spec name = type_wire_size spec (Xstruct_ref name)
+let wire_size spec name = size_of_type spec ~seen:[] (Xstruct_ref name)

@@ -46,5 +46,3 @@ val to_string : spec -> string
 val wire_size : spec -> string -> int
 (** Marshaled size in bytes of one struct (XDR rules; strings estimated
     at 64 payload bytes; recursive references counted once). *)
-
-val type_wire_size : spec -> xdr_type -> int

@@ -376,6 +376,105 @@ let test_callgraph_indirect () =
     "address taken" [ "helper_a"; "helper_b" ]
     (Callgraph.address_taken cg)
 
+(* --- traversals --- *)
+
+(* Every statement kind, nested: an if inside an if, a for with an
+   init, a switch whose default case holds a block. *)
+let traversal_snippet =
+  {|
+int walk(int a, int b) {
+  int x = a;
+  if (a > 0) {
+    if (b) x = 1; else x = 2;
+  }
+  while (x < 10) x++;
+  do { x--; } while (x > 5);
+  for (int i = 0; i < 3; i++) b = b + i;
+  switch (a) {
+  case 1:
+    x = 3;
+    break;
+  default:
+    { x = 4; }
+  }
+  return x + b;
+}
+|}
+
+let test_traversals () =
+  let fn =
+    match Ast.functions (parse_exn traversal_snippet) with
+    | [ fn ] -> fn
+    | _ -> Alcotest.fail "expected one function"
+  in
+  let kind (s : Ast.stmt) =
+    match s.Ast.skind with
+    | Ast.Sexpr _ -> "expr"
+    | Ast.Sdecl _ -> "decl"
+    | Ast.Sif _ -> "if"
+    | Ast.Swhile _ -> "while"
+    | Ast.Sdo _ -> "do"
+    | Ast.Sfor _ -> "for"
+    | Ast.Sreturn _ -> "return"
+    | Ast.Sgoto _ -> "goto"
+    | Ast.Slabel _ -> "label"
+    | Ast.Sswitch _ -> "switch"
+    | Ast.Sbreak -> "break"
+    | Ast.Scontinue -> "continue"
+    | Ast.Sblock _ -> "block"
+  in
+  let row s =
+    String.concat " | "
+      (kind s :: List.map Pp.expr_to_string (Ast.exprs_of s))
+  in
+  Alcotest.(check (list string))
+    "pre-order statements and their own expressions"
+    [
+      "decl | a";
+      "if | (a > 0)";
+      "if | b";
+      "expr | x = 1";
+      "expr | x = 2";
+      "while | (x < 10)";
+      "expr | (x++)";
+      "do | (x > 5)";
+      "expr | (x--)";
+      "for | (i < 3) | (i++)";
+      "decl | 0";
+      "expr | b = (b + i)";
+      "switch | a";
+      "expr | x = 3";
+      "break";
+      "block";
+      "expr | x = 4";
+      "return | (x + b)";
+    ]
+    (List.map row (Ast.stmts fn.Ast.fbody));
+  Alcotest.(check (list string))
+    "every expression node once, parents first"
+    [
+      "a";
+      "(a > 0)"; "a"; "0";
+      "b";
+      "x = 1"; "x"; "1";
+      "x = 2"; "x"; "2";
+      "(x < 10)"; "x"; "10";
+      "(x++)"; "x";
+      "(x > 5)"; "x"; "5";
+      "(x--)"; "x";
+      "(i < 3)"; "i"; "3"; "(i++)"; "i";
+      "0";
+      "b = (b + i)"; "b"; "(b + i)"; "b"; "i";
+      "a";
+      "x = 3"; "x"; "3";
+      "x = 4"; "x"; "4";
+      "(x + b)"; "x"; "b";
+    ]
+    (List.rev
+       (Ast.fold_exprs_stmts
+          (fun acc e -> Pp.expr_to_string e :: acc)
+          [] fn.Ast.fbody))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_minic"
@@ -404,6 +503,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_pp_expr_roundtrip;
         ] );
       ("symtab", [ tc "symbols" test_symtab ]);
+      ("ast", [ tc "traversals" test_traversals ]);
       ( "callgraph",
         [
           tc "direct edges" test_callgraph_direct;

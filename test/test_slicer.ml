@@ -197,7 +197,7 @@ let test_annotations_collected () =
   let va = List.hd a.Annot.vars in
   Alcotest.(check string) "annot function" "toy_open" va.Annot.va_function;
   Alcotest.(check string) "annot field" "msg_enable" va.Annot.va_field;
-  check_bool "rw access" true (va.Annot.va_access = Annot.Read_write)
+  check_bool "rw access" true (va.Annot.va_access = Plan.Read_write)
 
 (* --- xdr spec --- *)
 
@@ -305,6 +305,72 @@ static void user_fn(struct thing *t) {
   let plan = List.find (fun p -> Plan.type_id p = "thing") out.Slicer.plans in
   check_bool "annotated field copied out" true (Plan.copies_out plan "java_only");
   check_bool "annotated field not copied in" false (Plan.copies_in plan "java_only")
+
+(* A store into an element of an array field writes the field: the plan
+   copies it back out, an annotation declaring the write is witnessed,
+   and the post-conversion diff reports the direction that would be
+   lost. *)
+let element_store_driver =
+  {|
+struct st { int buf[4]; int cnt[4]; int idx[2]; };
+void import_fn(int x);
+static void crit(struct st *a) { a->idx[1] = 0; }
+static void fill(struct st *a, int i, int v) {
+  a->buf[i] = v;
+  a->cnt[i] += 1;
+  a->idx[0]++;
+  import_fn(i);
+}
+|}
+
+let element_store_config =
+  {
+    Slicer.partition =
+      {
+        Partition.driver_name = "st";
+        critical_roots = [ "crit" ];
+        interface_functions = [ "crit"; "fill" ];
+      };
+    const_env = [];
+    java_functions = Slicer.All_user;
+  }
+
+let test_plans_element_store_is_write () =
+  let out = Slicer.slice ~source:element_store_driver element_store_config in
+  let plan = List.find (fun p -> Plan.type_id p = "st") out.Slicer.plans in
+  let access f =
+    match Plan.access plan f with
+    | Some Plan.Read -> "read"
+    | Some Plan.Write -> "write"
+    | Some Plan.Read_write -> "read_write"
+    | None -> "none"
+  in
+  Alcotest.(check (list string))
+    "buf, cnt, idx" [ "write"; "read_write"; "read_write" ]
+    (List.map access [ "buf"; "cnt"; "idx" ]);
+  let annot_messages (out : Slicer.output) ~anchor =
+    List.filter_map
+      (fun (f : Lint.finding) ->
+        if f.Lint.f_pass = Lint.Annotation_soundness && f.Lint.f_anchor = anchor
+        then Some f.Lint.f_message
+        else None)
+      out.Slicer.lint
+  in
+  (* fill is Java after conversion: nothing but annotations is left to
+     see its store into buf *)
+  check_bool "missing annotation names buf(out)" true
+    (List.exists
+       (fun m -> Testutil.contains m "buf(out)")
+       (annot_messages out ~anchor:"st"));
+  let annotated =
+    Testutil.replace element_store_driver ~needle:"  a->buf[i] = v;"
+      ~replacement:"  DECAF_WVAR(a->buf);\n  a->buf[i] = v;"
+  in
+  Alcotest.(check (list string))
+    "WVAR on an element store is sound" []
+    (annot_messages
+       (Slicer.slice ~source:annotated element_store_config)
+       ~anchor:"fill")
 
 (* --- stubs --- *)
 
@@ -1015,6 +1081,7 @@ let () =
         [
           tc "directions" test_plans_directions;
           tc "annotation forces field" test_plans_annotation_forces_field;
+          tc "element store is a write" test_plans_element_store_is_write;
         ] );
       ("stubgen", [ tc "stub shapes" test_stub_generation ]);
       ( "splitgen",
