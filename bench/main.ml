@@ -17,16 +17,18 @@
                                        regression, an audio deadline
                                        miss (steady phase) or a leak
 
-   The xpcperf section accepts matrix filters, so one cell of the
-   sweep (five single-instance scenarios x 11 configs, plus the
-   e1000-fleet axis at i in {1,16,64,256}) can be reproduced locally:
+   The xpcperf section accepts matrix filters, so one of the sweep's
+   46 cells (the three NIC scenarios x 11 configs, psmouse x 5,
+   ens1371 x 4, and the e1000-fleet axis at i in {1,16,64,256}) can be
+   reproduced locally:
      bench/main.exe xpcperf --scenario=e1000-netperf-send \
                             --config=batch+delta+w1+ring
      bench/main.exe xpcperf --scenario=e1000-fleet \
                             --config=batch+delta+w4+ring+i64
-   Bad input fails fast: an unknown section or filter name, a missing
-   baseline file, a baseline line missing a key or a malformed number
-   prints one line on stderr and exits 2.
+   Bad input fails fast: an unknown section or filter name, a scenario
+   and config the matrix does not pair, a missing baseline file, a
+   baseline line missing a key or a malformed number prints one line
+   on stderr and exits 2.
 *)
 
 module E = Decaf_experiments
@@ -111,8 +113,12 @@ let run_sections args =
       ( "xpcperf",
         titled "Concurrent dispatch, batched XPC and delta marshaling"
           (fun () ->
-            print_string
-              (E.Xpcperf.render (E.Xpcperf.measure ?scenario ?config ()))) );
+            match E.Xpcperf.measure ?scenario ?config () with
+            | [] ->
+                fail "the matrix measures no cell of scenario %s under %s"
+                  (Option.value scenario ~default:"(any)")
+                  (Option.value config ~default:"(any)")
+            | samples -> print_string (E.Xpcperf.render samples)) );
       ( "soak",
         titled "Mixed-traffic soak (latency percentiles per event path)"
           (fun () -> print_string (E.Soak.render (E.Soak.measure ()))) );

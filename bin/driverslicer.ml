@@ -178,44 +178,6 @@ let lint_driver ~json name { source; config; waivers; errfns; _ } =
   else print_string (Lint.to_text report);
   report.Lint.r_unwaived = [] && report.Lint.r_unused_waivers = []
 
-(* The event-accounting hygiene scan runs over the repo's own OCaml
-   sources, so it needs the source tree: walk up from the cwd until
-   lib/xpc appears (the repo root when run via make, the build context
-   root under `dune runtest`). Inert when not found — e.g. an installed
-   binary run away from a checkout. *)
-let repo_root () =
-  let rec up dir n =
-    if n = 0 then None
-    else if Sys.file_exists (Filename.concat dir "lib/xpc") then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else up parent (n - 1)
-  in
-  up (Sys.getcwd ()) 6
-
-let lint_consume ~json =
-  match repo_root () with
-  | None -> true
-  | Some root ->
-      let findings = Lint.scan_clock_consume ~root () in
-      if json then
-        print_endline
-          (Printf.sprintf "{\"pass\":\"events\",\"unwaived\":%d}"
-             (List.length findings))
-      else begin
-        Printf.printf
-          "decaf-lint events: %d unwaived Clock.consume calls in xpc/driver \
-           paths\n"
-          (List.length findings);
-        List.iter
-          (fun f ->
-            Printf.printf "  [events ] %-7s %s:%d  %s\n"
-              (Lint.severity_name f.Lint.f_severity)
-              f.Lint.f_anchor f.Lint.f_line f.Lint.f_message)
-          findings
-      end;
-      findings = []
-
 let run_lint driver json =
   let selected = match driver with None -> drivers | Some d -> [ d ] in
   let clean =
@@ -223,7 +185,6 @@ let run_lint driver json =
       (fun acc (name, d) -> lint_driver ~json name d && acc)
       true selected
   in
-  let clean = lint_consume ~json && clean in
   exit (if clean then 0 else 1)
 
 let lint_cmd =

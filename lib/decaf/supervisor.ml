@@ -13,7 +13,6 @@ type t = {
   mutable recovered : int;
   mutable degraded : int;
   mutable restarts : int;
-  mutable last_fault : string option;
 }
 
 let create ?(restart_budget = 3) ?(restart_delay_ns = 100_000_000) ~name () =
@@ -26,7 +25,6 @@ let create ?(restart_budget = 3) ?(restart_delay_ns = 100_000_000) ~name () =
     recovered = 0;
     degraded = 0;
     restarts = 0;
-    last_fault = None;
   }
 
 let state t = t.state
@@ -39,7 +37,6 @@ let stats t : stats =
     restarts = t.restarts;
   }
 
-let last_fault t = t.last_fault
 let restart_budget t = t.restart_budget
 let restarts_left t = if t.state = Disabled then 0 else max 0 (t.restart_budget - t.restarts)
 
@@ -75,7 +72,6 @@ let run t ?(on_restart = Runtime.restart) body =
       | exception e ->
           let msg = Printexc.to_string e in
           t.detected <- t.detected + 1;
-          t.last_fault <- Some msg;
           K.Klog.printk K.Klog.Warning "supervisor %s: decaf fault: %s" t.name
             msg;
           if episodes >= t.restart_budget then begin

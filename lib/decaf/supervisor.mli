@@ -45,7 +45,6 @@ val note_tolerated : t -> unit
 
 val state : t -> state
 val stats : t -> stats
-val last_fault : t -> string option
 
 val restart_budget : t -> int
 (** The configured budget (restarts allowed per {!run}). *)

@@ -392,9 +392,6 @@ let registered () =
     (fun b -> if b.b_instance = 0 then Some b.b_name else None)
     (List.rev !bindings)
 
-let is_registered name =
-  List.exists (fun b -> b.b_name = name) !bindings
-
 (* Binding ids resolve exactly: the bare driver name IS instance 0's id,
    so every pre-fleet call site addressing "e1000" still lands on the
    first instance, and "e1000#3" addresses the fourth. *)

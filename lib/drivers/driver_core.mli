@@ -125,8 +125,6 @@ val registered : unit -> string list
 (** Distinct driver names, registration order (one entry per driver,
     however many instances exist). *)
 
-val is_registered : string -> bool
-
 val instances_of : string -> string list
 (** Binding ids of every instance of the named driver (or of the named
     binding's driver), instance order. *)

@@ -241,8 +241,9 @@ let handle_rx a =
   while not (Hw.Frameq.is_empty ring) do
     let frame = Hw.Frameq.head ring and born = Hw.Frameq.head_stamp ring in
     Hw.Frameq.drop ring;
-    K.Clock.consume 800
-    (* decaf-lint: consume-ok, inside the net.rx span (born at DMA) *);
+    (* per-packet receive processing, inside the net.rx span (born at
+       DMA) *)
+    K.Clock.consume 800;
     (match a.netdev with
     | Some nd -> K.Netcore.netif_rx nd (K.Netcore.Skb.of_bytes frame)
     | None -> ());

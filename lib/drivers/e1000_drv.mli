@@ -15,9 +15,6 @@ type t
 
 val vendor_id : int
 
-val device_ids : int list
-(** The ~50 chipset ids the driver claims. *)
-
 val setup_device :
   slot:string ->
   mmio_base:int ->

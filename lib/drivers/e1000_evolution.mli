@@ -37,8 +37,6 @@ val classify : patch -> Decaf_slicer.Partition.result -> component
 (** Where the patch's change lands, judged against the original
     partition. *)
 
-val lines_changed : patch -> int
-
 val run : unit -> summary
 (** Apply everything to {!E1000_src.source}, verify the patched driver
     still parses and re-slices, and tally Table 4. *)

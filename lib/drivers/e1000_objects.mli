@@ -41,7 +41,6 @@ include Shared_struct.S with type kernel = kernel_adapter
 
 val adapter_handle : kernel_adapter -> Decaf_xpc.Objtracker.handle
 val tx_ring_handle : kernel_adapter -> Decaf_xpc.Objtracker.handle
-val rx_ring_handle : kernel_adapter -> Decaf_xpc.Objtracker.handle
 
 val fresh_kernel_adapter : unit -> kernel_adapter
 (** Allocate with fresh simulated addresses. *)

@@ -1179,8 +1179,6 @@ let hw_layer_functions =
 let error_extra =
   [ "pci_enable_device"; "request_irq"; "register_netdev"; "pci_set_mwi" ]
 
-let seeded_bugs = 28
-
 (* Line-anchored decaf-lint suppressions; see Lint.apply_waivers. *)
 let lint_waivers : Decaf_slicer.Lint.waiver list =
   let open Decaf_slicer.Lint in

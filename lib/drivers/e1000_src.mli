@@ -12,7 +12,6 @@
 
 val source : string
 val config : Decaf_slicer.Slicer.config
-val seeded_bugs : int
 
 val hw_layer_functions : string list
 (** The functions making up the [e1000_hw.c] section, used by the

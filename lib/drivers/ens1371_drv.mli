@@ -22,9 +22,6 @@ val rmmod : t -> unit
 val init_latency_ns : t -> int
 val substream : t -> Decaf_kernel.Sndcore.substream
 val card : t -> Decaf_kernel.Sndcore.card
-val mixer_controls : int
-(** Number of mixer controls registered at probe (each registration is a
-    downcall). *)
 
 val user_ptr_syncs : t -> int
 (** Deferred hardware-pointer refreshes ([ens1371_pcm_ptr]

@@ -19,10 +19,6 @@ val packets_handled : t -> int
 val detected_id : t -> int
 (** Device id reported during protocol negotiation (0 = plain PS/2). *)
 
-val user_event_syncs : t -> int
-(** Deferred event-counter refreshes ([psmouse_sync] notifications)
-    delivered to the user-level driver; 0 in native mode. *)
-
 val active : unit -> t option
 (** The instance bound by the most recent successful [insmod], until its
     [rmmod] or the next {!Decaf_kernel.Boot.boot}. *)

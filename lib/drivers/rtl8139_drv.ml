@@ -118,9 +118,8 @@ let handle_rx a =
   while not (Hw.Frameq.is_empty ring) do
     let frame = Hw.Frameq.head ring and born = Hw.Frameq.head_stamp ring in
     Hw.Frameq.drop ring;
-    K.Clock.consume 1_000
-    (* per-packet receive processing; decaf-lint: consume-ok, inside
-       the net.rx span *);
+    (* per-packet receive processing, inside the net.rx span *)
+    K.Clock.consume 1_000;
     incr received;
     (match a.netdev with
     | Some nd -> K.Netcore.netif_rx nd (K.Netcore.Skb.of_bytes frame)
@@ -400,22 +399,6 @@ let netdev t =
   match t.adapter.netdev with
   | Some nd -> nd
   | None -> K.Panic.bug "8139too: no netdev"
-
-(* Multicast-list update: the kernel recomputes the hash filter and lets
-   the user-level view catch up via a deferred notification — the
-   classic non-urgent upcall (nothing in the kernel waits on it). *)
-let set_rx_mode t ~mc_filter:(w0, w1) =
-  let a = t.adapter in
-  match ring_of a with
-  | Some ring ->
-      let r = RO.ring_mc_filter_record a.ka w0 w1 in
-      if not (Decaf_xpc.Ring.produce ring r) then begin
-        RO.ring_undeliverable a.ka r;
-        post_nic_sync a ~name:"rtl8139_set_rx_mode"
-      end
-  | None ->
-      Codec.set a.ka.RO.fields RO.mc_filter [| w0; w1 |];
-      post_nic_sync a ~name:"rtl8139_set_rx_mode"
 
 let kernel_nic t = t.adapter.ka
 let user_stat_syncs t = t.adapter.user_syncs

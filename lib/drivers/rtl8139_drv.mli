@@ -34,11 +34,6 @@ val adapter_wire_bytes : int
 (** Marshaled size of a full [struct rtl8139_private] image (see
     {!Rtl8139_objects.wire_size}) used for XPC accounting. *)
 
-val set_rx_mode : t -> mc_filter:int * int -> unit
-(** Update the multicast hash filter. The kernel object changes
-    immediately; the user-level view is refreshed by a deferred
-    notification through {!Decaf_xpc.Batch}. *)
-
 val kernel_nic : t -> Rtl8139_objects.kernel_nic
 
 val user_stat_syncs : t -> int

@@ -68,10 +68,6 @@ let bump_record kind f k =
 let ring_stats_record = bump_record ring_ev_stats stats_gen
 let ring_rx_dropped_record = bump_record ring_ev_rx_dropped rx_dropped
 
-let ring_mc_filter_record k w0 w1 =
-  Codec.set_quiet k.fields mc_filter [| w0; w1 |];
-  { Ring.kind = ring_ev_mc_filter; handle = handle k; arg0 = w0; arg1 = w1 }
-
 let ring_undeliverable k (r : Ring.record) =
   if r.Ring.kind = ring_ev_stats then Codec.mark k.fields stats_gen
   else if r.Ring.kind = ring_ev_rx_dropped then Codec.mark k.fields rx_dropped

@@ -25,8 +25,6 @@ val fresh_kernel_nic : unit -> kernel_nic
     {!E1000_objects}. *)
 
 val ring_ev_stats : int
-val ring_ev_rx_dropped : int
-val ring_ev_mc_filter : int
 
 val ring_table : Decaf_xpc.Codec.t
 (** The slot table: one of the three kinds, both args non-negative. *)
@@ -35,6 +33,5 @@ val ring_guard : Decaf_xpc.Guard.t
 val ring_resolve : int -> (int, string) result
 val ring_stats_record : kernel_nic -> Decaf_xpc.Ring.record
 val ring_rx_dropped_record : kernel_nic -> Decaf_xpc.Ring.record
-val ring_mc_filter_record : kernel_nic -> int -> int -> Decaf_xpc.Ring.record
 val ring_undeliverable : kernel_nic -> Decaf_xpc.Ring.record -> unit
 val apply_ring_record : Decaf_xpc.Ring.record -> unit

@@ -22,11 +22,6 @@ val rmmod : t -> unit
 val init_latency_ns : t -> int
 val urbs_completed : t -> int
 
-val user_complete_syncs : t -> int
-(** Deferred completion-counter refreshes ([uhci_complete]
-    notifications, one per TD completion) delivered to the user-level
-    driver; 0 in native mode. *)
-
 val active : unit -> t option
 (** The instance bound by the most recent successful [insmod], until its
     [rmmod] or the next {!Decaf_kernel.Boot.boot}. *)

@@ -95,38 +95,33 @@ let render_lock_order results =
 
 (* --- JSON rendering ---------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let render_json results =
+  let open Jsonl in
   let cx_json (cx : Explore.counterexample) =
-    Printf.sprintf
-      "{\"kind\":\"%s\",\"detail\":\"%s\",\"trace\":\"%s\",\"full_trace\":\"%s\"}"
-      (json_escape cx.Explore.cx_violation.Invariants.v_kind)
-      (json_escape cx.Explore.cx_violation.Invariants.v_detail)
-      (json_escape cx.Explore.cx_trace)
-      (json_escape cx.Explore.cx_full_trace)
+    Obj
+      [
+        ("kind", Str cx.Explore.cx_violation.Invariants.v_kind);
+        ("detail", Str cx.Explore.cx_violation.Invariants.v_detail);
+        ("trace", Str cx.Explore.cx_trace);
+        ("full_trace", Str cx.Explore.cx_full_trace);
+      ]
   in
-  let edge_json (a, b) =
-    Printf.sprintf "{\"outer\":\"%s\",\"inner\":\"%s\"}" (json_escape a)
-      (json_escape b)
-  in
+  let edge_json (a, b) = Obj [ ("outer", Str a); ("inner", Str b) ] in
   let result_json { x_depth; x_report = r } =
     let s = r.Explore.r_stats in
-    Printf.sprintf
-      "{\"episode\":\"%s\",\"depth\":%d,\"schedules\":%d,\"pruned\":%d,\"steps\":%d,\"max_branching\":%d,\"capped\":%b,\"counterexamples\":[%s],\"lock_order\":[%s]}"
-      (json_escape r.Explore.r_episode)
-      x_depth s.Explore.executions s.Explore.pruned s.Explore.steps
-      s.Explore.max_branching s.Explore.capped
-      (String.concat "," (List.map cx_json r.Explore.r_counterexamples))
-      (String.concat "," (List.map edge_json r.Explore.r_lock_edges))
+    to_string
+      (Obj
+         [
+           ("episode", Str r.Explore.r_episode);
+           ("depth", Int x_depth);
+           ("schedules", Int s.Explore.executions);
+           ("pruned", Int s.Explore.pruned);
+           ("steps", Int s.Explore.steps);
+           ("max_branching", Int s.Explore.max_branching);
+           ("capped", Bool s.Explore.capped);
+           ( "counterexamples",
+             Arr (List.map cx_json r.Explore.r_counterexamples) );
+           ("lock_order", Arr (List.map edge_json r.Explore.r_lock_edges));
+         ])
   in
   Printf.sprintf "[%s]\n" (String.concat ",\n " (List.map result_json results))

@@ -22,7 +22,6 @@ module Errors = Decaf_runtime.Errors
 module Supervisor = Decaf_runtime.Supervisor
 module Runtime = Decaf_runtime.Runtime
 open Decaf_drivers
-open Decaf_workloads
 
 type trial = {
   driver : string;
@@ -50,36 +49,42 @@ type report = {
 
 (* --- the drivers under attack ---
 
-   What the generator knows of a driver: its binding scope, two tracker
-   types — the one its handles name and one embedded at the same
-   address (the inner/outer aliasing of §3.1.2) — and the deferred
-   notification it really posts.  A driver with a shared-object layer
-   adds its crossing struct's Shared_struct operations (codec table
-   included), the active kernel object and the ring's slot table. *)
+   What the generator knows of a driver: its binding scope and the
+   deferred notification it really posts.  A driver with a tracked
+   crossing object adds its struct's Shared_struct operations (codec
+   table included), the active kernel object, the ring's slot table and
+   the tracker type embedded at the object's address (the inner/outer
+   aliasing of §3.1.2).  The other drivers issue no handle, so no
+   handle names anything of theirs: a forged, stale or cross-type
+   handle cannot even be expressed against them, and they face only
+   the baseline and the queue floods. *)
 
 type shared =
   | Shared : {
       ops : (module Shared_struct.S with type kernel = 'k);
       active : unit -> 'k;
       ring : Codec.t;
+      alias : string;
     }
       -> shared
 
-type driver = {
-  name : string;
-  types : string * string;
-  context : string;
-  shared : shared option;
-}
+type driver = { name : string; context : string; shared : shared option }
 
 let e1000 =
   let module O = E1000_objects in
   let active () = E1000_drv.(kernel_adapter (Option.get (active ()))) in
   {
     name = "e1000";
-    types = (Codec.type_id O.codec, Xpc.Univ.key_name O.ring_key);
     context = "e1000_stats";
-    shared = Some (Shared { ops = (module O); active; ring = O.ring_table });
+    shared =
+      Some
+        (Shared
+           {
+             ops = (module O);
+             active;
+             ring = O.ring_table;
+             alias = Xpc.Univ.key_name O.ring_key;
+           });
   }
 
 let rtl8139 =
@@ -87,24 +92,30 @@ let rtl8139 =
   let active () = Rtl8139_drv.(kernel_nic (Option.get (active ()))) in
   {
     name = "8139too";
-    types = (Codec.type_id O.codec, "rtl8139_stats");
     context = "rtl8139_stats";
-    shared = Some (Shared { ops = (module O); active; ring = O.ring_table });
+    shared =
+      Some
+        (Shared
+           {
+             ops = (module O);
+             active;
+             ring = O.ring_table;
+             alias = "rtl8139_stats";
+           });
   }
 
-let plain name types context = { name; types; context; shared = None }
-let ens1371 = plain "ens1371" ("ens1371_card", "ens1371_rate") "ens1371_pcm_ptr"
-let uhci = plain "uhci-hcd" ("uhci_qh", "uhci_td") "uhci_complete"
-let psmouse = plain "psmouse" ("psmouse_serio", "psmouse_packet") "psmouse_sync"
+let plain name context = { name; context; shared = None }
+let ens1371 = plain "ens1371" "ens1371_pcm_ptr"
+let uhci = plain "uhci-hcd" "uhci_complete"
+let psmouse = plain "psmouse" "psmouse_sync"
 let drivers = [ rtl8139; e1000; ens1371; uhci; psmouse ]
 
 (* --- the attacked object ---
 
-   A struct driver's victim is the active kernel copy of its struct, and
-   a handle reaches it inside an image the kernel glue unmarshals.  The
-   other drivers' victim is a fresh object of their own type, and a
-   handle reaches it through the tracker, as generated unmarshal code
-   resolves it. *)
+   The victim is the active kernel copy of a driver's crossing struct,
+   and a handle reaches it inside an image the kernel glue unmarshals.
+   A driver without one offers nothing to aim at: its trials touch no
+   object. *)
 
 type victim = {
   addr : int;
@@ -133,21 +144,10 @@ let victim d =
         fields = Some (S.fields k);
       }
   | None ->
-      let type_id = fst d.types and addr = Xpc.Addr.alloc ~size:32 in
-      let resolve handle =
-        Xpc.Objtracker.resolve (kernel_tracker ()) ~handle ~type_id
-      in
       {
-        addr;
-        handle = Xpc.Objtracker.issue (kernel_tracker ()) ~addr ~type_id;
-        present =
-          (fun handle _ ->
-            Result.iter_error
-              (fun reason ->
-                raise
-                  (Xpc.Boundary.Boundary_violation
-                     { type_id; field = "handle"; reason }))
-              (resolve handle));
+        addr = 0;
+        handle = 0;
+        present = (fun _ _ -> ());
         ack = ignore;
         fields = None;
       }
@@ -173,11 +173,9 @@ let forged_handle rng = 0x3bad_0000 + Random.State.int rng 0xfff
 let field values _ v = v.present v.handle values
 let forged rng v = v.present (forged_handle rng) []
 
-(* A revoked capability replayed; [across] runs between revocation and
-   replay — the eject/replug window. *)
-let stale ?(across = ignore) _ v =
+(* A revoked capability replayed. *)
+let stale _ v =
   Xpc.Objtracker.remove_by_handle (kernel_tracker ()) ~handle:v.handle;
-  across ();
   v.present v.handle []
 
 (* A real capability, for the type embedded at the victim's address. *)
@@ -273,20 +271,20 @@ let violations_of table =
 
 let cases_of d =
   let baseline = case d "none (baseline)" "clean" 0 (fun _ _ -> ()) in
-  let handles =
-    [
-      case d "forged handle" "recovered" 1 forged;
-      case d "stale handle (revoked)" "recovered" 1 (stale ?across:None);
-      case d "cross-type handle" "recovered" 1 (cross_type (snd d.types));
-    ]
-  in
   let flood =
     case d "deferred-call queue flood" "dropped" 0 (queue_flood d.context)
   in
   match d.shared with
-  | None -> (baseline :: handles) @ [ flood ]
-  | Some (Shared { ops; ring; _ }) ->
+  | None -> [ baseline; flood ]
+  | Some (Shared { ops; ring; alias; _ }) ->
       let module S = (val ops) in
+      let handles =
+        [
+          case d "forged handle" "recovered" 1 forged;
+          case d "stale handle (revoked)" "recovered" 1 stale;
+          case d "cross-type handle" "recovered" 1 (cross_type alias);
+        ]
+      in
       let fields =
         List.map
           (fun (label, name, values) ->
@@ -313,20 +311,11 @@ let cases_of d =
 let timed () =
   let suspended f = Trial.Suspended f in
   let _, name, values = List.hd (violations_of E1000_objects.codec) in
-  let replug () =
-    Driver_core.eject psmouse.name;
-    Rig.ok "psmouse-reinsmod"
-      (Driver_core.insmod psmouse.name ~mode:Driver_env.Decaf)
-  in
   [
     case ~targets:[ name ] ~persistent:true e1000
       "persistent fuzzer (every restart)" "degraded" 1 (field values);
     case ~window:suspended e1000 "forged handle in suspend window"
       "recovered" 1 forged;
-    case
-      ~window:(fun f -> Trial.Between f)
-      psmouse "handle replay across eject/replug" "recovered" 1
-      (stale ~across:replug);
     case ~window:suspended ens1371 "queue flood while suspended" "dropped" 0
       (queue_flood ens1371.context);
   ]

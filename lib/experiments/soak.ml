@@ -105,19 +105,41 @@ let render s =
     s.leaked_bytes;
   Buffer.contents buf
 
-(* --- line JSON, hand-rolled both ways like the Xpcperf trajectory --- *)
+(* --- line JSON, written and read by Jsonl like the Xpcperf
+   trajectory --- *)
 
 let json_row r =
-  Printf.sprintf
-    "{\"phase\":\"%s\",\"path\":\"%s\",\"samples\":%d,\"overflow\":%d,\"p50_ns\":%d,\"p99_ns\":%d,\"p999_ns\":%d,\"max_ns\":%d}"
-    r.phase r.path r.samples r.overflow r.p50_ns r.p99_ns r.p999_ns r.max_ns
+  Jsonl.(
+    to_string
+      (Obj
+         [
+           ("phase", Str r.phase);
+           ("path", Str r.path);
+           ("samples", Int r.samples);
+           ("overflow", Int r.overflow);
+           ("p50_ns", Int r.p50_ns);
+           ("p99_ns", Int r.p99_ns);
+           ("p999_ns", Int r.p999_ns);
+           ("max_ns", Int r.max_ns);
+         ]))
 
 let to_json s =
   let header =
-    Printf.sprintf
-      "{\"bench\":\"soak\",\"duration_ns\":%d,\"fleet\":%d,\"seed\":%d,\"steady_misses\":%d,\"churn_misses\":%d,\"audio_periods\":%d,\"packets\":%d,\"leaked_entries\":%d,\"leaked_bytes\":%d}"
-      s.duration_ns s.fleet s.seed s.steady_misses s.churn_misses
-      s.audio_periods s.packets s.leaked_entries s.leaked_bytes
+    Jsonl.(
+      to_string
+        (Obj
+           [
+             ("bench", Str "soak");
+             ("duration_ns", Int s.duration_ns);
+             ("fleet", Int s.fleet);
+             ("seed", Int s.seed);
+             ("steady_misses", Int s.steady_misses);
+             ("churn_misses", Int s.churn_misses);
+             ("audio_periods", Int s.audio_periods);
+             ("packets", Int s.packets);
+             ("leaked_entries", Int s.leaked_entries);
+             ("leaked_bytes", Int s.leaked_bytes);
+           ]))
   in
   String.concat "\n" (header :: List.map json_row s.rows) ^ "\n"
 

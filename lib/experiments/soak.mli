@@ -34,7 +34,6 @@ type summary = {
 
 val default_duration_ns : int
 val default_fleet : int
-val default_seed : int
 
 val measure :
   ?duration_ns:int -> ?fleet:int -> ?seed:int -> unit -> summary

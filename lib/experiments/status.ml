@@ -5,6 +5,7 @@
    and Table 3 observe. *)
 
 module K = Decaf_kernel
+module Supervisor = Decaf_runtime.Supervisor
 open Decaf_drivers
 open Decaf_workloads
 
@@ -40,34 +41,44 @@ let measure () =
 
 let render = Driver_core.render_status
 
-(* One JSON object per driver, one per line — the same hand-rolled,
-   dependency-free convention as the BENCH_xpc.json trajectory. *)
+(* One JSON object per driver, one per line, written by Jsonl like the
+   BENCH_xpc.json trajectory. *)
 let render_json snaps =
-  let buf = Buffer.create 1024 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun s ->
-      let stat f =
-        match s.Driver_core.s_supervisor with Some st -> f st | None -> 0
-      in
-      add
-        "{\"driver\":\"%s\",\"id\":\"%s\",\"state\":\"%s\",\"mode\":\"%s\",\"crossings\":%d,\"wire_bytes\":%d,\"notifies\":%d,\"deferred_syncs\":%d,\"rejections\":%d,\"dropped\":%d,\"ring_occupancy\":%d,\"ring_high_water\":%d,\"ring_doorbells\":%d,\"ring_drops\":%d,\"detected\":%d,\"recovered\":%d,\"degraded\":%d,\"restarts_left\":%d,\"init_latency_ns\":%d}\n"
-        s.Driver_core.s_driver s.Driver_core.s_binding
-        (Driver_core.lifecycle_name s.Driver_core.s_state)
-        (match s.Driver_core.s_mode with
-        | Some m -> Driver_env.mode_name m
-        | None -> "-")
-        s.Driver_core.s_crossings s.Driver_core.s_wire_bytes
-        s.Driver_core.s_notifies s.Driver_core.s_deferred_syncs
-        s.Driver_core.s_rejections s.Driver_core.s_dropped
-        s.Driver_core.s_ring_occupancy s.Driver_core.s_ring_high_water
-        s.Driver_core.s_ring_doorbells s.Driver_core.s_ring_drops
-        (stat (fun st -> st.Decaf_runtime.Supervisor.detected))
-        (stat (fun st -> st.Decaf_runtime.Supervisor.recovered))
-        (stat (fun st -> st.Decaf_runtime.Supervisor.degraded))
-        s.Driver_core.s_restarts_left s.Driver_core.s_init_latency_ns)
-    snaps;
-  Buffer.contents buf
+  let line (s : Driver_core.snapshot) =
+    let stat f =
+      Jsonl.Int (match s.s_supervisor with Some st -> f st | None -> 0)
+    in
+    Jsonl.(
+      to_string
+        (Obj
+           [
+             ("driver", Str s.s_driver);
+             ("id", Str s.s_binding);
+             ("state", Str (Driver_core.lifecycle_name s.s_state));
+             ( "mode",
+               Str
+                 (match s.s_mode with
+                 | Some m -> Driver_env.mode_name m
+                 | None -> "-") );
+             ("crossings", Int s.s_crossings);
+             ("wire_bytes", Int s.s_wire_bytes);
+             ("notifies", Int s.s_notifies);
+             ("deferred_syncs", Int s.s_deferred_syncs);
+             ("rejections", Int s.s_rejections);
+             ("dropped", Int s.s_dropped);
+             ("ring_occupancy", Int s.s_ring_occupancy);
+             ("ring_high_water", Int s.s_ring_high_water);
+             ("ring_doorbells", Int s.s_ring_doorbells);
+             ("ring_drops", Int s.s_ring_drops);
+             ("detected", stat (fun st -> st.Supervisor.detected));
+             ("recovered", stat (fun st -> st.Supervisor.recovered));
+             ("degraded", stat (fun st -> st.Supervisor.degraded));
+             ("restarts_left", Int s.s_restarts_left);
+             ("init_latency_ns", Int s.s_init_latency_ns);
+           ]))
+    ^ "\n"
+  in
+  String.concat "" (List.map line snaps)
 
 (* `decafctl status --latency`: the per-path percentile columns from the
    event-accounting registry, populated by the same workload slice

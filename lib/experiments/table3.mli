@@ -21,6 +21,13 @@ type row = {
   decaf : measurement;
 }
 
+val cell :
+  string -> string -> duration_ns:int -> Decaf_drivers.Driver_env.mode ->
+  measurement
+(** [cell driver workload ~duration_ns mode]: one half of a row — boot,
+    plug the device, load the [mode] build, bring it up, run the
+    workload, unload. *)
+
 val relative_performance : row -> float
 (** decaf perf / native perf. *)
 

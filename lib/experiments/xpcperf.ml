@@ -26,27 +26,41 @@ let config_name c =
    then the worker axis — the best serial config at 2 and 4 workers,
    plus the unoptimized baseline at 4 to separate the two effects — and
    finally the guard axis: the best serial and parallel configs with
-   per-field boundary validation switched off. These were meant to
-   price the validation layer, but every guard-off cell equals its
-   guard-on twin field for field, so they price nothing yet (ROADMAP
-   item 1). Guard on is the product configuration, so every other point
-   keeps it enabled. *)
+   per-field boundary validation switched off. The checks run on the
+   kernel side of each reply, off every worker lane, so the axis prices
+   them in [xpc_ns] (the off-lane account) while perf stays wire-bound.
+   Guard on is the product configuration, so every other point keeps it
+   enabled. *)
+(* The unoptimized serial point, and batch+delta at [workers]. *)
+let serial =
+  {
+    batching = false;
+    delta = false;
+    workers = 1;
+    guard = true;
+    ring = false;
+    instances = 1;
+  }
+
+let bd ?(guard = true) ?(ring = false) workers =
+  { serial with batching = true; delta = true; workers; guard; ring }
+
 let configs =
   [
-    { batching = false; delta = false; workers = 1; guard = true; ring = false; instances = 1 };
-    { batching = true; delta = false; workers = 1; guard = true; ring = false; instances = 1 };
-    { batching = false; delta = true; workers = 1; guard = true; ring = false; instances = 1 };
-    { batching = true; delta = true; workers = 1; guard = true; ring = false; instances = 1 };
-    { batching = true; delta = true; workers = 2; guard = true; ring = false; instances = 1 };
-    { batching = false; delta = false; workers = 4; guard = true; ring = false; instances = 1 };
-    { batching = true; delta = true; workers = 4; guard = true; ring = false; instances = 1 };
-    { batching = true; delta = true; workers = 1; guard = false; ring = false; instances = 1 };
-    { batching = true; delta = true; workers = 4; guard = false; ring = false; instances = 1 };
+    serial;
+    { serial with batching = true };
+    { serial with delta = true };
+    bd 1;
+    bd 2;
+    { serial with workers = 4 };
+    bd 4;
+    bd ~guard:false 1;
+    bd ~guard:false 4;
     (* the ring axis rides on top of the best serial and parallel
        configs: slot records replace the hot deferred notifications,
        the doorbell amortizes their crossings to ~zero *)
-    { batching = true; delta = true; workers = 1; guard = true; ring = true; instances = 1 };
-    { batching = true; delta = true; workers = 4; guard = true; ring = true; instances = 1 };
+    bd ~ring:true 1;
+    bd ~ring:true 4;
   ]
 
 (* The fleet axis rides on the best parallel configuration (batch +
@@ -59,15 +73,7 @@ let fleet_instance_counts = [ 1; 16; 64; 256 ]
 
 let fleet_configs =
   List.map
-    (fun n ->
-      {
-        batching = true;
-        delta = true;
-        workers = 4;
-        guard = true;
-        ring = true;
-        instances = n;
-      })
+    (fun n -> { (bd ~ring:true 4) with instances = n })
     fleet_instance_counts
 
 type sample = {
@@ -212,10 +218,21 @@ let default_duration_ns = 300_000_000
 (* Each scenario carries the configurations it is measured under: the
    single-instance scenarios sweep the full optimization matrix, the
    fleet scenario sweeps the instance axis on the best parallel point. *)
+(* psmouse and ens1371 cross no tracked structure, validated field or
+   ring, so their delta, guard and ring points repeat a sibling field
+   for field: they measure the batching and worker axes alone, and
+   ens1371, whose upcalls never fill more than two lanes, drops its
+   two-worker point too. Of each repeated group the kept cell is the one
+   [render] compares. *)
+let plain c = c.batching = c.delta && c.guard && not c.ring
+let psmouse_configs = List.filter plain configs
+let ens1371_configs = List.filter (fun c -> plain c && c.workers <> 2) configs
+
 let scenarios ~duration_ns =
-  let single driver scenario perf_unit ?(duration_ns = duration_ns) workload =
+  let single driver scenario perf_unit ?(duration_ns = duration_ns)
+      ?(cfgs = configs) workload =
     ( scenario,
-      configs,
+      cfgs,
       fun cfg -> cell driver ~scenario ~perf_unit workload cfg ~duration_ns )
   in
   [
@@ -224,10 +241,12 @@ let scenarios ~duration_ns =
     single "8139too" "8139too-netperf-send" "Mb/s" (goodput ~recv:false);
     single "psmouse" "psmouse-move" "ev/s"
       ~duration_ns:(max duration_ns 2_000_000_000)
+      ~cfgs:psmouse_configs
       (fun dev ~duration_ns ->
         (Rig.move dev ~duration_ns).Mouse_move.event_rate_hz);
     (* realtime factor of playback with no mid-stream underrun *)
-    single "ens1371" "ens1371-mpg123" "rt" (fun dev ~duration_ns ->
+    single "ens1371" "ens1371-mpg123" "rt" ~cfgs:ens1371_configs
+      (fun dev ~duration_ns ->
         let r = Rig.play dev ~duration_ns in
         if r.Mpg123.underruns <= 1 then r.Mpg123.realtime_factor else 0.0);
     ("e1000-fleet", fleet_configs, fun cfg -> e1000_fleet cfg ~duration_ns);
@@ -284,154 +303,52 @@ let render samples =
     samples;
   let names =
     List.filter_map
-      (fun s ->
-        if
-          s.config
-          = {
-              batching = false;
-              delta = false;
-              workers = 1;
-              guard = true;
-              ring = false;
-              instances = 1;
-            }
-        then Some s.scenario
-        else None)
+      (fun s -> if s.config = serial then Some s.scenario else None)
       samples
   in
-  add "\n%-20s %12s %12s %10s\n" "batch+delta vs off" "crossings" "bytes"
-    "perf";
-  List.iter
-    (fun scenario ->
-      match
-        ( find samples ~scenario
-            ~config:
-              {
-                batching = false;
-                delta = false;
-                workers = 1;
-                guard = true;
-                ring = false;
-                instances = 1;
-              },
-          find samples ~scenario
-            ~config:
-              {
-                batching = true;
-                delta = true;
-                workers = 1;
-                guard = true;
-                ring = false;
-                instances = 1;
-              } )
-      with
-      | Some off, Some on ->
-          add "%-20s %11.1f%% %11.1f%% %9.3fx\n" scenario
-            (reduction ~off:off.crossings ~on:on.crossings)
-            (reduction ~off:off.bytes ~on:on.bytes)
-            (if perf off = 0. then 1. else perf on /. perf off)
-      | _ -> ())
-    names;
-  add "\n%-20s %12s %12s %10s\n" "w4 vs w1 (b+d)" "xpc_ns" "contended" "perf";
-  List.iter
-    (fun scenario ->
-      match
-        ( find samples ~scenario
-            ~config:
-              {
-                batching = true;
-                delta = true;
-                workers = 1;
-                guard = true;
-                ring = false;
-                instances = 1;
-              },
-          find samples ~scenario
-            ~config:
-              {
-                batching = true;
-                delta = true;
-                workers = 4;
-                guard = true;
-                ring = false;
-                instances = 1;
-              } )
-      with
-      | Some w1, Some w4 ->
-          add "%-20s %11.1f%% %12d %9.3fx\n" scenario
-            (reduction ~off:w1.xpc_ns ~on:w4.xpc_ns)
-            w4.lock_contended
-            (if perf w1 = 0. then 1. else perf w4 /. perf w1)
-      | _ -> ())
-    names;
-  (* the price of boundary validation: guard on vs off at the best
-     config, serial and parallel *)
-  add "\n%-20s %12s %12s\n" "guard on vs off" "w1 perf" "w4 perf";
-  List.iter
-    (fun scenario ->
-      let ratio w =
+  (* One summary: a row per scenario that measured both [a] and [b]. *)
+  let versus title columns a b row =
+    add "\n%-20s %s\n" title columns;
+    List.iter
+      (fun scenario ->
         match
-          ( find samples ~scenario
-              ~config:
-                {
-                  batching = true;
-                  delta = true;
-                  workers = w;
-                  guard = false;
-                  ring = false;
-                  instances = 1;
-                },
-            find samples ~scenario
-              ~config:
-                {
-                  batching = true;
-                  delta = true;
-                  workers = w;
-                  guard = true;
-                  ring = false;
-                  instances = 1;
-                } )
+          (find samples ~scenario ~config:a, find samples ~scenario ~config:b)
         with
-        | Some off, Some on when perf off > 0. -> perf on /. perf off
-        | _ -> 1.
-      in
-      add "%-20s %11.3fx %11.3fx\n" scenario (ratio 1) (ratio 4))
-    names;
+        | Some x, Some y -> row scenario x y
+        | _ -> ())
+      names
+  in
+  let ratio x y = if perf x = 0. then 1. else perf y /. perf x in
+  versus "batch+delta vs off" "   crossings        bytes       perf" serial
+    (bd 1) (fun scenario off on ->
+      add "%-20s %11.1f%% %11.1f%% %9.3fx\n" scenario
+        (reduction ~off:off.crossings ~on:on.crossings)
+        (reduction ~off:off.bytes ~on:on.bytes)
+        (ratio off on));
+  versus "w4 vs w1 (b+d)" "      xpc_ns    contended       perf" (bd 1)
+    (bd 4) (fun scenario w1 w4 ->
+      add "%-20s %11.1f%% %12d %9.3fx\n" scenario
+        (reduction ~off:w1.xpc_ns ~on:w4.xpc_ns)
+        w4.lock_contended (ratio w1 w4));
+  (* the price of boundary validation at the best config, serial and
+     parallel: the checks' XPC time, while perf stays wire-bound *)
+  List.iter
+    (fun w ->
+      versus
+        (Printf.sprintf "guard on vs off (w%d)" w)
+        "     +xpc_ns       perf" (bd ~guard:false w) (bd w)
+        (fun scenario off on ->
+          add "%-20s %12d %9.3fx\n" scenario (on.xpc_ns - off.xpc_ns)
+            (ratio off on)))
+    [ 1; 4 ];
   (* the ring axis: data-path crossings collapse from one flush per
      batch to one doorbell per ring fill, throughput must hold *)
-  add "\n%-20s %12s %12s %10s\n" "ring vs batch+delta" "flush->bell"
-    "crossings" "perf";
-  List.iter
-    (fun scenario ->
-      match
-        ( find samples ~scenario
-            ~config:
-              {
-                batching = true;
-                delta = true;
-                workers = 1;
-                guard = true;
-                ring = false;
-                instances = 1;
-              },
-          find samples ~scenario
-            ~config:
-              {
-                batching = true;
-                delta = true;
-                workers = 1;
-                guard = true;
-                ring = true;
-                instances = 1;
-              } )
-      with
-      | Some bd, Some rg ->
-          add "%-20s %6d->%-5d %11.1f%% %9.3fx\n" scenario bd.flushes
-            rg.doorbells
-            (reduction ~off:bd.crossings ~on:rg.crossings)
-            (if perf bd = 0. then 1. else perf rg /. perf bd)
-      | _ -> ())
-    names;
+  versus "ring vs batch+delta" " flush->bell    crossings       perf" (bd 1)
+    (bd ~ring:true 1) (fun scenario bd rg ->
+      add "%-20s %6d->%-5d %11.1f%% %9.3fx\n" scenario bd.flushes
+        rg.doorbells
+        (reduction ~off:bd.crossings ~on:rg.crossings)
+        (ratio bd rg));
   (* the fleet axis: aggregate goodput and fairness as the instance
      count grows on a fixed worker pool *)
   let fleet =
@@ -456,27 +373,48 @@ let render samples =
   end;
   Buffer.contents buf
 
-(* --- JSON trajectory: one object per line, hand-rolled both ways so
-   the committed file can be parsed without a json dependency --- *)
+(* --- JSON trajectory: one object per line, written and read by Jsonl
+   so the committed file can be parsed without a json dependency --- *)
 
 let json_line s =
-  Printf.sprintf
-    "{\"scenario\":\"%s\",\"batching\":%d,\"delta\":%d,\"workers\":%d,\"guard\":%d,\"ring\":%d,\"instances\":%d,\"crossings\":%d,\"c_java\":%d,\"bytes\":%d,\"posted\":%d,\"delivered\":%d,\"flushes\":%d,\"doorbells\":%d,\"ring_produced\":%d,\"ring_drops\":%d,\"xpc_ns\":%d,\"lock_contended\":%d,\"lock_wait_ns\":%d,\"shard_hits\":%d,\"shards_used\":%d,\"perf_milli\":%d,\"perf_unit\":\"%s\",\"fair_min_milli\":%d,\"fair_mean_milli\":%d,\"fair_max_milli\":%d}"
-    s.scenario
-    (if s.config.batching then 1 else 0)
-    (if s.config.delta then 1 else 0)
-    s.config.workers
-    (if s.config.guard then 1 else 0)
-    (if s.config.ring then 1 else 0)
-    s.config.instances
-    s.crossings s.c_java s.bytes s.posted s.delivered s.flushes s.doorbells
-    s.ring_produced s.ring_drops s.xpc_ns s.lock_contended s.lock_wait_ns
-    s.shard_hits s.shards_used s.perf_milli s.perf_unit s.fair_min_milli
-    s.fair_mean_milli s.fair_max_milli
+  let open Jsonl in
+  let flag b = Int (if b then 1 else 0) in
+  to_string
+    (Obj
+       [
+         ("scenario", Str s.scenario);
+         ("batching", flag s.config.batching);
+         ("delta", flag s.config.delta);
+         ("workers", Int s.config.workers);
+         ("guard", flag s.config.guard);
+         ("ring", flag s.config.ring);
+         ("instances", Int s.config.instances);
+         ("crossings", Int s.crossings);
+         ("c_java", Int s.c_java);
+         ("bytes", Int s.bytes);
+         ("posted", Int s.posted);
+         ("delivered", Int s.delivered);
+         ("flushes", Int s.flushes);
+         ("doorbells", Int s.doorbells);
+         ("ring_produced", Int s.ring_produced);
+         ("ring_drops", Int s.ring_drops);
+         ("xpc_ns", Int s.xpc_ns);
+         ("lock_contended", Int s.lock_contended);
+         ("lock_wait_ns", Int s.lock_wait_ns);
+         ("shard_hits", Int s.shard_hits);
+         ("shards_used", Int s.shards_used);
+         ("perf_milli", Int s.perf_milli);
+         ("perf_unit", Str s.perf_unit);
+         ("fair_min_milli", Int s.fair_min_milli);
+         ("fair_mean_milli", Int s.fair_mean_milli);
+         ("fair_max_milli", Int s.fair_max_milli);
+       ])
 
 let to_json ~duration_ns samples =
   let header =
-    Printf.sprintf "{\"bench\":\"xpc\",\"duration_ns\":%d}" duration_ns
+    Jsonl.(
+      to_string
+        (Obj [ ("bench", Str "xpc"); ("duration_ns", Int duration_ns) ]))
   in
   String.concat "\n" (header :: List.map json_line samples) ^ "\n"
 

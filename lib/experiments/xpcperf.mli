@@ -36,23 +36,6 @@ val config_name : config -> string
     suffix (guard on is the default and unmarked); ring points a
     ["+ring"] suffix; multi-instance points a ["+iN"] suffix. *)
 
-val configs : config list
-(** The eleven measured combinations, in file order: the four historical
-    serial points (nobatch+full, batch+full, nobatch+delta, batch+delta,
-    all at [workers = 1]), then batch+delta at 2 and the
-    nobatch+full / batch+delta pair at 4 workers — all with boundary
-    validation on — then the guard axis: batch+delta at 1 and 4
-    workers with {!Decaf_xpc.Guard} per-field validation off, pricing
-    the validation layer under the same regression gate — and finally
-    the ring axis: batch+delta at 1 and 4 workers with the shared ring
-    carrying the notify traffic. All single-instance; the fleet axis is
-    {!fleet_configs}. *)
-
-val fleet_configs : config list
-(** The instance axis: batch+delta+w4+ring (guard on) at 1, 16, 64 and
-    256 concurrent e1000 bindings — the per-scenario configuration list
-    of the [e1000-fleet] scenario. *)
-
 type sample = {
   scenario : string;
   config : config;
@@ -66,8 +49,9 @@ type sample = {
   ring_produced : int;  (** slot records written into shared rings *)
   ring_drops : int;  (** ring slots lost to overflow or teardown *)
   xpc_ns : int;
-      (** whole-lifetime {!Decaf_xpc.Dispatch.overhead_ns} — the
-          longest-lane (critical-path) dispatch cost *)
+      (** whole-lifetime {!Decaf_xpc.Dispatch.overhead_ns}: every XPC
+          charge on the critical path, the longest lane of each pool
+          plus the off-lane account *)
   lock_contended : int;  (** combolock contended acquisitions *)
   lock_wait_ns : int;  (** virtual ns spent waiting on combolocks *)
   shard_hits : int;  (** object-tracker hits summed over shards *)
@@ -93,24 +77,30 @@ val default_duration_ns : int
 
 val e1000_net : [ `Send | `Recv ] -> config -> duration_ns:int -> sample
 
-val e1000_fleet : config -> duration_ns:int -> sample
-(** [config.instances] e1000 devices on the bus, each bound as its own
-    registry instance of the one loaded module, all streaming through
-    {!Decaf_workloads.Vswitch}; [perf] is the aggregate goodput and the
-    [fair_*] fields the per-instance spread. *)
-
 val scenario_names : string list
 (** The six scenario names, matrix order. *)
 
 val config_names : unit -> string list
-(** [config_name] of every measured configuration ({!configs} and
-    {!fleet_configs}), deduplicated. *)
+(** [config_name] of every measured configuration, deduplicated. *)
 
 val measure :
   ?duration_ns:int -> ?scenario:string -> ?config:string -> unit -> sample list
-(** The full matrix: 5 single-instance scenarios x 11 configs (psmouse
-    stretched to at least 2 s so the mouse produces traffic) plus the
-    [e1000-fleet] scenario over {!fleet_configs}. [?scenario] and
+(** The matrix, 46 cells. The three NIC scenarios run eleven
+    single-instance configurations, in file order: the four historical
+    serial points (nobatch+full, batch+full, nobatch+delta, batch+delta,
+    all at [workers = 1]), then batch+delta at 2 and the nobatch+full /
+    batch+delta pair at 4 workers — all with boundary validation on —
+    then the guard axis: batch+delta at 1 and 4 workers with
+    {!Decaf_xpc.Guard} per-field validation off, which prices the
+    kernel-side checks in [xpc_ns] — and finally the ring axis:
+    batch+delta at 1 and 4 workers with the shared ring carrying the
+    notify traffic. psmouse (stretched to at least 2 s so the mouse
+    produces traffic) and ens1371 cross no tracked structure, validated
+    field or ring, so their delta, guard and ring points would repeat a
+    sibling field for field: they run the batching and worker axes
+    alone (five cells and four, ens1371 without its two-worker point,
+    which equals its four-worker one). [e1000-fleet] runs
+    batch+delta+w4+ring at 1, 16, 64 and 256 instances. [?scenario] and
     [?config] restrict the run to matching rows/columns (exact match
     against {!scenario_names} / {!config_names}), so a single matrix
     cell can be reproduced locally; unknown names simply select
@@ -119,9 +109,11 @@ val measure :
 val render : sample list -> string
 (** Per-sample table plus reduction summaries per scenario:
     batch+delta vs nobatch+full (serial), 4 workers vs 1 under
-    batch+delta, guard pricing, ring vs batch+delta (flushes collapsing
-    into doorbells), and the fleet axis (aggregate goodput plus
-    fairness spread per instance count). *)
+    batch+delta, guard pricing (the checks' [xpc_ns] at 1 and 4
+    workers), ring vs batch+delta (flushes collapsing into doorbells),
+    and the fleet axis (aggregate goodput plus fairness spread per
+    instance count). A summary lists the scenarios that measured both
+    of its cells. *)
 
 val to_json : duration_ns:int -> sample list -> string
 (** One JSON object per line (header line carries [duration_ns]);

@@ -30,7 +30,6 @@ val reg_itr : int
     accumulating in ICR while the window is closed and are delivered by
     one coalesced interrupt when it opens. *)
 
-val reg_rdh : int
 val reg_rdt : int
 
 (** Bits. *)

@@ -129,7 +129,6 @@ let dma_feed t n =
   t.buffered <- t.buffered + n
 
 let set_data_source t source = t.data_source <- Some source
-let buffered t = t.buffered
 let consumed t = t.consumed
 let underruns t = t.underruns
 let periods_played t = t.periods

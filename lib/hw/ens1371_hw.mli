@@ -26,11 +26,7 @@ val reg_codec : int
 val reg_frame_size : int
 (** 0x24: period size in bytes. *)
 
-val reg_pos : int
-(** 0x2c (read-only): total bytes the DAC has consumed (32-bit wrap). *)
-
 val ctrl_dac2_en : int
-val status_intr : int
 val status_dac2 : int
 
 val create : io_base:int -> irq:int -> unit -> t
@@ -46,7 +42,6 @@ val set_data_source : t -> (unit -> int) -> unit
     (beyond what it has already consumed) instead of using
     {!dma_feed}'s explicit accumulator. *)
 
-val buffered : t -> int
 val consumed : t -> int
 val underruns : t -> int
 val periods_played : t -> int

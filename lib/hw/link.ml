@@ -9,7 +9,6 @@ type t = {
   mutable rx_free_at : int;
   mutable tx_frames : int;
   mutable tx_bytes : int;
-  mutable rx_frames : int;
   mutable rx_bytes : int;
   tx : (int -> unit) Frameq.t;
       (* toward the peer: each frame with the sender's stamp and its
@@ -59,7 +58,6 @@ let create ~rate_bps () =
       rx_free_at = 0;
       tx_frames = 0;
       tx_bytes = 0;
-      rx_frames = 0;
       rx_bytes = 0;
       tx = Frameq.create ignore;
       rx = Frameq.create ();
@@ -104,7 +102,6 @@ let inject t frame =
   let start = start_at t.rx_free_at t.rx_last in
   let finish = start + wire_time t (Bytes.length frame) in
   t.rx_free_at <- finish;
-  t.rx_frames <- t.rx_frames + 1;
   t.rx_bytes <- t.rx_bytes + Bytes.length frame;
   purge_stale t.rx t.rx_last;
   Frameq.push t.rx frame 0 ();
@@ -112,6 +109,5 @@ let inject t frame =
 
 let tx_frames t = t.tx_frames
 let tx_bytes t = t.tx_bytes
-let rx_frames t = t.rx_frames
 let rx_bytes t = t.rx_bytes
 let rate_bps t = t.rate_bps

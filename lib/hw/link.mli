@@ -35,7 +35,6 @@ val inject : t -> bytes -> unit
 
 val tx_frames : t -> int
 val tx_bytes : t -> int
-val rx_frames : t -> int
 val rx_bytes : t -> int
 
 val rate_bps : t -> int

@@ -16,9 +16,6 @@ val status_port : int  (* 0x64 *)
 val status_obf : int
 (** Output buffer full. *)
 
-val status_aux : int
-(** Data in the output buffer came from the mouse. *)
-
 val cmd_write_aux : int
 (** 0xD4: route the next data-port write to the mouse. *)
 

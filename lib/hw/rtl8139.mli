@@ -16,17 +16,11 @@ val idr0 : int
 (** 0x10 + 4*n: transmit status of descriptor n (32-bit) *)
 val tsd0 : int
 
-(** 0x20 + 4*n: transmit start address of descriptor n *)
-val tsad0 : int
-
 (** 0x30: receive buffer start address *)
 val rbstart : int
 
 (** 0x37: command — bit 4 RST, bit 3 RE, bit 2 TE, bit 0 BUFE *)
 val cmd : int
-
-(** 0x38: current address of packet read *)
-val capr : int
 
 (** 0x3c: interrupt mask (16-bit) *)
 val imr : int
@@ -39,9 +33,6 @@ val tcr : int
 
 (** 0x44: receive configuration *)
 val rcr : int
-
-(** 0x52 *)
-val config1 : int
 
 
 val cmd_rst : int

@@ -38,7 +38,6 @@ type t = {
   mutable portsc2 : int;
   mutable frames : int;
   mutable written : int;
-  mutable read_back : int;
   mutable tick : K.Clock.event_id option;
 }
 
@@ -47,9 +46,8 @@ let port_enabled t = t.portsc1 land portsc_ped <> 0
 let finish t td status =
   (match status with
   | Td_ok ->
-      (match td.direction with
-      | K.Usbcore.Dir_out -> t.written <- t.written + td.length
-      | K.Usbcore.Dir_in -> t.read_back <- t.read_back + td.length)
+      if td.direction = K.Usbcore.Dir_out then
+        t.written <- t.written + td.length
   | Td_stalled | Td_no_device -> ());
   t.usbsts <- t.usbsts lor sts_usbint;
   if t.usbintr <> 0 then K.Irq.raise_irq t.irq_line;
@@ -155,7 +153,6 @@ let create ~io_base ~irq () =
       portsc2 = 0;
       frames = 0;
       written = 0;
-      read_back = 0;
       tick = None;
     }
   in
@@ -174,7 +171,5 @@ let submit_td t ~direction ~length ~complete =
   if length < 0 then invalid_arg "Uhci_hw.submit_td";
   Queue.push { direction; length; moved = 0; complete } t.tds
 
-let pending_tds t = Queue.length t.tds
 let frames_run t = t.frames
 let drive_bytes_written t = t.written
-let drive_bytes_read t = t.read_back

@@ -26,8 +26,6 @@ val reg_portsc1 : int
 (** 0x10 (16-bit): bit 0 connect status, bit 1 connect change (w1c),
     bit 2 port enabled, bit 9 port reset (self-clearing). *)
 
-val reg_portsc2 : int
-
 val cmd_rs : int
 val cmd_hcreset : int
 val sts_usbint : int
@@ -51,7 +49,5 @@ val submit_td :
     from frame processing. Submitting while the port is disabled
     completes with [Td_no_device]. *)
 
-val pending_tds : t -> int
 val frames_run : t -> int
 val drive_bytes_written : t -> int
-val drive_bytes_read : t -> int

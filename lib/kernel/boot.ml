@@ -21,7 +21,6 @@ let boot () =
   Faultinject.reset ();
   Sync.Combolock.reset_totals ();
   Klog.clear ();
-  Cost.reset ();
   List.iter (fun f -> f ()) !hooks
 
 let check_quiescent () =

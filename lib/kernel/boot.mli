@@ -3,9 +3,10 @@
 val boot : unit -> unit
 (** Reset the machine to its power-on state: clock, scheduler, interrupt
     controller, I/O maps, PCI bus, memory accounting, device registries,
-    fault plan, combolock totals, kernel log and cost table, then every
-    hook registered with {!on_reset}, in registration order. Two runs
-    after a [boot] in one process simulate the same thing. *)
+    fault plan, combolock totals and kernel log, then every hook
+    registered with {!on_reset}, in registration order. Two runs after a
+    [boot] in one process simulate the same thing. The cost table
+    ({!Cost.current}) is an input, not machine state: a boot keeps it. *)
 
 val on_reset : (unit -> unit) -> unit
 (** Register a module's power-on reset. A module outside the kernel

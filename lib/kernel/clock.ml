@@ -228,11 +228,6 @@ let track_end ?key path =
           Latency.observe_at path dt;
           Some dt)
 
-let track_discard ?key path =
-  match Hashtbl.find_opt span_fifos (fifo_key ?key path) with
-  | None -> ()
-  | Some q -> ignore (Queue.take_opt q)
-
 (* Hotplug can orphan every outstanding birth at once (the device that
    stamped them is gone); draining keeps later completions from pairing
    with births that predate the replug. *)
@@ -240,9 +235,6 @@ let track_drain ?key path =
   match Hashtbl.find_opt span_fifos (fifo_key ?key path) with
   | None -> ()
   | Some q -> Queue.clear q
-
-let tracks_in_flight () =
-  Hashtbl.fold (fun _ q acc -> acc + Queue.length q) span_fifos 0
 
 let reset () =
   for i = 0 to !size - 1 do

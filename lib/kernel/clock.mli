@@ -87,14 +87,7 @@ val track_end : ?key:string -> Latency.path -> int option
     birth is outstanding (a no-op, so completion points are safe to run
     against producers that never stamped). *)
 
-val track_discard : ?key:string -> Latency.path -> unit
-(** Drop the oldest outstanding birth without recording (the paired
-    item was itself dropped). *)
-
 val track_drain : ?key:string -> Latency.path -> unit
 (** Drop every outstanding birth for the key (hotplug killed the
     producer; completions after the replug must not pair with births
     from before it). *)
-
-val tracks_in_flight : unit -> int
-(** Total outstanding FIFO births (diagnostic; quiescence checks). *)

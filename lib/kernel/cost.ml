@@ -18,7 +18,7 @@ type t = {
   mutable jvm_startup_ns : int;
 }
 
-let defaults () =
+let current =
   {
     syscall_ns = 300;
     irq_dispatch_ns = 2_000;
@@ -38,25 +38,3 @@ let defaults () =
     ring_slot_read_ns = 25;
     jvm_startup_ns = 300_000_000;
   }
-
-let current = defaults ()
-
-let reset () =
-  let d = defaults () in
-  current.syscall_ns <- d.syscall_ns;
-  current.irq_dispatch_ns <- d.irq_dispatch_ns;
-  current.spinlock_ns <- d.spinlock_ns;
-  current.semaphore_ns <- d.semaphore_ns;
-  current.ctx_switch_ns <- d.ctx_switch_ns;
-  current.port_io_ns <- d.port_io_ns;
-  current.mmio_ns <- d.mmio_ns;
-  current.xpc_kernel_user_ns <- d.xpc_kernel_user_ns;
-  current.xpc_c_java_ns <- d.xpc_c_java_ns;
-  current.marshal_byte_ns <- d.marshal_byte_ns;
-  current.remarshal_byte_ns <- d.remarshal_byte_ns;
-  current.objtracker_lookup_ns <- d.objtracker_lookup_ns;
-  current.xpc_dispatch_ns <- d.xpc_dispatch_ns;
-  current.guard_check_ns <- d.guard_check_ns;
-  current.ring_slot_write_ns <- d.ring_slot_write_ns;
-  current.ring_slot_read_ns <- d.ring_slot_read_ns;
-  current.jvm_startup_ns <- d.jvm_startup_ns

@@ -1,9 +1,18 @@
 (** Virtual-time costs (in nanoseconds) charged by the simulated kernel.
 
-    All costs are mutable so that experiments can calibrate them; the
-    defaults are chosen so that the evaluation tables keep the shape
-    reported in the paper (steady-state parity, multi-second decaf
-    initialization). *)
+    The table is an input of the simulation: a caller sets a field on
+    {!current} and every later run prices that operation at the new
+    value — {!Boot.boot} keeps it. The defaults are chosen so that the
+    evaluation tables keep the shape reported in the paper (steady-state
+    parity, multi-second decaf initialization); a caller that changes a
+    field restores it when done.
+
+    Every XPC cost below (crossings, marshaling, tracker lookups and
+    locks, dispatch admission, guard checks, ring slots) is charged
+    through [Decaf_xpc.Dispatch.charge], so it reaches the clock and the
+    XPC account together: doubling any of them moves the [xpc_ns] of
+    the cells that pay it. test_xpcperf's knob table holds each field to
+    the measurements it must move and those it must leave alone. *)
 
 type t = {
   mutable syscall_ns : int;  (** entering the kernel from an application *)
@@ -23,11 +32,12 @@ type t = {
   mutable xpc_dispatch_ns : int;
       (** per-upcall worker-pool admission overhead; charged to the
           serving worker's lane in the dispatch accounting and, like
-          every lane charge, consumed on the global clock too *)
+          every XPC charge, consumed on the global clock too *)
   mutable guard_check_ns : int;
       (** one boundary-validation check on an inbound field (range/enum/
           length/writability), charged per validated field when
-          [Decaf_xpc.Guard] is enabled *)
+          [Decaf_xpc.Guard] is enabled — on the kernel side of a reply,
+          so off-lane *)
   mutable ring_slot_write_ns : int;
       (** writing one fixed-layout record into a shared XPC ring slot —
           a handful of stores into already-mapped memory, orders of
@@ -39,7 +49,5 @@ type t = {
 }
 
 val current : t
-(** The cost table used by the running simulation. *)
-
-val reset : unit -> unit
-(** Restore every cost to its default. *)
+(** The cost table used by the running simulation, starting at the
+    defaults. *)

@@ -31,15 +31,6 @@ let plan_v : plan option ref = ref None
 let injected = ref 0
 let log_v : injection list ref = ref []
 
-let kind_name = function
-  | Bad_read -> "bad-read"
-  | Stuck_ones -> "stuck-ones"
-  | Stuck_zero -> "stuck-zero"
-  | Alloc_fail -> "alloc-fail"
-  | Xpc_timeout -> "xpc-timeout"
-  | Spurious_irq -> "spurious-irq"
-  | Link_flap -> "link-flap"
-
 let spec ?addr ~site ~kind ~trigger () = { site; addr; kind; trigger }
 
 let read_fault = function
@@ -130,6 +121,5 @@ let filter_read ~site ~addr v =
       let v = if fires_at p ~site ~at:true ~addr Stuck_zero then 0 else v in
       if fires_at p ~site ~at:true ~addr Bad_read then flip_bit p v else v
 
-let record_external ~site ?addr kind = record ~site ~addr kind
 let injected_count () = !injected
 let injections () = List.rev !log_v

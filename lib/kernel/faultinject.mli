@@ -58,13 +58,8 @@ val filter_read : site:string -> addr:int -> int -> int
 (** Pass a register/word read through the plan, applying any firing
     [Stuck_ones]/[Stuck_zero]/[Bad_read] spec to the value. *)
 
-val record_external : site:string -> ?addr:int -> kind -> unit
-(** Count an injection performed outside the hooks (e.g. a spurious IRQ
-    raised directly by a campaign). *)
-
 val injected_count : unit -> int
 val injections : unit -> injection list
-val kind_name : kind -> string
 
 val reset : unit -> unit
 (** Disarm and zero all counters (called on boot). *)

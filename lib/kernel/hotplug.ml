@@ -7,12 +7,10 @@ type event =
 let bus_name = function Pci -> "pci" | Usb -> "usb" | Input -> "input"
 
 let subscribers : (event -> unit) list ref = ref []
-let seen = ref 0
 
 let subscribe f = subscribers := !subscribers @ [ f ]
 
 let publish ev =
-  incr seen;
   (match ev with
   | Device_added { bus; id; vendor; device } ->
       Klog.printk Klog.Info "hotplug: %s %s added (%04x:%04x)" (bus_name bus)
@@ -21,8 +19,4 @@ let publish ev =
       Klog.printk Klog.Info "hotplug: %s %s removed" (bus_name bus) id);
   List.iter (fun f -> f ev) !subscribers
 
-let events_seen () = !seen
-
-let reset () =
-  subscribers := [];
-  seen := 0
+let reset () = subscribers := []

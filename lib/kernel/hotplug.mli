@@ -13,16 +13,11 @@ type event =
   | Device_added of { bus : bus; id : string; vendor : int; device : int }
   | Device_removed of { bus : bus; id : string }
 
-val bus_name : bus -> string
-
 val subscribe : (event -> unit) -> unit
 (** Handlers run synchronously, in publication order, in the publishing
     thread. Subscriptions last until the next {!reset} (each kernel boot
     starts with no subscribers). *)
 
 val publish : event -> unit
-
-val events_seen : unit -> int
-(** Events published since the last {!reset}. *)
 
 val reset : unit -> unit

@@ -20,8 +20,6 @@ type region = {
    because the regions already claimed never overlap each other. *)
 let ports : region array ref = ref [||]
 let mmio : region array ref = ref [||]
-let port_count = ref 0
-let mmio_count = ref 0
 let table = function Port -> ports | Mmio -> mmio
 
 (* The number of regions in [a] whose base is at or below [addr]. *)
@@ -66,12 +64,8 @@ let find space addr =
       addr
 
 let charge = function
-  | Port ->
-      incr port_count;
-      Clock.consume Cost.current.port_io_ns
-  | Mmio ->
-      incr mmio_count;
-      Clock.consume Cost.current.mmio_ns
+  | Port -> Clock.consume Cost.current.port_io_ns
+  | Mmio -> Clock.consume Cost.current.mmio_ns
 
 let site_of = function Port -> "io.port" | Mmio -> "io.mmio"
 
@@ -94,16 +88,9 @@ let outb p v = write Port p W8 v
 let outw p v = write Port p W16 v
 let outl p v = write Port p W32 v
 let readb a = read Mmio a W8
-let readw a = read Mmio a W16
 let readl a = read Mmio a W32
-let writeb a v = write Mmio a W8 v
-let writew a v = write Mmio a W16 v
 let writel a v = write Mmio a W32 v
-let port_accesses () = !port_count
-let mmio_accesses () = !mmio_count
 
 let reset () =
   ports := [||];
-  mmio := [||];
-  port_count := 0;
-  mmio_count := 0
+  mmio := [||]

@@ -6,8 +6,6 @@
 
 type width = W8 | W16 | W32
 
-val bytes_of_width : width -> int
-
 type region
 
 val register_ports :
@@ -39,15 +37,8 @@ val outw : int -> int -> unit
 val outl : int -> int -> unit
 
 val readb : int -> int
-val readw : int -> int
 val readl : int -> int
-val writeb : int -> int -> unit
-(** [writeb addr value]. *)
 
-val writew : int -> int -> unit
 val writel : int -> int -> unit
-
-val port_accesses : unit -> int
-val mmio_accesses : unit -> int
 
 val reset : unit -> unit

@@ -95,9 +95,6 @@ let max_ns t = t.max_v
 let min_ns t = if t.total = 0 then 0 else t.min_v
 let sum_ns t = t.sum_ns
 
-let mean_ns t =
-  if t.total = 0 then 0. else float_of_int t.sum_ns /. float_of_int t.total
-
 (* Smallest recorded value v such that at least [p] of the samples are
    <= v, reported as the upper bound of its bucket (conservative), capped
    at the true maximum. Samples past the last bucket report the true

@@ -27,7 +27,6 @@ val overflow_count : t -> int
 val min_ns : t -> int
 val max_ns : t -> int
 val sum_ns : t -> int
-val mean_ns : t -> float
 
 val percentile : t -> float -> int
 (** [percentile t p] with [p] in [0, 1]: the upper bound of the bucket

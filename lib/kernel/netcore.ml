@@ -143,7 +143,6 @@ let netif_wake_queue d = d.tx_stopped <- false
 let netif_queue_stopped d = d.tx_stopped
 let netif_carrier_on d = d.carrier <- true
 let netif_carrier_off d = d.carrier <- false
-let netif_carrier_ok d = d.carrier
 let reset () =
   Hashtbl.reset registry;
   Hashtbl.reset cursors

@@ -77,5 +77,4 @@ val netif_wake_queue : t -> unit
 val netif_queue_stopped : t -> bool
 val netif_carrier_on : t -> unit
 val netif_carrier_off : t -> unit
-val netif_carrier_ok : t -> bool
 val reset : unit -> unit

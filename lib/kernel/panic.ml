@@ -1,4 +1,3 @@
 exception Kernel_bug of string
 
 let bug fmt = Format.kasprintf (fun msg -> raise (Kernel_bug msg)) fmt
-let bug_on cond msg = if cond then raise (Kernel_bug msg)

@@ -6,6 +6,3 @@ exception Kernel_bug of string
 
 val bug : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** [bug fmt ...] raises {!Kernel_bug} with a formatted message. *)
-
-val bug_on : bool -> string -> unit
-(** [bug_on cond msg] raises {!Kernel_bug} with [msg] when [cond] holds. *)

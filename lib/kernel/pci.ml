@@ -152,10 +152,8 @@ let bar d i =
 
 let bound_driver d = d.driver
 let enable_device d = d.enabled <- true
-let disable_device d = d.enabled <- false
 let is_enabled d = d.enabled
 let set_master d = d.master <- true
-let is_master d = d.master
 
 let read_config8 d off = Bytes.get_uint8 d.config off
 let read_config16 d off = read_config8 d off lor (read_config8 d (off + 1) lsl 8)

@@ -58,16 +58,12 @@ val bar : dev -> int -> bar
 val bound_driver : dev -> string option
 
 val enable_device : dev -> unit
-val disable_device : dev -> unit
 val is_enabled : dev -> bool
 val set_master : dev -> unit
-val is_master : dev -> bool
 
 val read_config8 : dev -> int -> int
 val read_config16 : dev -> int -> int
 val read_config32 : dev -> int -> int
-val write_config8 : dev -> int -> int -> unit
-val write_config16 : dev -> int -> int -> unit
 val write_config32 : dev -> int -> int -> unit
 
 val config_space_words : dev -> int array

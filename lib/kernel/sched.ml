@@ -127,7 +127,6 @@ let sleep_ns ns =
    (depth caps, sleep-set-blocked branches). *)
 
 let thread_name t = t.name
-let thread_tid t = t.tid
 
 type choice = Run_thread of thread | Advance_clock
 

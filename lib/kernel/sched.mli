@@ -72,7 +72,6 @@ val assert_may_block : string -> unit
     a spinlock held. *)
 
 val thread_name : thread -> string
-val thread_tid : thread -> int
 
 type choice = Run_thread of thread | Advance_clock
 (** One option at a scheduling decision point: dispatch a runnable

@@ -25,7 +25,6 @@ type substream = {
 
 let discipline = ref Lock_mutex
 let set_lock_discipline d = discipline := d
-let lock_discipline () = !discipline
 let cards : card list ref = ref []
 
 let snd_card_new name =
@@ -46,7 +45,6 @@ let snd_card_free c =
   cards := List.filter (fun o -> o != c) !cards
 
 let card_registered c = c.registered
-let card_name c = c.card_name
 
 let new_pcm card ~buffer_bytes ops =
   {

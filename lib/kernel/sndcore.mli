@@ -29,10 +29,8 @@ val snd_card_register : card -> int
 
 val snd_card_free : card -> unit
 val card_registered : card -> bool
-val card_name : card -> string
 
 val set_lock_discipline : lock_discipline -> unit
-val lock_discipline : unit -> lock_discipline
 
 val new_pcm : card -> buffer_bytes:int -> pcm_ops -> substream
 

@@ -255,8 +255,6 @@ module Combolock = struct
       stats = fresh_stats ();
     }
 
-  let user_mode_active l = l.holder = User || l.user_waiters > 0
-
   (* Semaphore acquisition with contention accounting: [contended] when
      the semaphore was unavailable at entry, [wait_ns] the virtual time
      blocked beyond the semaphore operation's own cost. *)

@@ -107,7 +107,6 @@ module Combolock : sig
   val with_kernel : t -> (unit -> 'a) -> 'a
   val with_user : t -> (unit -> 'a) -> 'a
   val stats : t -> stats
-  val user_mode_active : t -> bool
 
   val totals : unit -> stats
   (** Snapshot of machine-wide counters summed over every combolock

@@ -5,9 +5,6 @@ type t = {
   mutable fired : int;
 }
 
-let hz = 1000
-let ns_per_jiffy = 1_000_000_000 / hz
-let jiffies () = Clock.now () / ns_per_jiffy
 let create ?(name = "timer") callback = { name; callback; event = None; fired = 0 }
 
 let del_timer t =

@@ -4,11 +4,6 @@
 
 type t
 
-val hz : int
-(** Ticks per virtual second (1000: one jiffy is 1 ms). *)
-
-val jiffies : unit -> int
-
 val create : ?name:string -> (unit -> unit) -> t
 
 val mod_timer : t -> expires_ns:int -> unit

@@ -46,7 +46,6 @@ let unregister_hcd () =
       Hotplug.publish (Hotplug.Device_removed { bus = Hotplug.Usb; id = name })
   | None -> ());
   hcd := None
-let hcd_name () = Option.map fst !hcd
 
 let require_hcd () =
   match !hcd with

@@ -20,14 +20,10 @@ type hcd_ops = {
   hcd_frame_number : unit -> int;
 }
 
-val alloc_urb :
-  transfer:transfer -> direction:direction -> endpoint:int -> Bytes.t -> urb
-
 val register_hcd : name:string -> hcd_ops -> unit
 (** At most one HCD may be registered at a time. *)
 
 val unregister_hcd : unit -> unit
-val hcd_name : unit -> string option
 
 val submit_urb : urb -> (unit, int) result
 

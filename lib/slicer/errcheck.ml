@@ -86,6 +86,18 @@ let expr_mentions var e =
    only the statement's own expressions count. *)
 let stmt_mentions var s = List.exists (expr_mentions var) (Ast.exprs_of s)
 
+(* A loop evaluates its condition (and a [for] its update) again after
+   each statement nested in it, though the pre-order sequence lists the
+   loop first: those expressions are later reads of what [s] stores. *)
+let loop_reads linear (s : Ast.stmt) =
+  List.concat_map
+    (fun (l : Ast.stmt) ->
+      match l.Ast.skind with
+      | (Swhile _ | Sdo _ | Sfor _) when List.memq s (Ast.stmts [ l ]) ->
+          Ast.exprs_of l
+      | _ -> [])
+    linear
+
 let find_violations (file : Ast.file) ~extra =
   let errfns = Sset.of_list (error_returning_functions file ~extra) in
   let check_function (fn : Ast.func) =
@@ -112,7 +124,10 @@ let find_violations (file : Ast.file) ~extra =
           | Sexpr (Ast.Eassign (None, Ast.Eident var, Ast.Ecall (Ast.Eident callee, _)))
           | Sdecl (_, var, Some (Ast.Ecall (Ast.Eident callee, _)))
             when Sset.mem callee errfns ->
-              if List.exists (stmt_mentions var) rest then scan acc rest
+              if
+                List.exists (stmt_mentions var) rest
+                || List.exists (expr_mentions var) (loop_reads linear s)
+              then scan acc rest
               else
                 scan
                   ({
@@ -253,7 +268,8 @@ let flow_check_function errfns (fn : Ast.func) =
         | false, false -> (env, false))
     | Swhile (c, body) ->
         let env = eval env line c in
-        let eb, _ = stmts env body in
+        let eb, alive = stmts env body in
+        let eb = if alive then eval eb line c else eb in
         (flow_merge env eb, true)
     | Sdo (body, c) ->
         let eb, alive = stmts env body in
@@ -267,10 +283,12 @@ let flow_check_function errfns (fn : Ast.func) =
           match cond with Some e -> eval env line e | None -> env
         in
         let eb, alive = stmts env body in
+        (* the update, then the condition again *)
         let eb =
-          match update with
-          | Some e when alive -> eval eb line e
-          | _ -> eb
+          if alive then
+            List.fold_left (fun env e -> eval env line e) eb
+              (Option.to_list update @ Option.to_list cond)
+          else eb
         in
         (flow_merge env eb, true)
     | Sreturn e ->

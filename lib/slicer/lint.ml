@@ -12,7 +12,6 @@ type pass =
   | Marshal_boundary
   | Error_flow
   | Inbound_validation
-  | Event_accounting
 
 type severity = Error | Warning | Info
 
@@ -47,7 +46,6 @@ let pass_name = function
   | Marshal_boundary -> "marshal"
   | Error_flow -> "errflow"
   | Inbound_validation -> "inbound"
-  | Event_accounting -> "events"
 
 let severity_name = function
   | Error -> "error"
@@ -853,71 +851,6 @@ let apply_waivers ~driver ~waivers findings =
     r_unused_waivers =
       List.filter (fun w -> not (List.exists (matches w) viols)) waivers;
   }
-
-(* ============ pass 6: event-accounting hygiene (OCaml sources) ======= *)
-
-(* The latency cost model only stays trustworthy if every layer that
-   charges time on a measured path also stamps it: a raw [Clock.consume]
-   inside the XPC machinery or a driver advances the clock invisibly to
-   the per-path histograms. This pass is a textual scan over the repo's
-   own OCaml sources (not the MiniC driver corpus the other passes
-   analyze): any [Clock.consume] call in the XPC or driver layers must
-   either be replaced with the tracked-event API or carry the
-   same-line waiver marker. *)
-
-let consume_waiver_marker = "decaf-lint: consume-ok"
-let consume_scan_dirs = [ "lib/xpc"; "lib/drivers" ]
-
-let scan_clock_consume ?(dirs = consume_scan_dirs) ~root () =
-  let findings = ref [] in
-  List.iter
-    (fun dir ->
-      let abs = Filename.concat root dir in
-      if Sys.file_exists abs && Sys.is_directory abs then
-        Array.iter
-          (fun f ->
-            if Filename.check_suffix f ".ml" then begin
-              let path = Filename.concat abs f in
-              let ic = open_in path in
-              let lines = ref [] in
-              (try
-                 while true do
-                   lines := input_line ic :: !lines
-                 done
-               with End_of_file -> ());
-              close_in ic;
-              let lines = Array.of_list (List.rev !lines) in
-              let n = Array.length lines in
-              Array.iteri
-                (fun i line ->
-                  (* the waiver comment may land on the next line once the
-                     call no longer fits beside it *)
-                  let waived =
-                    contains_sub line consume_waiver_marker
-                    || (i + 1 < n
-                       && contains_sub lines.(i + 1) consume_waiver_marker)
-                  in
-                  if contains_sub line "Clock.consume" && not waived then
-                    findings :=
-                      {
-                        f_pass = Event_accounting;
-                        f_severity = Warning;
-                        f_anchor = dir ^ "/" ^ f;
-                        f_line = i + 1;
-                        f_message =
-                          "direct Clock.consume bypasses event accounting; \
-                           use Clock.complete_since/track_begin or waive \
-                           with (* decaf-lint: consume-ok *)";
-                        f_witness = [ String.trim line ];
-                      }
-                      :: !findings)
-                lines
-            end)
-          (let fs = Sys.readdir abs in
-           Array.sort compare fs;
-           fs))
-    dirs;
-  List.rev !findings
 
 (* ===================== rendering ===================================== *)
 

@@ -44,9 +44,6 @@ type pass =
   | Marshal_boundary
   | Error_flow
   | Inbound_validation
-  | Event_accounting
-      (** the OCaml-source hygiene scan of {!scan_clock_consume}, not a
-          MiniC pass *)
 
 type severity = Error | Warning | Info
 
@@ -103,21 +100,6 @@ val analyze :
 
 val violations : finding list -> finding list
 (** The [Error] and [Warning] findings. *)
-
-val scan_clock_consume :
-  ?dirs:string list -> root:string -> unit -> finding list
-(** The event-accounting hygiene pass: scan the repo's own OCaml
-    sources under [root] (default dirs [lib/xpc] and [lib/drivers])
-    for direct [Clock.consume] calls. Time consumed on a measured path
-    without a birth stamp is invisible to the per-path latency
-    histograms, so every such call must either use the
-    {!Decaf_kernel.Clock} tracked-event API or carry the
-    [(* decaf-lint: consume-ok *)] comment on the same line or the line
-    immediately after (with the justification alongside). One
-    [Warning] per unwaived line, in
-    (dir, file, line) order; directories that do not exist under
-    [root] are skipped, so the pass is inert when the sources are not
-    alongside the binary. *)
 
 val apply_waivers :
   driver:string -> waivers:waiver list -> finding list -> report

@@ -333,6 +333,3 @@ let run ?(fleet = 3) ?(seed = 0x50a11) ?(phase_ns = default_phase_ns) () =
         leaked_kmalloc_bytes = bytes - base_bytes;
       })
 
-let pp_phase ppf p =
-  Format.fprintf ppf "%s: %d paths, %d periods (%d missed), %d packets"
-    p.phase_name (List.length p.paths) p.audio_periods p.audio_misses p.packets

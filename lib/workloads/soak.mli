@@ -47,13 +47,9 @@ type result = {
   leaked_kmalloc_bytes : int;  (** kmalloc bytes still outstanding *)
 }
 
-val default_phase_ns : int
-
 val run : ?fleet:int -> ?seed:int -> ?phase_ns:int -> unit -> result
 (** Run both phases over [fleet] e1000 instances (default 3, minimum 2)
     plus the other four drivers, [phase_ns] virtual ns per phase. The
     schedule is a deterministic function of [seed]. The caller must
     have booted the machine and applied an XPC configuration, and must
     not call this from inside a scheduler thread. *)
-
-val pp_phase : Format.formatter -> phase -> unit

@@ -178,7 +178,6 @@ let doorbell () =
 let drain () = Doorbell.drain_all core
 let pending () = Hashtbl.fold (fun _ q acc -> acc + Queue.length q) queues 0
 let set_enabled v = Doorbell.set_enabled core v
-let batching_enabled () = Doorbell.enabled core
 let stats () = counters
 let snapshot () = { counters with posted = counters.posted }
 

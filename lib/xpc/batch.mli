@@ -78,8 +78,6 @@ val set_enabled : bool -> unit
 (** Turn batching on/off. Off by default (each post pays its own
     crossing), matching the unoptimized Decaf path. *)
 
-val batching_enabled : unit -> bool
-
 val stats : unit -> stats
 (** Counters since the last {!Decaf_kernel.Boot.boot}. Every boot also
     drops the queues, turns batching off and forgets the flush

@@ -81,7 +81,6 @@ let rollup tbl name =
     tbl 0
 
 let rejected_for_driver name = rollup by_scope name
-let dropped_for_driver name = rollup dropped_by_scope name
 
 let note_check () = totals.checks <- totals.checks + 1
 

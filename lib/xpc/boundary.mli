@@ -54,10 +54,6 @@ val rejected_for_driver : string -> int
     (instance 0) plus every scope of the form ["name#k"] (instance
     [k > 0]). Equals {!rejected_for} while a driver has one binding. *)
 
-val dropped_for_driver : string -> int
-(** Drop rollup with the same binding-id convention as
-    {!rejected_for_driver}. *)
-
 val note_check : unit -> unit
 val note_rejected : unit -> unit
 

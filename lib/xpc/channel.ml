@@ -68,8 +68,7 @@ let charge_kernel_user bytes =
     + (2 * K.Cost.current.ctx_switch_ns)
     + (bytes * K.Cost.current.marshal_byte_ns)
   in
-  K.Clock.consume ns (* decaf-lint: consume-ok, inside the xpc.call span *);
-  Dispatch.note ns
+  Dispatch.charge ns
 
 let charge_c_java bytes =
   counters.c_java_calls <- counters.c_java_calls + 1;
@@ -81,8 +80,7 @@ let charge_c_java bytes =
     (2 * K.Cost.current.xpc_c_java_ns)
     + (bytes * (K.Cost.current.marshal_byte_ns + K.Cost.current.remarshal_byte_ns))
   in
-  K.Clock.consume ns (* decaf-lint: consume-ok, inside the xpc.call span *);
-  Dispatch.note ns
+  Dispatch.charge ns
 
 let direct = ref false
 let set_direct_marshaling v = direct := v
@@ -168,12 +166,10 @@ let rec await_reply ~context ~idempotent b n backoff =
   then begin
     counters.failures <- counters.failures + 1;
     (* the call burned its whole deadline waiting for a reply *)
-    K.Clock.consume timeout_ns
-    (* decaf-lint: consume-ok, inside the xpc.call span *);
+    Dispatch.charge timeout_ns;
     if idempotent && n < max_attempts then begin
       counters.retries <- counters.retries + 1;
-      K.Clock.consume backoff
-      (* decaf-lint: consume-ok, inside the xpc.call span *);
+      Dispatch.charge backoff;
       await_reply ~context ~idempotent b (n + 1)
         (min (backoff * 2) backoff_cap_ns)
     end

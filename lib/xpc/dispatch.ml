@@ -68,27 +68,30 @@ let fresh_hists dom n =
 let latency = K.Latency.path "xpc.dispatch"
 
 (* The lane serving the crossing each simulated thread is executing,
-   indexed by Sched tid ([idle] when none): threads suspend mid-crossing
-   (slot waits, combolock semaphores, driver sleeps), so a process-global
-   binding would leak one thread's lane into whatever runs while it is
-   blocked. [note] charges into the calling thread's lane; combolock
-   waits arrive here through the observer registered below. *)
-let idle =
+   indexed by Sched tid ([off_lane] when none): threads suspend
+   mid-crossing (slot waits, combolock semaphores, driver sleeps), so a
+   process-global binding would leak one thread's lane into whatever runs
+   while it is blocked. [credit] adds to the calling thread's lane;
+   combolock waits arrive here through the observer registered below.
+   [off_lane] is the account of every charge made while no worker serves
+   the thread: kernel-side guard checks, ring slot writes, tracker
+   lookups and lock waits, timeouts before admission. *)
+let off_lane =
   { owner = Kernel; busy_ns = 0; served = 0; latency = K.Latency.create () }
 
-let lane_by_tid = ref (Array.make 64 idle)
+let lane_by_tid = ref (Array.make 64 off_lane)
 
 let serving_lane () =
   let tid = K.Sched.current_tid () in
   let a = !lane_by_tid in
-  if tid < Array.length a then a.(tid) else idle
+  if tid < Array.length a then a.(tid) else off_lane
 
 let bind tid lane =
   let a = !lane_by_tid in
   if tid >= Array.length a then
     lane_by_tid :=
       Array.init (2 * tid) (fun i ->
-          if i < Array.length a then a.(i) else idle);
+          if i < Array.length a then a.(i) else off_lane);
   !lane_by_tid.(tid) <- lane
 
 let () =
@@ -96,7 +99,8 @@ let () =
   List.iter (fun d -> pool_of d := None) user_domains;
   (* Sched.reset restarts tids at 1 after a reboot: bindings from the old
      life's threads must not leak lanes onto the new life's. *)
-  Array.fill !lane_by_tid 0 (Array.length !lane_by_tid) idle;
+  Array.fill !lane_by_tid 0 (Array.length !lane_by_tid) off_lane;
+  off_lane.busy_ns <- 0;
   workers_v := 1
 
 let pool_for dom =
@@ -128,12 +132,17 @@ let pool_for dom =
       pool_of dom := Some p;
       p
 
-let note ns =
-  if ns > 0 then
-    let l = serving_lane () in
-    if l != idle then l.busy_ns <- l.busy_ns + ns
+let credit ns =
+  let l = serving_lane () in
+  l.busy_ns <- l.busy_ns + ns
 
-let () = K.Sync.Combolock.set_wait_observer note
+(* Consume first: due events fire inside [consume], and the lane is the
+   one serving the thread once they have run. *)
+let charge ns =
+  K.Clock.consume ns;
+  credit ns
+
+let () = K.Sync.Combolock.set_wait_observer credit
 
 let least_busy lanes =
   let best = ref lanes.(0) in
@@ -187,9 +196,9 @@ let with_worker ~target f a b =
         let lane = least_busy p.lanes in
         (* Dispatch admission is consumed on the global clock like every
            other charge that lands in a lane, keeping the invariant the
-           overlap model depends on: lane ns are a subset of elapsed ns. *)
-        K.Clock.consume K.Cost.current.xpc_dispatch_ns
-        (* decaf-lint: consume-ok, inside the tracked dispatch span *);
+           overlap model depends on: lane ns are a subset of elapsed ns.
+           It goes to the chosen lane, which is bound only below. *)
+        K.Clock.consume K.Cost.current.xpc_dispatch_ns;
         lane.busy_ns <- lane.busy_ns + K.Cost.current.xpc_dispatch_ns;
         lane.served <- lane.served + 1;
         let tid = K.Sched.current_tid () in
@@ -206,8 +215,11 @@ let critical_path p = Array.fold_left (fun m l -> max m l.busy_ns) 0 p.lanes
 
 let live_pools () = List.filter_map (fun d -> !(pool_of d)) user_domains
 
+(* Off-lane time is serial: no worker overlaps it. *)
 let overhead_ns () =
-  List.fold_left (fun acc p -> acc + critical_path p) 0 (live_pools ())
+  List.fold_left
+    (fun acc p -> acc + critical_path p)
+    off_lane.busy_ns (live_pools ())
 
 let overlap_saved_ns () =
   List.fold_left

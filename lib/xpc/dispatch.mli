@@ -11,21 +11,22 @@
       queue ({!Decaf_kernel.Sched}-level suspend), except in atomic
       context, where blocking is forbidden and the pool oversubscribes
       (counted as [forced]).
-    - {b Lane accounting} is the latency model: every crossing's
-      nanosecond charges — crossing entry/exit, marshaling, object
-      tracker lookups, combolock waits (via
-      {!Decaf_kernel.Sync.Combolock.set_wait_observer}) — accumulate in
-      the serving worker's lane. Independent upcalls land on independent
+    - {b Lane accounting} is the latency model: every XPC nanosecond
+      charge ({!charge}) — crossing entry/exit, marshaling, object
+      tracker lookups, guard checks, ring slots, combolock waits (via
+      {!Decaf_kernel.Sync.Combolock.set_wait_observer}) — accumulates in
+      the serving worker's lane, or in one off-lane account when the
+      thread serves no crossing. Independent upcalls land on independent
       lanes, so the pool's contribution to wall-clock time is the
       busiest lane ({!overhead_ns}), which shrinks as workers are added
       while the total work stays constant. Calls that touch the same
       shared object still serialize through that object's combolock, and
       the wait shows up in the blocked worker's lane.
 
-    Every {!Decaf_kernel.Boot.boot} drops the pools and restores
-    [workers = 1]. With that default the admission gate reproduces the
-    historical "a user-level runtime services one XPC at a time"
-    behaviour. *)
+    Every {!Decaf_kernel.Boot.boot} drops the pools, empties the
+    off-lane account and restores [workers = 1]. With that default the
+    admission gate reproduces the historical "a user-level runtime
+    services one XPC at a time" behaviour. *)
 
 type pool_stats = {
   domain : Domain.t;
@@ -66,16 +67,30 @@ val with_worker : target:Domain.t -> ('a -> 'b -> 'c) -> 'a -> 'b -> 'c
     crossing into the domain the current thread is already serving stays
     on its lane instead of deadlocking on its own slot. *)
 
-val note : int -> unit
-(** Charge [ns] to the lane serving the current thread's crossing;
-    no-op outside a crossing. Called by {!Channel} and {!Objtracker} for
-    every cost they put on the global clock — keeping lane time a subset
-    of elapsed time, which is what lets {!overlap_saved_ns} credit it
-    back. *)
+val charge : int -> unit
+(** [charge ns] consumes [ns] of virtual time on the global clock and
+    credits it to the lane serving the current thread's crossing or,
+    when no lane serves the thread, to the off-lane account. It is the
+    one way an XPC cost reaches the clock: both crossing legs and their
+    marshaling ({!Channel}), a missed deadline and its retry backoff,
+    {!Guard} field checks, {!Objtracker} lookups and {!Ring} slot writes
+    and reads. No call site decides whether its cost counts: a charge
+    made outside a crossing (a kernel-side guard check, a ring slot
+    written in irq context) lands off-lane and still shows in
+    {!overhead_ns}. Lane time stays a subset of elapsed time, which is
+    what lets {!overlap_saved_ns} credit it back. *)
+
+val credit : int -> unit
+(** [credit ns] is {!charge} for time already on the clock: the same
+    account, nothing consumed. For the base cost of an {!Objtracker}
+    shard lock, which the combolock consumes itself, and for combolock
+    waits ({!Decaf_kernel.Sync.Combolock.set_wait_observer}). *)
 
 val overhead_ns : unit -> int
-(** Critical-path dispatch overhead: the busiest lane of every pool,
-    summed across pools. *)
+(** XPC time on the critical path: the off-lane account plus the busiest
+    lane of every pool, summed across pools. Off-lane time is serial —
+    no worker overlaps it — so it counts in full at any width. Reset by
+    every boot. *)
 
 val overlap_saved_ns : unit -> int
 (** Virtual time an N-worker runtime overlaps away: per pool, the total
@@ -83,7 +98,7 @@ val overlap_saved_ns : unit -> int
     lane nanosecond was also consumed on the global clock (fully
     serialized, single virtual CPU), so workloads subtract this from
     their elapsed time to model independent upcalls proceeding in
-    parallel. Zero with one worker — the serial path's numbers are
-    untouched. *)
+    parallel. The off-lane account never enters it, so it is zero with
+    one worker — the serial path's numbers are untouched. *)
 
 val pool_stats : unit -> pool_stats list

@@ -102,10 +102,7 @@ let type_id t = t.type_id
 let rejections t = t.rejections
 
 let charge () =
-  let ns = K.Cost.current.guard_check_ns in
-  K.Clock.consume ns
-  (* decaf-lint: consume-ok, validation charged inside the call span *);
-  Dispatch.note ns;
+  Dispatch.charge K.Cost.current.guard_check_ns;
   Boundary.note_check ()
 
 let fail t ~field fmt =

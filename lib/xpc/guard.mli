@@ -13,11 +13,11 @@
     {!Boundary.totals}), which the recovery supervisor handles like any
     other driver fault: restart within budget, never a panic.
 
-    Each accepted check charges
-    {!Decaf_kernel.Cost.t.guard_check_ns} to the virtual clock and the
-    serving dispatch lane. The Xpcperf trajectory does not price it yet:
-    every guard-off cell of [BENCH_xpc.json] equals its guard-on twin
-    field for field (ROADMAP item 1). *)
+    Each accepted check charges {!Decaf_kernel.Cost.t.guard_check_ns}
+    through {!Dispatch.charge}: the checks run on the kernel side of a
+    reply, off every worker lane, so they land in the off-lane account.
+    The Xpcperf guard axis prices them in [xpc_ns] (the guard-off cells
+    read lower), while goodput stays wire-bound. *)
 
 type rule =
   | Range of int * int  (** inclusive bounds *)

@@ -109,16 +109,17 @@ let shard_count t = Array.length t.shards
    (flipping the combolock so kernel threads block instead of spinning);
    kernel callers spin. Atomic context cannot block, and on this
    single-CPU machine it also cannot overlap a user-level critical
-   section, so it runs unlocked. The lock's base cost is charged to the
-   serving dispatch lane along with the lookup cost itself. *)
+   section, so it runs unlocked. The lock's base cost, which the
+   combolock consumes, is credited to the XPC account along with the
+   lookup cost itself. *)
 let locked sh f =
   if K.Sched.in_interrupt () || K.Sched.spin_depth () > 0 then f ()
   else if Domain.is_user (Domain.current ()) then begin
-    Dispatch.note K.Cost.current.semaphore_ns;
+    Dispatch.credit K.Cost.current.semaphore_ns;
     K.Sync.Combolock.with_user sh.lock f
   end
   else begin
-    Dispatch.note K.Cost.current.spinlock_ns;
+    Dispatch.credit K.Cost.current.spinlock_ns;
     K.Sync.Combolock.with_kernel sh.lock f
   end
 
@@ -192,9 +193,7 @@ let issue t ~addr ~type_id =
           h)
 
 let resolve t ~handle ~type_id =
-  K.Clock.consume K.Cost.current.objtracker_lookup_ns
-  (* decaf-lint: consume-ok, lookup charged inside the caller's span *);
-  Dispatch.note K.Cost.current.objtracker_lookup_ns;
+  Dispatch.charge K.Cost.current.objtracker_lookup_ns;
   let shard_i = handle_shard handle in
   let sh = t.shards.(if shard_i <= t.mask then shard_i else 0) in
   locked sh (fun () ->
@@ -230,9 +229,7 @@ let associate t ~addr u =
 
 let find t ~addr key =
   let sh = shard_of t ~addr in
-  K.Clock.consume K.Cost.current.objtracker_lookup_ns
-  (* decaf-lint: consume-ok, lookup charged inside the caller's span *);
-  Dispatch.note K.Cost.current.objtracker_lookup_ns;
+  Dispatch.charge K.Cost.current.objtracker_lookup_ns;
   locked sh (fun () ->
       sh.stats.lookups <- sh.stats.lookups + 1;
       match Hashtbl.find_opt sh.cells addr with

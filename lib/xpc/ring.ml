@@ -144,10 +144,7 @@ let flush _ r =
                     let rec_ = r.slots.(i) and born = r.born.(i) in
                     r.slots.(i) <- vacant;
                     r.occupancy <- r.occupancy - 1;
-                    let c = K.Cost.current.ring_slot_read_ns in
-                    K.Clock.consume c
-                    (* decaf-lint: consume-ok, slot age tracked as xpc.ring *);
-                    Dispatch.note c;
+                    Dispatch.charge K.Cost.current.ring_slot_read_ns;
                     K.Latency.observe_at latency
                       (Int.max 0 (K.Clock.now () - born));
                     if slot_valid r rec_ then begin
@@ -203,9 +200,7 @@ let create ~name ~target ~guard ~resolve ~handler () =
   r
 
 let produce r rec_ =
-  let c = K.Cost.current.ring_slot_write_ns in
-  K.Clock.consume c (* decaf-lint: consume-ok, birth stamped per slot below *);
-  Dispatch.note c;
+  Dispatch.charge K.Cost.current.ring_slot_write_ns;
   if r.occupancy >= depth then begin
     (* Bounded depth: producing can run in irq context, so the overflow
        cannot raise — the record is dropped and counted, and the caller

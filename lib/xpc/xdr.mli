@@ -27,12 +27,6 @@ module Enc : sig
   val bool : t -> bool -> unit
   val double : t -> float -> unit
 
-  val opaque_fixed : t -> bytes -> unit
-  (** Fixed-length opaque data, zero-padded to 4 bytes. *)
-
-  val opaque_var : t -> bytes -> unit
-  (** Variable-length opaque data: length word then padded payload. *)
-
   val string : t -> string -> unit
 
   val option : t -> (t -> 'a -> unit) -> 'a option -> unit
@@ -53,8 +47,6 @@ module Dec : sig
   val hyper : t -> int64
   val bool : t -> bool
   val double : t -> float
-  val opaque_fixed : t -> int -> bytes
-  val opaque_var : t -> bytes
   val string : t -> string
   val option : t -> (t -> 'a) -> 'a option
   val array_fixed : t -> (t -> 'a) -> int -> 'a array

@@ -746,6 +746,31 @@ static int ef_good(struct ef *a) {
     return err;
   return 0;
 }
+
+static int ef_retry_do(struct ef *a) {
+  int err;
+  do {
+    err = ef_helper(a);
+  } while (err);
+  return 0;
+}
+
+static int ef_retry_while(struct ef *a) {
+  int err = 1;
+  while (err) {
+    err = ef_helper(a);
+  }
+  return 0;
+}
+
+static int ef_loop_unread(struct ef *a) {
+  int err;
+  int i;
+  for (i = 0; i < 3; i++) {
+    err = ef_helper(a);
+  }
+  return 0;
+}
 |}
 
 let errflow_config =
@@ -754,7 +779,16 @@ let errflow_config =
       {
         Partition.driver_name = "ef";
         critical_roots = [ "ef_intr" ];
-        interface_functions = [ "ef_intr"; "ef_overwrite"; "ef_merge"; "ef_good" ];
+        interface_functions =
+          [
+            "ef_intr";
+            "ef_overwrite";
+            "ef_merge";
+            "ef_good";
+            "ef_retry_do";
+            "ef_retry_while";
+            "ef_loop_unread";
+          ];
       };
     const_env = [];
     java_functions = Slicer.All_user;
@@ -773,6 +807,31 @@ let test_lint_errflow_dropped_at_merge () =
     (has_finding ~anchor:"ef_merge" ~msg:"dropped" errs);
   check_bool "fully checked function silent" false
     (has_finding ~anchor:"ef_good" ~msg:"" errs)
+
+(* A result tested only by the condition of the loop that stores it is
+   examined: the condition runs again after the body. Both analyses see
+   it; a loop whose condition reads something else still drops it. *)
+let test_lint_errflow_loop_condition () =
+  let out = Slicer.slice ~source:errflow_driver errflow_config in
+  let file = out.Slicer.file in
+  let syntactic =
+    List.map
+      (fun (v : Errcheck.violation) -> v.Errcheck.v_function)
+      (Errcheck.find_violations file ~extra:[])
+  in
+  let flow =
+    List.map
+      (fun (v : Errcheck.flow_violation) -> v.Errcheck.fv_function)
+      (Errcheck.flow_violations file ~extra:[])
+  in
+  List.iter
+    (fun fn ->
+      check_bool (fn ^ " passes the syntactic scan") false
+        (List.mem fn syntactic);
+      check_bool (fn ^ " passes the flow pass") false (List.mem fn flow))
+    [ "ef_retry_do"; "ef_retry_while" ];
+  check_bool "a loop that never tests the result is still caught" true
+    (List.mem "ef_loop_unread" syntactic && List.mem "ef_loop_unread" flow)
 
 (* A driver whose nucleus interrupt handler consumes a field the
    user-level code shares, without ever range-checking it. The bounds
@@ -999,59 +1058,6 @@ let test_lint_indirect_assumption () =
          && Testutil.contains f.Lint.f_message "indirect call")
        out.Slicer.lint)
 
-(* The event-accounting hygiene pass over OCaml sources: an unwaived
-   Clock.consume is flagged at its line; the waiver marker works on the
-   same line and on the immediately following line (where the
-   formatter may push it); absent directories are skipped; and the
-   repo's own xpc/driver sources are clean. *)
-let test_lint_consume_scan () =
-  let root = Filename.temp_file "lintscan" "" in
-  Sys.remove root;
-  Sys.mkdir root 0o755;
-  Sys.mkdir (Filename.concat root "lib") 0o755;
-  Sys.mkdir (Filename.concat root "lib/xpc") 0o755;
-  let file = Filename.concat root "lib/xpc/a.ml" in
-  let oc = open_out file in
-  List.iter
-    (fun l -> output_string oc (l ^ "\n"))
-    [
-      "let f () =";
-      "  K.Clock.consume 10 (* decaf-lint: consume-ok, same line *);";
-      "  K.Clock.consume 20;";
-      "  K.Clock.consume 30";
-      "  (* decaf-lint: consume-ok, wrapped marker *);";
-      "  ()";
-    ];
-  close_out oc;
-  let fs = Lint.scan_clock_consume ~root () in
-  check "exactly the naked call is flagged" 1 (List.length fs);
-  let f = List.hd fs in
-  check "flagged at its line" 3 f.Lint.f_line;
-  check_bool "events pass" true (f.Lint.f_pass = Lint.Event_accounting);
-  check_bool "warning severity" true (f.Lint.f_severity = Lint.Warning);
-  check_bool "anchored to the file" true
-    (f.Lint.f_anchor = "lib/xpc/a.ml");
-  Sys.remove file;
-  Sys.rmdir (Filename.concat root "lib/xpc");
-  Sys.rmdir (Filename.concat root "lib");
-  (* with both directories gone the scan is inert, not an error *)
-  check "absent dirs are skipped" 0
-    (List.length (Lint.scan_clock_consume ~root ()));
-  Sys.rmdir root;
-  (* the shipped sources carry a marker at every consume site *)
-  let rec up dir n =
-    if n = 0 then None
-    else if Sys.file_exists (Filename.concat dir "lib/xpc") then Some dir
-    else
-      let parent = Filename.dirname dir in
-      if parent = dir then None else up parent (n - 1)
-  in
-  match up (Sys.getcwd ()) 6 with
-  | None -> Alcotest.fail "repo sources not found from the test cwd"
-  | Some repo ->
-      check "repo xpc/driver sources clean" 0
-        (List.length (Lint.scan_clock_consume ~root:repo ()))
-
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_slicer"
@@ -1110,6 +1116,7 @@ let () =
             test_lint_marshal_negative_and_unknown_len;
           tc "errflow overwrite" test_lint_errflow_overwrite;
           tc "errflow dropped at merge" test_lint_errflow_dropped_at_merge;
+          tc "errflow loop condition" test_lint_errflow_loop_condition;
           tc "inbound unvalidated" test_lint_inbound_unvalidated;
           tc "inbound user check untrusted" test_lint_inbound_user_check_untrusted;
           tc "inbound negative" test_lint_inbound_negative;
@@ -1118,6 +1125,5 @@ let () =
           tc "waivers" test_lint_waivers;
           tc "corpus clean" test_lint_corpus_clean;
           tc "indirect assumption" test_lint_indirect_assumption;
-          tc "consume scan" test_lint_consume_scan;
         ] );
     ]

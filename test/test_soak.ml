@@ -155,6 +155,23 @@ let test_json_missing_seed_rejected () =
            (Testutil.replace (E.Soak.to_json s) ~needle:"\"seed\":7,"
               ~replacement:"")))
 
+(* The one writer every line-JSON file and report goes through: compact,
+   keys in order, strings escaped so a trace or message with quotes,
+   backslashes or control characters still parses. *)
+let test_json_writer_escapes () =
+  Alcotest.(check string)
+    "escaped, compact, in order"
+    {|{"s":"a\"b\\c\nd\u0009e","n":-3,"b":true,"a":[1,{}]}|}
+    E.Jsonl.(
+      to_string
+        (Obj
+           [
+             ("s", Str "a\"b\\c\nd\te");
+             ("n", Int (-3));
+             ("b", Bool true);
+             ("a", Arr [ Int 1; Obj [] ]);
+           ]))
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "decaf_soak"
@@ -176,5 +193,6 @@ let () =
           tc "round trip" test_json_roundtrip;
           tc "a header missing seed is rejected"
             test_json_missing_seed_rejected;
+          tc "writer escapes strings" test_json_writer_escapes;
         ] );
     ]

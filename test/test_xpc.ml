@@ -973,9 +973,9 @@ let test_dispatch_admission_per_thread () =
   ignore
     (K.Sched.spawn ~name:"b" (fun () ->
          K.Sched.sleep_ns 10_000;
-         (* B serves no crossing here: this charge must be dropped, not
-            credited to A's suspended lane. *)
-         Dispatch.note 777;
+         (* B serves no crossing here: this charge lands off-lane, not
+            on A's suspended lane. *)
+         Dispatch.charge 777;
          Dispatch.with_worker ~target:Domain.Decaf_driver
            (fun () () -> log "b-enter")
            () ()));
@@ -992,7 +992,10 @@ let test_dispatch_admission_per_thread () =
       let busy = Array.fold_left ( + ) 0 p.Dispatch.lane_busy_ns in
       check "lanes hold only the two admission charges"
         (2 * K.Cost.current.xpc_dispatch_ns)
-        busy
+        busy;
+      check "b's charge is on the off-lane account"
+        (p.Dispatch.critical_path_ns + 777)
+        (Dispatch.overhead_ns ())
   | ps ->
       Alcotest.fail
         (Printf.sprintf "expected one pool, got %d" (List.length ps))
@@ -1167,7 +1170,7 @@ exception Callee_failed
 
 (* The callback raises at once, or after blocking on a Waitq inside the
    crossing. Afterwards the in-flight count is back to 0, the caller's
-   lane is unbound (a [Dispatch.note] charges no lane), its domain and
+   lane is unbound (a [Dispatch.charge] lands off-lane), its domain and
    Boundary scope are restored, and a nested crossing into the same
    domain still stays on the caller's lane: one worker, so a second
    admission would block on its own slot. *)
@@ -1201,8 +1204,11 @@ let crossing_unwinds ~block () =
                (Boundary.rejected_for "outer");
              check "the inner scope is gone" 0 (Boundary.rejected_for "inner");
              let admitted, busy = lanes () in
-             Dispatch.note 777;
+             let overhead = Dispatch.overhead_ns () in
+             Dispatch.charge 777;
              check "no lane charged after the crossing" busy (snd (lanes ()));
+             check "the charge is on the off-lane account" (overhead + 777)
+               (Dispatch.overhead_ns ());
              Channel.call ~target:Domain.Decaf_driver ~payload_bytes:0
                ~reply_bytes:0 (fun () ->
                  Channel.call ~target:Domain.Kernel ~payload_bytes:0

@@ -5,6 +5,7 @@
    cost-adjusted goodput — as workers are added. *)
 
 module E = Decaf_experiments
+module K = Decaf_kernel
 module Xpc = Decaf_xpc
 
 let check_bool = Alcotest.(check bool)
@@ -271,25 +272,267 @@ let test_json_missing_key_rejected () =
            (Testutil.replace text ~needle:"\"perf_milli\":987654,"
               ~replacement:"")))
 
+(* A committed trajectory file, found from the test's working
+   directory. *)
+let committed name =
+  let candidates =
+    [
+      name;
+      "../" ^ name;
+      "../../" ^ name;
+      Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ name);
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | None -> Alcotest.failf "%s not found relative to the test cwd" name
+  | Some path -> path
+
 (* The committed soak trajectory: the same 5% p99 diff that runs as the
    @soak-smoke alias, exercised here so the two bench regression gates
    live side by side. An intentional cost-model retuning regenerates
    the file with `make soak-json` in the same change. *)
 let test_soak_trajectory_gate () =
-  let candidates =
-    [
-      "BENCH_soak.json";
-      "../BENCH_soak.json";
-      "../../BENCH_soak.json";
-      Filename.concat (Filename.dirname Sys.executable_name) "../BENCH_soak.json";
-    ]
+  check_bool "soak p99/deadline/leak gates hold against the committed file"
+    true
+    (E.Soak.check ~path:(committed "BENCH_soak.json") ())
+
+(* A cell that repeats a sibling of its scenario in every measured field
+   prices nothing: its axis does not reach that scenario. *)
+let test_committed_cells_distinct () =
+  let _, samples =
+    E.Xpcperf.of_json (E.Jsonl.read_file (committed "BENCH_xpc.json"))
   in
-  match List.find_opt Sys.file_exists candidates with
-  | None -> Alcotest.fail "BENCH_soak.json not found relative to the test cwd"
-  | Some path ->
-      check_bool "soak p99/deadline/leak gates hold against the committed file"
-        true
-        (E.Soak.check ~path ())
+  let none =
+    {
+      E.Xpcperf.batching = false;
+      delta = false;
+      workers = 0;
+      guard = false;
+      ring = false;
+      instances = 0;
+    }
+  in
+  let measured s = { s with E.Xpcperf.config = none } in
+  let rec twins = function
+    | [] -> []
+    | s :: rest ->
+        List.filter_map
+          (fun t ->
+            if t.E.Xpcperf.scenario = s.E.Xpcperf.scenario
+               && measured t = measured s
+            then
+              Some
+                (Printf.sprintf "%s: %s = %s" s.E.Xpcperf.scenario
+                   (E.Xpcperf.config_name s.E.Xpcperf.config)
+                   (E.Xpcperf.config_name t.E.Xpcperf.config))
+            else None)
+          rest
+        @ twins rest
+  in
+  Alcotest.(check (list string)) "no two cells of a scenario are equal" []
+    (twins samples)
+
+(* --- the knob table: every cost field reaches what it prices --- *)
+
+(* A charge that escapes the XPC account leaves its knob's cells
+   unmoved. Each of the 17 [Cost] fields is doubled in turn, the cells
+   below re-run at reduced length, and each row's declared readings must
+   change while its kept ones stay. *)
+
+let send = ("e1000-netperf-send", "batch+delta+w1")
+let send_serial = ("e1000-netperf-send", "nobatch+full+w1")
+let send_w4 = ("e1000-netperf-send", "batch+delta+w4")
+let send_noguard = ("e1000-netperf-send", "batch+delta+w1+noguard")
+let send_ring = ("e1000-netperf-send", "batch+delta+w1+ring")
+let rtl = ("8139too-netperf-send", "batch+delta+w1")
+let mouse = ("psmouse-move", "batch+delta+w1")
+let audio = ("ens1371-mpg123", "batch+delta+w1")
+let e1000 = [ send; send_serial; send_w4; send_noguard; send_ring ]
+let nics = rtl :: e1000
+let cells = nics @ [ mouse; audio ]
+let except dropped = List.filter (fun c -> not (List.mem c dropped)) cells
+
+(* The cells that pay guard checks, and those with no tracked object. *)
+let guarded = [ send; send_serial; send_w4; send_ring; rtl ]
+let untracked = [ mouse; audio ]
+
+(* Cells with no combolock wait: their [xpc_ns] is XPC charges alone. In
+   the e1000 cells a wait's length follows the timing of everything
+   else, and waits are credited too, so any knob can move it there. *)
+let quiet = [ rtl; mouse; audio ]
+
+(* One pass: every cell's sample and e1000's Table 3 decaf init
+   latency. *)
+type pass = {
+  samples : ((string * string) * E.Xpcperf.sample) list;
+  init : int;
+}
+
+let knob_duration_ns = 20_000_000
+
+let measure_pass () =
+  let sample ((scenario, config) as c) =
+    match
+      E.Xpcperf.measure ~duration_ns:knob_duration_ns ~scenario ~config ()
+    with
+    | [ s ] -> (c, s)
+    | _ -> Alcotest.failf "%s %s is not a measured cell" scenario config
+  in
+  {
+    samples = List.map sample cells;
+    init =
+      (E.Table3.cell "e1000" "netperf-send" ~duration_ns:knob_duration_ns
+         Decaf_drivers.Driver_env.Decaf)
+        .E.Table3.init_ns;
+  }
+
+(* A reading: one number of a pass, named for the failure message. *)
+type reading = string * (pass -> int)
+
+let field name get cells : reading list =
+  List.map
+    (fun ((scenario, config) as c) ->
+      ( Printf.sprintf "%s of %s %s" name scenario config,
+        fun p -> get (List.assoc c p.samples) ))
+    cells
+
+let xpc = field "xpc_ns" (fun s -> s.E.Xpcperf.xpc_ns)
+let perf = field "perf_milli" (fun s -> s.E.Xpcperf.perf_milli)
+let init : reading list = [ ("e1000 Table 3 init latency", fun p -> p.init) ]
+
+(* No knob changes what crosses: the counts stay in every cell. *)
+let counts =
+  List.concat_map
+    (fun (name, get) -> field name get cells)
+    E.Xpcperf.
+      [
+        ("crossings", fun s -> s.crossings);
+        ("c_java", fun s -> s.c_java);
+        ("bytes", fun s -> s.bytes);
+        ("posted", fun s -> s.posted);
+        ("delivered", fun s -> s.delivered);
+        ("flushes", fun s -> s.flushes);
+        ("doorbells", fun s -> s.doorbells);
+        ("ring_produced", fun s -> s.ring_produced);
+        ("ring_drops", fun s -> s.ring_drops);
+        ("lock_contended", fun s -> s.lock_contended);
+        ("shard_hits", fun s -> s.shard_hits);
+        ("shards_used", fun s -> s.shards_used);
+      ]
+
+type knob = {
+  k_name : string;
+  get : K.Cost.t -> int;
+  set : K.Cost.t -> int -> unit;
+  moves : reading list;
+  keeps : reading list;
+}
+
+let knob k_name get set ~moves ~keeps =
+  {
+    k_name;
+    get;
+    set;
+    moves = List.concat moves;
+    keeps = counts @ List.concat keeps;
+  }
+
+let knobs =
+  K.Cost.
+    [
+      (* non-XPC costs: what they price moves, the quiet cells' XPC
+         account does not *)
+      knob "syscall_ns" (fun c -> c.syscall_ns) (fun c v -> c.syscall_ns <- v)
+        ~moves:[ perf nics ] ~keeps:[ xpc quiet ];
+      knob "irq_dispatch_ns" (fun c -> c.irq_dispatch_ns)
+        (fun c v -> c.irq_dispatch_ns <- v)
+        ~moves:[ perf (mouse :: nics) ] ~keeps:[ xpc quiet ];
+      knob "port_io_ns" (fun c -> c.port_io_ns) (fun c v -> c.port_io_ns <- v)
+        ~moves:[ perf [ rtl; mouse ] ]
+        ~keeps:[ xpc cells; perf e1000; init ];
+      knob "mmio_ns" (fun c -> c.mmio_ns) (fun c v -> c.mmio_ns <- v)
+        ~moves:[ perf e1000; init ] ~keeps:[ xpc quiet ];
+      knob "jvm_startup_ns" (fun c -> c.jvm_startup_ns)
+        (fun c v -> c.jvm_startup_ns <- v)
+        ~moves:[ init ] ~keeps:[ xpc cells; perf cells ];
+      (* the crossing legs: every cell crosses *)
+      knob "xpc_kernel_user_ns" (fun c -> c.xpc_kernel_user_ns)
+        (fun c v -> c.xpc_kernel_user_ns <- v)
+        ~moves:[ xpc cells; init ] ~keeps:[];
+      knob "xpc_c_java_ns" (fun c -> c.xpc_c_java_ns)
+        (fun c v -> c.xpc_c_java_ns <- v)
+        ~moves:[ xpc cells; init ] ~keeps:[];
+      knob "ctx_switch_ns" (fun c -> c.ctx_switch_ns)
+        (fun c v -> c.ctx_switch_ns <- v)
+        ~moves:[ xpc cells; init ] ~keeps:[];
+      knob "marshal_byte_ns" (fun c -> c.marshal_byte_ns)
+        (fun c v -> c.marshal_byte_ns <- v)
+        ~moves:[ xpc cells; init ] ~keeps:[];
+      knob "remarshal_byte_ns" (fun c -> c.remarshal_byte_ns)
+        (fun c v -> c.remarshal_byte_ns <- v)
+        ~moves:[ xpc cells; init ] ~keeps:[];
+      knob "xpc_dispatch_ns" (fun c -> c.xpc_dispatch_ns)
+        (fun c v -> c.xpc_dispatch_ns <- v)
+        ~moves:[ xpc cells; init ] ~keeps:[];
+      (* the tracker and its shard locks: only the NICs track objects *)
+      knob "objtracker_lookup_ns" (fun c -> c.objtracker_lookup_ns)
+        (fun c v -> c.objtracker_lookup_ns <- v)
+        ~moves:[ xpc nics ] ~keeps:[ xpc untracked ];
+      knob "spinlock_ns" (fun c -> c.spinlock_ns)
+        (fun c v -> c.spinlock_ns <- v)
+        ~moves:[ xpc nics ] ~keeps:[ xpc untracked ];
+      knob "semaphore_ns" (fun c -> c.semaphore_ns)
+        (fun c v -> c.semaphore_ns <- v)
+        ~moves:[ xpc nics ] ~keeps:[ xpc untracked ];
+      (* kernel-side checks, off every lane; perf stays wire-bound *)
+      knob "guard_check_ns" (fun c -> c.guard_check_ns)
+        (fun c v -> c.guard_check_ns <- v)
+        ~moves:[ xpc guarded ]
+        ~keeps:[ xpc (send_noguard :: untracked); perf cells ];
+      (* slot writes (off-lane, the producer) and reads (the drain) *)
+      knob "ring_slot_write_ns" (fun c -> c.ring_slot_write_ns)
+        (fun c v -> c.ring_slot_write_ns <- v)
+        ~moves:[ xpc [ send_ring ] ]
+        ~keeps:[ xpc (except [ send_ring ]); perf cells; init ];
+      knob "ring_slot_read_ns" (fun c -> c.ring_slot_read_ns)
+        (fun c v -> c.ring_slot_read_ns <- v)
+        ~moves:[ xpc [ send_ring ] ]
+        ~keeps:[ xpc (except [ send_ring ]); perf cells; init ];
+    ]
+
+let test_knob_table () =
+  check_bool "every Cost field has one row" true
+    (List.length (List.sort_uniq compare (List.map (fun k -> k.k_name) knobs))
+    = 17);
+  let base = measure_pass () in
+  let failures =
+    List.concat_map
+      (fun k ->
+        let v = k.get K.Cost.current in
+        k.set K.Cost.current (2 * v);
+        let doubled =
+          Fun.protect
+            ~finally:(fun () -> k.set K.Cost.current v)
+            measure_pass
+        in
+        let fail what (name, read) =
+          Printf.sprintf "doubling %s %s %s (%d -> %d)" k.k_name what name
+            (read base) (read doubled)
+        in
+        List.filter_map
+          (fun ((_, read) as r) ->
+            if read doubled = read base then Some (fail "leaves" r) else None)
+          k.moves
+        @ List.filter_map
+            (fun ((_, read) as r) ->
+              if read doubled <> read base then Some (fail "moves" r)
+              else None)
+            k.keeps)
+      knobs
+  in
+  Alcotest.(check (list string)) "every knob moves what it prices" []
+    failures;
+  check_bool "the table restores every cost" true (measure_pass () = base)
 
 let () =
   Alcotest.run "xpcperf"
@@ -312,5 +555,9 @@ let () =
             test_json_missing_key_rejected;
           Alcotest.test_case "soak trajectory gate holds" `Quick
             test_soak_trajectory_gate;
+          Alcotest.test_case "every cost knob moves what it prices" `Quick
+            test_knob_table;
+          Alcotest.test_case "committed cells are distinct" `Quick
+            test_committed_cells_distinct;
         ] );
     ]
