@@ -199,12 +199,7 @@ let soak_cmd =
 (* ---- explore: the decaf-check exploration harness ---- *)
 
 let explore episode depth smoke json lock_order =
-  let results =
-    try E.Exploration.run ?episode ?depth ~smoke ()
-    with Invalid_argument msg ->
-      Printf.eprintf "decafctl: %s\n" msg;
-      exit 1
-  in
+  let results = E.Exploration.run ?episode ?depth ~smoke () in
   if json then print_string (E.Exploration.render_json results)
   else begin
     print_string (E.Exploration.render results);
@@ -222,11 +217,15 @@ let explore episode depth smoke json lock_order =
 
 let episode_arg =
   let doc =
-    Printf.sprintf "Explore a single episode (known: %s); the whole catalog \
+    Printf.sprintf "Explore a single episode (one of %s); the whole catalog \
                     when omitted."
       (String.concat ", " E.Exploration.episode_names)
   in
-  Arg.(value & opt (some string) None & info [ "episode" ] ~docv:"EPISODE" ~doc)
+  let episode =
+    Arg.enum (List.map (fun n -> (n, n)) E.Exploration.episode_names)
+  in
+  Arg.(
+    value & opt (some episode) None & info [ "episode" ] ~docv:"EPISODE" ~doc)
 
 let depth_arg =
   let doc = "Override the branching-depth bound for every episode." in

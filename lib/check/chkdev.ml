@@ -47,7 +47,6 @@ type dev = {
   d_ring : Xpc.Ring.t option;
   d_handle : Xpc.Objtracker.handle;
   mutable d_destroyed : bool;
-  mutable d_deferred : int;
   d_env : Driver_env.t;
 }
 
@@ -97,12 +96,11 @@ let irq_handler d () =
    deferred call outliving its driver. *)
 let kick d =
   bump d;
-  d.d_env.Driver_env.notify ~name:"chkdev_tick" ~bytes:8 (fun () ->
+  Driver_env.notify d.d_env ~name:"chkdev_tick" ~bytes:8 (fun () ->
       if d.d_destroyed then
         note_after_free
           (Printf.sprintf "%s: deferred notification delivered after unbind"
-             d.d_id)
-      else d.d_deferred <- d.d_deferred + 1)
+             d.d_id))
 
 (* Two code paths nesting the combolock pair. The clean tree acquires
    A -> B on both; [Mutants.swap_lock_order] reverses the second path
@@ -136,21 +134,11 @@ module Core : Driver_core.DRIVER with type t = dev = struct
         ~type_id:(Xpc.Codec.type_id ring_table)
     in
     let ring =
-      match env.Driver_env.mode with
-      | Driver_env.Native -> None
-      | Driver_env.Staged | Driver_env.Decaf ->
-          let target =
-            if env.Driver_env.mode = Driver_env.Decaf then
-              Xpc.Domain.Decaf_driver
-            else Xpc.Domain.Driver_lib
-          in
-          Some
-            (Xpc.Ring.create ~name:id ~target
-               ~guard:(Xpc.Codec.guard ring_table)
-               ~resolve:(fun handle ->
-                 Xpc.Objtracker.resolve (kernel_tracker ()) ~handle
-                   ~type_id:(Xpc.Codec.type_id ring_table))
-               ~handler:(fun _ -> ()) ())
+      Driver_env.ring env ~name:id ~guard:(Xpc.Codec.guard ring_table)
+        ~resolve:(fun handle ->
+          Xpc.Objtracker.resolve (kernel_tracker ()) ~handle
+            ~type_id:(Xpc.Codec.type_id ring_table))
+        ~apply:ignore
     in
     let d =
       {
@@ -164,13 +152,12 @@ module Core : Driver_core.DRIVER with type t = dev = struct
         d_ring = ring;
         d_handle = handle;
         d_destroyed = false;
-        d_deferred = 0;
         d_env = env;
       }
     in
     (* one upcall so the probe itself pays a crossing like a real
        split driver's bring-up *)
-    env.Driver_env.upcall ~name:"chkdev_init" ~bytes:16 (fun () -> ());
+    Driver_env.upcall env ~name:"chkdev_init" ~bytes:16 (fun () -> ());
     K.Irq.request_irq d.d_irq ~name:id (irq_handler d);
     Hashtbl.replace instances id d;
     Ok d
@@ -187,7 +174,6 @@ module Core : Driver_core.DRIVER with type t = dev = struct
   let suspend d = ignore (read_count d)
   let resume d = ignore (read_count d)
   let owns d id = id = d.d_id
-  let deferred_syncs d = d.d_deferred
   let init_latency_ns _ = 0
 end
 

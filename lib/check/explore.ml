@@ -335,9 +335,8 @@ let replay episode trace_s =
   let x = run_one episode ~graph ~prefix:(Trace.of_string trace_s) ~sleep0:[] in
   violations_with_cycle graph x
 
-let explore ?depth ?max_execs ?(minimize_cx = true) episode =
+let explore ?depth episode =
   let depth = Option.value depth ~default:episode.ep_depth in
-  let max_execs = Option.value max_execs ~default:episode.ep_max_execs in
   let graph = Invariants.new_graph () in
   let table : (string, node_state) Hashtbl.t = Hashtbl.create 256 in
   let stats =
@@ -347,7 +346,9 @@ let explore ?depth ?max_execs ?(minimize_cx = true) episode =
     Hashtbl.create 4
   in
   let work = ref [ ([], []) ] in
-  while !work <> [] && stats.executions + stats.pruned < max_execs do
+  while
+    !work <> [] && stats.executions + stats.pruned < episode.ep_max_execs
+  do
     match !work with
     | [] -> ()
     | (prefix, sleep0) :: rest ->
@@ -377,7 +378,7 @@ let explore ?depth ?max_execs ?(minimize_cx = true) episode =
   let cxs =
     Hashtbl.fold
       (fun kind (v, tr) acc ->
-        let m = if minimize_cx then minimize episode ~kind tr else tr in
+        let m = minimize episode ~kind tr in
         {
           cx_violation = v;
           cx_trace = Trace.to_string m;

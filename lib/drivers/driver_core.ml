@@ -50,19 +50,11 @@ module type DRIVER = sig
   val suspend : t -> unit
   val resume : t -> unit
   val owns : t -> string -> bool
-  val deferred_syncs : t -> int
   val init_latency_ns : t -> int
 end
 
 type packed = Pack : (module DRIVER with type t = 'a) -> packed
 type bound = B : (module DRIVER with type t = 'a) * 'a -> bound
-
-type meter = {
-  mutable m_upcalls : int;
-  mutable m_downcalls : int;
-  mutable m_notifies : int;
-  mutable m_wire_bytes : int;
-}
 
 type snapshot = {
   s_driver : string;  (** bare driver name, shared by every instance *)
@@ -101,11 +93,11 @@ type binding = {
   mutable b_dev : string option;
       (** bus device this binding is pinned to, when bound via
           {!bind_device} with an explicit device *)
-  meter : meter;
   mutable state : lifecycle;
   mutable inst : bound option;
   mutable sup : Supervisor.t option;
-  mutable mode : Driver_env.mode option;
+  mutable env : Driver_env.t option;
+      (** made fresh at every bind: its mode and meter are the row's *)
   mutable want : Driver_env.mode option;
       (** mode to auto-rebind with when the device is replugged *)
   mutable in_run : bool;
@@ -167,54 +159,6 @@ let transition b to_ =
 
 let set_disabled b = if b.state <> Disabled then transition b Disabled
 
-(* --- metered driver environment --- *)
-
-(* Run one call of [base] under the binding's boundary scope; the scope
-   is a plain string, saved and restored without a closure. *)
-let within driver call ~name ~bytes f =
-  let saved = Xpc.Boundary.enter driver in
-  match call ~name ~bytes f with
-  | v ->
-      Xpc.Boundary.leave saved;
-      v
-  | exception e ->
-      Xpc.Boundary.leave saved;
-      raise e
-
-let metered ~driver meter (base : Driver_env.t) =
-  (* Native-mode "calls" never leave the kernel; only count crossings
-     that a split build actually pays for. The meter itself costs no
-     virtual time, so benchmark trajectories are unaffected. Every
-     crossing also runs under the binding's boundary scope, so
-     validation rejections land in the per-driver counter surfaced by
-     [snapshot]. *)
-  let live = base.Driver_env.mode <> Driver_env.Native in
-  {
-    Driver_env.mode = base.Driver_env.mode;
-    scope = driver;
-    upcall =
-      (fun ~name ~bytes f ->
-        if live then begin
-          meter.m_upcalls <- meter.m_upcalls + 1;
-          meter.m_wire_bytes <- meter.m_wire_bytes + bytes
-        end;
-        within driver base.Driver_env.upcall ~name ~bytes f);
-    downcall =
-      (fun ~name ~bytes f ->
-        if live then begin
-          meter.m_downcalls <- meter.m_downcalls + 1;
-          meter.m_wire_bytes <- meter.m_wire_bytes + bytes
-        end;
-        within driver base.Driver_env.downcall ~name ~bytes f);
-    notify =
-      (fun ~name ~bytes f ->
-        if live then begin
-          meter.m_notifies <- meter.m_notifies + 1;
-          meter.m_wire_bytes <- meter.m_wire_bytes + bytes
-        end;
-        within driver base.Driver_env.notify ~name ~bytes f);
-  }
-
 (* --- internal operations --- *)
 
 let fresh_sup b =
@@ -255,13 +199,8 @@ let bind b mode =
   match b.drv with
   | Pack (module D) -> (
       transition b Probed;
-      b.mode <- Some mode;
-      let m = b.meter in
-      m.m_upcalls <- 0;
-      m.m_downcalls <- 0;
-      m.m_notifies <- 0;
-      m.m_wire_bytes <- 0;
-      let env = metered ~driver:b.b_id m (Driver_env.of_mode mode) in
+      let env = Driver_env.create mode ~scope:b.b_id in
+      b.env <- Some env;
       match D.probe env ~dev:b.b_dev with
       | Ok t ->
           b.inst <- Some (B ((module D), t));
@@ -376,11 +315,10 @@ let register (Pack (module D) as p) =
       b_ids = D.ids;
       b_family = { members = [||]; size = 0; free_from = 0 };
       b_dev = None;
-      meter = { m_upcalls = 0; m_downcalls = 0; m_notifies = 0; m_wire_bytes = 0 };
       state = Unbound;
       inst = None;
       sup = None;
-      mode = None;
+      env = None;
       want = None;
       in_run = false;
     }
@@ -456,13 +394,10 @@ let bind_device name ?dev ~mode () =
             b_id = id;
             b_trace = K.Ktrace.Queue ("binding:" ^ id);
             b_dev = None;
-            meter =
-              { m_upcalls = 0; m_downcalls = 0; m_notifies = 0;
-                m_wire_bytes = 0 };
             state = Unbound;
             inst = None;
             sup = None;
-            mode = None;
+            env = None;
             want = None;
             in_run = false;
           }
@@ -590,11 +525,18 @@ let run name ~mode body =
 
 (* --- observability --- *)
 
+(* The meter of a binding that was never bound: zeros, never counted
+   into. *)
+let never_bound = (Driver_env.create Native ~scope:"").Driver_env.meter
+
 let snapshot_of b =
-  let deferred, init_ns =
+  let init_ns =
     match b.inst with
-    | Some (B ((module D), t)) -> (D.deferred_syncs t, D.init_latency_ns t)
-    | None -> (0, 0)
+    | Some (B ((module D), t)) -> D.init_latency_ns t
+    | None -> 0
+  in
+  let m =
+    match b.env with Some env -> env.Driver_env.meter | None -> never_bound
   in
   (* Ring counters for this binding, if it owns a shared ring (rings are
      registered under the binding's name). Zeros otherwise. *)
@@ -613,11 +555,11 @@ let snapshot_of b =
     s_binding = b.b_id;
     s_instance = b.b_instance;
     s_state = b.state;
-    s_mode = b.mode;
-    s_crossings = b.meter.m_upcalls + b.meter.m_downcalls;
-    s_wire_bytes = b.meter.m_wire_bytes;
-    s_notifies = b.meter.m_notifies;
-    s_deferred_syncs = deferred;
+    s_mode = Option.map (fun env -> env.Driver_env.mode) b.env;
+    s_crossings = m.Driver_env.upcalls + m.downcalls;
+    s_wire_bytes = m.wire_bytes;
+    s_notifies = m.notifies;
+    s_deferred_syncs = m.syncs;
     s_rejections = Xpc.Boundary.rejected_for b.b_id;
     s_dropped = Xpc.Boundary.dropped_for b.b_id;
     s_ring_occupancy = r_occ;

@@ -2,9 +2,10 @@
 
     Each of the five drivers exports a [Core] module implementing
     {!DRIVER}; the registry owns, per bound driver, its
-    {!Driver_env.t} (wrapped with a crossing/byte meter), its recovery
-    {!Decaf_runtime.Supervisor.t}, and an explicit lifecycle state
-    machine. All load/unload, suspend/resume and hotplug paths go
+    {!Driver_env.t} (made fresh at every bind, scoped to the binding
+    id; its meter is the snapshot's crossing, notify and sync count),
+    its recovery {!Decaf_runtime.Supervisor.t}, and an explicit
+    lifecycle state machine. All load/unload, suspend/resume and hotplug paths go
     through here, so the fault campaign, Table 3 and [decafctl status]
     all observe the same per-driver snapshot instead of per-driver
     one-off accessors.
@@ -78,9 +79,6 @@ module type DRIVER = sig
   (** Whether a bus device id (PCI slot, input/HCD name) belongs to this
       instance — routes hotplug removal events. *)
 
-  val deferred_syncs : t -> int
-  (** Deferred view refreshes delivered to user level so far. *)
-
   val init_latency_ns : t -> int
 end
 
@@ -98,7 +96,9 @@ type snapshot = {
   s_crossings : int;  (** upcalls + downcalls requested through the env *)
   s_wire_bytes : int;  (** payload bytes of those calls *)
   s_notifies : int;  (** deferred notifications posted *)
-  s_deferred_syncs : int;  (** deferred view refreshes delivered *)
+  s_deferred_syncs : int;
+      (** notifies delivered and ring records applied: the env meter's
+          syncs, 0 in native *)
   s_rejections : int;
       (** boundary-validation rejections attributed to this binding
           (forged/stale handles, field violations, forged acks) —
@@ -138,7 +138,7 @@ val supervisor : string -> Decaf_runtime.Supervisor.t option
 (** The supervisor the registry attached at the last bind, if any. *)
 
 val insmod : string -> mode:Driver_env.mode -> (unit, int) result
-(** Bind the named driver: fresh supervisor, metered environment,
+(** Bind the named driver: fresh supervisor, fresh environment,
     [Unbound/Removed -> Probed -> Running]. The probe runs under the
     supervisor, so a faulting probe is retried within the restart
     budget; [Error] is the probe's errno (or [-EIO] after the budget is

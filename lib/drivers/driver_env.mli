@@ -1,56 +1,106 @@
-(** Execution environment shared by the native and decaf builds of each
-    driver.
+(** The one place that knows a driver's build.
 
-    A driver is written once against this record. In native mode both
-    hooks are the identity: every function runs in the kernel, as in the
-    original Linux driver. In decaf mode, [upcall] carries control (and
-    the marshaled bytes) from the kernel to the decaf driver and
-    [downcall] carries a kernel-function invocation back down, so the
-    very same driver logic becomes a split driver whose crossings are
-    counted by {!Decaf_xpc.Channel}. *)
+    Each driver is written once against this module; the env it is
+    probed with decides where every call goes. [Native] is the original
+    Linux driver: all of it runs in the kernel. [Staged] and [Decaf] are
+    split builds whose user-level half runs in the C driver library or,
+    once converted, the managed runtime:
+
+    - {b I/O}: the port and MMIO accessors are plain kernel accesses in
+      [Native], direct Jeannie calls from user level when split.
+    - {b Crossings}: {!upcall} carries control (and marshaled bytes) to
+      the user-level half, {!downcall} a kernel call back down, each
+      counted by {!Decaf_xpc.Channel} and the env's {!meter}; a [Decaf]
+      upcall first starts the managed runtime. In [Native] both are
+      ordinary calls and count nothing. Every crossing, native ones
+      included, runs under the env's {!Decaf_xpc.Boundary} scope.
+    - {b Notifies}: {!notify} posts a one-way refresh to
+      {!Decaf_xpc.Batch}; [Native] has no user-level view to refresh and
+      posts nothing.
+    - {b Syncs}: a delivered notify or a record applied from the env's
+      ring counts one sync in the meter.
+    - {b Rings}: {!ring} makes a binding's shared ring in the user-level
+      domain, or none in [Native]. *)
 
 type mode = Native | Staged | Decaf
+
+type meter = {
+  mutable upcalls : int;
+  mutable downcalls : int;
+  mutable notifies : int;  (** posted, whether or not delivered yet *)
+  mutable wire_bytes : int;  (** payload bytes of the three above *)
+  mutable syncs : int;  (** notifies delivered and ring records applied *)
+}
 
 type t = {
   mode : mode;
   scope : string;
-      (** The binding id this environment serves, stamped by the driver
-          registry when it meters the env; [""] for the bare
-          constructors below. Drivers name their {!Decaf_xpc.Boundary}
-          scopes and XPC rings after it (falling back to the driver
-          name via {!scope_or}) so a fleet of instances of one module
-          keeps per-instance accounting. *)
-  upcall : 'a. name:string -> bytes:int -> (unit -> 'a) -> 'a;
-  downcall : 'a. name:string -> bytes:int -> (unit -> 'a) -> 'a;
-  notify : name:string -> bytes:int -> (unit -> unit) -> unit;
-      (** One-way, non-urgent upcall (stats update, link-state change,
-          multicast-list refresh): posted to {!Decaf_xpc.Batch} rather
-          than crossing immediately, and therefore legal from interrupt
-          context. In native mode it is an ordinary call. Never use this
-          for anything the caller's next step depends on. *)
+      (** The binding id this env serves; [""] for the bare envs below.
+          Drivers name their Boundary scopes and rings after it (falling
+          back to the driver name via {!scope_or}), so a fleet of
+          instances of one module keeps per-instance accounting. *)
+  meter : meter;
 }
+
+val create : mode -> scope:string -> t
+(** A fresh env with a zero meter; the registry makes one per bind. *)
+
+val native : t
+(** [native], [staged] and [decaf] are unscoped envs shared by every
+    direct driver load (tests, benches); nothing reads their meters. *)
+
+val staged : t
+(** The migration staging ground of §5.3: kernel/user crossings into the
+    C driver library, but no C/Java transitions and no managed-runtime
+    start. This is how the paper ran all user-mode E1000 functions
+    before converting them to Java one at a time. *)
+
+val decaf : t
 
 val scope_or : t -> string -> string
 (** [scope_or env default] is the env's binding id, or [default] when
-    the env was never metered (direct driver use in tests/benches). *)
-
-val native : t
-
-val staged : t
-(** The migration staging ground of §5.3: user-level code runs, but in
-    the C driver library rather than the managed language — upcalls
-    target the driver-library domain, so there are kernel/user crossings
-    but no C/Java transitions and no managed-runtime start. This is how
-    the paper ran all user-mode E1000 functions before converting them
-    to Java one at a time. *)
-
-val decaf : t
-(** The decaf environment: upcalls enter the decaf-driver domain
-    (starting the managed runtime on first use), downcalls enter the
-    kernel. Like [native] and [staged] it captures nothing, so every
-    binding shares one. *)
-
-val of_mode : mode -> t
-(** [native], [staged] or [decaf] according to [mode]. *)
+    the env is unscoped (direct driver use in tests and benches). *)
 
 val mode_name : mode -> string
+
+val split : t -> bool
+(** Whether the build has a user-level half: [false] in [Native], where
+    a shared structure's kernel copy is its only copy and nothing is
+    marshaled. *)
+
+val start_runtime : t -> unit
+(** Start the managed runtime in [Decaf], nothing otherwise: for work
+    bound for user level that precedes the {!upcall} (which starts it
+    too). *)
+
+(** {2 Port and MMIO access} *)
+
+val inb : t -> int -> int
+val inw : t -> int -> int
+val inl : t -> int -> int
+val readl : t -> int -> int
+val outb : t -> int -> int -> unit
+val outw : t -> int -> int -> unit
+val outl : t -> int -> int -> unit
+val writel : t -> int -> int -> unit
+
+(** {2 Crossings} *)
+
+val upcall : t -> name:string -> bytes:int -> (unit -> 'a) -> 'a
+val downcall : t -> name:string -> bytes:int -> (unit -> 'a) -> 'a
+
+val notify : t -> name:string -> bytes:int -> (unit -> unit) -> unit
+(** One-way, non-urgent upcall (stats, link state, a hardware pointer),
+    batched rather than crossing now, and therefore legal from interrupt
+    context. Never use it for anything the caller's next step depends
+    on. *)
+
+val ring :
+  t ->
+  name:string ->
+  guard:Decaf_xpc.Guard.t ->
+  resolve:(int -> (int, string) result) ->
+  apply:(Decaf_xpc.Ring.record -> unit) ->
+  Decaf_xpc.Ring.t option
+(** The binding's shared ring ({!Decaf_xpc.Ring.create}), consumed in
+    the user-level domain; [None] in [Native]. *)

@@ -127,7 +127,6 @@ type adapter = {
   mutable watchdog : K.Timer.t option;
   mutable watchdog_runs : int;
   mutable pkts_since_stats : int;
-  mutable user_syncs : int;
   mutable params : params;  (** validated snapshot from this probe *)
   mutable itr_reg : int;  (** last value programmed into ITR *)
   mutable xring : Decaf_xpc.Ring.t option;
@@ -144,9 +143,7 @@ let reg a off = a.mmio + off
    link state) to Batch; see {!Shared_struct.S.with_view}. *)
 let with_java_adapter a ~name f = O.with_view a.env ~scope:a.scope a.ka ~name f
 
-let post_adapter_sync a ~name =
-  O.post_sync a.env ~scope:a.scope a.ka ~name ~delivered:(fun () ->
-      a.user_syncs <- a.user_syncs + 1)
+let post_adapter_sync a ~name = O.post_sync a.env ~scope:a.scope a.ka ~name
 
 (* The kernel nucleus refreshes the user-level stats view once per
    [stats_notify_interval] data-path packets — often enough for user
@@ -156,15 +153,17 @@ let post_adapter_sync a ~name =
    native build at wire speed. *)
 let stats_notify_interval = 256
 
-(* Ring fast path availability: the axis is on, probe allocated a ring,
-   and the user-level view exists — a freshly restarted runtime must
-   get a full-image crossing first, not slot updates against an object
-   it no longer holds. *)
+(* Ring fast path availability: probe allocated a ring (none in
+   native), the axis is on, and the user-level view exists — a freshly
+   restarted runtime must get a full-image crossing first, not slot
+   updates against an object it no longer holds. *)
 let ring_of a =
-  if Decaf_xpc.Ring.enabled () && O.user_has_view a.ka then a.xring else None
+  match a.xring with
+  | Some _ as r when Decaf_xpc.Ring.enabled () && O.user_has_view a.ka -> r
+  | Some _ | None -> None
 
 let note_packets a n =
-  if n > 0 && a.env.Driver_env.mode <> Driver_env.Native then begin
+  if n > 0 then begin
     a.pkts_since_stats <- a.pkts_since_stats + n;
     if a.pkts_since_stats >= stats_notify_interval then begin
       a.pkts_since_stats <- 0;
@@ -322,14 +321,8 @@ let interrupt a =
 
 (* --- decaf driver: user-level logic, exception-based (§5.1) --- *)
 
-(* Hardware access helpers: direct Jeannie calls in decaf mode. *)
-let rd32 a off =
-  if a.env.Driver_env.mode <> Driver_env.Native then Runtime.Helpers.readl (reg a off)
-  else K.Io.readl (reg a off)
-
-let wr32 a off v =
-  if a.env.Driver_env.mode <> Driver_env.Native then Runtime.Helpers.writel (reg a off) v
-  else K.Io.writel (reg a off) v
+let rd32 a off = Driver_env.readl a.env (reg a off)
+let wr32 a off v = Driver_env.writel a.env (reg a off) v
 
 let throw errno context = Errors.throw ~driver ~errno context
 
@@ -383,7 +376,7 @@ let phy_setup a =
 let save_config_space a j =
   for i = 0 to O.config_words - 1 do
     Codec.set_word j O.config_space i
-      (a.env.Driver_env.downcall ~name:"pci_read_config" ~bytes:8 (fun () ->
+      (Driver_env.downcall a.env ~name:"pci_read_config" ~bytes:8 (fun () ->
            K.Pci.read_config32 a.pci (4 * i)))
   done
 
@@ -391,7 +384,7 @@ let save_config_space a j =
 
 let setup_tx_resources a =
   let mapping =
-    a.env.Driver_env.downcall ~name:"dma_alloc_tx" ~bytes:16 (fun () ->
+    Driver_env.downcall a.env ~name:"dma_alloc_tx" ~bytes:16 (fun () ->
         K.Dma.alloc_coherent ~tag:"e1000-txring" (E.n_tx_desc * 16))
   in
   match mapping with
@@ -404,7 +397,7 @@ let setup_tx_resources a =
 
 let setup_rx_resources a =
   let mapping =
-    a.env.Driver_env.downcall ~name:"dma_alloc_rx" ~bytes:16 (fun () ->
+    Driver_env.downcall a.env ~name:"dma_alloc_rx" ~bytes:16 (fun () ->
         K.Dma.alloc_coherent ~tag:"e1000-rxring" (E.n_rx_desc * 16))
   in
   match mapping with
@@ -417,7 +410,7 @@ let setup_rx_resources a =
 let free_tx_resources a =
   match a.resources.tx_alloc with
   | Some mapping ->
-      a.env.Driver_env.downcall ~name:"dma_free_tx" ~bytes:16 (fun () ->
+      Driver_env.downcall a.env ~name:"dma_free_tx" ~bytes:16 (fun () ->
           K.Dma.free_coherent mapping);
       a.resources.tx_alloc <- None
   | None -> ()
@@ -425,13 +418,13 @@ let free_tx_resources a =
 let free_rx_resources a =
   match a.resources.rx_alloc with
   | Some mapping ->
-      a.env.Driver_env.downcall ~name:"dma_free_rx" ~bytes:16 (fun () ->
+      Driver_env.downcall a.env ~name:"dma_free_rx" ~bytes:16 (fun () ->
           K.Dma.free_coherent mapping);
       a.resources.rx_alloc <- None
   | None -> ()
 
 let request_irq a =
-  a.env.Driver_env.downcall ~name:"request_irq" ~bytes:16 (fun () ->
+  Driver_env.downcall a.env ~name:"request_irq" ~bytes:16 (fun () ->
       K.Irq.request_irq a.irq ~name:driver (fun () -> interrupt a))
 
 (* Initial ITR from InterruptThrottleRate: 0 = off; 1/3 = dynamic
@@ -448,7 +441,7 @@ let e1000_up a =
   a.itr_reg <- initial_itr a.params;
   wr32 a E.reg_itr a.itr_reg;
   wr32 a E.reg_ims (E.icr_txdw lor E.icr_rxt0 lor E.icr_lsc);
-  a.env.Driver_env.downcall ~name:"netif_start" ~bytes:16 (fun () ->
+  Driver_env.downcall a.env ~name:"netif_start" ~bytes:16 (fun () ->
       match a.netdev with
       | Some nd ->
           K.Netcore.netif_wake_queue nd;
@@ -459,7 +452,7 @@ let e1000_down a =
   wr32 a E.reg_imc 0xffff_ffff;
   wr32 a E.reg_tctl 0;
   wr32 a E.reg_rctl 0;
-  a.env.Driver_env.downcall ~name:"netif_stop" ~bytes:16 (fun () ->
+  Driver_env.downcall a.env ~name:"netif_stop" ~bytes:16 (fun () ->
       match a.netdev with
       | Some nd ->
           K.Netcore.netif_stop_queue nd;
@@ -476,7 +469,7 @@ let e1000_open_user a j =
           request_irq a;
           Errors.protect
             ~cleanup:(fun () ->
-              a.env.Driver_env.downcall ~name:"free_irq" ~bytes:16 (fun () ->
+              Driver_env.downcall a.env ~name:"free_irq" ~bytes:16 (fun () ->
                   K.Irq.free_irq a.irq))
             (fun () ->
               phy_setup a;
@@ -486,7 +479,7 @@ let e1000_open_user a j =
 
 let e1000_close_user a j =
   e1000_down a;
-  a.env.Driver_env.downcall ~name:"free_irq" ~bytes:16 (fun () ->
+  Driver_env.downcall a.env ~name:"free_irq" ~bytes:16 (fun () ->
       K.Irq.free_irq a.irq);
   free_rx_resources a;
   free_tx_resources a;
@@ -623,31 +616,16 @@ let probe env (pci : K.Pci.dev) =
           watchdog = None;
           watchdog_runs = 0;
           pkts_since_stats = 0;
-          user_syncs = 0;
           params = default_params;
           itr_reg = 0;
           xring = None;
           lock = K.Sync.Combolock.create ~name:scope ();
         }
       in
-      (* The shared ring exists for the life of the binding; its consumer
-         runs in whichever domain the mode's notify target is. *)
-      (match env.Driver_env.mode with
-      | Driver_env.Native -> ()
-      | Driver_env.Staged | Driver_env.Decaf ->
-          let target =
-            if env.Driver_env.mode = Driver_env.Decaf then
-              Decaf_xpc.Domain.Decaf_driver
-            else Decaf_xpc.Domain.Driver_lib
-          in
-          a.xring <-
-            Some
-              (Decaf_xpc.Ring.create ~name:scope ~target ~guard:O.ring_guard
-                 ~resolve:O.ring_resolve
-                 ~handler:(fun r ->
-                   O.apply_ring_record r;
-                   a.user_syncs <- a.user_syncs + 1)
-                 ()));
+      (* the shared ring exists for the life of the binding *)
+      a.xring <-
+        Driver_env.ring env ~name:scope ~guard:O.ring_guard
+          ~resolve:O.ring_resolve ~apply:O.apply_ring_record;
       Runtime.Helpers.register_sizeof "e1000_adapter" 512;
       let rc =
         with_java_adapter a ~name:"e1000_probe" (fun j ->
@@ -659,7 +637,7 @@ let probe env (pci : K.Pci.dev) =
                 ignore mac;
                 save_config_space a j;
                 Codec.set j O.msg_enable 7;
-                a.env.Driver_env.downcall ~name:"register_netdev" ~bytes:64
+                Driver_env.downcall a.env ~name:"register_netdev" ~bytes:64
                   (fun () ->
                     let nd =
                       K.Netcore.create ~name:(K.Netcore.alloc_name "eth") ~mtu:1500 (net_ops a) in
@@ -737,7 +715,7 @@ let resume t =
   O.resync_user_view a.ka;
   with_java_adapter a ~name:"e1000_resume" (fun j ->
       for i = 0 to O.config_words - 1 do
-        a.env.Driver_env.downcall ~name:"pci_write_config" ~bytes:8 (fun () ->
+        Driver_env.downcall a.env ~name:"pci_write_config" ~bytes:8 (fun () ->
             K.Pci.write_config32 a.pci (4 * i) (Codec.get j O.config_space).(i))
       done;
       match a.netdev with
@@ -756,7 +734,6 @@ let diag_test t = diag_test_adapter t.adapter
 let diag_test_at_user_level t = diag_test_at_user_level_adapter t.adapter
 let watchdog_runs t = t.adapter.watchdog_runs
 let kernel_adapter t = t.adapter.ka
-let user_stat_syncs t = t.adapter.user_syncs
 let params t = t.adapter.params
 
 (* Fleet access: a binding made through the registry has no [t] in the
@@ -774,6 +751,5 @@ module Core = struct
   let suspend = suspend
   let resume = resume
   let owns t slot = K.Pci.slot t.adapter.pci = slot
-  let deferred_syncs = user_stat_syncs
   let init_latency_ns = init_latency_ns
 end

@@ -62,11 +62,6 @@ val diag_test_at_user_level : t -> int
 val kernel_adapter : t -> E1000_objects.kernel_adapter
 val adapter_wire_bytes : int
 
-val user_stat_syncs : t -> int
-(** Times the user-level adapter view has been refreshed by a deferred
-    notification (stats rollups every 64 data-path packets, link-state
-    changes) — each delivered via {!Decaf_xpc.Batch}. *)
-
 (** {1 Module parameters}
 
     Validated at probe time by the checker classes of

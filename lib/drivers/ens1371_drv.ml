@@ -2,7 +2,6 @@ module K = Decaf_kernel
 module Hw = Decaf_hw
 module S = Hw.Ens1371_hw
 module Errors = Decaf_runtime.Errors
-module Runtime = Decaf_runtime.Runtime
 
 let vendor_id = 0x1274
 let device_id = 0x1371
@@ -39,16 +38,11 @@ type adapter = {
           counter is cumulative across streams, but the PCM layer wants
           a per-stream position, so prepare re-baselines it like a real
           driver resetting its DMA frame counter *)
-  mutable user_syncs : int;
-      (** deferred hardware-pointer refreshes delivered to user level *)
 }
 
 let reg a off = a.io_base + off
 
-let outl a off v =
-  if a.env.Driver_env.mode <> Driver_env.Native then
-    Runtime.Helpers.outl (reg a off) v
-  else K.Io.outl (reg a off) v
+let outl a off v = Driver_env.outl a.env (reg a off) v
 
 (* --- driver nucleus: interrupt handler (data path) --- *)
 
@@ -59,18 +53,13 @@ let outl a off v =
    syncs) instead of paying a synchronous crossing per interrupt. *)
 let ptr_wire_bytes = 12
 
-let post_pcm_ptr_sync a =
-  if a.env.Driver_env.mode <> Driver_env.Native then
-    a.env.Driver_env.notify ~name:"ens1371_pcm_ptr" ~bytes:ptr_wire_bytes
-      (fun () -> a.user_syncs <- a.user_syncs + 1)
-
 let interrupt a =
   let status = K.Io.inl (reg a S.reg_status) in
   if status land S.status_dac2 <> 0 then begin
     K.Io.outl (reg a S.reg_status) S.status_dac2;
     (* report progress to the sound library; writers wake as needed *)
     (match a.sub with Some sub -> K.Sndcore.period_elapsed sub | None -> ());
-    post_pcm_ptr_sync a
+    Driver_env.notify a.env ~name:"ens1371_pcm_ptr" ~bytes:ptr_wire_bytes ignore
   end
 
 (* --- decaf driver: codec / SRC programming and PCM callbacks --- *)
@@ -92,15 +81,15 @@ let pcm_ops a =
   {
     K.Sndcore.pcm_open =
       (fun () ->
-        a.env.Driver_env.upcall ~name:"ens1371_pcm_open" ~bytes:adapter_wire_bytes
+        Driver_env.upcall a.env ~name:"ens1371_pcm_open" ~bytes:adapter_wire_bytes
           (fun () -> Ok ()));
     pcm_close =
       (fun () ->
-        a.env.Driver_env.upcall ~name:"ens1371_pcm_close"
+        Driver_env.upcall a.env ~name:"ens1371_pcm_close"
           ~bytes:adapter_wire_bytes (fun () -> ()));
     pcm_hw_params =
       (fun ~rate ~channels ~sample_bits ->
-        a.env.Driver_env.upcall ~name:"ens1371_hw_params"
+        Driver_env.upcall a.env ~name:"ens1371_hw_params"
           ~bytes:adapter_wire_bytes (fun () ->
             if channels <> 2 || sample_bits <> 16 then Error (-Errors.einval)
             else begin
@@ -111,14 +100,14 @@ let pcm_ops a =
             end));
     pcm_prepare =
       (fun () ->
-        a.env.Driver_env.upcall ~name:"ens1371_prepare" ~bytes:adapter_wire_bytes
+        Driver_env.upcall a.env ~name:"ens1371_prepare" ~bytes:adapter_wire_bytes
           (fun () ->
             outl a S.reg_frame_size period_bytes;
             a.pos_base <- S.consumed a.model;
             Ok ()));
     pcm_trigger =
       (fun cmd ->
-        a.env.Driver_env.upcall ~name:"ens1371_trigger" ~bytes:adapter_wire_bytes
+        Driver_env.upcall a.env ~name:"ens1371_trigger" ~bytes:adapter_wire_bytes
           (fun () ->
             match cmd with
             | `Start ->
@@ -149,22 +138,21 @@ let probe env (pci : K.Pci.dev) =
           rate = 0;
           dac_on = false;
           pos_base = 0;
-          user_syncs = 0;
         }
       in
       let rc =
-        env.Driver_env.upcall ~name:"ens1371_probe" ~bytes:adapter_wire_bytes
+        Driver_env.upcall env ~name:"ens1371_probe" ~bytes:adapter_wire_bytes
           (fun () ->
             init_codec a;
             (* create and register the card: kernel services invoked from
                user level (Figure 2's snd_card_register stub) *)
             let card =
-              a.env.Driver_env.downcall ~name:"snd_card_new" ~bytes:32 (fun () ->
+              Driver_env.downcall a.env ~name:"snd_card_new" ~bytes:32 (fun () ->
                   K.Sndcore.snd_card_new "Ensoniq AudioPCI")
             in
             a.card <- Some card;
             let sub =
-              a.env.Driver_env.downcall ~name:"snd_pcm_new" ~bytes:48 (fun () ->
+              Driver_env.downcall a.env ~name:"snd_pcm_new" ~bytes:48 (fun () ->
                   K.Sndcore.new_pcm card ~buffer_bytes (pcm_ops a))
             in
             a.sub <- Some sub;
@@ -172,17 +160,17 @@ let probe env (pci : K.Pci.dev) =
             S.set_data_source a.model (fun () -> K.Sndcore.pcm_bytes_queued sub);
             (* register the mixer controls, one downcall each *)
             for i = 1 to mixer_controls do
-              a.env.Driver_env.downcall ~name:"snd_ctl_add" ~bytes:24 (fun () ->
+              Driver_env.downcall a.env ~name:"snd_ctl_add" ~bytes:24 (fun () ->
                   ignore i)
             done;
-            a.env.Driver_env.downcall ~name:"request_irq" ~bytes:16 (fun () ->
+            Driver_env.downcall a.env ~name:"request_irq" ~bytes:16 (fun () ->
                 K.Irq.request_irq a.irq ~name:a.scope (fun () -> interrupt a));
             (* if registration faults, give the line back: a retry of the
                probe must be able to claim it again *)
             Errors.protect
               ~cleanup:(fun () -> K.Irq.free_irq a.irq)
               (fun () ->
-                a.env.Driver_env.downcall ~name:"snd_card_register" ~bytes:32
+                Driver_env.downcall a.env ~name:"snd_card_register" ~bytes:32
                   (fun () -> K.Sndcore.snd_card_register card)))
       in
       if rc = 0 then Ok a else Error rc
@@ -210,14 +198,14 @@ let () = K.Boot.on_reset @@ fun () -> Hashtbl.reset models
 
 let suspend t =
   let a = t.adapter in
-  a.env.Driver_env.upcall ~name:"ens1371_suspend" ~bytes:adapter_wire_bytes
+  Driver_env.upcall a.env ~name:"ens1371_suspend" ~bytes:adapter_wire_bytes
     (fun () ->
       (* silence the DAC; period interrupts stop with it *)
       outl a S.reg_control 0)
 
 let resume t =
   let a = t.adapter in
-  a.env.Driver_env.upcall ~name:"ens1371_resume" ~bytes:adapter_wire_bytes
+  Driver_env.upcall a.env ~name:"ens1371_resume" ~bytes:adapter_wire_bytes
     (fun () ->
       (* the codec loses its registers across a power cycle *)
       init_codec a;
@@ -235,8 +223,6 @@ let card t =
   | Some c -> c
   | None -> K.Panic.bug "ens1371: no card"
 
-let user_ptr_syncs t = t.adapter.user_syncs
-
 module Core = struct
   type nonrec t = t
 
@@ -253,6 +239,5 @@ module Core = struct
     | Some m -> m == t.adapter.model
     | None -> false
 
-  let deferred_syncs = user_ptr_syncs
   let init_latency_ns = init_latency_ns
 end

@@ -23,11 +23,6 @@ val init_latency_ns : t -> int
 val substream : t -> Decaf_kernel.Sndcore.substream
 val card : t -> Decaf_kernel.Sndcore.card
 
-val user_ptr_syncs : t -> int
-(** Deferred hardware-pointer refreshes ([ens1371_pcm_ptr]
-    notifications, one per period interrupt) delivered to the user-level
-    driver; 0 in native mode. *)
-
 val adapter_wire_bytes : int
 
 val active : unit -> t option

@@ -2,7 +2,6 @@ module K = Decaf_kernel
 module Hw = Decaf_hw
 module P = Hw.Psmouse_hw
 module Errors = Decaf_runtime.Errors
-module Runtime = Decaf_runtime.Runtime
 
 let driver = "psmouse"
 let state_wire_bytes = 64
@@ -28,11 +27,7 @@ type adapter = {
   mutable packets : int;
   mutable device_id : int;
   mutable input : K.Inputcore.t option;
-  mutable user_syncs : int;
-      (** deferred event-counter refreshes delivered to user level *)
 }
-
-type t = { adapter : adapter; mutable module_handle : K.Modules.handle option }
 
 (* --- nucleus: interrupt handler --- *)
 
@@ -45,11 +40,6 @@ let sign_extend flags bit v = if flags land bit <> 0 then v - 256 else v
    and flushed like E1000_drv's stats syncs. *)
 let sync_wire_bytes = 8
 
-let post_input_sync a =
-  if a.env.Driver_env.mode <> Driver_env.Native then
-    a.env.Driver_env.notify ~name:"psmouse_sync" ~bytes:sync_wire_bytes
-      (fun () -> a.user_syncs <- a.user_syncs + 1)
-
 let deliver_packet a bytes =
   match (bytes, a.input) with
   | [ flags; dx; dy ], Some input ->
@@ -59,7 +49,7 @@ let deliver_packet a bytes =
       if flags land 0x07 <> 0 then
         K.Inputcore.report_key input ~code:(flags land 0x07) ~pressed:true;
       K.Inputcore.sync input;
-      post_input_sync a
+      Driver_env.notify a.env ~name:"psmouse_sync" ~bytes:sync_wire_bytes ignore
   | _ -> ()
 
 let interrupt a =
@@ -97,7 +87,7 @@ let wait_byte a =
   done;
   K.Clock.cancel timeout;
   let fetched =
-    a.env.Driver_env.downcall ~name:"serio_read" ~bytes:4 (fun () ->
+    Driver_env.downcall a.env ~name:"serio_read" ~bytes:4 (fun () ->
         Queue.take_opt a.byte_fifo)
   in
   match fetched with
@@ -105,12 +95,8 @@ let wait_byte a =
   | None -> Errors.throw ~driver ~errno:Errors.etimedout "mouse byte"
 
 let send_cmd a byte =
-  let outb =
-    if a.env.Driver_env.mode <> Driver_env.Native then Runtime.Helpers.outb
-    else K.Io.outb
-  in
-  outb P.status_port P.cmd_write_aux;
-  outb P.data_port byte
+  Driver_env.outb a.env P.status_port P.cmd_write_aux;
+  Driver_env.outb a.env P.data_port byte
 
 let expect_ack a =
   let b = wait_byte a in
@@ -168,7 +154,6 @@ let connect env =
           packets = 0;
           device_id = -1;
           input = None;
-          user_syncs = 0;
         }
       in
       (* Drain bytes left over from an aborted earlier negotiation.  The
@@ -196,16 +181,16 @@ let connect env =
         Errors.protect
           ~cleanup:(fun () -> K.Irq.free_irq P.aux_irq)
           (fun () ->
-            env.Driver_env.upcall ~name:"psmouse_connect"
+            Driver_env.upcall env ~name:"psmouse_connect"
               ~bytes:state_wire_bytes (fun () ->
                 Errors.to_errno (fun () ->
                     protocol_detect a;
-                    a.env.Driver_env.downcall ~name:"input_register_device"
+                    Driver_env.downcall a.env ~name:"input_register_device"
                       ~bytes:32 (fun () ->
                         let input = K.Inputcore.create ~name:"psmouse" in
                         K.Inputcore.register input;
                         a.input <- Some input);
-                    a.env.Driver_env.downcall ~name:"enable_stream" ~bytes:16
+                    Driver_env.downcall a.env ~name:"enable_stream" ~bytes:16
                       (fun () -> ());
                     enable_streaming a)))
       in
@@ -215,59 +200,25 @@ let connect env =
         Error rc
       end
 
-let active_box : t option ref = ref None
-let active () = !active_box
+let () = K.Boot.on_reset @@ fun () -> model_box := None
 
-let () =
-  K.Boot.on_reset @@ fun () ->
-  model_box := None;
-  active_box := None
+include Singleton.Make (struct
+  type nonrec adapter = adapter
 
-let insmod env =
-  (* Singleton device: a second concurrent bind is refused, not a
-     panic — the registry's fleet path probes every driver. *)
-  if K.Modules.is_loaded driver then Error (-Errors.ebusy)
-  else
-  let adapter_box = ref None in
-  let init () =
-    match connect env with
-    | Ok a ->
-        adapter_box := Some a;
-        Ok ()
-    | Error rc -> Error rc
-  in
-  let exit () =
-    match !adapter_box with
-    | Some a -> (
-        K.Irq.free_irq P.aux_irq;
-        match a.input with
-        | Some input -> K.Inputcore.unregister input
-        | None -> ())
-    | None -> ()
-  in
-  match K.Modules.insmod ~name:driver ~init ~exit with
-  | Ok handle -> (
-      match !adapter_box with
-      | Some adapter ->
-          let t = { adapter; module_handle = Some handle } in
-          active_box := Some t;
-          Ok t
-      | None -> Error (-Errors.enodev))
-  | Error rc -> Error rc
+  let name = driver
 
-let rmmod t =
-  (match t.module_handle with
-  | Some h ->
-      K.Modules.rmmod h;
-      t.module_handle <- None
-  | None -> ());
-  match !active_box with Some t' when t' == t -> active_box := None | _ -> ()
+  let exit a =
+    K.Irq.free_irq P.aux_irq;
+    match a.input with Some input -> K.Inputcore.unregister input | None -> ()
+end)
+
+let insmod env = load (fun () -> connect env)
 
 (* --- power management --- *)
 
 let suspend t =
   let a = t.adapter in
-  a.env.Driver_env.upcall ~name:"psmouse_suspend" ~bytes:state_wire_bytes
+  Driver_env.upcall a.env ~name:"psmouse_suspend" ~bytes:state_wire_bytes
     (fun () ->
       (* back to the init-phase byte channel so the disable ACK is
          readable, and drop any half-assembled packet *)
@@ -277,14 +228,11 @@ let suspend t =
 
 let resume t =
   let a = t.adapter in
-  a.env.Driver_env.upcall ~name:"psmouse_resume" ~bytes:state_wire_bytes
+  Driver_env.upcall a.env ~name:"psmouse_resume" ~bytes:state_wire_bytes
     (fun () ->
       (* bytes queued across the suspend belong to no negotiation *)
       Queue.clear a.byte_fifo;
       enable_streaming a)
-
-let init_latency_ns t =
-  match t.module_handle with Some h -> K.Modules.init_latency_ns h | None -> 0
 
 let input_dev t =
   match t.adapter.input with
@@ -293,7 +241,6 @@ let input_dev t =
 
 let packets_handled t = t.adapter.packets
 let detected_id t = t.adapter.device_id
-let user_event_syncs t = t.adapter.user_syncs
 
 module Core = struct
   type nonrec t = t
@@ -311,6 +258,5 @@ module Core = struct
     | Some input -> K.Inputcore.name input = id
     | None -> false
 
-  let deferred_syncs = user_event_syncs
   let init_latency_ns = init_latency_ns
 end

@@ -3,7 +3,6 @@ module Hw = Decaf_hw
 module R = Hw.Rtl8139
 module RO = Rtl8139_objects
 module Codec = Decaf_xpc.Codec
-module Runtime = Decaf_runtime.Runtime
 
 let driver = "8139too"
 let vendor_id = 0x10ec
@@ -37,9 +36,8 @@ type adapter = {
   mutable cur_tx : int;  (** next transmit descriptor to use *)
   mutable dirty_tx : int;  (** oldest descriptor the NIC still owns *)
   mutable pkts_since_stats : int;
-  mutable user_syncs : int;
   mutable xring : Decaf_xpc.Ring.t option;
-      (** shared-ring XPC fast path for stats/rx-drop/mc-filter records *)
+      (** shared-ring XPC fast path for stats and rx-drop records *)
   lock : K.Sync.Combolock.t;
 }
 
@@ -49,19 +47,19 @@ let reg a off = a.io_base + off
    kernel->user refreshes, as in E1000_drv. *)
 let with_java_nic a ~name f = RO.with_view a.env ~scope:a.scope a.ka ~name f
 
-let post_nic_sync a ~name =
-  RO.post_sync a.env ~scope:a.scope a.ka ~name ~delivered:(fun () ->
-      a.user_syncs <- a.user_syncs + 1)
+let post_nic_sync a ~name = RO.post_sync a.env ~scope:a.scope a.ka ~name
 
 let stats_notify_interval = 64
 
-(* Ring availability, as in E1000_drv: axis on, ring allocated, and the
+(* Ring availability, as in E1000_drv: ring allocated, axis on, and the
    user-level view exists (else fall back to full-image syncs). *)
 let ring_of a =
-  if Decaf_xpc.Ring.enabled () && RO.user_has_view a.ka then a.xring else None
+  match a.xring with
+  | Some _ as r when Decaf_xpc.Ring.enabled () && RO.user_has_view a.ka -> r
+  | Some _ | None -> None
 
 let note_packets a n =
-  if n > 0 && a.env.Driver_env.mode <> Driver_env.Native then begin
+  if n > 0 then begin
     a.pkts_since_stats <- a.pkts_since_stats + n;
     if a.pkts_since_stats >= stats_notify_interval then begin
       a.pkts_since_stats <- 0;
@@ -172,38 +170,32 @@ let interrupt a =
 
 (* --- initialization path: runs at user level in decaf mode --- *)
 
-(* Reset the chip and wait for the reset bit to clear. In decaf mode
-   every port access is a direct Jeannie call into the driver library. *)
+(* Port access from the initialization path: direct Jeannie calls into
+   the driver library when it runs at user level. *)
+let outb a off v = Driver_env.outb a.env (reg a off) v
+let outw a off v = Driver_env.outw a.env (reg a off) v
+let outl a off v = Driver_env.outl a.env (reg a off) v
+let inb a off = Driver_env.inb a.env (reg a off)
+
+(* Reset the chip and wait for the reset bit to clear. *)
 let chip_reset a =
-  let io = a.env.Driver_env.mode <> Driver_env.Native in
-  let outb p v = if io then Runtime.Helpers.outb p v else K.Io.outb p v in
-  let inb p = if io then Runtime.Helpers.inb p else K.Io.inb p in
-  outb (reg a R.cmd) R.cmd_rst;
+  outb a R.cmd R.cmd_rst;
   (* the chip takes ~10 ms to come out of reset *)
   K.Sched.sleep_ns 10_000_000;
   let tries = ref 0 in
-  while inb (reg a R.cmd) land R.cmd_rst <> 0 && !tries < 100 do
+  while inb a R.cmd land R.cmd_rst <> 0 && !tries < 100 do
     incr tries
   done;
   if !tries >= 100 then -Decaf_runtime.Errors.eio else 0
 
-let read_mac a =
-  let inb =
-    if a.env.Driver_env.mode <> Driver_env.Native then Runtime.Helpers.inb
-    else K.Io.inb
-  in
-  String.init 6 (fun i -> Char.chr (inb (reg a (R.idr0 + i))))
+let read_mac a = String.init 6 (fun i -> Char.chr (inb a (R.idr0 + i)))
 
 let hw_start a =
-  let io = a.env.Driver_env.mode <> Driver_env.Native in
-  let outb p v = if io then Runtime.Helpers.outb p v else K.Io.outb p v in
-  let outw p v = if io then Runtime.Helpers.outw p v else K.Io.outw p v in
-  let outl p v = if io then Runtime.Helpers.outl p v else K.Io.outl p v in
-  outb (reg a R.cmd) (R.cmd_te lor R.cmd_re);
-  outl (reg a R.rcr) 0xf;
-  outl (reg a R.tcr) 0x600;
-  outl (reg a R.rbstart) 0x10_0000;
-  outw (reg a R.imr) 0xffff
+  outb a R.cmd (R.cmd_te lor R.cmd_re);
+  outl a R.rcr 0xf;
+  outl a R.tcr 0x600;
+  outl a R.rbstart 0x10_0000;
+  outw a R.imr 0xffff
 
 let net_ops t_adapter =
   {
@@ -217,7 +209,7 @@ let net_ops t_adapter =
               let rc = chip_reset a in
               if rc = 0 then begin
                 hw_start a;
-                a.env.Driver_env.downcall ~name:"netif_start_queue" ~bytes:16
+                Driver_env.downcall a.env ~name:"netif_start_queue" ~bytes:16
                   (fun () ->
                     match a.netdev with
                     | Some nd ->
@@ -236,13 +228,8 @@ let net_ops t_adapter =
         Decaf_xpc.Batch.drain ();
         Option.iter Decaf_xpc.Ring.drain a.xring;
         with_java_nic a ~name:"rtl8139_close" (fun _j ->
-            let outb =
-              if a.env.Driver_env.mode <> Driver_env.Native then
-                Runtime.Helpers.outb
-              else K.Io.outb
-            in
-            outb (reg a R.cmd) 0;
-            a.env.Driver_env.downcall ~name:"netif_stop_queue" ~bytes:16
+            outb a R.cmd 0;
+            Driver_env.downcall a.env ~name:"netif_stop_queue" ~bytes:16
               (fun () ->
                 match a.netdev with
                 | Some nd ->
@@ -279,27 +266,13 @@ let probe env (pci : K.Pci.dev) =
           cur_tx = 0;
           dirty_tx = 0;
           pkts_since_stats = 0;
-          user_syncs = 0;
           xring = None;
           lock = K.Sync.Combolock.create ~name:scope ();
         }
       in
-      (match env.Driver_env.mode with
-      | Driver_env.Native -> ()
-      | Driver_env.Staged | Driver_env.Decaf ->
-          let target =
-            if env.Driver_env.mode = Driver_env.Decaf then
-              Decaf_xpc.Domain.Decaf_driver
-            else Decaf_xpc.Domain.Driver_lib
-          in
-          a.xring <-
-            Some
-              (Decaf_xpc.Ring.create ~name:scope ~target
-                 ~guard:RO.ring_guard ~resolve:RO.ring_resolve
-                 ~handler:(fun r ->
-                   RO.apply_ring_record r;
-                   a.user_syncs <- a.user_syncs + 1)
-                 ()));
+      a.xring <-
+        Driver_env.ring env ~name:scope ~guard:RO.ring_guard
+          ~resolve:RO.ring_resolve ~apply:RO.apply_ring_record;
       (* Probe-time bring-up happens at user level in decaf mode. *)
       let rc =
         with_java_nic a ~name:"rtl8139_probe" (fun j ->
@@ -309,14 +282,14 @@ let probe env (pci : K.Pci.dev) =
               let mac = read_mac a in
               Codec.set j RO.msg_enable 1;
               (* register with the kernel: downcalls from user level *)
-              a.env.Driver_env.downcall ~name:"register_netdev" ~bytes:64
+              Driver_env.downcall a.env ~name:"register_netdev" ~bytes:64
                 (fun () ->
                   let nd =
                       K.Netcore.create ~name:(K.Netcore.alloc_name "eth") ~mtu:1500 (net_ops a) in
                   a.netdev <- Some nd;
                   K.Netcore.register_netdev nd;
                   ignore mac);
-              a.env.Driver_env.downcall ~name:"request_irq" ~bytes:16
+              Driver_env.downcall a.env ~name:"request_irq" ~bytes:16
                 (fun () ->
                   K.Irq.request_irq a.irq ~name:a.scope (fun () -> interrupt a));
               0
@@ -364,13 +337,9 @@ let () = K.Boot.on_reset @@ fun () -> Hashtbl.reset models
 let suspend t =
   let a = t.adapter in
   with_java_nic a ~name:"rtl8139_suspend" (fun _j ->
-      let outb =
-        if a.env.Driver_env.mode <> Driver_env.Native then Runtime.Helpers.outb
-        else K.Io.outb
-      in
       (* quiesce the chip: no rx/tx while the bus powers down *)
-      outb (reg a R.cmd) 0;
-      a.env.Driver_env.downcall ~name:"netif_stop_queue" ~bytes:16 (fun () ->
+      outb a R.cmd 0;
+      Driver_env.downcall a.env ~name:"netif_stop_queue" ~bytes:16 (fun () ->
           match a.netdev with
           | Some nd when K.Netcore.is_up nd ->
               K.Netcore.netif_stop_queue nd;
@@ -389,7 +358,7 @@ let resume t =
             Decaf_runtime.Errors.throw ~driver:a.scope ~errno:(-rc)
               "resume chip reset";
           hw_start a;
-          a.env.Driver_env.downcall ~name:"netif_start_queue" ~bytes:16
+          Driver_env.downcall a.env ~name:"netif_start_queue" ~bytes:16
             (fun () ->
               K.Netcore.netif_wake_queue nd;
               K.Netcore.netif_carrier_on nd)
@@ -401,8 +370,6 @@ let netdev t =
   | None -> K.Panic.bug "8139too: no netdev"
 
 let kernel_nic t = t.adapter.ka
-let user_stat_syncs t = t.adapter.user_syncs
-
 
 module Core = struct
   type nonrec t = t
@@ -420,6 +387,5 @@ module Core = struct
     | Some m -> m == t.adapter.model
     | None -> false
 
-  let deferred_syncs = user_stat_syncs
   let init_latency_ns = init_latency_ns
 end

@@ -36,10 +36,6 @@ val adapter_wire_bytes : int
 
 val kernel_nic : t -> Rtl8139_objects.kernel_nic
 
-val user_stat_syncs : t -> int
-(** Deferred view refreshes delivered to user level (stats rollups every
-    64 packets, drop and multicast updates). *)
-
 val active : unit -> t option
 (** The instance bound by the most recent successful [insmod], until its
     [rmmod] or the next {!Decaf_kernel.Boot.boot}. *)

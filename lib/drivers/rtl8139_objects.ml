@@ -42,16 +42,15 @@ end)
 let fresh_kernel_nic () =
   { k_addr = Addr.alloc ~size:256; fields = Codec.create codec }
 
-(* Ring fast path, as in E1000_objects: stats rollups, rx-overflow drops
-   and multicast-filter refreshes as slot records. *)
+(* Ring fast path, as in E1000_objects: stats rollups and rx-overflow
+   drops as slot records. *)
 
 let ring_ev_stats = 1
 let ring_ev_rx_dropped = 2
-let ring_ev_mc_filter = 3
 
 let ring_table =
   Ring.table ~type_id:"rtl8139_ring_slot"
-    ~kinds:[ ring_ev_stats; ring_ev_rx_dropped; ring_ev_mc_filter ]
+    ~kinds:[ ring_ev_stats; ring_ev_rx_dropped ]
     ~arg0:Guard.Non_negative ~arg1:Guard.Non_negative
 
 let ring_guard = Codec.guard ring_table
@@ -68,18 +67,15 @@ let bump_record kind f k =
 let ring_stats_record = bump_record ring_ev_stats stats_gen
 let ring_rx_dropped_record = bump_record ring_ev_rx_dropped rx_dropped
 
-let ring_undeliverable k (r : Ring.record) =
-  if r.Ring.kind = ring_ev_stats then Codec.mark k.fields stats_gen
-  else if r.Ring.kind = ring_ev_rx_dropped then Codec.mark k.fields rx_dropped
-  else if r.Ring.kind = ring_ev_mc_filter then Codec.mark k.fields mc_filter
+(* Each kind carries one counter's new value; the guard admits no
+   other kind. *)
+let counter (r : Ring.record) =
+  if r.Ring.kind = ring_ev_stats then stats_gen else rx_dropped
+
+let ring_undeliverable k r = Codec.mark k.fields (counter r)
 
 let apply_ring_record (r : Ring.record) =
   match find_view r.Ring.handle with
   | None -> ()
   | Some { Shared_struct.fields; _ } ->
-      if r.Ring.kind = ring_ev_stats then
-        Codec.set_quiet fields stats_gen r.Ring.arg0
-      else if r.Ring.kind = ring_ev_rx_dropped then
-        Codec.set_quiet fields rx_dropped r.Ring.arg0
-      else if r.Ring.kind = ring_ev_mc_filter then
-        Codec.set_quiet fields mc_filter [| r.Ring.arg0; r.Ring.arg1 |]
+      Codec.set_quiet fields (counter r) r.Ring.arg0

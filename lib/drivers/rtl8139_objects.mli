@@ -20,14 +20,14 @@ val fresh_kernel_nic : unit -> kernel_nic
 
 (** {2 Ring fast path}
 
-    Stats rollups, rx-overflow drops and multicast-filter refreshes as
-    fixed-layout {!Decaf_xpc.Ring} slot records, as in
-    {!E1000_objects}. *)
+    Stats rollups and rx-overflow drops as fixed-layout
+    {!Decaf_xpc.Ring} slot records, as in {!E1000_objects}. The
+    multicast filter travels only in full and delta images. *)
 
 val ring_ev_stats : int
 
 val ring_table : Decaf_xpc.Codec.t
-(** The slot table: one of the three kinds, both args non-negative. *)
+(** The slot table: one of the two kinds, both args non-negative. *)
 
 val ring_guard : Decaf_xpc.Guard.t
 val ring_resolve : int -> (int, string) result

@@ -102,15 +102,15 @@ module type S = sig
   val with_view :
     Driver_env.t -> scope:string -> kernel -> name:string ->
     (Codec.obj -> 'a) -> 'a
-  (** Run [f] on the user-level view: one upcall in decaf and staged
-      mode, with boundary faults attributed to [scope]; a kernel-local
-      round trip in native mode. *)
+  (** Run [f] on the user-level view: one upcall when the build is
+      split (staged or decaf), with boundary faults attributed to
+      [scope]; in native, [f] runs on the kernel copy, and nothing
+      reaches Guard, the trackers or the XPC account. *)
 
   val post_sync :
-    Driver_env.t -> scope:string -> kernel -> name:string ->
-    delivered:(unit -> unit) -> unit
-  (** A non-urgent kernel-to-user refresh through the env's notify;
-      [delivered] runs when it arrives. *)
+    Driver_env.t -> scope:string -> kernel -> name:string -> unit
+  (** A non-urgent kernel-to-user refresh through the env's notify,
+      marshaled now and acknowledged on delivery; nothing in native. *)
 end
 
 module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
@@ -212,44 +212,39 @@ module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
       (fun addr -> Objtracker.remove_all (kernel_tracker ()) ~addr)
       (Spec.addr k :: Spec.aliases k)
 
+  (* Native: the kernel copy is the only copy, so [f] works on it and
+     nothing is marshaled, guarded or tracked. *)
   let with_view env ~scope k ~name f =
-    match env.Driver_env.mode with
-    | Driver_env.Native ->
-        let payload = marshal_to_user k in
-        let j = unmarshal_at_user payload k in
-        let result = f j.fields in
-        unmarshal_at_kernel (marshal_to_kernel j) k;
-        result
-    | Driver_env.Staged | Driver_env.Decaf ->
-        if env.Driver_env.mode = Driver_env.Decaf then Runtime.start ();
-        Boundary.scoped scope (fun () ->
-            let upto = user_view_mark k in
-            let payload = marshal_to_user k in
-            let result, back =
-              env.Driver_env.upcall ~name ~bytes:(Bytes.length payload)
-                (fun () ->
-                  let j = unmarshal_at_user payload k in
-                  let result = f j.fields in
-                  (result, marshal_to_kernel j))
-            in
-            (* the crossing carried every mark up to the snapshot; marks
-               from interrupts during the call stay for the next sync *)
-            ack_user_view k ~upto;
-            unmarshal_at_kernel back k;
-            result)
+    if not (Driver_env.split env) then f (Spec.fields k)
+    else begin
+      Driver_env.start_runtime env;
+      Boundary.scoped scope (fun () ->
+          let upto = user_view_mark k in
+          let payload = marshal_to_user k in
+          let result, back =
+            Driver_env.upcall env ~name ~bytes:(Bytes.length payload)
+              (fun () ->
+                let j = unmarshal_at_user payload k in
+                let result = f j.fields in
+                (result, marshal_to_kernel j))
+          in
+          (* the crossing carried every mark up to the snapshot; marks
+             from interrupts during the call stay for the next sync *)
+          ack_user_view k ~upto;
+          unmarshal_at_kernel back k;
+          result)
+    end
 
   (* Marshal now (legal in interrupt context) and acknowledge only when
      the notify delivers: a failed flush leaves the marks for the next
      sync. *)
-  let post_sync env ~scope k ~name ~delivered =
-    match env.Driver_env.mode with
-    | Driver_env.Native -> ()
-    | Driver_env.Staged | Driver_env.Decaf ->
-        let upto = user_view_mark k in
-        let payload = marshal_to_user k in
-        env.Driver_env.notify ~name ~bytes:(Bytes.length payload) (fun () ->
-            Boundary.scoped scope (fun () ->
-                ignore (unmarshal_at_user payload k);
-                ack_user_view k ~upto;
-                delivered ()))
+  let post_sync env ~scope k ~name =
+    if Driver_env.split env then begin
+      let upto = user_view_mark k in
+      let payload = marshal_to_user k in
+      Driver_env.notify env ~name ~bytes:(Bytes.length payload) (fun () ->
+          Boundary.scoped scope (fun () ->
+              ignore (unmarshal_at_user payload k);
+              ack_user_view k ~upto))
+    end
 end

@@ -25,22 +25,11 @@ type adapter = {
   io_base : int;
   irq : int;
   mutable completed : int;
-  mutable user_syncs : int;
-      (** deferred completion-counter refreshes delivered to user level *)
 }
 
-type t = { adapter : adapter; mutable module_handle : K.Modules.handle option }
-
 let reg a off = a.io_base + off
-
-let outw a off v =
-  if a.env.Driver_env.mode <> Driver_env.Native then
-    Runtime.Helpers.outw (reg a off) v
-  else K.Io.outw (reg a off) v
-
-let inw a off =
-  if a.env.Driver_env.mode <> Driver_env.Native then Runtime.Helpers.inw (reg a off)
-  else K.Io.inw (reg a off)
+let outw a off v = Driver_env.outw a.env (reg a off) v
+let inw a off = Driver_env.inw a.env (reg a off)
 
 (* --- nucleus: URB scheduling (data path) --- *)
 
@@ -50,11 +39,6 @@ let inw a off =
    notification per completion — batched and flushed like E1000_drv's
    stats syncs. *)
 let complete_wire_bytes = 8
-
-let post_complete_sync a =
-  if a.env.Driver_env.mode <> Driver_env.Native then
-    a.env.Driver_env.notify ~name:"uhci_complete" ~bytes:complete_wire_bytes
-      (fun () -> a.user_syncs <- a.user_syncs + 1)
 
 let submit_urb a (urb : K.Usbcore.urb) =
   match urb.K.Usbcore.transfer with
@@ -69,7 +53,8 @@ let submit_urb a (urb : K.Usbcore.urb) =
             | U.Td_stalled -> -32
             | U.Td_no_device -> -Errors.enodev);
           a.completed <- a.completed + 1;
-          post_complete_sync a;
+          Driver_env.notify a.env ~name:"uhci_complete"
+            ~bytes:complete_wire_bytes ignore;
           urb.K.Usbcore.complete urb);
       Ok ()
   | K.Usbcore.Control | K.Usbcore.Interrupt ->
@@ -100,7 +85,7 @@ let reset_root_port a =
 (* Enumerate the attached device: descriptor fetches and configuration
    are kernel usbcore services, each a downcall from the decaf driver. *)
 let enumerate_port a =
-  let control name = a.env.Driver_env.downcall ~name ~bytes:32 (fun () -> ()) in
+  let control name = Driver_env.downcall a.env ~name ~bytes:32 (fun () -> ()) in
   control "usb_get_device_descriptor";
   control "usb_set_address";
   control "usb_get_device_descriptor_full";
@@ -120,15 +105,15 @@ let probe env io_base irq =
   match !model_box with
   | None -> Error (-Errors.enodev)
   | Some model ->
-      let a = { env; model; io_base; irq; completed = 0; user_syncs = 0 } in
+      let a = { env; model; io_base; irq; completed = 0 } in
       let rc =
-        env.Driver_env.upcall ~name:"uhci_probe" ~bytes:state_wire_bytes
+        Driver_env.upcall env ~name:"uhci_probe" ~bytes:state_wire_bytes
           (fun () ->
             Errors.to_errno (fun () ->
                 reset_controller a;
                 reset_root_port a;
                 enumerate_port a;
-                a.env.Driver_env.downcall ~name:"request_irq" ~bytes:16
+                Driver_env.downcall a.env ~name:"request_irq" ~bytes:16
                   (fun () ->
                     K.Irq.request_irq a.irq ~name:driver (fun () -> interrupt a));
                 (* give the line back if HCD registration faults, so a
@@ -136,7 +121,7 @@ let probe env io_base irq =
                 Errors.protect
                   ~cleanup:(fun () -> K.Irq.free_irq a.irq)
                   (fun () ->
-                    a.env.Driver_env.downcall ~name:"usb_register_hcd"
+                    Driver_env.downcall a.env ~name:"usb_register_hcd"
                       ~bytes:32 (fun () ->
                         K.Usbcore.register_hcd ~name:driver
                           {
@@ -149,70 +134,37 @@ let probe env io_base irq =
       in
       if rc = 0 then Ok a else Error rc
 
-let active_box : t option ref = ref None
-let active () = !active_box
-
 let () =
   K.Boot.on_reset @@ fun () ->
   model_box := None;
-  setup_params := None;
-  active_box := None
+  setup_params := None
 
-let insmod env ~io_base ~irq =
-  (* Singleton host controller: refuse a second concurrent bind. *)
-  if K.Modules.is_loaded driver then Error (-Errors.ebusy)
-  else
-  let adapter_box = ref None in
-  let init () =
-    match probe env io_base irq with
-    | Ok a ->
-        adapter_box := Some a;
-        Ok ()
-    | Error rc -> Error rc
-  in
-  let exit () =
-    match !adapter_box with
-    | Some a ->
-        stop_schedule a;
-        K.Usbcore.unregister_hcd ();
-        K.Irq.free_irq a.irq
-    | None -> ()
-  in
-  match K.Modules.insmod ~name:driver ~init ~exit with
-  | Ok handle -> (
-      match !adapter_box with
-      | Some adapter ->
-          let t = { adapter; module_handle = Some handle } in
-          active_box := Some t;
-          Ok t
-      | None -> Error (-Errors.enodev))
-  | Error rc -> Error rc
+include Singleton.Make (struct
+  type nonrec adapter = adapter
 
-let rmmod t =
-  (match t.module_handle with
-  | Some h ->
-      K.Modules.rmmod h;
-      t.module_handle <- None
-  | None -> ());
-  match !active_box with Some t' when t' == t -> active_box := None | _ -> ()
+  let name = driver
+
+  let exit a =
+    stop_schedule a;
+    K.Usbcore.unregister_hcd ();
+    K.Irq.free_irq a.irq
+end)
+
+let insmod env ~io_base ~irq = load (fun () -> probe env io_base irq)
 
 (* --- power management --- *)
 
 let suspend t =
   let a = t.adapter in
-  a.env.Driver_env.upcall ~name:"uhci_suspend" ~bytes:state_wire_bytes
+  Driver_env.upcall a.env ~name:"uhci_suspend" ~bytes:state_wire_bytes
     (fun () -> stop_schedule a)
 
 let resume t =
   let a = t.adapter in
-  a.env.Driver_env.upcall ~name:"uhci_resume" ~bytes:state_wire_bytes
+  Driver_env.upcall a.env ~name:"uhci_resume" ~bytes:state_wire_bytes
     (fun () -> start_schedule a)
 
-let init_latency_ns t =
-  match t.module_handle with Some h -> K.Modules.init_latency_ns h | None -> 0
-
 let urbs_completed t = t.adapter.completed
-let user_complete_syncs t = t.adapter.user_syncs
 
 module Core = struct
   type nonrec t = t
@@ -231,6 +183,5 @@ module Core = struct
   let suspend = suspend
   let resume = resume
   let owns _t id = id = driver
-  let deferred_syncs = user_complete_syncs
   let init_latency_ns = init_latency_ns
 end

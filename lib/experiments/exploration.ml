@@ -15,17 +15,11 @@ type result = {
 
 let episode_names = List.map (fun e -> e.Explore.ep_name) Episodes.all
 
-let run ?episode ?depth ?(smoke = false) ?(minimize = true) () =
+let run ?episode ?depth ?(smoke = false) () =
   let eps =
     match episode with
     | None -> Episodes.all
-    | Some name -> (
-        match Episodes.find name with
-        | Some e -> [ e ]
-        | None ->
-            invalid_arg
-              (Printf.sprintf "unknown episode %s (known: %s)" name
-                 (String.concat ", " episode_names)))
+    | Some name -> Option.to_list (Episodes.find name)
   in
   List.map
     (fun e ->
@@ -36,7 +30,7 @@ let run ?episode ?depth ?(smoke = false) ?(minimize = true) () =
       in
       {
         x_depth = d;
-        x_report = Explore.explore ~depth:d ~minimize_cx:minimize e;
+        x_report = Explore.explore ~depth:d e;
       })
     eps
 

@@ -14,12 +14,12 @@ val run :
   ?episode:string ->
   ?depth:int ->
   ?smoke:bool ->
-  ?minimize:bool ->
   unit ->
   result list
-(** Explore one episode (or the whole catalog). [smoke] selects each
+(** Explore the named episode (none when the name is not one of
+    {!episode_names}) or the whole catalog. [smoke] selects each
     episode's reduced smoke depth; an explicit [depth] overrides both.
-    Raises [Invalid_argument] on an unknown episode name. *)
+    Counterexamples are minimized. *)
 
 val render : result list -> string
 (** Statistics table, one row per episode, with any counterexamples

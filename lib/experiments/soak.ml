@@ -210,7 +210,7 @@ let compare_rows ?(p99_slack_pct = 5) ~committed ~fresh () =
     committed;
   List.rev !complaints
 
-let check ?(p99_slack_pct = 5) ~path () =
+let check ~path () =
   let committed = of_json (Jsonl.read_file path) in
   if committed.rows = [] then begin
     Printf.printf "soak-check: %s holds no rows\n" path;
@@ -242,7 +242,6 @@ let check ?(p99_slack_pct = 5) ~path () =
       (fun m ->
         ok := false;
         print_endline m)
-      (compare_rows ~p99_slack_pct ~committed:committed.rows
-         ~fresh:fresh.rows ());
+      (compare_rows ~committed:committed.rows ~fresh:fresh.rows ());
     !ok
   end

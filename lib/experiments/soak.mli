@@ -65,9 +65,9 @@ val compare_rows :
     jitter on nanosecond-scale paths cannot trip it) or which
     disappeared. Exposed for unit tests. *)
 
-val check : ?p99_slack_pct:int -> path:string -> unit -> bool
+val check : path:string -> unit -> bool
 (** Re-measure at the committed file's (duration, fleet, seed) and
-    gate: p99 per (phase, path) within the slack, zero audio deadline
-    misses in the fresh steady phase, zero leaked tracker entries and
-    kmalloc bytes at quiescence. Prints each violation; returns
-    [false] on any. *)
+    gate: p99 per (phase, path) within {!compare_rows}' default 5 %
+    slack, zero audio deadline misses in the fresh steady phase, zero
+    leaked tracker entries and kmalloc bytes at quiescence. Prints each
+    violation; returns [false] on any. *)

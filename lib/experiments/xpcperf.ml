@@ -474,7 +474,10 @@ let write_json ?(duration_ns = default_duration_ns) ~path () =
    (scenario, config) point. The simulation is deterministic, so an
    untouched fast path reproduces the file exactly; the slack absorbs
    deliberate small retunings without a file update. *)
-let check ?(slack_pct = 10) ?(perf_slack_pct = 5) ~path () =
+let slack_pct = 10
+let perf_slack_pct = 5
+
+let check ~path () =
   let duration_ns, committed = of_json (Jsonl.read_file path) in
   (* of_json raises on a file without a header *)
   let duration_ns = Option.get duration_ns in

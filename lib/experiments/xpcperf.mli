@@ -127,12 +127,11 @@ val of_json : string -> int option * sample list
 val write_json : ?duration_ns:int -> path:string -> unit -> sample list
 (** Measure and write the trajectory file; returns the samples. *)
 
-val check : ?slack_pct:int -> ?perf_slack_pct:int -> path:string -> unit -> bool
+val check : path:string -> unit -> bool
 (** Re-measure at the committed file's duration and compare: fails
     (returns [false], printing why) if any committed (scenario, config)
-    point's crossings or bytes regressed by more than [slack_pct]
-    percent (default 10), its [perf_milli] dropped by more than
-    [perf_slack_pct] percent (default 5), or it disappeared. Files with
+    point's crossings or bytes regressed by more than 10 %, its
+    [perf_milli] dropped by more than 5 %, or it disappeared. Files with
     the fleet axis additionally gate fleet scaling: the fresh
     64-instance aggregate must be at least 8x the fresh single-instance
     cell, with a fairness spread (max/min) of at most 2x. *)

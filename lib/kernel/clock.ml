@@ -202,10 +202,9 @@ let complete_since path born = Latency.observe_at path (Int.max 0 (!time - born)
    the oldest birth is discarded. *)
 let fifo_cap = 65_536
 let span_fifos : (string, int Queue.t) Hashtbl.t = Hashtbl.create 16
-let fifo_key ?key path = match key with Some k -> k | None -> Latency.name path
 
-let track_begin ?key path =
-  let key = fifo_key ?key path in
+let track_begin path =
+  let key = Latency.name path in
   let q =
     match Hashtbl.find_opt span_fifos key with
     | Some q -> q
@@ -217,8 +216,8 @@ let track_begin ?key path =
   if Queue.length q >= fifo_cap then ignore (Queue.pop q);
   Queue.push !time q
 
-let track_end ?key path =
-  match Hashtbl.find_opt span_fifos (fifo_key ?key path) with
+let track_end path =
+  match Hashtbl.find_opt span_fifos (Latency.name path) with
   | None -> None
   | Some q -> (
       match Queue.take_opt q with
@@ -231,8 +230,8 @@ let track_end ?key path =
 (* Hotplug can orphan every outstanding birth at once (the device that
    stamped them is gone); draining keeps later completions from pairing
    with births that predate the replug. *)
-let track_drain ?key path =
-  match Hashtbl.find_opt span_fifos (fifo_key ?key path) with
+let track_drain path =
+  match Hashtbl.find_opt span_fifos (Latency.name path) with
   | None -> ()
   | Some q -> Queue.clear q
 

@@ -74,20 +74,19 @@ val complete_since : Latency.path -> int -> unit
     producer (a crossing, a NIC frame), so an event carries no stamp
     record. *)
 
-val track_begin : ?key:string -> Latency.path -> unit
+val track_begin : Latency.path -> unit
 (** FIFO-paired birth stamp for pipelines that preserve order but lose
-    identity (a NIC rx fifo, the mouse byte stream). [key] selects the
-    FIFO (default: the path's name), so several instances can share one
-    histogram path without interleaving their pairings. Each FIFO is
-    bounded; past the bound the oldest birth is discarded. *)
+    identity (a NIC rx fifo, the mouse byte stream), one FIFO per path.
+    Each FIFO is bounded; past the bound the oldest birth is
+    discarded. *)
 
-val track_end : ?key:string -> Latency.path -> int option
-(** Complete the oldest outstanding birth on [key]: records into
+val track_end : Latency.path -> int option
+(** Complete the path's oldest outstanding birth: records into
     [path]'s histogram and returns the elapsed ns, or [None] when no
     birth is outstanding (a no-op, so completion points are safe to run
     against producers that never stamped). *)
 
-val track_drain : ?key:string -> Latency.path -> unit
-(** Drop every outstanding birth for the key (hotplug killed the
+val track_drain : Latency.path -> unit
+(** Drop every outstanding birth for the path (hotplug killed the
     producer; completions after the replug must not pair with births
     from before it). *)

@@ -33,18 +33,11 @@ let set16 b off v =
   Bytes.set_uint8 b off (v land 0xff);
   Bytes.set_uint8 b (off + 1) ((v lsr 8) land 0xff)
 
-let make_dev ~slot ~vendor ~device ?(class_code = 0) ?subsystem ~irq_line
-    ~bars () =
+let make_dev ~slot ~vendor ~device ~irq_line ~bars () =
   let config = Bytes.make 256 '\000' in
   set16 config 0x00 vendor;
   set16 config 0x02 device;
-  set16 config 0x0a class_code;
   Bytes.set_uint8 config 0x3c irq_line;
-  (match subsystem with
-  | Some (sv, sd) ->
-      set16 config 0x2c sv;
-      set16 config 0x2e sd
-  | None -> ());
   let bars = Array.of_list bars in
   Array.iteri
     (fun i b ->

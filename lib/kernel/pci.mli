@@ -13,8 +13,6 @@ val make_dev :
   slot:string ->
   vendor:int ->
   device:int ->
-  ?class_code:int ->
-  ?subsystem:int * int ->
   irq_line:int ->
   bars:bar list ->
   unit ->

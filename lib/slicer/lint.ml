@@ -795,14 +795,10 @@ let inbound_pass ~file ~plans ~kernel_funcs () =
 
 (* ===================== driver ======================================== *)
 
-let analyze ?atomic_roots ?(extra_errfns = []) ~file ~partition ~annots ~spec
-    ~const_env ~decaf_funcs ~library_funcs () =
+let analyze ?(extra_errfns = []) ~file ~partition ~annots ~spec ~const_env
+    ~decaf_funcs ~library_funcs () =
   let cg = Callgraph.build file in
-  let atomic_roots =
-    match atomic_roots with
-    | Some r -> r
-    | None -> default_atomic_roots partition.Partition.config
-  in
+  let atomic_roots = default_atomic_roots partition.Partition.config in
   let user_funcs = partition.Partition.user in
   ignore decaf_funcs;
   let lock =

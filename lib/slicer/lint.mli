@@ -81,7 +81,6 @@ type report = {
 val severity_name : severity -> string
 
 val analyze :
-  ?atomic_roots:string list ->
   ?extra_errfns:string list ->
   file:Decaf_minic.Ast.file ->
   partition:Partition.result ->
@@ -92,11 +91,10 @@ val analyze :
   library_funcs:string list ->
   unit ->
   finding list
-(** Run all five passes. [atomic_roots] defaults to the partition's
-    critical roots whose name marks them as interrupt-context entry
-    points (contains "intr", "irq" or "interrupt"); [extra_errfns]
-    seeds the error-flow pass like {!Errcheck.find_violations}'s
-    [extra]. *)
+(** Run all five passes. The lock pass treats as interrupt context the
+    partition's critical roots whose name marks them as entry points of
+    it (contains "intr", "irq" or "interrupt"); [extra_errfns] seeds the
+    error-flow pass like {!Errcheck.find_violations}'s [extra]. *)
 
 val violations : finding list -> finding list
 (** The [Error] and [Warning] findings. *)

@@ -26,18 +26,18 @@ type counters = {
 
 let totals = { checks = 0; rejected = 0; dropped = 0 }
 
-(* Per-scope rejection attribution: Driver_core sets the scope to the
-   binding's name around every metered crossing, and the split drivers
-   set it around their own inbound unmarshal paths, so `decafctl status`
-   can show rejections per driver. Save/restore keeps nesting correct.
-   The scope is a plain string, [""] for none, so entering one builds
-   nothing. *)
+(* Per-scope rejection attribution: every crossing of a binding's
+   Driver_env runs under the binding's id, and the split drivers set it
+   around their own inbound unmarshal paths, so `decafctl status` can
+   show rejections per driver. Save/restore keeps nesting correct. The
+   scope is a plain string, so entering one builds nothing; entering
+   [""] (an environment no registry bound) keeps the caller's. *)
 let scope = ref ""
 let by_scope : (string, int) Hashtbl.t = Hashtbl.create 8
 
 let enter name =
   let saved = !scope in
-  scope := name;
+  if name <> "" then scope := name;
   saved
 
 let leave saved = scope := saved

@@ -29,8 +29,9 @@ val totals : counters
 val enter : string -> string
 (** [enter name] attributes rejections and drops to the named scope (a
     driver binding) from now on, and returns the scope it replaces for
-    {!leave}. The scope is a plain string, so a crossing that brackets
-    its body with [enter]/[leave] allocates nothing. *)
+    {!leave}; [enter ""] keeps the current scope. The scope is a plain
+    string, so a crossing that brackets its body with [enter]/[leave]
+    allocates nothing. *)
 
 val leave : string -> unit
 (** [leave saved] restores the scope that {!enter} returned. Restore it

@@ -75,8 +75,8 @@ let removal_drains_in_flight () =
       (* a slow decaf-driver crossing from another thread ... *)
       ignore
         (K.Sched.spawn ~name:"slow-crossing" (fun () ->
-             let env = Driver_env.decaf in
-             env.Driver_env.upcall ~name:"slow_ioctl" ~bytes:8 (fun () ->
+             Driver_env.upcall Driver_env.decaf ~name:"slow_ioctl" ~bytes:8
+               (fun () ->
                  K.Sched.sleep_ns 1_000_000;
                  crossing_done := true)));
       K.Sched.sleep_ns 100_000;
@@ -252,10 +252,41 @@ let reboot_forgets_bindings () =
         (E1000_drv.netdev t == nd && t != o)
   | _ -> Alcotest.fail "the new bind is not active"
 
+(* --- a native build crosses nothing --- *)
+
+(* The native build is the original kernel driver: bound through the
+   registry, brought up and sending for 20 ms of netperf, it runs no
+   Guard check, holds no kernel-tracker handle, looks nothing up in a
+   tracker shard and books no XPC time. *)
+let native_e1000_xpc_free () =
+  Scenario.boot ();
+  let dev = Decaf_workloads.Rig.plug "e1000" in
+  Scenario.in_thread (fun () ->
+      (match Driver_core.insmod "e1000" ~mode:Driver_env.Native with
+      | Ok () -> ()
+      | Error rc -> Alcotest.failf "e1000 insmod failed: %d" rc);
+      Decaf_workloads.Rig.up dev;
+      ignore (Decaf_workloads.Rig.netperf dev ~duration_ns:20_000_000);
+      (* read before counting handles: the count takes the shard locks,
+         whose cost lands on the XPC account *)
+      check "XPC ns" 0 (Decaf_xpc.Dispatch.overhead_ns ());
+      check "guard checks" 0
+        Decaf_xpc.Boundary.totals.Decaf_xpc.Boundary.checks;
+      check "tracker shard lookups" 0
+        (Array.fold_left
+           (fun n s -> n + s.Decaf_xpc.Objtracker.lookups)
+           0
+           (Decaf_xpc.Objtracker.global_shard_stats ()));
+      check "kernel tracker handles" 0
+        (Decaf_xpc.Objtracker.handle_count
+           (Decaf_runtime.Runtime.kernel_tracker ()));
+      Driver_core.rmmod "e1000")
+
 (* --- allocation per crossing through a bound binding --- *)
 
 (* A driver that keeps the env the registry hands its probe: the
-   binding's metered env, as every real driver gets it. *)
+   binding's own env, scoped and metered, as every real driver gets
+   it. *)
 module Env_probe = struct
   type t = unit
 
@@ -272,7 +303,6 @@ module Env_probe = struct
   let suspend () = ()
   let resume () = ()
   let owns () _ = false
-  let deferred_syncs () = 0
   let init_latency_ns () = 0
 end
 
@@ -296,7 +326,7 @@ let metered_crossing_alloc () =
       insmod_ok "envprobe";
       let env = !Env_probe.env in
       let call () =
-        env.Driver_env.upcall ~name:"envprobe_ioctl" ~bytes:64 ignore
+        Driver_env.upcall env ~name:"envprobe_ioctl" ~bytes:64 ignore
       in
       for _ = 1 to 100 do
         call ()
@@ -337,5 +367,6 @@ let () =
         [ tc "module params reset between probes" params_reset_between_probes ] );
       ( "reboot",
         [ tc "reboot forgets bindings" reboot_forgets_bindings ] );
+      ("native", [ tc "e1000 never reaches XPC" native_e1000_xpc_free ]);
       ("allocation", [ tc "metered crossing" metered_crossing_alloc ]);
     ]

@@ -503,8 +503,9 @@ let test_ens1371_reject_bad_params () =
 let test_ens1371_decaf_called_on_start_stop_only () =
   K.Boot.boot ();
   ignore (setup_snd ());
+  let env = Driver_env.create Driver_env.Decaf ~scope:"" in
   in_thread (fun () ->
-      match Ens1371_drv.insmod Driver_env.decaf with
+      match Ens1371_drv.insmod env with
       | Error rc -> Alcotest.failf "insmod failed: %d" rc
       | Ok t ->
           let sub = Ens1371_drv.substream t in
@@ -534,7 +535,7 @@ let test_ens1371_decaf_called_on_start_stop_only () =
           check "only deferred syncs cross during steady playback"
             (during - at_start) (batch1 - batch0);
           check_bool "pointer syncs were delivered" true
-            (Ens1371_drv.user_ptr_syncs t > 0);
+            (env.Driver_env.meter.Driver_env.syncs > 0);
           K.Sndcore.pcm_stop sub;
           K.Sndcore.pcm_close sub;
           Ens1371_drv.rmmod t)
