@@ -8,9 +8,9 @@ test:
 
 # The whole gate in one shot: compile, run the tier-1 test suite, hold
 # the driver corpus to the static checks, run the hostile-driver
-# campaign against its acceptance gate, verify the XPC fast path
-# against the committed trajectory, and explore the decaf-check
-# episode catalog at full depth.
+# campaign against its acceptance gate, diff the XPC matrix against
+# the committed trajectory, run the long soak, and explore the
+# decaf-check episode catalog at full depth.
 check: build test lint campaign-malicious bench-check soak explore
 
 # Exhaustive schedule exploration (DPOR) of the decaf-check episode
@@ -31,9 +31,8 @@ campaign:
 campaign-malicious:
 	dune exec bin/experiments.exe -- campaign-malicious
 
-# Fail if the XPC fast path regressed against the committed trajectory:
-# >10% on crossings/bytes or >5% on virtual-time throughput per
-# (scenario, config) point (also runs as part of `dune runtest`).
+# Fail if any number of the XPC matrix moved against the committed
+# trajectory, or its acceptance gates broke (also part of `dune runtest`).
 bench-check:
 	dune build @bench-smoke
 
@@ -42,37 +41,30 @@ bench-check:
 alloc-check:
 	dune build @alloc-smoke
 
-# Regenerate the committed trajectory after a deliberate retuning and
-# show what changed against the committed file.
+# Take the re-measured trajectory after a deliberate retuning: the
+# alias prints the diff against the committed file, `dune promote`
+# writes it.
 bench-json:
-	dune exec bench/main.exe -- json BENCH_xpc.json.new
-	-diff -u BENCH_xpc.json BENCH_xpc.json.new
-	mv BENCH_xpc.json.new BENCH_xpc.json
+	-dune build @bench-smoke
+	dune promote BENCH_xpc.json
 
-bench:
-	dune exec bench/main.exe
-
-# The short deterministic soak: re-run the mixed-traffic soak at the
-# committed BENCH_soak.json scale and gate on p99 latency per event
-# path, zero audio deadline misses in the fault-free phase, and zero
-# leaked tracker entries / kmalloc bytes at quiescence (also runs as
-# part of `dune runtest`).
+# The short deterministic soak, diffed against the committed
+# BENCH_soak.json, with zero audio deadline misses in the fault-free
+# phase and zero leaked tracker entries / kmalloc bytes at quiescence
+# (also part of `dune runtest`).
 soak-smoke:
 	dune build @soak-smoke
 
-# The full-length soak: same gates at 10x the committed virtual
-# duration (the percentiles print; only the miss/leak gates apply,
-# since the committed file is measured at the smoke scale).
+# The full-length soak at 10x the committed virtual duration: the
+# percentiles print, and the miss and leak gates apply.
 soak:
 	dune exec bin/decafctl.exe -- soak --duration-ms 10000
 
-# Regenerate the committed soak trajectory after a deliberate
-# cost-model retuning and show what changed; land it in the same change
-# as the retuning.
+# Take the re-measured soak trajectory after a deliberate cost-model
+# retuning, in the same change as the retuning.
 soak-json:
-	dune exec bench/main.exe -- soak-json BENCH_soak.json.new
-	-diff -u BENCH_soak.json BENCH_soak.json.new
-	mv BENCH_soak.json.new BENCH_soak.json
+	-dune build @soak-smoke
+	dune promote BENCH_soak.json
 
 # Static discipline checks over the five bundled driver sources; fails
 # on any unwaived violation or stale waiver (the same gate runs inside
@@ -83,4 +75,4 @@ lint:
 clean:
 	dune clean
 
-.PHONY: all build test check bench-check alloc-check bench-json bench soak-smoke soak soak-json lint explore clean
+.PHONY: all build test check bench-check alloc-check bench-json soak-smoke soak soak-json lint explore clean

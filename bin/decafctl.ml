@@ -3,64 +3,38 @@
    The default command loads one (or all) of them in native and decaf
    mode and prints the Table 3 measurements; `decafctl status` brings
    every driver up through the registry and prints its per-driver
-   lifecycle/XPC snapshot. *)
+   lifecycle/XPC snapshot; `xpcperf` and `soak` print the XPC matrix
+   and the mixed-traffic soak, with `--json` the committed
+   BENCH_xpc.json and BENCH_soak.json; `explore` runs decaf-check. *)
 
 open Cmdliner
 module E = Decaf_experiments
 
-(* --driver is validated against the registry before any measurement
-   runs; Table 3 prints "E1000" but the registry name is lowercase. *)
-let resolve_driver = function
-  | None -> Ok None
-  | Some d ->
-      let canon = String.lowercase_ascii d in
-      if List.mem canon E.Status.driver_names then Ok (Some canon)
-      else
-        Error
-          (Printf.sprintf "unknown driver %s (known: %s)" d
-             (String.concat ", " E.Status.driver_names))
-
 let run driver seconds =
-  match resolve_driver driver with
-  | Error msg ->
-      Printf.eprintf "decafctl: %s\n" msg;
-      exit 1
-  | Ok driver ->
-      let duration_ns = int_of_float (seconds *. 1e9) in
-      let rows = E.Table3.measure ~duration_ns () in
-      let rows =
-        match driver with
-        | None -> rows
-        | Some d ->
-            List.filter
-              (fun r -> String.lowercase_ascii r.E.Table3.driver = d)
-              rows
-      in
-      print_string (E.Table3.render rows);
-      exit 0
+  let duration_ns = int_of_float (seconds *. 1e9) in
+  let rows = E.Table3.measure ~duration_ns () in
+  let rows =
+    match driver with
+    | None -> rows
+    | Some d ->
+        List.filter (fun r -> String.lowercase_ascii r.E.Table3.driver = d) rows
+  in
+  print_string (E.Table3.render rows)
 
 let status driver json latency =
-  match resolve_driver driver with
-  | Error msg ->
-      Printf.eprintf "decafctl: %s\n" msg;
-      exit 1
-  | Ok driver ->
-      let snaps = E.Status.measure () in
-      let snaps =
-        match driver with
-        | None -> snaps
-        | Some d ->
-            List.filter
-              (fun s -> s.Decaf_drivers.Driver_core.s_driver = d)
-              snaps
-      in
-      print_string
-        (if json then E.Status.render_json snaps else E.Status.render snaps);
-      if latency then begin
-        print_newline ();
-        print_string (E.Status.render_latency ())
-      end;
-      exit 0
+  let snaps = E.Status.measure () in
+  let snaps =
+    match driver with
+    | None -> snaps
+    | Some d ->
+        List.filter (fun s -> s.Decaf_drivers.Driver_core.s_driver = d) snaps
+  in
+  print_string
+    (if json then E.Status.render_json snaps else E.Status.render snaps);
+  if latency then begin
+    print_newline ();
+    print_string (E.Status.render_latency ())
+  end
 
 (* Numeric flags check their range in the converter, so a negative
    duration, fleet or depth gets cmdliner's one-line usage error and exit
@@ -85,11 +59,28 @@ let positive_float =
   ranged Arg.float ~expected:"a positive number" (fun x ->
       Float.is_finite x && x > 0.)
 
+(* A name from a fixed list: a misspelt one is a usage error naming the
+   valid ones. *)
+let names_enum names = Arg.enum (List.map (fun n -> (n, n)) names)
+
+(* A registry name in any case: Table 3 prints "E1000". *)
+let driver =
+  let parse d =
+    let canon = String.lowercase_ascii d in
+    if List.mem canon E.Status.driver_names then Ok canon
+    else
+      Error
+        (`Msg
+          (Printf.sprintf "unknown driver '%s', expected one of %s" d
+             (String.concat ", " E.Status.driver_names)))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
 let driver_arg =
   let doc =
     "Restrict to one driver (8139too, e1000, ens1371, uhci-hcd, psmouse)."
   in
-  Arg.(value & opt (some string) None & info [ "driver" ] ~docv:"DRIVER" ~doc)
+  Arg.(value & opt (some driver) None & info [ "driver" ] ~docv:"DRIVER" ~doc)
 
 let seconds_arg =
   let doc = "Virtual seconds of steady-state workload per cell." in
@@ -125,54 +116,79 @@ let status_cmd =
           crossing and supervisor snapshot")
     Term.(const status $ driver_arg $ json_arg $ latency_arg)
 
+(* An acceptance complaint goes to stderr after the output and fails the
+   command, so a dune rule that prints the output fails on it too. *)
+let accept cmd complaints =
+  List.iter (Printf.eprintf "decafctl %s: %s\n" cmd) complaints;
+  if complaints <> [] then exit 1
+
+(* ---- xpcperf: the concurrent, batched and ring XPC matrix ---- *)
+
+let xpcperf scenario config json =
+  match E.Xpcperf.measure ?scenario ?config () with
+  | [] ->
+      `Error
+        ( true,
+          Printf.sprintf "the matrix measures no cell of scenario %s under %s"
+            (Option.value scenario ~default:"(any)")
+            (Option.value config ~default:"(any)") )
+  | samples ->
+      let complaints = E.Xpcperf.acceptance samples in
+      print_string
+        (if json then
+           E.Xpcperf.to_json ~duration_ns:E.Xpcperf.default_duration_ns
+             samples
+         else E.Xpcperf.render samples);
+      accept "xpcperf" complaints;
+      `Ok ()
+
+let scenario_arg =
+  let doc = "Measure one scenario's row of the matrix." in
+  Arg.(
+    value
+    & opt (some (names_enum E.Xpcperf.scenario_names)) None
+    & info [ "scenario" ] ~docv:"SCENARIO" ~doc)
+
+let config_arg =
+  let doc = "Measure one configuration's column of the matrix." in
+  Arg.(
+    value
+    & opt (some (names_enum (E.Xpcperf.config_names ()))) None
+    & info [ "config" ] ~docv:"CONFIG" ~doc)
+
+let xpcperf_json_arg =
+  let doc =
+    "Emit the line-JSON trajectory (the committed BENCH_xpc.json for the \
+     whole matrix) instead of the table."
+  in
+  Arg.(value & flag & info [ "json" ] ~doc)
+
+let xpcperf_cmd =
+  Cmd.v
+    (Cmd.info "xpcperf"
+       ~doc:
+         "Measure the XPC matrix (batching, delta marshaling, dispatch \
+          workers, Guard, the shared ring and the e1000 fleet axis) and print \
+          crossings, bytes and virtual time per cell; exits nonzero when the \
+          fleet stops scaling or turns unfair, or two cells of a scenario are \
+          twins")
+    Term.(ret (const xpcperf $ scenario_arg $ config_arg $ xpcperf_json_arg))
+
 (* ---- soak: the mixed-traffic latency soak ---- *)
 
-let soak json check duration_ms fleet =
-  match check with
-  | Some path ->
-      (* gate mode: re-measure at the committed file's scale and compare *)
-      let ok =
-        try E.Soak.check ~path () with
-        | Sys_error e ->
-            Printf.eprintf "decafctl: %s\n" e;
-            exit 2
-        | E.Jsonl.Missing_key { line; key } ->
-            Printf.eprintf "decafctl: %s:%d: missing key %S\n" path line key;
-            exit 2
-      in
-      exit (if ok then 0 else 1)
-  | None ->
-      let duration_ns = duration_ms * 1_000_000 in
-      let s = E.Soak.measure ~duration_ns ~fleet () in
-      print_string (if json then E.Soak.to_json s else E.Soak.render s);
-      (* the scale may differ from the committed trajectory, so only the
-         absolute gates apply: period deadlines and quiescence leaks *)
-      let breached =
-        s.E.Soak.steady_misses > 0
-        || s.E.Soak.leaked_entries > 0
-        || s.E.Soak.leaked_bytes <> 0
-      in
-      if breached then
-        Printf.eprintf
-          "decafctl soak: gate breach (steady misses %d, leaked entries %d, \
-           leaked bytes %d)\n"
-          s.E.Soak.steady_misses s.E.Soak.leaked_entries s.E.Soak.leaked_bytes;
-      exit (if breached then 1 else 0)
+let soak json duration_ms fleet =
+  let s = E.Soak.measure ~duration_ns:(duration_ms * 1_000_000) ~fleet () in
+  let complaints = E.Soak.acceptance s in
+  print_string (if json then E.Soak.to_json s else E.Soak.render s);
+  accept "soak" complaints
 
 let soak_json_arg =
   let doc =
     "Emit the line-JSON trajectory (header plus one object per phase/path \
-     row) instead of the table."
+     row; the committed BENCH_soak.json at the defaults) instead of the \
+     table."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
-
-let soak_check_arg =
-  let doc =
-    "Gate mode: re-measure at the committed trajectory's scale and fail on \
-     a p99 regression, an audio deadline miss in the fault-free phase, or \
-     a leak at quiescence."
-  in
-  Arg.(value & opt (some string) None & info [ "check" ] ~docv:"PATH" ~doc)
 
 let duration_ms_arg =
   let doc = "Virtual milliseconds per phase." in
@@ -194,7 +210,7 @@ let soak_cmd =
           then churn) and print per-path latency percentiles; exits nonzero \
           on an audio deadline miss in the fault-free phase or a leak at \
           quiescence")
-    Term.(const soak $ soak_json_arg $ soak_check_arg $ duration_ms_arg $ fleet_arg)
+    Term.(const soak $ soak_json_arg $ duration_ms_arg $ fleet_arg)
 
 (* ---- explore: the decaf-check exploration harness ---- *)
 
@@ -221,11 +237,10 @@ let episode_arg =
                     when omitted."
       (String.concat ", " E.Exploration.episode_names)
   in
-  let episode =
-    Arg.enum (List.map (fun n -> (n, n)) E.Exploration.episode_names)
-  in
   Arg.(
-    value & opt (some episode) None & info [ "episode" ] ~docv:"EPISODE" ~doc)
+    value
+    & opt (some (names_enum E.Exploration.episode_names)) None
+    & info [ "episode" ] ~docv:"EPISODE" ~doc)
 
 let depth_arg =
   let doc = "Override the branching-depth bound for every episode." in
@@ -263,6 +278,6 @@ let cmd =
     ~default:Term.(const run $ driver_arg $ seconds_arg)
     (Cmd.info "decafctl"
        ~doc:"Drive the decaf drivers through the unified driver model")
-    [ run_cmd; status_cmd; explore_cmd; soak_cmd ]
+    [ run_cmd; status_cmd; explore_cmd; xpcperf_cmd; soak_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -660,7 +660,7 @@ let unbind a =
   a.xring <- None;
   free_rx_resources a;
   free_tx_resources a;
-  O.release a.ka;
+  O.release a.env a.ka;
   match a.netdev with Some nd -> K.Netcore.unregister_netdev nd | None -> ()
 
 let ids = List.map (fun id -> (vendor_id, id)) device_ids

@@ -309,7 +309,7 @@ let unbind a =
   K.Irq.free_irq a.irq;
   Option.iter Decaf_xpc.Ring.destroy a.xring;
   a.xring <- None;
-  RO.release a.ka;
+  RO.release a.env a.ka;
   match a.netdev with Some nd -> K.Netcore.unregister_netdev nd | None -> ()
 
 include Pci_family.Make (struct

@@ -96,8 +96,9 @@ module type S = sig
   val resync_user_view : kernel -> unit
   (** Mark every copy-in field, so the next image is full (resume). *)
 
-  val release : kernel -> unit
-  (** Revoke the instance's entries in both trackers at unbind. *)
+  val release : Driver_env.t -> kernel -> unit
+  (** Revoke the instance's entries in both trackers at unbind; nothing
+      in native, which never issued or associated one. *)
 
   val with_view :
     Driver_env.t -> scope:string -> kernel -> name:string ->
@@ -201,16 +202,19 @@ module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
   (* The tracker mirrors object lifetime (the Nooks discipline), so a
      handle kept across unbind resolves to nothing. The embedded
      capabilities issue before the structure's own: issue order fixes
-     handle slots. *)
-  let release k =
-    let embedded = Spec.embedded k in
-    let own = handle k in
-    List.iter
-      (fun h -> Objtracker.remove_all (java_tracker ()) ~addr:h)
-      (own :: embedded);
-    List.iter
-      (fun addr -> Objtracker.remove_all (kernel_tracker ()) ~addr)
-      (Spec.addr k :: Spec.aliases k)
+     handle slots. A native build tracked nothing, so it takes no shard
+     lock. *)
+  let release env k =
+    if Driver_env.split env then begin
+      let embedded = Spec.embedded k in
+      let own = handle k in
+      List.iter
+        (fun h -> Objtracker.remove_all (java_tracker ()) ~addr:h)
+        (own :: embedded);
+      List.iter
+        (fun addr -> Objtracker.remove_all (kernel_tracker ()) ~addr)
+        (Spec.addr k :: Spec.aliases k)
+    end
 
   (* Native: the kernel copy is the only copy, so [f] works on it and
      nothing is marshaled, guarded or tracked. *)

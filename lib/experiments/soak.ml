@@ -4,11 +4,11 @@
    the two-phase mixed-traffic soak, and flatten the per-phase path
    percentiles into a line-JSON trajectory the same way Xpcperf does.
 
-   The check gate re-measures at the committed file's scale and fails
-   on a p99 regression beyond the slack, any missing (phase, path)
-   point, any audio deadline miss in the fresh steady phase, or any
-   leak at quiescence. An intentional cost-model retuning regenerates
-   the file with `make soak-json` in the same change. *)
+   dune diffs the trajectory against the committed file; [acceptance]
+   holds the gates that need no committed file: no audio deadline miss
+   in the steady phase and no leak at quiescence. A deliberate
+   cost-model retuning takes the new file with `dune promote` in the
+   same change. *)
 
 module K = Decaf_kernel
 module Xpc = Decaf_xpc
@@ -105,8 +105,7 @@ let render s =
     s.leaked_bytes;
   Buffer.contents buf
 
-(* --- line JSON, written and read by Jsonl like the Xpcperf
-   trajectory --- *)
+(* --- line JSON, printed by Jsonl like the Xpcperf trajectory --- *)
 
 let json_row r =
   Jsonl.(
@@ -143,105 +142,12 @@ let to_json s =
   in
   String.concat "\n" (header :: List.map json_row s.rows) ^ "\n"
 
-let row_of_line line =
-  let int = Jsonl.int line in
-  {
-    phase = Jsonl.str line "phase";
-    path = Jsonl.str line "path";
-    samples = int "samples";
-    overflow = int "overflow";
-    p50_ns = int "p50_ns";
-    p99_ns = int "p99_ns";
-    p999_ns = int "p999_ns";
-    max_ns = int "max_ns";
-  }
-
-let of_json text =
-  match Jsonl.lines text with
-  | [] -> raise (Jsonl.Missing_key { line = 1; key = "duration_ns" })
-  | header :: rows ->
-      let int = Jsonl.int header in
-      {
-        duration_ns = int "duration_ns";
-        fleet = int "fleet";
-        seed = int "seed";
-        rows = List.map row_of_line rows;
-        steady_misses = int "steady_misses";
-        churn_misses = int "churn_misses";
-        audio_periods = int "audio_periods";
-        packets = int "packets";
-        leaked_entries = int "leaked_entries";
-        leaked_bytes = int "leaked_bytes";
-      }
-
-let write_json ?(duration_ns = default_duration_ns) ?(fleet = default_fleet)
-    ?(seed = default_seed) ~path () =
-  let s = measure ~duration_ns ~fleet ~seed () in
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json s));
-  s
-
-let find_row rows ~phase ~path =
-  List.find_opt (fun r -> r.phase = phase && r.path = path) rows
-
-(* Pure comparator, so the gate logic is unit-testable without a
-   re-measurement. The p99 budget carries a 2 us absolute floor on top
-   of the percentage slack: bucket resolution is 1/64, so single-bucket
-   jitter on a tens-of-ns path must not read as a regression. *)
-let compare_rows ?(p99_slack_pct = 5) ~committed ~fresh () =
-  let complaints = ref [] in
-  let complain fmt =
-    Printf.ksprintf (fun m -> complaints := m :: !complaints) fmt
-  in
-  List.iter
-    (fun c ->
-      match find_row fresh ~phase:c.phase ~path:c.path with
-      | None ->
-          complain "soak-check: %s %s: path disappeared" c.phase c.path
-      | Some f ->
-          let budget =
-            c.p99_ns + max 2_000 (((c.p99_ns * p99_slack_pct) + 99) / 100)
-          in
-          if f.p99_ns > budget then
-            complain "soak-check: %s %s: p99 regressed %d -> %d ns (>%d%%)"
-              c.phase c.path c.p99_ns f.p99_ns p99_slack_pct)
-    committed;
-  List.rev !complaints
-
-let check ~path () =
-  let committed = of_json (Jsonl.read_file path) in
-  if committed.rows = [] then begin
-    Printf.printf "soak-check: %s holds no rows\n" path;
-    false
-  end
-  else begin
-    let fresh =
-      measure ~duration_ns:committed.duration_ns ~fleet:committed.fleet
-        ~seed:committed.seed ()
-    in
-    let ok = ref true in
-    let complain fmt =
-      Printf.ksprintf
-        (fun m ->
-          ok := false;
-          print_endline m)
-        fmt
-    in
-    if fresh.steady_misses > 0 then
-      complain "soak-check: %d audio deadline misses in the fault-free phase"
-        fresh.steady_misses;
-    if fresh.leaked_entries > 0 then
-      complain "soak-check: %d object-tracker entries leaked at quiescence"
-        fresh.leaked_entries;
-    if fresh.leaked_bytes <> 0 then
-      complain "soak-check: %d kmalloc bytes leaked at quiescence"
-        fresh.leaked_bytes;
-    List.iter
-      (fun m ->
-        ok := false;
-        print_endline m)
-      (compare_rows ~committed:committed.rows ~fresh:fresh.rows ());
-    !ok
-  end
+let acceptance s =
+  List.filter_map
+    (fun (n, what) ->
+      if n <> 0 then Some (Printf.sprintf "%d %s" n what) else None)
+    [
+      (s.steady_misses, "audio deadline misses in the fault-free phase");
+      (s.leaked_entries, "object-tracker entries leaked at quiescence");
+      (s.leaked_bytes, "kmalloc bytes leaked at quiescence");
+    ]

@@ -46,28 +46,11 @@ val render : summary -> string
 val to_json : summary -> string
 (** One JSON object per line — a header with the run parameters and
     gate counters, then one row per (phase, path) — hand-rolled, no
-    JSON library, like the BENCH_xpc.json trajectory. *)
+    JSON library, like the BENCH_xpc.json trajectory. [decafctl soak
+    --json] prints it, and dune diffs the default run against the
+    committed [BENCH_soak.json]. *)
 
-val of_json : string -> summary
-(** Every key of the header and of each row is required: a line missing
-    one (an empty file misses its header) raises {!Jsonl.Missing_key}. *)
-
-val write_json :
-  ?duration_ns:int -> ?fleet:int -> ?seed:int -> path:string -> unit -> summary
-(** Measure and write the trajectory file; returns the summary. *)
-
-val compare_rows :
-  ?p99_slack_pct:int -> committed:row list -> fresh:row list -> unit ->
-  string list
-(** The pure p99 gate: one complaint per committed (phase, path) whose
-    fresh p99 exceeds the committed value by more than [p99_slack_pct]
-    percent (default 5, with a 2 us absolute floor so single-bucket
-    jitter on nanosecond-scale paths cannot trip it) or which
-    disappeared. Exposed for unit tests. *)
-
-val check : path:string -> unit -> bool
-(** Re-measure at the committed file's (duration, fleet, seed) and
-    gate: p99 per (phase, path) within {!compare_rows}' default 5 %
-    slack, zero audio deadline misses in the fresh steady phase, zero
-    leaked tracker entries and kmalloc bytes at quiescence. Prints each
-    violation; returns [false] on any. *)
+val acceptance : summary -> string list
+(** The gates that hold at any scale, one complaint each: an audio
+    deadline miss in the fault-free phase, an object-tracker entry or a
+    kmalloc byte leaked at quiescence. *)

@@ -103,8 +103,8 @@ val measure :
     batch+delta+w4+ring at 1, 16, 64 and 256 instances. [?scenario] and
     [?config] restrict the run to matching rows/columns (exact match
     against {!scenario_names} / {!config_names}), so a single matrix
-    cell can be reproduced locally; unknown names simply select
-    nothing. *)
+    cell can be reproduced locally; unknown names, or a pair the matrix
+    does not measure, select nothing. *)
 
 val render : sample list -> string
 (** Per-sample table plus reduction summaries per scenario:
@@ -116,22 +116,14 @@ val render : sample list -> string
     of its cells. *)
 
 val to_json : duration_ns:int -> sample list -> string
-(** One JSON object per line (header line carries [duration_ns]);
-    parseable by {!of_json} without a JSON library. *)
+(** One JSON object per line, the header line carrying [duration_ns]:
+    [decafctl xpcperf --json] prints it, and dune diffs the full matrix
+    against the committed [BENCH_xpc.json] ([dune promote] takes a
+    deliberate change). *)
 
-val of_json : string -> int option * sample list
-(** The header's [duration_ns] and the samples. Every key is required:
-    a line missing one (an empty file misses its header) raises
-    {!Jsonl.Missing_key}. *)
-
-val write_json : ?duration_ns:int -> path:string -> unit -> sample list
-(** Measure and write the trajectory file; returns the samples. *)
-
-val check : path:string -> unit -> bool
-(** Re-measure at the committed file's duration and compare: fails
-    (returns [false], printing why) if any committed (scenario, config)
-    point's crossings or bytes regressed by more than 10 %, its
-    [perf_milli] dropped by more than 5 %, or it disappeared. Files with
-    the fleet axis additionally gate fleet scaling: the fresh
-    64-instance aggregate must be at least 8x the fresh single-instance
-    cell, with a fairness spread (max/min) of at most 2x. *)
+val acceptance : sample list -> string list
+(** The gates that compare the matrix with itself, one complaint each:
+    the [e1000-fleet] 64-instance aggregate below 8x the single
+    instance's, a fleet cell whose fairness spread (max/min) exceeds
+    2x, and two cells of a scenario equal in every measured field. A
+    gate whose cells are not in the list passes. *)

@@ -255,32 +255,36 @@ let reboot_forgets_bindings () =
 (* --- a native build crosses nothing --- *)
 
 (* The native build is the original kernel driver: bound through the
-   registry, brought up and sending for 20 ms of netperf, it runs no
-   Guard check, holds no kernel-tracker handle, looks nothing up in a
-   tracker shard and books no XPC time. *)
-let native_e1000_xpc_free () =
+   registry, brought up and sending for 20 ms of netperf, then unbound,
+   it runs no Guard check, holds no kernel-tracker handle, looks nothing
+   up in a tracker shard and books no XPC time. *)
+let native_xpc_free driver () =
   Scenario.boot ();
-  let dev = Decaf_workloads.Rig.plug "e1000" in
+  let dev = Decaf_workloads.Rig.plug driver in
+  let untouched when_ =
+    check ("XPC ns " ^ when_) 0 (Decaf_xpc.Dispatch.overhead_ns ());
+    check ("guard checks " ^ when_) 0
+      Decaf_xpc.Boundary.totals.Decaf_xpc.Boundary.checks;
+    check ("tracker shard lookups " ^ when_) 0
+      (Array.fold_left
+         (fun n s -> n + s.Decaf_xpc.Objtracker.lookups)
+         0
+         (Decaf_xpc.Objtracker.global_shard_stats ()))
+  in
   Scenario.in_thread (fun () ->
-      (match Driver_core.insmod "e1000" ~mode:Driver_env.Native with
+      (match Driver_core.insmod driver ~mode:Driver_env.Native with
       | Ok () -> ()
-      | Error rc -> Alcotest.failf "e1000 insmod failed: %d" rc);
+      | Error rc -> Alcotest.failf "%s insmod failed: %d" driver rc);
       Decaf_workloads.Rig.up dev;
       ignore (Decaf_workloads.Rig.netperf dev ~duration_ns:20_000_000);
-      (* read before counting handles: the count takes the shard locks,
-         whose cost lands on the XPC account *)
-      check "XPC ns" 0 (Decaf_xpc.Dispatch.overhead_ns ());
-      check "guard checks" 0
-        Decaf_xpc.Boundary.totals.Decaf_xpc.Boundary.checks;
-      check "tracker shard lookups" 0
-        (Array.fold_left
-           (fun n s -> n + s.Decaf_xpc.Objtracker.lookups)
-           0
-           (Decaf_xpc.Objtracker.global_shard_stats ()));
+      untouched "after netperf";
+      Driver_core.rmmod driver;
+      untouched "after rmmod";
+      (* counted last: the count takes the shard locks, whose cost lands
+         on the XPC account *)
       check "kernel tracker handles" 0
         (Decaf_xpc.Objtracker.handle_count
-           (Decaf_runtime.Runtime.kernel_tracker ()));
-      Driver_core.rmmod "e1000")
+           (Decaf_runtime.Runtime.kernel_tracker ())))
 
 (* --- allocation per crossing through a bound binding --- *)
 
@@ -367,6 +371,10 @@ let () =
         [ tc "module params reset between probes" params_reset_between_probes ] );
       ( "reboot",
         [ tc "reboot forgets bindings" reboot_forgets_bindings ] );
-      ("native", [ tc "e1000 never reaches XPC" native_e1000_xpc_free ]);
+      ( "native",
+        [
+          tc "e1000 never reaches XPC" (native_xpc_free "e1000");
+          tc "8139too never reaches XPC" (native_xpc_free "8139too");
+        ] );
       ("allocation", [ tc "metered crossing" metered_crossing_alloc ]);
     ]

@@ -159,7 +159,7 @@ let test_netperf_e1000_ring () =
   check_bool "batch-only run rang no doorbells" true
     (bd.E.Xpcperf.doorbells = 0)
 
-(* The --scenario/--config filters behind `bench/main.exe run`: a single
+(* The --scenario/--config filters behind `decafctl xpcperf`: a single
    matrix cell must be selectable by exact name. *)
 let test_measure_filters () =
   check_bool "scenario names listed" true
@@ -209,17 +209,20 @@ let test_cell_ignores_history () =
   Alcotest.(check (list (pair int int)))
     "same per-shard lookups and hits" a_shards a'_shards
 
-let sample scenario batching delta workers =
+(* --- the acceptance gates, on hand-made matrices --- *)
+
+let sample ?(fleet = (0, 0)) scenario instances perf_milli =
+  let fair_min_milli, fair_max_milli = fleet in
   {
     E.Xpcperf.scenario;
     config =
       {
-        E.Xpcperf.batching;
-        delta;
-        workers;
-        guard = workers < 4;
-        ring = workers >= 4;
-        instances = 1;
+        E.Xpcperf.batching = true;
+        delta = true;
+        workers = 4;
+        guard = true;
+        ring = true;
+        instances;
       };
     crossings = 123;
     c_java = 45;
@@ -229,108 +232,68 @@ let sample scenario batching delta workers =
     flushes = 3;
     doorbells = 2;
     ring_produced = 64;
-    ring_drops = 1;
+    ring_drops = 0;
     xpc_ns = 250_000;
     lock_contended = 7;
     lock_wait_ns = 12_500;
     shard_hits = 90;
     shards_used = 5;
-    perf_milli = 987_654;
+    perf_milli;
     perf_unit = "Mb/s";
-    fair_min_milli = 0;
-    fair_mean_milli = 0;
-    fair_max_milli = 0;
+    fair_min_milli;
+    fair_mean_milli = (fair_min_milli + fair_max_milli) / 2;
+    fair_max_milli;
   }
 
-let test_json_roundtrip () =
-  let samples =
-    [
-      sample "e1000-netperf-send" false false 1;
-      sample "psmouse-move" true true 4;
-    ]
-  in
-  let duration_ns, parsed =
-    E.Xpcperf.of_json (E.Xpcperf.to_json ~duration_ns:42_000_000 samples)
-  in
-  Alcotest.(check (option int)) "duration survives" (Some 42_000_000)
-    duration_ns;
-  check_bool "samples survive verbatim" true (parsed = samples)
+(* The fleet's i1 and i64 cells, at [scale] times the single instance's
+   aggregate and with the given per-instance (min, max) at i64. *)
+let fleet ~scale ~spread:(lo, hi) =
+  [
+    sample ~fleet:(1_000, 1_000) "e1000-fleet" 1 1_000;
+    sample ~fleet:(lo, hi) "e1000-fleet" 64 (scale * 1_000);
+  ]
 
-(* A baseline line missing a key is rejected, never read with a
-   default: a defaulted perf_milli of 0 used to switch that cell's perf
-   gate off. *)
-let test_json_missing_key_rejected () =
-  let text =
-    E.Xpcperf.to_json ~duration_ns:300_000_000
-      [ sample "e1000-netperf-send" false false 1 ]
-  in
-  Alcotest.check_raises "line 2 names the missing key"
-    (E.Jsonl.Missing_key { line = 2; key = "perf_milli" })
-    (fun () ->
-      ignore
-        (E.Xpcperf.of_json
-           (Testutil.replace text ~needle:"\"perf_milli\":987654,"
-              ~replacement:"")))
+let sound = fleet ~scale:8 ~spread:(120, 130)
 
-(* A committed trajectory file, found from the test's working
-   directory. *)
-let committed name =
-  let candidates =
-    [
-      name;
-      "../" ^ name;
-      "../../" ^ name;
-      Filename.concat (Filename.dirname Sys.executable_name) ("../" ^ name);
-    ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | None -> Alcotest.failf "%s not found relative to the test cwd" name
-  | Some path -> path
+let complaints samples = List.length (E.Xpcperf.acceptance samples)
 
-(* The committed soak trajectory: the same 5% p99 diff that runs as the
-   @soak-smoke alias, exercised here so the two bench regression gates
-   live side by side. An intentional cost-model retuning regenerates
-   the file with `make soak-json` in the same change. *)
-let test_soak_trajectory_gate () =
-  check_bool "soak p99/deadline/leak gates hold against the committed file"
-    true
-    (E.Soak.check ~path:(committed "BENCH_soak.json") ())
+let test_acceptance_sound () =
+  Alcotest.(check (list string)) "a sound matrix passes" []
+    (E.Xpcperf.acceptance sound)
+
+let test_acceptance_fleet_scaling () =
+  Alcotest.(check int) "i64 at 7x the i1 aggregate" 1
+    (complaints (fleet ~scale:7 ~spread:(100, 110)))
+
+(* An instance that moved nothing is the widest spread of all. *)
+let test_acceptance_fleet_spread () =
+  Alcotest.(check int) "max/min 2.1x at i64" 1
+    (complaints (fleet ~scale:8 ~spread:(100, 210)));
+  Alcotest.(check int) "an instance starved at i64" 1
+    (complaints (fleet ~scale:8 ~spread:(0, 100)))
+
+(* A filtered run measures part of the matrix: a gate whose cells it
+   did not measure has nothing to compare, while the others still
+   hold. *)
+let test_acceptance_partial () =
+  let i64 = List.nth (fleet ~scale:7 ~spread:(100, 110)) 1 in
+  Alcotest.(check int) "i64 alone: no scaling baseline" 0 (complaints [ i64 ]);
+  Alcotest.(check int) "i64 alone is still held to its spread" 1
+    (complaints [ { i64 with E.Xpcperf.fair_max_milli = 300 } ])
 
 (* A cell that repeats a sibling of its scenario in every measured field
    prices nothing: its axis does not reach that scenario. *)
-let test_committed_cells_distinct () =
-  let _, samples =
-    E.Xpcperf.of_json (E.Jsonl.read_file (committed "BENCH_xpc.json"))
-  in
-  let none =
-    {
-      E.Xpcperf.batching = false;
-      delta = false;
-      workers = 0;
-      guard = false;
-      ring = false;
-      instances = 0;
-    }
-  in
-  let measured s = { s with E.Xpcperf.config = none } in
-  let rec twins = function
-    | [] -> []
-    | s :: rest ->
-        List.filter_map
-          (fun t ->
-            if t.E.Xpcperf.scenario = s.E.Xpcperf.scenario
-               && measured t = measured s
-            then
-              Some
-                (Printf.sprintf "%s: %s = %s" s.E.Xpcperf.scenario
-                   (E.Xpcperf.config_name s.E.Xpcperf.config)
-                   (E.Xpcperf.config_name t.E.Xpcperf.config))
-            else None)
-          rest
-        @ twins rest
-  in
-  Alcotest.(check (list string)) "no two cells of a scenario are equal" []
-    (twins samples)
+let test_acceptance_twins () =
+  let cell config = { (sample "psmouse-move" 1 5_000) with E.Xpcperf.config } in
+  let w1 = (sample "psmouse-move" 1 5_000).E.Xpcperf.config in
+  let w4 = { w1 with E.Xpcperf.workers = 4 } in
+  Alcotest.(check int) "two equal cells of one scenario" 1
+    (complaints (sound @ [ cell w1; cell w4 ]));
+  Alcotest.(check int) "equal cells of two scenarios" 0
+    (complaints
+       (sound
+       @ [ cell w1; { (cell w4) with E.Xpcperf.scenario = "ens1371-mpg123" } ]
+       ))
 
 (* --- the knob table: every cost field reaches what it prices --- *)
 
@@ -557,15 +520,16 @@ let () =
             test_measure_filters;
           Alcotest.test_case "a cell ignores what ran before it" `Quick
             test_cell_ignores_history;
-          Alcotest.test_case "trajectory json roundtrip" `Quick
-            test_json_roundtrip;
-          Alcotest.test_case "a line missing perf_milli is rejected" `Quick
-            test_json_missing_key_rejected;
-          Alcotest.test_case "soak trajectory gate holds" `Quick
-            test_soak_trajectory_gate;
+          Alcotest.test_case "a sound matrix passes" `Quick
+            test_acceptance_sound;
+          Alcotest.test_case "fleet under 8x fails" `Quick
+            test_acceptance_fleet_scaling;
+          Alcotest.test_case "fleet spread over 2x fails" `Quick
+            test_acceptance_fleet_spread;
+          Alcotest.test_case "a partial matrix keeps its gates" `Quick
+            test_acceptance_partial;
+          Alcotest.test_case "twin cells fail" `Quick test_acceptance_twins;
           Alcotest.test_case "every cost knob moves what it prices" `Quick
             test_knob_table;
-          Alcotest.test_case "committed cells are distinct" `Quick
-            test_committed_cells_distinct;
         ] );
     ]
