@@ -1,25 +1,13 @@
 (* decafctl: drive the five drivers through the unified driver model.
 
-   The default command loads one (or all) of them in native and decaf
-   mode and prints the Table 3 measurements; `decafctl status` brings
-   every driver up through the registry and prints its per-driver
-   lifecycle/XPC snapshot; `xpcperf` and `soak` print the XPC matrix
-   and the mixed-traffic soak, with `--json` the committed
-   BENCH_xpc.json and BENCH_soak.json; `explore` runs decaf-check. *)
+   `decafctl status` brings every driver up through the registry and
+   prints its per-driver lifecycle/XPC snapshot; `xpcperf` and `soak`
+   print the XPC matrix (Table 3 among its cells) and the mixed-traffic
+   soak, with `--json` the committed BENCH_xpc.json and BENCH_soak.json;
+   `explore` runs decaf-check. A command is required. *)
 
 open Cmdliner
 module E = Decaf_experiments
-
-let run driver seconds =
-  let duration_ns = int_of_float (seconds *. 1e9) in
-  let rows = E.Table3.measure ~duration_ns () in
-  let rows =
-    match driver with
-    | None -> rows
-    | Some d ->
-        List.filter (fun r -> String.lowercase_ascii r.E.Table3.driver = d) rows
-  in
-  print_string (E.Table3.render rows)
 
 let status driver json latency =
   let snaps = E.Status.measure () in
@@ -55,43 +43,18 @@ let positive_int = ranged Arg.int ~expected:"a positive integer" (fun n -> n > 0
 let non_negative_int =
   ranged Arg.int ~expected:"a non-negative integer" (fun n -> n >= 0)
 
-let positive_float =
-  ranged Arg.float ~expected:"a positive number" (fun x ->
-      Float.is_finite x && x > 0.)
-
 (* A name from a fixed list: a misspelt one is a usage error naming the
    valid ones. *)
 let names_enum names = Arg.enum (List.map (fun n -> (n, n)) names)
-
-(* A registry name in any case: Table 3 prints "E1000". *)
-let driver =
-  let parse d =
-    let canon = String.lowercase_ascii d in
-    if List.mem canon E.Status.driver_names then Ok canon
-    else
-      Error
-        (`Msg
-          (Printf.sprintf "unknown driver '%s', expected one of %s" d
-             (String.concat ", " E.Status.driver_names)))
-  in
-  Arg.conv (parse, Format.pp_print_string)
 
 let driver_arg =
   let doc =
     "Restrict to one driver (8139too, e1000, ens1371, uhci-hcd, psmouse)."
   in
-  Arg.(value & opt (some driver) None & info [ "driver" ] ~docv:"DRIVER" ~doc)
-
-let seconds_arg =
-  let doc = "Virtual seconds of steady-state workload per cell." in
   Arg.(
-    value & opt positive_float 2.0 & info [ "seconds" ] ~docv:"SECONDS" ~doc)
-
-let run_cmd =
-  Cmd.v
-    (Cmd.info "run"
-       ~doc:"Run a driver workload in native and decaf modes and compare")
-    Term.(const run $ driver_arg $ seconds_arg)
+    value
+    & opt (some (names_enum E.Status.driver_names)) None
+    & info [ "driver" ] ~docv:"DRIVER" ~doc)
 
 let json_arg =
   let doc =
@@ -167,11 +130,12 @@ let xpcperf_cmd =
   Cmd.v
     (Cmd.info "xpcperf"
        ~doc:
-         "Measure the XPC matrix (batching, delta marshaling, dispatch \
-          workers, Guard, the shared ring and the e1000 fleet axis) and print \
-          crossings, bytes and virtual time per cell; exits nonzero when the \
-          fleet stops scaling or turns unfair, or two cells of a scenario are \
-          twins")
+         "Measure the XPC matrix (the build, batching, delta marshaling, \
+          dispatch workers, Guard, the shared ring and the e1000 fleet axis) \
+          and print crossings, bytes and virtual time per cell; exits nonzero \
+          when the fleet stops scaling or turns unfair, two cells of a \
+          scenario are twins, a decaf cell leaves Table 3's shape against its \
+          native twin, or a native cell reaches XPC")
     Term.(ret (const xpcperf $ scenario_arg $ config_arg $ xpcperf_json_arg))
 
 (* ---- soak: the mixed-traffic latency soak ---- *)
@@ -275,9 +239,8 @@ let explore_cmd =
 
 let cmd =
   Cmd.group
-    ~default:Term.(const run $ driver_arg $ seconds_arg)
     (Cmd.info "decafctl"
        ~doc:"Drive the decaf drivers through the unified driver model")
-    [ run_cmd; status_cmd; explore_cmd; xpcperf_cmd; soak_cmd ]
+    [ status_cmd; explore_cmd; xpcperf_cmd; soak_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -23,11 +23,18 @@ let figures () =
      --- original (return codes) ---\n%s\n--- exception style ---\n%s\n"
     (E.Casestudy.figure2_stub ()) xdr before after
 
+(* Table 3 is the XPC matrix's serial point under both builds. *)
+let table3 () =
+  let column config =
+    E.Xpcperf.measure ~config:(E.Xpcperf.config_name config) ()
+  in
+  E.Table3.render (column E.Xpcperf.serial @ column E.Xpcperf.native)
+
 let sections =
   [
     ("table1", fun () -> E.Table1.render (E.Table1.measure ()));
     ("table2", fun () -> E.Table2.render (E.Table2.measure ()));
-    ("table3", fun () -> E.Table3.render (E.Table3.measure ()));
+    ("table3", table3);
     ("table4", fun () -> E.Table4.render (E.Table4.measure ()));
     ("casestudy", fun () -> E.Casestudy.render (E.Casestudy.measure ()));
     ("figures", figures);

@@ -28,7 +28,8 @@ type t = {
   marshal_selectivity : marshal_selectivity;
 }
 
-(* A1: e1000 decaf init latency with and without the direct path. *)
+(* A1: e1000 decaf init latency with and without the direct path, and
+   the kernel/user crossings of the bring-up, A3's adapter transfers. *)
 let e1000_decaf_init ~direct =
   Scenario.boot ();
   let nic = Rig.plug "e1000" in
@@ -38,15 +39,10 @@ let e1000_decaf_init ~direct =
       let t0 = K.Clock.now () in
       Rig.up nic;
       let init = E1000_drv.init_latency_ns t + (K.Clock.now () - t0) in
-      let c_java = (Xpc.Channel.stats ()).Xpc.Channel.c_java_calls in
+      let st = Xpc.Channel.snapshot () in
       E1000_drv.rmmod t;
       Xpc.Channel.set_direct_marshaling false;
-      (init, c_java))
-
-let measure_direct_marshal () =
-  let indirect_init_ns, indirect_c_java_calls = e1000_decaf_init ~direct:false in
-  let direct_init_ns, direct_c_java_calls = e1000_decaf_init ~direct:true in
-  { indirect_init_ns; direct_init_ns; indirect_c_java_calls; direct_c_java_calls }
+      (init, st.Xpc.Channel.c_java_calls, st.Xpc.Channel.kernel_user_calls))
 
 (* A2: virtual cost of the kernel-only path, combolock vs semaphore. *)
 let measure_lock_cost () =
@@ -74,33 +70,30 @@ let measure_lock_cost () =
   in
   { combolock_ns; semaphore_ns; iterations }
 
-(* A3: bytes per adapter transfer, selective plan vs everything. *)
-let measure_marshal_selectivity () =
+(* A3: bytes per adapter transfer, selective plan vs everything, over
+   the [init_transfers] crossings of init+open that carry the adapter. *)
+let measure_marshal_selectivity ~init_transfers =
   let out =
     Decaf_slicer.Slicer.slice ~source:E1000_src.source E1000_src.config
   in
   let full_bytes = Decaf_slicer.Xdrspec.wire_size out.Decaf_slicer.Slicer.spec "e1000_adapter" in
-  (* transfers during init+open: probe, open, close use the adapter;
-     count the kernel/user crossings that carry it *)
-  Scenario.boot ();
-  let nic = Rig.plug "e1000" in
-  let init_transfers =
-    Scenario.in_thread (fun () ->
-        let t =
-          Rig.ok "e1000 insmod" (E1000_drv.insmod Driver_env.decaf)
-        in
-        Rig.up nic;
-        let crossings = Scenario.kernel_user_crossings () in
-        E1000_drv.rmmod t;
-        crossings)
-  in
   { plan_bytes = E1000_objects.wire_size; full_bytes; init_transfers }
 
 let measure () =
+  let indirect_init_ns, indirect_c_java_calls, init_transfers =
+    e1000_decaf_init ~direct:false
+  in
+  let direct_init_ns, direct_c_java_calls, _ = e1000_decaf_init ~direct:true in
   {
-    direct_marshal = measure_direct_marshal ();
+    direct_marshal =
+      {
+        indirect_init_ns;
+        direct_init_ns;
+        indirect_c_java_calls;
+        direct_c_java_calls;
+      };
     lock_cost = measure_lock_cost ();
-    marshal_selectivity = measure_marshal_selectivity ();
+    marshal_selectivity = measure_marshal_selectivity ~init_transfers;
   }
 
 let render t =

@@ -13,6 +13,3 @@ let in_thread f =
   match !result with
   | Some v -> v
   | None -> K.Panic.bug "scenario: workload thread did not complete"
-
-let kernel_user_crossings () =
-  (Decaf_xpc.Channel.stats ()).Decaf_xpc.Channel.kernel_user_calls

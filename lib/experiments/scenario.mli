@@ -1,5 +1,5 @@
-(** Scenario plumbing shared by the experiments: boot the machine, run a
-    body in a scheduler thread, collect crossing counters. *)
+(** Scenario plumbing shared by the experiments: boot the machine and
+    run a body in a scheduler thread. *)
 
 val boot : unit -> unit
 (** {!Decaf_kernel.Boot.boot}, then register the five drivers with
@@ -8,5 +8,3 @@ val boot : unit -> unit
 val in_thread : (unit -> 'a) -> 'a
 (** Run the body as the initial kernel thread and drive the simulation
     until it completes. *)
-
-val kernel_user_crossings : unit -> int

@@ -1,7 +1,7 @@
 (** Per-driver registry snapshots for [decafctl status]. *)
 
 val driver_names : string list
-(** Names accepted by [decafctl --driver], as registered in
+(** Names accepted by [decafctl status --driver], as registered in
     {!Decaf_drivers.Driver_set}. *)
 
 val measure : unit -> Decaf_drivers.Driver_core.snapshot list

@@ -10,6 +10,7 @@ type config = {
   guard : bool;
   ring : bool;
   instances : int;
+  build : Driver_env.mode;
 }
 
 let config_name c =
@@ -19,7 +20,8 @@ let config_name c =
   ^ Printf.sprintf "+w%d" c.workers
   ^ (if c.guard then "" else "+noguard")
   ^ (if c.ring then "+ring" else "")
-  ^ if c.instances > 1 then Printf.sprintf "+i%d" c.instances else ""
+  ^ (if c.instances > 1 then Printf.sprintf "+i%d" c.instances else "")
+  ^ if c.build = Decaf then "" else "+" ^ Driver_env.mode_name c.build
 
 (* Measured in a fixed order so the JSON trajectory is stable: the four
    historical optimization combinations on the serial (one-worker) path,
@@ -40,7 +42,12 @@ let serial =
     guard = true;
     ring = false;
     instances = 1;
+    build = Driver_env.Decaf;
   }
+
+(* Table 3's other column: the same point under the original all-kernel
+   build, which crosses nothing. *)
+let native = { serial with build = Driver_env.Native }
 
 let bd ?(guard = true) ?(ring = false) workers =
   { serial with batching = true; delta = true; workers; guard; ring }
@@ -98,12 +105,13 @@ type sample = {
   fair_min_milli : int;
   fair_mean_milli : int;
   fair_max_milli : int;
+  init_ns : int;
+  init_crossings : int;
+  cpu_milli : int;
 }
 
 let perf s = float_of_int s.perf_milli /. 1000.
 
-(* Every scenario runs the decaf build: the whole point is the cost of
-   the user-level half, and the native build has no crossings to batch. *)
 let apply_config c =
   Xpc.Batch.set_enabled c.batching;
   Xpc.Marshal_plan.set_delta_enabled c.delta;
@@ -113,7 +121,13 @@ let apply_config c =
 
 let milli v = int_of_float ((v *. 1000.) +. 0.5)
 
-let finish ?(fairness = (0., 0., 0.)) ~scenario ~config ~perf ~perf_unit () =
+(* Bring-up runs from [t0] until the last interface is up: its virtual
+   time and the crossings so far. *)
+let init_since t0 =
+  (K.Clock.now () - t0, (Xpc.Channel.stats ()).Xpc.Channel.kernel_user_calls)
+
+let finish ?(fairness = (0., 0., 0.)) ~scenario ~config ~init ~perf ~cpu
+    ~perf_unit () =
   let ch = Xpc.Channel.snapshot () in
   let b = Xpc.Batch.snapshot () in
   let r = Xpc.Ring.snapshot () in
@@ -143,39 +157,38 @@ let finish ?(fairness = (0., 0., 0.)) ~scenario ~config ~perf ~perf_unit () =
     lock_wait_ns = ch.Xpc.Channel.lock_wait_ns;
     shard_hits;
     shards_used;
-    perf_milli = int_of_float ((perf *. 1000.) +. 0.5);
+    perf_milli = milli perf;
     perf_unit;
     fair_min_milli = (let mn, _, _ = fairness in milli mn);
     fair_mean_milli = (let _, me, _ = fairness in milli me);
     fair_max_milli = (let _, _, mx = fairness in milli mx);
+    init_ns = fst init;
+    init_crossings = snd init;
+    cpu_milli = milli cpu;
   }
 
 (* One single-instance cell: boot, apply [config], plug the driver's
-   device, load the decaf build, bring a NIC up, run the workload, drain
-   the batch queues and unload. *)
+   device, load the config's build, bring a NIC up, run the workload,
+   drain the batch queues and unload. The workload returns its figure of
+   merit and CPU utilization. *)
 let cell driver ~scenario ~perf_unit workload config ~duration_ns =
   Scenario.boot ();
   apply_config config;
   let dev = Rig.plug driver in
   Scenario.in_thread (fun () ->
+      let t0 = K.Clock.now () in
       Rig.ok (driver ^ " insmod")
-        (Driver_core.insmod driver ~mode:Driver_env.Decaf);
+        (Driver_core.insmod driver ~mode:config.build);
       Rig.up dev;
-      let perf = workload dev ~duration_ns in
+      let init = init_since t0 in
+      let perf, cpu = workload dev ~duration_ns in
       Xpc.Batch.drain ();
       Driver_core.rmmod driver;
-      finish ~scenario ~config ~perf ~perf_unit ())
+      finish ~scenario ~config ~init ~perf ~cpu ~perf_unit ())
 
-let goodput ~recv dev ~duration_ns =
-  (Rig.netperf ~recv dev ~duration_ns).Netperf.goodput_mbps
-
-let e1000_net which =
-  let scenario =
-    match which with
-    | `Send -> "e1000-netperf-send"
-    | `Recv -> "e1000-netperf-recv"
-  in
-  cell "e1000" ~scenario ~perf_unit:"Mb/s" (goodput ~recv:(which = `Recv))
+let netperf ?msg_bytes dir dev ~duration_ns =
+  let r = Rig.netperf ?msg_bytes ~recv:(dir = `Recv) dev ~duration_ns in
+  (r.Netperf.goodput_mbps, r.Netperf.cpu_utilization)
 
 (* --- the fleet scenario: N e1000 instances under one virtual switch --- *)
 
@@ -186,6 +199,7 @@ let e1000_fleet config ~duration_ns =
     List.init config.instances (fun port -> Rig.plug_e1000 ~port ())
   in
   Scenario.in_thread (fun () ->
+      let t0 = K.Clock.now () in
       (* one registry binding per device, all through the same module:
          instance 0 keeps the bare name, the rest are "e1000#k" *)
       let ids =
@@ -193,7 +207,7 @@ let e1000_fleet config ~duration_ns =
           (fun i _ ->
             Rig.ok "e1000 fleet bind"
               (Driver_core.bind_device "e1000" ~dev:(Rig.port_slot i)
-                 ~mode:Driver_env.Decaf ()))
+                 ~mode:config.build ()))
           links
       in
       let ports =
@@ -206,18 +220,23 @@ let e1000_fleet config ~duration_ns =
             { Vswitch.netdev; link })
           links
       in
+      let init = init_since t0 in
+      let t1 = K.Clock.now () and busy1 = K.Clock.busy_ns () in
       let r = Vswitch.run ~ports ~duration_ns ~msg_bytes:1500 in
+      let cpu = K.Clock.utilization ~since:t1 ~busy_since:busy1 in
       Xpc.Batch.drain ();
       List.iter Driver_core.rmmod ids;
-      finish ~scenario:"e1000-fleet" ~config
+      finish ~scenario:"e1000-fleet" ~config ~init
         ~fairness:(r.Vswitch.min_mbps, r.Vswitch.mean_mbps, r.Vswitch.max_mbps)
-        ~perf:r.Vswitch.aggregate_mbps ~perf_unit:"Mb/s" ())
+        ~perf:r.Vswitch.aggregate_mbps ~cpu ~perf_unit:"Mb/s" ())
 
 let default_duration_ns = 300_000_000
 
 (* Each scenario carries the configurations it is measured under: the
    single-instance scenarios sweep the full optimization matrix, the
-   fleet scenario sweeps the instance axis on the best parallel point. *)
+   fleet scenario sweeps the instance axis on the best parallel point.
+   Table 3's three extra workloads run the serial point alone, and every
+   single-instance scenario ends with its native twin. *)
 (* psmouse and ens1371 cross no tracked structure, validated field or
    ring, so their delta, guard and ring points repeat a sibling field
    for field: they measure the batching and worker axes alone, and
@@ -232,23 +251,37 @@ let scenarios ~duration_ns =
   let single driver scenario perf_unit ?(duration_ns = duration_ns)
       ?(cfgs = configs) workload =
     ( scenario,
-      cfgs,
+      cfgs @ [ native ],
       fun cfg -> cell driver ~scenario ~perf_unit workload cfg ~duration_ns )
   in
   [
-    ("e1000-netperf-send", configs, fun cfg -> e1000_net `Send cfg ~duration_ns);
-    ("e1000-netperf-recv", configs, fun cfg -> e1000_net `Recv cfg ~duration_ns);
-    single "8139too" "8139too-netperf-send" "Mb/s" (goodput ~recv:false);
+    single "e1000" "e1000-netperf-send" "Mb/s" (netperf `Send);
+    single "e1000" "e1000-netperf-recv" "Mb/s" (netperf `Recv);
+    (* the paper's UDP test sends 1-byte messages *)
+    single "e1000" "e1000-netperf-udp-1B" "Mb/s" ~cfgs:[ serial ]
+      (netperf ~msg_bytes:1 `Send);
+    single "8139too" "8139too-netperf-send" "Mb/s" (netperf `Send);
+    single "8139too" "8139too-netperf-recv" "Mb/s" ~cfgs:[ serial ]
+      (netperf `Recv);
     single "psmouse" "psmouse-move" "ev/s"
       ~duration_ns:(max duration_ns 2_000_000_000)
       ~cfgs:psmouse_configs
       (fun dev ~duration_ns ->
-        (Rig.move dev ~duration_ns).Mouse_move.event_rate_hz);
+        let r = Rig.move dev ~duration_ns in
+        (r.Mouse_move.event_rate_hz, r.Mouse_move.cpu_utilization));
     (* realtime factor of playback with no mid-stream underrun *)
     single "ens1371" "ens1371-mpg123" "rt" ~cfgs:ens1371_configs
       (fun dev ~duration_ns ->
         let r = Rig.play dev ~duration_ns in
-        if r.Mpg123.underruns <= 1 then r.Mpg123.realtime_factor else 0.0);
+        ( (if r.Mpg123.underruns <= 1 then r.Mpg123.realtime_factor else 0.0),
+          r.Mpg123.cpu_utilization ));
+    (* an archive of 64 KB files sized to about fill the run at USB 1.1
+       speed *)
+    single "uhci-hcd" "uhci-hcd-tar" "kb/s" ~cfgs:[ serial ]
+      (fun dev ~duration_ns ->
+        let files = max 1 (1_200 * (duration_ns / 1_000_000) / 65_536) in
+        let r = Rig.untar ~files ~file_bytes:65_536 dev in
+        (r.Tar_usb.goodput_kbps, r.Tar_usb.cpu_utilization));
     ("e1000-fleet", fleet_configs, fun cfg -> e1000_fleet cfg ~duration_ns);
   ]
 
@@ -256,7 +289,8 @@ let scenario_names =
   List.map (fun (n, _, _) -> n) (scenarios ~duration_ns:default_duration_ns)
 
 let config_names () =
-  List.sort_uniq compare (List.map config_name (configs @ fleet_configs))
+  List.sort_uniq compare
+    (List.map config_name ((native :: configs) @ fleet_configs))
 
 (* [scenario]/[config] narrow the matrix to one row/column (by the
    names the table and trajectory print), so a single cell can be
@@ -282,6 +316,16 @@ let measure ?(duration_ns = default_duration_ns) ?scenario ?config () =
 let find samples ~scenario ~config =
   List.find_opt (fun s -> s.scenario = scenario && s.config = config) samples
 
+let ratio x y = if perf x = 0. then 1. else perf y /. perf x
+
+let native_twins samples =
+  List.filter_map
+    (fun d ->
+      match find samples ~scenario:d.scenario ~config:native with
+      | Some n when d.config = serial -> Some (d, n)
+      | _ -> None)
+    samples
+
 let reduction ~off ~on =
   if off = 0 then 0.
   else 100. *. float_of_int (off - on) /. float_of_int off
@@ -289,15 +333,19 @@ let reduction ~off ~on =
 let render samples =
   let buf = Buffer.create 4096 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  add "Concurrent XPC dispatch matrix (decaf build, %d configs)\n"
-    (List.length configs);
-  add "%-20s %-17s %9s %8s %10s %7s %7s %7s %10s %6s %6s %10s\n" "Scenario"
-    "Config" "Crossings" "C/Java" "Bytes" "Posted" "Deliv" "Flushes" "XpcUs"
-    "LockC" "Shards" "Perf";
+  add "Concurrent XPC dispatch matrix (%d cells)\n" (List.length samples);
+  let width =
+    List.fold_left
+      (fun w s -> max w (String.length (config_name s.config)))
+      (String.length "Config") samples
+  in
+  add "%-20s %-*s %9s %8s %10s %7s %7s %7s %10s %6s %6s %10s\n" "Scenario"
+    width "Config" "Crossings" "C/Java" "Bytes" "Posted" "Deliv" "Flushes"
+    "XpcUs" "LockC" "Shards" "Perf";
   List.iter
     (fun s ->
-      add "%-20s %-17s %9d %8d %10d %7d %7d %7d %10d %6d %6d %7.2f %s\n"
-        s.scenario (config_name s.config) s.crossings s.c_java s.bytes
+      add "%-20s %-*s %9d %8d %10d %7d %7d %7d %10d %6d %6d %7.2f %s\n"
+        s.scenario width (config_name s.config) s.crossings s.c_java s.bytes
         s.posted s.delivered s.flushes (s.xpc_ns / 1_000) s.lock_contended
         s.shards_used (perf s) s.perf_unit)
     samples;
@@ -306,19 +354,22 @@ let render samples =
       (fun s -> if s.config = serial then Some s.scenario else None)
       samples
   in
-  (* One summary: a row per scenario that measured both [a] and [b]. *)
+  (* One summary: a row per scenario that measured both [a] and [b],
+     under a header only when some scenario did. *)
   let versus title columns a b row =
-    add "\n%-20s %s\n" title columns;
-    List.iter
-      (fun scenario ->
-        match
-          (find samples ~scenario ~config:a, find samples ~scenario ~config:b)
-        with
-        | Some x, Some y -> row scenario x y
-        | _ -> ())
-      names
+    let pairs =
+      List.filter_map
+        (fun scenario ->
+          match
+            (find samples ~scenario ~config:a, find samples ~scenario ~config:b)
+          with
+          | Some x, Some y -> Some (scenario, x, y)
+          | _ -> None)
+        names
+    in
+    if pairs <> [] then add "\n%-20s %s\n" title columns;
+    List.iter (fun (scenario, x, y) -> row scenario x y) pairs
   in
-  let ratio x y = if perf x = 0. then 1. else perf y /. perf x in
   versus "batch+delta vs off" "   crossings        bytes       perf" serial
     (bd 1) (fun scenario off on ->
       add "%-20s %11.1f%% %11.1f%% %9.3fx\n" scenario
@@ -389,6 +440,7 @@ let json_line s =
          ("guard", flag s.config.guard);
          ("ring", flag s.config.ring);
          ("instances", Int s.config.instances);
+         ("build", Str (Driver_env.mode_name s.config.build));
          ("crossings", Int s.crossings);
          ("c_java", Int s.c_java);
          ("bytes", Int s.bytes);
@@ -408,6 +460,9 @@ let json_line s =
          ("fair_min_milli", Int s.fair_min_milli);
          ("fair_mean_milli", Int s.fair_mean_milli);
          ("fair_max_milli", Int s.fair_max_milli);
+         ("init_ns", Int s.init_ns);
+         ("init_crossings", Int s.init_crossings);
+         ("cpu_milli", Int s.cpu_milli);
        ])
 
 let to_json ~duration_ns samples =
@@ -462,4 +517,34 @@ let acceptance samples =
         twins rest
   in
   twins samples;
+  (* Table 3: against its native twin, a decaf serial cell does the same
+     work (perf within 1%) for the same CPU (within 2 points), and its
+     bring-up takes over twice as long and crosses at least three times
+     where native crosses none *)
+  List.iter
+    (fun (d, n) ->
+      let rel = ratio n d in
+      if rel <= 0.99 || rel >= 1.01 then
+        complain "%s: decaf perf is %.4fx native, not within 1%%" d.scenario
+          rel;
+      if d.init_ns <= 2 * n.init_ns then
+        complain "%s: decaf init %d ns is not over 2x native %d ns"
+          d.scenario d.init_ns n.init_ns;
+      if d.init_crossings < 3 || n.init_crossings <> 0 then
+        complain "%s: init crossings %d decaf, %d native (want >= 3 and 0)"
+          d.scenario d.init_crossings n.init_crossings;
+      if abs (d.cpu_milli - n.cpu_milli) >= 20 then
+        complain "%s: CPU %d per mille decaf vs %d native, 2 points or more"
+          d.scenario d.cpu_milli n.cpu_milli)
+    (native_twins samples);
+  (* the native build is kernel code: no cell of it reaches the XPC
+     layer (every counter is non-negative) *)
+  List.iter
+    (fun s ->
+      if s.config.build = Driver_env.Native
+         && s.crossings + s.c_java + s.bytes + s.posted + s.doorbells
+            + s.xpc_ns > 0
+      then complain "%s %s: native build reached XPC" s.scenario
+          (config_name s.config))
+    samples;
   List.rev !complaints

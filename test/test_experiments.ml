@@ -56,31 +56,6 @@ let test_table2_partitions_sound () =
       | Error msg -> Alcotest.failf "%s unsound: %s" name msg)
     (E.Table2.outputs ())
 
-(* --- Table 3 --- *)
-
-let test_table3_shape () =
-  let rows = E.Table3.measure ~duration_ns:200_000_000 () in
-  check "eight rows" 8 (List.length rows);
-  List.iter
-    (fun row ->
-      let rel = E.Table3.relative_performance row in
-      check_bool
-        (Printf.sprintf "%s/%s within 1%% of native" row.E.Table3.driver
-           row.E.Table3.workload)
-        true
-        (rel > 0.99 && rel < 1.01);
-      check_bool "decaf init slower" true
-        (row.E.Table3.decaf.E.Table3.init_ns
-        > 2 * row.E.Table3.native.E.Table3.init_ns);
-      check_bool "decaf init crossed the boundary" true
-        (row.E.Table3.decaf.E.Table3.init_crossings >= 3);
-      check_bool "native init did not" true
-        (row.E.Table3.native.E.Table3.init_crossings = 0);
-      check_bool "cpu within 2 points" true
-        (Float.abs (row.E.Table3.decaf.E.Table3.cpu -. row.E.Table3.native.E.Table3.cpu)
-        < 0.02))
-    rows
-
 (* --- Table 4 --- *)
 
 let test_table4_shape () =
@@ -212,7 +187,6 @@ let () =
           tc "shape" test_table2_shape;
           tc "partitions sound" test_table2_partitions_sound;
         ] );
-      ("table3", [ tc "shape" test_table3_shape ]);
       ( "table4",
         [
           tc "shape" test_table4_shape;

@@ -10,34 +10,17 @@ module Xpc = Decaf_xpc
 
 let check_bool = Alcotest.(check bool)
 
-let w1 = 1
+(* One matrix cell, by the names the table prints. *)
+let cell ?(duration_ns = E.Xpcperf.default_duration_ns) scenario config =
+  match E.Xpcperf.measure ~duration_ns ~scenario ~config () with
+  | [ s ] -> s
+  | _ -> Alcotest.failf "%s %s is not a measured cell" scenario config
+
+let send_cell = cell "e1000-netperf-send"
 
 let test_netperf_e1000_gain () =
-  let duration_ns = 300_000_000 in
-  let off =
-    E.Xpcperf.e1000_net `Send
-      {
-        E.Xpcperf.batching = false;
-        delta = false;
-        workers = w1;
-        guard = true;
-        ring = false;
-        instances = 1;
-      }
-      ~duration_ns
-  in
-  let on =
-    E.Xpcperf.e1000_net `Send
-      {
-        E.Xpcperf.batching = true;
-        delta = true;
-        workers = w1;
-        guard = true;
-        ring = false;
-        instances = 1;
-      }
-      ~duration_ns
-  in
+  let off = send_cell "nobatch+full+w1" in
+  let on = send_cell "batch+delta+w1" in
   let fi = float_of_int in
   Alcotest.(check string) "same scenario" off.E.Xpcperf.scenario
     on.E.Xpcperf.scenario;
@@ -63,21 +46,8 @@ let test_netperf_e1000_gain () =
     && on.E.Xpcperf.flushes < on.E.Xpcperf.delivered)
 
 let test_netperf_e1000_workers () =
-  let duration_ns = 300_000_000 in
-  let run workers =
-    E.Xpcperf.e1000_net `Send
-      {
-        E.Xpcperf.batching = true;
-        delta = true;
-        workers;
-        guard = true;
-        ring = false;
-        instances = 1;
-      }
-      ~duration_ns
-  in
-  let s1 = run 1 in
-  let s4 = run 4 in
+  let s1 = send_cell "batch+delta+w1" in
+  let s4 = send_cell "batch+delta+w4" in
   (* The lane accounting must show a shorter critical path with more
      workers, and the cost-adjusted goodput must strictly improve. *)
   check_bool
@@ -123,21 +93,8 @@ let test_netperf_e1000_workers () =
    crossings — each batch flush becomes at most one doorbell, for a
    >= 5x reduction — without giving back goodput or dropping slots. *)
 let test_netperf_e1000_ring () =
-  let duration_ns = 300_000_000 in
-  let run ring =
-    E.Xpcperf.e1000_net `Send
-      {
-        E.Xpcperf.batching = true;
-        delta = true;
-        workers = w1;
-        guard = true;
-        ring;
-        instances = 1;
-      }
-      ~duration_ns
-  in
-  let bd = run false in
-  let rg = run true in
+  let bd = send_cell "batch+delta+w1" in
+  let rg = send_cell "batch+delta+w1+ring" in
   check_bool "ring produced slot records" true (rg.E.Xpcperf.ring_produced > 0);
   check_bool
     (Printf.sprintf "doorbells >=5x fewer than flushes (%d flushes -> %d bells)"
@@ -217,10 +174,10 @@ let sample ?(fleet = (0, 0)) scenario instances perf_milli =
     E.Xpcperf.scenario;
     config =
       {
-        E.Xpcperf.batching = true;
+        E.Xpcperf.serial with
+        batching = true;
         delta = true;
         workers = 4;
-        guard = true;
         ring = true;
         instances;
       };
@@ -243,6 +200,9 @@ let sample ?(fleet = (0, 0)) scenario instances perf_milli =
     fair_min_milli;
     fair_mean_milli = (fair_min_milli + fair_max_milli) / 2;
     fair_max_milli;
+    init_ns = 330_000_000;
+    init_crossings = 21;
+    cpu_milli = 150;
   }
 
 (* The fleet's i1 and i64 cells, at [scale] times the single instance's
@@ -253,7 +213,38 @@ let fleet ~scale ~spread:(lo, hi) =
     sample ~fleet:(lo, hi) "e1000-fleet" 64 (scale * 1_000);
   ]
 
-let sound = fleet ~scale:8 ~spread:(120, 130)
+(* Table 3's e1000 send row: the serial decaf cell and its native twin,
+   which crosses nothing, at the shape the paper reports. *)
+let decaf =
+  {
+    (sample "e1000-netperf-send" 1 996_947) with
+    E.Xpcperf.config = E.Xpcperf.serial;
+    init_ns = 350_679_820;
+    init_crossings = 23;
+    cpu_milli = 370;
+  }
+
+let native =
+  {
+    decaf with
+    E.Xpcperf.config = E.Xpcperf.native;
+    crossings = 0;
+    c_java = 0;
+    bytes = 0;
+    posted = 0;
+    delivered = 0;
+    flushes = 0;
+    doorbells = 0;
+    ring_produced = 0;
+    xpc_ns = 0;
+    shard_hits = 0;
+    shards_used = 0;
+    init_ns = 50_027_120;
+    init_crossings = 0;
+    cpu_milli = 357;
+  }
+
+let sound = fleet ~scale:8 ~spread:(120, 130) @ [ decaf; native ]
 
 let complaints samples = List.length (E.Xpcperf.acceptance samples)
 
@@ -278,6 +269,8 @@ let test_acceptance_fleet_spread () =
 let test_acceptance_partial () =
   let i64 = List.nth (fleet ~scale:7 ~spread:(100, 110)) 1 in
   Alcotest.(check int) "i64 alone: no scaling baseline" 0 (complaints [ i64 ]);
+  Alcotest.(check int) "a decaf cell alone: no native twin" 0
+    (complaints [ { decaf with E.Xpcperf.init_crossings = 0 } ]);
   Alcotest.(check int) "i64 alone is still held to its spread" 1
     (complaints [ { i64 with E.Xpcperf.fair_max_milli = 300 } ])
 
@@ -294,6 +287,69 @@ let test_acceptance_twins () =
        (sound
        @ [ cell w1; { (cell w4) with E.Xpcperf.scenario = "ens1371-mpg123" } ]
        ))
+
+(* Table 3's gates, one broken at a time in the e1000 send pair. *)
+let table3 ~decaf:d ~native:n =
+  complaints (fleet ~scale:8 ~spread:(120, 130) @ [ d; n ])
+
+let test_acceptance_parity () =
+  Alcotest.(check int) "decaf perf 1% under native" 1
+    (table3 ~decaf:{ decaf with E.Xpcperf.perf_milli = 986_977 } ~native);
+  Alcotest.(check int) "decaf perf 1% over native" 1
+    (table3 ~decaf:{ decaf with E.Xpcperf.perf_milli = 1_006_917 } ~native);
+  Alcotest.(check int) "decaf perf 0.9% under native" 0
+    (table3 ~decaf:{ decaf with E.Xpcperf.perf_milli = 988_000 } ~native)
+
+let test_acceptance_init_ratio () =
+  Alcotest.(check int) "decaf init only 2x native" 1
+    (table3 ~decaf:{ decaf with E.Xpcperf.init_ns = 100_054_240 } ~native)
+
+let test_acceptance_init_crossings () =
+  Alcotest.(check int) "decaf init crossed twice" 1
+    (table3 ~decaf:{ decaf with E.Xpcperf.init_crossings = 2 } ~native);
+  Alcotest.(check int) "native init crossed" 1
+    (table3 ~decaf ~native:{ native with E.Xpcperf.init_crossings = 1 })
+
+let test_acceptance_cpu () =
+  Alcotest.(check int) "CPU 2 points apart" 1
+    (table3 ~decaf:{ decaf with E.Xpcperf.cpu_milli = 377 } ~native);
+  Alcotest.(check int) "CPU 1.9 points apart" 0
+    (table3 ~decaf:{ decaf with E.Xpcperf.cpu_milli = 376 } ~native)
+
+(* The native build is kernel code: one crossing anywhere in its run is
+   one complaint, with or without its decaf twin. *)
+let test_acceptance_native_xpc_free () =
+  let crossed = { native with E.Xpcperf.crossings = 1 } in
+  Alcotest.(check int) "a native cell with one crossing" 1
+    (complaints [ crossed ]);
+  Alcotest.(check int) "the same cell beside its decaf twin" 1
+    (table3 ~decaf ~native:crossed);
+  Alcotest.(check int) "a decaf cell that crosses" 0 (complaints [ decaf ])
+
+(* The table sizes its Config column to the longest name it prints and
+   prints a summary only over rows; the title counts the cells. *)
+let test_render_filtered () =
+  let out = E.Xpcperf.render (fleet ~scale:8 ~spread:(120, 130) @ [ native ]) in
+  let lines = String.split_on_char '\n' out in
+  let header = List.nth lines 1 in
+  let crossings_end =
+    let rec find i =
+      if String.sub header i 9 = "Crossings" then i + 9 else find (i + 1)
+    in
+    find 0
+  in
+  Alcotest.(check string) "title counts the cells"
+    "Concurrent XPC dispatch matrix (3 cells)" (List.hd lines);
+  List.iteri
+    (fun i line ->
+      if i >= 2 && i <= 4 then
+        check_bool
+          (Printf.sprintf "crossings column aligned: %S" line)
+          true
+          (line.[crossings_end - 1] = '3' || line.[crossings_end - 1] = '0'))
+    lines;
+  check_bool "no summary without its two cells" false
+    (Testutil.contains out "batch+delta vs off")
 
 (* --- the knob table: every cost field reaches what it prices --- *)
 
@@ -325,7 +381,7 @@ let untracked = [ mouse; audio ]
 let quiet = [ rtl; mouse; audio ]
 
 (* One pass: every cell's sample and e1000's Table 3 init latency, decaf
-   and native. *)
+   (the serial send cell) and native (its twin). *)
 type pass = {
   samples : ((string * string) * E.Xpcperf.sample) list;
   init : int;
@@ -336,20 +392,17 @@ let knob_duration_ns = 20_000_000
 
 let measure_pass () =
   let sample ((scenario, config) as c) =
-    match
-      E.Xpcperf.measure ~duration_ns:knob_duration_ns ~scenario ~config ()
-    with
-    | [ s ] -> (c, s)
-    | _ -> Alcotest.failf "%s %s is not a measured cell" scenario config
+    (c, cell ~duration_ns:knob_duration_ns scenario config)
   in
-  let init mode =
-    (E.Table3.cell "e1000" "netperf-send" ~duration_ns:knob_duration_ns mode)
-      .E.Table3.init_ns
+  let samples = List.map sample cells in
+  let twin =
+    cell ~duration_ns:knob_duration_ns "e1000-netperf-send"
+      "nobatch+full+w1+native"
   in
   {
-    samples = List.map sample cells;
-    init = init Decaf_drivers.Driver_env.Decaf;
-    native_init = init Decaf_drivers.Driver_env.Native;
+    samples;
+    init = (List.assoc send_serial samples).E.Xpcperf.init_ns;
+    native_init = twin.E.Xpcperf.init_ns;
   }
 
 (* A reading: one number of a pass, named for the failure message. *)
@@ -529,6 +582,17 @@ let () =
           Alcotest.test_case "a partial matrix keeps its gates" `Quick
             test_acceptance_partial;
           Alcotest.test_case "twin cells fail" `Quick test_acceptance_twins;
+          Alcotest.test_case "Table 3 perf parity" `Quick
+            test_acceptance_parity;
+          Alcotest.test_case "Table 3 init ratio" `Quick
+            test_acceptance_init_ratio;
+          Alcotest.test_case "Table 3 init crossings" `Quick
+            test_acceptance_init_crossings;
+          Alcotest.test_case "Table 3 CPU" `Quick test_acceptance_cpu;
+          Alcotest.test_case "a native cell reaches no XPC" `Quick
+            test_acceptance_native_xpc_free;
+          Alcotest.test_case "render fits a filtered matrix" `Quick
+            test_render_filtered;
           Alcotest.test_case "every cost knob moves what it prices" `Quick
             test_knob_table;
         ] );
