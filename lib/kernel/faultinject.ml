@@ -66,6 +66,13 @@ let record ~site ~addr kind =
     { inj_site = site; inj_addr = addr; inj_kind = kind; inj_seq = !injected }
     :: !log_v
 
+(* [Random.State.float rng 1.0 < p] without boxing the float: the same
+   53-bit draw, redrawn on zero as the stdlib's [rawfloat] does, so the
+   same state makes the same decision and is left the same. *)
+let rec draw rng p =
+  let n = Int64.shift_right_logical (Random.State.bits64 rng) 11 in
+  if n <> 0L then Int64.to_float n *. 0x1.p-53 < p else draw rng p
+
 (* Evaluate one armed spec's trigger against its own match counter. The
    counter advances on every match, fired or not, so a [Span] models "the
    k-th through (k+n-1)-th accesses to this site go wrong". *)
@@ -74,7 +81,7 @@ let eval p (a : armed) =
   match a.spec.trigger with
   | Always -> true
   | Span (first, count) -> a.matched >= first && a.matched < first + count
-  | Prob pr -> Random.State.float p.rng 1.0 < pr
+  | Prob pr -> draw p.rng pr
 
 (* Evaluate every spec matching the access, in plan order, and tell
    whether any fired: each match advances its spec's counter (and a

@@ -58,6 +58,11 @@ val filter_read : site:string -> addr:int -> int -> int
 (** Pass a register/word read through the plan, applying any firing
     [Stuck_ones]/[Stuck_zero]/[Bad_read] spec to the value. *)
 
+val draw : Random.State.t -> float -> bool
+(** [draw rng p] is a [Prob p] trigger's decision: what
+    [Random.State.float rng 1.0 < p] returns, from the same draws and
+    leaving [rng] in the same state, without boxing a float. *)
+
 val injected_count : unit -> int
 val injections : unit -> injection list
 

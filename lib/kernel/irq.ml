@@ -3,22 +3,15 @@
 let nr_irqs = 1024
 let retry_ns = 500
 
-(* Safety net for a line stuck behind a delivery window that no hook
-   ever closes; the backlog drain is the real wake, so this only has to
-   be rare enough not to matter. *)
-let fallback_ns = 100_000
-
 type line = {
   mutable handler : (string * (unit -> unit)) option;
   mutable disable_depth : int;
   mutable pending : bool;
   mutable delivered : int;
-  mutable queued : bool;  (* waiting in the blocked-line backlog *)
-  mutable retry_armed : bool;
-      (* a fallback retry event is outstanding: at most one per line,
-         or a fleet of devices asserting during long irq-masked windows
-         schedules one retry chain per assertion and the event queue
-         grows with traffic instead of with line count *)
+  mutable queued : bool;
+      (* in the blocked-line backlog: only the drain and a boot clear
+         it, so [free_irq] leaves it set and a re-requested line is
+         never queued twice *)
   mutable born : int;
       (* birth stamp of the oldest undelivered assertion, -1 when none:
          re-assertions while pending coalesce onto it, so the recorded
@@ -33,7 +26,6 @@ let fresh_line () =
     pending = false;
     delivered = 0;
     queued = false;
-    retry_armed = false;
     born = -1;
   }
 
@@ -59,8 +51,6 @@ let free_irq n =
   Ktrace.note traces.(n) Ktrace.Write;
   l.handler <- None;
   l.pending <- false;
-  l.queued <- false;
-  l.retry_armed <- false;
   l.born <- -1
 
 let cpu_can_take_irq () = not (Sched.irqs_masked () || Sched.in_interrupt ())
@@ -80,14 +70,16 @@ let rec run_at_high_priority f =
   else ignore (Clock.after retry_ns (fun () -> run_at_high_priority f))
 
 (* Lines that asserted while the CPU could not take an interrupt, in
-   arrival order. They wait silently — like an interrupt controller
-   holding lines high — and are delivered back-to-back the moment a
-   delivery window opens (the [Sched] irq-window hook fires on every
-   exit from interrupt context and irq unmask). A convoy of N pending
-   devices therefore costs N deliveries, not N^2 retry polls; a
-   long-period fallback timer covers only the windows no hook ever
-   closes. *)
-let backlog : int Queue.t = Queue.create ()
+   arrival order: a ring of [nr_irqs] slots, enough because [queued]
+   admits each line once. They wait silently — like an interrupt
+   controller holding lines high — and are delivered back-to-back the
+   moment a delivery window opens. A window opens only when the CPU
+   leaves interrupt context or unmasks, and the [Sched] irq-window hook
+   runs on both, so no timer has to look for one. A convoy of N pending
+   devices costs N deliveries. *)
+let backlog = Array.make nr_irqs 0
+let backlog_head = ref 0
+let backlog_len = ref 0
 
 let rec try_deliver n =
   let l = lines.(n) in
@@ -115,28 +107,22 @@ let rec try_deliver n =
           try_deliver n
       | None -> incr spurious_count
     end
-    else begin
-      if not l.queued then begin
-        l.queued <- true;
-        Queue.push n backlog
-      end;
-      if not l.retry_armed then begin
-        l.retry_armed <- true;
-        ignore
-          (Clock.after fallback_ns (fun () ->
-               l.retry_armed <- false;
-               try_deliver n))
-      end
+    else if not l.queued then begin
+      if !backlog_len = nr_irqs then Panic.bug "irq backlog overflow";
+      l.queued <- true;
+      backlog.((!backlog_head + !backlog_len) mod nr_irqs) <- n;
+      incr backlog_len
     end
 
 and drain_backlog () =
-  if cpu_can_take_irq () then
-    match Queue.take_opt backlog with
-    | Some n ->
-        lines.(n).queued <- false;
-        try_deliver n;
-        drain_backlog ()
-    | None -> ()
+  if !backlog_len > 0 && cpu_can_take_irq () then begin
+    let n = backlog.(!backlog_head) in
+    backlog_head := (!backlog_head + 1) mod nr_irqs;
+    decr backlog_len;
+    lines.(n).queued <- false;
+    try_deliver n;
+    drain_backlog ()
+  end
 
 let () = Sched.set_irq_window_hook drain_backlog
 
@@ -175,8 +161,10 @@ let reset () =
       l.pending <- false;
       l.delivered <- 0;
       l.queued <- false;
-      l.retry_armed <- false;
       l.born <- -1)
     lines;
-  Queue.clear backlog;
-  spurious_count := 0
+  backlog_head := 0;
+  backlog_len := 0;
+  spurious_count := 0;
+  (* a test may have replaced the hook; a boot restores this one *)
+  Sched.set_irq_window_hook drain_backlog

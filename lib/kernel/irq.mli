@@ -12,12 +12,18 @@ val request_irq : int -> name:string -> (unit -> unit) -> unit
     is out of range or already claimed. *)
 
 val free_irq : int -> unit
+(** Remove the line's handler and drop a pending assertion. A line still
+    waiting in the blocked-line backlog stays there until the next
+    delivery window, so a re-request never queues it twice. *)
 
 val raise_irq : int -> unit
 (** Assert the line from a device model. Delivery is immediate unless the
     line is disabled, the CPU has interrupts masked, or another handler is
-    running; a pending assertion is delivered as soon as possible and
-    multiple assertions while pending coalesce (level-triggered). *)
+    running. Multiple assertions while pending coalesce (level-triggered).
+    A pending line is delivered when its window opens, with no timer:
+    at {!enable_irq} for a disabled line, and otherwise from a backlog of
+    {!nr_irqs} slots that the {!Sched} irq-window hook drains when the
+    CPU leaves interrupt context or unmasks. *)
 
 val disable_irq : int -> unit
 (** Disable delivery on the line (counting). *)
@@ -35,3 +41,5 @@ val spurious : unit -> int
 (** Interrupts raised on lines with no handler. *)
 
 val reset : unit -> unit
+(** Power-on state: every line free, the backlog empty, and the backlog
+    drain installed as the {!Sched} irq-window hook again. *)

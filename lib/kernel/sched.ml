@@ -1,16 +1,37 @@
 open Effect
 open Effect.Deep
 
-type thread = { tid : int; name : string }
+(* A thread carries its own resume state: [k] is where it continues
+   ([parked] until its first dispatch runs [body]) and [next] links it
+   into the run queue, so queueing it builds nothing. *)
+type thread = {
+  tid : int;
+  name : string;
+  body : unit -> unit;
+  mutable k : (unit, unit) continuation;
+  mutable next : thread;
+}
 
 exception Would_block_in_atomic of string
 
 type _ Effect.t +=
   | Yield : unit Effect.t
+  | Sleep : unit Effect.t
   | Suspend : ((unit -> unit) -> unit) -> unit Effect.t
 
-let runq : (thread * (unit -> unit)) Queue.t = Queue.create ()
-let cpu = { tid = 0; name = "<cpu>" }
+(* A continuation that nothing resumes, parked once at startup: the
+   resume state of [cpu], which is never dispatched, and of a thread
+   that has not run yet. *)
+let parked : (unit, unit) continuation =
+  let k : (unit, unit) continuation option ref = ref None in
+  let effc (type a) (eff : a Effect.t) : ((a, unit) continuation -> unit) option
+      =
+    match eff with Yield -> Some (fun c -> k := Some c) | _ -> None
+  in
+  match_with perform Yield { retc = ignore; exnc = raise; effc };
+  Option.get !k
+
+let rec cpu = { tid = 0; name = "<cpu>"; body = ignore; k = parked; next = cpu }
 let cur = ref cpu
 let next_tid = ref 1
 let irq_depth = ref 0
@@ -72,38 +93,68 @@ let assert_may_block what =
   else if !window_hook_depth > 0 then
     raise (Would_block_in_atomic (what ^ " in irq-window hook"))
 
-let enqueue t f = Queue.push (t, f) runq
-let runnable_count () = Queue.length runq
+(* The run queue: a FIFO threaded through the threads' [next] links,
+   empty when [head] is [cpu]. A thread is pushed only while it is
+   neither running nor queued (by its own yield, its sleep's clock
+   event or a once-only wake), so it is never queued twice. *)
+let head = ref cpu
+let tail = ref cpu
+let queued = ref 0
 
-let handler (t : thread) : (unit, unit) Effect.Deep.handler =
+let push t =
+  t.next <- cpu;
+  if !head == cpu then head := t else !tail.next <- t;
+  tail := t;
+  incr queued
+
+let pop () =
+  let t = !head in
+  head := t.next;
+  decr queued;
+  t
+
+let runnable_count () = !queued
+
+(* Each thread's handler is built once, when it first runs, with the
+   answers to its payload-free yield and sleep and the wakeup its sleeps
+   arm the clock with: neither allocates beyond the continuation
+   [perform] builds. A generic suspend builds its own once-only
+   wakeup. *)
+let nap = ref 0
+
+let handler t : (unit, unit) handler =
+  let wake () = push t in
+  let on_yield = Some (fun k -> t.k <- k; wake ())
+  and on_sleep = Some (fun k -> t.k <- k; ignore (Clock.after !nap wake)) in
   {
-    retc = (fun () -> ());
+    retc = ignore;
     exnc = raise;
     effc =
-      (fun (type a) (eff : a Effect.t) ->
+      (fun (type a) (eff : a Effect.t) :
+           ((a, unit) continuation -> unit) option ->
         match eff with
-        | Yield ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                enqueue t (fun () -> continue k ()))
+        | Yield -> on_yield
+        | Sleep -> on_sleep
         | Suspend register ->
             Some
-              (fun (k : (a, unit) continuation) ->
+              (fun k ->
+                t.k <- k;
                 let fired = ref false in
-                let wake () =
-                  if not !fired then begin
-                    fired := true;
-                    enqueue t (fun () -> continue k ())
-                  end
-                in
-                register wake)
+                register (fun () ->
+                    if not !fired then begin
+                      fired := true;
+                      wake ()
+                    end))
         | _ -> None);
   }
 
+(* The fiber is made by the first dispatch, not here: OCaml never frees
+   the stack of a continuation that is dropped unresumed, and a reboot
+   drops every queued thread. *)
 let spawn ?(name = "kthread") body =
-  let t = { tid = !next_tid; name } in
+  let t = { tid = !next_tid; name; body; k = parked; next = cpu } in
   incr next_tid;
-  enqueue t (fun () -> match_with body () (handler t));
+  push t;
   t
 
 let yield () = perform Yield
@@ -113,7 +164,9 @@ let suspend ~register =
   perform (Suspend register)
 
 let sleep_ns ns =
-  suspend ~register:(fun wake -> ignore (Clock.after ns wake))
+  assert_may_block "blocking";
+  nap := ns;
+  perform Sleep
 
 (* --- exploration controller -------------------------------------------
 
@@ -134,24 +187,29 @@ let controller : (choice array -> int) option ref = ref None
 let set_controller f = controller := Some f
 let clear_controller () = controller := None
 
-(* Remove and return the [n]th entry of the run queue, preserving the
-   order of the rest. *)
+(* Unlink and return the [n]th queued thread, keeping the others'
+   order. *)
 let take_nth n =
-  let entries = List.of_seq (Queue.to_seq runq) in
-  Queue.clear runq;
-  let picked = ref None in
-  List.iteri
-    (fun i e -> if i = n then picked := Some e else Queue.push e runq)
-    entries;
-  match !picked with
-  | Some e -> e
-  | None -> Panic.bug "Sched.take_nth: choice %d out of range" n
+  if n < 0 || n >= !queued then
+    Panic.bug "Sched.take_nth: choice %d out of range" n
+  else if n = 0 then pop ()
+  else begin
+    let prev = ref !head in
+    for _ = 2 to n do
+      prev := !prev.next
+    done;
+    let t = !prev.next in
+    !prev.next <- t.next;
+    if !tail == t then tail := !prev;
+    decr queued;
+    t
+  end
 
-let dispatch (t, step) =
+let dispatch t =
   let prev = !cur in
   cur := t;
   Clock.consume Cost.current.ctx_switch_ns;
-  step ();
+  if t.k == parked then match_with t.body () (handler t) else continue t.k ();
   cur := prev
 
 let run ?until_ns () =
@@ -162,24 +220,23 @@ let run ?until_ns () =
     if past_deadline () then ()
     else
       match !controller with
-      | None -> (
-          match Queue.take_opt runq with
-          | Some entry ->
-              dispatch entry;
-              loop ()
-          | None -> if Clock.advance_to_next_event () then loop () else ())
+      | None ->
+          if !queued > 0 then begin
+            dispatch (pop ());
+            loop ()
+          end
+          else if Clock.advance_to_next_event () then loop ()
       | Some pick ->
-          let threads = Array.of_seq (Queue.to_seq runq) in
-          let n = Array.length threads in
+          let n = !queued in
           let has_ev = Clock.has_events () in
           if n = 0 && not has_ev then ()
           else begin
-            let choices =
-              Array.init
-                (n + if has_ev then 1 else 0)
-                (fun i ->
-                  if i < n then Run_thread (fst threads.(i)) else Advance_clock)
-            in
+            let choices = Array.make (n + Bool.to_int has_ev) Advance_clock in
+            let t = ref !head in
+            for i = 0 to n - 1 do
+              choices.(i) <- Run_thread !t;
+              t := !t.next
+            done;
             let i = pick choices in
             if i < 0 then ()
             else if i < n then begin
@@ -198,7 +255,9 @@ let run ?until_ns () =
    world (Boot.boot -> Sched.reset) at the start of every execution and
    must keep steering across the reboot. *)
 let reset () =
-  Queue.clear runq;
+  head := cpu;
+  tail := cpu;
+  queued := 0;
   cur := cpu;
   irq_depth := 0;
   irq_mask := 0;

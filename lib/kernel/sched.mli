@@ -4,7 +4,11 @@
     ({!suspend}, {!sleep_ns}) or {!yield}; when no thread is runnable the
     scheduler idles the CPU forward to the next {!Clock} event. Interrupt
     handlers are not threads — they run inline from clock events with
-    {!in_interrupt} set and must never block. *)
+    {!in_interrupt} set and must never block.
+
+    A thread keeps its own resume state and run-queue link, so a
+    {!yield}, or a {!sleep_ns} and its wakeup, allocates nothing beyond
+    the continuation that [perform] builds. *)
 
 type thread
 
@@ -14,8 +18,9 @@ exception Would_block_in_atomic of string
     deferral techniques exist to avoid. *)
 
 val spawn : ?name:string -> (unit -> unit) -> thread
-(** Create a runnable thread. Uncaught exceptions from the thread body
-    abort the simulation run. *)
+(** Create a runnable thread, queued behind those already runnable.
+    Uncaught exceptions from the thread body abort the simulation
+    run. *)
 
 val current_name : unit -> string
 (** Name of the running thread, or ["<cpu>"] outside any thread. *)
@@ -32,10 +37,11 @@ val suspend : register:((unit -> unit) -> unit) -> unit
 (** Block the current thread. [register] receives the wakeup function to
     stash wherever the sleeper waits (a wait queue, a timer, ...); calling
     it makes the thread runnable again. Calling the wakeup more than once
-    is harmless. *)
+    is harmless. Each call builds its own once-only wakeup. *)
 
 val sleep_ns : int -> unit
-(** Block for the given virtual duration. *)
+(** Block for the given virtual duration: one clock event, armed with
+    the wakeup the thread was given at {!spawn}. *)
 
 val in_interrupt : unit -> bool
 (** Whether the CPU is currently executing an interrupt handler. *)
@@ -50,7 +56,8 @@ val set_irq_window_hook : (unit -> unit) -> unit
     interrupt again (leaves interrupt context with irqs unmasked, or
     unmasks with no handler running). {!Irq} hangs its blocked-line
     backlog drain here, so pending lines are delivered the moment a
-    window opens instead of polling for one. *)
+    window opens instead of polling for one; {!Irq.reset}, and so every
+    {!Boot.boot}, re-installs that drain over any other hook. *)
 
 val spin_depth : unit -> int
 (** Number of spinlocks held on this CPU; blocking is forbidden when

@@ -472,6 +472,35 @@ let test_sched_until_ns () =
   check_bool "deadline reached" true (Clock.now () >= 1_000_000);
   check_bool "stopped near deadline" true (!iterations >= 5 && !iterations <= 12)
 
+(* Allocation regressions: a thread parks its continuation in its own
+   record and is queued through its own link, and a sleep arms the clock
+   with a wakeup built once per thread, so a round costs only the
+   continuation that [perform] builds. [round] runs [n] times inside one
+   thread, after a warm-up. *)
+let words_per_round_in_thread n round =
+  Boot.boot ();
+  let words = ref nan in
+  ignore
+    (Sched.spawn (fun () ->
+         round ();
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do
+           round ()
+         done;
+         words := (Gc.minor_words () -. w0) /. float_of_int n));
+  Sched.run ();
+  !words
+
+let test_sched_sleep_alloc () =
+  let words = words_per_round_in_thread 10_000 (fun () -> Sched.sleep_ns 10) in
+  check_bool
+    (Printf.sprintf "sleep and wake: %.1f words <= 4" words)
+    true (words <= 4.)
+
+let test_sched_yield_alloc () =
+  let words = words_per_round_in_thread 10_000 Sched.yield in
+  check_bool (Printf.sprintf "yield: %.1f words <= 4" words) true (words <= 4.)
+
 (* --- Sync --- *)
 
 let test_spinlock_blocks_forbidden () =
@@ -659,13 +688,118 @@ let test_irq_masked_cpu_defers () =
   Irq.raise_irq 3;
   check "not delivered while masked" 0 !hits;
   Sched.local_irq_restore ();
-  Clock.consume 10_000;
-  check "delivered after unmask via retry" 1 !hits
+  check "delivered on unmask" 1 !hits
 
 let test_irq_spurious () =
   Boot.boot ();
   Irq.raise_irq 7;
   check "spurious counted" 1 (Irq.spurious ())
+
+(* A blocked line waits in the backlog with no timer armed and is
+   delivered once, when its delivery window opens: the handler is
+   entered at the opening time plus the dispatch cost. [delivery_log]
+   records each entry's time; the 200 us after the window show that no
+   second delivery follows. *)
+let delivery_log line =
+  let log = ref [] in
+  Irq.request_irq line ~name:"test" (fun () -> log := Clock.now () :: !log);
+  log
+
+let check_delivered_once what log opens =
+  Clock.consume 200_000;
+  Alcotest.(check (list int))
+    what
+    [ opens + Cost.current.irq_dispatch_ns ]
+    !log
+
+let test_irq_restore_delivers () =
+  Boot.boot ();
+  let log = delivery_log 3 in
+  Sched.local_irq_save ();
+  Irq.raise_irq 3;
+  check_bool "no timer armed" false (Clock.has_events ());
+  Clock.consume 5_000;
+  let opens = Clock.now () in
+  Sched.local_irq_restore ();
+  check_delivered_once "delivered once, at local_irq_restore" log opens
+
+let test_irq_handler_return_delivers () =
+  Boot.boot ();
+  let log = delivery_log 4 in
+  let armed = ref true and returns = ref 0 in
+  Irq.request_irq 5 ~name:"outer" (fun () ->
+      Irq.raise_irq 4;
+      armed := Clock.has_events ();
+      Clock.consume 5_000;
+      check "not delivered inside another handler" 0 (List.length !log);
+      returns := Clock.now ());
+  Irq.raise_irq 5;
+  check_bool "no timer armed" false !armed;
+  check_delivered_once "delivered once, when the outer handler returns" log
+    !returns
+
+let test_irq_enable_delivers () =
+  Boot.boot ();
+  let log = delivery_log 6 in
+  Irq.disable_irq 6;
+  Irq.raise_irq 6;
+  check_bool "no timer armed" false (Clock.has_events ());
+  Clock.consume 5_000;
+  let opens = Clock.now () in
+  Irq.enable_irq 6;
+  check_delivered_once "delivered once, at enable_irq" log opens
+
+(* [free_irq] leaves a queued line in the backlog, so a line freed and
+   re-requested while the CPU is masked is queued once. More cycles than
+   the backlog has slots would overflow it otherwise. *)
+let test_irq_rerequest_queues_once () =
+  Boot.boot ();
+  let hits = ref 0 in
+  Sched.local_irq_save ();
+  for _ = 0 to Irq.nr_irqs do
+    Irq.request_irq 4 ~name:"test" (fun () -> incr hits);
+    Irq.raise_irq 4;
+    Irq.free_irq 4
+  done;
+  Irq.request_irq 4 ~name:"test" (fun () -> incr hits);
+  Irq.raise_irq 4;
+  Sched.local_irq_restore ();
+  check "delivered once" 1 !hits;
+  check "on its line" 1 (Irq.delivered 4)
+
+(* A boot re-installs the backlog drain over a hook a test replaced. *)
+let test_irq_boot_restores_window_hook () =
+  Boot.boot ();
+  Sched.set_irq_window_hook ignore;
+  Boot.boot ();
+  let log = delivery_log 3 in
+  Sched.local_irq_save ();
+  Irq.raise_irq 3;
+  let opens = Clock.now () in
+  Sched.local_irq_restore ();
+  check_delivered_once "delivered at local_irq_restore" log opens
+
+(* Allocation regression: a line raised under local_irq_save waits in
+   the backlog ring and is delivered at local_irq_restore; neither
+   allocates. *)
+let test_irq_masked_alloc () =
+  Boot.boot ();
+  let hits = ref 0 in
+  Irq.request_irq 3 ~name:"test" (fun () -> incr hits);
+  let round () =
+    Sched.local_irq_save ();
+    Irq.raise_irq 3;
+    Sched.local_irq_restore ()
+  in
+  round ();
+  let n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    round ()
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  check "every round delivered" (n + 1) !hits;
+  check_bool (Printf.sprintf "masked irq: %.2f words = 0" words) true (words = 0.)
 
 (* --- Timer --- *)
 
@@ -1666,6 +1800,25 @@ let test_fi_prob_deterministic () =
       check_bool "some fire" true (List.mem true a);
       check_bool "some do not" true (List.mem false a))
 
+(* Allocation regression: an armed Prob check matches its spec and
+   draws without boxing a float. *)
+let test_fi_prob_alloc () =
+  Boot.boot ();
+  Faultinject.arm ~seed:5
+    [
+      Faultinject.spec ~site:"p" ~kind:Faultinject.Link_flap
+        ~trigger:(Faultinject.Prob 0.0) ();
+    ];
+  let fired = ref 0 and n = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    if Faultinject.fires ~site:"p" Faultinject.Link_flap then incr fired
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int n in
+  Faultinject.disarm ();
+  check "Prob 0.0 never fires" 0 !fired;
+  check_bool (Printf.sprintf "Prob check: %.2f words = 0" words) true (words = 0.)
+
 let test_fi_dma_alloc_hook () =
   run_sim (fun () ->
       Faultinject.arm ~seed:4
@@ -1752,6 +1905,18 @@ let test_fi_bad_read_on_mmio () =
       Faultinject.disarm ();
       Io.release region)
 
+(* The Prob trigger's draw is the stdlib's float draw without the box:
+   from a copy of the same state it decides the same, and it leaves the
+   state where the stdlib would. *)
+let prop_prob_draw_matches_float =
+  QCheck.Test.make ~name:"prob draw matches Random.State.float" ~count:500
+    QCheck.(pair int (oneof [ always 0.; always 1.; float_range 0. 1. ]))
+    (fun (seed, p) ->
+      let a = Random.State.make [| seed |] in
+      let b = Random.State.copy a in
+      Bool.equal (Faultinject.draw a p) (Random.State.float b 1.0 < p)
+      && Int64.equal (Random.State.bits64 a) (Random.State.bits64 b))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1760,6 +1925,7 @@ let qcheck_cases =
       prop_waitq_wake_all_counts;
       prop_busy_never_exceeds_elapsed;
       prop_clock_matches_model;
+      prop_prob_draw_matches_float;
     ]
 
 let () =
@@ -1803,6 +1969,8 @@ let () =
           tc "sleep orders by time" test_sched_sleep_orders_by_time;
           tc "suspend/wake once" test_sched_suspend_wake;
           tc "run until deadline" test_sched_until_ns;
+          tc "sleep and wake allocation" test_sched_sleep_alloc;
+          tc "yield allocation" test_sched_yield_alloc;
         ] );
       ( "sync",
         [
@@ -1822,6 +1990,13 @@ let () =
           tc "disable defers and coalesces" test_irq_disable_defers;
           tc "cpu mask defers" test_irq_masked_cpu_defers;
           tc "spurious" test_irq_spurious;
+          tc "delivered at local_irq_restore" test_irq_restore_delivers;
+          tc "delivered when the outer handler returns"
+            test_irq_handler_return_delivers;
+          tc "delivered at enable_irq" test_irq_enable_delivers;
+          tc "re-request queues once" test_irq_rerequest_queues_once;
+          tc "boot restores the window hook" test_irq_boot_restores_window_hook;
+          tc "masked irq allocation" test_irq_masked_alloc;
         ] );
       ( "timer",
         [
@@ -1890,6 +2065,7 @@ let () =
           tc "stuck reads, addr filtered" test_fi_stuck_reads_respect_addr;
           tc "bad read flips one bit" test_fi_bad_read_flips_one_bit;
           tc "prob trigger deterministic" test_fi_prob_deterministic;
+          tc "prob check allocation" test_fi_prob_alloc;
           tc "dma alloc hook" test_fi_dma_alloc_hook;
           tc "boot resets the plan" test_fi_boot_resets;
           tc "reads skip sites no plan names" test_fi_reads_skip_unnamed_sites;
