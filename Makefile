@@ -14,11 +14,11 @@ test:
 check: build test lint campaign-malicious bench-check soak explore
 
 # Exhaustive schedule exploration (DPOR) of the decaf-check episode
-# catalog at full depth, with the dynamic lock-acquisition order; fails
-# on any counterexample. The reduced-depth pass runs inside
-# `dune runtest` as @check-smoke.
+# catalog at full depth, over the five real drivers; fails on any
+# counterexample. The reduced-depth pass runs inside `dune runtest` as
+# @check-smoke.
 explore:
-	dune exec bin/decafctl.exe -- explore --lock-order
+	dune exec bin/decafctl.exe -- explore
 
 # The fault-injection campaign (buggy drivers: Table "no panics" row).
 campaign:

@@ -178,16 +178,11 @@ let soak_cmd =
 
 (* ---- explore: the decaf-check exploration harness ---- *)
 
-let explore episode depth smoke json lock_order =
+let explore episode depth smoke json =
   let results = E.Exploration.run ?episode ?depth ~smoke () in
-  if json then print_string (E.Exploration.render_json results)
-  else begin
-    print_string (E.Exploration.render results);
-    if lock_order then begin
-      print_newline ();
-      print_string (E.Exploration.render_lock_order results)
-    end
-  end;
+  print_string
+    ((if json then E.Exploration.render_json else E.Exploration.render)
+       results);
   let cxs =
     List.exists
       (fun r -> r.E.Exploration.x_report.Decaf_check.Explore.r_counterexamples <> [])
@@ -217,14 +212,10 @@ let smoke_arg =
 
 let explore_json_arg =
   let doc =
-    "Emit one JSON object per episode (stats, counterexamples, dynamic \
-     lock-order edges) instead of the table."
+    "Emit one JSON object per episode (stats, counterexamples) instead of \
+     the table."
   in
   Arg.(value & flag & info [ "json" ] ~doc)
-
-let lock_order_arg =
-  let doc = "Also print the dynamic lock-acquisition-order edges." in
-  Arg.(value & flag & info [ "lock-order" ] ~doc)
 
 let explore_cmd =
   Cmd.v
@@ -234,8 +225,7 @@ let explore_cmd =
           nondeterminism (DPOR) and report invariant violations with \
           replayable counterexample traces")
     Term.(
-      const explore $ episode_arg $ depth_arg $ smoke_arg $ explore_json_arg
-      $ lock_order_arg)
+      const explore $ episode_arg $ depth_arg $ smoke_arg $ explore_json_arg)
 
 let cmd =
   Cmd.group

@@ -1,199 +1,155 @@
-(* The episode library: each episode is a small concurrent scenario over
-   the real registry/XPC machinery, exhaustively explored to a bounded
-   branching depth. Episode threads are named — thread names are the
-   vocabulary replay traces are written in. *)
+(* The episode library: each episode plugs real devices on the
+   evaluation machine ({!Decaf_workloads.Rig}), binds their drivers
+   through {!Decaf_drivers.Driver_core} in the decaf build, races one
+   lifecycle operation against the device or the deferred XPC
+   machinery, and ends with every binding Removed. Each is explored
+   exhaustively ({!Explore.full_depth}). Episode threads are
+   named: thread names are the vocabulary replay traces are written
+   in. *)
 
 module K = Decaf_kernel
 module Xpc = Decaf_xpc
 open Decaf_drivers
+open Decaf_workloads
 
-let mode = Driver_env.Staged
-
+let mode = Driver_env.Decaf
 let spawn name f = ignore (K.Sched.spawn ~name f)
-
-let dev id =
-  match Chkdev.find id with
-  | Some d -> d
-  | None -> K.Panic.bug "chkdev episode: %s not bound" id
-
 let vf = Invariants.vf
+let ok what r = ignore (Rig.ok what r)
 
-(* --- shared checks --- *)
+(* The device asserts its line twice, letting the other threads run in
+   between. *)
+let irq_burst line () =
+  K.Irq.raise_irq line;
+  K.Sched.yield ();
+  K.Irq.raise_irq line
 
-let after_free_check () =
-  List.rev_map (fun w -> vf "after-free" "%s" w) !Chkdev.after_free
+(* --- the shared end-of-episode check --- *)
 
-let state_check id want =
-  let st = Driver_core.state id in
-  if st = want then []
-  else
-    [
-      vf "lifecycle" "%s finished in state %s, expected %s" id
-        (Driver_core.lifecycle_name st)
-        (Driver_core.lifecycle_name want);
-    ]
-
-let handle_check want =
-  let c =
+(* Every binding the episode made is Removed, and removal left nothing
+   behind: no capability handle, allocation or loaded module. *)
+let removed_check () =
+  let bound =
+    List.filter
+      (fun s -> s.Driver_core.s_state <> Driver_core.Unbound)
+      (Driver_core.snapshots ())
+  in
+  let states =
+    if bound = [] then [ vf "lifecycle" "no driver was bound" ]
+    else
+      List.filter_map
+        (fun s ->
+          if s.Driver_core.s_state = Driver_core.Removed then None
+          else
+            Some
+              (vf "lifecycle" "%s finished in state %s, expected removed"
+                 s.Driver_core.s_binding
+                 (Driver_core.lifecycle_name s.Driver_core.s_state)))
+        bound
+  in
+  let handles =
     Xpc.Objtracker.handle_count (Decaf_runtime.Runtime.kernel_tracker ())
   in
-  if c = want then []
-  else [ vf "leak" "kernel tracker holds %d handle(s) at quiescence, expected %d" c want ]
+  states
+  @ (if handles = 0 then []
+     else
+       [ vf "leak" "kernel tracker holds %d handle(s) after removal" handles ])
+  @ match K.Boot.check_quiescent () with
+    | Ok () -> []
+    | Error what -> [ vf "leak" "%s" what ]
 
-let ep ~name ~descr ~depth ~smoke ~execs setup check =
+let ep name setup =
   {
     Explore.ep_name = name;
-    ep_descr = descr;
-    ep_depth = depth;
-    ep_smoke_depth = smoke;
-    ep_max_execs = execs;
-    ep_setup = setup;
-    ep_check = check;
+    ep_setup =
+      (fun () ->
+        Driver_set.register_defaults ();
+        Xpc.Batch.set_enabled true;
+        setup ());
+    ep_check = removed_check;
   }
 
-(* --- 1: interrupts arriving while the probe is still running --- *)
+(* --- 1: the device asserts its line while insmod and open run --- *)
 
-let probe_irq =
-  ep ~name:"probe-irq"
-    ~descr:"device asserts its line while insmod/probe is in flight"
-    ~depth:5 ~smoke:2 ~execs:600
-    (fun () ->
-      Chkdev.register ();
-      spawn "loader" (fun () -> ignore (Driver_core.insmod Chkdev.name ~mode));
-      spawn "irqgen" (fun () ->
-          K.Irq.raise_irq (Chkdev.irq_of_id Chkdev.name);
-          K.Sched.yield ();
-          K.Irq.raise_irq (Chkdev.irq_of_id Chkdev.name)))
-    (fun () ->
-      after_free_check ()
-      @ state_check Chkdev.name Driver_core.Running
-      @ handle_check 1)
-
-(* --- 2: rmmod racing the interrupt handler --- *)
-
-let rmmod_irq =
-  ep ~name:"rmmod-irq"
-    ~descr:"module unload races the device's interrupt handler"
-    ~depth:5 ~smoke:2 ~execs:600
-    (fun () ->
-      Chkdev.register ();
+(* A NIC claims its line at open, so the bring-up the irq races is
+   probe and open. *)
+let probe_irq driver =
+  ep ("probe-irq/" ^ driver) (fun () ->
+      let dev = Rig.plug driver in
       spawn "loader" (fun () ->
-          ignore (Driver_core.insmod Chkdev.name ~mode);
-          spawn "unloader" (fun () -> Driver_core.rmmod Chkdev.name);
-          spawn "irqgen" (fun () ->
-              K.Irq.raise_irq (Chkdev.irq_of_id Chkdev.name);
-              K.Sched.yield ();
-              K.Irq.raise_irq (Chkdev.irq_of_id Chkdev.name))))
-    (fun () ->
-      after_free_check ()
-      @ state_check Chkdev.name Driver_core.Removed
-      @ handle_check 0)
+          ok "insmod" (Driver_core.insmod driver ~mode);
+          Rig.up dev;
+          Driver_core.rmmod driver);
+      spawn "irqgen" (irq_burst (Rig.irq driver)))
 
-(* --- 3: suspend racing the deferred-notification flush --- *)
+(* --- 2: unload after a traffic slice races the interrupt handler --- *)
 
-let suspend_flush =
-  ep ~name:"suspend-flush"
-    ~descr:"PM suspend races batched-notification flush (batching on)"
-    ~depth:5 ~smoke:2 ~execs:600
-    (fun () ->
-      Chkdev.register ();
-      Xpc.Batch.set_enabled true;
+let rmmod_irq driver =
+  ep ("rmmod-irq/" ^ driver) (fun () ->
+      let dev = Rig.plug driver in
       spawn "loader" (fun () ->
-          ignore (Driver_core.insmod Chkdev.name ~mode);
-          Chkdev.kick (dev Chkdev.name);
-          Chkdev.kick (dev Chkdev.name);
+          ok "insmod" (Driver_core.insmod driver ~mode);
+          Rig.up dev;
+          Rig.slice dev;
+          spawn "unloader" (fun () -> Driver_core.rmmod driver);
+          spawn "irqgen" (irq_burst (Rig.irq driver))))
+
+(* --- 3: PM suspend races the flush of a notify the slice queued --- *)
+
+let suspend_flush driver =
+  ep ("suspend-flush/" ^ driver) (fun () ->
+      let dev = Rig.plug driver in
+      spawn "loader" (fun () ->
+          ok "insmod" (Driver_core.insmod driver ~mode);
+          Rig.slice dev;
           spawn "pm" (fun () ->
-              ignore (Driver_core.suspend Chkdev.name);
-              ignore (Driver_core.resume Chkdev.name));
-          spawn "kicker" (fun () -> Chkdev.kick (dev Chkdev.name))))
-    (fun () ->
-      after_free_check ()
-      @ state_check Chkdev.name Driver_core.Running
-      @ handle_check 1)
+              ok "suspend" (Driver_core.suspend driver);
+              ok "resume" (Driver_core.resume driver);
+              Driver_core.rmmod driver)))
 
-(* --- 4: surprise removal racing the ring doorbell --- *)
+(* --- 4: surprise removal races the shared-ring doorbell --- *)
 
-let eject_doorbell =
-  ep ~name:"eject-doorbell"
-    ~descr:"surprise device removal races the shared-ring doorbell"
-    ~depth:5 ~smoke:2 ~execs:600
-    (fun () ->
-      Chkdev.register ();
+let eject_doorbell driver =
+  ep ("eject-doorbell/" ^ driver) (fun () ->
+      Xpc.Ring.set_enabled true;
+      let dev = Rig.plug driver in
       spawn "loader" (fun () ->
-          ignore (Driver_core.insmod Chkdev.name ~mode);
-          spawn "irqgen" (fun () ->
-              K.Irq.raise_irq (Chkdev.irq_of_id Chkdev.name);
-              K.Sched.yield ();
-              K.Irq.raise_irq (Chkdev.irq_of_id Chkdev.name));
-          spawn "hotplug" (fun () -> Driver_core.eject Chkdev.name)))
-    (fun () ->
-      after_free_check ()
-      @ state_check Chkdev.name Driver_core.Removed
-      @ handle_check 0)
+          ok "insmod" (Driver_core.insmod driver ~mode);
+          Rig.up dev;
+          Rig.slice dev;
+          spawn "irqgen" (irq_burst (Rig.irq driver));
+          spawn "hotplug" (fun () -> Driver_core.eject driver)))
 
-(* --- 5: two-instance fleet churn with rebind --- *)
+(* --- 5: two e1000 fleet ports churned: unload, rebind, unload --- *)
 
+(* Each port is bound and opened: its link-up interrupt posts a state
+   notification (the ring is off), and its watchdog runs until unload. *)
 let fleet_churn =
-  ep ~name:"fleet-churn"
-    ~descr:"two instances churned concurrently: kick, unload, rebind"
-    ~depth:4 ~smoke:2 ~execs:600
-    (fun () ->
-      Chkdev.register ();
+  let bind port =
+    let slot = Rig.port_slot port in
+    let id =
+      Rig.ok "bind" (Driver_core.bind_device "e1000" ~dev:slot ~mode ())
+    in
+    ok "open" (K.Netcore.open_dev (Option.get (E1000_drv.netdev_at ~slot)));
+    id
+  in
+  ep "fleet-churn/e1000" (fun () ->
+      ignore (Rig.plug_e1000 ~port:0 ());
+      ignore (Rig.plug_e1000 ~port:1 ());
       spawn "loader" (fun () ->
-          ignore (Driver_core.bind_device Chkdev.name ~mode ());
-          ignore (Driver_core.bind_device Chkdev.name ~mode ());
+          let a = bind 0 in
+          let b = bind 1 in
           spawn "churn-a" (fun () ->
-              Chkdev.kick (dev Chkdev.name);
-              Driver_core.rmmod Chkdev.name;
-              ignore (Driver_core.bind_device Chkdev.name ~mode ()));
-          spawn "churn-b" (fun () ->
-              Chkdev.kick (dev (Chkdev.name ^ "#1"));
-              Driver_core.rmmod (Chkdev.name ^ "#1"))))
-    (fun () ->
-      (* churn-a rebinds the first freed instance slot, which is always
-         instance 0: the family is scanned in instance order and
-         instance 0 is Removed by the time churn-a rebinds (its own
-         rmmod precedes the rebind in program order). *)
-      after_free_check ()
-      @ state_check Chkdev.name Driver_core.Running
-      @ state_check (Chkdev.name ^ "#1") Driver_core.Removed
-      @ handle_check 1)
-
-(* --- 6: combolock acquisition-order discipline --- *)
-
-let lock_hierarchy =
-  let a_done = ref false and b_done = ref false in
-  ep ~name:"lock-hierarchy"
-    ~descr:"two paths nest the combolock pair; order discipline must hold"
-    ~depth:6 ~smoke:3 ~execs:600
-    (fun () ->
-      Chkdev.register ();
-      a_done := false;
-      b_done := false;
-      spawn "loader" (fun () ->
-          ignore (Driver_core.insmod Chkdev.name ~mode);
-          spawn "path-a" (fun () ->
-              Chkdev.kick_pair (dev Chkdev.name);
-              a_done := true);
-          spawn "path-b" (fun () ->
-              Chkdev.flush_pair (dev Chkdev.name);
-              b_done := true)))
-    (fun () ->
-      after_free_check ()
-      @ (if !a_done && !b_done then []
-         else [ vf "deadlock" "lock-hierarchy paths did not all complete" ])
-      @ state_check Chkdev.name Driver_core.Running
-      @ handle_check 1)
+              Driver_core.rmmod a;
+              Driver_core.rmmod (bind 0));
+          spawn "churn-b" (fun () -> Driver_core.rmmod b)))
 
 let all =
-  [
-    probe_irq;
-    rmmod_irq;
-    suspend_flush;
-    eject_doorbell;
-    fleet_churn;
-    lock_hierarchy;
-  ]
+  List.map probe_irq [ "8139too"; "e1000" ]
+  @ List.map rmmod_irq Driver_set.names
+  @ List.map suspend_flush [ "ens1371"; "uhci-hcd" ]
+  @ List.map eject_doorbell [ "8139too"; "e1000" ]
+  @ [ fleet_churn ]
 
 let find name =
   List.find_opt (fun e -> e.Explore.ep_name = name) all

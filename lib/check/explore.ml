@@ -11,7 +11,8 @@
    for every pair of concurrent dependent steps it schedules the
    reversal at the earlier step's decision node. Sleep sets carry the
    already-explored siblings down each branch and abort provably
-   redundant schedules.
+   redundant schedules. A schedule still busy after a fixed budget of
+   virtual time never quiesces, which is a violation.
 
    A violation is reported with the full schedule that exposed it, then
    minimized: the shortest forced prefix whose default continuation
@@ -22,10 +23,6 @@ module K = Decaf_kernel
 
 type episode = {
   ep_name : string;
-  ep_descr : string;
-  ep_depth : int;  (** branching-depth bound for a full exploration *)
-  ep_smoke_depth : int;  (** bound for the runtest smoke alias *)
-  ep_max_execs : int;  (** hard cap on schedules per exploration *)
   ep_setup : unit -> unit;
       (** register drivers, spawn the episode's threads; runs after the
           world reboot, before the scheduler starts *)
@@ -58,7 +55,10 @@ type report = {
 (* --- one execution ----------------------------------------------------- *)
 
 type node_obs = {
-  no_prefix : Trace.key list;  (* decisions strictly before this node *)
+  no_rev_prefix : Trace.key list;
+      (* decisions strictly before this node, latest first: the list the
+         explorer has built so far, shared rather than copied, so a long
+         schedule's nodes cost linear space *)
   no_enabled : Trace.key array;
   no_chosen : Trace.key;
   no_branching : int;  (* branching depth when this node was reached *)
@@ -72,6 +72,7 @@ type exec = {
   x_violations : Invariants.violation list;
   x_pruned : bool;
   x_diverged : Trace.key option;
+  x_quiesced : bool;  (* not cut at the budget: it ran out of work or raised *)
 }
 
 let classify_exn = function
@@ -81,6 +82,37 @@ let classify_exn = function
       Invariants.vf "blocked-in-atomic" "%s" what
   | K.Panic.Kernel_bug msg -> Invariants.vf "panic" "%s" msg
   | e -> Invariants.vf "exception" "%s" (Printexc.to_string e)
+
+(* Branching-depth bounds. A NIC's traffic slice alone makes about 95
+   branching decisions (the loader against the clock), so the full depth
+   exceeds every episode's branching and a full exploration is complete;
+   the smoke depth is a quick pass. [max_execs] caps the schedules of
+   one exploration. *)
+let full_depth = 100
+let smoke_depth = 2
+let max_execs = 600
+
+(* Virtual time a schedule may run before it counts as one that never
+   quiesces: far above any episode's length, so only a binding left up
+   (a watchdog or a frame timer re-arming forever) reaches it. *)
+let budget_ns = 10_000_000_000
+
+(* What keeps a schedule that hit the budget busy. *)
+let no_quiescence () =
+  let bound =
+    List.filter_map
+      (fun (s : Decaf_drivers.Driver_core.snapshot) ->
+        match s.s_state with
+        | Unbound | Removed -> None
+        | _ -> Some s.s_binding)
+      (Decaf_drivers.Driver_core.snapshots ())
+  in
+  Invariants.vf "no-quiescence"
+    "still busy after %d s of virtual time: %d runnable thread(s), clock \
+     events %s; bound: %s"
+    (budget_ns / 1_000_000_000) (K.Sched.runnable_count ())
+    (if K.Clock.has_events () then "pending" else "none")
+    (if bound = [] then "none" else String.concat ", " bound)
 
 let run_one episode ~graph ~prefix ~sleep0 =
   K.Boot.boot ();
@@ -148,7 +180,7 @@ let run_one episode ~graph ~prefix ~sleep0 =
         else begin
           let node =
             {
-              no_prefix = List.rev !taken;
+              no_rev_prefix = !taken;
               no_enabled = keys;
               no_chosen = k;
               no_branching = !branching;
@@ -167,7 +199,7 @@ let run_one episode ~graph ~prefix ~sleep0 =
   let outcome =
     try
       episode.ep_setup ();
-      K.Sched.run ();
+      K.Sched.run ~until_ns:budget_ns ();
       None
     with e -> Some e
   in
@@ -175,15 +207,18 @@ let run_one episode ~graph ~prefix ~sleep0 =
   K.Sched.clear_controller ();
   K.Ktrace.clear_hook ();
   let aborted = !pruned || !diverged <> None in
+  let quiesced =
+    outcome <> None
+    || (K.Sched.runnable_count () = 0 && not (K.Clock.has_events ()))
+  in
   let violations =
     if aborted then []
     else
-      let races = Invariants.race_violations monitor in
       match outcome with
-      | Some e -> races @ [ classify_exn e ]
+      | Some e -> [ classify_exn e ]
+      | None when not quiesced -> [ no_quiescence () ]
       | None ->
-          races
-          @ Invariants.leak_violations ()
+          Invariants.leak_violations ()
           @ Invariants.supervisor_violations ()
           @ episode.ep_check ()
   in
@@ -193,6 +228,7 @@ let run_one episode ~graph ~prefix ~sleep0 =
     x_violations = violations;
     x_pruned = !pruned;
     x_diverged = !diverged;
+    x_quiesced = quiesced;
   }
 
 (* --- dynamic partial-order reduction ----------------------------------- *)
@@ -205,7 +241,7 @@ type node_state = {
 }
 
 let node_state table (n : node_obs) =
-  let key = Trace.to_string n.no_prefix in
+  let key = Trace.to_string (List.rev n.no_rev_prefix) in
   match Hashtbl.find_opt table key with
   | Some ns -> ns
   | None ->
@@ -296,7 +332,8 @@ let dpor_schedule table work ~depth (x : exec) =
                           a <> k && not (List.mem_assoc a ns.ns_first))
                         ns.ns_sleep_in
                   in
-                  scheduled := (node.no_prefix @ [ k ], sleep0) :: !scheduled
+                  scheduled :=
+                    (List.rev (k :: node.no_rev_prefix), sleep0) :: !scheduled
                 end)
               cands
           end
@@ -336,7 +373,7 @@ let replay episode trace_s =
   violations_with_cycle graph x
 
 let explore ?depth episode =
-  let depth = Option.value depth ~default:episode.ep_depth in
+  let depth = Option.value depth ~default:full_depth in
   let graph = Invariants.new_graph () in
   let table : (string, node_state) Hashtbl.t = Hashtbl.create 256 in
   let stats =
@@ -347,7 +384,7 @@ let explore ?depth episode =
   in
   let work = ref [ ([], []) ] in
   while
-    !work <> [] && stats.executions + stats.pruned < episode.ep_max_execs
+    !work <> [] && stats.executions + stats.pruned < max_execs
   do
     match !work with
     | [] -> ()
@@ -370,8 +407,12 @@ let explore ?depth episode =
               if not (Hashtbl.mem found v.v_kind) then
                 Hashtbl.replace found v.v_kind (v, x.x_trace))
             (violations_with_cycle graph x);
-          record_nodes table x;
-          dpor_schedule table work ~depth x
+          (* a schedule cut at the budget is reported, not expanded:
+             its reversals would each run to the budget too *)
+          if x.x_quiesced then begin
+            record_nodes table x;
+            dpor_schedule table work ~depth x
+          end
         end
   done;
   if !work <> [] then stats.capped <- true;

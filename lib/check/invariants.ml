@@ -2,16 +2,20 @@
 
    Three families:
 
-   - online monitors fed from the {!Decaf_kernel.Ktrace} event stream:
-     an Eraser-style lockset race check over [Var] objects and a
-     lock-acquisition-order recorder whose edge graph accumulates across
-     every schedule of an episode (an AB/BA cycle is a violation even if
-     no single schedule deadlocks);
+   - an online lock-acquisition-order recorder fed from the
+     {!Decaf_kernel.Ktrace} event stream of the real spinlocks, mutexes
+     and combolocks; its edge graph accumulates across every schedule
+     of an episode (an AB/BA cycle is a violation even if no single
+     schedule deadlocks);
    - end-of-schedule leak checks: deferred notifications, ring slots and
      in-flight crossings must all be gone once the machine quiesces;
    - the supervisor audit: with no fault plan active, a supervisor that
      detected anything means an exception crossed the XPC boundary that
-     exploration should have surfaced directly. *)
+     exploration should have surfaced directly.
+
+   A deferred notification delivered after its binding's unbind needs no
+   monitor here: the closed {!Decaf_drivers.Driver_env} panics, and the
+   explorer reports the panic. *)
 
 module K = Decaf_kernel
 module Xpc = Decaf_xpc
@@ -80,55 +84,21 @@ let cycle_violation g =
 
 (* --- execution monitor (one per schedule) --- *)
 
-(* Lockset state machine per shared [Var], Eraser-adapted to the one-CPU
-   kernel: an access from interrupt context is protected by the locks
-   acquired *inside the handler* plus the "<irqs-off>" pseudo-lock — a
-   spinlock the interrupted thread holds does not keep a same-CPU
-   handler out, only masking does, which is exactly the discipline
-   lock_irqsave encodes. *)
-type varstate = {
-  mutable vs_owner : int;  (* first accessor; -1 is the irq pseudo-thread *)
-  mutable vs_shared : bool;
-  mutable vs_cset : string list option;  (* None until first shared access *)
-  mutable vs_write_shared : bool;
-  mutable vs_reported : bool;
-}
-
+(* The locks each thread holds, in acquisition order, each tagged with
+   the context it was taken in: a handler's locks do not nest inside the
+   preempted thread's. *)
 type held = { h_lock : string; h_irq : bool (* acquired in irq context *) }
+type t = { g : graph; locks : (int, held list) Hashtbl.t }
 
-type t = {
-  g : graph;
-  locks : (int, held list) Hashtbl.t;  (* per-tid held stack, irq included *)
-  vars : (string, varstate) Hashtbl.t;
-  mutable races : violation list;
-}
-
-let monitor g = { g; locks = Hashtbl.create 16; vars = Hashtbl.create 16; races = [] }
+let monitor g = { g; locks = Hashtbl.create 16 }
 
 let held_of m tid =
   match Hashtbl.find_opt m.locks tid with Some l -> l | None -> []
-
-let accessor_id () = if K.Sched.in_interrupt () then -1 else K.Sched.current_tid ()
-
-let irq_pseudo = "<irqs-off>"
-
-let effective_lockset m =
-  let tid = K.Sched.current_tid () in
-  let irq = K.Sched.in_interrupt () in
-  let same_ctx h = h.h_irq = irq in
-  let locks =
-    List.filter_map
-      (fun h -> if same_ctx h then Some h.h_lock else None)
-      (held_of m tid)
-  in
-  if irq || K.Sched.irqs_masked () then irq_pseudo :: locks else locks
 
 let on_acquire m name =
   let tid = K.Sched.current_tid () in
   let irq = K.Sched.in_interrupt () in
   let held = held_of m tid in
-  (* acquisition-order edges within the same context only: a handler's
-     locks do not nest inside the preempted thread's *)
   List.iter
     (fun h -> if h.h_irq = irq then note_edge m.g h.h_lock name)
     held;
@@ -142,55 +112,11 @@ let on_release m name =
   in
   Hashtbl.replace m.locks tid (drop (held_of m tid))
 
-let inter a b = List.filter (fun x -> List.mem x b) a
-
-let on_var m name access =
-  let id = accessor_id () in
-  let ls = effective_lockset m in
-  let vs =
-    match Hashtbl.find_opt m.vars name with
-    | Some vs -> vs
-    | None ->
-        let vs =
-          {
-            vs_owner = id;
-            vs_shared = false;
-            vs_cset = None;
-            vs_write_shared = false;
-            vs_reported = false;
-          }
-        in
-        Hashtbl.replace m.vars name vs;
-        vs
-  in
-  if id <> vs.vs_owner then vs.vs_shared <- true;
-  if vs.vs_shared then begin
-    let cset =
-      match vs.vs_cset with None -> ls | Some c -> inter c ls
-    in
-    vs.vs_cset <- Some cset;
-    if access = K.Ktrace.Write then vs.vs_write_shared <- true;
-    if cset = [] && vs.vs_write_shared && not vs.vs_reported then begin
-      vs.vs_reported <- true;
-      m.races <-
-        vf "race"
-          "%s accessed by multiple contexts with no common lock (last: %s in %s)"
-          name
-          (K.Ktrace.access_name access)
-          (if K.Sched.in_interrupt () then "irq context"
-           else K.Sched.current_name ())
-        :: m.races
-    end
-  end
-
 let on_event m (o : K.Ktrace.obj) (a : K.Ktrace.access) =
   match (o, a) with
   | K.Ktrace.Lock s, K.Ktrace.Acquire -> on_acquire m (Trace.strip_stamp s)
   | K.Ktrace.Lock s, K.Ktrace.Release -> on_release m (Trace.strip_stamp s)
-  | K.Ktrace.Var s, (K.Ktrace.Read | K.Ktrace.Write) -> on_var m s a
   | _ -> ()
-
-let race_violations m = List.rev m.races
 
 (* --- end-of-schedule checks --- *)
 

@@ -96,8 +96,9 @@ type binding = {
   mutable state : lifecycle;
   mutable inst : bound option;
   mutable sup : Supervisor.t option;
-  mutable env : Driver_env.t option;
-      (** made fresh at every bind: its mode and meter are the row's *)
+  mutable env : Driver_env.t;
+      (** made fresh at every bind: its mode and meter are the row's;
+          {!never_bound} until the first *)
   mutable want : Driver_env.mode option;
       (** mode to auto-rebind with when the device is replugged *)
   mutable in_run : bool;
@@ -113,6 +114,10 @@ and family = {
   mutable size : int;
   mutable free_from : int;
 }
+
+(* The env of a binding that was never bound: a zero meter, never
+   counted into, and no mode to report. *)
+let never_bound = Driver_env.create Native ~scope:""
 
 (* Every binding, newest first: [List.rev] gives creation order, in
    which the hotplug handlers visit them. [by_id] indexes the same
@@ -189,18 +194,21 @@ let drain_in_flight () =
   done
 
 (* Transition first: bus events published during teardown (input device
-   unregistering, HCD dropping out) must not re-enter removal. *)
+   unregistering, HCD dropping out) must not re-enter removal. The env
+   closes once the driver is gone, so a deferred notification that
+   outlives the binding panics when it is delivered. *)
 let unbind b =
   transition b Removed;
   (match b.inst with Some (B ((module D), t)) -> D.remove t | None -> ());
-  b.inst <- None
+  b.inst <- None;
+  Driver_env.close b.env
 
 let bind b mode =
   match b.drv with
   | Pack (module D) -> (
       transition b Probed;
       let env = Driver_env.create mode ~scope:b.b_id in
-      b.env <- Some env;
+      b.env <- env;
       match D.probe env ~dev:b.b_dev with
       | Ok t ->
           b.inst <- Some (B ((module D), t));
@@ -318,7 +326,7 @@ let register (Pack (module D) as p) =
       state = Unbound;
       inst = None;
       sup = None;
-      env = None;
+      env = never_bound;
       want = None;
       in_run = false;
     }
@@ -397,7 +405,7 @@ let bind_device name ?dev ~mode () =
             state = Unbound;
             inst = None;
             sup = None;
-            env = None;
+            env = never_bound;
             want = None;
             in_run = false;
           }
@@ -525,19 +533,13 @@ let run name ~mode body =
 
 (* --- observability --- *)
 
-(* The meter of a binding that was never bound: zeros, never counted
-   into. *)
-let never_bound = (Driver_env.create Native ~scope:"").Driver_env.meter
-
 let snapshot_of b =
   let init_ns =
     match b.inst with
     | Some (B ((module D), t)) -> D.init_latency_ns t
     | None -> 0
   in
-  let m =
-    match b.env with Some env -> env.Driver_env.meter | None -> never_bound
-  in
+  let m = b.env.Driver_env.meter in
   (* Ring counters for this binding, if it owns a shared ring (rings are
      registered under the binding's name). Zeros otherwise. *)
   let r_occ, r_hw, r_bell, r_drop =
@@ -555,7 +557,8 @@ let snapshot_of b =
     s_binding = b.b_id;
     s_instance = b.b_instance;
     s_state = b.state;
-    s_mode = Option.map (fun env -> env.Driver_env.mode) b.env;
+    s_mode =
+      (if b.env == never_bound then None else Some b.env.Driver_env.mode);
     s_crossings = m.Driver_env.upcalls + m.downcalls;
     s_wire_bytes = m.wire_bytes;
     s_notifies = m.notifies;

@@ -3,7 +3,8 @@
     Each of the five drivers exports a [Core] module implementing
     {!DRIVER}; the registry owns, per bound driver, its
     {!Driver_env.t} (made fresh at every bind, scoped to the binding
-    id; its meter is the snapshot's crossing, notify and sync count),
+    id, closed at unbind; its meter is the snapshot's crossing, notify
+    and sync count),
     its recovery {!Decaf_runtime.Supervisor.t}, and an explicit
     lifecycle state machine. All load/unload, suspend/resume and hotplug paths go
     through here, so the fault campaign, Table 3 and [decafctl status]

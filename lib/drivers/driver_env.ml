@@ -12,7 +12,7 @@ type meter = {
   mutable syncs : int;
 }
 
-type t = { mode : mode; scope : string; meter : meter }
+type t = { mode : mode; scope : string; meter : meter; mutable closed : bool }
 
 let create mode ~scope =
   {
@@ -20,7 +20,10 @@ let create mode ~scope =
     scope;
     meter =
       { upcalls = 0; downcalls = 0; notifies = 0; wire_bytes = 0; syncs = 0 };
+    closed = false;
   }
+
+let close env = env.closed <- true
 
 let native = create Native ~scope:""
 let staged = create Staged ~scope:""
@@ -104,7 +107,10 @@ let downcall env ~name ~bytes f =
 
 (* No [start_runtime] here: a notification can be posted from interrupt
    context, and by the time a driver has anything to notify about its
-   probe upcall has already started the runtime. *)
+   probe upcall has already started the runtime. The delivery closure
+   holds the env rather than its meter (the same two free variables), so
+   a notification that outlives its binding's unbind is a kernel bug at
+   delivery, whichever driver posted it. *)
 let notify env ~name ~bytes f =
   if split env then begin
     let m = env.meter in
@@ -114,8 +120,11 @@ let notify env ~name ~bytes f =
     match
       Batch.post ~target:(user_domain env) ~payload_bytes:bytes ~context:name
         (fun () ->
+          if env.closed then
+            K.Panic.bug "%s: deferred notification delivered after unbind"
+              env.scope;
           f ();
-          m.syncs <- m.syncs + 1)
+          env.meter.syncs <- env.meter.syncs + 1)
     with
     | () -> Boundary.leave saved
     | exception e ->

@@ -20,7 +20,10 @@
     - {b Syncs}: a delivered notify or a record applied from the env's
       ring counts one sync in the meter.
     - {b Rings}: {!ring} makes a binding's shared ring in the user-level
-      domain, or none in [Native]. *)
+      domain, or none in [Native].
+    - {b Lifetime}: the registry {!close}s a binding's env at unbind; a
+      notify delivered through a closed env raises
+      {!Decaf_kernel.Panic.Kernel_bug}. *)
 
 type mode = Native | Staged | Decaf
 
@@ -40,10 +43,16 @@ type t = {
           back to the driver name via {!scope_or}), so a fleet of
           instances of one module keeps per-instance accounting. *)
   meter : meter;
+  mutable closed : bool;  (** set by {!close}, never cleared *)
 }
 
 val create : mode -> scope:string -> t
 (** A fresh env with a zero meter; the registry makes one per bind. *)
+
+val close : t -> unit
+(** End the env's binding: a notify it posted that is delivered from
+    now on raises {!Decaf_kernel.Panic.Kernel_bug} ["<scope>: deferred
+    notification delivered after unbind"] instead of running. *)
 
 val native : t
 (** [native], [staged] and [decaf] are unscoped envs shared by every
@@ -93,7 +102,7 @@ val notify : t -> name:string -> bytes:int -> (unit -> unit) -> unit
 (** One-way, non-urgent upcall (stats, link state, a hardware pointer),
     batched rather than crossing now, and therefore legal from interrupt
     context. Never use it for anything the caller's next step depends
-    on. *)
+    on. Delivery after the env is {!close}d is a kernel bug. *)
 
 val ring :
   t ->

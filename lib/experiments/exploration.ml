@@ -1,7 +1,6 @@
-(* The decaf-check exploration experiment: run the episode catalog
-   through the DPOR explorer and render the per-episode statistics
-   table, the counterexamples, the accumulated dynamic lock-acquisition
-   order, and the static/dynamic lock-order cross-check. *)
+(* The decaf-check exploration experiment: run the real-driver episode
+   catalog through the DPOR explorer and render the per-episode
+   statistics table and the counterexamples, as text or JSON. *)
 
 module Check = Decaf_check
 module Explore = Check.Explore
@@ -21,28 +20,22 @@ let run ?episode ?depth ?(smoke = false) () =
     | None -> Episodes.all
     | Some name -> Option.to_list (Episodes.find name)
   in
-  List.map
-    (fun e ->
-      let d =
-        match depth with
-        | Some d -> d
-        | None -> if smoke then e.Explore.ep_smoke_depth else e.Explore.ep_depth
-      in
-      {
-        x_depth = d;
-        x_report = Explore.explore ~depth:d e;
-      })
-    eps
+  let d =
+    match depth with
+    | Some d -> d
+    | None -> if smoke then Explore.smoke_depth else Explore.full_depth
+  in
+  List.map (fun e -> { x_depth = d; x_report = Explore.explore ~depth:d e }) eps
 
 (* --- text rendering --------------------------------------------------- *)
 
 let header =
-  Printf.sprintf "%-16s %5s %9s %7s %7s %6s %6s  %s" "episode" "depth"
+  Printf.sprintf "%-22s %5s %9s %7s %7s %6s %6s  %s" "episode" "depth"
     "schedules" "pruned" "steps" "maxbr" "capped" "violations"
 
 let render_row { x_depth; x_report = r } =
   let s = r.Explore.r_stats in
-  Printf.sprintf "%-16s %5d %9d %7d %7d %6d %6s  %d" r.Explore.r_episode
+  Printf.sprintf "%-22s %5d %9d %7d %7d %6d %6s  %d" r.Explore.r_episode
     x_depth s.Explore.executions s.Explore.pruned s.Explore.steps
     s.Explore.max_branching
     (if s.Explore.capped then "yes" else "no")
@@ -71,22 +64,6 @@ let render results =
     results;
   Buffer.contents buf
 
-let render_lock_order results =
-  let buf = Buffer.create 256 in
-  List.iter
-    (fun r ->
-      let edges = r.x_report.Explore.r_lock_edges in
-      if edges <> [] then begin
-        Buffer.add_string buf
-          (Printf.sprintf "%s:\n" r.x_report.Explore.r_episode);
-        List.iter
-          (fun (a, b) ->
-            Buffer.add_string buf (Printf.sprintf "  %s -> %s\n" a b))
-          edges
-      end)
-    results;
-  Buffer.contents buf
-
 (* --- JSON rendering ---------------------------------------------------- *)
 
 let render_json results =
@@ -100,7 +77,6 @@ let render_json results =
         ("full_trace", Str cx.Explore.cx_full_trace);
       ]
   in
-  let edge_json (a, b) = Obj [ ("outer", Str a); ("inner", Str b) ] in
   let result_json { x_depth; x_report = r } =
     let s = r.Explore.r_stats in
     to_string
@@ -115,7 +91,6 @@ let render_json results =
            ("capped", Bool s.Explore.capped);
            ( "counterexamples",
              Arr (List.map cx_json r.Explore.r_counterexamples) );
-           ("lock_order", Arr (List.map edge_json r.Explore.r_lock_edges));
          ])
   in
   Printf.sprintf "[%s]\n" (String.concat ",\n " (List.map result_json results))

@@ -1,7 +1,6 @@
-(** The decaf-check exploration experiment: drive the episode catalog
-    through the DPOR explorer ({!Decaf_check.Explore}) and render the
-    per-episode statistics, counterexamples and the dynamic
-    lock-acquisition order. *)
+(** The decaf-check exploration experiment: drive the real-driver
+    episode catalog through the DPOR explorer ({!Decaf_check.Explore})
+    and render the per-episode statistics and counterexamples. *)
 
 type result = {
   x_depth : int;  (** branching-depth bound the exploration ran at *)
@@ -17,8 +16,8 @@ val run :
   unit ->
   result list
 (** Explore the named episode (none when the name is not one of
-    {!episode_names}) or the whole catalog. [smoke] selects each
-    episode's reduced smoke depth; an explicit [depth] overrides both.
+    {!episode_names}) or the whole catalog, at the explorer's full
+    depth, its smoke depth with [smoke], or an explicit [depth].
     Counterexamples are minimized. *)
 
 val render : result list -> string
@@ -27,8 +26,5 @@ val render : result list -> string
     their row. *)
 
 val render_json : result list -> string
-(** Machine-readable: one object per episode with stats,
-    counterexamples and the dynamic lock-order edges. *)
-
-val render_lock_order : result list -> string
-(** The accumulated dynamic lock-acquisition-order edges per episode. *)
+(** Machine-readable: one object per episode with stats and
+    counterexamples. *)

@@ -2,7 +2,7 @@ type gfp = Atomic | Kernel
 
 type allocation = { id : int; tag : string; bytes : int; mutable live : bool }
 
-exception Use_after_free of string
+exception Double_free of string
 exception Out_of_memory of string
 
 let next_id = ref 0
@@ -45,7 +45,7 @@ let alloc_exn ?gfp ~tag bytes =
   | None -> raise (Out_of_memory tag)
 
 let free a =
-  if not a.live then raise (Use_after_free a.tag);
+  if not a.live then raise (Double_free a.tag);
   a.live <- false;
   Hashtbl.remove live a.id
 

@@ -10,7 +10,7 @@ type gfp = Atomic | Kernel
 
 type allocation
 
-exception Use_after_free of string
+exception Double_free of string
 
 val alloc : ?gfp:gfp -> tag:string -> int -> allocation option
 (** [alloc ~tag bytes] returns [None] when failure injection triggers
@@ -23,7 +23,7 @@ val alloc_exn : ?gfp:gfp -> tag:string -> int -> allocation
 exception Out_of_memory of string
 
 val free : allocation -> unit
-(** Release; double free raises {!Use_after_free}. *)
+(** Release; double free raises {!Double_free}. *)
 
 val size : allocation -> int
 

@@ -2,8 +2,8 @@
    harness (Decaf_check). The synchronization primitives, the interrupt
    layer and the XPC machinery report the objects each scheduler step
    touches through [note]; the checker derives its happens-before /
-   dependency relation, lockset race reports and lock-order graph from
-   exactly these events. With no hook installed every call is a single
+   dependency relation and lock-order graph from exactly these
+   events. With no hook installed every call is a single
    ref read, so production runs and benchmarks pay nothing.
 
    Object identity only has to be unique within one execution (traces
@@ -12,7 +12,9 @@
 
 type obj =
   | Lock of string  (** mutual exclusion: spin/mutex/combo, "kind:name#id" *)
-  | Var of string  (** plain shared state, subject to the lockset check *)
+  | Var of string
+      (** plain shared state; nothing in the library notes one today,
+          and perfbench's span classifier still matches on it *)
   | Queue of string  (** signal/wait edges: waitqs, batch queues, rings *)
   | Irq_line of int  (** interrupt line assertion/delivery/mask state *)
 

@@ -7,19 +7,11 @@
 
    The flags live in the kernel library because the mutated sites span
    layers: [drop_unbind_drain] gates Driver_core.rmmod's
-   drain-before-unbind, [swap_lock_order] gates the acquisition order
-   in the checker's lock-hierarchy episode driver. *)
+   drain-before-unbind. *)
 
-(* PR 1 bug class: rmmod tears the driver down without draining the
-   deferred-notify queue first, so a batched notification outlives its
-   driver and is delivered into a dead binding. *)
+(* rmmod tears the driver down without draining the deferred-notify
+   queue first, so a batched notification outlives its driver and is
+   delivered through the binding's closed env. *)
 let drop_unbind_drain = ref false
 
-(* PR 3 bug class: one code path acquires combolock B while holding A,
-   another acquires A while holding B — an AB/BA cycle that deadlocks on
-   a preemptive machine and violates the lock-order discipline here. *)
-let swap_lock_order = ref false
-
-let reset () =
-  drop_unbind_drain := false;
-  swap_lock_order := false
+let reset () = drop_unbind_drain := false

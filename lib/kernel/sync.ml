@@ -108,8 +108,8 @@ module Semaphore = struct
 
   (* Semaphores trace as queue edges, not locks: a plain counting
      semaphore is a synchronization channel, and the primitives built on
-     top (Mutex, Combolock) add their own Lock identity so the lockset
-     and lock-order checks see the logical lock, not its plumbing. *)
+     top (Mutex, Combolock) add their own Lock identity so the
+     lock-order check sees the logical lock, not its plumbing. *)
   let down s =
     Sched.assert_may_block ("down on semaphore " ^ s.name);
     Ktrace.note s.sem_trace Ktrace.Wait;

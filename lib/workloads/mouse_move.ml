@@ -7,7 +7,6 @@ type result = {
   packets : int;
   cpu_utilization : float;
   elapsed_ns : int;
-  xpc_overhead_ns : int;
   event_rate_hz : float;
 }
 
@@ -15,7 +14,6 @@ let report_interval_ns = 10_000_000 (* 100 reports per second *)
 
 let run ~model ~input ~duration_ns =
   let t0 = K.Clock.now () and busy0 = K.Clock.busy_ns () in
-  let xpc0 = Xpc.Dispatch.overhead_ns () in
   let saved0 = Xpc.Dispatch.overlap_saved_ns () in
   let packets0 = Hw.Psmouse_hw.packets_sent model in
   let events = ref 0 in
@@ -34,7 +32,6 @@ let run ~model ~input ~duration_ns =
   done;
   K.Sched.sleep_ns 1_000_000;
   let elapsed_ns = K.Clock.now () - t0 in
-  let xpc_overhead_ns = Xpc.Dispatch.overhead_ns () - xpc0 in
   (* Overlap model (see Netperf.mk): elapsed time already contains every
      dispatch charge serialized; credit back the share that independent
      worker lanes would have overlapped. *)
@@ -45,7 +42,6 @@ let run ~model ~input ~duration_ns =
     packets = Hw.Psmouse_hw.packets_sent model - packets0;
     cpu_utilization = K.Clock.utilization ~since:t0 ~busy_since:busy0;
     elapsed_ns;
-    xpc_overhead_ns;
     event_rate_hz =
       (if effective_ns = 0 then 0.
        else float_of_int !events *. 1e9 /. float_of_int effective_ns);

@@ -6,9 +6,6 @@ type result = {
   packets : int;
   cpu_utilization : float;
   elapsed_ns : int;
-  xpc_overhead_ns : int;
-      (** XPC dispatch critical-path ns during the run
-          ({!Decaf_xpc.Dispatch.overhead_ns} delta) *)
   event_rate_hz : float;
       (** events over effective time (elapsed minus the dispatch work
           worker lanes overlap, {!Decaf_xpc.Dispatch.overlap_saved_ns}

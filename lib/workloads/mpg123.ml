@@ -7,7 +7,6 @@ type result = {
   cpu_utilization : float;
   underruns : int;
   periods : int;
-  xpc_overhead_ns : int;
   realtime_factor : float;
 }
 
@@ -19,7 +18,6 @@ let decode_cost = 120_000
 
 let play ~substream ~model ~duration_ns =
   let t0 = K.Clock.now () and busy0 = K.Clock.busy_ns () in
-  let xpc0 = Xpc.Dispatch.overhead_ns () in
   let saved0 = Xpc.Dispatch.overlap_saved_ns () in
   (match K.Sndcore.pcm_open substream with
   | Ok () -> ()
@@ -61,7 +59,6 @@ let play ~substream ~model ~duration_ns =
     /. float_of_int pcm_byte_rate
   in
   let elapsed_ns = K.Clock.now () - t0 in
-  let xpc_overhead_ns = Xpc.Dispatch.overhead_ns () - xpc0 in
   (* Overlap model (see Netperf.mk): elapsed time already pays every
      upcall charge serialized; credit back what worker lanes overlap.
      >= 1 means the driver keeps up with the DAC. *)
@@ -72,7 +69,6 @@ let play ~substream ~model ~duration_ns =
     cpu_utilization = K.Clock.utilization ~since:t0 ~busy_since:busy0;
     underruns = Hw.Ens1371_hw.underruns model - underruns0;
     periods = Hw.Ens1371_hw.periods_played model - periods0;
-    xpc_overhead_ns;
     realtime_factor =
       (if effective_ns = 0 then 0.
        else seconds_played *. 1e9 /. float_of_int effective_ns);

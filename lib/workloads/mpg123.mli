@@ -6,9 +6,6 @@ type result = {
   cpu_utilization : float;
   underruns : int;
   periods : int;
-  xpc_overhead_ns : int;
-      (** XPC dispatch critical-path ns during the run
-          ({!Decaf_xpc.Dispatch.overhead_ns} delta) *)
   realtime_factor : float;
       (** seconds played per effective second (elapsed minus the
           dispatch work worker lanes overlap,

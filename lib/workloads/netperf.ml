@@ -7,16 +7,14 @@ type result = {
   goodput_mbps : float;
   cpu_utilization : float;
   elapsed_ns : int;
-  xpc_overhead_ns : int;
   packets : int;
 }
 
 (* Application-side per-message cost: system call plus copy. *)
 let app_cost bytes = K.Cost.current.syscall_ns + (bytes / 4)
 
-let mk ~t0 ~busy0 ~xpc0 ~saved0 ~bytes ~packets =
+let mk ~t0 ~busy0 ~saved0 ~bytes ~packets =
   let elapsed_ns = K.Clock.now () - t0 in
-  let xpc_overhead_ns = Xpc.Dispatch.overhead_ns () - xpc0 in
   (* Overlap model: every nanosecond the dispatch engine charges to a
      lane is also consumed on the (single, serializing) virtual CPU, so
      [elapsed_ns] already prices the XPC work fully serialized. Goodput
@@ -34,13 +32,11 @@ let mk ~t0 ~busy0 ~xpc0 ~saved0 ~bytes ~packets =
     goodput_mbps = rate effective_ns;
     cpu_utilization = K.Clock.utilization ~since:t0 ~busy_since:busy0;
     elapsed_ns;
-    xpc_overhead_ns;
     packets;
   }
 
 let send ~netdev ~link ~duration_ns ~msg_bytes =
   let t0 = K.Clock.now () and busy0 = K.Clock.busy_ns () in
-  let xpc0 = Xpc.Dispatch.overhead_ns () in
   let saved0 = Xpc.Dispatch.overlap_saved_ns () in
   let tx_bytes0 = Hw.Link.tx_bytes link and tx_frames0 = Hw.Link.tx_frames link in
   let deadline = t0 + duration_ns in
@@ -55,13 +51,12 @@ let send ~netdev ~link ~duration_ns ~msg_bytes =
         (* ring full: back off briefly, as the socket layer would block *)
         K.Sched.sleep_ns 20_000
   done;
-  mk ~t0 ~busy0 ~xpc0 ~saved0
+  mk ~t0 ~busy0 ~saved0
     ~bytes:(Hw.Link.tx_bytes link - tx_bytes0)
     ~packets:(Hw.Link.tx_frames link - tx_frames0)
 
 let recv ~netdev ~link ~duration_ns ~msg_bytes =
   let t0 = K.Clock.now () and busy0 = K.Clock.busy_ns () in
-  let xpc0 = Xpc.Dispatch.overhead_ns () in
   let saved0 = Xpc.Dispatch.overlap_saved_ns () in
   let received_bytes = ref 0 and received_packets = ref 0 in
   K.Netcore.set_rx_handler netdev (fun skb ->
@@ -87,7 +82,7 @@ let recv ~netdev ~link ~duration_ns ~msg_bytes =
   while K.Clock.now () < deadline do
     K.Sched.sleep_ns 1_000_000
   done;
-  mk ~t0 ~busy0 ~xpc0 ~saved0 ~bytes:!received_bytes ~packets:!received_packets
+  mk ~t0 ~busy0 ~saved0 ~bytes:!received_bytes ~packets:!received_packets
 
 let pp ppf r =
   Format.fprintf ppf "%.1f Mb/s (%.1f good), %.1f%% CPU, %d packets"

@@ -14,7 +14,6 @@ type result = {
           metric without double-counting the dispatch work. *)
   cpu_utilization : float;
   elapsed_ns : int;
-  xpc_overhead_ns : int;  (** dispatch critical-path ns during the run *)
   packets : int;
 }
 

@@ -8,7 +8,6 @@ type result = {
   cpu_utilization : float;
   files : int;
   effective_kbps : float;
-  xpc_overhead_ns : int;
   goodput_kbps : float;
 }
 
@@ -19,7 +18,6 @@ let app_cost = 30_000
 
 let untar ~model ~files ~file_bytes =
   let t0 = K.Clock.now () and busy0 = K.Clock.busy_ns () in
-  let xpc0 = Xpc.Dispatch.overhead_ns () in
   let saved0 = Xpc.Dispatch.overlap_saved_ns () in
   let written0 = Hw.Uhci_hw.drive_bytes_written model in
   for _file = 1 to files do
@@ -37,7 +35,6 @@ let untar ~model ~files ~file_bytes =
     done
   done;
   let elapsed_ns = K.Clock.now () - t0 in
-  let xpc_overhead_ns = Xpc.Dispatch.overhead_ns () - xpc0 in
   (* Overlap model (see Netperf.mk): credit back the dispatch work that
      worker lanes overlap instead of re-adding time already elapsed. *)
   let saved_ns = Xpc.Dispatch.overlap_saved_ns () - saved0 in
@@ -52,7 +49,6 @@ let untar ~model ~files ~file_bytes =
     cpu_utilization = K.Clock.utilization ~since:t0 ~busy_since:busy0;
     files;
     effective_kbps = rate elapsed_ns;
-    xpc_overhead_ns;
     goodput_kbps = rate (max 0 (elapsed_ns - saved_ns));
   }
 

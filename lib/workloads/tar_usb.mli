@@ -7,9 +7,6 @@ type result = {
   cpu_utilization : float;
   files : int;
   effective_kbps : float;  (** raw: drive bytes over elapsed virtual time *)
-  xpc_overhead_ns : int;
-      (** XPC dispatch critical-path ns during the run
-          ({!Decaf_xpc.Dispatch.overhead_ns} delta) *)
   goodput_kbps : float;
       (** cost-adjusted: drive bytes over elapsed time minus the
           dispatch work worker lanes overlap

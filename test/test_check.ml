@@ -1,8 +1,9 @@
-(* decaf-check regressions: clean-tree catalog exploration, the
-   seed-and-catch mutation gate (both planted bugs must be found), the
-   checked-in minimized counterexamples replayed as a table, replay
-   determinism, the blocking-in-irq-window-hook guard, and the bundled
-   drivers' dynamic lock-acquisition order. *)
+(* decaf-check regressions: clean-tree catalog exploration over the real
+   drivers, the seed-and-catch mutation gate (a dropped unbind drain is
+   the closed-env panic), a schedule that never quiesces, the checked-in
+   minimized counterexamples replayed as a table, replay determinism,
+   the blocking-in-irq-window-hook guard, and the lock-order cycle
+   check. *)
 
 module K = Decaf_kernel
 module Xpc = Decaf_xpc
@@ -10,6 +11,7 @@ module C = Decaf_check
 module Explore = C.Explore
 module Episodes = C.Episodes
 module Invariants = C.Invariants
+open Decaf_drivers
 
 let check_bool = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
@@ -31,7 +33,7 @@ let test_catalog_clean () =
   K.Mutants.reset ();
   List.iter
     (fun e ->
-      let r = Explore.explore ~depth:e.Explore.ep_smoke_depth e in
+      let r = Explore.explore ~depth:Explore.smoke_depth e in
       let s = r.Explore.r_stats in
       check_bool
         (e.Explore.ep_name ^ " explored at least one schedule")
@@ -45,40 +47,77 @@ let test_catalog_clean () =
             (Invariants.violation_to_string cx.Explore.cx_violation)))
     Episodes.all
 
-(* --- seed-and-catch: both planted mutants must be found --- *)
+(* --- seed-and-catch: the planted mutant must be found --- *)
 
-let catalog_kinds () =
+let catalog_violations () =
   List.concat_map
     (fun e ->
       let r = Explore.explore e in
       List.map
-        (fun cx -> cx.Explore.cx_violation.Invariants.v_kind)
+        (fun cx -> (e.Explore.ep_name, cx.Explore.cx_violation))
         r.Explore.r_counterexamples)
     Episodes.all
-  |> List.sort_uniq compare
 
+(* rmmod without its drain leaves ens1371's last pcm-pointer notify
+   queued; the batch timer delivers it through the closed env. *)
 let test_mutant_drop_drain () =
   K.Mutants.reset ();
   K.Mutants.drop_unbind_drain := true;
   let found =
-    Fun.protect ~finally:K.Mutants.reset (fun () -> catalog_kinds ())
+    Fun.protect ~finally:K.Mutants.reset (fun () -> catalog_violations ())
   in
-  check_bool "dropping the unbind drain is caught (after-free)" true
-    (List.mem "after-free" found)
+  let shown =
+    String.concat "; "
+      (List.map
+         (fun (ep, v) -> ep ^ ": " ^ Invariants.violation_to_string v)
+         found)
+  in
+  check_bool
+    (Printf.sprintf "the closed env panics on ens1371's notify (found: %s)"
+       shown)
+    true
+    (List.exists
+       (fun (_, v) ->
+         v.Invariants.v_kind = "panic"
+         && v.Invariants.v_detail
+            = "ens1371: deferred notification delivered after unbind")
+       found)
 
-let test_mutant_swap_lock_order () =
+(* --- a binding left up never quiesces: reported, in bounded time --- *)
+
+let test_no_quiescence () =
   K.Mutants.reset ();
-  K.Mutants.swap_lock_order := true;
-  let found =
-    Fun.protect ~finally:K.Mutants.reset (fun () -> catalog_kinds ())
+  let left_bound =
+    {
+      Explore.ep_name = "bound/uhci-hcd";
+      ep_setup =
+        (fun () ->
+          Driver_set.register_defaults ();
+          ignore (Decaf_workloads.Rig.plug "uhci-hcd");
+          ignore
+            (K.Sched.spawn ~name:"loader" (fun () ->
+                 ignore
+                   (Driver_core.insmod "uhci-hcd" ~mode:Driver_env.Decaf))));
+      ep_check = (fun () -> []);
+    }
   in
-  check_bool "swapping the combolock order is caught (lock-order)" true
-    (List.mem "lock-order" found)
+  let r = Explore.explore left_bound in
+  match r.Explore.r_counterexamples with
+  | [ cx ] ->
+      let v = cx.Explore.cx_violation in
+      check_str "the violation kind" "no-quiescence" v.Invariants.v_kind;
+      check_bool
+        (Printf.sprintf "names the binding still up: %s" v.Invariants.v_detail)
+        true
+        (Testutil.contains v.Invariants.v_detail "bound: uhci-hcd")
+  | cxs ->
+      Alcotest.failf "expected one no-quiescence counterexample, got %d"
+        (List.length cxs)
 
 (* --- checked-in counterexample replays ---------------------------------
 
    Each row is a minimized counterexample the explorer produced against
-   a planted mutant (trace "" means the violation reproduces on the
+   the planted mutant (trace "" means the violation reproduces on the
    default schedule), plus the full discovery schedule, plus the same
    schedules replayed on the clean tree where they must be silent. *)
 
@@ -89,44 +128,32 @@ type replay_row = {
   rr_expect : string option;  (* violation kind, None = must be clean *)
 }
 
+(* The full discovery schedules: the slice's ticks, the batch worker's
+   flushes, then rmmod racing the irq and the batch timer delivering the
+   notification rmmod left queued. *)
+let ens1371_found =
+  "loader,clock,loader,clock,loader,clock,loader,clock,loader,clock,loader,\
+   clock,kworker/xpc-batch/0,clock,loader,unloader,irqgen,irqgen,clock,\
+   kworker/xpc-batch/0"
+
+let uhci_found =
+  "loader,clock,clock,loader,clock,clock,clock,clock,kworker/xpc-batch/0,\
+   loader,unloader,irqgen,irqgen,clock,kworker/xpc-batch/0"
+
+let row ?mutant rr_episode rr_trace rr_expect =
+  { rr_episode; rr_mutant = mutant; rr_trace; rr_expect }
+
+let drop = K.Mutants.drop_unbind_drain
+
 let replay_table =
   [
-    {
-      rr_episode = "fleet-churn";
-      rr_mutant = Some K.Mutants.drop_unbind_drain;
-      rr_trace = "";
-      rr_expect = Some "after-free";
-    };
-    {
-      rr_episode = "fleet-churn";
-      rr_mutant = Some K.Mutants.drop_unbind_drain;
-      rr_trace = "loader,churn-a,churn-b,kworker/xpc-batch/0";
-      rr_expect = Some "after-free";
-    };
-    {
-      rr_episode = "lock-hierarchy";
-      rr_mutant = Some K.Mutants.swap_lock_order;
-      rr_trace = "";
-      rr_expect = Some "lock-order";
-    };
-    {
-      rr_episode = "lock-hierarchy";
-      rr_mutant = Some K.Mutants.swap_lock_order;
-      rr_trace = "loader,path-a,path-b";
-      rr_expect = Some "lock-order";
-    };
-    {
-      rr_episode = "fleet-churn";
-      rr_mutant = None;
-      rr_trace = "";
-      rr_expect = None;
-    };
-    {
-      rr_episode = "lock-hierarchy";
-      rr_mutant = None;
-      rr_trace = "loader,path-a,path-b";
-      rr_expect = None;
-    };
+    row ~mutant:drop "rmmod-irq/ens1371" "" (Some "panic");
+    row ~mutant:drop "rmmod-irq/ens1371" ens1371_found (Some "panic");
+    row ~mutant:drop "rmmod-irq/uhci-hcd" "" (Some "panic");
+    row ~mutant:drop "rmmod-irq/uhci-hcd" uhci_found (Some "panic");
+    row "rmmod-irq/ens1371" "" None;
+    row "rmmod-irq/ens1371" ens1371_found None;
+    row "rmmod-irq/uhci-hcd" uhci_found None;
   ]
 
 let test_replay_table () =
@@ -155,10 +182,7 @@ let test_replay_table () =
 let test_replay_deterministic () =
   K.Mutants.reset ();
   K.Mutants.drop_unbind_drain := true;
-  let run () =
-    Explore.replay (episode "fleet-churn")
-      "loader,churn-a,churn-b,kworker/xpc-batch/0"
-  in
+  let run () = Explore.replay (episode "rmmod-irq/ens1371") ens1371_found in
   let a, b = Fun.protect ~finally:K.Mutants.reset (fun () -> (run (), run ())) in
   check_bool "replay found the violation" true (a <> []);
   check_str "two replays of one trace agree" (violations_str a)
@@ -186,7 +210,7 @@ let test_window_hook_blocking () =
   (* boot a fresh world so the poisoned hook cannot leak into later tests *)
   K.Boot.boot ()
 
-(* --- the bundled drivers take no lock pair in both orders --- *)
+(* --- lock order --- *)
 
 let test_bundled_conflict_free () =
   let module E = Decaf_experiments.Exploration in
@@ -198,6 +222,32 @@ let test_bundled_conflict_free () =
   check_bool "no AB/BA pair in the dynamic lock order" false
     (List.exists (fun (a, b) -> List.mem (b, a) edges) edges)
 
+(* One thread takes A then B, another B then A: no schedule deadlocks
+   here, but the accumulated order graph holds a cycle. *)
+let test_cycle_check () =
+  K.Boot.boot ();
+  let graph = Invariants.new_graph () in
+  let m = Invariants.monitor graph in
+  let nest outer inner () =
+    let note o a = Invariants.on_event m (K.Ktrace.Lock o) a in
+    note outer K.Ktrace.Acquire;
+    note inner K.Ktrace.Acquire;
+    note inner K.Ktrace.Release;
+    note outer K.Ktrace.Release
+  in
+  ignore (K.Sched.spawn ~name:"path-a" (nest "spin:A#1" "spin:B#2"));
+  check_bool "one order alone is no cycle" true
+    (K.Sched.run ();
+     Invariants.cycle_violation graph = None);
+  ignore (K.Sched.spawn ~name:"path-b" (nest "spin:B#2" "spin:A#1"));
+  K.Sched.run ();
+  match Invariants.cycle_violation graph with
+  | Some v ->
+      check_str "kind" "lock-order" v.Invariants.v_kind;
+      check_str "witness" "acquisition-order cycle: spin:A -> spin:B -> spin:A"
+        v.Invariants.v_detail
+  | None -> Alcotest.fail "AB/BA order not reported"
+
 let () =
   Alcotest.run "decaf-check"
     [
@@ -206,8 +256,8 @@ let () =
           Alcotest.test_case "catalog clean" `Quick test_catalog_clean;
           Alcotest.test_case "mutant: dropped unbind drain is caught" `Quick
             test_mutant_drop_drain;
-          Alcotest.test_case "mutant: swapped lock order is caught" `Quick
-            test_mutant_swap_lock_order;
+          Alcotest.test_case "a binding left up never quiesces" `Quick
+            test_no_quiescence;
         ] );
       ( "replay",
         [
@@ -225,5 +275,7 @@ let () =
         [
           Alcotest.test_case "bundled drivers conflict-free" `Quick
             test_bundled_conflict_free;
+          Alcotest.test_case "an AB/BA pair is a cycle" `Quick
+            test_cycle_check;
         ] );
     ]

@@ -883,7 +883,7 @@ let test_kmem_double_free () =
         (try
            Kmem.free a;
            false
-         with Kmem.Use_after_free _ -> true))
+         with Kmem.Double_free _ -> true))
 
 let test_kmem_injection () =
   run_sim (fun () ->
