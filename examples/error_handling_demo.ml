@@ -27,19 +27,17 @@ let () =
   (* part 2: fault injection against the running decaf driver *)
   List.iter
     (fun (nth, stage) ->
-      K.Boot.boot ();
+      Decaf_experiments.Scenario.boot ();
       let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
       ignore
         (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
            ~mac:"\x00\x1b\x21\x0a\x0b\x0c" ~link ());
       ignore
         (K.Sched.spawn ~name:"inject" (fun () ->
-             let t =
-               match E1000_drv.insmod Driver_env.decaf with
-               | Ok t -> t
-               | Error rc -> failwith (Printf.sprintf "insmod: %d" rc)
-             in
-             let nd = E1000_drv.netdev t in
+             (match Driver_core.insmod "e1000" ~mode:Driver_env.Decaf with
+             | Ok () -> ()
+             | Error rc -> failwith (Printf.sprintf "insmod: %d" rc));
+             let nd = E1000_drv.netdev (Option.get (E1000_drv.active ())) in
              K.Kmem.inject_failure ~after:nth;
              (match K.Netcore.open_dev nd with
              | Error rc ->
@@ -51,7 +49,7 @@ let () =
              (match K.Netcore.open_dev nd with
              | Ok () -> print_endline "; recovery open: OK"
              | Error rc -> Printf.printf "; recovery open FAILED (%d)\n" rc);
-             E1000_drv.rmmod t));
+             Driver_core.rmmod "e1000"));
       K.Sched.run ())
     [ (1, "tx ring allocation"); (2, "rx ring allocation") ];
   print_endline

@@ -11,7 +11,7 @@ open Decaf_drivers
 open Decaf_workloads
 
 let run mode =
-  K.Boot.boot ();
+  Decaf_experiments.Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
@@ -19,17 +19,10 @@ let run mode =
   let result = ref None in
   ignore
     (K.Sched.spawn ~name:"netperf" (fun () ->
-         let env =
-           match mode with
-           | `Native -> Driver_env.native
-           | `Decaf -> Driver_env.decaf
-         in
-         let t =
-           match E1000_drv.insmod env with
-           | Ok t -> t
-           | Error rc -> failwith (Printf.sprintf "insmod: %d" rc)
-         in
-         let nd = E1000_drv.netdev t in
+         (match Driver_core.insmod "e1000" ~mode with
+         | Ok () -> ()
+         | Error rc -> failwith (Printf.sprintf "insmod: %d" rc));
+         let nd = E1000_drv.netdev (Option.get (E1000_drv.active ())) in
          (match K.Netcore.open_dev nd with
          | Ok () -> ()
          | Error rc -> failwith (Printf.sprintf "open: %d" rc));
@@ -41,15 +34,17 @@ let run mode =
            Netperf.recv ~netdev:nd ~link ~duration_ns:2_000_000_000
              ~msg_bytes:1500
          in
-         let init = E1000_drv.init_latency_ns t in
-         E1000_drv.rmmod t;
+         let init =
+           (Driver_core.snapshot "e1000").Driver_core.s_init_latency_ns
+         in
+         Driver_core.rmmod "e1000";
          result := Some (send, recv, init)));
   K.Sched.run ();
   Option.get !result
 
 let () =
-  let n_send, n_recv, n_init = run `Native in
-  let d_send, d_recv, d_init = run `Decaf in
+  let n_send, n_recv, n_init = run Driver_env.Native in
+  let d_send, d_recv, d_init = run Driver_env.Decaf in
   Printf.printf "%-10s %-6s %12s %8s %12s\n" "workload" "mode" "throughput"
     "CPU" "init";
   let row workload mode (r : Netperf.result) init =

@@ -1,6 +1,9 @@
 (* Quickstart: boot the simulated machine, load the E1000 as a decaf
    driver (init/shutdown at user level, data path in the kernel), move
-   some packets, and look at what crossed the kernel/user boundary.
+   some packets, and look at what crossed the kernel/user boundary. The
+   driver is bound the one way every driver is: through the registry,
+   Driver_core, which supervises it and drains its deferred work before
+   it goes.
 
    Run with:  dune exec examples/quickstart.exe *)
 
@@ -9,8 +12,9 @@ module Hw = Decaf_hw
 open Decaf_drivers
 
 let () =
-  (* 1. power on the machine and plug in a gigabit NIC *)
-  K.Boot.boot ();
+  (* 1. power on the machine (registering the five drivers) and plug in
+     a gigabit NIC *)
+  Decaf_experiments.Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
@@ -21,13 +25,13 @@ let () =
     (K.Sched.spawn ~name:"main" (fun () ->
          (* load the driver in decaf mode: probe runs in the decaf driver
             with XDR marshaling of the adapter structure *)
-         let t =
-           match E1000_drv.insmod Driver_env.decaf with
-           | Ok t -> t
-           | Error rc -> failwith (Printf.sprintf "insmod failed: %d" rc)
-         in
+         (match Driver_core.insmod "e1000" ~mode:Driver_env.Decaf with
+         | Ok () -> ()
+         | Error rc -> failwith (Printf.sprintf "insmod failed: %d" rc));
+         let t = Option.get (E1000_drv.active ()) in
          Printf.printf "e1000 loaded in %.1f ms\n"
-           (float_of_int (E1000_drv.init_latency_ns t) /. 1e6);
+           (float_of_int (Driver_core.snapshot "e1000").Driver_core.s_init_latency_ns
+           /. 1e6);
 
          (* bring the interface up and send a little traffic *)
          let nd = E1000_drv.netdev t in
@@ -54,6 +58,6 @@ let () =
          K.Sched.sleep_ns 5_000_000_000;
          Printf.printf "watchdog ran %d times in the decaf driver\n"
            (E1000_drv.watchdog_runs t);
-         E1000_drv.rmmod t;
+         Driver_core.rmmod "e1000";
          print_endline "driver unloaded cleanly"));
   K.Sched.run ()

@@ -27,7 +27,8 @@ let irq_burst line () =
 (* --- the shared end-of-episode check --- *)
 
 (* Every binding the episode made is Removed, and removal left nothing
-   behind: no capability handle, allocation or loaded module. *)
+   behind: no capability handle, claimed irq line, allocation or loaded
+   module. *)
 let removed_check () =
   let bound =
     List.filter
@@ -54,6 +55,9 @@ let removed_check () =
   @ (if handles = 0 then []
      else
        [ vf "leak" "kernel tracker holds %d handle(s) after removal" handles ])
+  @ List.map
+      (fun (n, owner) -> vf "leak" "irq %d still claimed by %s" n owner)
+      (K.Irq.claimed ())
   @ match K.Boot.check_quiescent () with
     | Ok () -> []
     | Error what -> [ vf "leak" "%s" what ]
@@ -144,12 +148,30 @@ let fleet_churn =
               Driver_core.rmmod (bind 0));
           spawn "churn-b" (fun () -> Driver_core.rmmod b)))
 
+(* --- 6: surprise removal races the probe --- *)
+
+(* The device leaves the bus while the probe sleeps (8139too's chip
+   reset, ens1371's codec calibration), when the binding has no instance
+   to eject yet. *)
+let eject_probe driver =
+  ep ("eject-probe/" ^ driver) (fun () ->
+      ignore (Rig.plug driver);
+      spawn "loader" (fun () ->
+          ignore (Driver_core.insmod driver ~mode);
+          match Driver_core.state driver with
+          | Running | Suspended -> Driver_core.rmmod driver
+          | _ -> ());
+      spawn "hotplug" (fun () ->
+          K.Sched.sleep_ns 5_000_000;
+          Rig.unplug driver))
+
 let all =
   List.map probe_irq [ "8139too"; "e1000" ]
   @ List.map rmmod_irq Driver_set.names
   @ List.map suspend_flush [ "ens1371"; "uhci-hcd" ]
   @ List.map eject_doorbell [ "8139too"; "e1000" ]
   @ [ fleet_churn ]
+  @ List.map eject_probe [ "8139too"; "ens1371" ]
 
 let find name =
   List.find_opt (fun e -> e.Explore.ep_name = name) all

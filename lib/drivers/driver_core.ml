@@ -87,8 +87,6 @@ type binding = {
   b_instance : int;
   b_id : string;
   b_trace : K.Ktrace.obj;  (** "binding:<b_id>", built once *)
-  b_bus : K.Hotplug.bus;
-  b_ids : (int * int) list;
   b_family : family;  (** shared by every instance of the driver *)
   mutable b_dev : string option;
       (** bus device this binding is pinned to, when bound via
@@ -103,6 +101,9 @@ type binding = {
       (** mode to auto-rebind with when the device is replugged *)
   mutable in_run : bool;
       (** inside {!run}: nested ops must not re-wrap supervision *)
+  mutable lost : string list;
+      (** bus devices removed while the probe ran with no instance to
+          eject yet; checked when it returns *)
 }
 
 (* A driver's instances, indexed by instance number: the first [size]
@@ -130,8 +131,7 @@ let by_id : (string, binding) Hashtbl.t = Hashtbl.create 64
 (* The [Recovering] row is deliberately permissive: the supervisor can
    catch a fault in any phase of a supervised operation, and the
    unwinding (protect-cleanup) may already have moved the binding. The
-   transitions a caller can request directly — probe, suspend, resume,
-   remove — are the strictly checked ones. *)
+   transitions a caller can request are checked by [guard] below. *)
 let allowed from_ to_ =
   match (from_, to_) with
   | (Unbound | Removed | Recovering), Probed -> true
@@ -149,6 +149,22 @@ let allowed from_ to_ =
 
 (* A free binding can be bound again. *)
 let is_free = function Unbound | Removed -> true | _ -> false
+
+(* The transitions a caller may request, checked before the operation
+   starts: insmod and run probe a free binding, suspend and resume
+   toggle a bound one, rmmod unbinds one that is up or disabled. *)
+let guard b to_ =
+  let ok =
+    match (b.state, to_) with
+    | (Unbound | Removed), Probed
+    | Running, Suspended
+    | Suspended, Running
+    | (Running | Suspended | Disabled), Removed ->
+        true
+    | _ -> false
+  in
+  if not ok then
+    raise (Illegal_transition { driver = b.b_id; from_ = b.state; to_ })
 
 let transition b to_ =
   if not (allowed b.state to_) then
@@ -171,18 +187,35 @@ let fresh_sup b =
   b.sup <- Some s;
   s
 
-let sup_of b = match b.sup with Some s -> s | None -> fresh_sup b
-
 let on_restart b () =
   transition b Recovering;
   Decaf_runtime.Runtime.restart ()
 
-(* Deliver batched notifications, then wait for crossings already
-   executing in the user-level domains to return. Bounded: a crossing
-   wedged past the deadline is the supervisor's problem, not ours. *)
-let drain_in_flight () =
+(* Every lifecycle op runs [op] under the binding's supervisor, or
+   directly inside {!run}, whose supervisor retries the whole episode.
+   [None]: the restart budget ran out and the binding is Disabled. *)
+let supervised b op =
+  if b.in_run then Some (op ())
+  else
+    let sup = match b.sup with Some s -> s | None -> fresh_sup b in
+    match Supervisor.run sup ~on_restart:(on_restart b) op with
+    | Some _ as r -> r
+    | None ->
+        set_disabled b;
+        None
+
+(* Deliver batched notifications (and with them any pending dirty
+   deltas) and every shared ring's slots: before a binding's driver
+   goes, and while a suspending device is still powered. *)
+let drain () =
   Xpc.Batch.drain ();
-  Xpc.Ring.drain_all ();
+  Xpc.Ring.drain_all ()
+
+(* Drain, then wait for crossings already executing in the user-level
+   domains to return. Bounded: a crossing wedged past the deadline is
+   the supervisor's problem, not ours. *)
+let drain_in_flight () =
+  drain ();
   let busy () =
     Xpc.Channel.in_flight Xpc.Domain.Decaf_driver
     + Xpc.Channel.in_flight Xpc.Domain.Driver_lib
@@ -203,26 +236,6 @@ let unbind b =
   b.inst <- None;
   Driver_env.close b.env
 
-let bind b mode =
-  match b.drv with
-  | Pack (module D) -> (
-      transition b Probed;
-      let env = Driver_env.create mode ~scope:b.b_id in
-      b.env <- env;
-      match D.probe env ~dev:b.b_dev with
-      | Ok t ->
-          b.inst <- Some (B ((module D), t));
-          transition b Running;
-          Ok ()
-      | Error rc ->
-          transition b Unbound;
-          Error rc
-      | exception e ->
-          transition b Unbound;
-          raise e)
-
-(* --- hotplug routing --- *)
-
 let eject_binding b =
   drain_in_flight ();
   (* [drain_in_flight] blocks: a concurrent rmmod (or a second removal
@@ -233,52 +246,68 @@ let eject_binding b =
   | Probed | Running | Suspended | Recovering | Disabled -> unbind b
   | Unbound | Removed -> ()
 
+let eject_removed b id =
+  K.Klog.printk K.Klog.Info "driver_core: %s: device %s removed" b.b_id id;
+  eject_binding b
+
+let bind b mode =
+  match b.drv with
+  | Pack (module D) -> (
+      transition b Probed;
+      b.lost <- [];
+      let env = Driver_env.create mode ~scope:b.b_id in
+      b.env <- env;
+      match D.probe env ~dev:b.b_dev with
+      | Ok t ->
+          b.inst <- Some (B ((module D), t));
+          transition b Running;
+          (* a surprise removal of the claimed device found no instance
+             to eject while the probe ran: eject it now *)
+          (match b.lost with
+          | [] -> ()
+          | lost ->
+              Option.iter (eject_removed b) (List.find_opt (D.owns t) lost));
+          Ok ()
+      | Error rc ->
+          transition b Unbound;
+          Error rc
+      | exception e ->
+          transition b Unbound;
+          raise e)
+
+(* --- hotplug routing --- *)
+
 let handle_removed bus id =
   List.iter
     (fun b ->
+      let (Pack (module D)) = b.drv in
       match (b.state, b.inst) with
       | (Probed | Running | Suspended), Some (B ((module D), t))
         when D.bus = bus && D.owns t id ->
-          K.Klog.printk K.Klog.Info "driver_core: %s: device %s removed"
-            b.b_id id;
-          eject_binding b
+          eject_removed b id
+      | Probed, None when D.bus = bus -> b.lost <- id :: b.lost
       | _ -> ())
     (List.rev !bindings)
 
 let handle_added bus ~id ~vendor ~device =
   List.iter
     (fun b ->
+      let (Pack (module D)) = b.drv in
       if
-        (b.state = Unbound || b.state = Removed)
-        && b.want <> None && b.b_bus = bus
-        && List.exists (fun (v, d) -> v = vendor && d = device) b.b_ids
+        is_free b.state && b.want <> None && D.bus = bus
+        && List.exists (fun (v, d) -> v = vendor && d = device) D.ids
         (* a binding pinned to a specific bus device only rebinds when
            that very device returns; unpinned bindings take any match *)
         && (match b.b_dev with None -> true | Some d -> d = id)
-      then begin
+      then
         let mode = Option.get b.want in
         (* -ENODEV, -ENXIO: nothing here for this binding (an older one
            took the device), which is no failure, as in [Pci.try_bind] *)
-        let warn = function
-          | -19 | -6 -> ()
-          | rc ->
-              K.Klog.printk K.Klog.Warning
-                "driver_core: %s: hotplug re-probe failed (errno %d)" b.b_id rc
-        in
-        if b.in_run then begin
-          (* already under a supervised episode: probe directly so a
-             fault is retried as part of the whole body *)
-          match bind b mode with Ok () -> () | Error rc -> warn rc
-        end
-        else
-          match
-            Supervisor.run (sup_of b) ~on_restart:(on_restart b) (fun () ->
-                bind b mode)
-          with
-          | Some (Ok ()) -> ()
-          | Some (Error rc) -> warn rc
-          | None -> set_disabled b
-      end)
+        match supervised b (fun () -> bind b mode) with
+        | Some (Ok ()) | Some (Error (-19 | -6)) | None -> ()
+        | Some (Error rc) ->
+            K.Klog.printk K.Klog.Warning
+              "driver_core: %s: hotplug re-probe failed (errno %d)" b.b_id rc)
     (List.rev !bindings)
 
 let hotplug_handler = function
@@ -296,7 +325,29 @@ let () =
   Hashtbl.reset by_id;
   K.Hotplug.subscribe hotplug_handler
 
-let add_member fam b =
+(* The one binding constructor: instance [inst] of the packed driver,
+   appended to its family. *)
+let add_binding drv fam inst =
+  let (Pack (module D)) = drv in
+  let id = if inst = 0 then D.name else Printf.sprintf "%s#%d" D.name inst in
+  let b =
+    {
+      drv;
+      b_name = D.name;
+      b_instance = inst;
+      b_id = id;
+      b_trace = K.Ktrace.Queue ("binding:" ^ id);
+      b_family = fam;
+      b_dev = None;
+      state = Unbound;
+      inst = None;
+      sup = None;
+      env = never_bound;
+      want = None;
+      in_run = false;
+      lost = [];
+    }
+  in
   if fam.size = Array.length fam.members then begin
     let grown = Array.make (Int.max 4 (2 * fam.size)) b in
     Array.blit fam.members 0 grown 0 fam.size;
@@ -305,33 +356,15 @@ let add_member fam b =
   fam.members.(fam.size) <- b;
   fam.size <- fam.size + 1;
   bindings := b :: !bindings;
-  Hashtbl.replace by_id b.b_id b
+  Hashtbl.replace by_id id b;
+  b
 
 let register (Pack (module D) as p) =
   (* re-registering a driver discards its whole instance family *)
   let gone, kept = List.partition (fun o -> o.b_name = D.name) !bindings in
   List.iter (fun o -> Hashtbl.remove by_id o.b_id) gone;
   bindings := kept;
-  let b =
-    {
-      drv = p;
-      b_name = D.name;
-      b_instance = 0;
-      b_id = D.name;
-      b_trace = K.Ktrace.Queue ("binding:" ^ D.name);
-      b_bus = D.bus;
-      b_ids = D.ids;
-      b_family = { members = [||]; size = 0; free_from = 0 };
-      b_dev = None;
-      state = Unbound;
-      inst = None;
-      sup = None;
-      env = never_bound;
-      want = None;
-      in_run = false;
-    }
-  in
-  add_member b.b_family b
+  ignore (add_binding p { members = [||]; size = 0; free_from = 0 } 0)
 
 let registered () =
   List.filter_map
@@ -356,19 +389,12 @@ let supervisor name = (find name).sup
 (* --- public lifecycle operations --- *)
 
 let insmod_binding b ~mode =
-  (match b.state with
-  | Unbound | Removed -> ()
-  | s -> raise (Illegal_transition { driver = b.b_id; from_ = s; to_ = Probed }));
+  guard b Probed;
   b.want <- Some mode;
-  if b.in_run then bind b mode
-  else
-    let sup = fresh_sup b in
-    match Supervisor.run sup ~on_restart:(on_restart b) (fun () -> bind b mode) with
-    | Some (Ok ()) -> Ok ()
-    | Some (Error rc) -> Error rc
-    | None ->
-        set_disabled b;
-        Error (-Errors.eio)
+  if not b.in_run then ignore (fresh_sup b);
+  match supervised b (fun () -> bind b mode) with
+  | Some r -> r
+  | None -> Error (-Errors.eio)
 
 let insmod name ~mode = insmod_binding (find name) ~mode
 
@@ -393,25 +419,7 @@ let bind_device name ?dev ~mode () =
         b
     | None ->
         fam.free_from <- fam.size;
-        let inst = fam.size in
-        let id = Printf.sprintf "%s#%d" proto.b_name inst in
-        let b =
-          {
-            proto with
-            b_instance = inst;
-            b_id = id;
-            b_trace = K.Ktrace.Queue ("binding:" ^ id);
-            b_dev = None;
-            state = Unbound;
-            inst = None;
-            sup = None;
-            env = never_bound;
-            want = None;
-            in_run = false;
-          }
-        in
-        add_member fam b;
-        b
+        add_binding proto.drv fam fam.size
   in
   b.b_dev <- dev;
   match insmod_binding b ~mode with
@@ -420,15 +428,10 @@ let bind_device name ?dev ~mode () =
 
 let rmmod name =
   let b = find name in
-  (match b.state with
-  | Running | Suspended | Disabled -> ()
-  | s -> raise (Illegal_transition { driver = name; from_ = s; to_ = Removed }));
+  guard b Removed;
   (* deliver outstanding deferred notifications and ring slots before
      teardown so no deferred call outlives its driver *)
-  if not !K.Mutants.drop_unbind_drain then begin
-    Xpc.Batch.drain ();
-    Xpc.Ring.drain_all ()
-  end;
+  if not !K.Mutants.drop_unbind_drain then drain ();
   (* the drains block on flush workers: re-check that a concurrent
      ejection did not already unbind while we waited *)
   (match b.state with
@@ -440,68 +443,38 @@ let eject name =
   let b = find name in
   match b.state with Running | Suspended -> eject_binding b | _ -> ()
 
-let suspend name =
-  let b = find name in
-  if b.state <> Running then
-    raise (Illegal_transition { driver = name; from_ = b.state; to_ = Suspended });
+(* Suspend and resume: the driver's hook under supervision, then the
+   transition. *)
+let pm b to_ hook =
+  guard b to_;
   match b.inst with
   | None -> Error (-Errors.enodev)
-  | Some (B ((module D), t)) -> (
-      let op () =
-        D.suspend t;
-        (* flush batched notifies — and with them any pending dirty
-           deltas — and drain the shared ring while the device is still
-           powered, so no slot survives into the suspended state *)
-        Xpc.Batch.drain ();
-        Xpc.Ring.drain_all ()
-      in
-      if b.in_run then begin
-        op ();
-        transition b Suspended;
-        Ok ()
-      end
-      else
-        match Supervisor.run (sup_of b) ~on_restart:(on_restart b) op with
-        | Some () ->
-            transition b Suspended;
-            Ok ()
-        | None ->
-            set_disabled b;
-            Error (-Errors.eio))
+  | Some inst -> (
+      match supervised b (fun () -> hook inst) with
+      | Some () ->
+          transition b to_;
+          Ok ()
+      | None -> Error (-Errors.eio))
 
-let resume name =
-  let b = find name in
-  if b.state <> Suspended then
-    raise (Illegal_transition { driver = name; from_ = b.state; to_ = Running });
-  match b.inst with
-  | None -> Error (-Errors.enodev)
-  | Some (B ((module D), t)) -> (
-      let op () = D.resume t in
-      if b.in_run then begin
-        op ();
-        transition b Running;
-        Ok ()
-      end
-      else
-        match Supervisor.run (sup_of b) ~on_restart:(on_restart b) op with
-        | Some () ->
-            transition b Running;
-            Ok ()
-        | None ->
-            set_disabled b;
-            Error (-Errors.eio))
+let suspend name =
+  pm (find name) Suspended (fun (B ((module D), t)) ->
+      D.suspend t;
+      (* flush batched notifies and drain the shared ring while the
+         device is still powered, so no slot survives into the
+         suspended state *)
+      drain ())
+
+let resume name = pm (find name) Running (fun (B ((module D), t)) -> D.resume t)
 
 (* --- whole-episode supervision (the fault campaign's shape) --- *)
 
 let run name ~mode body =
   let b = find name in
-  (match b.state with
-  | Unbound | Removed -> ()
-  | s -> raise (Illegal_transition { driver = name; from_ = s; to_ = Probed }));
-  let sup = fresh_sup b in
+  guard b Probed;
+  ignore (fresh_sup b);
   b.want <- Some mode;
-  b.in_run <- true;
   let attempt () =
+    b.in_run <- true;
     (match bind b mode with
     | Ok () -> ()
     | Error rc -> Errors.throw ~driver:name ~errno:(-rc) "probe");
@@ -514,8 +487,7 @@ let run name ~mode body =
         let v = body () in
         (match b.state with
         | Running | Suspended ->
-            Xpc.Batch.drain ();
-            Xpc.Ring.drain_all ();
+            drain ();
             unbind b
         | _ -> ());
         v)
@@ -524,12 +496,7 @@ let run name ~mode body =
     ~finally:(fun () ->
       b.in_run <- false;
       b.want <- None)
-    (fun () ->
-      match Supervisor.run sup ~on_restart:(on_restart b) attempt with
-      | Some v -> Some v
-      | None ->
-          set_disabled b;
-          None)
+    (fun () -> supervised b attempt)
 
 (* --- observability --- *)
 

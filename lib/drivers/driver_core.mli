@@ -1,15 +1,15 @@
 (** The unified driver model: one signature, one registry, one lifecycle.
 
-    Each of the five drivers exports a [Core] module implementing
-    {!DRIVER}; the registry owns, per bound driver, its
-    {!Driver_env.t} (made fresh at every bind, scoped to the binding
-    id, closed at unbind; its meter is the snapshot's crossing, notify
-    and sync count),
-    its recovery {!Decaf_runtime.Supervisor.t}, and an explicit
-    lifecycle state machine. All load/unload, suspend/resume and hotplug paths go
-    through here, so the fault campaign, Table 3 and [decafctl status]
-    all observe the same per-driver snapshot instead of per-driver
-    one-off accessors.
+    Each driver is described once, to {!Pci_family.Make} or
+    {!Singleton.Make}, which yield its {!DRIVER} ([X_drv.packed]). The
+    registry is the only way to bind one: it owns, per binding, its
+    {!Driver_env.t} (made fresh at every bind, scoped to the binding id,
+    closed at unbind; its meter is the snapshot's crossing, notify and
+    sync count), its recovery {!Decaf_runtime.Supervisor.t}, and an
+    explicit lifecycle state machine. Every load/unload, suspend/resume
+    and hotplug path goes through here, so every unload drains first and
+    the fault campaign, Table 3 and [decafctl status] all observe the
+    same per-binding snapshot.
 
     {2 Lifecycle}
 
@@ -24,10 +24,11 @@
                                         Recovering ──budget out──▶ Disabled
     v}
 
-    Illegal transitions (suspending a driver that is not running,
-    loading one that is already bound, resuming one that is not
-    suspended, ...) raise {!Illegal_transition}; errno-style failures
-    (probe rejected, supervisor gave up) come back as [Error _]. *)
+    One guard checks each requested transition before its op starts:
+    an illegal one (suspending a driver that is not running, loading
+    one that is already bound, resuming one that is not suspended, ...)
+    raises {!Illegal_transition}; errno-style failures (probe rejected,
+    supervisor gave up) come back as [Error _]. *)
 
 type lifecycle =
   | Unbound
@@ -67,7 +68,8 @@ module type DRIVER = sig
       fleet is probed once per instance. *)
 
   val remove : t -> unit
-  (** Tear down and unload: the existing [rmmod]. *)
+  (** Release the instance's device; the last instance unloads the
+      module. *)
 
   val suspend : t -> unit
   (** PM suspend hook: crosses to the decaf driver like any other
@@ -143,7 +145,9 @@ val insmod : string -> mode:Driver_env.mode -> (unit, int) result
     [Unbound/Removed -> Probed -> Running]. The probe runs under the
     supervisor, so a faulting probe is retried within the restart
     budget; [Error] is the probe's errno (or [-EIO] after the budget is
-    exhausted, leaving the driver [Disabled]). *)
+    exhausted, leaving the driver [Disabled]). A surprise removal of the
+    device while the probe runs finds no instance to eject; the binding
+    is ejected when the probe returns, and ends [Removed]. *)
 
 val bind_device :
   string ->

@@ -25,11 +25,6 @@ let create mode ~scope =
 
 let close env = env.closed <- true
 
-let native = create Native ~scope:""
-let staged = create Staged ~scope:""
-let decaf = create Decaf ~scope:""
-let scope_or env default = if env.scope = "" then default else env.scope
-
 let mode_name = function
   | Native -> "native"
   | Staged -> "staged"

@@ -4,7 +4,10 @@
     probed with decides where every call goes. [Native] is the original
     Linux driver: all of it runs in the kernel. [Staged] and [Decaf] are
     split builds whose user-level half runs in the C driver library or,
-    once converted, the managed runtime:
+    once converted, the managed runtime ([Staged] is the migration
+    staging ground of §5.3: crossings into the C library, no C/Java
+    transitions, no runtime start). The registry
+    ({!Driver_core}) makes an env at every bind, scoped to the binding:
 
     - {b I/O}: the port and MMIO accessors are plain kernel accesses in
       [Native], direct Jeannie calls from user level when split.
@@ -38,37 +41,21 @@ type meter = {
 type t = {
   mode : mode;
   scope : string;
-      (** The binding id this env serves; [""] for the bare envs below.
-          Drivers name their Boundary scopes and rings after it (falling
-          back to the driver name via {!scope_or}), so a fleet of
-          instances of one module keeps per-instance accounting. *)
+      (** The binding id this env serves. Drivers name their Boundary
+          scopes and rings after it, so a fleet of instances of one
+          module keeps per-instance accounting. *)
   meter : meter;
   mutable closed : bool;  (** set by {!close}, never cleared *)
 }
 
 val create : mode -> scope:string -> t
-(** A fresh env with a zero meter; the registry makes one per bind. *)
+(** A fresh env with a zero meter. Only the registry makes one, at
+    every bind, so every env is a binding's env. *)
 
 val close : t -> unit
 (** End the env's binding: a notify it posted that is delivered from
     now on raises {!Decaf_kernel.Panic.Kernel_bug} ["<scope>: deferred
     notification delivered after unbind"] instead of running. *)
-
-val native : t
-(** [native], [staged] and [decaf] are unscoped envs shared by every
-    direct driver load (tests, benches); nothing reads their meters. *)
-
-val staged : t
-(** The migration staging ground of §5.3: kernel/user crossings into the
-    C driver library, but no C/Java transitions and no managed-runtime
-    start. This is how the paper ran all user-mode E1000 functions
-    before converting them to Java one at a time. *)
-
-val decaf : t
-
-val scope_or : t -> string -> string
-(** [scope_or env default] is the env's binding id, or [default] when
-    the env is unscoped (direct driver use in tests and benches). *)
 
 val mode_name : mode -> string
 

@@ -1,11 +1,11 @@
 let all () =
   [
-    Driver_core.Pack (module Rtl8139_drv.Core);
-    Driver_core.Pack (module E1000_drv.Core);
-    Driver_core.Pack (module Ens1371_drv.Core);
-    Driver_core.Pack (module Uhci_drv.Core);
-    Driver_core.Pack (module Psmouse_drv.Core);
+    Rtl8139_drv.packed;
+    E1000_drv.packed;
+    Ens1371_drv.packed;
+    Uhci_drv.packed;
+    Psmouse_drv.packed;
   ]
 
-let names = [ "8139too"; "e1000"; "ens1371"; "uhci-hcd"; "psmouse" ]
+let names = List.map (fun (Driver_core.Pack (module D)) -> D.name) (all ())
 let register_defaults () = List.iter Driver_core.register (all ())

@@ -112,9 +112,7 @@ type resources = {
 
 type adapter = {
   env : Driver_env.t;
-  scope : string;
-      (** binding id this adapter is accounted under (ring name,
-          boundary scope); the bare driver name for the first instance *)
+      (** the binding's env: its scope names the ring and the lock *)
   model : E.t;
   pci : K.Pci.dev;
   mmio : int;
@@ -141,9 +139,9 @@ let reg a off = a.mmio + off
 (* Run [f] on the user-level view of the adapter (one upcall in decaf
    mode), and post a non-urgent kernel->user refresh (stats rollups,
    link state) to Batch; see {!Shared_struct.S.with_view}. *)
-let with_java_adapter a ~name f = O.with_view a.env ~scope:a.scope a.ka ~name f
+let with_java_adapter a ~name f = O.with_view a.env a.ka ~name f
 
-let post_adapter_sync a ~name = O.post_sync a.env ~scope:a.scope a.ka ~name
+let post_adapter_sync a ~name = O.post_sync a.env a.ka ~name
 
 (* The kernel nucleus refreshes the user-level stats view once per
    [stats_notify_interval] data-path packets — often enough for user
@@ -598,12 +596,11 @@ let probe env (pci : K.Pci.dev) =
   | Some model ->
       K.Pci.enable_device pci;
       K.Pci.set_master pci;
-      let scope = Driver_env.scope_or env driver in
+      let scope = env.Driver_env.scope in
       let bar = K.Pci.bar pci 0 in
       let a =
         {
           env;
-          scope;
           model;
           pci;
           mmio = bar.K.Pci.base;
@@ -663,42 +660,10 @@ let unbind a =
   O.release a.env a.ka;
   match a.netdev with Some nd -> K.Netcore.unregister_netdev nd | None -> ()
 
-let ids = List.map (fun id -> (vendor_id, id)) device_ids
-
-include Pci_family.Make (struct
-  type nonrec adapter = adapter
-
-  let name = driver
-  let ids = ids
-  let scope a = a.scope
-  let slot a = K.Pci.slot a.pci
-  let probe = probe
-  let unbind = unbind
-
-  let quiesce a =
-    match a.netdev with
-    | Some nd when K.Netcore.is_up nd -> ignore (K.Netcore.stop_dev nd)
-    | Some _ | None -> ()
-
-  (* module parameters are insmod arguments: they must not survive the
-     module. A later insmod with no explicit params gets the defaults,
-     not whatever the previous load was given. *)
-  let unloaded = reset_module_params
-end)
-
-(* Power-on state: no device model or insmod argument outlives the
-   machine it was made on. *)
-let () =
-  K.Boot.on_reset @@ fun () ->
-  Hashtbl.reset models;
-  checked_params := [];
-  reset_module_params ()
-
 (* --- power management (§3.1.3: suspend/resume run in the decaf
    driver, like any other non-critical path) --- *)
 
-let suspend t =
-  let a = t.adapter in
+let suspend a =
   disarm_watchdog a;
   Decaf_runtime.Runtime.Nuclear.flush ();
   with_java_adapter a ~name:"e1000_suspend" (fun j ->
@@ -707,8 +672,7 @@ let suspend t =
          even if the bus power-cycled it *)
       save_config_space a j)
 
-let resume t =
-  let a = t.adapter in
+let resume a =
   (* the user-level view may be arbitrarily stale (deltas were flushed
      at suspend, nothing synced since): re-mark every copy-in field so
      the resume crossing carries a full image *)
@@ -725,6 +689,38 @@ let resume t =
   | Some nd when K.Netcore.is_up nd -> arm_watchdog a
   | Some _ | None -> ()
 
+let ids = List.map (fun id -> (vendor_id, id)) device_ids
+
+include Pci_family.Make (struct
+  type nonrec adapter = adapter
+
+  let name = driver
+  let ids = ids
+  let slot a = K.Pci.slot a.pci
+  let probe = probe
+  let unbind = unbind
+
+  let quiesce a =
+    match a.netdev with
+    | Some nd when K.Netcore.is_up nd -> ignore (K.Netcore.stop_dev nd)
+    | Some _ | None -> ()
+
+  (* module parameters are insmod arguments: they must not survive the
+     module. A later insmod with no explicit params gets the defaults,
+     not whatever the previous load was given. *)
+  let unloaded = reset_module_params
+  let suspend = suspend
+  let resume = resume
+end)
+
+(* Power-on state: no device model or insmod argument outlives the
+   machine it was made on. *)
+let () =
+  K.Boot.on_reset @@ fun () ->
+  Hashtbl.reset models;
+  checked_params := [];
+  reset_module_params ()
+
 let netdev t =
   match t.adapter.netdev with
   | Some nd -> nd
@@ -738,18 +734,4 @@ let params t = t.adapter.params
 
 (* Fleet access: a binding made through the registry has no [t] in the
    caller's hands; the netdev is looked up by the PCI slot it claimed. *)
-let netdev_at ~slot = Option.bind (adapter_at ~slot) (fun a -> a.netdev)
-
-module Core = struct
-  type nonrec t = t
-
-  let name = driver
-  let bus = K.Hotplug.Pci
-  let ids = ids
-  let probe env ~dev = insmod ?dev env
-  let remove = rmmod
-  let suspend = suspend
-  let resume = resume
-  let owns t slot = K.Pci.slot t.adapter.pci = slot
-  let init_latency_ns = init_latency_ns
-end
+let netdev_at ~slot = Option.bind (at ~slot) (fun t -> t.adapter.netdev)

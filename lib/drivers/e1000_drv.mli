@@ -25,17 +25,11 @@ val setup_device :
   unit ->
   Decaf_hw.E1000_hw.t
 
-val insmod : ?dev:string -> Driver_env.t -> (t, int) result
-(** Load the module (or, when it is already loaded, bind one more
-    device to it — the module is refcounted across instances). [dev]
-    pins the bind to one PCI slot; without it the first unbound
-    matching device on the bus is claimed. *)
+val packed : Driver_core.packed
+(** For {!Driver_core.register}: registry name ["e1000"], the full id
+    table ({!Pci_family}); the last unbind resets the module
+    parameters. *)
 
-val rmmod : t -> unit
-(** Release this instance's device; the module itself is unloaded (and
-    the module parameters reset) only when the last instance goes. *)
-
-val init_latency_ns : t -> int
 val netdev : t -> Decaf_kernel.Netcore.t
 
 val netdev_at : slot:string -> Decaf_kernel.Netcore.t option
@@ -43,6 +37,9 @@ val netdev_at : slot:string -> Decaf_kernel.Netcore.t option
     how a fleet harness reaches instances it bound through the registry
     (which returns binding ids, not handles). [None] if the slot is
     unbound on this boot or the instance has no netdev yet. *)
+
+val at : slot:string -> t option
+(** The instance bound to the given PCI slot, whatever its binding id. *)
 
 val watchdog_runs : t -> int
 (** Times the watchdog has executed (in the decaf driver when in decaf
@@ -93,22 +90,5 @@ type params = {
 val params : t -> params
 
 val active : unit -> t option
-(** The first (bare-named) instance, until its [rmmod] or the next
-    {!Decaf_kernel.Boot.boot}. Lets workloads
-    reach a driver the registry loaded; fleet instances bound under
-    "e1000#k" scopes never disturb it. *)
-
-val suspend : t -> unit
-(** PM suspend: disarm the watchdog, flush deferred work, then cross to
-    the decaf driver to bring the device down and snapshot PCI config
-    space. Batched notifies are drained by the caller (the registry)
-    while the device is still powered. *)
-
-val resume : t -> unit
-(** PM resume: re-mark the whole object view dirty
-    ({!E1000_objects.resync_user_view}), restore config space through
-    per-dword downcalls, and bring the interface back up if it was up. *)
-
-module Core : Driver_core.DRIVER with type t = t
-(** The unified-driver-model view: registry name ["e1000"], PCI bus,
-    the full id table for hotplug re-probe matching. *)
+(** Binding ["e1000"]'s instance ({!Pci_family.Make.active}); fleet
+    instances bound as "e1000#k" never disturb it. *)

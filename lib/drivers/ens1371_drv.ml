@@ -128,7 +128,7 @@ let probe env (pci : K.Pci.dev) =
       let a =
         {
           env;
-          scope = Driver_env.scope_or env driver;
+          scope = env.Driver_env.scope;
           slot = K.Pci.slot pci;
           model;
           io_base = bar.K.Pci.base;
@@ -175,12 +175,28 @@ let probe env (pci : K.Pci.dev) =
       in
       if rc = 0 then Ok a else Error rc
 
+(* --- power management --- *)
+
+let suspend a =
+  Driver_env.upcall a.env ~name:"ens1371_suspend" ~bytes:adapter_wire_bytes
+    (fun () ->
+      (* silence the DAC; period interrupts stop with it *)
+      outl a S.reg_control 0)
+
+let resume a =
+  Driver_env.upcall a.env ~name:"ens1371_resume" ~bytes:adapter_wire_bytes
+    (fun () ->
+      (* the codec loses its registers across a power cycle *)
+      init_codec a;
+      if a.rate > 0 then outl a S.reg_src a.rate;
+      (* playback that was running when we suspended picks back up *)
+      if a.dac_on then outl a S.reg_control S.ctrl_dac2_en)
+
 include Pci_family.Make (struct
   type nonrec adapter = adapter
 
   let name = driver
   let ids = [ (vendor_id, device_id) ]
-  let scope a = a.scope
   let slot a = a.slot
   let probe = probe
 
@@ -190,28 +206,11 @@ include Pci_family.Make (struct
 
   let quiesce _ = ()
   let unloaded () = ()
+  let suspend = suspend
+  let resume = resume
 end)
 
 let () = K.Boot.on_reset @@ fun () -> Hashtbl.reset models
-
-(* --- power management --- *)
-
-let suspend t =
-  let a = t.adapter in
-  Driver_env.upcall a.env ~name:"ens1371_suspend" ~bytes:adapter_wire_bytes
-    (fun () ->
-      (* silence the DAC; period interrupts stop with it *)
-      outl a S.reg_control 0)
-
-let resume t =
-  let a = t.adapter in
-  Driver_env.upcall a.env ~name:"ens1371_resume" ~bytes:adapter_wire_bytes
-    (fun () ->
-      (* the codec loses its registers across a power cycle *)
-      init_codec a;
-      if a.rate > 0 then outl a S.reg_src a.rate;
-      (* playback that was running when we suspended picks back up *)
-      if a.dac_on then outl a S.reg_control S.ctrl_dac2_en)
 
 let substream t =
   match t.adapter.sub with
@@ -222,22 +221,3 @@ let card t =
   match t.adapter.card with
   | Some c -> c
   | None -> K.Panic.bug "ens1371: no card"
-
-module Core = struct
-  type nonrec t = t
-
-  let name = driver
-  let bus = K.Hotplug.Pci
-  let ids = [ (vendor_id, device_id) ]
-  let probe env ~dev = insmod ?dev env
-  let remove = rmmod
-  let suspend = suspend
-  let resume = resume
-
-  let owns t slot =
-    match Hashtbl.find_opt models slot with
-    | Some m -> m == t.adapter.model
-    | None -> false
-
-  let init_latency_ns = init_latency_ns
-end

@@ -6,12 +6,13 @@ module type DRIVER = sig
 
   val name : string
   val ids : (int * int) list
-  val scope : adapter -> string
   val slot : adapter -> string
   val probe : Driver_env.t -> K.Pci.dev -> (adapter, int) result
   val unbind : adapter -> unit
   val quiesce : adapter -> unit
   val unloaded : unit -> unit
+  val suspend : adapter -> unit
+  val resume : adapter -> unit
 end
 
 module Make (D : DRIVER) = struct
@@ -20,13 +21,19 @@ module Make (D : DRIVER) = struct
     mutable module_handle : K.Modules.handle option;
   }
 
-  let instances : (string, D.adapter) Hashtbl.t = Hashtbl.create 4
+  (* Every bound instance by the PCI slot it claimed, from its probe
+     until its device is released. *)
+  let instances : (string, t) Hashtbl.t = Hashtbl.create 4
 
   (* PCI-core unbind path, shared by detach (per-instance rmmod) and
      unregister (module unload). *)
-  let remove pci =
-    Option.iter D.unbind (Hashtbl.find_opt instances (K.Pci.slot pci));
-    Hashtbl.remove instances (K.Pci.slot pci)
+  let release slot =
+    (match Hashtbl.find_opt instances slot with
+    | Some t -> D.unbind t.adapter
+    | None -> ());
+    Hashtbl.remove instances slot
+
+  let pci_remove pci = release (K.Pci.slot pci)
 
   let active_box : t option ref = ref None
   let active () = !active_box
@@ -42,12 +49,12 @@ module Make (D : DRIVER) = struct
         None
     | l -> l
 
-  (* The PCI probe callback outlives any single insmod (it is registered
+  (* The PCI probe callback outlives any single bind (it is registered
      once per module load), so the env and device filter for the binding
      currently being created travel through this box: only the probe the
      caller asked for claims a device; auto-probes of other matching
      devices on the bus are refused and left for their own bind. *)
-  type bind = Driver_env.t * string option * D.adapter option ref
+  type bind = Driver_env.t * string option * t option ref
 
   let pending : bind option ref = ref None
 
@@ -66,9 +73,10 @@ module Make (D : DRIVER) = struct
       when !out = None
            && (match want with None -> true | Some s -> s = K.Pci.slot pci) -> (
         match D.probe env pci with
-        | Ok a ->
-            out := Some a;
-            Hashtbl.replace instances (K.Pci.slot pci) a;
+        | Ok adapter ->
+            let t = { adapter; module_handle = None } in
+            out := Some t;
+            Hashtbl.replace instances (K.Pci.slot pci) t;
             Ok ()
         | Error rc -> Error rc)
     | _ -> Error (-Errors.enodev)
@@ -77,28 +85,30 @@ module Make (D : DRIVER) = struct
   let pci_ids =
     List.map (fun (v, d) -> { K.Pci.id_vendor = v; id_device = d }) D.ids
 
-  let insmod ?dev env =
+  let attach env (handle, refs) t =
+    incr refs;
+    t.module_handle <- Some handle;
+    (* [active] keeps meaning "the first instance": only the registry's
+       instance 0, whose binding id is the bare name, claims the box *)
+    if env.Driver_env.scope = D.name && !active_box = None then
+      active_box := Some t;
+    Ok t
+
+  (* Load the module, or bind one more device when it is loaded already;
+     [dev] pins the bind to one PCI slot. *)
+  let probe env ~dev =
     let out = ref None in
     pending := Some (env, dev, out);
     (* the box must not outlive this bind even when a supervised probe
        fault unwinds through here, or a later unrelated device add could
        claim a stale env *)
     Fun.protect ~finally:(fun () -> pending := None) @@ fun () ->
-    let wrap (handle, refs) adapter =
-      incr refs;
-      let t = { adapter; module_handle = Some handle } in
-      (* [active] keeps meaning "the first instance": only a bare-scoped
-         (singleton or registry-instance-0) bind claims the box *)
-      if D.scope adapter = D.name && !active_box = None then
-        active_box := Some t;
-      Ok t
-    in
     match live_load () with
     | Some l -> (
         (* module already loaded: bind one more device to it *)
         K.Pci.rescan ?slot:dev ();
         match !out with
-        | Some adapter -> wrap l adapter
+        | Some t -> attach env l t
         | None -> Error (-Errors.enodev))
     | None -> (
         let init () =
@@ -106,7 +116,7 @@ module Make (D : DRIVER) = struct
              supervisor retry can register the driver again *)
           let register () =
             K.Pci.register_driver ~name:D.name ~ids:pci_ids ~probe:pci_probe
-              ~remove
+              ~remove:pci_remove
           in
           (match register () with
           | () -> ()
@@ -123,19 +133,25 @@ module Make (D : DRIVER) = struct
         match K.Modules.insmod ~name:D.name ~init ~exit with
         | Ok handle -> (
             match !out with
-            | Some adapter ->
+            | Some t ->
                 let l = (handle, ref 0) in
                 load := Some l;
-                wrap l adapter
+                attach env l t
             | None -> Error (-Errors.enodev))
         | Error rc -> Error rc)
 
-  let rmmod t =
+  let remove t =
     (match t.module_handle with
     | Some h -> (
         D.quiesce t.adapter;
         (* release this binding's device only; siblings keep running *)
-        K.Pci.detach ~slot:(D.slot t.adapter);
+        let slot = D.slot t.adapter in
+        K.Pci.detach ~slot;
+        (* detach finds nothing when the device left the bus while its
+           probe ran, since the PCI core never bound it *)
+        (match Hashtbl.find_opt instances slot with
+        | Some t' when t' == t -> release slot
+        | _ -> ());
         t.module_handle <- None;
         match live_load () with
         | Some (h', refs) when h' == h ->
@@ -149,8 +165,25 @@ module Make (D : DRIVER) = struct
     | None -> ());
     match !active_box with Some t' when t' == t -> active_box := None | _ -> ()
 
-  let init_latency_ns t =
-    match t.module_handle with Some h -> K.Modules.init_latency_ns h | None -> 0
+  let at ~slot = Hashtbl.find_opt instances slot
 
-  let adapter_at ~slot = Hashtbl.find_opt instances slot
+  let packed =
+    Driver_core.Pack
+      (module struct
+        type nonrec t = t
+
+        let name = D.name
+        let bus = K.Hotplug.Pci
+        let ids = D.ids
+        let probe = probe
+        let remove = remove
+        let suspend t = D.suspend t.adapter
+        let resume t = D.resume t.adapter
+        let owns t slot = D.slot t.adapter = slot
+
+        let init_latency_ns t =
+          match t.module_handle with
+          | Some h -> K.Modules.init_latency_ns h
+          | None -> 0
+      end)
 end

@@ -202,22 +202,9 @@ let connect env =
 
 let () = K.Boot.on_reset @@ fun () -> model_box := None
 
-include Singleton.Make (struct
-  type nonrec adapter = adapter
-
-  let name = driver
-
-  let exit a =
-    K.Irq.free_irq P.aux_irq;
-    match a.input with Some input -> K.Inputcore.unregister input | None -> ()
-end)
-
-let insmod env = load (fun () -> connect env)
-
 (* --- power management --- *)
 
-let suspend t =
-  let a = t.adapter in
+let suspend a =
   Driver_env.upcall a.env ~name:"psmouse_suspend" ~bytes:state_wire_bytes
     (fun () ->
       (* back to the init-phase byte channel so the disable ACK is
@@ -226,13 +213,34 @@ let suspend t =
       a.packet <- [];
       command a 0xf5)
 
-let resume t =
-  let a = t.adapter in
+let resume a =
   Driver_env.upcall a.env ~name:"psmouse_resume" ~bytes:state_wire_bytes
     (fun () ->
       (* bytes queued across the suspend belong to no negotiation *)
       Queue.clear a.byte_fifo;
       enable_streaming a)
+
+(* The input bus has no ids: the AUX port is not enumerable. *)
+include Singleton.Make (struct
+  type nonrec adapter = adapter
+
+  let name = driver
+  let module_name = driver
+  let bus = K.Hotplug.Input
+  let probe = connect
+
+  let exit a =
+    K.Irq.free_irq P.aux_irq;
+    match a.input with Some input -> K.Inputcore.unregister input | None -> ()
+
+  let suspend = suspend
+  let resume = resume
+
+  let owns a id =
+    match a.input with
+    | Some input -> K.Inputcore.name input = id
+    | None -> false
+end)
 
 let input_dev t =
   match t.adapter.input with
@@ -241,22 +249,3 @@ let input_dev t =
 
 let packets_handled t = t.adapter.packets
 let detected_id t = t.adapter.device_id
-
-module Core = struct
-  type nonrec t = t
-
-  let name = driver
-  let bus = K.Hotplug.Input
-  let ids = []
-  let probe env ~dev:_ = insmod env
-  let remove = rmmod
-  let suspend = suspend
-  let resume = resume
-
-  let owns t id =
-    match t.adapter.input with
-    | Some input -> K.Inputcore.name input = id
-    | None -> false
-
-  let init_latency_ns = init_latency_ns
-end

@@ -45,9 +45,9 @@ let reg a off = a.io_base + off
 
 (* Run [f] on the user-level view of the nic, and post deferred
    kernel->user refreshes, as in E1000_drv. *)
-let with_java_nic a ~name f = RO.with_view a.env ~scope:a.scope a.ka ~name f
+let with_java_nic a ~name f = RO.with_view a.env a.ka ~name f
 
-let post_nic_sync a ~name = RO.post_sync a.env ~scope:a.scope a.ka ~name
+let post_nic_sync a ~name = RO.post_sync a.env a.ka ~name
 
 let stats_notify_interval = 64
 
@@ -252,7 +252,7 @@ let probe env (pci : K.Pci.dev) =
       K.Pci.enable_device pci;
       K.Pci.set_master pci;
       let bar = K.Pci.bar pci 0 in
-      let scope = Driver_env.scope_or env driver in
+      let scope = env.Driver_env.scope in
       let a =
         {
           env;
@@ -312,30 +312,9 @@ let unbind a =
   RO.release a.env a.ka;
   match a.netdev with Some nd -> K.Netcore.unregister_netdev nd | None -> ()
 
-include Pci_family.Make (struct
-  type nonrec adapter = adapter
-
-  let name = driver
-  let ids = [ (vendor_id, device_id) ]
-  let scope a = a.scope
-  let slot a = a.slot
-  let probe = probe
-  let unbind = unbind
-
-  let quiesce a =
-    match a.netdev with
-    | Some nd when K.Netcore.is_up nd -> ignore (K.Netcore.stop_dev nd)
-    | Some _ | None -> ()
-
-  let unloaded () = ()
-end)
-
-let () = K.Boot.on_reset @@ fun () -> Hashtbl.reset models
-
 (* --- power management: suspend/resume at user level --- *)
 
-let suspend t =
-  let a = t.adapter in
+let suspend a =
   with_java_nic a ~name:"rtl8139_suspend" (fun _j ->
       (* quiesce the chip: no rx/tx while the bus powers down *)
       outb a R.cmd 0;
@@ -346,8 +325,7 @@ let suspend t =
               K.Netcore.netif_carrier_off nd
           | Some _ | None -> ()))
 
-let resume t =
-  let a = t.adapter in
+let resume a =
   (* full-image resync: the user view went stale across the suspend *)
   RO.resync_user_view a.ka;
   with_java_nic a ~name:"rtl8139_resume" (fun _j ->
@@ -364,28 +342,30 @@ let resume t =
               K.Netcore.netif_carrier_on nd)
       | Some _ | None -> ())
 
+include Pci_family.Make (struct
+  type nonrec adapter = adapter
+
+  let name = driver
+  let ids = [ (vendor_id, device_id) ]
+  let slot a = a.slot
+  let probe = probe
+  let unbind = unbind
+
+  let quiesce a =
+    match a.netdev with
+    | Some nd when K.Netcore.is_up nd -> ignore (K.Netcore.stop_dev nd)
+    | Some _ | None -> ()
+
+  let unloaded () = ()
+  let suspend = suspend
+  let resume = resume
+end)
+
+let () = K.Boot.on_reset @@ fun () -> Hashtbl.reset models
+
 let netdev t =
   match t.adapter.netdev with
   | Some nd -> nd
   | None -> K.Panic.bug "8139too: no netdev"
 
 let kernel_nic t = t.adapter.ka
-
-module Core = struct
-  type nonrec t = t
-
-  let name = driver
-  let bus = K.Hotplug.Pci
-  let ids = [ (vendor_id, device_id) ]
-  let probe env ~dev = insmod ?dev env
-  let remove = rmmod
-  let suspend = suspend
-  let resume = resume
-
-  let owns t slot =
-    match Hashtbl.find_opt models slot with
-    | Some m -> m == t.adapter.model
-    | None -> false
-
-  let init_latency_ns = init_latency_ns
-end

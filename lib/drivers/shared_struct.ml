@@ -101,15 +101,13 @@ module type S = sig
       in native, which never issued or associated one. *)
 
   val with_view :
-    Driver_env.t -> scope:string -> kernel -> name:string ->
-    (Codec.obj -> 'a) -> 'a
+    Driver_env.t -> kernel -> name:string -> (Codec.obj -> 'a) -> 'a
   (** Run [f] on the user-level view: one upcall when the build is
-      split (staged or decaf), with boundary faults attributed to
-      [scope]; in native, [f] runs on the kernel copy, and nothing
+      split (staged or decaf), with boundary faults attributed to the
+      env's binding; in native, [f] runs on the kernel copy, and nothing
       reaches Guard, the trackers or the XPC account. *)
 
-  val post_sync :
-    Driver_env.t -> scope:string -> kernel -> name:string -> unit
+  val post_sync : Driver_env.t -> kernel -> name:string -> unit
   (** A non-urgent kernel-to-user refresh through the env's notify,
       marshaled now and acknowledged on delivery; nothing in native. *)
 end
@@ -218,11 +216,11 @@ module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
 
   (* Native: the kernel copy is the only copy, so [f] works on it and
      nothing is marshaled, guarded or tracked. *)
-  let with_view env ~scope k ~name f =
+  let with_view env k ~name f =
     if not (Driver_env.split env) then f (Spec.fields k)
     else begin
       Driver_env.start_runtime env;
-      Boundary.scoped scope (fun () ->
+      Boundary.scoped env.Driver_env.scope (fun () ->
           let upto = user_view_mark k in
           let payload = marshal_to_user k in
           let result, back =
@@ -242,12 +240,12 @@ module Make (Spec : SPEC) : S with type kernel = Spec.kernel = struct
   (* Marshal now (legal in interrupt context) and acknowledge only when
      the notify delivers: a failed flush leaves the marks for the next
      sync. *)
-  let post_sync env ~scope k ~name =
+  let post_sync env k ~name =
     if Driver_env.split env then begin
       let upto = user_view_mark k in
       let payload = marshal_to_user k in
       Driver_env.notify env ~name ~bytes:(Bytes.length payload) (fun () ->
-          Boundary.scoped scope (fun () ->
+          Boundary.scoped env.Driver_env.scope (fun () ->
               ignore (unmarshal_at_user payload k);
               ack_user_view k ~upto))
     end

@@ -1,18 +1,34 @@
 (** One driver module bound to its one device: the load/unload skeleton
-    psmouse and uhci-hcd share, as {!Pci_family} is for the PCI
-    drivers.
+    psmouse and uhci-hcd share, and their one description to the
+    {!Driver_core} registry, as {!Pci_family} is for the PCI drivers.
 
-    A second load while the module is loaded is refused with [-EBUSY].
+    A second bind while the module is loaded is refused with [-EBUSY].
     Every {!Decaf_kernel.Boot.boot} forgets the active instance. *)
 
 module type DRIVER = sig
   type adapter
 
   val name : string
-  (** Kernel module name. *)
+  (** Registry name. *)
+
+  val module_name : string
+  (** Kernel module name (uhci-hcd's module is [uhci_hcd]). *)
+
+  val bus : Decaf_kernel.Hotplug.bus
+  (** The bus whose removal events reach the binding; a singleton's bus
+      has no ids to re-probe by. *)
+
+  val probe : Driver_env.t -> (adapter, int) result
+  (** Module init: bind the one device. *)
 
   val exit : adapter -> unit
   (** Module exit: release what the probe acquired. *)
+
+  val suspend : adapter -> unit
+  val resume : adapter -> unit
+
+  val owns : adapter -> string -> bool
+  (** Whether a bus device id (input or HCD name) is this instance's. *)
 end
 
 module Make (D : DRIVER) : sig
@@ -21,13 +37,9 @@ module Make (D : DRIVER) : sig
     mutable module_handle : Decaf_kernel.Modules.handle option;
   }
 
-  val load : (unit -> (D.adapter, int) result) -> (t, int) result
-  (** Load the module, running the probe as its init. *)
-
-  val rmmod : t -> unit
+  val packed : Driver_core.packed
+  (** The driver for {!Driver_core.register}. *)
 
   val active : unit -> t option
-  (** The loaded instance, until its [rmmod] or the next boot. *)
-
-  val init_latency_ns : t -> int
+  (** The bound instance, until it is removed or the next boot. *)
 end

@@ -7,16 +7,13 @@ module Runtime = Decaf_runtime.Runtime
 let driver = "uhci_hcd"
 let state_wire_bytes = 96
 
-let model_box : U.t option ref = ref None
-
-(* remembered so the registry (which probes by name, not resources) can
-   re-probe the controller on insmod and hotplug re-add *)
-let setup_params : (int * int) option ref = ref None
+(* The plugged controller and its resources, remembered so the registry
+   (which probes by name, not resources) can probe it at every bind. *)
+let plugged : (U.t * int * int) option ref = ref None
 
 let setup_device ~io_base ~irq () =
   let model = U.create ~io_base ~irq () in
-  model_box := Some model;
-  setup_params := Some (io_base, irq);
+  plugged := Some (model, io_base, irq);
   model
 
 type adapter = {
@@ -101,10 +98,10 @@ let start_schedule a =
 
 let stop_schedule a = outw a U.reg_usbcmd 0
 
-let probe env io_base irq =
-  match !model_box with
+let probe env =
+  match !plugged with
   | None -> Error (-Errors.enodev)
-  | Some model ->
+  | Some (model, io_base, irq) ->
       let a = { env; model; io_base; irq; completed = 0 } in
       let rc =
         Driver_env.upcall env ~name:"uhci_probe" ~bytes:state_wire_bytes
@@ -134,54 +131,35 @@ let probe env io_base irq =
       in
       if rc = 0 then Ok a else Error rc
 
-let () =
-  K.Boot.on_reset @@ fun () ->
-  model_box := None;
-  setup_params := None
+let () = K.Boot.on_reset @@ fun () -> plugged := None
+
+(* --- power management --- *)
+
+let suspend a =
+  Driver_env.upcall a.env ~name:"uhci_suspend" ~bytes:state_wire_bytes
+    (fun () -> stop_schedule a)
+
+let resume a =
+  Driver_env.upcall a.env ~name:"uhci_resume" ~bytes:state_wire_bytes
+    (fun () -> start_schedule a)
 
 include Singleton.Make (struct
   type nonrec adapter = adapter
 
-  let name = driver
+  (* registry/campaign row name; the kernel module stays "uhci_hcd" *)
+  let name = "uhci-hcd"
+  let module_name = driver
+  let bus = K.Hotplug.Usb
+  let probe = probe
 
   let exit a =
     stop_schedule a;
     K.Usbcore.unregister_hcd ();
     K.Irq.free_irq a.irq
-end)
 
-let insmod env ~io_base ~irq = load (fun () -> probe env io_base irq)
-
-(* --- power management --- *)
-
-let suspend t =
-  let a = t.adapter in
-  Driver_env.upcall a.env ~name:"uhci_suspend" ~bytes:state_wire_bytes
-    (fun () -> stop_schedule a)
-
-let resume t =
-  let a = t.adapter in
-  Driver_env.upcall a.env ~name:"uhci_resume" ~bytes:state_wire_bytes
-    (fun () -> start_schedule a)
-
-let urbs_completed t = t.adapter.completed
-
-module Core = struct
-  type nonrec t = t
-
-  (* registry/campaign row name; the kernel module stays "uhci_hcd" *)
-  let name = "uhci-hcd"
-  let bus = K.Hotplug.Usb
-  let ids = []
-
-  let probe env ~dev:_ =
-    match !setup_params with
-    | Some (io_base, irq) -> insmod env ~io_base ~irq
-    | None -> Error (-Errors.enodev)
-
-  let remove = rmmod
   let suspend = suspend
   let resume = resume
-  let owns _t id = id = driver
-  let init_latency_ns = init_latency_ns
-end
+  let owns _ id = id = driver
+end)
+
+let urbs_completed t = t.adapter.completed

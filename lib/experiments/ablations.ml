@@ -35,12 +35,15 @@ let e1000_decaf_init ~direct =
   let nic = Rig.plug "e1000" in
   Scenario.in_thread (fun () ->
       Xpc.Channel.set_direct_marshaling direct;
-      let t = Rig.ok "e1000 insmod" (E1000_drv.insmod Driver_env.decaf) in
+      Rig.ok "e1000 insmod" (Driver_core.insmod "e1000" ~mode:Driver_env.Decaf);
       let t0 = K.Clock.now () in
       Rig.up nic;
-      let init = E1000_drv.init_latency_ns t + (K.Clock.now () - t0) in
+      let init =
+        (Driver_core.snapshot "e1000").Driver_core.s_init_latency_ns
+        + (K.Clock.now () - t0)
+      in
       let st = Xpc.Channel.snapshot () in
-      E1000_drv.rmmod t;
+      Driver_core.rmmod "e1000";
       Xpc.Channel.set_direct_marshaling false;
       (init, st.Xpc.Channel.c_java_calls, st.Xpc.Channel.kernel_user_calls))
 

@@ -53,6 +53,15 @@ let free_irq n =
   l.pending <- false;
   l.born <- -1
 
+let claimed () =
+  let owners = ref [] in
+  for n = nr_irqs - 1 downto 0 do
+    match lines.(n).handler with
+    | Some (owner, _) -> owners := (n, owner) :: !owners
+    | None -> ()
+  done;
+  !owners
+
 let cpu_can_take_irq () = not (Sched.irqs_masked () || Sched.in_interrupt ())
 
 (* Run [f] in interrupt context now if the CPU allows, otherwise retry

@@ -16,6 +16,10 @@ val free_irq : int -> unit
     waiting in the blocked-line backlog stays there until the next
     delivery window, so a re-request never queues it twice. *)
 
+val claimed : unit -> (int * string) list
+(** Every line with a handler installed, with the name it was claimed
+    under, in line order. *)
+
 val raise_irq : int -> unit
 (** Assert the line from a device model. Delivery is immediate unless the
     line is disabled, the CPU has interrupts masked, or another handler is

@@ -21,12 +21,20 @@ let resources = function
 
 let base name = fst (resources name)
 let irq name = snd (resources name)
+
+(* PCI slot of each Table 3 PCI device *)
+let slot = function
+  | "8139too" -> "00:04.0"
+  | "e1000" -> "00:05.0"
+  | "ens1371" -> "00:06.0"
+  | name -> invalid_arg ("Rig: no PCI device for " ^ name)
+
 let port_slot i = Printf.sprintf "%02x:00.0" i
 let port_irq i = 32 + i
 
 (* slot, mmio base and irq of the classic e1000 or of fleet port [i] *)
 let e1000_at = function
-  | None -> ("00:05.0", base "e1000", irq "e1000")
+  | None -> (slot "e1000", base "e1000", irq "e1000")
   | Some i -> (port_slot i, 0xe000_0000 + (i * 0x20000), port_irq i)
 
 let plug_e1000 ?port () =
@@ -46,12 +54,12 @@ let plug_e1000 ?port () =
 let plug_8139too () =
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   ignore
-    (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:(base "8139too")
+    (Rtl8139_drv.setup_device ~slot:(slot "8139too") ~io_base:(base "8139too")
        ~irq:(irq "8139too") ~mac ~link ());
   link
 
 let plug_ens1371 () =
-  Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:(base "ens1371")
+  Ens1371_drv.setup_device ~slot:(slot "ens1371") ~io_base:(base "ens1371")
     ~irq:(irq "ens1371") ()
 
 let plug_uhci () =
@@ -63,9 +71,12 @@ let ok what = function
   | Ok v -> v
   | Error rc -> Errors.throw ~driver:what ~errno:(-rc) what
 
+let pci_dev slot = List.find_opt (fun d -> K.Pci.slot d = slot) (K.Pci.devices ())
+let unplug name = Option.iter K.Pci.remove_device (pci_dev (slot name))
+
 let replug_e1000 ?port ?(gap_ns = 0) () =
   let slot, base, irq = e1000_at port in
-  match List.find_opt (fun d -> K.Pci.slot d = slot) (K.Pci.devices ()) with
+  match pci_dev slot with
   | None -> Errors.throw ~driver:"e1000" ~errno:Errors.enodev slot
   | Some d ->
       K.Pci.remove_device d;

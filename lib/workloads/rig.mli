@@ -44,6 +44,10 @@ val plug_ens1371 : unit -> Decaf_hw.Ens1371_hw.t
 val plug_uhci : unit -> Decaf_hw.Uhci_hw.t
 val plug_psmouse : unit -> Decaf_hw.Psmouse_hw.t
 
+val unplug : string -> unit
+(** Surprise-remove the named driver's PCI device (8139too, e1000 or
+    ens1371) from the bus, if it is there; nothing comes back. *)
+
 val replug_e1000 : ?port:int -> ?gap_ns:int -> unit -> unit
 (** Surprise-remove the classic e1000 (or fleet port [port]), sleep
     [gap_ns] (default none) and plug a fresh PCI function back at the

@@ -30,14 +30,14 @@ let totals = { checks = 0; rejected = 0; dropped = 0 }
    Driver_env runs under the binding's id, and the split drivers set it
    around their own inbound unmarshal paths, so `decafctl status` can
    show rejections per driver. Save/restore keeps nesting correct. The
-   scope is a plain string, so entering one builds nothing; entering
-   [""] (an environment no registry bound) keeps the caller's. *)
+   scope is a plain string, so entering one builds nothing; [""], the
+   scope outside every crossing, attributes to no binding. *)
 let scope = ref ""
 let by_scope : (string, int) Hashtbl.t = Hashtbl.create 8
 
 let enter name =
   let saved = !scope in
-  if name <> "" then scope := name;
+  scope := name;
   saved
 
 let leave saved = scope := saved
@@ -63,24 +63,6 @@ let dropped_by_scope : (string, int) Hashtbl.t = Hashtbl.create 8
 
 let dropped_for name =
   Option.value ~default:0 (Hashtbl.find_opt dropped_by_scope name)
-
-(* Per-driver rollups over the binding-id scheme: instance 0 of driver
-   "e1000" is scoped under the bare name, instance k under "e1000#k", so
-   summing the exact key plus every "name#"-prefixed key recovers the
-   whole fleet's figure without double-counting any scope. *)
-let rollup tbl name =
-  let prefix = name ^ "#" in
-  let plen = String.length prefix in
-  Hashtbl.fold
-    (fun key n acc ->
-      if
-        key = name
-        || String.length key > plen && String.sub key 0 plen = prefix
-      then acc + n
-      else acc)
-    tbl 0
-
-let rejected_for_driver name = rollup by_scope name
 
 let note_check () = totals.checks <- totals.checks + 1
 

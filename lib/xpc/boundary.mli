@@ -29,9 +29,8 @@ val totals : counters
 val enter : string -> string
 (** [enter name] attributes rejections and drops to the named scope (a
     driver binding) from now on, and returns the scope it replaces for
-    {!leave}; [enter ""] keeps the current scope. The scope is a plain
-    string, so a crossing that brackets its body with [enter]/[leave]
-    allocates nothing. *)
+    {!leave}. The scope is a plain string, so a crossing that brackets
+    its body with [enter]/[leave] allocates nothing. *)
 
 val leave : string -> unit
 (** [leave saved] restores the scope that {!enter} returned. Restore it
@@ -49,11 +48,6 @@ val dropped_for : string -> int
     the named scope since the last reset. [Batch.post] and [Ring] both
     report through {!note_dropped}, so the per-scope figures reconcile
     against [totals.dropped]. *)
-
-val rejected_for_driver : string -> int
-(** Rollup across every binding of a driver: the exact scope [name]
-    (instance 0) plus every scope of the form ["name#k"] (instance
-    [k > 0]). Equals {!rejected_for} while a driver has one binding. *)
 
 val note_check : unit -> unit
 val note_rejected : unit -> unit

@@ -176,7 +176,7 @@ let test_nuclear_defer_and_flush () =
 (* --- e1000 uses the checkers at probe time --- *)
 
 let test_e1000_validates_module_params () =
-  K.Boot.boot ();
+  Decaf_experiments.Scenario.boot ();
   Decaf_drivers.E1000_drv.reset_module_params ();
   Decaf_drivers.E1000_drv.set_module_params ~tx_descriptors:7
     ~interrupt_throttle:12345 ();
@@ -186,8 +186,11 @@ let test_e1000_validates_module_params () =
        ~mmio_base:0xf000_0000 ~irq:11 ~mac:"\x00\x1b\x21\x0a\x0b\x0c" ~link ());
   ignore
     (K.Sched.spawn (fun () ->
-         match Decaf_drivers.E1000_drv.insmod Decaf_drivers.Driver_env.decaf with
-         | Ok t -> Decaf_drivers.E1000_drv.rmmod t
+         match
+           Decaf_drivers.Driver_core.insmod "e1000"
+             ~mode:Decaf_drivers.Driver_env.Decaf
+         with
+         | Ok () -> Decaf_drivers.Driver_core.rmmod "e1000"
          | Error rc -> Alcotest.failf "insmod: %d" rc));
   K.Sched.run ();
   let checked = !Decaf_drivers.E1000_drv.checked_params in

@@ -25,11 +25,6 @@ let insmod_ok name =
   | Ok () -> ()
   | Error rc -> Alcotest.failf "%s insmod failed: %d" name rc
 
-let expect_illegal what f =
-  match f () with
-  | _ -> Alcotest.failf "%s: expected Illegal_transition" what
-  | exception Driver_core.Illegal_transition _ -> ()
-
 (* --- lifecycle FSM --- *)
 
 let registry_booted () =
@@ -43,26 +38,93 @@ let registry_booted () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-let illegal_transitions () =
-  Scenario.boot ();
-  ignore (setup_e1000 ());
-  expect_illegal "suspend while unbound" (fun () ->
-      Driver_core.suspend "e1000");
-  expect_illegal "resume while unbound" (fun () -> Driver_core.resume "e1000");
-  expect_illegal "rmmod while unbound" (fun () -> Driver_core.rmmod "e1000");
-  Scenario.in_thread (fun () ->
+(* e1000 whose probe can be made to fault, as a decaf driver that keeps
+   crashing does: the supervisor retries it until the restart budget runs
+   out and leaves the binding Disabled. *)
+let probe_faults = ref false
+
+let faulting_e1000 =
+  let (Driver_core.Pack (module D)) = E1000_drv.packed in
+  Driver_core.Pack
+    (module struct
+      include D
+
+      let probe env ~dev =
+        if !probe_faults then failwith "probe fault" else D.probe env ~dev
+    end)
+
+(* Every public op from every resting state: the resulting state,
+   "illegal" (Illegal_transition, the state untouched) or "no-op" (the
+   state and the binding's supervisor untouched; every op that binds
+   attaches a fresh one). *)
+let lifecycle_ops =
+  let mode = Driver_env.Decaf in
+  [
+    ("insmod", fun () -> ignore (Driver_core.insmod "e1000" ~mode));
+    ("rmmod", fun () -> Driver_core.rmmod "e1000");
+    ("suspend", fun () -> ignore (Driver_core.suspend "e1000"));
+    ("resume", fun () -> ignore (Driver_core.resume "e1000"));
+    ("eject", fun () -> Driver_core.eject "e1000");
+    ("run", fun () -> ignore (Driver_core.run "e1000" ~mode ignore));
+  ]
+
+let lifecycle_table =
+  (* from         insmod     rmmod      suspend      resume     eject      run *)
+  [
+    ("unbound", [ "running"; "illegal"; "illegal"; "illegal"; "no-op"; "removed" ]);
+    ("running", [ "illegal"; "removed"; "suspended"; "illegal"; "removed"; "illegal" ]);
+    ("suspended", [ "illegal"; "removed"; "illegal"; "running"; "removed"; "illegal" ]);
+    ("disabled", [ "illegal"; "removed"; "illegal"; "illegal"; "no-op"; "illegal" ]);
+    ("removed", [ "running"; "illegal"; "illegal"; "illegal"; "no-op"; "removed" ]);
+  ]
+
+let reach = function
+  | "unbound" -> ()
+  | "running" -> insmod_ok "e1000"
+  | "suspended" ->
       insmod_ok "e1000";
-      expect_illegal "double insmod" (fun () ->
-          Driver_core.insmod "e1000" ~mode:Driver_env.Decaf);
-      expect_illegal "resume while running" (fun () ->
-          Driver_core.resume "e1000");
-      (match Driver_core.suspend "e1000" with
-      | Ok () -> ()
-      | Error rc -> Alcotest.failf "suspend failed: %d" rc);
-      expect_illegal "suspend while suspended" (fun () ->
-          Driver_core.suspend "e1000");
-      Driver_core.rmmod "e1000");
-  Alcotest.(check string) "final state" "removed" (state_name "e1000")
+      ignore (Driver_core.suspend "e1000")
+  | "disabled" ->
+      probe_faults := true;
+      ignore (Driver_core.insmod "e1000" ~mode:Driver_env.Decaf);
+      probe_faults := false
+  | "removed" ->
+      insmod_ok "e1000";
+      Driver_core.rmmod "e1000"
+  | s -> Alcotest.failf "no way to reach %s" s
+
+let outcome from_ op =
+  Scenario.boot ();
+  Driver_core.register faulting_e1000;
+  ignore (setup_e1000 ());
+  Scenario.in_thread (fun () ->
+      reach from_;
+      Alcotest.(check string) ("reached " ^ from_) from_ (state_name "e1000");
+      let sup = Driver_core.supervisor "e1000" in
+      match op () with
+      | () ->
+          let s = state_name "e1000" in
+          let same_sup =
+            match (sup, Driver_core.supervisor "e1000") with
+            | None, None -> true
+            | Some a, Some b -> a == b
+            | _ -> false
+          in
+          if s = from_ && same_sup then "no-op" else s
+      | exception Driver_core.Illegal_transition _ ->
+          let s = state_name "e1000" in
+          if s = from_ then "illegal" else "illegal, left " ^ s)
+
+let illegal_transitions () =
+  let measured =
+    List.map
+      (fun (from_, _) ->
+        (from_, List.map (fun (_, op) -> outcome from_ op) lifecycle_ops))
+      lifecycle_table
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "insmod, rmmod, suspend, resume, eject, run from each state"
+    lifecycle_table measured
 
 (* --- hotplug --- *)
 
@@ -75,8 +137,8 @@ let removal_drains_in_flight () =
       (* a slow decaf-driver crossing from another thread ... *)
       ignore
         (K.Sched.spawn ~name:"slow-crossing" (fun () ->
-             Driver_env.upcall Driver_env.decaf ~name:"slow_ioctl" ~bytes:8
-               (fun () ->
+             Decaf_xpc.Channel.call ~target:Decaf_xpc.Domain.Decaf_driver
+               ~payload_bytes:8 ~reply_bytes:0 (fun () ->
                  K.Sched.sleep_ns 1_000_000;
                  crossing_done := true)));
       K.Sched.sleep_ns 100_000;
@@ -110,6 +172,53 @@ let replug_rebinds () =
       Alcotest.(check string) "re-probed on replug" "running"
         (state_name "e1000");
       Driver_core.rmmod "e1000")
+
+(* A surprise removal while the probe sleeps in 8139too's 10 ms chip
+   reset: the registry has no instance to eject yet and the PCI core no
+   driver to unbind, so the binding is ejected once its probe returns.
+   It ends Removed with nothing left behind, and the device comes
+   back. *)
+let removal_during_probe () =
+  Scenario.boot ();
+  ignore (Decaf_workloads.Rig.plug "8139too");
+  let slot = "00:04.0" in
+  let handles () =
+    Decaf_xpc.Objtracker.handle_count
+      (Decaf_runtime.Runtime.kernel_tracker ())
+  in
+  Scenario.in_thread (fun () ->
+      let at_removal = ref "" in
+      ignore
+        (K.Sched.spawn ~name:"hotplug" (fun () ->
+             K.Sched.sleep_ns 5_000_000;
+             at_removal := state_name "8139too";
+             K.Pci.remove_device
+               (List.find (fun d -> K.Pci.slot d = slot) (K.Pci.devices ()))));
+      ignore (Driver_core.insmod "8139too" ~mode:Driver_env.Decaf);
+      Alcotest.(check string) "the removal raced the probe" "probed"
+        !at_removal;
+      (match Driver_core.state "8139too" with
+      | Running | Suspended -> Driver_core.rmmod "8139too"
+      | _ -> ());
+      Alcotest.(check string) "binding removed" "removed"
+        (state_name "8139too");
+      check "no kernel tracker handle" 0 (handles ());
+      check_bool "eth0 unregistered" true (K.Netcore.lookup "eth0" = None);
+      (* the binding still wants its build: the device's return re-probes
+         it, and after an unbind it loads again *)
+      K.Pci.add_device
+        (K.Pci.make_dev ~slot ~vendor:Rtl8139_drv.vendor_id
+           ~device:Rtl8139_drv.device_id ~irq_line:10
+           ~bars:[ { K.Pci.kind = K.Pci.Port_bar; base = 0xc000; len = 0x100 } ]
+           ());
+      Alcotest.(check string) "re-probed on replug" "running"
+        (state_name "8139too");
+      Driver_core.rmmod "8139too";
+      insmod_ok "8139too";
+      Driver_core.rmmod "8139too");
+  match K.Boot.check_quiescent () with
+  | Ok () -> ()
+  | Error what -> Alcotest.failf "not quiescent: %s" what
 
 (* --- suspend/resume --- *)
 
@@ -297,10 +406,10 @@ module Env_probe = struct
   let name = "envprobe"
   let bus = K.Hotplug.Input
   let ids = []
-  let env = ref Driver_env.native
+  let env = ref None
 
   let probe e ~dev:_ =
-    env := e;
+    env := Some e;
     Ok ()
 
   let remove () = ()
@@ -328,7 +437,7 @@ let metered_crossing_alloc () =
   let words = ref nan in
   Scenario.in_thread (fun () ->
       insmod_ok "envprobe";
-      let env = !Env_probe.env in
+      let env = Option.get !Env_probe.env in
       let call () =
         Driver_env.upcall env ~name:"envprobe_ioctl" ~bytes:64 ignore
       in
@@ -359,6 +468,7 @@ let () =
         [
           tc "removal drains in-flight crossings" removal_drains_in_flight;
           tc "replug re-probes" replug_rebinds;
+          tc "removal during probe ejects" removal_during_probe;
         ] );
       ( "pm",
         [

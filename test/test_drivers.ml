@@ -5,15 +5,16 @@ open Decaf_drivers
 module K = Decaf_kernel
 module Hw = Decaf_hw
 module Xpc = Decaf_xpc
+module Scenario = Decaf_experiments.Scenario
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let mac = "\x00\x1b\x21\x0a\x0b\x0c"
 
-let env_of = function
-  | Driver_env.Native -> Driver_env.native
-  | Driver_env.Staged -> Driver_env.staged
-  | Driver_env.Decaf -> Driver_env.decaf
+let bind = Testutil.bind
+
+let init_latency_ns name =
+  (Driver_core.snapshot name).Driver_core.s_init_latency_ns
 
 let in_thread f =
   let result = ref None in
@@ -51,18 +52,14 @@ let median_frame_words ~link ~irq ~wire_ns nd =
 (* --- rtl8139 --- *)
 
 let rtl8139_roundtrip mode () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   let _model =
     Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ()
   in
   let received = ref 0 in
   in_thread (fun () ->
-      let t =
-        match Rtl8139_drv.insmod (env_of mode) with
-        | Ok t -> t
-        | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      in
+      let t = bind "8139too" mode Rtl8139_drv.active in
       let nd = Rtl8139_drv.netdev t in
       K.Netcore.set_rx_handler nd (fun skb -> received := !received + skb.K.Netcore.Skb.len);
       (match K.Netcore.open_dev nd with
@@ -88,22 +85,18 @@ let rtl8139_roundtrip mode () =
       check "frames on the wire" 10 (Hw.Link.tx_frames link);
       check "bytes received by the stack" 2000 !received;
       check "stack rx counter" 5 (K.Netcore.stats nd).K.Netcore.rx_packets;
-      Rtl8139_drv.rmmod t);
+      Driver_core.rmmod "8139too");
   check_bool "interrupts were delivered" true (K.Irq.delivered 10 > 0);
   match K.Boot.check_quiescent () with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
 
 let test_rtl8139_decaf_crossings () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   ignore (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
   in_thread (fun () ->
-      let t =
-        match Rtl8139_drv.insmod Driver_env.decaf with
-        | Ok t -> t
-        | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      in
+      let t = bind "8139too" Driver_env.Decaf Rtl8139_drv.active in
       let nd = Rtl8139_drv.netdev t in
       (match K.Netcore.open_dev nd with Ok () -> () | Error _ -> ());
       let init_crossings = (Xpc.Channel.stats ()).Xpc.Channel.kernel_user_calls in
@@ -116,21 +109,17 @@ let test_rtl8139_decaf_crossings () =
       K.Sched.sleep_ns 2_000_000;
       let after = (Xpc.Channel.stats ()).Xpc.Channel.kernel_user_calls in
       check "no crossings on the data path" before after;
-      Rtl8139_drv.rmmod t)
+      Driver_core.rmmod "8139too")
 
 (* Allocation regression on one whole frame on a bound decaf 8139too
    ([median_frame_words]: the send, the wire completion, the TOK
    interrupt and the reclaim). *)
 let test_rtl8139_frame_alloc () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   ignore (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
   in_thread (fun () ->
-      let t =
-        match Rtl8139_drv.insmod Driver_env.decaf with
-        | Ok t -> t
-        | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      in
+      let t = bind "8139too" Driver_env.Decaf Rtl8139_drv.active in
       let nd = Rtl8139_drv.netdev t in
       (match K.Netcore.open_dev nd with
       | Ok () -> ()
@@ -140,21 +129,19 @@ let test_rtl8139_frame_alloc () =
       check_bool
         (Printf.sprintf "median frame: %d words <= 0" median)
         true (median <= 0);
-      Rtl8139_drv.rmmod t)
+      Driver_core.rmmod "8139too")
 
 let test_rtl8139_decaf_init_slower () =
   let init_latency mode =
-    K.Boot.boot ();
+    Scenario.boot ();
     let link = Hw.Link.create ~rate_bps:100_000_000 () in
     ignore
       (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
     in_thread (fun () ->
-        match Rtl8139_drv.insmod (env_of mode) with
-        | Ok t ->
-            let l = Rtl8139_drv.init_latency_ns t in
-            Rtl8139_drv.rmmod t;
-            l
-        | Error rc -> Alcotest.failf "insmod failed: %d" rc)
+        ignore (bind "8139too" mode Rtl8139_drv.active);
+        let l = init_latency_ns "8139too" in
+        Driver_core.rmmod "8139too";
+        l)
   in
   let native = init_latency Driver_env.Native in
   let decaf = init_latency Driver_env.Decaf in
@@ -170,13 +157,10 @@ let setup_e1000 () =
   in
   (link, model)
 
-let insmod_e1000 mode =
-  match E1000_drv.insmod (env_of mode) with
-  | Ok t -> t
-  | Error rc -> Alcotest.failf "e1000 insmod failed: %d" rc
+let insmod_e1000 mode = bind "e1000" mode E1000_drv.active
 
 let e1000_roundtrip mode () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link, _ = setup_e1000 () in
   let received = ref 0 in
   in_thread (fun () ->
@@ -203,7 +187,7 @@ let e1000_roundtrip mode () =
       K.Sched.sleep_ns 5_000_000;
       check "tx frames" 50 (Hw.Link.tx_frames link);
       check "rx bytes" 15_000 !received;
-      E1000_drv.rmmod t);
+      Driver_core.rmmod "e1000");
   match K.Boot.check_quiescent () with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
@@ -217,7 +201,7 @@ let e1000_roundtrip mode () =
    the median send is gated, so a timer that happens to fall inside one
    send cannot decide the result. *)
 let test_e1000_xmit_alloc () =
-  K.Boot.boot ();
+  Scenario.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -242,7 +226,7 @@ let test_e1000_xmit_alloc () =
       check_bool
         (Printf.sprintf "median send: %d words <= 0" median)
         true (median <= 0);
-      E1000_drv.rmmod t)
+      Driver_core.rmmod "e1000")
 
 (* Allocation regression on one whole frame on a bound decaf e1000
    ([median_frame_words]: the send, the wire completion, the TXDW
@@ -250,7 +234,7 @@ let test_e1000_xmit_alloc () =
    link keeping the frame in their rings and each callback built
    once. *)
 let test_e1000_frame_alloc () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link, _ = setup_e1000 () in
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -263,7 +247,7 @@ let test_e1000_frame_alloc () =
       check_bool
         (Printf.sprintf "median frame: %d words <= 0" median)
         true (median <= 0);
-      E1000_drv.rmmod t)
+      Driver_core.rmmod "e1000")
 
 (* Allocation regression on the receive path: a 1500-byte frame the
    peer injects, through the wire, the RXT0 interrupt, the receive ring
@@ -272,7 +256,7 @@ let test_e1000_frame_alloc () =
    alone and subtracted. Each frame arrives at an idle machine and the
    median is gated. *)
 let test_e1000_rx_alloc () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link, _ = setup_e1000 () in
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -304,10 +288,10 @@ let test_e1000_rx_alloc () =
       check_bool
         (Printf.sprintf "median received frame: %d words <= 0" median)
         true (median <= 0);
-      E1000_drv.rmmod t)
+      Driver_core.rmmod "e1000")
 
 let test_e1000_watchdog_runs_in_decaf () =
-  K.Boot.boot ();
+  Scenario.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -325,13 +309,13 @@ let test_e1000_watchdog_runs_in_decaf () =
         (Xpc.Codec.get ka.E1000_objects.fields E1000_objects.watchdog_events);
       check_bool "link seen up" true
         (Xpc.Codec.get ka.E1000_objects.fields E1000_objects.link_up);
-      E1000_drv.rmmod t)
+      Driver_core.rmmod "e1000")
 
 let test_e1000_open_fault_injection () =
   (* Figure 4 semantics: a failure at each stage of open unwinds exactly
      the resources acquired before it. *)
   let try_with_failure nth =
-    K.Boot.boot ();
+    Scenario.boot ();
     ignore (setup_e1000 ());
     in_thread (fun () ->
         let t = insmod_e1000 Driver_env.Decaf in
@@ -348,20 +332,20 @@ let test_e1000_open_fault_injection () =
         (match K.Netcore.open_dev nd with
         | Ok () -> ()
         | Error rc -> Alcotest.failf "recovery open failed: %d" rc);
-        E1000_drv.rmmod t)
+        Driver_core.rmmod "e1000")
   in
   try_with_failure 1;
   (* tx ring allocation fails *)
   try_with_failure 2 (* rx ring allocation fails; tx ring must be freed *)
 
 let test_e1000_bad_eeprom_rejected () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let _, model = setup_e1000 () in
   (* corrupt the EEPROM checksum *)
   Hw.Eeprom.write (Hw.E1000_hw.eeprom model) 10 0x1234;
   in_thread (fun () ->
-      match E1000_drv.insmod Driver_env.decaf with
-      | Ok _ -> Alcotest.fail "probe should reject a bad EEPROM"
+      match Driver_core.insmod "e1000" ~mode:Driver_env.Decaf with
+      | Ok () -> Alcotest.fail "probe should reject a bad EEPROM"
       | Error rc ->
           (* the module loader sees no bound device; the probe's EIO is
              in the kernel log *)
@@ -372,7 +356,7 @@ let test_e1000_bad_eeprom_rejected () =
                (K.Klog.dmesg ())))
 
 let test_e1000_object_tracker_aliasing () =
-  K.Boot.boot ();
+  Scenario.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -405,12 +389,12 @@ let test_e1000_object_tracker_aliasing () =
          with
         | Error _ -> true
         | Ok _ -> false);
-      E1000_drv.rmmod t)
+      Driver_core.rmmod "e1000")
 
 let test_e1000_ethtool_data_race () =
   (* section 5: the interrupt test works in the nucleus, and the very
      same logic at user level hangs on its stale marshaled copy *)
-  K.Boot.boot ();
+  Scenario.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -429,10 +413,10 @@ let test_e1000_ethtool_data_race () =
       check_bool "the interrupt fired meanwhile" true
         (K.Irq.delivered 11 > irqs_before);
       ignore (K.Netcore.stop_dev (E1000_drv.netdev t));
-      E1000_drv.rmmod t)
+      Driver_core.rmmod "e1000")
 
 let test_e1000_config_space_saved () =
-  K.Boot.boot ();
+  Scenario.boot ();
   ignore (setup_e1000 ());
   in_thread (fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
@@ -441,21 +425,17 @@ let test_e1000_config_space_saved () =
          user level during probe and marshaled back *)
       check "config_space[0]" ((0x100e lsl 16) lor 0x8086)
         (Xpc.Codec.get ka.E1000_objects.fields E1000_objects.config_space).(0);
-      E1000_drv.rmmod t)
+      Driver_core.rmmod "e1000")
 
 (* --- ens1371 --- *)
 
 let setup_snd () = Ens1371_drv.setup_device ~slot:"00:06.0" ~io_base:0xd000 ~irq:9 ()
 
 let ens1371_playback mode () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let model = setup_snd () in
   in_thread (fun () ->
-      let t =
-        match Ens1371_drv.insmod (env_of mode) with
-        | Ok t -> t
-        | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      in
+      let t = bind "ens1371" mode Ens1371_drv.active in
       check_bool "card registered" true (K.Sndcore.card_registered (Ens1371_drv.card t));
       let sub = Ens1371_drv.substream t in
       (match K.Sndcore.pcm_open sub with Ok () -> () | Error rc -> Alcotest.failf "open: %d" rc);
@@ -482,75 +462,66 @@ let ens1371_playback mode () =
       check "all audio consumed" total (Hw.Ens1371_hw.consumed model);
       check_bool "played for about a second" true (K.Clock.now () >= 900_000_000);
       check_bool "no underruns while draining" true (Hw.Ens1371_hw.underruns model <= 1);
-      Ens1371_drv.rmmod t);
+      Driver_core.rmmod "ens1371");
   match K.Boot.check_quiescent () with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
 
 let test_ens1371_reject_bad_params () =
-  K.Boot.boot ();
+  Scenario.boot ();
   ignore (setup_snd ());
   in_thread (fun () ->
-      match Ens1371_drv.insmod Driver_env.decaf with
-      | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      | Ok t ->
-          let sub = Ens1371_drv.substream t in
-          (match K.Sndcore.pcm_set_params sub ~rate:44100 ~channels:1 ~sample_bits:16 with
-          | Error rc -> check "EINVAL" (-22) rc
-          | Ok () -> Alcotest.fail "mono should be rejected");
-          Ens1371_drv.rmmod t)
+      let t = bind "ens1371" Driver_env.Decaf Ens1371_drv.active in
+      let sub = Ens1371_drv.substream t in
+      (match K.Sndcore.pcm_set_params sub ~rate:44100 ~channels:1 ~sample_bits:16 with
+      | Error rc -> check "EINVAL" (-22) rc
+      | Ok () -> Alcotest.fail "mono should be rejected");
+      Driver_core.rmmod "ens1371")
 
 let test_ens1371_decaf_called_on_start_stop_only () =
-  K.Boot.boot ();
+  Scenario.boot ();
   ignore (setup_snd ());
-  let env = Driver_env.create Driver_env.Decaf ~scope:"" in
   in_thread (fun () ->
-      match Ens1371_drv.insmod env with
-      | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      | Ok t ->
-          let sub = Ens1371_drv.substream t in
-          ignore (K.Sndcore.pcm_open sub);
-          ignore (K.Sndcore.pcm_set_params sub ~rate:44100 ~channels:2 ~sample_bits:16);
-          ignore (K.Sndcore.pcm_prepare sub);
-          K.Sndcore.pcm_write sub 16384;
-          K.Sndcore.pcm_start sub;
-          let batch_crossings () =
-            let s = Xpc.Batch.stats () in
-            s.Xpc.Batch.flush_crossings + s.Xpc.Batch.single_crossings
-          in
-          let at_start = (Xpc.Channel.stats ()).Xpc.Channel.kernel_user_calls in
-          let batch0 = batch_crossings () in
-          (* steady-state playback: write and drain for a while *)
-          for _ = 1 to 20 do
-            K.Sndcore.pcm_write sub 8192
-          done;
-          while K.Sndcore.pcm_bytes_queued sub > 0 do
-            K.Sched.sleep_ns 50_000_000
-          done;
-          let during = (Xpc.Channel.stats ()).Xpc.Channel.kernel_user_calls in
-          let batch1 = batch_crossings () in
-          (* The PCM data path itself never upcalls: every steady-state
-             crossing is a deferred hardware-pointer sync delivered by
-             the batch machinery, never a synchronous call. *)
-          check "only deferred syncs cross during steady playback"
-            (during - at_start) (batch1 - batch0);
-          check_bool "pointer syncs were delivered" true
-            (env.Driver_env.meter.Driver_env.syncs > 0);
-          K.Sndcore.pcm_stop sub;
-          K.Sndcore.pcm_close sub;
-          Ens1371_drv.rmmod t)
+      let t = bind "ens1371" Driver_env.Decaf Ens1371_drv.active in
+      let sub = Ens1371_drv.substream t in
+      ignore (K.Sndcore.pcm_open sub);
+      ignore (K.Sndcore.pcm_set_params sub ~rate:44100 ~channels:2 ~sample_bits:16);
+      ignore (K.Sndcore.pcm_prepare sub);
+      K.Sndcore.pcm_write sub 16384;
+      K.Sndcore.pcm_start sub;
+      let batch_crossings () =
+        let s = Xpc.Batch.stats () in
+        s.Xpc.Batch.flush_crossings + s.Xpc.Batch.single_crossings
+      in
+      let at_start = (Xpc.Channel.stats ()).Xpc.Channel.kernel_user_calls in
+      let batch0 = batch_crossings () in
+      (* steady-state playback: write and drain for a while *)
+      for _ = 1 to 20 do
+        K.Sndcore.pcm_write sub 8192
+      done;
+      while K.Sndcore.pcm_bytes_queued sub > 0 do
+        K.Sched.sleep_ns 50_000_000
+      done;
+      let during = (Xpc.Channel.stats ()).Xpc.Channel.kernel_user_calls in
+      let batch1 = batch_crossings () in
+      (* The PCM data path itself never upcalls: every steady-state
+         crossing is a deferred hardware-pointer sync delivered by
+         the batch machinery, never a synchronous call. *)
+      check "only deferred syncs cross during steady playback"
+        (during - at_start) (batch1 - batch0);
+      check_bool "pointer syncs were delivered" true
+        ((Driver_core.snapshot "ens1371").Driver_core.s_deferred_syncs > 0);
+      K.Sndcore.pcm_stop sub;
+      K.Sndcore.pcm_close sub;
+      Driver_core.rmmod "ens1371")
 
 (* --- uhci --- *)
 
 let uhci_write_file mode () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let model = Uhci_drv.setup_device ~io_base:0xe000 ~irq:5 () in
   in_thread (fun () ->
-      let t =
-        match Uhci_drv.insmod (env_of mode) ~io_base:0xe000 ~irq:5 with
-        | Ok t -> t
-        | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      in
+      let t = bind "uhci-hcd" mode Uhci_drv.active in
       (* write 64 KiB to the flash drive through bulk URBs *)
       let chunk = 4096 in
       let chunks = 16 in
@@ -567,7 +538,7 @@ let uhci_write_file mode () =
       check "urbs completed" chunks (Uhci_drv.urbs_completed t);
       (* 64 KiB at ~1280 B per 1 ms frame: at least 51 ms of bus time *)
       check_bool "usb 1.1 bandwidth respected" true (K.Clock.now () >= 51_000_000);
-      Uhci_drv.rmmod t);
+      Driver_core.rmmod "uhci-hcd");
   match K.Boot.check_quiescent () with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
@@ -575,14 +546,10 @@ let uhci_write_file mode () =
 (* --- psmouse --- *)
 
 let psmouse_stream mode () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let model = Psmouse_drv.setup_device () in
   in_thread (fun () ->
-      let t =
-        match Psmouse_drv.insmod (env_of mode) with
-        | Ok t -> t
-        | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      in
+      let t = bind "psmouse" mode Psmouse_drv.active in
       check "plain ps/2 id detected" 0 (Psmouse_drv.detected_id t);
       let input = Psmouse_drv.input_dev t in
       let rels = ref 0 and syncs = ref 0 in
@@ -600,36 +567,30 @@ let psmouse_stream mode () =
       check "all packets delivered" 30 (Psmouse_drv.packets_handled t);
       check "relative events" 30 !rels;
       check "sync per packet" 30 !syncs;
-      Psmouse_drv.rmmod t);
+      Driver_core.rmmod "psmouse");
   match K.Boot.check_quiescent () with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "not quiescent: %s" msg
 
 let test_psmouse_negotiation_crossings () =
-  K.Boot.boot ();
+  Scenario.boot ();
   ignore (Psmouse_drv.setup_device ());
   in_thread (fun () ->
-      match Psmouse_drv.insmod Driver_env.decaf with
-      | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      | Ok t ->
-          let st = Xpc.Channel.stats () in
-          check_bool "negotiation crossed kernel/user" true
-            (st.Xpc.Channel.kernel_user_calls >= 3);
-          Psmouse_drv.rmmod t)
+      ignore (bind "psmouse" Driver_env.Decaf Psmouse_drv.active);
+      let st = Xpc.Channel.stats () in
+      check_bool "negotiation crossed kernel/user" true
+        (st.Xpc.Channel.kernel_user_calls >= 3);
+      Driver_core.rmmod "psmouse")
 
 (* --- staged mode: the migration path of section 5.3 --- *)
 
 let test_staged_mode_is_c_only () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   ignore
     (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
   in_thread (fun () ->
-      let t =
-        match Rtl8139_drv.insmod Driver_env.staged with
-        | Ok t -> t
-        | Error rc -> Alcotest.failf "insmod failed: %d" rc
-      in
+      let t = bind "8139too" Driver_env.Staged Rtl8139_drv.active in
       (match K.Netcore.open_dev (Rtl8139_drv.netdev t) with
       | Ok () -> ()
       | Error rc -> Alcotest.failf "open failed: %d" rc);
@@ -639,18 +600,18 @@ let test_staged_mode_is_c_only () =
       check "no C/Java transitions while staged" 0 st.Xpc.Channel.c_java_calls;
       check_bool "managed runtime never started" false
         (Decaf_runtime.Runtime.started ());
-      Rtl8139_drv.rmmod t)
+      Driver_core.rmmod "8139too")
 
 let test_staged_init_faster_than_decaf () =
   let init_of mode =
-    K.Boot.boot ();
+    Scenario.boot ();
     let link = Hw.Link.create ~rate_bps:100_000_000 () in
     ignore
       (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac ~link ());
     in_thread (fun () ->
-        let t = Result.get_ok (Rtl8139_drv.insmod (env_of mode)) in
-        let l = Rtl8139_drv.init_latency_ns t in
-        Rtl8139_drv.rmmod t;
+        ignore (bind "8139too" mode Rtl8139_drv.active);
+        let l = init_latency_ns "8139too" in
+        Driver_core.rmmod "8139too";
         l)
   in
   let staged = init_of Driver_env.Staged in
@@ -703,27 +664,26 @@ let check_frame_sharing ~link ~bring_up ~len ~frames =
   check_bool "the buffer is unchanged" true (Bytes.equal buf copy)
 
 let test_e1000_frames_unwritten () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link, _ = setup_e1000 () in
   check_frame_sharing ~link ~len:1500 ~frames:300 ~bring_up:(fun () ->
       let t = insmod_e1000 Driver_env.Decaf in
-      (E1000_drv.netdev t, fun () -> E1000_drv.rmmod t))
+      (E1000_drv.netdev t, fun () -> Driver_core.rmmod "e1000"))
 
 let test_rtl8139_frames_unwritten () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   ignore
     (Rtl8139_drv.setup_device ~slot:"00:04.0" ~io_base:0xc000 ~irq:10 ~mac
        ~link ());
   check_frame_sharing ~link ~len:1000 ~frames:40 ~bring_up:(fun () ->
-      match Rtl8139_drv.insmod Driver_env.decaf with
-      | Ok t -> (Rtl8139_drv.netdev t, fun () -> Rtl8139_drv.rmmod t)
-      | Error rc -> Alcotest.failf "insmod failed: %d" rc)
+      let t = bind "8139too" Driver_env.Decaf Rtl8139_drv.active in
+      (Rtl8139_drv.netdev t, fun () -> Driver_core.rmmod "8139too"))
 
 (* A TSD size shorter than the staged buffer sends a prefix: the model
    copies it out and leaves the buffer alone. *)
 let test_rtl8139_short_tsd_copy () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:100_000_000 () in
   let model = Hw.Rtl8139.create ~io_base:0xc000 ~irq:10 ~mac ~link in
   let buf = pattern 1000 in

@@ -175,23 +175,22 @@ let per_instance_params () =
       E1000_drv.set_module_params ~tx_descriptors:1024 ~interrupt_throttle:8000
         ();
       let insmod_at i =
-        match E1000_drv.insmod ~dev:(slot_of i) Driver_env.decaf with
-        | Ok t -> t
-        | Error rc -> Alcotest.failf "insmod instance %d failed: %d" i rc
+        let id = bind_ok ~dev:(slot_of i) "e1000" in
+        (id, Option.get (E1000_drv.at ~slot:(slot_of i)))
       in
-      let t0 = insmod_at 0 in
+      let id0, t0 = insmod_at 0 in
       E1000_drv.set_module_params ~tx_descriptors:512 ~interrupt_throttle:3 ();
-      let t1 = insmod_at 1 in
+      let id1, t1 = insmod_at 1 in
       let p0 = E1000_drv.params t0 and p1 = E1000_drv.params t1 in
       check "i0 keeps its TxDescriptors" 1024 p0.E1000_drv.p_tx_descriptors;
       check "i1 snapshot is independent" 512 p1.E1000_drv.p_tx_descriptors;
       check "i0 InterruptThrottleRate" 8000 p0.E1000_drv.p_interrupt_throttle;
       check "i1 InterruptThrottleRate" 3 p1.E1000_drv.p_interrupt_throttle;
-      E1000_drv.rmmod t1;
+      Driver_core.rmmod id1;
       (* i0's snapshot survives the sibling unload *)
       check "i0 params survive sibling rmmod" 1024
         (E1000_drv.params t0).E1000_drv.p_tx_descriptors;
-      E1000_drv.rmmod t0;
+      Driver_core.rmmod id0;
       E1000_drv.reset_module_params ())
 
 (* --- decafctl status at fleet scale --- *)
@@ -221,8 +220,11 @@ let fleet_status () =
       let summed =
         List.fold_left (fun a s -> a + s.Driver_core.s_rejections) 0 fleet
       in
-      check "per-driver boundary rollup sums the instances" summed
-        (Boundary.rejected_for_driver "e1000");
+      check "each row's rejections are its binding's scope" summed
+        (List.fold_left
+           (fun a id -> a + Boundary.rejected_for id)
+           0
+           (Driver_core.instances_of "e1000"));
       List.iter Driver_core.rmmod (List.rev ids))
 
 (* --- hotplug churn under switch load: conservation and leaks --- *)
@@ -487,19 +489,20 @@ let bind_reuses_lowest_free () =
    that does not come up would (registered under e1000's name). *)
 let probe_fails = ref None
 
-module Failing_e1000 = struct
-  include E1000_drv.Core
+let failing_e1000 =
+  let (Driver_core.Pack (module D)) = E1000_drv.packed in
+  Driver_core.Pack
+    (module struct
+      include D
 
-  let probe env ~dev =
-    match !probe_fails with
-    | Some rc -> Error rc
-    | None -> E1000_drv.Core.probe env ~dev
-end
+      let probe env ~dev =
+        match !probe_fails with Some rc -> Error rc | None -> D.probe env ~dev
+    end)
 
 let hotplug_visits_in_creation_order () =
   Scenario.boot ();
   probe_fails := None;
-  Driver_core.register (Driver_core.Pack (module Failing_e1000));
+  Driver_core.register failing_e1000;
   ignore (setup_fleet 2);
   Scenario.in_thread (fun () ->
       (match Driver_core.insmod "e1000" ~mode:Driver_env.Decaf with

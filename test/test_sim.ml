@@ -4,6 +4,7 @@
 open Decaf_drivers
 module K = Decaf_kernel
 module Hw = Decaf_hw
+module Scenario = Decaf_experiments.Scenario
 
 let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -16,16 +17,18 @@ let in_thread f =
   K.Sched.run ();
   Option.get !result
 
+let bind = Testutil.bind
+
 (* --- determinism: the virtual machine is a pure function of its inputs --- *)
 
 let run_e1000_send () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
        ~mac:mac1 ~link ());
   in_thread (fun () ->
-      let t = Result.get_ok (E1000_drv.insmod Driver_env.decaf) in
+      let t = bind "e1000" Driver_env.Decaf E1000_drv.active in
       let nd = E1000_drv.netdev t in
       ignore (K.Netcore.open_dev nd);
       let r =
@@ -35,7 +38,7 @@ let run_e1000_send () =
       let crossings = (Decaf_xpc.Channel.stats ()).Decaf_xpc.Channel.kernel_user_calls in
       let now = K.Clock.now () in
       let busy = K.Clock.busy_ns () in
-      E1000_drv.rmmod t;
+      Driver_core.rmmod "e1000";
       (r.Decaf_workloads.Netperf.packets, crossings, now, busy))
 
 let test_simulation_deterministic () =
@@ -46,21 +49,21 @@ let test_simulation_deterministic () =
 (* --- repeated lifecycle: no leak across load/unload cycles --- *)
 
 let test_repeated_insmod_rmmod () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
        ~mac:mac1 ~link ());
   in_thread (fun () ->
       for _cycle = 1 to 10 do
-        let t = Result.get_ok (E1000_drv.insmod Driver_env.decaf) in
+        let t = bind "e1000" Driver_env.Decaf E1000_drv.active in
         let nd = E1000_drv.netdev t in
         (match K.Netcore.open_dev nd with
         | Ok () -> ()
         | Error rc -> Alcotest.failf "open: %d" rc);
         ignore (K.Netcore.dev_queue_xmit nd (K.Netcore.Skb.alloc 512));
         K.Sched.sleep_ns 1_000_000;
-        E1000_drv.rmmod t;
+        Driver_core.rmmod "e1000";
         let live, _ = K.Kmem.outstanding () in
         check "no allocations survive rmmod" 0 live
       done);
@@ -71,7 +74,7 @@ let test_repeated_insmod_rmmod () =
 (* --- two NICs coexist, one native and one decaf --- *)
 
 let test_two_nics_coexist () =
-  K.Boot.boot ();
+  Scenario.boot ();
   let link1 = Hw.Link.create ~rate_bps:100_000_000 () in
   let link2 = Hw.Link.create ~rate_bps:1_000_000_000 () in
   ignore
@@ -81,8 +84,8 @@ let test_two_nics_coexist () =
     (E1000_drv.setup_device ~slot:"00:05.0" ~mmio_base:0xf000_0000 ~irq:11
        ~mac:mac2 ~link:link2 ());
   in_thread (fun () ->
-      let t1 = Result.get_ok (Rtl8139_drv.insmod Driver_env.native) in
-      let t2 = Result.get_ok (E1000_drv.insmod Driver_env.decaf) in
+      let t1 = bind "8139too" Driver_env.Native Rtl8139_drv.active in
+      let t2 = bind "e1000" Driver_env.Decaf E1000_drv.active in
       let nd1 = Rtl8139_drv.netdev t1 and nd2 = E1000_drv.netdev t2 in
       check_bool "distinct interface names" true
         (K.Netcore.name nd1 <> K.Netcore.name nd2);
@@ -100,8 +103,8 @@ let test_two_nics_coexist () =
       (* interrupts were delivered on both lines *)
       check_bool "both irq lines fired" true
         (K.Irq.delivered 10 > 0 && K.Irq.delivered 11 > 0);
-      E1000_drv.rmmod t2;
-      Rtl8139_drv.rmmod t1)
+      Driver_core.rmmod "e1000";
+      Driver_core.rmmod "8139too")
 
 (* --- scheduler stress --- *)
 

@@ -1,4 +1,11 @@
-(* Small string helpers shared by the test suites. *)
+(* Small helpers shared by the test suites. *)
+
+(* Bind the named driver through the registry, the one way to load a
+   driver, and hand back its typed instance. *)
+let bind name mode active =
+  match Decaf_drivers.Driver_core.insmod name ~mode with
+  | Ok () -> Option.get (active ())
+  | Error rc -> Alcotest.failf "%s insmod failed: %d" name rc
 
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
